@@ -3,22 +3,33 @@
     maximize   min_i  sum_S M[i, S] * p_S
     subject to p is a probability vector over the columns.
 
-This is the value-of-a-zero-sum-game LP.  It is solved by primal simplex on
-the standard form
+This is the value-of-a-zero-sum-game LP.  It is solved by column generation
+over the distinct cut columns.  A small restricted master, started from the
+best static column, is solved by primal simplex on the standard form
 
     max z   s.t.   z - (M p)_i + s_i = 0   (one row per group)
                    sum_S p_S = 1
                    z, p, s >= 0
 
-with exact rational pivots and Bland's rule, so the optimum, the optimal
-distribution, and the dual group mixture are certified exactly.  Restricting
-z to be non-negative loses nothing because all payoff entries are >= 0.
+with exact rational pivots and Bland's rule.  Its dual group mixture prices
+every distinct column in exact integer arithmetic, and the column with the
+largest reduced cost enters (Dantzig's rule), until no column prices above
+the master value.  The last master's duals then certify the optimum over all
+columns.  Restricting z to be non-negative loses nothing because all payoff
+entries are >= 0.
+
+The reported distribution is canonical: Bland's simplex is re-run over the
+columns that are tight at the final duals, in column order, so it does not
+depend on the path the master took.  Both sides of the minimax equality are
+finally rechecked from the matrix's ``Fraction`` entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .exact import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -89,44 +100,80 @@ class _CertificateError(AssertionError):
 def solve_maximin(matrix: PayoffMatrix) -> MaximinSolution:
     """Exact optimum of the maximin LP with a strong-duality certificate.
 
-    Duplicate payoff columns are collapsed before pivoting (a distribution
-    on duplicates is interchangeable, so the value is unchanged); the
-    returned support refers to original column indices.
+    Column generation over the distinct payoff columns (a distribution on
+    duplicates is interchangeable, so the value is unchanged).  The dual
+    weights are the last master's, which certify every column; the
+    distribution is Bland's simplex over the columns tight at those duals,
+    and the returned support refers to original column indices.
     """
     gamma = matrix.group_count
     if gamma == 0 or matrix.column_count == 0:
         raise ValueError("payoff matrix must be non-empty")
+
+    # scale row i by the lcm of its denominators: exact integer payoffs
+    dens: list[int] = []
+    int_rows: list[list[int]] = []
     for row in matrix.entries:
-        for entry in row:
-            if entry < 0:
-                raise ValueError("payoff entries must be non-negative")
+        den = lcm(*{x.denominator for x in row})
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        if min(ints) < 0:
+            raise ValueError("payoff entries must be non-negative")
+        dens.append(den)
+        int_rows.append(ints)
 
     # collapse duplicate columns, keeping the first occurrence
-    kept: list[int] = []
-    seen: dict[tuple[Fraction, ...], int] = {}
-    for j in range(matrix.column_count):
-        col = matrix.column(j)
-        if col not in seen:
-            seen[col] = j
-            kept.append(j)
+    first: dict[tuple[int, ...], int] = {}
+    for j, col in enumerate(zip(*int_rows)):
+        first.setdefault(col, j)
+    int_cols = list(first)
+    kept = list(first.values())
     cols = [matrix.column(j) for j in kept]
     k = len(cols)
 
-    value, probs, duals = _simplex_maximin(cols, gamma)
+    # restricted master, started from the best static column; the column
+    # with the largest reduced cost enters until none prices above its value
+    active = [max(range(k), key=lambda j: min(cols[j]))]
+    while True:
+        value, _, duals = _simplex_maximin([cols[j] for j in active], gamma)
+        weights, bar = _pricing(duals, dens, value)
+        scores = [sum(map(mul, weights, col)) for col in int_cols]
+        enter = max(range(k), key=scores.__getitem__)
+        if scores[enter] <= bar:
+            break
+        if enter in active:
+            raise _CertificateError("master duals price one of its own columns above its value")
+        active.append(enter)
 
-    pairs = [
-        (matrix.col_cuts[kept[j]], probs[j]) for j in range(k) if probs[j] > 0
-    ]
-    distribution = CutDistribution.from_pairs(pairs)
-    support = tuple(sorted(kept[j] for j in range(k) if probs[j] > 0))
+    # canonical support: independent of the path the master took
+    tight = [j for j in range(k) if scores[j] == bar]
+    tight_value, probs, _ = _simplex_maximin([cols[j] for j in tight], gamma)
+    if tight_value != value:
+        raise _CertificateError(
+            f"tight columns reach {tight_value}, column generation reached {value}"
+        )
+    support = tuple(kept[j] for j, p in zip(tight, probs) if p > 0)
+    distribution = CutDistribution(
+        tuple((matrix.col_cuts[kept[j]], p) for j, p in zip(tight, probs) if p > 0)
+    )
 
-    _check_certificate(matrix, value, distribution, duals)
+    _check_certificate(matrix, value, distribution, duals, support, kept)
     return MaximinSolution(
         value=value,
         distribution=distribution,
         dual_weights=duals,
         support=support,
     )
+
+
+def _pricing(
+    duals: tuple[Fraction, ...], dens: list[int], value: Fraction
+) -> tuple[list[int], int]:
+    """Integer weights w and bar b for pricing a column c of row-scaled
+    integer payoffs: sum(w * c) - b is a positive multiple of the column's
+    dual mixture sum(duals[i] * c[i] / dens[i]) minus ``value``."""
+    ratios = [q * value.denominator / d for q, d in zip(duals, dens)]
+    scale = lcm(*(r.denominator for r in ratios))
+    return [r.numerator * (scale // r.denominator) for r in ratios], value.numerator * scale
 
 
 def _simplex_maximin(
@@ -225,21 +272,17 @@ def _simplex_maximin(
 def _pivot(tab: list[list[Fraction]], cost: list[Fraction], r: int, c: int, n_vars: int) -> None:
     pivot_row = tab[r]
     inv = pivot_row[c]
-    for j in range(n_vars + 1):
+    # entries that are zero in the pivot row leave every other row unchanged
+    nonzero = [j for j in range(n_vars + 1) if pivot_row[j]]
+    for j in nonzero:
         pivot_row[j] /= inv
-    for row in tab:
+    for row in (*tab, cost):
         if row is pivot_row:
             continue
         coef = row[c]
-        if coef != 0:
-            for j in range(n_vars + 1):
-                if pivot_row[j] != 0:
-                    row[j] -= coef * pivot_row[j]
-    coef = cost[c]
-    if coef != 0:
-        for j in range(n_vars + 1):
-            if pivot_row[j] != 0:
-                cost[j] -= coef * pivot_row[j]
+        if coef:
+            for j in nonzero:
+                row[j] -= coef * pivot_row[j]
 
 
 def _check_certificate(
@@ -247,25 +290,32 @@ def _check_certificate(
     value: Fraction,
     distribution: CutDistribution,
     duals: tuple[Fraction, ...],
+    support: tuple[int, ...],
+    distinct: list[int],
 ) -> None:
-    """Recompute both sides of the minimax equality from scratch."""
-    if sum(duals) != 1 or any(q < 0 for q in duals):
+    """Recompute both sides of the minimax equality from the matrix entries.
+
+    The primal side sums the distribution over its support columns, which
+    must carry exactly the distribution's cuts.  The dual side maximizes the
+    dual mixture over the ``distinct`` column indices; every other column
+    duplicates one of them and so mixes to the same value.
+    """
+    if (
+        len(duals) != matrix.group_count
+        or sum(duals) != 1
+        or any(q < 0 for q in duals)
+    ):
         raise _CertificateError("dual weights are not a probability vector")
     prob_by_cut = dict(distribution.entries)
-    primal = None
-    for i in range(matrix.group_count):
-        expected = _ZERO
-        for j, cut in enumerate(matrix.col_cuts):
-            p = prob_by_cut.get(cut)
-            if p:
-                expected += matrix.entries[i][j] * p
-        if primal is None or expected < primal:
-            primal = expected
-    dual = None
-    for j in range(matrix.column_count):
-        mixed = sum(duals[i] * matrix.entries[i][j] for i in range(matrix.group_count))
-        if dual is None or mixed > dual:
-            dual = mixed
+    cuts = [matrix.col_cuts[j] for j in support]
+    if len(set(cuts)) != len(cuts) or set(cuts) != prob_by_cut.keys():
+        raise _CertificateError("support columns and distribution cuts disagree")
+    probs = [prob_by_cut[cut] for cut in cuts]
+    primal = min(
+        sum(row[j] * p for j, p in zip(support, probs)) for row in matrix.entries
+    )
+    weighted = [(q, row) for q, row in zip(duals, matrix.entries) if q]
+    dual = max(sum(q * row[j] for q, row in weighted) for j in distinct)
     if primal != value or dual != value:
         raise _CertificateError(
             f"strong duality certificate failed: primal {primal}, dual {dual}, value {value}"

@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairmaxcut.exact import Mode, PayoffMatrix, build_payoff_matrix
 from fairmaxcut.families import (
@@ -17,7 +18,14 @@ from fairmaxcut.families import (
 )
 from fairmaxcut.graphs import Cut, PartitionKind, edge_groups
 from fairmaxcut.heuristics import evaluate_distribution
-from fairmaxcut.maximin import CutDistribution, df_fair, solve_maximin
+from fairmaxcut.maximin import (
+    CutDistribution,
+    _CertificateError,
+    _check_certificate,
+    _simplex_maximin,
+    df_fair,
+    solve_maximin,
+)
 from fairmaxcut.utility import UtilityModel
 
 from .strategies import edge_instances, node_instances
@@ -48,6 +56,44 @@ def simplex_grid_best(rows, denominator: int) -> Fraction:
         )
         best = max(best, value)
     return best
+
+
+def first_columns(matrix: PayoffMatrix) -> dict[tuple[Fraction, ...], int]:
+    """Each distinct payoff column mapped to the index of its first occurrence."""
+    first: dict[tuple[Fraction, ...], int] = {}
+    for j, col in enumerate(zip(*matrix.entries)):
+        first.setdefault(col, j)
+    return first
+
+
+def assert_matches_dense_oracle(matrix: PayoffMatrix, sol) -> None:
+    """The solution against Bland's simplex over every distinct column, and its
+    support against Bland's simplex over the columns tight at its duals."""
+    gamma = matrix.group_count
+    first = first_columns(matrix)
+    dense_value, _, _ = _simplex_maximin(list(first), gamma)
+    assert sol.value == dense_value
+    assert len(sol.support) <= gamma + 1
+
+    tight = [
+        col for col in first if sum(q * c for q, c in zip(sol.dual_weights, col)) == sol.value
+    ]
+    tight_value, probs, _ = _simplex_maximin(tight, gamma)
+    assert tight_value == sol.value
+    expected = [(first[col], p) for col, p in zip(tight, probs) if p > 0]
+    assert sol.support == tuple(j for j, _ in expected)
+    assert sol.distribution.entries == tuple((matrix.col_cuts[j], p) for j, p in expected)
+
+
+@st.composite
+def maximin_instances(draw, max_vertices=8):
+    if draw(st.booleans()):
+        g, partition = draw(edge_instances(max_vertices=max_vertices))
+        model = UtilityModel.EDGE
+    else:
+        g, partition = draw(node_instances(max_vertices=max_vertices))
+        model = draw(st.sampled_from([UtilityModel.NODE_MAXDEG, UtilityModel.NODE_OWNDEG]))
+    return g, model, partition, draw(st.sampled_from(list(Mode)))
 
 
 class TestSolveMaximin:
@@ -116,12 +162,94 @@ class TestSolveMaximin:
         assert score.minimum == sol.value
         assert all(v >= sol.value for v in score.per_group)
 
+    @given(maximin_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_column_generation_matches_dense_oracle(self, case):
+        g, model, partition, mode = case
+        matrix = build_payoff_matrix(g, model, partition, mode)
+        sol = solve_maximin(matrix)
+        assert_matches_dense_oracle(matrix, sol)
+        score = evaluate_distribution(g, model, partition, sol.distribution)
+        per_group = [
+            s * (len(gr) if mode is Mode.VALUE else 1)
+            for s, gr in zip(score.per_group, partition.groups)
+        ]
+        assert min(per_group) == sol.value
+
+    @pytest.mark.parametrize(
+        "rows, value",
+        [
+            ([[1], [2], [3]], 1),  # one column
+            ([[1, 3, 2]], 3),  # one group
+            ([[1, 0, 1, 0], [0, 1, 0, 1]], Fraction(1, 2)),  # duplicate columns
+            ([[0, 0, 0], [1, 2, 3]], 0),  # zero row: every column is tight
+        ],
+    )
+    def test_fixed_cases_match_dense_oracle(self, rows, value):
+        matrix = matrix_from_rows(rows)
+        sol = solve_maximin(matrix)
+        assert sol.value == value
+        assert_matches_dense_oracle(matrix, sol)
+
+
+class TestCertificate:
+    """The certificate recheck rejects a dual or a distribution that is off."""
+
+    @staticmethod
+    def paw():
+        inst = make_paw_instance()
+        matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
+        return matrix, solve_maximin(matrix), list(first_columns(matrix).values())
+
+    def test_accepts_the_solution(self):
+        matrix, sol, distinct = self.paw()
+        _check_certificate(
+            matrix, sol.value, sol.distribution, sol.dual_weights, sol.support, distinct
+        )
+
+    def test_rejects_shifted_dual(self):
+        # the point mass on (1, 1) is optimal with value 1; the shifted dual
+        # still prices that support column at 1 but prices column 0 above it
+        matrix = matrix_from_rows([[2, 0, 1], [0, 2, 1]])
+        dist = CutDistribution.point_mass(matrix.col_cuts[2])
+        half, shift = Fraction(1, 2), Fraction(1, 1000)
+        _check_certificate(matrix, Fraction(1), dist, (half, half), (2,), [0, 1, 2])
+        with pytest.raises(_CertificateError):
+            _check_certificate(
+                matrix, Fraction(1), dist, (half + shift, half - shift), (2,), [0, 1, 2]
+            )
+
+    def test_rejects_probability_moved_off_its_cut(self):
+        matrix, sol, distinct = self.paw()
+        (_, p), *rest = sol.distribution.entries
+        outside = next(c for c in matrix.col_cuts if c not in sol.distribution.support)
+        moved = CutDistribution(((outside, p), *rest))
+        with pytest.raises(_CertificateError):
+            _check_certificate(
+                matrix, sol.value, moved, sol.dual_weights, sol.support, distinct
+            )
+
+    def test_rejects_probability_moved_between_support_cuts(self):
+        matrix, sol, distinct = self.paw()
+        shift = Fraction(1, 1000)
+        (a, p), (b, q), *rest = sol.distribution.entries
+        moved = CutDistribution(((a, p + shift), (b, q - shift), *rest))
+        with pytest.raises(_CertificateError):
+            _check_certificate(
+                matrix, sol.value, moved, sol.dual_weights, sol.support, distinct
+            )
+
 
 class TestDfFair:
     def test_c5_singleton_edges(self):
         g = make_cycle(5)
         partition = singleton_partition(g, PartitionKind.EDGES)
         assert df_fair(g, UtilityModel.EDGE, partition).value == Fraction(4, 5)
+
+    def test_c11_singleton_edges(self):
+        g = make_cycle(11)
+        partition = singleton_partition(g, PartitionKind.EDGES)
+        assert df_fair(g, UtilityModel.EDGE, partition).value == Fraction(10, 11)
 
     def test_clique_tail_families(self):
         for n in (6, 10, 14):
