@@ -25,7 +25,7 @@ from .errors import (
 )
 from .exact import DEFAULT_ENUMERATION_LIMIT, Mode
 from .graphs import Cut, PartitionKind, cut_value, max_degree
-from .utility import UtilityModel, group_proportion, require_compatible
+from .utility import UtilityModel, crossing_degree, group_proportion, require_compatible
 
 OBJECTIVES = ("MV", "MP", "SF-MV", "SF-MP", "DF-MV", "DF-MP")
 ALGORITHMS = ("separate-solve", "naive-random", "local-search", "gw")
@@ -266,9 +266,7 @@ def cmd_run(args) -> int:
         cut = heuristics.local_search_cut(inst.graph)
         builder.add_line(f"cut {reports.format_cut(cut)} value {cut_value(inst.graph, cut)}")
         for v in range(inst.graph.vertex_count):
-            crossing = sum(
-                1 for u in inst.graph.neighbors[v] if (u in cut.members) != (v in cut.members)
-            )
+            crossing = crossing_degree(inst.graph, cut, v)
             builder.add_line(f"vertex-condition {v} {crossing} {inst.graph.degree(v)}")
         minimum = min(
             group_proportion(inst.graph, inst.model, cut, gr) for gr in inst.partition.groups

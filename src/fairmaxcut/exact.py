@@ -2,9 +2,11 @@
 plus the group-by-cut payoff matrix that feeds the maximin LP.
 
 Cuts are enumerated canonically with vertex 0 excluded (every objective here
-is invariant under complementing the cut, so half the subsets suffice).  The
-inner loops work on integer numerators over fixed per-group denominators and
-only materialize ``Fraction`` values at the end, which keeps desk-scale
+is invariant under complementing the cut, so half the subsets suffice).  Every
+pass scores cuts with ``utility.group_kernel``, the one model-agnostic kernel
+over the integer edge-weight table of ``utility.group_weights``: the inner
+loops work on integer numerators over fixed per-group denominators and only
+materialize ``Fraction`` values at the end, which keeps desk-scale
 enumeration fast without leaving exact arithmetic.
 """
 
@@ -13,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import TooLargeError
 from .graphs import Cut, Graph, GroupPartition
-from .utility import UtilityModel, ground_set_size, max_degree, require_compatible
+from .utility import UtilityModel, ground_set_size, group_kernel, require_compatible
 
 DEFAULT_ENUMERATION_LIMIT = 24
 
@@ -80,86 +81,6 @@ def enumerate_canonical_cuts(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -
     return [Cut.from_mask(mask) for mask in _canonical_masks(g.vertex_count)]
 
 
-def _group_kernel(
-    g: Graph, model: UtilityModel, groups: tuple[frozenset[int], ...]
-) -> tuple[list[int], Callable[[int], list[int]]]:
-    """Integer numerator evaluator: numerators(mask)[i] / denom[i] equals the
-    exact group utility of group i under the cut with that member mask."""
-    if model is UtilityModel.EDGE:
-        edges = g.edges
-        group_bits = []
-        for gr in groups:
-            bits = 0
-            for idx in gr:
-                bits |= 1 << idx
-            group_bits.append(bits)
-        denoms = [1] * len(groups)
-
-        def numerators(mask: int) -> list[int]:
-            cross = 0
-            for i, (u, v) in enumerate(edges):
-                if ((mask >> u) ^ (mask >> v)) & 1:
-                    cross |= 1 << i
-            return [(cross & bits).bit_count() for bits in group_bits]
-
-        return denoms, numerators
-
-    adj = g.adjacency_masks
-    degs = g.degrees
-    n = g.vertex_count
-    if model is UtilityModel.NODE_MAXDEG:
-        delta = max_degree(g)
-        group_lists = [sorted(gr) for gr in groups]
-        denoms = [delta] * len(groups)
-
-        def numerators(mask: int) -> list[int]:
-            out = []
-            for members in group_lists:
-                total = 0
-                for v in members:
-                    pop = (adj[v] & mask).bit_count()
-                    total += degs[v] - pop if (mask >> v) & 1 else pop
-                out.append(total)
-            return out
-
-        return denoms, numerators
-
-    # own-degree model: weight each vertex by lcm(group degrees)/deg(v)
-    group_lists = [sorted(gr) for gr in groups]
-    denoms = []
-    weights: list[list[tuple[int, int]]] = []
-    for members in group_lists:
-        positive = [degs[v] for v in members if degs[v] > 0]
-        common = lcm(*positive) if positive else 1
-        denoms.append(common)
-        weights.append([(v, common // degs[v]) for v in members if degs[v] > 0])
-
-    def numerators(mask: int) -> list[int]:
-        out = []
-        for pairs in weights:
-            total = 0
-            for v, w in pairs:
-                pop = (adj[v] & mask).bit_count()
-                cross = degs[v] - pop if (mask >> v) & 1 else pop
-                total += cross * w
-            out.append(total)
-        return out
-
-    return denoms, numerators
-
-
-def _ground_kernel(g: Graph, model: UtilityModel) -> tuple[int, Callable[[int], int]]:
-    """Single-group kernel over the whole ground set."""
-    if model is UtilityModel.EDGE:
-        ground: frozenset[int] = frozenset(range(g.edge_count))
-    else:
-        ground = frozenset(range(g.vertex_count))
-    if not ground:
-        return 1, lambda mask: 0
-    denoms, numerators = _group_kernel(g, model, (ground,))
-    return denoms[0], lambda mask: numerators(mask)[0]
-
-
 def max_value(
     g: Graph, model: UtilityModel, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> tuple[Fraction, Cut]:
@@ -167,15 +88,15 @@ def max_value(
     maximizer as witness.  For the edge model this is the Max-Cut value."""
     require_compatible(g, model)
     check_enumeration_limit(g, limit)
-    denom, numerator = _ground_kernel(g, model)
+    denoms, numerators = group_kernel(g, model, (range(ground_set_size(g, model)),))
     best_num = -1
     best_mask = 0
     for mask in _canonical_masks(g.vertex_count):
-        num = numerator(mask)
+        num = numerators(mask)[0]
         if num > best_num:
             best_num = num
             best_mask = mask
-    return Fraction(best_num, denom), Cut.from_mask(best_mask)
+    return Fraction(best_num, denoms[0]), Cut.from_mask(best_mask)
 
 
 def max_proportion(
@@ -201,7 +122,7 @@ def static_fair(
     Ties break toward the first canonical cut."""
     require_compatible(g, model, partition)
     check_enumeration_limit(g, limit)
-    denoms, numerators = _group_kernel(g, model, partition.groups)
+    denoms, numerators = group_kernel(g, model, partition.groups)
     scale = [len(gr) for gr in partition.groups] if mode is Mode.PROPORTION else [1] * partition.group_count
     full_den = [d * s for d, s in zip(denoms, scale)]
 
@@ -230,7 +151,7 @@ def build_payoff_matrix(
     """Dense group-by-cut payoff table over all canonical cuts."""
     require_compatible(g, model, partition)
     check_enumeration_limit(g, limit)
-    denoms, numerators = _group_kernel(g, model, partition.groups)
+    denoms, numerators = group_kernel(g, model, partition.groups)
     sizes = [len(gr) for gr in partition.groups]
     scale = sizes if mode is Mode.PROPORTION else [1] * len(sizes)
     full_den = [d * s for d, s in zip(denoms, scale)]

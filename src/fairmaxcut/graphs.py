@@ -49,15 +49,6 @@ class Graph:
             adj[v].add(u)
         return tuple(frozenset(s) for s in adj)
 
-    @cached_property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbor sets as bitmasks (bit u set iff u adjacent)."""
-        masks = [0] * self.vertex_count
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
-
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
 
@@ -174,7 +165,9 @@ class GroupPartition:
             union |= gr
         if total != len(union):
             raise ValueError("groups overlap")
-        if union != set(range(self.ground_size)):
+        # disjoint groups cover 0..ground_size-1 iff their sizes sum to
+        # ground_size and every member is in range; range() is never built
+        if total != self.ground_size or min(union) < 0 or max(union) >= self.ground_size:
             raise ValueError(
                 f"groups must cover exactly the ground set 0..{self.ground_size - 1}"
             )

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,7 +23,9 @@ from .graphs import Cut, Graph, GroupPartition, max_degree
 from .maximin import CutDistribution
 from .utility import (
     UtilityModel,
+    group_kernel,
     group_proportion,
+    group_weights,
     require_compatible,
 )
 
@@ -137,13 +138,16 @@ def evaluate_distribution(
 ) -> DistributionScore:
     """Exact expected per-capita utility of every group under a distribution."""
     require_compatible(g, model, partition)
-    per_group = []
-    for gr in partition.groups:
-        expected = Fraction(0)
-        for cut, prob in dist.entries:
-            expected += prob * group_proportion(g, model, cut, gr)
-        per_group.append(expected)
-    return DistributionScore(per_group=tuple(per_group), minimum=min(per_group))
+    dens, numerators = group_kernel(g, model, partition.groups)
+    expected = [Fraction(0)] * len(dens)
+    for cut, prob in dist.entries:
+        cut.validate_for(g)
+        for i, num in enumerate(numerators(cut.mask())):
+            expected[i] += prob * num
+    per_group = tuple(
+        total / (den * len(gr)) for total, den, gr in zip(expected, dens, partition.groups)
+    )
+    return DistributionScore(per_group=per_group, minimum=min(per_group))
 
 
 # ---------------------------------------------------------------------------
@@ -237,43 +241,26 @@ def naive_random_sample(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     require_compatible(g, model, partition)
+    weights, dens = group_weights(g, model, partition.groups)
     bits = _trial_side_bits(g, seed, trials)
-    if g.edge_count:
-        heads = np.array([e[0] for e in g.edges])
-        tails = np.array([e[1] for e in g.edges])
-        crossings = (bits[:, heads] ^ bits[:, tails]).astype(np.int64)
-    else:
-        crossings = np.zeros((trials, 0), dtype=np.int64)
+    heads = np.array([u for u, _ in g.edges], dtype=np.intp)
+    tails = np.array([v for _, v in g.edges], dtype=np.intp)
+    crossings = bits[:, heads] ^ bits[:, tails]
+
+    # squared numerators are summed over the trials: past int64, use exact ints
+    max_num = max(sum(row.values()) for row in weights)
+    dtype = object if trials * max_num * max_num >= 2**62 else np.int64
+    table = np.zeros((len(weights), g.edge_count), dtype=dtype)
+    for i, row in enumerate(weights):
+        for e, w in row.items():
+            table[i, e] = w
+    nums = crossings.astype(dtype) @ table.T
 
     stats = []
-    for gr in partition.groups:
-        if model is UtilityModel.EDGE:
-            idx = sorted(gr)
-            nums = crossings[:, idx].sum(axis=1)
-            denom = len(gr)
-        else:
-            delta = max_degree(g)
-            if delta == 0:
-                raise DegreeZeroError("node utility needs at least one edge")
-            weights = np.zeros(g.edge_count, dtype=np.int64)
-            if model is UtilityModel.NODE_MAXDEG:
-                common = 1
-                per_vertex = {v: 1 for v in gr}
-                denom = delta * len(gr)
-            else:
-                positive = [g.degree(v) for v in gr if g.degree(v) > 0]
-                common = lcm(*positive) if positive else 1
-                per_vertex = {v: common // g.degree(v) for v in gr if g.degree(v) > 0}
-                denom = common * len(gr)
-            for j, (u, v) in enumerate(g.edges):
-                weights[j] = per_vertex.get(u, 0) + per_vertex.get(v, 0)
-            max_num = int(np.abs(weights).sum())
-            if trials * max_num * max_num >= 2**62:
-                nums = (crossings.astype(object) @ weights.astype(object))
-            else:
-                nums = crossings @ weights
-        total = int(np.sum(nums)) if not isinstance(nums, list) else sum(nums)
-        total_sq = int(np.sum(np.multiply(nums, nums)))
+    for i, (den, gr) in enumerate(zip(dens, partition.groups)):
+        denom = den * len(gr)
+        total = int(np.sum(nums[:, i]))
+        total_sq = int(np.sum(np.multiply(nums[:, i], nums[:, i])))
         mean = Fraction(total, trials * denom)
         second_moment = Fraction(total_sq, trials * denom * denom)
         stats.append(SampleStats(mean=mean, variance=second_moment - mean * mean))

@@ -61,6 +61,7 @@ def parse_instance(text: str) -> NamedInstance:
     label = ""
     vertices: int | None = None
     edges: list[tuple[int, int]] = []
+    seen_pairs: set[tuple[int, int]] = set()
     model: UtilityModel | None = None
     kind: PartitionKind | None = None
     groups: list[frozenset[int]] = []
@@ -100,8 +101,10 @@ def parse_instance(text: str) -> NamedInstance:
                     raise InstanceParseError(
                         f"endpoint {w} out of range 0..{vertices - 1}", lineno, _column_of(raw, str(w))
                     )
-            if any({u, v} == {a, b} for a, b in edges):
+            pair = (u, v) if u < v else (v, u)
+            if pair in seen_pairs:
                 raise InstanceParseError(f"duplicate edge ({u}, {v})", lineno)
+            seen_pairs.add(pair)
             edges.append((u, v))
         elif keyword == "model":
             if model is not None:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from math import lcm
+from typing import Callable, Iterable, Sequence
 
 from .errors import DegreeZeroError, ModelMismatchError
 from .graphs import Cut, Graph, GroupPartition, PartitionKind, max_degree
@@ -104,6 +105,85 @@ def min_group_proportion(
     """Worst per-capita utility across the partition's groups."""
     require_compatible(g, model, partition)
     return min(group_proportion(g, model, cut, gr) for gr in partition.groups)
+
+
+def group_weights(
+    g: Graph, model: UtilityModel, groups: Sequence[Iterable[int]]
+) -> tuple[list[dict[int, int]], list[int]]:
+    """Integer edge weights ``W[i]`` (edge index -> weight, zero weights
+    omitted) and a denominator ``dens[i]`` per group, such that under every
+    cut group i's utility is the sum of ``W[i][e]`` over crossing edges e,
+    divided by ``dens[i]``.
+
+    Edge model: weight 1 on the group's edges, denominator 1.  Max-degree
+    model: the number of the edge's endpoints in the group, denominator
+    max_degree.  Own-degree model: den/deg(v) summed over the edge's
+    endpoints v in the group, where den is the lcm of the group's positive
+    degrees; isolated vertices have no edges and so contribute nothing.
+    """
+    require_compatible(g, model)
+    if model is UtilityModel.EDGE:
+        return [dict.fromkeys(gr, 1) for gr in groups], [1] * len(groups)
+    degs = g.degrees
+    incident: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for e, (u, v) in enumerate(g.edges):
+        incident[u].append(e)
+        incident[v].append(e)
+    by_max_degree = model is UtilityModel.NODE_MAXDEG
+    weights, dens = [], []
+    for gr in groups:
+        den = max_degree(g) if by_max_degree else lcm(*(degs[v] for v in gr if degs[v]))
+        row: dict[int, int] = {}
+        for v in gr:
+            for e in incident[v]:
+                row[e] = row.get(e, 0) + (1 if by_max_degree else den // degs[v])
+        weights.append(row)
+        dens.append(den)
+    return weights, dens
+
+
+def group_kernel(
+    g: Graph, model: UtilityModel, groups: Sequence[Iterable[int]]
+) -> tuple[list[int], Callable[[int], list[int]]]:
+    """Integer numerator evaluator for any model: ``numerators(mask)[i] /
+    dens[i]`` is group i's exact utility under the cut whose member bitmask
+    is ``mask``.  The mask must name vertices of g only; callers validate.
+
+    An edge crosses iff exactly one endpoint is a member, so the crossing
+    edges are the XOR of the members' incident-edge masks, read from one
+    lookup table per 8 vertices.  A group's numerator is then one popcount
+    per distinct weight in its ``group_weights`` row.
+    """
+    weights, dens = group_weights(g, model, groups)
+    incident = [0] * g.vertex_count
+    for e, (u, v) in enumerate(g.edges):
+        incident[u] |= 1 << e
+        incident[v] |= 1 << e
+    tables = []
+    for start in range(0, g.vertex_count, 8):
+        table = [0]
+        for edge_bits in incident[start:start + 8]:
+            table += [x ^ edge_bits for x in table]
+        tables.append(table)
+    terms: list[tuple[int, int, int]] = []  # (group, weight, edges of that weight)
+    for i, row in enumerate(weights):
+        by_weight: dict[int, int] = {}
+        for e, w in row.items():
+            by_weight[w] = by_weight.get(w, 0) | 1 << e
+        terms += [(i, w, edge_bits) for w, edge_bits in by_weight.items()]
+    zeros = [0] * len(dens)
+
+    def numerators(mask: int) -> list[int]:
+        cross = 0
+        for table in tables:
+            cross ^= table[mask & 255]
+            mask >>= 8
+        out = zeros[:]
+        for i, w, edge_bits in terms:
+            out[i] += w * (cross & edge_bits).bit_count()
+        return out
+
+    return dens, numerators
 
 
 def ground_set_size(g: Graph, model: UtilityModel) -> int:

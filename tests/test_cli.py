@@ -109,6 +109,15 @@ class TestRun:
         assert all(line.split()[2] == "1/2" for line in mean_lines)
         assert all(line.split()[2] == "1/4" for line in var_lines)  # singleton groups
 
+    def test_naive_random_owndeg_golden_report(self):
+        # own-degree weights with an isolated vertex; pins the Monte Carlo rationals
+        rc, out, _ = run_cli(
+            ["run", str(GOLDENS / "owndeg_isolated.inst"), "--algorithm", "naive-random",
+             "--seed", "11", "--trials", "64", "--no-timestamp"]
+        )
+        assert rc == 0
+        assert out == (GOLDENS / "owndeg_isolated_naive.report").read_text()
+
     def test_separate_solve_reports_floor(self, tmp_path):
         run_cli(["generate", "cycle", "--n", "5", "--groups", "singleton-edges",
                  "-o", str(tmp_path / "c5.inst")])
@@ -214,6 +223,11 @@ class TestReproduce:
         rc, out, _ = run_cli(["reproduce", "--no-timestamp", "-o", str(out_path)])
         assert rc == 1
         assert parse_report(out_path.read_text()).summary == "fail"
+
+    def test_golden_report(self):
+        rc, out, _ = run_cli(["reproduce", "--no-timestamp"])
+        assert rc == 0
+        assert out == (GOLDENS / "reproduce.report").read_text()
 
     def test_reproduce_passes_and_is_deterministic(self, tmp_path):
         first, second = tmp_path / "r1.rep", tmp_path / "r2.rep"

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from fairmaxcut.errors import TooLargeError
 from fairmaxcut.exact import (
@@ -25,10 +25,13 @@ from fairmaxcut.families import (
     make_paw_instance,
     singleton_partition,
 )
-from fairmaxcut.graphs import Cut, Graph, PartitionKind, is_bipartite
+from fairmaxcut.graphs import Cut, Graph, PartitionKind, edge_groups, is_bipartite, node_groups
 from fairmaxcut.utility import UtilityModel, group_proportion, min_group_proportion
 
 from .strategies import edge_instances, node_instances
+
+# path 0-1-2 plus the isolated vertex 3: degrees 1, 2, 1, 0
+PATH_AND_ISOLATED = Graph(4, ((0, 1), (1, 2)))
 
 
 def brute_force_max_cut(g: Graph) -> int:
@@ -221,16 +224,22 @@ class TestPayoffMatrix:
         for j, cut in enumerate(matrix.col_cuts):
             assert matrix.entries[0][j] == ground_utility(g, UtilityModel.EDGE, cut) / 4
 
-    @given(node_instances(max_vertices=5))
+    @given(edge_instances(max_vertices=5), node_instances(max_vertices=5))
+    @example(
+        (PATH_AND_ISOLATED, edge_groups(PATH_AND_ISOLATED, [{0}, {1}])),
+        (PATH_AND_ISOLATED, node_groups(PATH_AND_ISOLATED, [{0, 1, 3}, {2}])),
+    )
     @settings(max_examples=20)
-    def test_columns_reproducible_from_stored_cuts(self, inst):
-        g, partition = inst
-        matrix = build_payoff_matrix(g, UtilityModel.NODE_MAXDEG, partition)
-        for j, cut in enumerate(matrix.col_cuts):
-            for i, gr in enumerate(partition.groups):
-                assert matrix.entries[i][j] == group_proportion(
-                    g, UtilityModel.NODE_MAXDEG, cut, gr
-                )
+    def test_columns_reproducible_from_stored_cuts(self, edge_inst, node_inst):
+        # every model against the direct definition, isolated vertices included
+        cases = [(UtilityModel.EDGE, *edge_inst)] + [
+            (model, *node_inst) for model in (UtilityModel.NODE_MAXDEG, UtilityModel.NODE_OWNDEG)
+        ]
+        for model, g, partition in cases:
+            matrix = build_payoff_matrix(g, model, partition)
+            for j, cut in enumerate(matrix.col_cuts):
+                for i, gr in enumerate(partition.groups):
+                    assert matrix.entries[i][j] == group_proportion(g, model, cut, gr)
 
     def test_value_mode_entries_bounded_by_group_size(self):
         inst = make_cycle_plus_biclique(2, 2)

@@ -148,6 +148,10 @@ class TestGroupPartition:
         with pytest.raises(ValueError, match="cover"):
             edge_groups(g, [frozenset({0, 1})])
 
+    def test_rejects_huge_ground_set_without_building_it(self):
+        with pytest.raises(ValueError, match="cover"):
+            GroupPartition(PartitionKind.NODES, (frozenset({0}),), 10**12)
+
     def test_rejects_zero_groups(self):
         with pytest.raises(ValueError):
             GroupPartition(PartitionKind.EDGES, (), 0)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairmaxcut.exact import max_value
 from fairmaxcut.families import (
@@ -20,6 +21,7 @@ from fairmaxcut.families import (
 from fairmaxcut.graphs import Cut, Graph, PartitionKind, cut_value, edge_groups
 from fairmaxcut.heuristics import (
     GwRounding,
+    _trial_side_bits,
     UnitVectorEmbedding,
     default_group_oracle,
     derive_rng,
@@ -181,6 +183,21 @@ class TestNaiveRandomSample:
             assert st.mean in (Fraction(0), Fraction(1))
             assert st.variance == 0
 
+    @given(edge_instances(), node_instances(), st.integers(0, 2**64 - 1))
+    @settings(max_examples=40)
+    def test_single_trial_matches_direct_definition(self, edge_inst, node_inst, seed):
+        # every model's sampler weights against group_proportion on the sampled cut
+        cases = [(UtilityModel.EDGE, *edge_inst)] + [
+            (model, *node_inst) for model in (UtilityModel.NODE_MAXDEG, UtilityModel.NODE_OWNDEG)
+        ]
+        for model, g, partition in cases:
+            side = _trial_side_bits(g, seed, 1)[0]
+            cut = Cut.of(v for v in range(g.vertex_count) if side[v])
+            samples = naive_random_sample(g, model, partition, seed=seed, trials=1)
+            for sample, gr in zip(samples, partition.groups):
+                assert sample.mean == group_proportion(g, model, cut, gr)
+                assert sample.variance == 0
+
     def test_seeded_golden_values(self):
         # frozen from the first run at this seed; breaks if the stream changes
         inst = make_paw_instance()
@@ -295,6 +312,14 @@ class TestDeriveRng:
 
 
 class TestEvaluateDistribution:
+    def test_rejects_foreign_vertex(self):
+        # on 8 vertices the kernel's lookup tables would silently drop vertex 8
+        g = make_cycle(8)
+        partition = singleton_partition(g, PartitionKind.EDGES)
+        dist = CutDistribution.point_mass(Cut.of({0, 8}))
+        with pytest.raises(ValueError, match="not a vertex"):
+            evaluate_distribution(g, UtilityModel.EDGE, partition, dist)
+
     def test_point_mass_equals_proportions(self):
         inst = make_diamond_instance()
         cut = Cut.of({3})

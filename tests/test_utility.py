@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from fairmaxcut.errors import DegreeZeroError, ModelMismatchError
 from fairmaxcut.families import (
@@ -15,7 +16,9 @@ from fairmaxcut.families import (
 from fairmaxcut.graphs import Cut, Graph, PartitionKind, cut_value, edge_groups, max_degree
 from fairmaxcut.utility import (
     UtilityModel,
+    ground_set_size,
     ground_utility,
+    group_kernel,
     group_proportion,
     group_utility,
     min_group_proportion,
@@ -153,3 +156,14 @@ def test_regular_graph_models_agree(gc):
     assert group_utility(g, UtilityModel.NODE_MAXDEG, cut, verts) == group_utility(
         g, UtilityModel.NODE_OWNDEG, cut, verts
     )
+
+
+@given(graph_and_cut(min_edges=1, max_vertices=20), st.sampled_from(list(UtilityModel)))
+def test_group_kernel_matches_group_utility(gc, model):
+    # any cut (vertex 0 included), several 8-vertex lookup tables, every model
+    g, cut = gc
+    ground = range(ground_set_size(g, model))
+    groups = (ground, ground[::2], ground[1::3])
+    dens, numerators = group_kernel(g, model, groups)
+    for num, den, gr in zip(numerators(cut.mask()), dens, groups):
+        assert Fraction(num, den) == group_utility(g, model, cut, gr)
