@@ -152,23 +152,20 @@ def cmd_solve(args) -> int:
     builder.add_instance(inst)
     _maybe_isolated_note(builder, inst)
 
+    # one enumeration pass: all six objectives are read off the same matrix
+    matrix = exact.build_payoff_matrix(inst.graph, inst.model, inst.partition, args.limit)
     values: dict[str, Fraction] = {}
     witnesses: dict[str, Cut] = {}
     solutions: dict[str, maximin.MaximinSolution] = {}
-    for name in OBJECTIVES:
-        if name not in names:
-            continue
-        if name == "MV":
-            values[name], witnesses[name] = exact.max_value(inst.graph, inst.model, args.limit)
-        elif name == "MP":
-            values[name], witnesses[name] = exact.max_proportion(inst.graph, inst.model, args.limit)
+    for name in names:
+        mode = Mode.VALUE if name.endswith("MV") else Mode.PROPORTION
+        if name in ("MV", "MP"):
+            values[name], witnesses[name] = exact.max_from_matrix(matrix, mode)
         elif name in ("SF-MV", "SF-MP"):
-            mode = Mode.VALUE if name == "SF-MV" else Mode.PROPORTION
-            sol = exact.static_fair(inst.graph, inst.model, inst.partition, mode, args.limit)
+            sol = exact.static_from_matrix(matrix, mode)
             values[name], witnesses[name] = sol.objective, sol.witness_cut
         else:
-            mode = Mode.VALUE if name == "DF-MV" else Mode.PROPORTION
-            sol = maximin.df_fair(inst.graph, inst.model, inst.partition, mode, args.limit)
+            sol = maximin.solve_maximin(matrix, mode)
             values[name] = sol.value
             solutions[name] = sol
 

@@ -17,7 +17,7 @@ class ModelMismatchError(FairMaxCutError, ValueError):
     """Raised when a utility model is paired with the wrong partition kind."""
 
 
-class InstanceParseError(FairMaxCutError):
+class InstanceParseError(FairMaxCutError, ValueError):
     """Raised on malformed instance/report/embedding files, with a location."""
 
     def __init__(self, message: str, line: int, column: int = 1):

@@ -1,13 +1,15 @@
 """Exhaustive-enumeration solvers for the utilitarian and static-fair objectives,
-plus the group-by-cut payoff matrix that feeds the maximin LP.
+and the group-by-cut payoff matrix that feeds the maximin LP.
 
 Cuts are enumerated canonically with vertex 0 excluded (every objective here
-is invariant under complementing the cut, so half the subsets suffice).  Every
-pass scores cuts with ``utility.group_kernel``, the one model-agnostic kernel
-over the integer edge-weight table of ``utility.group_weights``: the inner
-loops work on integer numerators over fixed per-group denominators and only
-materialize ``Fraction`` values at the end, which keeps desk-scale
-enumeration fast without leaving exact arithmetic.
+is invariant under complementing the cut, so half the subsets suffice).  The
+one enumeration pass is ``build_payoff_matrix``: it scores each cut with
+``utility.group_kernel`` (integer numerators over fixed per-group
+denominators, from the edge-weight table of ``utility.group_weights``) and
+keeps each distinct numerator column once, with its first canonical cut.
+Every objective here is a function of a cut's column, so the utilitarian
+and static-fair optima, witnesses included, are read off the distinct
+columns, and ``Fraction`` values are only made for the results.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterator
 
 from .errors import TooLargeError
@@ -37,14 +40,25 @@ class StaticSolution:
 
 @dataclass(frozen=True)
 class PayoffMatrix:
-    """Group-by-cut table of exact utilities (value mode) or per-capita
-    utilities (proportion mode).  Row order follows the partition's group
-    order; column order follows canonical cut order."""
+    """Distinct group-by-cut utility columns, as integers.
 
-    mode: Mode
-    entries: tuple[tuple[Fraction, ...], ...]
-    col_cuts: tuple[Cut, ...]
+    Under the cut ``col_cuts[j]`` group i's utility is ``entries[i][j] /
+    dens[i]``, and its per-capita utility divides that by ``group_sizes[i]``.
+    Rows follow the partition's group order.  The columns are pairwise
+    distinct and follow canonical cut order, each paired with the first
+    canonical cut that has it.
+    """
+
+    entries: tuple[tuple[int, ...], ...]
+    dens: tuple[int, ...]
     group_sizes: tuple[int, ...]
+    col_cuts: tuple[Cut, ...]
+
+    def __post_init__(self):
+        if any(min(row, default=0) < 0 for row in self.entries):
+            raise ValueError("payoff entries must be non-negative")
+        if len(set(zip(*self.entries))) != len(self.col_cuts):
+            raise ValueError("payoff columns must be distinct")
 
     @property
     def group_count(self) -> int:
@@ -54,8 +68,15 @@ class PayoffMatrix:
     def column_count(self) -> int:
         return len(self.col_cuts)
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i][j] for i in range(self.group_count))
+    def denominators(self, mode: Mode) -> tuple[int, ...]:
+        """Row denominators of utilities (value mode) or of per-capita
+        utilities (proportion mode)."""
+        if mode is Mode.VALUE:
+            return self.dens
+        return tuple(d * s for d, s in zip(self.dens, self.group_sizes))
+
+    def column(self, j: int, mode: Mode) -> tuple[Fraction, ...]:
+        return tuple(Fraction(row[j], d) for row, d in zip(self.entries, self.denominators(mode)))
 
 
 def check_enumeration_limit(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> None:
@@ -69,34 +90,83 @@ def canonical_cut_count(vertex_count: int) -> int:
     return 1 if vertex_count == 0 else 1 << (vertex_count - 1)
 
 
-def _canonical_masks(vertex_count: int) -> Iterator[int]:
+def _canonical_masks(vertex_count: int) -> range:
     # canonical index c maps to the member mask c << 1 (vertex 0 stays out)
-    for c in range(canonical_cut_count(vertex_count)):
-        yield c << 1
+    return range(0, canonical_cut_count(vertex_count) << 1, 2)
 
 
 def enumerate_canonical_cuts(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Cut]:
     """All cuts with vertex 0 excluded, in increasing bitmask order."""
     check_enumeration_limit(g, limit)
-    return [Cut.from_mask(mask) for mask in _canonical_masks(g.vertex_count)]
+    return list(map(Cut.from_mask, _canonical_masks(g.vertex_count)))
+
+
+def build_payoff_matrix(
+    g: Graph,
+    model: UtilityModel,
+    partition: GroupPartition,
+    limit: int = DEFAULT_ENUMERATION_LIMIT,
+) -> PayoffMatrix:
+    """The enumeration pass: every canonical cut is scored, and each distinct
+    column of group numerators is kept once, with its first cut."""
+    require_compatible(g, model, partition)
+    check_enumeration_limit(g, limit)
+    dens, numerators = group_kernel(g, model, partition.groups)
+    first: dict[tuple[int, ...], int] = {}
+    for mask in _canonical_masks(g.vertex_count):
+        first.setdefault(tuple(numerators(mask)), mask)
+    return PayoffMatrix(
+        entries=tuple(zip(*first)),
+        dens=tuple(dens),
+        group_sizes=tuple(len(gr) for gr in partition.groups),
+        col_cuts=tuple(map(Cut.from_mask, first.values())),
+    )
+
+
+def _scaled_columns(
+    matrix: PayoffMatrix, dens: tuple[int, ...]
+) -> tuple[int, Iterator[tuple[int, ...]]]:
+    """The matrix's columns as numerators over one common denominator of ``dens``."""
+    den = lcm(*dens)
+    rows = [[x * (den // d) for x in row] for row, d in zip(matrix.entries, dens)]
+    return den, zip(*rows)
+
+
+def max_from_matrix(matrix: PayoffMatrix, mode: Mode) -> tuple[Fraction, Cut]:
+    """Utilitarian optimum read off a matrix whose groups partition the ground
+    set: the best column sum, over the ground set size in proportion mode.
+    A cut's first canonical maximizer is the first occurrence of its column,
+    so the first best column carries the same witness."""
+    den, cols = _scaled_columns(matrix, matrix.dens)
+    sums = list(map(sum, cols))
+    best = max(range(len(sums)), key=sums.__getitem__)
+    if mode is Mode.PROPORTION:
+        den *= sum(matrix.group_sizes)
+    return Fraction(sums[best], den), matrix.col_cuts[best]
+
+
+def static_from_matrix(matrix: PayoffMatrix, mode: Mode) -> StaticSolution:
+    """Static-fair optimum read off a matrix: the best column minimum over the
+    mode's denominators, with the first canonical maximizer as witness."""
+    den, cols = _scaled_columns(matrix, matrix.denominators(mode))
+    mins = list(map(min, cols))
+    best = max(range(len(mins)), key=mins.__getitem__)
+    return StaticSolution(Fraction(mins[best], den), matrix.col_cuts[best])
 
 
 def max_value(
     g: Graph, model: UtilityModel, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> tuple[Fraction, Cut]:
     """Maximum ground-set utility over all cuts, with the first canonical
-    maximizer as witness.  For the edge model this is the Max-Cut value."""
+    maximizer as witness, read off the matrix of the ground set as one
+    group.  For the edge model this is the Max-Cut value."""
     require_compatible(g, model)
-    check_enumeration_limit(g, limit)
-    denoms, numerators = group_kernel(g, model, (range(ground_set_size(g, model)),))
-    best_num = -1
-    best_mask = 0
-    for mask in _canonical_masks(g.vertex_count):
-        num = numerators(mask)[0]
-        if num > best_num:
-            best_num = num
-            best_mask = mask
-    return Fraction(best_num, denoms[0]), Cut.from_mask(best_mask)
+    size = ground_set_size(g, model)
+    if size == 0:  # no edges under the edge model: every cut is worth 0
+        check_enumeration_limit(g, limit)
+        return Fraction(0), Cut.of(())
+    ground = GroupPartition(model.partition_kind, (frozenset(range(size)),), size)
+    return max_from_matrix(build_payoff_matrix(g, model, ground, limit), Mode.VALUE)
 
 
 def max_proportion(
@@ -120,91 +190,4 @@ def static_fair(
 ) -> StaticSolution:
     """Best single cut for the worst-off group (value or per-capita mode).
     Ties break toward the first canonical cut."""
-    require_compatible(g, model, partition)
-    check_enumeration_limit(g, limit)
-    denoms, numerators = group_kernel(g, model, partition.groups)
-    scale = [len(gr) for gr in partition.groups] if mode is Mode.PROPORTION else [1] * partition.group_count
-    full_den = [d * s for d, s in zip(denoms, scale)]
-
-    best_num, best_den = -1, 1
-    best_mask = 0
-    for mask in _canonical_masks(g.vertex_count):
-        nums = numerators(mask)
-        # running minimum of nums[i]/full_den[i], compared by cross-multiplication
-        mn, md = nums[0], full_den[0]
-        for i in range(1, len(nums)):
-            if nums[i] * md < mn * full_den[i]:
-                mn, md = nums[i], full_den[i]
-        if mn * best_den > best_num * md:
-            best_num, best_den = mn, md
-            best_mask = mask
-    return StaticSolution(Fraction(best_num, best_den), Cut.from_mask(best_mask))
-
-
-def build_payoff_matrix(
-    g: Graph,
-    model: UtilityModel,
-    partition: GroupPartition,
-    mode: Mode = Mode.PROPORTION,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> PayoffMatrix:
-    """Dense group-by-cut payoff table over all canonical cuts."""
-    require_compatible(g, model, partition)
-    check_enumeration_limit(g, limit)
-    denoms, numerators = group_kernel(g, model, partition.groups)
-    sizes = [len(gr) for gr in partition.groups]
-    scale = sizes if mode is Mode.PROPORTION else [1] * len(sizes)
-    full_den = [d * s for d, s in zip(denoms, scale)]
-
-    rows: list[list[Fraction]] = [[] for _ in partition.groups]
-    cuts: list[Cut] = []
-    for mask in _canonical_masks(g.vertex_count):
-        nums = numerators(mask)
-        for i, num in enumerate(nums):
-            rows[i].append(Fraction(num, full_den[i]))
-        cuts.append(Cut.from_mask(mask))
-    return PayoffMatrix(
-        mode=mode,
-        entries=tuple(tuple(row) for row in rows),
-        col_cuts=tuple(cuts),
-        group_sizes=tuple(sizes),
-    )
-
-
-def static_from_matrix(matrix: PayoffMatrix) -> StaticSolution:
-    """Static-fair optimum read off a payoff matrix (max over columns of the
-    column minimum), with the same first-column tie-breaking."""
-    best: Fraction | None = None
-    best_j = 0
-    for j in range(matrix.column_count):
-        col_min = min(matrix.entries[i][j] for i in range(matrix.group_count))
-        if best is None or col_min > best:
-            best = col_min
-            best_j = j
-    assert best is not None
-    return StaticSolution(best, matrix.col_cuts[best_j])
-
-
-def max_from_matrix(matrix: PayoffMatrix) -> tuple[Fraction, Cut]:
-    """Utilitarian optimum read off a payoff matrix.  In proportion mode the
-    group entries are re-weighted by group size and normalized by the ground
-    set size, matching the ground-set per-capita utility exactly."""
-    total_size = sum(matrix.group_sizes)
-    best: Fraction | None = None
-    best_j = 0
-    for j in range(matrix.column_count):
-        if matrix.mode is Mode.VALUE:
-            val = sum(matrix.entries[i][j] for i in range(matrix.group_count))
-        else:
-            val = (
-                sum(
-                    matrix.entries[i][j] * matrix.group_sizes[i]
-                    for i in range(matrix.group_count)
-                )
-                / total_size
-            )
-        if best is None or val > best:
-            best = val
-            best_j = j
-    assert best is not None
-    return best, matrix.col_cuts[best_j]
+    return static_from_matrix(build_payoff_matrix(g, model, partition, limit), mode)

@@ -214,32 +214,45 @@ def parse_embedding(text: str):
     if not lines or lines[0][1].strip() != EMBEDDING_HEADER:
         raise InstanceParseError(f"first line must be {EMBEDDING_HEADER!r}", 1)
     dimension: int | None = None
-    rows: dict[int, list[float]] = {}
+    rows: dict[int, tuple[int, list[float]]] = {}  # vertex -> (line, components)
     for lineno, raw in lines[1:]:
-        tokens = raw.split()
-        if tokens[0] == "dimension":
-            dimension = _parse_int(tokens[1], raw, lineno, "dimension")
-        elif tokens[0] == "vector":
+        keyword, *args = raw.split()
+        if keyword == "dimension":
+            if dimension is not None:
+                raise InstanceParseError("duplicate dimension line", lineno)
+            if len(args) != 1:
+                raise InstanceParseError("dimension takes one integer", lineno)
+            dimension = _parse_int(args[0], raw, lineno, "dimension")
+            if dimension < 1:
+                raise InstanceParseError("dimension must be at least 1", lineno)
+        elif keyword == "vector":
             if dimension is None:
                 raise InstanceParseError("vector before dimension line", lineno)
-            v = _parse_int(tokens[1], raw, lineno, "vertex id")
-            comps = tokens[2:]
+            if not args:
+                raise InstanceParseError("vector takes a vertex id and its components", lineno)
+            v = _parse_int(args[0], raw, lineno, "vertex id")
+            comps = args[1:]
             if len(comps) != dimension:
                 raise InstanceParseError(
                     f"vector {v} has {len(comps)} components, expected {dimension}", lineno
                 )
             try:
-                rows[v] = [float(c) for c in comps]
+                rows[v] = (lineno, [float(c) for c in comps])
             except ValueError:
                 raise InstanceParseError(f"bad float in vector {v}", lineno)
         else:
-            raise InstanceParseError(f"unknown keyword {tokens[0]!r}", lineno)
+            raise InstanceParseError(f"unknown keyword {keyword!r}", lineno)
     if dimension is None or not rows:
         raise InstanceParseError("embedding needs a dimension and vectors", lines[-1][0])
-    n = max(rows) + 1
-    if sorted(rows) != list(range(n)):
+    # distinct ids cover 0..n-1 iff they are in range and there are n of them
+    n = len(rows)
+    if min(rows) < 0 or max(rows) != n - 1:
         raise InstanceParseError("vector lines must cover vertices 0..n-1", lines[-1][0])
-    return UnitVectorEmbedding(np.array([rows[v] for v in range(n)]))
+    vectors = np.array([rows[v][1] for v in range(n)])
+    for v, norm in enumerate(np.linalg.norm(vectors, axis=1)):
+        if not abs(norm - 1.0) <= 1e-9:
+            raise InstanceParseError(f"vector {v} must have unit norm (tolerance 1e-9)", rows[v][0])
+    return UnitVectorEmbedding(vectors)
 
 
 def serialize_embedding(embedding) -> str:

@@ -3,8 +3,10 @@
     maximize   min_i  sum_S M[i, S] * p_S
     subject to p is a probability vector over the columns.
 
-This is the value-of-a-zero-sum-game LP.  It is solved by column generation
-over the distinct cut columns.  A small restricted master, started from the
+This is the value-of-a-zero-sum-game LP over the columns of an
+``exact.PayoffMatrix``: the distinct integer utility columns of all canonical
+cuts, read over the denominators of the value or the proportion mode.  It is
+solved by column generation.  A small restricted master, started from the
 best static column, is solved by primal simplex on the standard form
 
     max z   s.t.   z - (M p)_i + s_i = 0   (one row per group)
@@ -12,7 +14,7 @@ best static column, is solved by primal simplex on the standard form
                    z, p, s >= 0
 
 with exact rational pivots and Bland's rule.  Its dual group mixture prices
-every distinct column in exact integer arithmetic, and the column with the
+every column in exact integer arithmetic, and the column with the
 largest reduced cost enters (Dantzig's rule), until no column prices above
 the master value.  The last master's duals then certify the optimum over all
 columns.  Restricting z to be non-negative loses nothing because all payoff
@@ -21,7 +23,8 @@ entries are >= 0.
 The reported distribution is canonical: Bland's simplex is re-run over the
 columns that are tight at the final duals, in column order, so it does not
 depend on the path the master took.  Both sides of the minimax equality are
-finally rechecked from the matrix's ``Fraction`` entries.
+finally recomputed from the matrix's integer entries over the mode's
+denominators, independently of the simplex.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .exact import (
     Mode,
     PayoffMatrix,
     build_payoff_matrix,
+    static_from_matrix,
 )
 from .graphs import Cut, Graph, GroupPartition
 
@@ -97,44 +101,26 @@ class _CertificateError(AssertionError):
     """Internal consistency failure: the pivoting produced an uncertified optimum."""
 
 
-def solve_maximin(matrix: PayoffMatrix) -> MaximinSolution:
+def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> MaximinSolution:
     """Exact optimum of the maximin LP with a strong-duality certificate.
 
-    Column generation over the distinct payoff columns (a distribution on
-    duplicates is interchangeable, so the value is unchanged).  The dual
-    weights are the last master's, which certify every column; the
-    distribution is Bland's simplex over the columns tight at those duals,
-    and the returned support refers to original column indices.
+    Column generation over the matrix's distinct columns, with entries over
+    the mode's denominators.  The dual weights are the last master's, which
+    certify every column; the distribution is Bland's simplex over the
+    columns tight at those duals, and the support holds their column indices.
     """
-    gamma = matrix.group_count
-    if gamma == 0 or matrix.column_count == 0:
+    gamma, k = matrix.group_count, matrix.column_count
+    if gamma == 0 or k == 0:
         raise ValueError("payoff matrix must be non-empty")
-
-    # scale row i by the lcm of its denominators: exact integer payoffs
-    dens: list[int] = []
-    int_rows: list[list[int]] = []
-    for row in matrix.entries:
-        den = lcm(*{x.denominator for x in row})
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        if min(ints) < 0:
-            raise ValueError("payoff entries must be non-negative")
-        dens.append(den)
-        int_rows.append(ints)
-
-    # collapse duplicate columns, keeping the first occurrence
-    first: dict[tuple[int, ...], int] = {}
-    for j, col in enumerate(zip(*int_rows)):
-        first.setdefault(col, j)
-    int_cols = list(first)
-    kept = list(first.values())
-    cols = [matrix.column(j) for j in kept]
-    k = len(cols)
+    dens = matrix.denominators(mode)
+    int_cols = list(zip(*matrix.entries))
 
     # restricted master, started from the best static column; the column
     # with the largest reduced cost enters until none prices above its value
-    active = [max(range(k), key=lambda j: min(cols[j]))]
+    active = [matrix.col_cuts.index(static_from_matrix(matrix, mode).witness_cut)]
+    cols = [matrix.column(active[0], mode)]
     while True:
-        value, _, duals = _simplex_maximin([cols[j] for j in active], gamma)
+        value, _, duals = _simplex_maximin(cols, gamma)
         weights, bar = _pricing(duals, dens, value)
         scores = [sum(map(mul, weights, col)) for col in int_cols]
         enter = max(range(k), key=scores.__getitem__)
@@ -143,20 +129,21 @@ def solve_maximin(matrix: PayoffMatrix) -> MaximinSolution:
         if enter in active:
             raise _CertificateError("master duals price one of its own columns above its value")
         active.append(enter)
+        cols.append(matrix.column(enter, mode))
 
     # canonical support: independent of the path the master took
     tight = [j for j in range(k) if scores[j] == bar]
-    tight_value, probs, _ = _simplex_maximin([cols[j] for j in tight], gamma)
+    tight_value, probs, _ = _simplex_maximin([matrix.column(j, mode) for j in tight], gamma)
     if tight_value != value:
         raise _CertificateError(
             f"tight columns reach {tight_value}, column generation reached {value}"
         )
-    support = tuple(kept[j] for j, p in zip(tight, probs) if p > 0)
+    support = tuple(j for j, p in zip(tight, probs) if p > 0)
     distribution = CutDistribution(
-        tuple((matrix.col_cuts[kept[j]], p) for j, p in zip(tight, probs) if p > 0)
+        tuple((matrix.col_cuts[j], p) for j, p in zip(tight, probs) if p > 0)
     )
 
-    _check_certificate(matrix, value, distribution, duals, support, kept)
+    _check_certificate(matrix, mode, value, distribution, duals, support)
     return MaximinSolution(
         value=value,
         distribution=distribution,
@@ -166,10 +153,10 @@ def solve_maximin(matrix: PayoffMatrix) -> MaximinSolution:
 
 
 def _pricing(
-    duals: tuple[Fraction, ...], dens: list[int], value: Fraction
+    duals: tuple[Fraction, ...], dens: tuple[int, ...], value: Fraction
 ) -> tuple[list[int], int]:
-    """Integer weights w and bar b for pricing a column c of row-scaled
-    integer payoffs: sum(w * c) - b is a positive multiple of the column's
+    """Integer weights w and bar b for pricing a column c of integer payoff
+    numerators: sum(w * c) - b is a positive multiple of the column's
     dual mixture sum(duals[i] * c[i] / dens[i]) minus ``value``."""
     ratios = [q * value.denominator / d for q, d in zip(duals, dens)]
     scale = lcm(*(r.denominator for r in ratios))
@@ -287,18 +274,18 @@ def _pivot(tab: list[list[Fraction]], cost: list[Fraction], r: int, c: int, n_va
 
 def _check_certificate(
     matrix: PayoffMatrix,
+    mode: Mode,
     value: Fraction,
     distribution: CutDistribution,
     duals: tuple[Fraction, ...],
     support: tuple[int, ...],
-    distinct: list[int],
 ) -> None:
-    """Recompute both sides of the minimax equality from the matrix entries.
+    """Recompute both sides of the minimax equality from the matrix's integer
+    entries over the mode's denominators.
 
     The primal side sums the distribution over its support columns, which
     must carry exactly the distribution's cuts.  The dual side maximizes the
-    dual mixture over the ``distinct`` column indices; every other column
-    duplicates one of them and so mixes to the same value.
+    dual mixture over every column.
     """
     if (
         len(duals) != matrix.group_count
@@ -311,11 +298,13 @@ def _check_certificate(
     if len(set(cuts)) != len(cuts) or set(cuts) != prob_by_cut.keys():
         raise _CertificateError("support columns and distribution cuts disagree")
     probs = [prob_by_cut[cut] for cut in cuts]
+    dens = matrix.denominators(mode)
     primal = min(
-        sum(row[j] * p for j, p in zip(support, probs)) for row in matrix.entries
+        sum(row[j] * p for j, p in zip(support, probs)) / d
+        for row, d in zip(matrix.entries, dens)
     )
-    weighted = [(q, row) for q, row in zip(duals, matrix.entries) if q]
-    dual = max(sum(q * row[j] for q, row in weighted) for j in distinct)
+    weighted = [(q / d, row) for q, d, row in zip(duals, dens, matrix.entries) if q]
+    dual = max(sum(w * row[j] for w, row in weighted) for j in range(matrix.column_count))
     if primal != value or dual != value:
         raise _CertificateError(
             f"strong duality certificate failed: primal {primal}, dual {dual}, value {value}"
@@ -330,5 +319,4 @@ def df_fair(
     limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> MaximinSolution:
     """Best distribution over cuts for the worst-off group (dynamic fairness)."""
-    matrix = build_payoff_matrix(g, model, partition, mode, limit)
-    return solve_maximin(matrix)
+    return solve_maximin(build_payoff_matrix(g, model, partition, limit), mode)

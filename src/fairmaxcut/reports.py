@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import InstanceParseError
 from .families import NamedInstance
 from .graphs import Cut
-from .instances import parse_instance, serialize_instance
+from .instances import _parse_fraction, _parse_int, parse_instance, serialize_instance
 from .verify import BoundCheck
 
 HEADER = "fairmaxcut report v1"
@@ -134,6 +134,12 @@ class ReproduceRow:
     verdict: str
 
 
+# fields each tag needs after the tag itself
+_FIELD_COUNTS = {
+    "objective": 2, "witness": 2, "support": 3, "dual": 3, "check": 5, "reproduce": 5, "summary": 1,
+}
+
+
 def parse_report(text: str) -> ParsedReport:
     lines = text.splitlines()
     if not lines or lines[0].strip() != HEADER:
@@ -148,6 +154,13 @@ def parse_report(text: str) -> ParsedReport:
             continue
         tokens = raw.split()
         tag = tokens[0]
+        if len(tokens) <= _FIELD_COUNTS.get(tag, 0):
+            needed = _FIELD_COUNTS[tag]
+            raise InstanceParseError(f"{tag} line has too few fields (needs {needed})", lineno)
+
+        def fraction(token: str) -> Fraction:
+            return _parse_fraction(token, raw, lineno)
+
         if tag == "instance-begin":
             block = []
             while i < len(lines) and lines[i].strip() != "instance-end":
@@ -160,29 +173,30 @@ def parse_report(text: str) -> ParsedReport:
         elif tag == "command":
             report.command = " ".join(tokens[1:])
         elif tag == "objective":
-            report.objectives[tokens[1]] = Fraction(tokens[2])
+            report.objectives[tokens[1]] = fraction(tokens[2])
         elif tag == "witness":
             report.witnesses[tokens[1]] = parse_cut_token(tokens[2], lineno)
         elif tag == "support":
             report.supports.setdefault(tokens[1], []).append(
-                (parse_cut_token(tokens[2], lineno), Fraction(tokens[3]))
+                (parse_cut_token(tokens[2], lineno), fraction(tokens[3]))
             )
         elif tag == "dual":
-            report.duals.setdefault(tokens[1], []).append((int(tokens[2]), Fraction(tokens[3])))
+            index = _parse_int(tokens[2], raw, lineno, "dual index")
+            report.duals.setdefault(tokens[1], []).append((index, fraction(tokens[3])))
         elif tag == "check":
             claim, relation, lhs_text, rhs_text, verdict = tokens[1:6]
             context = " ".join(tokens[6:])
             rhs: Fraction | tuple[Fraction, ...]
             if "," in rhs_text:
-                rhs = tuple(Fraction(t) for t in rhs_text.split(","))
+                rhs = tuple(fraction(t) for t in rhs_text.split(","))
             else:
-                rhs = Fraction(rhs_text)
+                rhs = fraction(rhs_text)
             report.checks.append(
                 BoundCheck(
                     claim=claim,
                     context=context,
                     relation=relation,
-                    lhs=Fraction(lhs_text),
+                    lhs=fraction(lhs_text),
                     rhs=rhs,
                     passed=(verdict != "fail"),
                     skipped=(verdict == "skip"),

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import exact, maximin
 from .errors import GeneratorParameterError
 from .exact import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -107,15 +108,14 @@ def check_chain(
     limit: int = DEFAULT_ENUMERATION_LIMIT,
     context: str = "",
 ) -> list[BoundCheck]:
-    """Static <= dynamic <= utilitarian, in both value and proportion modes."""
+    """Static <= dynamic <= utilitarian, in both value and proportion modes,
+    all six sides read off one payoff matrix."""
+    matrix = exact.build_payoff_matrix(g, model, partition, limit)
     out = []
     for mode, tag in ((Mode.VALUE, "value"), (Mode.PROPORTION, "proportion")):
-        sf = static_fair(g, model, partition, mode, limit).objective
-        df = df_fair(g, model, partition, mode, limit).value
-        if mode is Mode.VALUE:
-            top, _ = max_value(g, model, limit)
-        else:
-            top, _ = max_proportion(g, model, limit)
+        sf = exact.static_from_matrix(matrix, mode).objective
+        df = maximin.solve_maximin(matrix, mode).value
+        top, _ = exact.max_from_matrix(matrix, mode)
         out.append(make_check(f"chain-{tag}-static-dynamic", context, sf, "<=", df))
         out.append(make_check(f"chain-{tag}-dynamic-best", context, df, "<=", top))
     return out

@@ -83,6 +83,15 @@ class TestSolve:
         rc, _, err = run_cli(["solve", str(bad)])
         assert rc == 4
 
+    def test_owndeg_isolated_golden_report(self):
+        # own-degree model with an isolated vertex: the ground set's degree lcm
+        # differs from each group's; pins MV/SF witnesses and DF duals and support
+        rc, out, _ = run_cli(
+            ["solve", str(GOLDENS / "owndeg_isolated.inst"), "--no-timestamp"]
+        )
+        assert rc == 0
+        assert out == (GOLDENS / "owndeg_isolated_solve.report").read_text()
+
     def test_instance_report_round_trip(self, paw_path):
         rc, out, _ = run_cli(["solve", paw_path, "--no-timestamp"])
         report = parse_report(out)
@@ -151,6 +160,23 @@ class TestRun:
         assert chord and chord[0].split()[3] == "0"
         assert any(l == "score-min 0" for l in report.other)
 
+    @pytest.mark.parametrize(
+        "embedding",
+        [
+            "fairmaxcut embedding v1\ndimension\n",
+            "fairmaxcut embedding v1\ndimension 0\n",
+            "fairmaxcut embedding v1\ndimension 1\nvector\n",
+            "fairmaxcut embedding v1\ndimension 2\n"
+            + "".join(f"vector {v} 0.5 0.5\n" for v in range(4)),
+        ],
+    )
+    def test_gw_bad_embedding_exit_2(self, paw_path, tmp_path, embedding):
+        bad = tmp_path / "bad.emb"
+        bad.write_text(embedding)
+        rc, _, err = run_cli(["run", paw_path, "--algorithm", "gw", "--embedding", str(bad)])
+        assert rc == 2
+        assert err.startswith("error: line ")
+
 
 class TestGenerate:
     def test_bad_parameters_exit_6(self, tmp_path):
@@ -191,6 +217,12 @@ class TestVerify:
         rc, out, _ = run_cli(["verify", "--suite", "random", "--seed", "7", "--count", "6",
                               "--no-timestamp"])
         assert rc == 0
+
+    def test_all_suites_golden_report(self):
+        rc, out, _ = run_cli(["verify", "--suite", "all", "--seed", "7", "--count", "60",
+                              "--no-timestamp"])
+        assert rc == 0
+        assert out == (GOLDENS / "verify_all_seed7.report").read_text()
 
     def test_unknown_suite_exit_6(self):
         rc, _, _ = run_cli(["verify", "--suite", "everything"])

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairmaxcut.errors import TooLargeError
 from fairmaxcut.exact import (
     Mode,
+    PayoffMatrix,
+    StaticSolution,
     build_payoff_matrix,
     enumerate_canonical_cuts,
     max_from_matrix,
@@ -26,7 +29,14 @@ from fairmaxcut.families import (
     singleton_partition,
 )
 from fairmaxcut.graphs import Cut, Graph, PartitionKind, edge_groups, is_bipartite, node_groups
-from fairmaxcut.utility import UtilityModel, group_proportion, min_group_proportion
+from fairmaxcut.utility import (
+    UtilityModel,
+    ground_set_size,
+    ground_utility,
+    group_proportion,
+    group_utility,
+    min_group_proportion,
+)
 
 from .strategies import edge_instances, node_instances
 
@@ -200,12 +210,15 @@ class TestPayoffMatrix:
         assert matrix.group_count == 4 and matrix.column_count == 8
         # the column for the cut complementary to {0} carries (1, 0, 1, 1)
         j = matrix.col_cuts.index(Cut.of({1, 2, 3}))
-        assert matrix.column(j) == (1, 0, 1, 1)
+        assert matrix.column(j, Mode.PROPORTION) == (1, 0, 1, 1)
 
     def test_diamond_rows_match_cut_table(self):
         inst = make_diamond_instance()
         matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
-        by_cut = {frozenset(c.members): matrix.column(j) for j, c in enumerate(matrix.col_cuts)}
+        by_cut = {
+            frozenset(c.members): matrix.column(j, Mode.PROPORTION)
+            for j, c in enumerate(matrix.col_cuts)
+        }
         half = Fraction(1, 2)
         assert by_cut[frozenset({3})] == (half, 1)
         assert by_cut[frozenset({1, 2})] == (1, 0)  # complement of {0, 3}
@@ -222,7 +235,8 @@ class TestPayoffMatrix:
         from fairmaxcut.utility import ground_utility
 
         for j, cut in enumerate(matrix.col_cuts):
-            assert matrix.entries[0][j] == ground_utility(g, UtilityModel.EDGE, cut) / 4
+            (entry,) = matrix.column(j, Mode.PROPORTION)
+            assert entry == ground_utility(g, UtilityModel.EDGE, cut) / 4
 
     @given(edge_instances(max_vertices=5), node_instances(max_vertices=5))
     @example(
@@ -238,26 +252,84 @@ class TestPayoffMatrix:
         for model, g, partition in cases:
             matrix = build_payoff_matrix(g, model, partition)
             for j, cut in enumerate(matrix.col_cuts):
+                column = matrix.column(j, Mode.PROPORTION)
                 for i, gr in enumerate(partition.groups):
-                    assert matrix.entries[i][j] == group_proportion(g, model, cut, gr)
+                    assert column[i] == group_proportion(g, model, cut, gr)
 
     def test_value_mode_entries_bounded_by_group_size(self):
         inst = make_cycle_plus_biclique(2, 2)
-        matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition, Mode.VALUE)
-        for i, size in enumerate(matrix.group_sizes):
-            assert all(0 <= entry <= size for entry in matrix.entries[i])
+        matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
+        for j in range(matrix.column_count):
+            column = matrix.column(j, Mode.VALUE)
+            assert all(0 <= entry <= size for entry, size in zip(column, matrix.group_sizes))
 
     @given(edge_instances(max_vertices=5))
     @settings(max_examples=20)
     def test_matrix_readoffs_match_direct_solvers(self, inst):
         g, partition = inst
+        matrix = build_payoff_matrix(g, UtilityModel.EDGE, partition)
         for mode in (Mode.VALUE, Mode.PROPORTION):
-            matrix = build_payoff_matrix(g, UtilityModel.EDGE, partition, mode)
             direct = static_fair(g, UtilityModel.EDGE, partition, mode)
-            from_matrix = static_from_matrix(matrix)
+            from_matrix = static_from_matrix(matrix, mode)
             assert direct.objective == from_matrix.objective
             assert direct.witness_cut == from_matrix.witness_cut
             if mode is Mode.VALUE:
-                assert max_from_matrix(matrix)[0] == max_value(g, UtilityModel.EDGE)[0]
+                assert max_from_matrix(matrix, mode) == max_value(g, UtilityModel.EDGE)
             else:
-                assert max_from_matrix(matrix)[0] == max_proportion(g, UtilityModel.EDGE)[0]
+                assert max_from_matrix(matrix, mode) == max_proportion(g, UtilityModel.EDGE)
+
+
+@st.composite
+def model_instances(draw, max_vertices=8):
+    model = draw(st.sampled_from(list(UtilityModel)))
+    instances = edge_instances if model is UtilityModel.EDGE else node_instances
+    g, partition = draw(instances(max_vertices=max_vertices))
+    return g, model, partition
+
+
+def first_maximizer(cuts, score):
+    """Brute force: the best score over the cuts and the first cut reaching it."""
+    scores = [score(cut) for cut in cuts]
+    best = max(scores)
+    return best, cuts[scores.index(best)]
+
+
+class TestOnePassMatrix:
+    """The deduplicated integer matrix against the direct definitions."""
+
+    @given(model_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_distinct_columns_in_first_occurrence_order(self, case):
+        g, model, partition = case
+        first = {}
+        for cut in enumerate_canonical_cuts(g):
+            column = tuple(group_utility(g, model, cut, gr) for gr in partition.groups)
+            first.setdefault(column, cut)
+        matrix = build_payoff_matrix(g, model, partition)
+        assert [matrix.column(j, Mode.VALUE) for j in range(matrix.column_count)] == list(first)
+        assert matrix.col_cuts == tuple(first.values())
+
+    @given(model_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_readoffs_match_brute_force(self, case):
+        g, model, partition = case
+        cuts = enumerate_canonical_cuts(g)
+        size = ground_set_size(g, model)
+        mv, witness = first_maximizer(cuts, lambda cut: ground_utility(g, model, cut))
+        matrix = build_payoff_matrix(g, model, partition)
+        assert max_value(g, model) == max_from_matrix(matrix, Mode.VALUE) == (mv, witness)
+        assert max_proportion(g, model) == max_from_matrix(matrix, Mode.PROPORTION) == (
+            mv / size,
+            witness,
+        )
+        for mode, utility in ((Mode.VALUE, group_utility), (Mode.PROPORTION, group_proportion)):
+            expected = StaticSolution(*first_maximizer(
+                cuts, lambda cut: min(utility(g, model, cut, gr) for gr in partition.groups)
+            ))
+            assert static_fair(g, model, partition, mode) == expected
+            assert static_from_matrix(matrix, mode) == expected
+
+    def test_rejects_negative_entries(self):
+        with pytest.raises(ValueError):
+            PayoffMatrix(entries=((1, -1),), dens=(1,), group_sizes=(1,),
+                         col_cuts=(Cut.of(()), Cut.of({1})))

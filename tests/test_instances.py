@@ -148,3 +148,21 @@ class TestEmbeddingFormat:
         text = "fairmaxcut embedding v1\ndimension 2\nvector 0 0.5 0.5\n"
         with pytest.raises(ValueError, match="unit norm"):
             parse_embedding(text)
+
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            ("dimension\n", 2, "dimension takes one integer"),
+            ("dimension 1 2\n", 2, "dimension takes one integer"),
+            ("dimension 0\nvector 0\n", 2, "at least 1"),
+            ("dimension 1\nvector\n", 3, "vector takes a vertex id"),
+            ("dimension 1\ndimension 1\n", 3, "duplicate dimension"),
+            ("dimension 2\nvector 0 1.0 0.0\nvector 1 0.5 0.5\n", 4, "unit norm"),
+            ("dimension 1\nvector 0 nan\n", 3, "unit norm"),
+            ("dimension 1\nvector 0 1.0\nvector 99999999999 1.0\n", 4, "cover"),
+        ],
+    )
+    def test_malformed_lines_name_their_line(self, body, line, message):
+        with pytest.raises(InstanceParseError, match=message) as info:
+            parse_embedding("fairmaxcut embedding v1\n" + body)
+        assert info.value.line == line

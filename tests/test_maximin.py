@@ -32,13 +32,14 @@ from .strategies import edge_instances, node_instances
 
 
 def matrix_from_rows(rows) -> PayoffMatrix:
-    """Ad-hoc payoff matrix over dummy cuts for pure LP tests."""
+    """Ad-hoc integer payoff matrix over dummy cuts for pure LP tests; every
+    denominator and group size is 1, so both modes read the same entries."""
     k = len(rows[0])
     return PayoffMatrix(
-        mode=Mode.PROPORTION,
-        entries=tuple(tuple(Fraction(x) for x in row) for row in rows),
-        col_cuts=tuple(Cut.of({j + 1}) for j in range(k)),
+        entries=tuple(tuple(row) for row in rows),
+        dens=tuple(1 for _ in rows),
         group_sizes=tuple(1 for _ in rows),
+        col_cuts=tuple(Cut.of({j + 1}) for j in range(k)),
     )
 
 
@@ -58,19 +59,16 @@ def simplex_grid_best(rows, denominator: int) -> Fraction:
     return best
 
 
-def first_columns(matrix: PayoffMatrix) -> dict[tuple[Fraction, ...], int]:
-    """Each distinct payoff column mapped to the index of its first occurrence."""
-    first: dict[tuple[Fraction, ...], int] = {}
-    for j, col in enumerate(zip(*matrix.entries)):
-        first.setdefault(col, j)
-    return first
+def mode_columns(matrix: PayoffMatrix, mode: Mode) -> dict[tuple[Fraction, ...], int]:
+    """Each payoff column over the mode's denominators mapped to its index."""
+    return {matrix.column(j, mode): j for j in range(matrix.column_count)}
 
 
-def assert_matches_dense_oracle(matrix: PayoffMatrix, sol) -> None:
-    """The solution against Bland's simplex over every distinct column, and its
+def assert_matches_dense_oracle(matrix: PayoffMatrix, sol, mode: Mode = Mode.PROPORTION) -> None:
+    """The solution against Bland's simplex over every column, and its
     support against Bland's simplex over the columns tight at its duals."""
     gamma = matrix.group_count
-    first = first_columns(matrix)
+    first = mode_columns(matrix, mode)
     dense_value, _, _ = _simplex_maximin(list(first), gamma)
     assert sol.value == dense_value
     assert len(sol.support) <= gamma + 1
@@ -141,10 +139,10 @@ class TestSolveMaximin:
         k = matrix.column_count
         perm = list(reversed(range(k)))
         permuted = PayoffMatrix(
-            mode=matrix.mode,
             entries=tuple(tuple(row[j] for j in perm) for row in matrix.entries),
-            col_cuts=tuple(matrix.col_cuts[j] for j in perm),
+            dens=matrix.dens,
             group_sizes=matrix.group_sizes,
+            col_cuts=tuple(matrix.col_cuts[j] for j in perm),
         )
         a, b = solve_maximin(matrix), solve_maximin(permuted)
         assert a.value == b.value
@@ -166,9 +164,9 @@ class TestSolveMaximin:
     @settings(max_examples=100, deadline=None)
     def test_column_generation_matches_dense_oracle(self, case):
         g, model, partition, mode = case
-        matrix = build_payoff_matrix(g, model, partition, mode)
-        sol = solve_maximin(matrix)
-        assert_matches_dense_oracle(matrix, sol)
+        matrix = build_payoff_matrix(g, model, partition)
+        sol = solve_maximin(matrix, mode)
+        assert_matches_dense_oracle(matrix, sol, mode)
         score = evaluate_distribution(g, model, partition, sol.distribution)
         per_group = [
             s * (len(gr) if mode is Mode.VALUE else 1)
@@ -181,7 +179,7 @@ class TestSolveMaximin:
         [
             ([[1], [2], [3]], 1),  # one column
             ([[1, 3, 2]], 3),  # one group
-            ([[1, 0, 1, 0], [0, 1, 0, 1]], Fraction(1, 2)),  # duplicate columns
+            ([[1, 0], [0, 1]], Fraction(1, 2)),  # two pure strategies mix evenly
             ([[0, 0, 0], [1, 2, 3]], 0),  # zero row: every column is tight
         ],
     )
@@ -191,6 +189,18 @@ class TestSolveMaximin:
         assert sol.value == value
         assert_matches_dense_oracle(matrix, sol)
 
+    def test_rejects_duplicate_columns(self):
+        with pytest.raises(ValueError):
+            matrix_from_rows([[1, 0, 1, 0], [0, 1, 0, 1]])
+
+    def test_modes_share_one_matrix(self):
+        # value-mode and proportion-mode solves read the same integer entries
+        inst = make_diamond_instance()
+        matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
+        for mode in Mode:
+            direct = df_fair(inst.graph, inst.model, inst.partition, mode)
+            assert solve_maximin(matrix, mode) == direct
+
 
 class TestCertificate:
     """The certificate recheck rejects a dual or a distribution that is off."""
@@ -199,12 +209,12 @@ class TestCertificate:
     def paw():
         inst = make_paw_instance()
         matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
-        return matrix, solve_maximin(matrix), list(first_columns(matrix).values())
+        return matrix, solve_maximin(matrix)
 
     def test_accepts_the_solution(self):
-        matrix, sol, distinct = self.paw()
+        matrix, sol = self.paw()
         _check_certificate(
-            matrix, sol.value, sol.distribution, sol.dual_weights, sol.support, distinct
+            matrix, Mode.PROPORTION, sol.value, sol.distribution, sol.dual_weights, sol.support
         )
 
     def test_rejects_shifted_dual(self):
@@ -213,30 +223,30 @@ class TestCertificate:
         matrix = matrix_from_rows([[2, 0, 1], [0, 2, 1]])
         dist = CutDistribution.point_mass(matrix.col_cuts[2])
         half, shift = Fraction(1, 2), Fraction(1, 1000)
-        _check_certificate(matrix, Fraction(1), dist, (half, half), (2,), [0, 1, 2])
+        _check_certificate(matrix, Mode.PROPORTION, Fraction(1), dist, (half, half), (2,))
         with pytest.raises(_CertificateError):
             _check_certificate(
-                matrix, Fraction(1), dist, (half + shift, half - shift), (2,), [0, 1, 2]
+                matrix, Mode.PROPORTION, Fraction(1), dist, (half + shift, half - shift), (2,)
             )
 
     def test_rejects_probability_moved_off_its_cut(self):
-        matrix, sol, distinct = self.paw()
+        matrix, sol = self.paw()
         (_, p), *rest = sol.distribution.entries
         outside = next(c for c in matrix.col_cuts if c not in sol.distribution.support)
         moved = CutDistribution(((outside, p), *rest))
         with pytest.raises(_CertificateError):
             _check_certificate(
-                matrix, sol.value, moved, sol.dual_weights, sol.support, distinct
+                matrix, Mode.PROPORTION, sol.value, moved, sol.dual_weights, sol.support
             )
 
     def test_rejects_probability_moved_between_support_cuts(self):
-        matrix, sol, distinct = self.paw()
+        matrix, sol = self.paw()
         shift = Fraction(1, 1000)
         (a, p), (b, q), *rest = sol.distribution.entries
         moved = CutDistribution(((a, p + shift), (b, q - shift), *rest))
         with pytest.raises(_CertificateError):
             _check_certificate(
-                matrix, sol.value, moved, sol.dual_weights, sol.support, distinct
+                matrix, Mode.PROPORTION, sol.value, moved, sol.dual_weights, sol.support
             )
 
 

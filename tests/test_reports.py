@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+import pytest
+
+from fairmaxcut.errors import InstanceParseError
 from fairmaxcut.families import make_paw_instance
 from fairmaxcut.graphs import Cut
 from fairmaxcut.reports import (
@@ -82,3 +85,26 @@ def test_reproduce_rows_parse():
     assert report.rows[0].verdict == "pass"
     assert report.rows[1].verdict == "fail"
     assert report.summary == "fail"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("objective MV", "too few fields"),
+        ("objective MV x", "not a valid fraction"),
+        ("objective MV 1/0", "not a valid fraction"),
+        ("witness MV", "too few fields"),
+        ("support DF-MP {1}", "too few fields"),
+        ("dual DF-MV 0", "too few fields"),
+        ("dual DF-MV x 1/2", "dual index must be an integer"),
+        ("check chain <= 1 1", "too few fields"),
+        ("check chain <= 1 1/2, pass", "not a valid fraction"),
+        ("reproduce paw/mp == 3/4", "too few fields"),
+        ("summary", "too few fields"),
+    ],
+)
+def test_malformed_lines_name_their_line(line, message):
+    text = "fairmaxcut report v1\ncommand solve\n" + line + "\n"
+    with pytest.raises(InstanceParseError, match=message) as info:
+        parse_report(text)
+    assert info.value.line == 3
