@@ -6,7 +6,8 @@ Randomness is counter-based and splittable: every randomized operation takes
 an explicit 64-bit seed, and independent units of work (Monte Carlo trials,
 rounding samples) draw from Philox streams keyed by (seed, unit index), so
 results are bit-reproducible regardless of execution order.  Floating point
-appears only in the embedding/rounding code; everything else is rational.
+appears only in the embedding/rounding code and in the Monte Carlo product,
+where it holds integers below 2**53 exactly; everything else is rational.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -210,22 +211,29 @@ class SampleStats:
     variance: Fraction
 
 
-def _trial_side_bits(g: Graph, seed: int, trials: int) -> np.ndarray:
-    """Uniform side assignment per (trial, vertex).
+# trials per block: about 2**17 crossing entries, so that a block stays in cache
+_BLOCK_ENTRIES = 2**17
+
+
+def _trial_side_bits(g: Graph, seed: int, trials: int) -> Iterator[np.ndarray]:
+    """Uniform side assignment per (trial, vertex), yielded as consecutive
+    (block, n) uint8 blocks of about ``_BLOCK_ENTRIES / m`` trials.
 
     Trial t reads the fixed 64-bit words [t*W, (t+1)*W) of the Philox stream
-    keyed (seed, naive-cut stream), so each trial's cut depends only on the
-    seed and its own index."""
+    keyed (seed, naive-cut stream), bit v of its words being vertex v's side,
+    so each trial's cut depends only on the seed and its own index.  Full-range
+    draws consume the stream one word each, so drawing block by block reads
+    the same words as one draw of all trials."""
     n = g.vertex_count
     words_per_trial = max(1, (n + 63) // 64)
+    block = max(1, _BLOCK_ENTRIES // max(1, g.edge_count))
     rng = derive_rng(seed, _STREAM_NAIVE)
-    raw = rng.integers(
-        0, _MASK64, size=trials * words_per_trial, dtype=np.uint64, endpoint=True
-    ).reshape(trials, words_per_trial)
-    bits = np.zeros((trials, n), dtype=np.uint8)
-    for v in range(n):
-        bits[:, v] = (raw[:, v // 64] >> np.uint64(v % 64)) & np.uint64(1)
-    return bits
+    for start in range(0, trials, block):
+        count = min(block, trials - start)
+        raw = rng.integers(
+            0, _MASK64, size=(count, words_per_trial), dtype=np.uint64, endpoint=True
+        )
+        yield np.unpackbits(raw.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, :n]
 
 
 def naive_random_sample(
@@ -237,30 +245,49 @@ def naive_random_sample(
 ) -> list[SampleStats]:
     """Seed-reproducible Monte Carlo estimate of every group's proportion
     under the uniform random cut.  Statistics are exact rationals computed
-    from integer crossing counts."""
+    from integer crossing counts.
+
+    Trials stream in blocks of ``_trial_side_bits``, so memory stays bounded
+    by one block whatever the trial count.  A block's numerators are one
+    float64 product of its crossing matrix with the edges-by-groups weight
+    table; it is exact because every partial sum is a non-negative integer
+    no larger than the greatest numerator, below 2**53.  Otherwise (a large
+    lcm of own degrees) the product runs over Python ints.  Each block's sums
+    of numerators and of their squares are added up as Python ints."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     require_compatible(g, model, partition)
     weights, dens = group_weights(g, model, partition.groups)
-    bits = _trial_side_bits(g, seed, trials)
     heads = np.array([u for u, _ in g.edges], dtype=np.intp)
     tails = np.array([v for _, v in g.edges], dtype=np.intp)
-    crossings = bits[:, heads] ^ bits[:, tails]
-
-    # squared numerators are summed over the trials: past int64, use exact ints
     max_num = max(sum(row.values()) for row in weights)
-    dtype = object if trials * max_num * max_num >= 2**62 else np.int64
-    table = np.zeros((len(weights), g.edge_count), dtype=dtype)
+    exact_float = max_num < 2**53
+    table = np.zeros((g.edge_count, len(weights)), dtype=np.float64 if exact_float else object)
     for i, row in enumerate(weights):
         for e, w in row.items():
-            table[i, e] = w
-    nums = crossings.astype(dtype) @ table.T
+            table[e, i] = w
+
+    totals = [0] * len(weights)
+    squares = [0] * len(weights)
+    for bits in _trial_side_bits(g, seed, trials):
+        crossings = bits[:, heads] ^ bits[:, tails]
+        if exact_float:
+            nums = (crossings @ table).astype(np.int64)
+        else:
+            nums = crossings.astype(object) @ table
+        if len(nums) * max_num * max_num < 2**62:
+            block_totals = nums.sum(axis=0).tolist()
+            block_squares = (nums * nums).sum(axis=0).tolist()
+        else:
+            columns = nums.T.tolist()
+            block_totals = [sum(col) for col in columns]
+            block_squares = [sum(x * x for x in col) for col in columns]
+        totals = [a + b for a, b in zip(totals, block_totals)]
+        squares = [a + b for a, b in zip(squares, block_squares)]
 
     stats = []
-    for i, (den, gr) in enumerate(zip(dens, partition.groups)):
+    for total, total_sq, den, gr in zip(totals, squares, dens, partition.groups):
         denom = den * len(gr)
-        total = int(np.sum(nums[:, i]))
-        total_sq = int(np.sum(np.multiply(nums[:, i], nums[:, i])))
         mean = Fraction(total, trials * denom)
         second_moment = Fraction(total_sq, trials * denom * denom)
         stats.append(SampleStats(mean=mean, variance=second_moment - mean * mean))
@@ -282,7 +309,7 @@ class UnitVectorEmbedding:
         if arr.ndim != 2 or arr.shape[1] < 1:
             raise ValueError("embedding must be a 2-D array with dimension >= 1")
         norms = np.linalg.norm(arr, axis=1)
-        if arr.shape[0] and np.max(np.abs(norms - 1.0)) > 1e-9:
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise ValueError("all embedding vectors must have unit norm (tolerance 1e-9)")
         object.__setattr__(self, "vectors", arr)
 

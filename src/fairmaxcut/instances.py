@@ -36,6 +36,10 @@ HEADER = "fairmaxcut instance v1"
 
 OBJECTIVE_NAMES = ("MV", "MP", "SF-MV", "SF-MP", "DF-MV", "DF-MP")
 
+# largest vertex count a file may declare, checked before anything is sized
+# by it; far above what exact solving (24) or the heuristics (n = 80) meet
+MAX_VERTICES = 2**16
+
 
 def _column_of(line: str, token: str) -> int:
     pos = line.find(token)
@@ -50,6 +54,14 @@ def _parse_int(token: str, line: str, lineno: int, what: str) -> int:
 
 
 def _parse_fraction(token: str, line: str, lineno: int) -> Fraction:
+    # Fraction expands a decimal exponent digit by digit, so '1e10000000' alone
+    # takes seconds; the serializer never writes exponents
+    if "e" in token or "E" in token:
+        raise InstanceParseError(
+            f"exponent notation is not accepted in a fraction: {token!r}",
+            lineno,
+            _column_of(line, token),
+        )
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -87,6 +99,12 @@ def parse_instance(text: str) -> NamedInstance:
             vertices = _parse_int(args[0], raw, lineno, "vertex count")
             if vertices < 0:
                 raise InstanceParseError("vertex count must be non-negative", lineno)
+            if vertices > MAX_VERTICES:
+                raise InstanceParseError(
+                    f"vertex count {vertices} exceeds the limit {MAX_VERTICES}",
+                    lineno,
+                    _column_of(raw, args[0]),
+                )
         elif keyword == "edge":
             if vertices is None:
                 raise InstanceParseError("edge before vertices line", lineno)

@@ -169,7 +169,11 @@ def parse_report(text: str) -> ParsedReport:
             if i == len(lines):
                 raise InstanceParseError("unterminated instance block", lineno)
             i += 1
-            report.instance = parse_instance("\n".join(block) + "\n")
+            try:
+                report.instance = parse_instance("\n".join(block) + "\n")
+            except InstanceParseError as exc:
+                # block line k is report line lineno + k
+                raise InstanceParseError(exc.message, lineno + exc.line, exc.column) from None
         elif tag == "command":
             report.command = " ".join(tokens[1:])
         elif tag == "objective":

@@ -177,6 +177,18 @@ class TestRun:
         assert rc == 2
         assert err.startswith("error: line ")
 
+    def test_vertex_limit_exit_2(self, tmp_path):
+        # edge groups cover the edge set, so only the vertex limit stops this
+        # file before run sizes its arrays by the vertex count
+        bad = tmp_path / "huge.inst"
+        bad.write_text(
+            "fairmaxcut instance v1\nvertices 99999999999\nedge 0 1\n"
+            "model edge\npartition edges\ngroup 0\n"
+        )
+        rc, _, err = run_cli(["run", str(bad), "--algorithm", "naive-random", "--trials", "4"])
+        assert rc == 2
+        assert err.startswith("error: line 2, column 10:") and "exceeds the limit" in err
+
 
 class TestGenerate:
     def test_bad_parameters_exit_6(self, tmp_path):

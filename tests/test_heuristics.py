@@ -2,6 +2,7 @@
 and hyperplane rounding."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +17,13 @@ from fairmaxcut.families import (
     make_diamond_embedding,
     make_diamond_instance,
     make_paw_instance,
+    random_instance,
     singleton_partition,
 )
-from fairmaxcut.graphs import Cut, Graph, PartitionKind, cut_value, edge_groups
+from fairmaxcut.graphs import Cut, Graph, PartitionKind, cut_value, edge_groups, node_groups
 from fairmaxcut.heuristics import (
+    _BLOCK_ENTRIES,
+    _STREAM_NAIVE,
     GwRounding,
     _trial_side_bits,
     UnitVectorEmbedding,
@@ -36,7 +40,7 @@ from fairmaxcut.heuristics import (
     separate_solve,
 )
 from fairmaxcut.maximin import CutDistribution
-from fairmaxcut.utility import UtilityModel, group_proportion
+from fairmaxcut.utility import UtilityModel, group_proportion, group_weights
 
 from .strategies import edge_instances, graphs, node_instances
 
@@ -191,7 +195,7 @@ class TestNaiveRandomSample:
             (model, *node_inst) for model in (UtilityModel.NODE_MAXDEG, UtilityModel.NODE_OWNDEG)
         ]
         for model, g, partition in cases:
-            side = _trial_side_bits(g, seed, 1)[0]
+            side = next(_trial_side_bits(g, seed, 1))[0]
             cut = Cut.of(v for v in range(g.vertex_count) if side[v])
             samples = naive_random_sample(g, model, partition, seed=seed, trials=1)
             for sample, gr in zip(samples, partition.groups):
@@ -225,6 +229,72 @@ class TestNaiveRandomSample:
         a = naive_random_sample(inst.graph, inst.model, inst.partition, seed=9, trials=64)
         b = naive_random_sample(inst.graph, inst.model, inst.partition, seed=9, trials=64)
         assert a == b
+
+
+def direct_sample(g, model, partition, seed, trials):
+    """Reference sampler: one draw of all trials' words, side bits read vertex
+    by vertex, and group_proportion summed over each trial's cut."""
+    words = max(1, (g.vertex_count + 63) // 64)
+    raw = derive_rng(seed, _STREAM_NAIVE).integers(
+        0, 2**64 - 1, size=trials * words, dtype=np.uint64, endpoint=True
+    )
+    sums = [Fraction(0)] * partition.group_count
+    squares = [Fraction(0)] * partition.group_count
+    for t in range(trials):
+        cut = Cut.of(
+            v for v in range(g.vertex_count) if (int(raw[t * words + v // 64]) >> (v % 64)) & 1
+        )
+        for i, gr in enumerate(partition.groups):
+            p = group_proportion(g, model, cut, gr)
+            sums[i] += p
+            squares[i] += p * p
+    means = [total / trials for total in sums]
+    return [(mean, sq / trials - mean * mean) for mean, sq in zip(means, squares)]
+
+
+class TestStreamedSampler:
+    @pytest.mark.parametrize("model", list(UtilityModel), ids=lambda m: m.value)
+    def test_matches_direct_reference_across_blocks(self, model):
+        kind = PartitionKind.EDGES if model is UtilityModel.EDGE else PartitionKind.NODES
+        inst = random_instance(24, 0.6, 3, kind, seed=2, model=model)
+        g = inst.graph
+        block = _BLOCK_ENTRIES // g.edge_count
+        trials = 2 * block + 1  # two full blocks and a one-trial last block
+        assert [len(bits) for bits in _trial_side_bits(g, 5, trials)] == [block, block, 1]
+        samples = naive_random_sample(g, model, inst.partition, seed=5, trials=trials)
+        assert [(s.mean, s.variance) for s in samples] == direct_sample(
+            g, model, inst.partition, 5, trials
+        )
+
+    @pytest.mark.parametrize("largest, past_float", [(23, False), (47, True)])
+    def test_large_numerators_stay_exact(self, largest, past_float):
+        # hubs of distinct prime degrees into a shared pool: the hubs'
+        # own-degree denominator is the product of the primes.  Up to 23 the
+        # float64 product is exact but squares overflow int64 (Python-int
+        # sums); up to 47 the numerators pass 2**53 (object-dtype product)
+        primes = [p for p in range(2, largest + 1) if all(p % q for q in range(2, p))]
+        hubs = len(primes)
+        edges = tuple((h, hubs + j) for h, p in enumerate(primes) for j in range(p))
+        g = Graph(hubs + largest, edges)
+        partition = node_groups(g, [frozenset(range(hubs)), frozenset(range(hubs, g.vertex_count))])
+        model = UtilityModel.NODE_OWNDEG
+        weights, _ = group_weights(g, model, partition.groups)
+        max_num = max(sum(row.values()) for row in weights)
+        assert 64 * max_num * max_num >= 2**62 and (max_num >= 2**53) == past_float
+        samples = naive_random_sample(g, model, partition, seed=3, trials=64)
+        assert [(s.mean, s.variance) for s in samples] == direct_sample(g, model, partition, 3, 64)
+
+    def test_memory_stays_bounded_by_one_block(self):
+        inst = random_instance(80, 0.2, 4, PartitionKind.EDGES, seed=1)
+        assert 600 <= inst.graph.edge_count <= 660
+        tracemalloc.start()
+        try:
+            naive_random_sample(inst.graph, inst.model, inst.partition, seed=5, trials=100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole trials-by-edges crossing matrix would be about 60 MB as uint8
+        assert peak < 4 * 2**20
 
 
 class TestGwRounding:
@@ -266,6 +336,16 @@ class TestGwRounding:
         embedding = gw_sdp_solve(g, seed=2)
         rounding = gw_round(g, embedding, seed=3, samples=10)
         assert all(0.0 <= p <= 1.0 for p in rounding.edge_cut_probabilities)
+
+
+class TestUnitVectorEmbedding:
+    @pytest.mark.parametrize("vectors", [[[np.nan]], [[1.0], [np.nan]], [[0.6, 0.6]]])
+    def test_rejects_non_unit_and_nan_vectors(self, vectors):
+        with pytest.raises(ValueError, match="unit norm"):
+            UnitVectorEmbedding(np.array(vectors))
+
+    def test_accepts_no_vertices(self):
+        assert UnitVectorEmbedding(np.zeros((0, 2))).vertex_count == 0
 
 
 class TestGwSdpSolve:

@@ -14,6 +14,7 @@ from fairmaxcut.families import (
 )
 from fairmaxcut.graphs import PartitionKind
 from fairmaxcut.instances import (
+    MAX_VERTICES,
     parse_embedding,
     parse_instance,
     serialize_embedding,
@@ -117,6 +118,23 @@ class TestDiagnostics:
             "model edge\npartition edges\ngroup 0\nexpected MP 1/0\n"
         )
         self._expect_error(text, "not a valid fraction", line=7)
+
+    def test_exponent_fraction_refused(self):
+        # Fraction would expand the exponent, taking seconds for this one token
+        text = (
+            "fairmaxcut instance v1\nvertices 2\nedge 0 1\n"
+            "model edge\npartition edges\ngroup 0\nexpected MP 1e10000000\n"
+        )
+        self._expect_error(text, "exponent notation", line=7)
+
+    def test_vertex_count_above_limit_refused(self):
+        text = f"fairmaxcut instance v1\nvertices {MAX_VERTICES + 1}\n"
+        self._expect_error(text, "exceeds the limit", line=2)
+        at_limit = (
+            f"fairmaxcut instance v1\nvertices {MAX_VERTICES}\nedge 0 1\n"
+            "model edge\npartition edges\ngroup 0\n"
+        )
+        assert parse_instance(at_limit).graph.vertex_count == MAX_VERTICES
 
     def test_mismatched_kind_parses_fine(self):
         # kind/model compatibility is a solve-time error (exit 4), not a parse error

@@ -101,6 +101,7 @@ def test_reproduce_rows_parse():
         ("check chain <= 1 1/2, pass", "not a valid fraction"),
         ("reproduce paw/mp == 3/4", "too few fields"),
         ("summary", "too few fields"),
+        ("objective MV 1e10000000", "exponent notation"),
     ],
 )
 def test_malformed_lines_name_their_line(line, message):
@@ -108,3 +109,14 @@ def test_malformed_lines_name_their_line(line, message):
     with pytest.raises(InstanceParseError, match=message) as info:
         parse_report(text)
     assert info.value.line == 3
+
+
+def test_instance_block_errors_name_the_report_line():
+    text = (
+        "fairmaxcut report v1\ncommand solve\ninstance-begin\n"
+        "fairmaxcut instance v1\nlabel x\nvertices x\ninstance-end\n"
+    )
+    with pytest.raises(InstanceParseError, match="vertex count must be an integer") as info:
+        parse_report(text)
+    assert (info.value.line, info.value.column) == (6, 10)
+    assert str(info.value).startswith("line 6, column 10:")
