@@ -14,22 +14,19 @@ import sys
 
 sys.path.insert(0, "src")
 
-from fairmaxcut.exact import max_proportion, static_fair
+from fairmaxcut.exact import build_payoff_matrix
 from fairmaxcut.families import (
     make_clique_with_tail,
-    make_cycle,
     make_cycle_plus_biclique,
-    singleton_partition,
+    make_odd_cycle_instance,
 )
 from fairmaxcut.graphs import PartitionKind
-from fairmaxcut.maximin import df_fair
-from fairmaxcut.utility import UtilityModel
+from fairmaxcut.verify import read_off
 
 
-def emit(family, parameter, g, model, partition):
-    mp, _ = max_proportion(g, model)
-    sf = static_fair(g, model, partition).objective
-    df = df_fair(g, model, partition).value
+def emit(family, parameter, inst):
+    matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
+    mp, sf, df = (read_off(matrix, name)[0] for name in ("MP", "SF-MP", "DF-MP"))
     print(f"{family}\t{parameter}\t{mp}\t{sf}\t{df}\t{mp - df}\t{df - sf}")
 
 
@@ -44,20 +41,13 @@ def main() -> int:
     print("family\tparameter\tMP\tSF-MP\tDF-MP\tbest_minus_dynamic\tdynamic_minus_static")
     if args.kind == "edges":
         for n in range(6, args.max_tail + 1, 2):
-            inst = make_clique_with_tail(2, n)
-            emit("clique-tail-k2", n, inst.graph, inst.model, inst.partition)
-        for length in range(5, args.max_cycle + 1, 2):
-            g = make_cycle(length)
-            emit("odd-cycle-edges", length, g, UtilityModel.EDGE,
-                 singleton_partition(g, PartitionKind.EDGES))
-    else:
-        for length in range(5, args.max_cycle + 1, 2):
-            g = make_cycle(length)
-            emit("odd-cycle-nodes", length, g, UtilityModel.NODE_MAXDEG,
-                 singleton_partition(g, PartitionKind.NODES))
+            emit("clique-tail-k2", n, make_clique_with_tail(2, n))
+    for length in range(5, args.max_cycle + 1, 2):
+        inst = make_odd_cycle_instance(length, PartitionKind(args.kind))
+        emit(f"odd-cycle-{args.kind}", length, inst)
+    if args.kind == "nodes":
         for r in range(2, args.max_biclique + 1):
-            inst = make_cycle_plus_biclique(2, r)
-            emit("cycle-biclique-k2", r, inst.graph, inst.model, inst.partition)
+            emit("cycle-biclique-k2", r, make_cycle_plus_biclique(2, r))
     return 0
 
 

@@ -10,11 +10,11 @@ import sys
 
 sys.path.insert(0, "src")
 
-from fairmaxcut.exact import max_proportion, static_fair
+from fairmaxcut.exact import build_payoff_matrix
 from fairmaxcut.families import random_instance
 from fairmaxcut.graphs import PartitionKind
 from fairmaxcut.heuristics import derive_rng
-from fairmaxcut.maximin import df_fair
+from fairmaxcut.verify import read_off
 
 
 def main() -> int:
@@ -32,9 +32,8 @@ def main() -> int:
         n = int(rng.integers(4, args.max_vertices + 1))
         gamma = int(rng.integers(1, 5))
         inst = random_instance(n, 0.5, gamma, kind, seed=int(rng.integers(0, 2**63)))
-        sf = static_fair(inst.graph, inst.model, inst.partition).objective
-        df = df_fair(inst.graph, inst.model, inst.partition).value
-        mp, _ = max_proportion(inst.graph, inst.model)
+        matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
+        sf, df, mp = (read_off(matrix, name)[0] for name in ("SF-MP", "DF-MP", "MP"))
         strict_sd += sf < df
         strict_dm += df < mp
         print(f"{inst.label}\t{inst.partition.group_count}\t{sf}\t{df}\t{mp}")

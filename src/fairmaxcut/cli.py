@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Subcommands: solve (exact objectives), run (heuristic algorithms), generate
-(family instances), verify (claim-checker suites), reproduce (pinned
-worked-example values).  The structured report goes to --output when given
-(with a human summary on stdout), otherwise to stdout.  Exit codes: 0 ok,
-1 verification/reproduction failure, 2 parse error, 3 instance too large,
-4 model/partition mismatch, 5 unknown algorithm, 6 bad generator parameters.
+Subcommands: solve (exact objectives, all read off one payoff matrix), run
+(heuristic algorithms), generate (family instances), verify (claim-checker
+suites), reproduce (``verify.pinned_checks``: the families' expected values
+and the table of the rest).  The structured report goes to --output when
+given (with a human summary on stdout), otherwise to stdout.  Exit codes:
+0 ok, 1 verification/reproduction failure, 2 parse error, 3 instance too
+large, 4 model/partition mismatch, 5 unknown algorithm, 6 bad generator
+parameters or option values (--trials, --samples, --sdp-rank, --count).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import exact, families, heuristics, instances, maximin, reports, verify
+from . import exact, families, heuristics, instances, reports, verify
 from .errors import (
     DegreeZeroError,
     GeneratorParameterError,
@@ -23,11 +25,11 @@ from .errors import (
     ModelMismatchError,
     TooLargeError,
 )
-from .exact import DEFAULT_ENUMERATION_LIMIT, Mode
-from .graphs import Cut, PartitionKind, cut_value, max_degree
+from .exact import DEFAULT_ENUMERATION_LIMIT
+from .graphs import Cut, PartitionKind, cut_value
+from .instances import OBJECTIVE_NAMES
 from .utility import UtilityModel, crossing_degree, group_proportion, require_compatible
 
-OBJECTIVES = ("MV", "MP", "SF-MV", "SF-MP", "DF-MV", "DF-MP")
 ALGORITHMS = ("separate-solve", "naive-random", "local-search", "gw")
 FAMILIES = (
     "cycle",
@@ -60,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute exact objectives for an instance")
     p.add_argument("instance")
-    p.add_argument("--objectives", help="comma list from " + ",".join(OBJECTIVES))
+    p.add_argument("--objectives", help="comma list from " + ",".join(OBJECTIVE_NAMES))
     _common_flags(p)
 
     p = sub.add_parser("run", help="run a heuristic algorithm on an instance")
@@ -109,6 +111,11 @@ def _emit(report_text: str, human_lines: list[str], output: str | None) -> None:
         sys.stdout.write(report_text)
 
 
+def _require_at_least(flag: str, value: int | None, least: int) -> None:
+    if value is not None and value < least:
+        raise GeneratorParameterError(f"{flag} must be >= {least}, got {value}")
+
+
 def _approx_suffix(value: Fraction, approx: bool) -> str:
     return f"  ~ {float(value):.6f}" if approx else ""
 
@@ -130,14 +137,14 @@ def _requested_objectives(args) -> list[str]:
     if args.objectives:
         names = [t.strip() for t in args.objectives.split(",") if t.strip()]
         for name in names:
-            if name not in OBJECTIVES:
+            if name not in OBJECTIVE_NAMES:
                 raise GeneratorParameterError(f"unknown objective {name!r}")
         return names
     if args.mode == "value":
         return ["MV", "SF-MV", "DF-MV"]
     if args.mode == "proportion":
         return ["MP", "SF-MP", "DF-MP"]
-    return list(OBJECTIVES)
+    return list(OBJECTIVE_NAMES)
 
 
 def cmd_solve(args) -> int:
@@ -154,41 +161,20 @@ def cmd_solve(args) -> int:
 
     # one enumeration pass: all six objectives are read off the same matrix
     matrix = exact.build_payoff_matrix(inst.graph, inst.model, inst.partition, args.limit)
-    values: dict[str, Fraction] = {}
-    witnesses: dict[str, Cut] = {}
-    solutions: dict[str, maximin.MaximinSolution] = {}
-    for name in names:
-        mode = Mode.VALUE if name.endswith("MV") else Mode.PROPORTION
-        if name in ("MV", "MP"):
-            values[name], witnesses[name] = exact.max_from_matrix(matrix, mode)
-        elif name in ("SF-MV", "SF-MP"):
-            sol = exact.static_from_matrix(matrix, mode)
-            values[name], witnesses[name] = sol.objective, sol.witness_cut
+    results = {name: verify.read_off(matrix, name) for name in OBJECTIVE_NAMES if name in names}
+    values = {name: value for name, (value, _) in results.items()}
+
+    for name, (value, found) in results.items():
+        builder.add_objective(name, value)
+        if isinstance(found, Cut):
+            builder.add_witness(name, found)
         else:
-            sol = maximin.solve_maximin(matrix, mode)
-            values[name] = sol.value
-            solutions[name] = sol
+            for cut, prob in found.distribution.entries:
+                builder.add_support(name, cut, prob)
+            for i, weight in enumerate(found.dual_weights):
+                builder.add_dual(name, i, weight)
 
-    for name in OBJECTIVES:
-        if name in values:
-            builder.add_objective(name, values[name])
-            if name in witnesses:
-                builder.add_witness(name, witnesses[name])
-            if name in solutions:
-                for cut, prob in solutions[name].distribution.entries:
-                    builder.add_support(name, cut, prob)
-                for i, weight in enumerate(solutions[name].dual_weights):
-                    builder.add_dual(name, i, weight)
-
-    checks = []
-    for tag, chain in (("value", ("SF-MV", "DF-MV", "MV")), ("proportion", ("SF-MP", "DF-MP", "MP"))):
-        lo, mid, hi = chain
-        if lo in values and mid in values:
-            checks.append(verify.make_check(
-                f"chain-{tag}-static-dynamic", inst.label, values[lo], "<=", values[mid]))
-        if mid in values and hi in values:
-            checks.append(verify.make_check(
-                f"chain-{tag}-dynamic-best", inst.label, values[mid], "<=", values[hi]))
+    checks = verify.chain_checks(values, inst.label)
     for check in checks:
         builder.add_check(check)
     builder.add_summary(all(c.passed for c in checks))
@@ -196,9 +182,8 @@ def cmd_solve(args) -> int:
     elapsed = int((time.monotonic() - started) * 1000)
     text = builder.render(elapsed_ms=elapsed)
     human = [f"instance: {inst.label or args.instance}"]
-    for name in OBJECTIVES:
-        if name in values:
-            human.append(f"  {name:6s} = {values[name]}{_approx_suffix(values[name], args.approx)}")
+    for name, value in values.items():
+        human.append(f"  {name:6s} = {value}{_approx_suffix(value, args.approx)}")
     _emit(text, human, args.output)
     return 0
 
@@ -212,6 +197,9 @@ def cmd_run(args) -> int:
         print(f"error: unknown algorithm {args.algorithm!r}; choose from {', '.join(ALGORITHMS)}",
               file=sys.stderr)
         return 5
+    _require_at_least("--trials", args.trials, 1)
+    _require_at_least("--samples", args.samples, 1)
+    _require_at_least("--sdp-rank", args.sdp_rank, 2)
     inst = instances.load_instance(args.instance)
     require_compatible(inst.graph, inst.model, inst.partition)
     started = time.monotonic()
@@ -270,11 +258,7 @@ def cmd_run(args) -> int:
         )
         builder.add_line(f"score-min {minimum}")
         if inst.partition.kind is PartitionKind.NODES and inst.model is UtilityModel.NODE_MAXDEG:
-            delta = max_degree(inst.graph)
-            floor = min(
-                Fraction(sum(inst.graph.degree(v) for v in gr), 2 * len(gr) * delta)
-                for gr in inst.partition.groups
-            )
+            floor = verify.worst_degree_ratio(inst.graph, inst.partition) / 2
             builder.add_line(f"floor {floor}")
             check = verify.make_check("local-search-floor", inst.label, minimum, ">=", floor)
             builder.add_check(check)
@@ -394,6 +378,7 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         raise GeneratorParameterError(f"unknown suite {args.suite!r}; choose from {SUITES}")
+    _require_at_least("--count", args.count, 0)
     started = time.monotonic()
     checks = []
     if args.suite in ("curated", "all"):
@@ -428,92 +413,10 @@ def cmd_verify(args) -> int:
 def _reproduce_rows(limit: int):
     """Recompute every pinned worked-example value.  Yields
     (key, relation, expected-text, computed-text, passed)."""
-    rows: list[tuple[str, str, str, str, bool]] = []
-
-    def row(key: str, relation: str, expected, computed) -> None:
-        if relation == "==":
-            passed = computed == expected
-        elif relation == ">=":
-            passed = computed >= expected
-        elif relation == "<":
-            passed = computed < expected
-        else:
-            raise ValueError(relation)
-        rows.append((key, relation, str(expected), str(computed), passed))
-
-    third2 = Fraction(2, 3)
-
-    diamond = families.make_diamond_instance()
-    df = maximin.df_fair(diamond.graph, diamond.model, diamond.partition, Mode.PROPORTION, limit)
-    row("diamond/dynamic-proportion", "==", third2, df.value)
-    sub_expect = {(0,): ("square", Fraction(1)), (1,): ("chord", Fraction(1)),
-                  (0, 1): ("whole", Fraction(4, 5))}
-    sub_mps = []
-    for kept, (name, expected) in sub_expect.items():
-        sub, _ = verify.edge_subinstance(diamond, kept)
-        mp, _ = exact.max_proportion(sub.graph, sub.model, limit)
-        sub_mps.append(mp)
-        row(f"diamond/{name}-subgraph-proportion", "==", expected, mp)
-    row("diamond/strict-gap", "<", min(sub_mps), df.value)
-    lottery = maximin.CutDistribution.from_pairs(
-        [(Cut.of({3}), Fraction(2, 3)), (Cut.of({0, 3}), Fraction(1, 3))]
-    )
-    score = heuristics.evaluate_distribution(diamond.graph, diamond.model, diamond.partition, lottery)
-    row("diamond/table-lottery-square", "==", third2, score.per_group[0])
-    row("diamond/table-lottery-chord", "==", third2, score.per_group[1])
-
-    paw = families.make_paw_instance()
-    row("paw/dynamic-proportion", "==", third2,
-        maximin.df_fair(paw.graph, paw.model, paw.partition, Mode.PROPORTION, limit).value)
-    row("paw/best-proportion", "==", Fraction(3, 4),
-        exact.max_proportion(paw.graph, paw.model, limit)[0])
-    row("paw/static-proportion", "==", Fraction(0),
-        exact.static_fair(paw.graph, paw.model, paw.partition, Mode.PROPORTION, limit).objective)
-
-    embedding = families.make_diamond_embedding()
-    rounding = heuristics.gw_round(diamond.graph, embedding, seed=0, samples=64)
-    chord_index = 4
-    rows.append((
-        "diamond-embedding/chord-cut-probability", "==", "0",
-        reports.format_probability(rounding.edge_cut_probabilities[chord_index]),
-        rounding.edge_cut_probabilities[chord_index] == 0.0,
-    ))
-    gw_score = heuristics.evaluate_distribution(
-        diamond.graph, diamond.model, diamond.partition, rounding.distribution()
-    )
-    row("diamond-embedding/min-expectation", "==", Fraction(0), gw_score.minimum)
-
-    for n in (6, 10, 14):
-        inst = families.make_clique_with_tail(2, n)
-        row(f"clique-tail-2-{n}/dynamic-proportion", "==", third2,
-            maximin.df_fair(inst.graph, inst.model, inst.partition, Mode.PROPORTION, limit).value)
-        row(f"clique-tail-2-{n}/best-proportion", "==", Fraction(n, n + 2),
-            exact.max_proportion(inst.graph, inst.model, limit)[0])
-
-    for n_odd in (5, 7, 9):
-        g, pairs = families.one_left_out_cycle_distribution(n_odd)
-        lottery = maximin.CutDistribution.from_pairs(pairs)
-        bound = 1 - Fraction(1, n_odd)
-        edge_partition = families.singleton_partition(g, PartitionKind.EDGES)
-        row(f"cycle-{n_odd}-edges/static-proportion", "==", Fraction(0),
-            exact.static_fair(g, UtilityModel.EDGE, edge_partition, Mode.PROPORTION, limit).objective)
-        sc = heuristics.evaluate_distribution(g, UtilityModel.EDGE, edge_partition, lottery)
-        row(f"cycle-{n_odd}-edges/one-left-out-lottery", "==", bound, sc.minimum)
-        row(f"cycle-{n_odd}-edges/dynamic-proportion", ">=", bound,
-            maximin.df_fair(g, UtilityModel.EDGE, edge_partition, Mode.PROPORTION, limit).value)
-        node_partition = families.singleton_partition(g, PartitionKind.NODES)
-        row(f"cycle-{n_odd}-nodes/static-proportion", "==", Fraction(1, 2),
-            exact.static_fair(g, UtilityModel.NODE_MAXDEG, node_partition, Mode.PROPORTION, limit).objective)
-        sc = heuristics.evaluate_distribution(g, UtilityModel.NODE_MAXDEG, node_partition, lottery)
-        row(f"cycle-{n_odd}-nodes/one-left-out-lottery", "==", bound, sc.minimum)
-        row(f"cycle-{n_odd}-nodes/dynamic-proportion", ">=", bound,
-            maximin.df_fair(g, UtilityModel.NODE_MAXDEG, node_partition, Mode.PROPORTION, limit).value)
-
-    stats = heuristics.naive_random_stats(diamond.graph, diamond.model, diamond.partition)
-    row("uniform-random-cut/mean", "==", Fraction(1, 2), stats[0].mean)
-    row("uniform-random-cut/variance-size-4-group", "==", Fraction(1, 16), stats[0].variance)
-    row("uniform-random-cut/variance-size-1-group", "==", Fraction(1, 4), stats[1].variance)
-    return rows
+    return [
+        (c.claim, c.relation, str(c.rhs), str(c.lhs), c.passed)
+        for c in verify.pinned_checks(limit)
+    ]
 
 
 def cmd_reproduce(args) -> int:

@@ -120,6 +120,21 @@ def make_cycle_plus_biclique(k: int, r: int) -> NamedInstance:
     )
 
 
+def make_odd_cycle_instance(n: int, kind: PartitionKind) -> NamedInstance:
+    """An odd n-cycle with singleton groups: edges under the edge model, or
+    vertices under the max-degree model.  Every cut leaves an edge uncut, so
+    the static-fair proportion is 0 for edges and 1/2 for vertices."""
+    if n < 3 or n % 2 == 0:
+        raise GeneratorParameterError("needs an odd cycle length >= 3")
+    g = make_cycle(n)
+    edges = kind is PartitionKind.EDGES
+    model = UtilityModel.EDGE if edges else UtilityModel.NODE_MAXDEG
+    static = Fraction(0) if edges else Fraction(1, 2)
+    expected = (ExpectedValue("SF-MP", static, "every cut leaves some edge uncut"),)
+    label = f"cycle-{n}-{kind.value}"
+    return NamedInstance(g, singleton_partition(g, kind), model, label, expected)
+
+
 def make_diamond_instance() -> NamedInstance:
     """The diamond (4-cycle 0-1-3-2 plus chord (0,3)) with the four square
     edges in one group and the chord alone in the other.
@@ -232,9 +247,7 @@ def one_left_out_cycle_distribution(n_odd: int) -> tuple[Graph, list[tuple[Cut, 
     miss exactly one chosen edge.  Every edge survives in all but one support
     cut and every vertex keeps both edges in all but two, which pins the
     classic lottery's group expectations exactly."""
-    if n_odd < 3 or n_odd % 2 == 0:
-        raise GeneratorParameterError("needs an odd cycle length >= 3")
-    g = make_cycle(n_odd)
+    g = make_odd_cycle_instance(n_odd, PartitionKind.EDGES).graph
     prob = Fraction(1, n_odd)
     pairs = []
     for left_out in range(n_odd):

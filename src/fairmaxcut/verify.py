@@ -3,42 +3,49 @@ relies on, evaluated exactly and reported as structured verdicts.
 
 Checkers never abort on a failing claim; they return BoundCheck records so a
 suite run can survey everything.  Each verdict recomputes both sides from the
-exact solvers; nothing is cached across checkers.
+exact solvers; nothing is cached across checkers.  Within a checker, every
+objective of an instance is read off one payoff matrix (``read_off``).
+
+The pinned worked-example values live in two places: the families'
+``expected`` tuples, and the table below for the values no family carries.
+``pinned_checks`` recomputes them all for ``fairmaxcut reproduce``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from . import exact, maximin
 from .errors import GeneratorParameterError
-from .exact import (
-    DEFAULT_ENUMERATION_LIMIT,
-    Mode,
-    max_proportion,
-    max_value,
-    static_fair,
-)
+from .exact import DEFAULT_ENUMERATION_LIMIT, Mode, PayoffMatrix, static_fair
+
+# bench/tracing.py wraps these names on this module, so they stay importable here
+from .exact import max_proportion, max_value  # noqa: F401
 from .families import (
     NamedInstance,
     make_clique_with_tail,
     make_complete_bipartite,
     make_cycle,
     make_cycle_plus_biclique,
+    make_diamond_embedding,
     make_diamond_instance,
+    make_odd_cycle_instance,
     make_paw_instance,
+    one_left_out_cycle_distribution,
     random_instance,
     singleton_partition,
 )
-from .graphs import Graph, GroupPartition, PartitionKind, edge_groups, is_bipartite, max_degree, node_groups
-from .heuristics import derive_rng
-from .maximin import df_fair
+from .graphs import (
+    Cut, Graph, GroupPartition, PartitionKind, edge_groups, is_bipartite, max_degree, node_groups,
+)
+from .heuristics import derive_rng, evaluate_distribution, gw_round, naive_random_stats
+from .instances import OBJECTIVE_NAMES
+from .maximin import CutDistribution, df_fair
 from .utility import UtilityModel
 
 _HALF = Fraction(1, 2)
-_TWO_THIRDS = Fraction(2, 3)
 
 
 @dataclass(frozen=True)
@@ -98,7 +105,80 @@ def skipped_check(claim: str, context: str) -> BoundCheck:
 
 
 # ---------------------------------------------------------------------------
-# ordering chain
+# pinned values that no family's ``expected`` carries, each written once
+
+# the diamond's subgraphs on whole edge groups: kept groups, reproduce name,
+# curated-check context, best proportion
+DIAMOND_SUBGRAPHS = (
+    ((0,), "square", "square group", Fraction(1)),
+    ((1,), "chord", "chord group", Fraction(1)),
+    ((0, 1), "whole", "both groups", Fraction(4, 5)),
+)
+# the worked-example cut table's lottery, worth the diamond's DF-MP to each group
+DIAMOND_TABLE_LOTTERY = ((Cut.of({3}), Fraction(2, 3)), (Cut.of({0, 3}), Fraction(1, 3)))
+# hyperplane rounding of the pinned diamond embedding: the chord's cut
+# probability and the worst group's expectation
+DIAMOND_EMBEDDING_VALUES = (
+    ("chord-cut-probability", Fraction(0)),
+    ("min-expectation", Fraction(0)),
+)
+# the uniform random cut on the diamond: the square group's mean and
+# variance, the chord group's variance
+UNIFORM_CUT_MOMENTS = (
+    ("mean", Fraction(1, 2)),
+    ("variance-size-4-group", Fraction(1, 16)),
+    ("variance-size-1-group", Fraction(1, 4)),
+)
+CLIQUE_TAIL_LENGTHS = (6, 10, 14)
+ODD_CYCLE_LENGTHS = (5, 7, 9)
+
+
+def one_left_out_bound(n_odd: int) -> Fraction:
+    """The worst group's expectation under the one-left-out lottery on an odd
+    n-cycle with singleton edge or node groups."""
+    return 1 - Fraction(1, n_odd)
+
+
+# ---------------------------------------------------------------------------
+# objective read-offs and the ordering chain
+
+
+def read_off(matrix: PayoffMatrix, name: str) -> tuple[Fraction, Cut | maximin.MaximinSolution]:
+    """One objective of ``OBJECTIVE_NAMES`` read off a payoff matrix: its value,
+    with the witness cut (MV, MP, SF-*) or the maximin solution (DF-*)."""
+    mode = Mode.VALUE if name.endswith("MV") else Mode.PROPORTION
+    if name in ("MV", "MP"):
+        return exact.max_from_matrix(matrix, mode)
+    if name in ("SF-MV", "SF-MP"):
+        sol = exact.static_from_matrix(matrix, mode)
+        return sol.objective, sol.witness_cut
+    if name in ("DF-MV", "DF-MP"):
+        sol = maximin.solve_maximin(matrix, mode)
+        return sol.value, sol
+    raise ValueError(f"unknown objective {name!r}")
+
+
+def _matrix(inst: NamedInstance, limit: int) -> PayoffMatrix:
+    return exact.build_payoff_matrix(inst.graph, inst.model, inst.partition, limit)
+
+
+# each chain claim and its (lower, upper) objectives, in report order
+_CHAIN = (
+    ("chain-value-static-dynamic", "SF-MV", "DF-MV"),
+    ("chain-value-dynamic-best", "DF-MV", "MV"),
+    ("chain-proportion-static-dynamic", "SF-MP", "DF-MP"),
+    ("chain-proportion-dynamic-best", "DF-MP", "MP"),
+)
+
+
+def chain_checks(values: dict[str, Fraction], context: str = "") -> list[BoundCheck]:
+    """Static <= dynamic <= utilitarian in each mode, for every adjacent pair
+    of objectives present in ``values``."""
+    return [
+        make_check(claim, context, values[lo], "<=", values[hi])
+        for claim, lo, hi in _CHAIN
+        if lo in values and hi in values
+    ]
 
 
 def check_chain(
@@ -111,14 +191,7 @@ def check_chain(
     """Static <= dynamic <= utilitarian, in both value and proportion modes,
     all six sides read off one payoff matrix."""
     matrix = exact.build_payoff_matrix(g, model, partition, limit)
-    out = []
-    for mode, tag in ((Mode.VALUE, "value"), (Mode.PROPORTION, "proportion")):
-        sf = exact.static_from_matrix(matrix, mode).objective
-        df = maximin.solve_maximin(matrix, mode).value
-        top, _ = exact.max_from_matrix(matrix, mode)
-        out.append(make_check(f"chain-{tag}-static-dynamic", context, sf, "<=", df))
-        out.append(make_check(f"chain-{tag}-dynamic-best", context, df, "<=", top))
-    return out
+    return chain_checks({name: read_off(matrix, name)[0] for name in OBJECTIVE_NAMES}, context)
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +287,9 @@ def check_subproblem_bound(
     sub_ground = sum(len(gr) for gr in sub.partition.groups)
     ctx = f"{full.label} vs {sub.label}"
 
-    df_value = df_fair(full.graph, full.model, full.partition, Mode.VALUE, limit).value
-    df_prop = df_fair(full.graph, full.model, full.partition, Mode.PROPORTION, limit).value
-    mv_sub, _ = max_value(sub.graph, sub.model, limit)
-    mp_sub, _ = max_proportion(sub.graph, sub.model, limit)
+    full_matrix, sub_matrix = _matrix(full, limit), _matrix(sub, limit)
+    df_value, df_prop = (read_off(full_matrix, name)[0] for name in ("DF-MV", "DF-MP"))
+    mv_sub, mp_sub = (read_off(sub_matrix, name)[0] for name in ("MV", "MP"))
     return [
         make_check("subproblem-value-bound", ctx, df_value, "<=", mv_sub + delta_sum),
         make_check(
@@ -273,7 +345,7 @@ def check_triangle_bound(
     if not any(_edges_decompose_into_triangles(g, gr) for gr in partition.groups):
         return skipped_check("triangle-group-bound", context + " (no triangle-decomposable group)")
     df = df_fair(g, UtilityModel.EDGE, partition, Mode.PROPORTION, limit).value
-    return make_check("triangle-group-bound", context, df, "<=", _TWO_THIRDS)
+    return make_check("triangle-group-bound", context, df, "<=", Fraction(2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +370,8 @@ def check_bipartite_props(
         return [skipped_check("bipartite-collapse", context + " (not bipartite)")]
     if model.is_node_model and not _is_regular(g):
         return [skipped_check("bipartite-collapse", context + " (node model needs regularity)")]
-    sf = static_fair(g, model, partition, Mode.PROPORTION, limit).objective
-    df = df_fair(g, model, partition, Mode.PROPORTION, limit).value
-    mp, _ = max_proportion(g, model, limit)
+    matrix = exact.build_payoff_matrix(g, model, partition, limit)
+    sf, df, mp = (read_off(matrix, name)[0] for name in ("SF-MP", "DF-MP", "MP"))
     one = Fraction(1)
     return [
         make_check("bipartite-collapse-static", context, sf, "==", one),
@@ -326,9 +397,11 @@ def check_nonbipartite_node_bound(
     )
 
 
-def _group_degree_ratio(g: Graph, group: frozenset[int]) -> Fraction:
+def worst_degree_ratio(g: Graph, partition: GroupPartition) -> Fraction:
+    """The smallest group average degree over the max degree: the cap on the
+    node dynamic-fair proportion, and twice the local-search floor."""
     delta = max_degree(g)
-    return Fraction(sum(g.degree(v) for v in group), len(group) * delta)
+    return min(Fraction(sum(g.degree(v) for v in gr), len(gr) * delta) for gr in partition.groups)
 
 
 def check_dfmp_node_bounds(
@@ -340,9 +413,9 @@ def check_dfmp_node_bounds(
     """Degree envelopes for node utilities: the dynamic-fair proportion never
     beats the worst group's average-degree ratio, and local search guarantees
     the static-fair proportion is at least half of it."""
-    ratio = min(_group_degree_ratio(g, gr) for gr in partition.groups)
-    df = df_fair(g, UtilityModel.NODE_MAXDEG, partition, Mode.PROPORTION, limit).value
-    sf = static_fair(g, UtilityModel.NODE_MAXDEG, partition, Mode.PROPORTION, limit).objective
+    ratio = worst_degree_ratio(g, partition)
+    matrix = exact.build_payoff_matrix(g, UtilityModel.NODE_MAXDEG, partition, limit)
+    df, sf = (read_off(matrix, name)[0] for name in ("DF-MP", "SF-MP"))
     return [
         make_check("node-dynamic-degree-cap", context, df, "<=", ratio),
         make_check("node-static-degree-floor", context, sf, ">=", ratio / 2),
@@ -355,25 +428,12 @@ def check_dfmp_node_bounds(
 
 def check_expected(inst: NamedInstance, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[BoundCheck]:
     """Confirm every expected value an instance carries against the solvers."""
-    out = []
-    for exp in inst.expected:
-        name = exp.objective
-        if name == "MV":
-            got, _ = max_value(inst.graph, inst.model, limit)
-        elif name == "MP":
-            got, _ = max_proportion(inst.graph, inst.model, limit)
-        elif name == "SF-MV":
-            got = static_fair(inst.graph, inst.model, inst.partition, Mode.VALUE, limit).objective
-        elif name == "SF-MP":
-            got = static_fair(inst.graph, inst.model, inst.partition, Mode.PROPORTION, limit).objective
-        elif name == "DF-MV":
-            got = df_fair(inst.graph, inst.model, inst.partition, Mode.VALUE, limit).value
-        elif name == "DF-MP":
-            got = df_fair(inst.graph, inst.model, inst.partition, Mode.PROPORTION, limit).value
-        else:
-            raise ValueError(f"unknown expected objective {name!r}")
-        out.append(make_check(f"expected-{name}", inst.label, got, "==", exp.value))
-    return out
+    matrix = _matrix(inst, limit)
+    return [
+        make_check(f"expected-{exp.objective}", inst.label, read_off(matrix, exp.objective)[0],
+                   "==", exp.value)
+        for exp in inst.expected
+    ]
 
 
 def check_diamond_strict_gap(limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[BoundCheck]:
@@ -381,24 +441,47 @@ def check_diamond_strict_gap(limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Bou
     proportion of every subgraph formed from whole edge groups (min 4/5), so
     no subgraph bound is tight for it."""
     inst = make_diamond_instance()
-    df = df_fair(inst.graph, inst.model, inst.partition, Mode.PROPORTION, limit).value
-    checks = [make_check("diamond-dynamic-value", inst.label, df, "==", _TWO_THIRDS)]
+    df = read_off(_matrix(inst, limit), "DF-MP")[0]
+    pinned = inst.expected_map()["DF-MP"]
+    checks = [make_check("diamond-dynamic-value", inst.label, df, "==", pinned)]
     subgraph_mps = []
-    expectations = {
-        (0,): (Fraction(1), "square group"),
-        (1,): (Fraction(1), "chord group"),
-        (0, 1): (Fraction(4, 5), "both groups"),
-    }
-    for kept, (expected_mp, name) in expectations.items():
+    for kept, _, context, expected_mp in DIAMOND_SUBGRAPHS:
         sub, _ = edge_subinstance(inst, kept)
-        mp, _ = max_proportion(sub.graph, sub.model, limit)
-        subgraph_mps.append(mp)
-        checks.append(
-            make_check("diamond-subgraph-proportion", f"{inst.label}: {name}", mp, "==", expected_mp)
-        )
-    checks.append(
-        make_check("diamond-strict-gap", inst.label, df, "<", min(subgraph_mps))
-    )
+        subgraph_mps.append(read_off(_matrix(sub, limit), "MP")[0])
+        checks.append(make_check(
+            "diamond-subgraph-proportion", f"{inst.label}: {context}", subgraph_mps[-1],
+            "==", expected_mp))
+    checks.append(make_check("diamond-strict-gap", inst.label, df, "<", min(subgraph_mps)))
+    return checks
+
+
+def _gap_checks(
+    claim: str,
+    family: Sequence[NamedInstance],
+    top: str,
+    bottom: str,
+    upper: Fraction,
+    limit: int,
+    low: bool = False,
+    degree_cap: bool = False,
+) -> list[BoundCheck]:
+    """The gap ``top - bottom`` along a family: at most ``upper`` on each
+    instance (at least 0 with ``low``; at most half the worst group's degree
+    ratio with ``degree_cap``), and strictly growing from each instance to
+    the next."""
+    checks, gaps = [], []
+    for inst in family:
+        matrix = _matrix(inst, limit)
+        gap = read_off(matrix, top)[0] - read_off(matrix, bottom)[0]
+        gaps.append((inst.label, gap))
+        if degree_cap:
+            cap = worst_degree_ratio(inst.graph, inst.partition) / 2
+            checks.append(make_check(f"{claim}-cap", inst.label, gap, "<=", cap))
+        checks.append(make_check(f"{claim}-interval", inst.label, gap, "<=", upper))
+        if low:
+            checks.append(make_check(f"{claim}-interval-low", inst.label, gap, ">=", Fraction(0)))
+    for (la, ga), (lb, gb) in zip(gaps, gaps[1:]):
+        checks.append(make_check(f"{claim}-trend", f"{la} -> {lb}", ga, "<", gb))
     return checks
 
 
@@ -414,65 +497,86 @@ def check_gap_table(
     groups; best-vs-dynamic gap sits in [0, 1] and grows along the
     cycle-plus-biclique family.  Trends are checked as strict monotone steps
     over the enumerable family prefix."""
-    checks: list[BoundCheck] = []
-    zero = Fraction(0)
-    one = Fraction(1)
+    cycles = [make_odd_cycle_instance(n, kind) for n in ODD_CYCLE_LENGTHS]
     if kind is PartitionKind.EDGES:
-        gaps = []
-        for n in (6, 10, 14):
-            inst = make_clique_with_tail(2, n)
-            mp, _ = max_proportion(inst.graph, inst.model, limit)
-            df = df_fair(inst.graph, inst.model, inst.partition, Mode.PROPORTION, limit).value
-            gap = mp - df
-            gaps.append((inst.label, gap))
-            checks.append(make_check("edge-best-dynamic-gap-interval", inst.label, gap, "<=", _HALF))
-            checks.append(make_check("edge-best-dynamic-gap-interval-low", inst.label, gap, ">=", zero))
-        for (la, ga), (lb, gb) in zip(gaps, gaps[1:]):
-            checks.append(make_check("edge-best-dynamic-gap-trend", f"{la} -> {lb}", ga, "<", gb))
-        gaps = []
-        for n_odd in (5, 7, 9):
-            g = make_cycle(n_odd)
-            partition = singleton_partition(g, PartitionKind.EDGES)
-            sf = static_fair(g, UtilityModel.EDGE, partition, Mode.PROPORTION, limit).objective
-            df = df_fair(g, UtilityModel.EDGE, partition, Mode.PROPORTION, limit).value
-            gap = df - sf
-            gaps.append((f"cycle-{n_odd}-edges", gap))
-            checks.append(
-                make_check("edge-dynamic-static-gap-interval", f"cycle-{n_odd}-edges", gap, "<=", one)
-            )
-        for (la, ga), (lb, gb) in zip(gaps, gaps[1:]):
-            checks.append(make_check("edge-dynamic-static-gap-trend", f"{la} -> {lb}", ga, "<", gb))
-        return checks
+        tails = [make_clique_with_tail(2, n) for n in CLIQUE_TAIL_LENGTHS]
+        return (
+            _gap_checks("edge-best-dynamic-gap", tails, "MP", "DF-MP", _HALF, limit, low=True)
+            + _gap_checks("edge-dynamic-static-gap", cycles, "DF-MP", "SF-MP", Fraction(1), limit)
+        )
+    bicliques = [make_cycle_plus_biclique(2, r) for r in (2, 3, 4)]
+    return (
+        _gap_checks("node-dynamic-static-gap", cycles, "DF-MP", "SF-MP", _HALF, limit,
+                    degree_cap=True)
+        + _gap_checks("node-best-dynamic-gap", bicliques, "MP", "DF-MP", Fraction(1), limit,
+                      low=True)
+    )
 
-    gaps = []
-    for n_odd in (5, 7, 9):
-        g = make_cycle(n_odd)
-        partition = singleton_partition(g, PartitionKind.NODES)
-        sf = static_fair(g, UtilityModel.NODE_MAXDEG, partition, Mode.PROPORTION, limit).objective
-        df = df_fair(g, UtilityModel.NODE_MAXDEG, partition, Mode.PROPORTION, limit).value
-        gap = df - sf
-        ratio = min(_group_degree_ratio(g, gr) for gr in partition.groups)
-        gaps.append((f"cycle-{n_odd}-nodes", gap))
-        checks.append(
-            make_check("node-dynamic-static-gap-cap", f"cycle-{n_odd}-nodes", gap, "<=", ratio / 2)
-        )
-        checks.append(
-            make_check("node-dynamic-static-gap-interval", f"cycle-{n_odd}-nodes", gap, "<=", _HALF)
-        )
-    for (la, ga), (lb, gb) in zip(gaps, gaps[1:]):
-        checks.append(make_check("node-dynamic-static-gap-trend", f"{la} -> {lb}", ga, "<", gb))
-    gaps = []
-    for r in (2, 3, 4):
-        inst = make_cycle_plus_biclique(2, r)
-        mp, _ = max_proportion(inst.graph, inst.model, limit)
-        df = df_fair(inst.graph, inst.model, inst.partition, Mode.PROPORTION, limit).value
-        gap = mp - df
-        gaps.append((inst.label, gap))
-        checks.append(make_check("node-best-dynamic-gap-interval", inst.label, gap, "<=", one))
-        checks.append(make_check("node-best-dynamic-gap-interval-low", inst.label, gap, ">=", zero))
-    for (la, ga), (lb, gb) in zip(gaps, gaps[1:]):
-        checks.append(make_check("node-best-dynamic-gap-trend", f"{la} -> {lb}", ga, "<", gb))
-    return checks
+
+# ---------------------------------------------------------------------------
+# pinned values
+
+
+# reproduce row names of the family objectives it pins
+_ROW_NAMES = {"MP": "best-proportion", "SF-MP": "static-proportion", "DF-MP": "dynamic-proportion"}
+
+
+def pinned_checks(limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[BoundCheck]:
+    """Every pinned worked-example value recomputed, in report order, as a
+    check named by its ``reproduce`` key: the computed value on the left,
+    the pinned one on the right.  Objective values are pinned by the
+    families' expected tuples, the rest by the table at the top of this
+    module."""
+    diamond = make_diamond_instance()
+    subgraphs = [f"diamond/{name}-subgraph-proportion" for _, name, _, _ in DIAMOND_SUBGRAPHS]
+    keys = ["diamond/dynamic-proportion", *subgraphs, "diamond/strict-gap"]
+    gap = check_diamond_strict_gap(limit)
+    out = [replace(c, claim=key, context="") for key, c in zip(keys, gap)]
+
+    def pin(key: str, computed: Fraction, relation: str, pinned: Fraction) -> None:
+        out.append(make_check(key, "", computed, relation, pinned))
+
+    def objectives(prefix: str, inst: NamedInstance, matrix: PayoffMatrix, names) -> None:
+        for name in names:
+            pin(f"{prefix}/{_ROW_NAMES[name]}", read_off(matrix, name)[0], "==",
+                inst.expected_map()[name])
+
+    def score(inst: NamedInstance, dist: CutDistribution):
+        return evaluate_distribution(inst.graph, inst.model, inst.partition, dist)
+
+    table = score(diamond, CutDistribution.from_pairs(DIAMOND_TABLE_LOTTERY))
+    # one score per group: the square and the chord, named as their subgraphs
+    for (_, name, _, _), value in zip(DIAMOND_SUBGRAPHS, table.per_group):
+        pin(f"diamond/table-lottery-{name}", value, "==", diamond.expected_map()["DF-MP"])
+
+    paw = make_paw_instance()
+    objectives("paw", paw, _matrix(paw, limit), ("DF-MP", "MP", "SF-MP"))
+
+    rounding = gw_round(diamond.graph, make_diamond_embedding(), seed=0, samples=64)
+    chord_probability = Fraction(rounding.edge_cut_probabilities[4])  # edge 4 is the chord
+    computed = (chord_probability, score(diamond, rounding.distribution()).minimum)
+    for (name, pinned), value in zip(DIAMOND_EMBEDDING_VALUES, computed):
+        pin(f"diamond-embedding/{name}", value, "==", pinned)
+
+    for n in CLIQUE_TAIL_LENGTHS:
+        inst = make_clique_with_tail(2, n)
+        objectives(f"clique-tail-2-{n}", inst, _matrix(inst, limit), ("DF-MP", "MP"))
+
+    for n_odd in ODD_CYCLE_LENGTHS:
+        lottery = CutDistribution.from_pairs(one_left_out_cycle_distribution(n_odd)[1])
+        bound = one_left_out_bound(n_odd)
+        for kind in PartitionKind:
+            inst = make_odd_cycle_instance(n_odd, kind)
+            matrix = _matrix(inst, limit)
+            objectives(inst.label, inst, matrix, ("SF-MP",))
+            pin(f"{inst.label}/one-left-out-lottery", score(inst, lottery).minimum, "==", bound)
+            pin(f"{inst.label}/dynamic-proportion", read_off(matrix, "DF-MP")[0], ">=", bound)
+
+    stats = naive_random_stats(diamond.graph, diamond.model, diamond.partition)
+    computed = (stats[0].mean, stats[0].variance, stats[1].variance)
+    for (name, pinned), value in zip(UNIFORM_CUT_MOMENTS, computed):
+        pin(f"uniform-random-cut/{name}", value, "==", pinned)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -490,23 +594,14 @@ def curated_suite(limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[BoundCheck]:
         checks += check_expected(inst, limit)
         checks += check_chain(inst.graph, inst.model, inst.partition, limit, inst.label)
 
-    paw_regrouped = NamedInstance(
-        paw.graph,
-        edge_groups(paw.graph, [frozenset({0, 1, 2}), frozenset({3})]),
-        UtilityModel.EDGE,
-        "paw-triangle-group",
-    )
-    checks.append(
-        check_triangle_bound(paw_regrouped.graph, paw_regrouped.partition, limit, paw_regrouped.label)
-    )
     triangle = make_cycle(3)
-    checks.append(
-        check_triangle_bound(
-            triangle, edge_groups(triangle, [frozenset({0, 1, 2})]), limit, "triangle-single-group"
-        )
-    )
+    for g, groups, context in (
+        (paw.graph, [frozenset({0, 1, 2}), frozenset({3})], "paw-triangle-group"),
+        (triangle, [frozenset({0, 1, 2})], "triangle-single-group"),
+    ):
+        checks.append(check_triangle_bound(g, edge_groups(g, groups), limit, context))
 
-    for kept in ((0,), (1,), (0, 1)):
+    for kept, *_ in DIAMOND_SUBGRAPHS:
         sub, deltas = edge_subinstance(diamond, kept)
         checks += check_subproblem_bound(diamond, sub, deltas, limit)
     g23 = make_cycle_plus_biclique(2, 3)
@@ -515,39 +610,23 @@ def curated_suite(limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[BoundCheck]:
     checks += check_expected(g23, limit)
     checks += check_dfmp_node_bounds(g23.graph, g23.partition, limit, g23.label)
 
-    for n in (6, 10, 14):
-        inst = make_clique_with_tail(2, n)
-        checks += check_expected(inst, limit)
-    inst = make_clique_with_tail(3, 6)
-    checks += check_expected(inst, limit)
+    for n in CLIQUE_TAIL_LENGTHS:
+        checks += check_expected(make_clique_with_tail(2, n), limit)
+    checks += check_expected(make_clique_with_tail(3, 6), limit)
 
-    for a, b in ((2, 2), (3, 3)):
-        g = make_complete_bipartite(a, b)
+    k22, k33, c6 = make_complete_bipartite(2, 2), make_complete_bipartite(3, 3), make_cycle(6)
+    edges, nodes = PartitionKind.EDGES, PartitionKind.NODES
+    for name, g, kind in (("K22", k22, edges), ("K22", k22, nodes), ("K33", k33, edges),
+                          ("K33", k33, nodes), ("cycle-6", c6, nodes)):
+        model = UtilityModel.EDGE if kind is edges else UtilityModel.NODE_MAXDEG
         checks += check_bipartite_props(
-            g, singleton_partition(g, PartitionKind.EDGES), UtilityModel.EDGE, limit, f"K{a}{b}-edges"
+            g, singleton_partition(g, kind), model, limit, f"{name}-{kind.value}"
         )
-        checks += check_bipartite_props(
-            g,
-            singleton_partition(g, PartitionKind.NODES),
-            UtilityModel.NODE_MAXDEG,
-            limit,
-            f"K{a}{b}-nodes",
-        )
-    cycle6 = make_cycle(6)
-    checks += check_bipartite_props(
-        cycle6,
-        singleton_partition(cycle6, PartitionKind.NODES),
-        UtilityModel.NODE_MAXDEG,
-        limit,
-        "cycle-6-nodes",
-    )
 
     for n_odd in (3, 5, 7):
         checks.append(check_nonbipartite_node_bound(make_cycle(n_odd), limit, f"cycle-{n_odd}"))
-    c5 = make_cycle(5)
-    checks += check_dfmp_node_bounds(
-        c5, singleton_partition(c5, PartitionKind.NODES), limit, "cycle-5-nodes"
-    )
+    c5 = make_odd_cycle_instance(5, PartitionKind.NODES)
+    checks += check_dfmp_node_bounds(c5.graph, c5.partition, limit, c5.label)
 
     checks += check_gap_table(PartitionKind.EDGES, limit)
     checks += check_gap_table(PartitionKind.NODES, limit)

@@ -257,6 +257,21 @@ class TestVerify:
         assert "FAIL planted-failure" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", str(GOLDENS / "paw.inst"), "--algorithm", "naive-random", "--trials", "0"],
+        ["run", str(GOLDENS / "paw.inst"), "--algorithm", "gw", "--samples", "0"],
+        ["run", str(GOLDENS / "paw.inst"), "--algorithm", "gw", "--sdp-rank", "1"],
+        ["verify", "--suite", "random", "--count", "-3"],
+    ],
+)
+def test_out_of_range_count_exit_6(argv):
+    rc, out, err = run_cli(argv)
+    assert rc == 6
+    assert out == "" and err.startswith("error: --")
+
+
 class TestReproduce:
     def test_mismatch_exits_1(self, tmp_path, monkeypatch):
         from fairmaxcut import cli as cli_module

@@ -14,6 +14,7 @@ from fairmaxcut.families import (
     make_cycle_plus_biclique,
     make_diamond_instance,
     make_diamond_embedding,
+    make_odd_cycle_instance,
     make_paw_instance,
     one_left_out_cycle_distribution,
     random_instance,
@@ -24,6 +25,7 @@ from fairmaxcut.graphs import PartitionKind, cut_value, is_bipartite, max_degree
 from fairmaxcut.instances import serialize_instance
 from fairmaxcut.maximin import CutDistribution, df_fair
 from fairmaxcut.utility import UtilityModel
+from fairmaxcut.verify import check_expected
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -191,6 +193,23 @@ class TestRandomPartition:
         g = make_cycle(3)
         with pytest.raises(GeneratorParameterError):
             random_partition(g, PartitionKind.EDGES, 4, seed=0)
+
+
+class TestOddCycleInstance:
+    @pytest.mark.parametrize("kind", list(PartitionKind))
+    @pytest.mark.parametrize("n", range(3, 12, 2))
+    def test_expected_static_value_holds(self, n, kind):
+        inst = make_odd_cycle_instance(n, kind)
+        assert inst.label == f"cycle-{n}-{kind.value}"
+        checks = check_expected(inst)
+        assert [c.claim for c in checks] == ["expected-SF-MP"]
+        assert all(c.passed for c in checks)
+
+    @pytest.mark.parametrize("kind", list(PartitionKind))
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 4, 10])
+    def test_rejects_even_or_short_lengths(self, n, kind):
+        with pytest.raises(GeneratorParameterError):
+            make_odd_cycle_instance(n, kind)
 
 
 class TestOneLeftOutDistribution:

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairmaxcut.errors import GeneratorParameterError
+from fairmaxcut.exact import Mode, build_payoff_matrix, max_proportion, max_value, static_fair
 from fairmaxcut.families import (
     NamedInstance,
     make_clique_with_tail,
@@ -33,6 +35,7 @@ from fairmaxcut.verify import (
     make_check,
     node_subinstance,
     random_suite,
+    read_off,
 )
 
 from .strategies import edge_instances, node_instances
@@ -46,6 +49,33 @@ class TestBoundCheck:
         assert make_check("x", "", third, "in", (third, Fraction(1))).passed
         half = Fraction(1, 2)
         assert make_check("x", "", half, "<", Fraction(2, 3)).passed
+
+
+# n <= 8 under each of the three utility models
+_MODEL_INSTANCES = st.one_of(
+    edge_instances(max_vertices=8).map(lambda inst: (*inst, UtilityModel.EDGE)),
+    node_instances(max_vertices=8).map(lambda inst: (*inst, UtilityModel.NODE_MAXDEG)),
+    node_instances(max_vertices=8).map(lambda inst: (*inst, UtilityModel.NODE_OWNDEG)),
+)
+
+
+class TestReadOff:
+    @given(_MODEL_INSTANCES)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_solvers(self, case):
+        g, partition, model = case
+        matrix = build_payoff_matrix(g, model, partition)
+        assert read_off(matrix, "MV") == max_value(g, model)
+        assert read_off(matrix, "MP") == max_proportion(g, model)
+        for mode, suffix in ((Mode.VALUE, "MV"), (Mode.PROPORTION, "MP")):
+            sf = static_fair(g, model, partition, mode)
+            assert read_off(matrix, f"SF-{suffix}") == (sf.objective, sf.witness_cut)
+            assert read_off(matrix, f"DF-{suffix}")[0] == df_fair(g, model, partition, mode).value
+
+    def test_rejects_unknown_objective(self):
+        inst = make_paw_instance()
+        with pytest.raises(ValueError):
+            read_off(build_payoff_matrix(inst.graph, inst.model, inst.partition), "SF-XX")
 
 
 class TestCheckChain:
