@@ -200,6 +200,7 @@ def cmd_run(args) -> int:
     _require_at_least("--trials", args.trials, 1)
     _require_at_least("--samples", args.samples, 1)
     _require_at_least("--sdp-rank", args.sdp_rank, 2)
+    _require_at_least("--sdp-iterations", args.sdp_iterations, 0)
     inst = instances.load_instance(args.instance)
     require_compatible(inst.graph, inst.model, inst.partition)
     started = time.monotonic()

@@ -349,6 +349,8 @@ def gw_sdp_solve(
         rank = max(2, default_sdp_rank(n))
     if rank < 2:
         raise ValueError("rank must be >= 2")
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
     if n == 0:
         return UnitVectorEmbedding(np.zeros((0, rank)))
     rng = derive_rng(seed, _STREAM_SDP)

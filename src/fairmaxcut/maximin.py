@@ -6,25 +6,28 @@
 This is the value-of-a-zero-sum-game LP over the columns of an
 ``exact.PayoffMatrix``: the distinct integer utility columns of all canonical
 cuts, read over the denominators of the value or the proportion mode.  It is
-solved by column generation.  A small restricted master, started from the
-best static column, is solved by primal simplex on the standard form
+solved by column generation (Gilmore & Gomory, Oper. Res. 1961) over a
+restricted master in the standard form
 
     max z   s.t.   z - (M p)_i + s_i = 0   (one row per group)
                    sum_S p_S = 1
                    z, p, s >= 0
 
-with exact rational pivots and Bland's rule.  Its dual group mixture prices
-every column in exact integer arithmetic, and the column with the
-largest reduced cost enters (Dantzig's rule), until no column prices above
-the master value.  The last master's duals then certify the optimum over all
-columns.  Restricting z to be non-negative loses nothing because all payoff
-entries are >= 0.
+started from the best static column and solved by primal simplex with exact
+rational pivots and Bland's rule.  Its dual group mixture prices every column
+in exact integer arithmetic, and the column with the largest reduced cost
+enters (Dantzig's rule), until no column prices above the master value.  The
+master keeps its optimal tableau between steps: an entering column is priced
+into the current basis and the simplex continues from there, since adding a
+column leaves that basis primal feasible.  The last master's duals then
+certify the optimum over all columns.  Restricting z to be non-negative loses
+nothing because all payoff entries are >= 0.
 
-The reported distribution is canonical: Bland's simplex is re-run over the
-columns that are tight at the final duals, in column order, so it does not
-depend on the path the master took.  Both sides of the minimax equality are
-finally recomputed from the matrix's integer entries over the mode's
-denominators, independently of the simplex.
+The reported distribution is canonical: Bland's simplex is re-run from
+scratch over the columns that are tight at the final duals, in column order,
+so it does not depend on the path the master took.  Both sides of the minimax
+equality are finally recomputed from the matrix's integer entries over the
+mode's denominators, independently of the simplex.
 """
 
 from __future__ import annotations
@@ -91,10 +94,16 @@ class CutDistribution:
 
 @dataclass(frozen=True)
 class MaximinSolution:
+    """``master_solves`` counts the master's optimizations (the first one and
+    one per entering column) and ``pivots`` the simplex pivots they made; the
+    tight re-solve is in neither."""
+
     value: Fraction
     distribution: CutDistribution
     dual_weights: tuple[Fraction, ...]
     support: tuple[int, ...]
+    master_solves: int = 0
+    pivots: int = 0
 
 
 class _CertificateError(AssertionError):
@@ -105,9 +114,11 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
     """Exact optimum of the maximin LP with a strong-duality certificate.
 
     Column generation over the matrix's distinct columns, with entries over
-    the mode's denominators.  The dual weights are the last master's, which
-    certify every column; the distribution is Bland's simplex over the
-    columns tight at those duals, and the support holds their column indices.
+    the mode's denominators; the restricted master is re-optimized from its
+    previous optimal tableau each time a column enters.  The dual weights are
+    the last master's, which certify every column; the distribution is
+    Bland's simplex over the columns tight at those duals, and the support
+    holds their column indices.
     """
     gamma, k = matrix.group_count, matrix.column_count
     if gamma == 0 or k == 0:
@@ -118,9 +129,9 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
     # restricted master, started from the best static column; the column
     # with the largest reduced cost enters until none prices above its value
     active = [matrix.col_cuts.index(static_from_matrix(matrix, mode).witness_cut)]
-    cols = [matrix.column(active[0], mode)]
+    master = _Master(matrix.column(active[0], mode), gamma)
     while True:
-        value, _, duals = _simplex_maximin(cols, gamma)
+        value, duals = master.value(), master.duals()
         weights, bar = _pricing(duals, dens, value)
         scores = [sum(map(mul, weights, col)) for col in int_cols]
         enter = max(range(k), key=scores.__getitem__)
@@ -129,7 +140,7 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
         if enter in active:
             raise _CertificateError("master duals price one of its own columns above its value")
         active.append(enter)
-        cols.append(matrix.column(enter, mode))
+        master.add(matrix.column(enter, mode))
 
     # canonical support: independent of the path the master took
     tight = [j for j in range(k) if scores[j] == bar]
@@ -149,6 +160,8 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
         distribution=distribution,
         dual_weights=duals,
         support=support,
+        master_solves=master.solves,
+        pivots=master.pivots,
     )
 
 
@@ -163,29 +176,75 @@ def _pricing(
     return [r.numerator * (scale // r.denominator) for r in ratios], value.numerator * scale
 
 
+class _Master:
+    """The restricted master's tableau, kept optimal between column-generation
+    steps.  It has the layout and the Bland numbering of ``_simplex_maximin``'s
+    tableau over the same columns: z, the columns in the order they entered,
+    the slacks, then the rhs."""
+
+    def __init__(self, col: tuple[Fraction, ...], gamma: int):
+        self.gamma = gamma
+        self.k = 1
+        self.tab, self.cost, self.basis = _tableau([col], gamma)
+        self.solves = 0
+        self.pivots = 0
+        self._optimize()
+
+    def add(self, col: tuple[Fraction, ...]) -> None:
+        """Insert a column before the slacks and re-optimize from the current
+        basis.  Its standard-form column is e_last - sum_i col[i] * e_i, and
+        the tableau holds B^-1 e_last in the rhs (b = e_last) and B^-1 e_i in
+        slack i, so the same combination of those tableau columns is B^-1 a;
+        on the cost row it gives the column's reduced cost."""
+        at = 1 + self.k
+        terms = [(at + i, a) for i, a in enumerate(col) if a]
+        for row in (*self.tab, self.cost):
+            row.insert(at, row[-1] - sum(a * row[s] for s, a in terms))
+        self.basis = [v + 1 if v >= at else v for v in self.basis]
+        self.k += 1
+        self._optimize()
+
+    def _optimize(self) -> None:
+        self.pivots += _bland(self.tab, self.cost, self.basis)
+        self.solves += 1
+
+    def value(self) -> Fraction:
+        return next((row[-1] for row, v in zip(self.tab, self.basis) if v == 0), _ZERO)
+
+    def duals(self) -> tuple[Fraction, ...]:
+        return _duals(self.cost, self.k, self.gamma)
+
+
 def _simplex_maximin(
     cols: list[tuple[Fraction, ...]], gamma: int
 ) -> tuple[Fraction, list[Fraction], tuple[Fraction, ...]]:
-    """Primal simplex with Bland's rule on the standard-form tableau.
+    """Primal simplex with Bland's rule on the standard-form tableau, from
+    scratch over ``cols``.
 
     Variables are indexed 0 = z, 1..k = columns, k+1..k+gamma = slacks.
     Returns (optimal value, column probabilities, dual row weights).
     """
     k = len(cols)
+    tab, cost, basis = _tableau(cols, gamma)
+    _bland(tab, cost, basis)
+
+    # read off the solution
+    values = [_ZERO] * (1 + k + gamma)
+    for row, var in zip(tab, basis):
+        values[var] = row[-1]
+    return values[0], values[1 : 1 + k], _duals(cost, k, gamma)
+
+
+def _tableau(
+    cols: list[tuple[Fraction, ...]], gamma: int
+) -> tuple[list[list[Fraction]], list[Fraction], list[int]]:
+    """Standard-form tableau rows [coefficients | rhs], the reduced-cost row
+    and the basis, at the feasible start {slacks} + {best static column}:
+    feasible because all payoff entries are non-negative."""
+    k = len(cols)
     n_vars = 1 + k + gamma
-    rows = gamma + 1
+    start = max(range(k), key=lambda j: min(cols[j]))
 
-    # start from the basis {slacks} + {best static column}: feasible because
-    # all payoff entries are non-negative
-    start = 0
-    best_min: Fraction | None = None
-    for j in range(k):
-        col_min = min(cols[j])
-        if best_min is None or col_min > best_min:
-            best_min = col_min
-            start = j
-
-    # tableau rows: [coefficients | rhs]
     tab: list[list[Fraction]] = []
     for i in range(gamma):
         row = [_ZERO] * (n_vars + 1)
@@ -213,21 +272,24 @@ def _simplex_maximin(
     # reduced-cost row for the objective c = e_z (basis costs are all zero)
     cost = [_ZERO] * (n_vars + 1)
     cost[0] = _ONE
+    return tab, cost, basis
 
+
+def _bland(tab: list[list[Fraction]], cost: list[Fraction], basis: list[int]) -> int:
+    """Primal simplex with Bland's rule from a feasible basis to optimality,
+    in place; returns the number of pivots."""
+    n_vars = len(cost) - 1
+    pivots = 0
     while True:
-        enter = -1
-        for j in range(n_vars):
-            if cost[j] > 0:
-                enter = j
-                break
+        enter = next((j for j in range(n_vars) if cost[j] > 0), -1)
         if enter < 0:
-            break
+            return pivots
         leave = -1
         best_ratio: Fraction | None = None
-        for r in range(rows):
-            coef = tab[r][enter]
+        for r, row in enumerate(tab):
+            coef = row[enter]
             if coef > 0:
-                ratio = tab[r][n_vars] / coef
+                ratio = row[n_vars] / coef
                 if (
                     best_ratio is None
                     or ratio < best_ratio
@@ -237,30 +299,26 @@ def _simplex_maximin(
                     leave = r
         if leave < 0:
             raise _CertificateError("maximin LP is bounded by construction; unbounded pivot found")
-        _pivot(tab, cost, leave, enter, n_vars)
+        _pivot(tab, cost, leave, enter)
         basis[leave] = enter
+        pivots += 1
 
-    # read off the solution
-    values = [_ZERO] * n_vars
-    for r, var in enumerate(basis):
-        values[var] = tab[r][n_vars]
-    value = values[0]
-    probs = values[1 : 1 + k]
 
-    # dual row weights: y_i = -reduced cost of slack i, normalized to sum 1
+def _duals(cost: list[Fraction], k: int, gamma: int) -> tuple[Fraction, ...]:
+    """Dual row weights at optimality: y_i = -reduced cost of slack i,
+    normalized to sum 1."""
     y = [-cost[1 + k + i] for i in range(gamma)]
     total = sum(y)
     if total <= 0:
         raise _CertificateError("dual weights must have positive mass at optimality")
-    duals = tuple(w / total for w in y)
-    return value, probs, duals
+    return tuple(w / total for w in y)
 
 
-def _pivot(tab: list[list[Fraction]], cost: list[Fraction], r: int, c: int, n_vars: int) -> None:
+def _pivot(tab: list[list[Fraction]], cost: list[Fraction], r: int, c: int) -> None:
     pivot_row = tab[r]
     inv = pivot_row[c]
     # entries that are zero in the pivot row leave every other row unchanged
-    nonzero = [j for j in range(n_vars + 1) if pivot_row[j]]
+    nonzero = [j for j, x in enumerate(pivot_row) if x]
     for j in nonzero:
         pivot_row[j] /= inv
     for row in (*tab, cost):

@@ -263,6 +263,7 @@ class TestVerify:
         ["run", str(GOLDENS / "paw.inst"), "--algorithm", "naive-random", "--trials", "0"],
         ["run", str(GOLDENS / "paw.inst"), "--algorithm", "gw", "--samples", "0"],
         ["run", str(GOLDENS / "paw.inst"), "--algorithm", "gw", "--sdp-rank", "1"],
+        ["run", str(GOLDENS / "paw.inst"), "--algorithm", "gw", "--sdp-iterations", "-5"],
         ["verify", "--suite", "random", "--count", "-3"],
     ],
 )

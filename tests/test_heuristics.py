@@ -381,6 +381,10 @@ class TestGwSdpSolve:
         with pytest.raises(ValueError):
             gw_sdp_solve(make_cycle(3), rank=1)
 
+    def test_rejects_negative_iterations(self):
+        with pytest.raises(ValueError):
+            gw_sdp_solve(make_cycle(3), iterations=-5)
+
 
 class TestDeriveRng:
     def test_streams_are_stable_and_distinct(self):

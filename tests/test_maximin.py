@@ -1,7 +1,9 @@
 """Exact maximin LP: worked values, certificates, and structural properties."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from fairmaxcut.families import (
     make_complete_bipartite,
     make_cycle,
     make_diamond_instance,
+    make_odd_cycle_instance,
     make_paw_instance,
     singleton_partition,
 )
@@ -22,6 +25,7 @@ from fairmaxcut.maximin import (
     CutDistribution,
     _CertificateError,
     _check_certificate,
+    _Master,
     _simplex_maximin,
     df_fair,
     solve_maximin,
@@ -31,14 +35,15 @@ from fairmaxcut.utility import UtilityModel
 from .strategies import edge_instances, node_instances
 
 
-def matrix_from_rows(rows) -> PayoffMatrix:
+def matrix_from_rows(rows, group_sizes=None) -> PayoffMatrix:
     """Ad-hoc integer payoff matrix over dummy cuts for pure LP tests; every
-    denominator and group size is 1, so both modes read the same entries."""
+    denominator is 1.  So is every group size unless given, and then both
+    modes read the same entries."""
     k = len(rows[0])
     return PayoffMatrix(
         entries=tuple(tuple(row) for row in rows),
         dens=tuple(1 for _ in rows),
-        group_sizes=tuple(1 for _ in rows),
+        group_sizes=group_sizes or tuple(1 for _ in rows),
         col_cuts=tuple(Cut.of({j + 1}) for j in range(k)),
     )
 
@@ -200,6 +205,65 @@ class TestSolveMaximin:
         for mode in Mode:
             direct = df_fair(inst.graph, inst.model, inst.partition, mode)
             assert solve_maximin(matrix, mode) == direct
+
+    @pytest.mark.parametrize("kind, solves, pivots", [
+        (PartitionKind.EDGES, 29, 49),
+        (PartitionKind.NODES, 18, 35),
+    ])
+    def test_work_counters_on_the_9_cycle(self, kind, solves, pivots):
+        inst = make_odd_cycle_instance(9, kind)
+        matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
+        for mode in Mode:
+            sol = solve_maximin(matrix, mode)
+            assert (sol.master_solves, sol.pivots) == (solves, pivots)
+
+    def test_degenerate_dual_keeps_value_and_support(self):
+        # verify-small-387-s1 (edge model, proportion mode): its optimal dual
+        # is not unique, and a master re-solved from scratch at every step
+        # ends at cold_duals while the warm-started one ends elsewhere
+        rows = [
+            [0, 1, 1, 2, 0, 1, 1, 2, 3, 2, 1, 3, 2, 2, 1, 2, 2, 3, 1, 2, 2, 3, 1, 1, 0, 2, 1, 0],
+            [0, 0, 0, 0, 2, 2, 2, 2, 0, 0, 0, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+            [0, 1, 0, 1, 1, 2, 1, 2, 1, 2, 2, 0, 1, 0, 0, 1, 0, 1, 1, 2, 1, 2, 2, 1, 2, 0, 0, 1],
+            [0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 1, 1, 0, 1, 1],
+        ]
+        cold_duals = (Fraction(1, 2), Fraction(1, 3), Fraction(0), Fraction(1, 6))
+        matrix = matrix_from_rows(rows, group_sizes=(3, 2, 2, 1))
+        sol = solve_maximin(matrix, Mode.PROPORTION)
+        assert sol.value == Fraction(5, 6)
+        assert sol.support == (7, 11, 21)
+        for duals in (sol.dual_weights, cold_duals):
+            assert_matches_dense_oracle(matrix, replace(sol, dual_weights=duals))
+            _check_certificate(
+                matrix, Mode.PROPORTION, sol.value, sol.distribution, duals, sol.support
+            )
+
+
+@st.composite
+def integer_columns(draw):
+    gamma = draw(st.integers(1, 5))
+    column = st.tuples(*[st.integers(0, 6)] * gamma)
+    return gamma, draw(st.lists(column, min_size=1, max_size=40))
+
+
+@given(integer_columns())
+@settings(max_examples=100, deadline=None)
+def test_warm_master_matches_cold_master(case):
+    """Columns added one at a time to the warm master: after each
+    re-optimization its value is the cold master's over the same columns,
+    and its duals are a probability vector pricing every column at or below
+    that value."""
+    gamma, int_cols = case
+    cols = [tuple(map(Fraction, col)) for col in int_cols]
+    master = _Master(cols[0], gamma)
+    for k in range(1, len(cols) + 1):
+        if k > 1:
+            master.add(cols[k - 1])
+        value, duals = master.value(), master.duals()
+        assert value == _simplex_maximin(cols[:k], gamma)[0]
+        assert all(q >= 0 for q in duals) and sum(duals) == 1
+        assert all(sum(map(mul, duals, col)) <= value for col in cols[:k])
+    assert master.solves == len(cols)
 
 
 class TestCertificate:
