@@ -5,9 +5,10 @@ Subcommands: solve (exact objectives, all read off one payoff matrix), run
 suites), reproduce (``verify.pinned_checks``: the families' expected values
 and the table of the rest).  The structured report goes to --output when
 given (with a human summary on stdout), otherwise to stdout.  Exit codes:
-0 ok, 1 verification/reproduction failure, 2 parse error, 3 instance too
-large, 4 model/partition mismatch, 5 unknown algorithm, 6 bad generator
-parameters or option values (--trials, --samples, --sdp-rank, --count).
+0 ok, 1 verification/reproduction failure, 2 parse error or a file that
+cannot be read or written, 3 instance too large, 4 model/partition mismatch,
+5 unknown algorithm, 6 bad generator parameters or option values (--trials,
+--samples, --sdp-rank, --count, an --objectives list naming no objective).
 """
 
 from __future__ import annotations
@@ -134,8 +135,10 @@ def _maybe_isolated_note(builder: reports.ReportBuilder, inst: families.NamedIns
 
 
 def _requested_objectives(args) -> list[str]:
-    if args.objectives:
+    if args.objectives is not None:
         names = [t.strip() for t in args.objectives.split(",") if t.strip()]
+        if not names:
+            raise GeneratorParameterError("--objectives names no objective")
         for name in names:
             if name not in OBJECTIVE_NAMES:
                 raise GeneratorParameterError(f"unknown objective {name!r}")
@@ -221,7 +224,7 @@ def cmd_run(args) -> int:
         gamma = inst.partition.group_count
         floor = oracle_res.alpha / gamma
         for i, cut in enumerate(oracle_res.per_group_cuts):
-            builder.add_line(f"oracle-cut {i} {reports.format_cut(cut)}")
+            builder.add_line(f"oracle-cut {i} {cut}")
         builder.add_line(f"oracle-alpha {oracle_res.alpha}")
         builder.add_line(f"guarantee {floor}")
         for cut, prob in dist.entries:
@@ -250,7 +253,7 @@ def cmd_run(args) -> int:
 
     elif args.algorithm == "local-search":
         cut = heuristics.local_search_cut(inst.graph)
-        builder.add_line(f"cut {reports.format_cut(cut)} value {cut_value(inst.graph, cut)}")
+        builder.add_line(f"cut {cut} value {cut_value(inst.graph, cut)}")
         for v in range(inst.graph.vertex_count):
             crossing = crossing_degree(inst.graph, cut, v)
             builder.add_line(f"vertex-condition {v} {crossing} {inst.graph.degree(v)}")
@@ -453,7 +456,7 @@ def main(argv=None) -> int:
         if args.cmd == "verify":
             return cmd_verify(args)
         return cmd_reproduce(args)
-    except InstanceParseError as exc:
+    except (InstanceParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TooLargeError as exc:

@@ -123,7 +123,7 @@ def build_payoff_matrix(
     )
 
 
-def _scaled_columns(
+def scaled_columns(
     matrix: PayoffMatrix, dens: tuple[int, ...]
 ) -> tuple[int, Iterator[tuple[int, ...]]]:
     """The matrix's columns as numerators over one common denominator of ``dens``."""
@@ -137,7 +137,7 @@ def max_from_matrix(matrix: PayoffMatrix, mode: Mode) -> tuple[Fraction, Cut]:
     set: the best column sum, over the ground set size in proportion mode.
     A cut's first canonical maximizer is the first occurrence of its column,
     so the first best column carries the same witness."""
-    den, cols = _scaled_columns(matrix, matrix.dens)
+    den, cols = scaled_columns(matrix, matrix.dens)
     sums = list(map(sum, cols))
     best = max(range(len(sums)), key=sums.__getitem__)
     if mode is Mode.PROPORTION:
@@ -148,7 +148,7 @@ def max_from_matrix(matrix: PayoffMatrix, mode: Mode) -> tuple[Fraction, Cut]:
 def static_from_matrix(matrix: PayoffMatrix, mode: Mode) -> StaticSolution:
     """Static-fair optimum read off a matrix: the best column minimum over the
     mode's denominators, with the first canonical maximizer as witness."""
-    den, cols = _scaled_columns(matrix, matrix.denominators(mode))
+    den, cols = scaled_columns(matrix, matrix.denominators(mode))
     mins = list(map(min, cols))
     best = max(range(len(mins)), key=mins.__getitem__)
     return StaticSolution(Fraction(mins[best], den), matrix.col_cuts[best])

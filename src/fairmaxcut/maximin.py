@@ -5,36 +5,39 @@
 
 This is the value-of-a-zero-sum-game LP over the columns of an
 ``exact.PayoffMatrix``: the distinct integer utility columns of all canonical
-cuts, read over the denominators of the value or the proportion mode.  It is
-solved by column generation (Gilmore & Gomory, Oper. Res. 1961) over a
-restricted master in the standard form
+cuts, read over the denominators of the value or the proportion mode and
+scaled to integers over one common denominator ``den``.  It is solved by
+column generation (Gilmore & Gomory, Oper. Res. 1961) over a restricted
+master in the standard form
 
-    max z   s.t.   z - (M p)_i + s_i = 0   (one row per group)
+    max z   s.t.   den * z - (C p)_i + s_i = 0   (one row per group)
                    sum_S p_S = 1
                    z, p, s >= 0
 
-started from the best static column and solved by primal simplex with exact
-rational pivots and Bland's rule.  Its dual group mixture prices every column
-in exact integer arithmetic, and the column with the largest reduced cost
-enters (Dantzig's rule), until no column prices above the master value.  The
-master keeps its optimal tableau between steps: an entering column is priced
-into the current basis and the simplex continues from there, since adding a
+with C = den * M, started from the best static column and solved by primal
+simplex with Bland's rule on one integer tableau, ``_Tableau``, whose pivots
+are fraction-free: every entry is an integer over one common denominator, so
+no pivot takes a gcd.  Its dual group mixture prices every column in exact
+integer arithmetic, and the column with the largest reduced cost enters
+(Dantzig's rule), until no column prices above the master value.  The master
+keeps its optimal tableau between steps: an entering column is priced into
+the current basis and the simplex continues from there, since adding a
 column leaves that basis primal feasible.  The last master's duals then
 certify the optimum over all columns.  Restricting z to be non-negative loses
 nothing because all payoff entries are >= 0.
 
 The reported distribution is canonical: Bland's simplex is re-run from
 scratch over the columns that are tight at the final duals, in column order,
-so it does not depend on the path the master took.  Both sides of the minimax
-equality are finally recomputed from the matrix's integer entries over the
-mode's denominators, independently of the simplex.
+so it does not depend on the path the master took.  ``Fraction`` values are
+only made for these results.  Both sides of the minimax equality are finally
+recomputed from the matrix's integer entries over the mode's denominators,
+independently of the simplex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .exact import (
@@ -42,7 +45,7 @@ from .exact import (
     Mode,
     PayoffMatrix,
     build_payoff_matrix,
-    static_from_matrix,
+    scaled_columns,
 )
 from .graphs import Cut, Graph, GroupPartition
 
@@ -113,38 +116,38 @@ class _CertificateError(AssertionError):
 def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> MaximinSolution:
     """Exact optimum of the maximin LP with a strong-duality certificate.
 
-    Column generation over the matrix's distinct columns, with entries over
-    the mode's denominators; the restricted master is re-optimized from its
-    previous optimal tableau each time a column enters.  The dual weights are
-    the last master's, which certify every column; the distribution is
-    Bland's simplex over the columns tight at those duals, and the support
-    holds their column indices.
+    Column generation over the matrix's distinct columns, scaled to one
+    common denominator of the mode's; the restricted master is re-optimized
+    from its previous optimal tableau each time a column enters.  The dual
+    weights are the last master's, which certify every column; the
+    distribution is Bland's simplex over the columns tight at those duals,
+    and the support holds their column indices.
     """
     gamma, k = matrix.group_count, matrix.column_count
     if gamma == 0 or k == 0:
         raise ValueError("payoff matrix must be non-empty")
-    dens = matrix.denominators(mode)
-    int_cols = list(zip(*matrix.entries))
+    den, cols = scaled_columns(matrix, matrix.denominators(mode))
+    cols = list(cols)
 
     # restricted master, started from the best static column; the column
     # with the largest reduced cost enters until none prices above its value
-    active = [matrix.col_cuts.index(static_from_matrix(matrix, mode).witness_cut)]
-    master = _Master(matrix.column(active[0], mode), gamma)
+    active = [_best_static(cols)]
+    master = _Tableau([cols[active[0]]], den)
     while True:
-        value, duals = master.value(), master.duals()
-        weights, bar = _pricing(duals, dens, value)
-        scores = [sum(map(mul, weights, col)) for col in int_cols]
+        weights, bar = master.pricing()
+        scores = [sum(map(mul, weights, col)) for col in cols]
         enter = max(range(k), key=scores.__getitem__)
         if scores[enter] <= bar:
             break
         if enter in active:
             raise _CertificateError("master duals price one of its own columns above its value")
         active.append(enter)
-        master.add(matrix.column(enter, mode))
+        master.add(cols[enter])
+    value, duals = master.primal()[0], master.duals()
 
     # canonical support: independent of the path the master took
     tight = [j for j in range(k) if scores[j] == bar]
-    tight_value, probs, _ = _simplex_maximin([matrix.column(j, mode) for j in tight], gamma)
+    tight_value, *probs = _Tableau([cols[j] for j in tight], den).primal()
     if tight_value != value:
         raise _CertificateError(
             f"tight columns reach {tight_value}, column generation reached {value}"
@@ -165,169 +168,135 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
     )
 
 
-def _pricing(
-    duals: tuple[Fraction, ...], dens: tuple[int, ...], value: Fraction
-) -> tuple[list[int], int]:
-    """Integer weights w and bar b for pricing a column c of integer payoff
-    numerators: sum(w * c) - b is a positive multiple of the column's
-    dual mixture sum(duals[i] * c[i] / dens[i]) minus ``value``."""
-    ratios = [q * value.denominator / d for q, d in zip(duals, dens)]
-    scale = lcm(*(r.denominator for r in ratios))
-    return [r.numerator * (scale // r.denominator) for r in ratios], value.numerator * scale
+def _best_static(cols: list[tuple[int, ...]]) -> int:
+    """Index of the first column with the largest minimum entry."""
+    return max(range(len(cols)), key=lambda j: min(cols[j]))
 
 
-class _Master:
-    """The restricted master's tableau, kept optimal between column-generation
-    steps.  It has the layout and the Bland numbering of ``_simplex_maximin``'s
-    tableau over the same columns: z, the columns in the order they entered,
-    the slacks, then the rhs."""
+class _Tableau:
+    """The standard-form LP of the module docstring over the integer columns
+    ``cols`` (C) read over ``den``, solved by Bland's primal simplex from the
+    feasible basis {slacks} + {best static column}.  Variables are numbered
+    z, the columns in the order they entered, then the slacks; each row is
+    [coefficients | rhs], and ``cost`` is the reduced-cost row.
 
-    def __init__(self, col: tuple[Fraction, ...], gamma: int):
-        self.gamma = gamma
-        self.k = 1
-        self.tab, self.cost, self.basis = _tableau([col], gamma)
-        self.solves = 0
-        self.pivots = 0
+    Pivots are fraction-free (Edmonds, J. Res. NBS 1967; Bareiss, Math.
+    Comp. 1968): every entry is an integer over the one common denominator
+    ``det``, which is the basis determinant up to sign, so each row is
+    ``det`` times its rational tableau row and no entry needs a gcd.  A pivot
+    on the positive entry p leaves its own row as it is, sets every other
+    row x to (p * x - x[c] * pivot_row) // det, which divides exactly, and
+    makes p the new ``det``; so ``det`` starts at 1 and stays positive, and
+    sign tests on integer entries are sign tests on the rational ones.
+
+    This is the LP of a rational tableau with each group row scaled by
+    ``den`` and each slack by 1 / den; Bland's entering and leaving choices
+    are the same under that scaling, and so are the value, the normalized
+    duals and the basis."""
+
+    def __init__(self, cols: list[tuple[int, ...]], den: int):
+        gamma, k = len(cols[0]), len(cols)
+        self.den, self.gamma, self.k = den, gamma, k
+        self.det, self.solves, self.pivots = 1, 0, 0
+        start = _best_static(cols)
+        # the start column priced into the group rows: row_i += cols[start][i] * last
+        self.rows = []
+        for i, top in enumerate(cols[start]):
+            row = [den, *(top - col[i] for col in cols), *[0] * gamma, top]
+            row[1 + k + i] = 1
+            self.rows.append(row)
+        self.rows.append([0, *[1] * k, *[0] * gamma, 1])
+        self.basis = [1 + k + i for i in range(gamma)] + [1 + start]
+        # reduced-cost row for the objective z (basis costs are all zero)
+        self.cost = [1] + [0] * (k + gamma + 1)
         self._optimize()
 
-    def add(self, col: tuple[Fraction, ...]) -> None:
+    def add(self, col: tuple[int, ...]) -> None:
         """Insert a column before the slacks and re-optimize from the current
         basis.  Its standard-form column is e_last - sum_i col[i] * e_i, and
-        the tableau holds B^-1 e_last in the rhs (b = e_last) and B^-1 e_i in
-        slack i, so the same combination of those tableau columns is B^-1 a;
-        on the cost row it gives the column's reduced cost."""
+        the tableau holds det * B^-1 e_last in the rhs (b = e_last) and
+        det * B^-1 e_i in slack i, so the same combination of those tableau
+        columns is det * B^-1 a; on the cost row it gives the column's
+        reduced cost."""
         at = 1 + self.k
         terms = [(at + i, a) for i, a in enumerate(col) if a]
-        for row in (*self.tab, self.cost):
+        for row in (*self.rows, self.cost):
             row.insert(at, row[-1] - sum(a * row[s] for s, a in terms))
         self.basis = [v + 1 if v >= at else v for v in self.basis]
         self.k += 1
         self._optimize()
 
     def _optimize(self) -> None:
-        self.pivots += _bland(self.tab, self.cost, self.basis)
+        """Bland's rule from the current feasible basis to optimality: the
+        first variable with a positive reduced cost enters, and the row with
+        the least ratio rhs_r / row_r[enter] leaves, compared by
+        cross-multiplying, with ties to the lowest basis index."""
+        rows, cost, basis = self.rows, self.cost, self.basis
+        n_vars = len(cost) - 1
+        while True:
+            enter = next((j for j in range(n_vars) if cost[j] > 0), -1)
+            if enter < 0:
+                break
+            leave = -1
+            for r, row in enumerate(rows):
+                coef = row[enter]
+                if coef <= 0:
+                    continue
+                if leave < 0:
+                    leave = r
+                    continue
+                lhs, rhs = row[-1] * rows[leave][enter], rows[leave][-1] * coef
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave = r
+            if leave < 0:
+                raise _CertificateError(
+                    "maximin LP is bounded by construction; unbounded pivot found"
+                )
+            self._pivot(leave, enter)
+            basis[leave] = enter
+            self.pivots += 1
         self.solves += 1
 
-    def value(self) -> Fraction:
-        return next((row[-1] for row, v in zip(self.tab, self.basis) if v == 0), _ZERO)
+    def _pivot(self, r: int, c: int) -> None:
+        # every other row changes, also where its entry in column c is 0:
+        # it moves from the old det to the new one
+        pivot_row = self.rows[r]
+        p, det = pivot_row[c], self.det
+        for row in (*self.rows, self.cost):
+            if row is not pivot_row:
+                coef = row[c]
+                row[:] = [(p * x - coef * y) // det for x, y in zip(row, pivot_row)]
+        self.det = p
+
+    def primal(self) -> list[Fraction]:
+        """The values of z (the LP value) and of the columns."""
+        values = [0] * (1 + self.k)
+        for row, v in zip(self.rows, self.basis):
+            if v <= self.k:
+                values[v] = row[-1]
+        return [Fraction(x, self.det) for x in values]
+
+    def _slack_duals(self) -> tuple[list[int], int]:
+        """Dual row weights at optimality, unnormalized: y_i = -reduced cost
+        of slack i, times det / den; and their total."""
+        y = [-x for x in self.cost[1 + self.k : 1 + self.k + self.gamma]]
+        total = sum(y)
+        if total <= 0:
+            raise _CertificateError("dual weights must have positive mass at optimality")
+        return y, total
 
     def duals(self) -> tuple[Fraction, ...]:
-        return _duals(self.cost, self.k, self.gamma)
+        """Dual row weights normalized to sum 1."""
+        y, total = self._slack_duals()
+        return tuple(Fraction(w, total) for w in y)
 
-
-def _simplex_maximin(
-    cols: list[tuple[Fraction, ...]], gamma: int
-) -> tuple[Fraction, list[Fraction], tuple[Fraction, ...]]:
-    """Primal simplex with Bland's rule on the standard-form tableau, from
-    scratch over ``cols``.
-
-    Variables are indexed 0 = z, 1..k = columns, k+1..k+gamma = slacks.
-    Returns (optimal value, column probabilities, dual row weights).
-    """
-    k = len(cols)
-    tab, cost, basis = _tableau(cols, gamma)
-    _bland(tab, cost, basis)
-
-    # read off the solution
-    values = [_ZERO] * (1 + k + gamma)
-    for row, var in zip(tab, basis):
-        values[var] = row[-1]
-    return values[0], values[1 : 1 + k], _duals(cost, k, gamma)
-
-
-def _tableau(
-    cols: list[tuple[Fraction, ...]], gamma: int
-) -> tuple[list[list[Fraction]], list[Fraction], list[int]]:
-    """Standard-form tableau rows [coefficients | rhs], the reduced-cost row
-    and the basis, at the feasible start {slacks} + {best static column}:
-    feasible because all payoff entries are non-negative."""
-    k = len(cols)
-    n_vars = 1 + k + gamma
-    start = max(range(k), key=lambda j: min(cols[j]))
-
-    tab: list[list[Fraction]] = []
-    for i in range(gamma):
-        row = [_ZERO] * (n_vars + 1)
-        row[0] = _ONE
-        for j in range(k):
-            row[1 + j] = -cols[j][i]
-        row[1 + k + i] = _ONE
-        tab.append(row)
-    last = [_ZERO] * (n_vars + 1)
-    for j in range(k):
-        last[1 + j] = _ONE
-    last[n_vars] = _ONE
-    tab.append(last)
-
-    basis = [1 + k + i for i in range(gamma)] + [1 + start]
-    # price the starting column into the slack rows: row_i += M[i, start] * last
-    for i in range(gamma):
-        coef = cols[start][i]
-        if coef != 0:
-            row = tab[i]
-            for j in range(n_vars + 1):
-                if last[j] != 0:
-                    row[j] += coef * last[j]
-
-    # reduced-cost row for the objective c = e_z (basis costs are all zero)
-    cost = [_ZERO] * (n_vars + 1)
-    cost[0] = _ONE
-    return tab, cost, basis
-
-
-def _bland(tab: list[list[Fraction]], cost: list[Fraction], basis: list[int]) -> int:
-    """Primal simplex with Bland's rule from a feasible basis to optimality,
-    in place; returns the number of pivots."""
-    n_vars = len(cost) - 1
-    pivots = 0
-    while True:
-        enter = next((j for j in range(n_vars) if cost[j] > 0), -1)
-        if enter < 0:
-            return pivots
-        leave = -1
-        best_ratio: Fraction | None = None
-        for r, row in enumerate(tab):
-            coef = row[enter]
-            if coef > 0:
-                ratio = row[n_vars] / coef
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = r
-        if leave < 0:
-            raise _CertificateError("maximin LP is bounded by construction; unbounded pivot found")
-        _pivot(tab, cost, leave, enter)
-        basis[leave] = enter
-        pivots += 1
-
-
-def _duals(cost: list[Fraction], k: int, gamma: int) -> tuple[Fraction, ...]:
-    """Dual row weights at optimality: y_i = -reduced cost of slack i,
-    normalized to sum 1."""
-    y = [-cost[1 + k + i] for i in range(gamma)]
-    total = sum(y)
-    if total <= 0:
-        raise _CertificateError("dual weights must have positive mass at optimality")
-    return tuple(w / total for w in y)
-
-
-def _pivot(tab: list[list[Fraction]], cost: list[Fraction], r: int, c: int) -> None:
-    pivot_row = tab[r]
-    inv = pivot_row[c]
-    # entries that are zero in the pivot row leave every other row unchanged
-    nonzero = [j for j, x in enumerate(pivot_row) if x]
-    for j in nonzero:
-        pivot_row[j] /= inv
-    for row in (*tab, cost):
-        if row is pivot_row:
-            continue
-        coef = row[c]
-        if coef:
-            for j in nonzero:
-                row[j] -= coef * pivot_row[j]
+    def pricing(self) -> tuple[list[int], int]:
+        """Integer weights w and bar b for pricing an integer column c over
+        ``den``: sum(w * c) - b is a positive multiple of the column's dual
+        mixture sum(duals[i] * c[i]) / den minus the LP value."""
+        y, total = self._slack_duals()
+        rhs_z = next((row[-1] for row, v in zip(self.rows, self.basis) if v == 0), 0)
+        return [self.det * w for w in y], rhs_z * total * self.den
 
 
 def _check_certificate(

@@ -22,10 +22,6 @@ HEADER = "fairmaxcut report v1"
 TOOL_VERSION = "0.1.0"
 
 
-def format_cut(cut: Cut) -> str:
-    return "{" + ",".join(str(v) for v in sorted(cut.members)) + "}"
-
-
 def parse_cut_token(token: str, lineno: int) -> Cut:
     if not (token.startswith("{") and token.endswith("}")):
         raise InstanceParseError(f"bad cut token {token!r}", lineno)
@@ -70,10 +66,10 @@ class ReportBuilder:
         self.body.append(f"objective {name} {value}")
 
     def add_witness(self, name: str, cut: Cut) -> None:
-        self.body.append(f"witness {name} {format_cut(cut)}")
+        self.body.append(f"witness {name} {cut}")
 
     def add_support(self, name: str, cut: Cut, probability: Fraction) -> None:
-        self.body.append(f"support {name} {format_cut(cut)} {probability}")
+        self.body.append(f"support {name} {cut} {probability}")
 
     def add_dual(self, name: str, index: int, weight: Fraction) -> None:
         self.body.append(f"dual {name} {index} {weight}")

@@ -70,6 +70,13 @@ class TestSolve:
         assert rc == 2
         assert "group 1 is empty" in err
 
+    @pytest.mark.parametrize("objectives", [",", " , ", ""])
+    def test_no_objectives_exit_6(self, paw_path, objectives):
+        rc, out, err = run_cli(["solve", paw_path, "--objectives", objectives])
+        assert rc == 6
+        assert out == ""
+        assert err == "error: --objectives names no objective\n"
+
     def test_too_large_exit_3(self, paw_path):
         rc, _, err = run_cli(["solve", paw_path, "--limit", "3"])
         assert rc == 3
@@ -271,6 +278,24 @@ def test_out_of_range_count_exit_6(argv):
     rc, out, err = run_cli(argv)
     assert rc == 6
     assert out == "" and err.startswith("error: --")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{missing}/p.inst"],
+        ["run", "{paw}", "--algorithm", "gw", "--embedding", "{missing}/p.emb"],
+        ["solve", "{paw}", "-o", "{missing}/p.report"],
+    ],
+)
+def test_unreadable_files_exit_2(paw_path, tmp_path, argv):
+    # a file that cannot be opened is a usage error, not a verification failure
+    missing = tmp_path / "missing"
+    argv = [a.format(missing=missing, paw=paw_path) for a in argv]
+    rc, _, err = run_cli(argv)
+    assert rc == 2
+    assert err.startswith("error: [Errno 2] No such file or directory:")
+    assert str(missing) in err
 
 
 class TestReproduce:

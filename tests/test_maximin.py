@@ -25,13 +25,13 @@ from fairmaxcut.maximin import (
     CutDistribution,
     _CertificateError,
     _check_certificate,
-    _Master,
-    _simplex_maximin,
+    _Tableau,
     df_fair,
     solve_maximin,
 )
 from fairmaxcut.utility import UtilityModel
 
+from .fraction_simplex import _bland, _simplex_maximin, _tableau
 from .strategies import edge_instances, node_instances
 
 
@@ -240,30 +240,64 @@ class TestSolveMaximin:
 
 
 @st.composite
-def integer_columns(draw):
+def integer_columns(draw, max_columns=40):
     gamma = draw(st.integers(1, 5))
     column = st.tuples(*[st.integers(0, 6)] * gamma)
-    return gamma, draw(st.lists(column, min_size=1, max_size=40))
+    return gamma, draw(st.lists(column, min_size=1, max_size=max_columns))
 
 
 @given(integer_columns())
 @settings(max_examples=100, deadline=None)
 def test_warm_master_matches_cold_master(case):
     """Columns added one at a time to the warm master: after each
-    re-optimization its value is the cold master's over the same columns,
-    and its duals are a probability vector pricing every column at or below
-    that value."""
+    re-optimization its value is the Fraction oracle's over the same
+    columns, and its duals are a probability vector pricing every column at
+    or below that value."""
     gamma, int_cols = case
     cols = [tuple(map(Fraction, col)) for col in int_cols]
-    master = _Master(cols[0], gamma)
+    master = _Tableau(int_cols[:1], 1)
     for k in range(1, len(cols) + 1):
         if k > 1:
-            master.add(cols[k - 1])
-        value, duals = master.value(), master.duals()
+            master.add(int_cols[k - 1])
+        value, duals = master.primal()[0], master.duals()
         assert value == _simplex_maximin(cols[:k], gamma)[0]
         assert all(q >= 0 for q in duals) and sum(duals) == 1
         assert all(sum(map(mul, duals, col)) <= value for col in cols[:k])
     assert master.solves == len(cols)
+
+
+def assert_matches_fraction_oracle(int_cols, den: int) -> None:
+    """The cold integer tableau over ``int_cols`` read over ``den`` against
+    the Fraction simplex over the columns divided by ``den``: the same value,
+    probabilities, duals and pivot count."""
+    gamma = len(int_cols[0])
+    cols = [tuple(Fraction(x, den) for x in col) for col in int_cols]
+    value, probs, duals = _simplex_maximin(cols, gamma)
+    pivots = _bland(*_tableau(cols, gamma))
+    tableau = _Tableau(int_cols, den)
+    assert tableau.primal() == [value, *probs]
+    assert tableau.duals() == duals
+    assert (tableau.solves, tableau.pivots) == (1, pivots)
+
+
+@given(integer_columns(max_columns=30), st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_integer_tableau_matches_fraction_oracle(case, den):
+    _, int_cols = case
+    assert_matches_fraction_oracle(int_cols, den)
+
+
+def test_integer_tableau_matches_fraction_oracle_on_multiword_entries():
+    # entries near 2**40 make the products in each exact division span
+    # several machine words
+    big = 1 << 40
+    int_cols = [
+        (big + 3, big - 5, 7),
+        (big - 1, 11, big + 2),
+        (13, big + 1, big - 3),
+        (big // 2, big // 3, big // 5),
+    ]
+    assert_matches_fraction_oracle(int_cols, 12)
 
 
 class TestCertificate:

@@ -9,7 +9,6 @@ from fairmaxcut.families import make_paw_instance
 from fairmaxcut.graphs import Cut
 from fairmaxcut.reports import (
     ReportBuilder,
-    format_cut,
     format_probability,
     parse_cut_token,
     parse_report,
@@ -18,8 +17,8 @@ from fairmaxcut.verify import make_check, skipped_check
 
 
 def test_cut_tokens():
-    assert format_cut(Cut.of({2, 0})) == "{0,2}"
-    assert format_cut(Cut.of(set())) == "{}"
+    assert str(Cut.of({2, 0})) == "{0,2}"
+    assert str(Cut.of(set())) == "{}"
     assert parse_cut_token("{0,2}", 1) == Cut.of({0, 2})
     assert parse_cut_token("{}", 1) == Cut.of(set())
 
