@@ -75,9 +75,6 @@ class PayoffMatrix:
             return self.dens
         return tuple(d * s for d, s in zip(self.dens, self.group_sizes))
 
-    def column(self, j: int, mode: Mode) -> tuple[Fraction, ...]:
-        return tuple(Fraction(row[j], d) for row, d in zip(self.entries, self.denominators(mode)))
-
 
 def check_enumeration_limit(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> None:
     if g.vertex_count > limit:

@@ -31,13 +31,16 @@ scratch over the columns that are tight at the final duals, in column order,
 so it does not depend on the path the master took.  ``Fraction`` values are
 only made for these results.  Both sides of the minimax equality are finally
 recomputed from the matrix's integer entries over the mode's denominators,
-independently of the simplex.
+independently of the simplex and in integers only: the value, the
+probabilities and the duals are each put over one common denominator and
+the comparisons are cross-multiplied, so no ``Fraction`` is made per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .exact import (
@@ -308,33 +311,46 @@ def _check_certificate(
     support: tuple[int, ...],
 ) -> None:
     """Recompute both sides of the minimax equality from the matrix's integer
-    entries over the mode's denominators.
+    entries over the mode's denominators d_i, in integers only: the value is
+    V / W, and each side's rationals are put over one common denominator.
 
-    The primal side sums the distribution over its support columns, which
-    must carry exactly the distribution's cuts.  The dual side maximizes the
-    dual mixture over every column.
+    The primal side puts the distribution over D, as integers P_j on its
+    support columns, which must carry exactly the distribution's cuts; group
+    i's expected utility is sum_j entries[i][j] * P_j / (D * d_i), so every
+    group passes if that numerator times W is at least V * D * d_i, and one
+    group must meet it with equality.  The dual side puts the duals over T,
+    as integers Q_i, and each dual row weight over L = lcm(d_i), as w_i =
+    Q_i * (L / d_i); the best column score max_j sum_i w_i * entries[i][j],
+    times W, must equal V * T * L.
     """
-    if (
-        len(duals) != matrix.group_count
-        or sum(duals) != 1
-        or any(q < 0 for q in duals)
-    ):
+    V, W = value.numerator, value.denominator
+    dens = matrix.denominators(mode)
+    T = lcm(*(q.denominator for q in duals))
+    Q = [q.numerator * (T // q.denominator) for q in duals]
+    if len(Q) != matrix.group_count or sum(Q) != T or any(q < 0 for q in Q):
         raise _CertificateError("dual weights are not a probability vector")
     prob_by_cut = dict(distribution.entries)
     cuts = [matrix.col_cuts[j] for j in support]
     if len(set(cuts)) != len(cuts) or set(cuts) != prob_by_cut.keys():
         raise _CertificateError("support columns and distribution cuts disagree")
     probs = [prob_by_cut[cut] for cut in cuts]
-    dens = matrix.denominators(mode)
-    primal = min(
-        sum(row[j] * p for j, p in zip(support, probs)) / d
+    D = lcm(*(p.denominator for p in probs))
+    P = [p.numerator * (D // p.denominator) for p in probs]
+    margins = [
+        sum(row[j] * p for j, p in zip(support, P)) * W - V * D * d
         for row, d in zip(matrix.entries, dens)
-    )
-    weighted = [(q / d, row) for q, d, row in zip(duals, dens, matrix.entries) if q]
-    dual = max(sum(w * row[j] for w, row in weighted) for j in range(matrix.column_count))
-    if primal != value or dual != value:
+    ]
+    L = lcm(*dens)
+    scores = [0] * matrix.column_count
+    for q, d, row in zip(Q, dens, matrix.entries):
+        if q:
+            w = q * (L // d)
+            scores = [s + w * x for s, x in zip(scores, row)]
+    best = max(scores)
+    if min(margins) != 0 or best * W != V * T * L:
         raise _CertificateError(
-            f"strong duality certificate failed: primal {primal}, dual {dual}, value {value}"
+            f"strong duality certificate failed: value {value}, least primal margin "
+            f"{min(margins)}, dual score {best * W} against {V * T * L}"
         )
 
 

@@ -15,10 +15,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from fairmaxcut.exact import Mode, PayoffMatrix
 from fairmaxcut.maximin import _CertificateError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def fraction_column(matrix: PayoffMatrix, j: int, mode: Mode) -> tuple[Fraction, ...]:
+    """Column ``j`` of the payoff matrix as ``Fraction``s over the mode's
+    denominators: the utilities (or per-capita utilities) of its cut."""
+    return tuple(Fraction(row[j], d) for row, d in zip(matrix.entries, matrix.denominators(mode)))
 
 
 def _simplex_maximin(

@@ -38,6 +38,7 @@ from fairmaxcut.utility import (
     min_group_proportion,
 )
 
+from .fraction_simplex import fraction_column
 from .strategies import edge_instances, node_instances
 
 # path 0-1-2 plus the isolated vertex 3: degrees 1, 2, 1, 0
@@ -210,13 +211,13 @@ class TestPayoffMatrix:
         assert matrix.group_count == 4 and matrix.column_count == 8
         # the column for the cut complementary to {0} carries (1, 0, 1, 1)
         j = matrix.col_cuts.index(Cut.of({1, 2, 3}))
-        assert matrix.column(j, Mode.PROPORTION) == (1, 0, 1, 1)
+        assert fraction_column(matrix, j, Mode.PROPORTION) == (1, 0, 1, 1)
 
     def test_diamond_rows_match_cut_table(self):
         inst = make_diamond_instance()
         matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
         by_cut = {
-            frozenset(c.members): matrix.column(j, Mode.PROPORTION)
+            frozenset(c.members): fraction_column(matrix, j, Mode.PROPORTION)
             for j, c in enumerate(matrix.col_cuts)
         }
         half = Fraction(1, 2)
@@ -235,7 +236,7 @@ class TestPayoffMatrix:
         from fairmaxcut.utility import ground_utility
 
         for j, cut in enumerate(matrix.col_cuts):
-            (entry,) = matrix.column(j, Mode.PROPORTION)
+            (entry,) = fraction_column(matrix, j, Mode.PROPORTION)
             assert entry == ground_utility(g, UtilityModel.EDGE, cut) / 4
 
     @given(edge_instances(max_vertices=5), node_instances(max_vertices=5))
@@ -252,7 +253,7 @@ class TestPayoffMatrix:
         for model, g, partition in cases:
             matrix = build_payoff_matrix(g, model, partition)
             for j, cut in enumerate(matrix.col_cuts):
-                column = matrix.column(j, Mode.PROPORTION)
+                column = fraction_column(matrix, j, Mode.PROPORTION)
                 for i, gr in enumerate(partition.groups):
                     assert column[i] == group_proportion(g, model, cut, gr)
 
@@ -260,7 +261,7 @@ class TestPayoffMatrix:
         inst = make_cycle_plus_biclique(2, 2)
         matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
         for j in range(matrix.column_count):
-            column = matrix.column(j, Mode.VALUE)
+            column = fraction_column(matrix, j, Mode.VALUE)
             assert all(0 <= entry <= size for entry, size in zip(column, matrix.group_sizes))
 
     @given(edge_instances(max_vertices=5))
@@ -306,7 +307,9 @@ class TestOnePassMatrix:
             column = tuple(group_utility(g, model, cut, gr) for gr in partition.groups)
             first.setdefault(column, cut)
         matrix = build_payoff_matrix(g, model, partition)
-        assert [matrix.column(j, Mode.VALUE) for j in range(matrix.column_count)] == list(first)
+        assert [
+            fraction_column(matrix, j, Mode.VALUE) for j in range(matrix.column_count)
+        ] == list(first)
         assert matrix.col_cuts == tuple(first.values())
 
     @given(model_instances())

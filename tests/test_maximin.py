@@ -31,7 +31,8 @@ from fairmaxcut.maximin import (
 )
 from fairmaxcut.utility import UtilityModel
 
-from .fraction_simplex import _bland, _simplex_maximin, _tableau
+from .fraction_certificate import _check_certificate as fraction_check_certificate
+from .fraction_simplex import _bland, _simplex_maximin, _tableau, fraction_column
 from .strategies import edge_instances, node_instances
 
 
@@ -66,7 +67,7 @@ def simplex_grid_best(rows, denominator: int) -> Fraction:
 
 def mode_columns(matrix: PayoffMatrix, mode: Mode) -> dict[tuple[Fraction, ...], int]:
     """Each payoff column over the mode's denominators mapped to its index."""
-    return {matrix.column(j, mode): j for j in range(matrix.column_count)}
+    return {fraction_column(matrix, j, mode): j for j in range(matrix.column_count)}
 
 
 def assert_matches_dense_oracle(matrix: PayoffMatrix, sol, mode: Mode = Mode.PROPORTION) -> None:
@@ -346,6 +347,140 @@ class TestCertificate:
             _check_certificate(
                 matrix, Mode.PROPORTION, sol.value, moved, sol.dual_weights, sol.support
             )
+
+
+    def test_rejects_a_distribution_that_does_not_sum_to_one(self):
+        # built past CutDistribution's own validation: twice the optimal
+        # lottery lifts every group above the value, while the duals still
+        # certify it, so only the primal side's tight group catches it
+        matrix, sol = self.paw()
+        doubled = object.__new__(CutDistribution)
+        entries = tuple((c, 2 * p) for c, p in sol.distribution.entries)
+        object.__setattr__(doubled, "entries", entries)
+        for check in (_check_certificate, fraction_check_certificate):
+            with pytest.raises(_CertificateError):
+                check(
+                    matrix, Mode.PROPORTION, sol.value, doubled, sol.dual_weights, sol.support
+                )
+
+    @pytest.mark.parametrize(
+        "duals",
+        [
+            (Fraction(1, 2),) * 3,  # one weight short
+            (Fraction(1, 4),) * 4 + (Fraction(0),),  # one weight too many
+            (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(1, 5)),  # sums to 19/20
+            (Fraction(3, 4), Fraction(1, 2), Fraction(0), Fraction(-1, 4)),  # a negative weight
+        ],
+    )
+    def test_rejects_duals_that_are_not_a_probability_vector(self, duals):
+        matrix, sol = self.paw()
+        for check in (_check_certificate, fraction_check_certificate):
+            with pytest.raises(_CertificateError, match="probability vector"):
+                check(matrix, Mode.PROPORTION, sol.value, sol.distribution, duals, sol.support)
+
+    def test_rejects_a_value_off_by_2_to_the_minus_80(self):
+        # entries near 2**40 and group sizes 1-3: the value's denominator and
+        # the cross-multiplied sums span several machine words, and a value
+        # off by far less than a float's precision must still be rejected
+        big = 1 << 40
+        rows = [
+            [big + 3, big - 5, 7, big // 2],
+            [big - 1, 11, big + 2, big // 3],
+            [13, big + 1, big - 3, big // 5],
+        ]
+        matrix = matrix_from_rows(rows, group_sizes=(1, 2, 3))
+        off = Fraction(1, 1 << 80)
+        for mode in Mode:
+            sol = solve_maximin(matrix, mode)
+            rest = (sol.distribution, sol.dual_weights, sol.support)
+            fraction_check_certificate(matrix, mode, sol.value, *rest)
+            for value in (sol.value + off, sol.value - off):
+                for check in (_check_certificate, fraction_check_certificate):
+                    with pytest.raises(_CertificateError):
+                        check(matrix, mode, value, *rest)
+
+
+@st.composite
+def certificate_matrices(draw):
+    """Up to 5 groups and 30 distinct columns with entries 0-6, over group
+    sizes 1-4 and denominators 1-3, so the denominators of both modes differ
+    between groups."""
+    gamma = draw(st.integers(1, 5))
+    column = st.tuples(*[st.integers(0, 6)] * gamma)
+    cols = draw(st.lists(column, min_size=1, max_size=30, unique=True))
+    return PayoffMatrix(
+        entries=tuple(zip(*cols)),
+        dens=draw(st.tuples(*[st.integers(1, 3)] * gamma)),
+        group_sizes=draw(st.tuples(*[st.integers(1, 4)] * gamma)),
+        col_cuts=tuple(Cut.of({j + 1}) for j in range(len(cols))),
+    )
+
+
+def perturbed_certificates(matrix: PayoffMatrix, sol, data):
+    """The solution's certificate (value, distribution, duals, support), then
+    the same with the value moved by 1/10**6, dual mass moved between two
+    groups, probability moved between two support cuts, and one support cut
+    swapped for an outside cut (in the support and the distribution, or in
+    the distribution only)."""
+    value, dist, duals, support = sol.value, sol.distribution, sol.dual_weights, sol.support
+    eps = Fraction(1, 10**6)
+    yield value, dist, duals, support
+    yield value + eps, dist, duals, support
+    yield value - eps, dist, duals, support
+    if len(duals) > 1:
+        a, b = data.draw(two_indices(len(duals)))
+        for shift in (eps, duals[a] / 2, duals[a]):
+            moved = list(duals)
+            moved[a] -= shift
+            moved[b] += shift
+            yield value, dist, tuple(moved), support
+    entries = dist.entries
+    if len(entries) > 1:
+        a, b = data.draw(two_indices(len(entries)))
+        for shift in (eps * entries[a][1], entries[a][1] / 2, entries[a][1]):
+            moved = list(entries)
+            moved[a] = (moved[a][0], moved[a][1] - shift)
+            moved[b] = (moved[b][0], moved[b][1] + shift)
+            yield value, CutDistribution(tuple(moved)), duals, support
+    outside = [j for j in range(matrix.column_count) if j not in support]
+    if outside:
+        o = data.draw(st.sampled_from(outside))
+        a = data.draw(st.integers(0, len(support) - 1))
+        cut = matrix.col_cuts[support[a]]
+        swapped = CutDistribution(
+            tuple((matrix.col_cuts[o] if c == cut else c, p) for c, p in entries)
+        )
+        yield value, swapped, duals, support[:a] + (o,) + support[a + 1 :]
+        yield value, swapped, duals, support
+
+
+def two_indices(n: int):
+    return st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+
+
+def rejects(check, matrix: PayoffMatrix, mode: Mode, certificate) -> bool:
+    try:
+        check(matrix, mode, *certificate)
+    except _CertificateError:
+        return True
+    return False
+
+
+@given(certificate_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_certificate_matches_fraction_oracle(matrix, data):
+    """The integer check rejects exactly the certificates the Fraction oracle
+    rejects: the solution's in both modes, and its perturbations."""
+    for mode in Mode:
+        sol = solve_maximin(matrix, mode)
+        certificates = list(perturbed_certificates(matrix, sol, data))
+        verdicts = [
+            (rejects(_check_certificate, matrix, mode, c),
+             rejects(fraction_check_certificate, matrix, mode, c))
+            for c in certificates
+        ]
+        assert all(a == b for a, b in verdicts), (mode, certificates, verdicts)
+        assert verdicts[:3] == [(False, False), (True, True), (True, True)]
 
 
 class TestDfFair:
