@@ -5,10 +5,12 @@ Subcommands: solve (exact objectives, all read off one payoff matrix), run
 suites), reproduce (``verify.pinned_checks``: the families' expected values
 and the table of the rest).  The structured report goes to --output when
 given (with a human summary on stdout), otherwise to stdout.  Exit codes:
-0 ok, 1 verification/reproduction failure, 2 parse error or a file that
-cannot be read or written, 3 instance too large, 4 model/partition mismatch,
-5 unknown algorithm, 6 bad generator parameters or option values (--trials,
---samples, --sdp-rank, --count, an --objectives list naming no objective).
+0 ok, 1 verification/reproduction failure, 2 parse error, a file that
+cannot be read or written, or an argparse usage error (such as an option
+the subcommand does not take), 3 instance too large, 4 model/partition
+mismatch, 5 unknown algorithm, 6 bad generator parameters or option values
+(--trials, --samples, --sdp-rank, --sdp-iterations, --count, an
+--objectives list naming no objective).
 """
 
 from __future__ import annotations
@@ -32,29 +34,12 @@ from .instances import OBJECTIVE_NAMES
 from .utility import UtilityModel, crossing_degree, group_proportion, require_compatible
 
 ALGORITHMS = ("separate-solve", "naive-random", "local-search", "gw")
-FAMILIES = (
-    "cycle",
-    "complete-bipartite",
-    "clique-tail",
-    "cycle-biclique",
-    "diamond",
-    "paw",
-    "diamond-embedding",
-    "random",
-)
 SUITES = ("curated", "random", "all")
 
-
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="64-bit seed for randomized work")
-    p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT,
-                   help="max vertex count for exact enumeration")
-    p.add_argument("--mode", choices=("value", "proportion", "both"), default="both")
-    p.add_argument("--approx", action="store_true",
-                   help="add a decimal column to the human table (reports stay exact)")
-    p.add_argument("--no-timestamp", action="store_true",
-                   help="omit timestamp/elapsed lines for byte-stable reports")
-    p.add_argument("-o", "--output", help="write the structured report here")
+# Each subcommand accepts only the options its cmd_* function reads
+# (tests/test_cli.py::test_every_option_is_read checks this).
+_LIMIT_HELP = "max vertex count for exact enumeration"
+_NO_TIMESTAMP_HELP = "omit timestamp/elapsed lines for byte-stable reports"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute exact objectives for an instance")
     p.add_argument("instance")
     p.add_argument("--objectives", help="comma list from " + ",".join(OBJECTIVE_NAMES))
-    _common_flags(p)
+    p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT, help=_LIMIT_HELP)
+    p.add_argument("--mode", choices=("value", "proportion", "both"), default="both")
+    p.add_argument("--approx", action="store_true",
+                   help="add a decimal column to the human table (reports stay exact)")
+    p.add_argument("--no-timestamp", action="store_true", help=_NO_TIMESTAMP_HELP)
+    p.add_argument("-o", "--output", help="write the structured report here")
 
     p = sub.add_parser("run", help="run a heuristic algorithm on an instance")
     p.add_argument("instance")
@@ -74,7 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embedding", help="read the unit-vector embedding from this file")
     p.add_argument("--sdp-rank", type=int, default=None)
     p.add_argument("--sdp-iterations", type=int, default=200)
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="64-bit seed for naive-random and gw")
+    p.add_argument("--no-timestamp", action="store_true", help=_NO_TIMESTAMP_HELP)
+    p.add_argument("-o", "--output", help="write the structured report here")
 
     p = sub.add_parser("generate", help="write a family instance file")
     p.add_argument("family")
@@ -89,15 +81,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", default="singleton-edges",
                    choices=("singleton-edges", "singleton-nodes", "whole",
                             "random-edges", "random-nodes"))
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for random graphs and groups")
+    p.add_argument("-o", "--output", help="write the instance here")
 
     p = sub.add_parser("verify", help="run claim-checker suites")
     p.add_argument("--suite", default="all")
     p.add_argument("--count", type=int, default=200, help="random-suite instance count")
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="random-suite seed")
+    p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT, help=_LIMIT_HELP)
+    p.add_argument("--no-timestamp", action="store_true", help=_NO_TIMESTAMP_HELP)
+    p.add_argument("-o", "--output", help="write the structured report here")
 
     p = sub.add_parser("reproduce", help="recompute all pinned worked-example values")
-    _common_flags(p)
+    p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT, help=_LIMIT_HELP)
+    p.add_argument("--no-timestamp", action="store_true", help=_NO_TIMESTAMP_HELP)
+    p.add_argument("-o", "--output", help="write the structured report here")
 
     return parser
 
@@ -217,9 +215,7 @@ def cmd_run(args) -> int:
 
     ok = True
     if args.algorithm == "separate-solve":
-        dist, oracle_res = heuristics.separate_solve(
-            inst.graph, inst.model, inst.partition, seed=args.seed
-        )
+        dist, oracle_res = heuristics.separate_solve(inst.graph, inst.model, inst.partition)
         score = heuristics.evaluate_distribution(inst.graph, inst.model, inst.partition, dist)
         gamma = inst.partition.group_count
         floor = oracle_res.alpha / gamma

@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import DegreeZeroError
 from .graphs import Cut, Graph, GroupPartition, max_degree
 from .maximin import CutDistribution
 from .utility import (
@@ -48,21 +47,16 @@ def derive_rng(seed: int, stream: int) -> np.random.Generator:
 # local search
 
 
-def local_search_cut(
-    g: Graph,
-    initial: Optional[Cut] = None,
-    vertex_order: Optional[Sequence[int]] = None,
-) -> Cut:
+def local_search_cut(g: Graph, initial: Optional[Cut] = None) -> Cut:
     """First-improvement flip search: move any vertex with fewer than half of
     its edges crossing until none remains.  Each flip strictly increases the
     cut value, so the sweep terminates; afterwards every vertex has crossing
     degree >= deg(v)/2."""
     members = set(initial.members) if initial is not None else set()
-    order = list(vertex_order) if vertex_order is not None else list(range(g.vertex_count))
     improved = True
     while improved:
         improved = False
-        for v in order:
+        for v in range(g.vertex_count):
             inside = v in members
             crossing = sum(1 for u in g.neighbors[v] if (u in members) != inside)
             if 2 * crossing < g.degree(v):
@@ -77,7 +71,8 @@ def local_search_cut(
 # ---------------------------------------------------------------------------
 # separate-solve
 
-GroupOracle = Callable[[Graph, UtilityModel, frozenset, int], Cut]
+# (graph, model, one group of the partition) -> that group's cut
+GroupOracle = Callable[[Graph, UtilityModel, frozenset], Cut]
 
 
 @dataclass(frozen=True)
@@ -86,7 +81,7 @@ class OracleResult:
     alpha: Fraction
 
 
-def default_group_oracle(g: Graph, model: UtilityModel, group: frozenset, seed: int = 0) -> Cut:
+def default_group_oracle(g: Graph, model: UtilityModel, group: frozenset) -> Cut:
     """Local-search cut on the subgraph a group spans (edge groups) or induces
     (node groups), extended to the whole graph with absent vertices outside."""
     if model is UtilityModel.EDGE:
@@ -107,15 +102,15 @@ def separate_solve(
     model: UtilityModel,
     partition: GroupPartition,
     oracle: GroupOracle = default_group_oracle,
-    seed: int = 0,
 ) -> tuple[CutDistribution, OracleResult]:
-    """Uniform lottery over one oracle cut per group.
+    """Uniform lottery over one oracle cut per group: ``oracle(g, model, group)``
+    is called once per group, in partition order, and takes no seed.
 
     The worst measured per-group quality alpha = min_i proportion(x_i, U_i)
     certifies the floor alpha/gamma on the lottery's worst expected group
     proportion."""
     require_compatible(g, model, partition)
-    cuts = tuple(oracle(g, model, gr, seed) for gr in partition.groups)
+    cuts = tuple(oracle(g, model, gr) for gr in partition.groups)
     alpha = min(
         group_proportion(g, model, cut, gr) for cut, gr in zip(cuts, partition.groups)
     )
@@ -181,9 +176,7 @@ def naive_random_stats(
             stats.append(GroupRandomStats(mean=Fraction(1, 2), variance=Fraction(1, 4 * len(gr))))
         return stats
     if model is UtilityModel.NODE_MAXDEG:
-        delta = max_degree(g)
-        if delta == 0:
-            raise DegreeZeroError("node utility needs at least one edge")
+        delta = max_degree(g)  # positive: require_compatible refused edgeless graphs
         for gr in partition.groups:
             members = sorted(gr)
             deg_sum = sum(g.degree(v) for v in members)
@@ -413,15 +406,14 @@ def gw_round(
     vec = embedding.vectors
     cuts = []
     crossing_counts = np.zeros(g.edge_count, dtype=np.int64)
-    heads = np.array([e[0] for e in g.edges], dtype=int) if g.edge_count else np.zeros(0, dtype=int)
-    tails = np.array([e[1] for e in g.edges], dtype=int) if g.edge_count else np.zeros(0, dtype=int)
+    heads = np.array([e[0] for e in g.edges], dtype=int)
+    tails = np.array([e[1] for e in g.edges], dtype=int)
     for s in range(samples):
         rng = derive_rng(seed, _STREAM_GW + s)
         normal = rng.standard_normal(embedding.dimension)
         side = (vec @ normal) >= 0.0
         cuts.append(Cut(frozenset(int(v) for v in np.nonzero(side)[0])))
-        if g.edge_count:
-            crossing_counts += (side[heads] != side[tails]).astype(np.int64)
+        crossing_counts += side[heads] != side[tails]
     probabilities = tuple(
         gw_cut_probability(float(vec[u] @ vec[v])) for u, v in g.edges
     )

@@ -27,9 +27,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InstanceParseError
 from .families import ExpectedValue, NamedInstance
 from .graphs import Graph, GroupPartition, PartitionKind
+from .heuristics import UnitVectorEmbedding
 from .utility import UtilityModel
 
 HEADER = "fairmaxcut instance v1"
@@ -218,12 +221,9 @@ def save_instance(inst: NamedInstance, path: str) -> None:
 EMBEDDING_HEADER = "fairmaxcut embedding v1"
 
 
-def parse_embedding(text: str):
+def parse_embedding(text: str) -> UnitVectorEmbedding:
     """Unit-vector embedding file: header, 'dimension d', one 'vector v ...'
     line per vertex with d float components."""
-    from .heuristics import UnitVectorEmbedding
-    import numpy as np
-
     lines = [
         (i + 1, line)
         for i, line in enumerate(text.splitlines())

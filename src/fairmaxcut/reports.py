@@ -75,11 +75,9 @@ class ReportBuilder:
         self.body.append(f"dual {name} {index} {weight}")
 
     def add_check(self, check: BoundCheck) -> None:
-        rhs = check.rhs
-        rhs_text = ",".join(str(r) for r in rhs) if isinstance(rhs, tuple) else str(rhs)
         context = f" {check.context}" if check.context else ""
         self.body.append(
-            f"check {check.claim} {check.relation} {check.lhs} {rhs_text} {check.verdict}{context}"
+            f"check {check.claim} {check.relation} {check.lhs} {check.rhs} {check.verdict}{context}"
         )
 
     def add_row(self, key: str, relation: str, expected: str, computed: str, passed: bool) -> None:
@@ -186,18 +184,13 @@ def parse_report(text: str) -> ParsedReport:
         elif tag == "check":
             claim, relation, lhs_text, rhs_text, verdict = tokens[1:6]
             context = " ".join(tokens[6:])
-            rhs: Fraction | tuple[Fraction, ...]
-            if "," in rhs_text:
-                rhs = tuple(fraction(t) for t in rhs_text.split(","))
-            else:
-                rhs = fraction(rhs_text)
             report.checks.append(
                 BoundCheck(
                     claim=claim,
                     context=context,
                     relation=relation,
                     lhs=fraction(lhs_text),
-                    rhs=rhs,
+                    rhs=fraction(rhs_text),
                     passed=(verdict != "fail"),
                     skipped=(verdict == "skip"),
                 )

@@ -46,10 +46,8 @@ def require_compatible(g: Graph, model: UtilityModel, partition: GroupPartition 
             f"model {model.value} requires a {model.partition_kind.value} partition, "
             f"got {partition.kind.value}"
         )
-    if model is UtilityModel.NODE_MAXDEG and max_degree(g) == 0:
-        raise DegreeZeroError("node utility with max-degree scaling needs at least one edge")
-    if model is UtilityModel.NODE_OWNDEG and max_degree(g) == 0:
-        raise DegreeZeroError("degree-normalized node utility needs at least one edge")
+    if model.is_node_model and max_degree(g) == 0:
+        raise DegreeZeroError(f"model {model.value} needs at least one edge")
 
 
 def crossing_degree(g: Graph, cut: Cut, v: int) -> int:

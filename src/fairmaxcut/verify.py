@@ -54,7 +54,7 @@ class BoundCheck:
     context: str
     relation: str
     lhs: Fraction
-    rhs: Fraction | tuple[Fraction, ...]
+    rhs: Fraction
     passed: bool
     skipped: bool = False
 
@@ -65,7 +65,7 @@ class BoundCheck:
         return "pass" if self.passed else "fail"
 
 
-def _evaluate(lhs: Fraction, relation: str, rhs) -> bool:
+def _evaluate(lhs: Fraction, relation: str, rhs: Fraction) -> bool:
     if relation == "<=":
         return lhs <= rhs
     if relation == ">=":
@@ -76,12 +76,10 @@ def _evaluate(lhs: Fraction, relation: str, rhs) -> bool:
         return lhs < rhs
     if relation == ">":
         return lhs > rhs
-    if relation == "in":
-        return lhs in rhs
     raise ValueError(f"unknown relation {relation!r}")
 
 
-def make_check(claim: str, context: str, lhs: Fraction, relation: str, rhs) -> BoundCheck:
+def make_check(claim: str, context: str, lhs: Fraction, relation: str, rhs: Fraction) -> BoundCheck:
     return BoundCheck(
         claim=claim,
         context=context,

@@ -1,5 +1,6 @@
 """CLI: subcommands, exit codes, report goldens, determinism."""
 
+import argparse
 import contextlib
 import io
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from fairmaxcut.cli import main
+from fairmaxcut import cli
+from fairmaxcut.cli import build_parser, main
 from fairmaxcut.reports import parse_report
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -184,6 +186,16 @@ class TestRun:
         assert rc == 2
         assert err.startswith("error: line ")
 
+    def test_edgeless_node_model_exit_4(self, tmp_path):
+        bad = tmp_path / "edgeless.inst"
+        bad.write_text(
+            "fairmaxcut instance v1\nvertices 3\n"
+            "model node-maxdeg\npartition nodes\ngroup 0 1 2\n"
+        )
+        rc, out, err = run_cli(["run", str(bad), "--algorithm", "naive-random", "--trials", "4"])
+        assert rc == 4
+        assert out == "" and err == "error: model node-maxdeg needs at least one edge\n"
+
     def test_vertex_limit_exit_2(self, tmp_path):
         # edge groups cover the edge set, so only the vertex limit stops this
         # file before run sizes its arrays by the vertex count
@@ -296,6 +308,97 @@ def test_unreadable_files_exit_2(paw_path, tmp_path, argv):
     assert rc == 2
     assert err.startswith("error: [Errno 2] No such file or directory:")
     assert str(missing) in err
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return dict(action.choices)
+
+
+def _dests(sub: argparse.ArgumentParser) -> set[str]:
+    return {a.dest for a in sub._actions if a.dest != "help"}
+
+
+def test_every_option_is_read(tmp_path):
+    """Run every branch of every subcommand on a namespace that records which
+    attributes its cmd_* function reads: an option nothing reads must not be
+    accepted."""
+    paw = str(GOLDENS / "paw.inst")
+    emb = tmp_path / "d.emb"
+    assert run_cli(["generate", "diamond-embedding", "-o", str(emb)])[0] == 0
+    diamond = tmp_path / "d.inst"
+    assert run_cli(["generate", "diamond", "-o", str(diamond)])[0] == 0
+    family_args = {
+        "cycle": ["--n", "5"],
+        "complete-bipartite": ["--a", "2", "--b", "2"],
+        "clique-tail": ["--k", "2", "--n", "4"],
+        "cycle-biclique": ["--k", "2", "--r", "1"],
+        "diamond": [],
+        "paw": [],
+        "diamond-embedding": [],
+        "random": ["--n", "5"],
+    }
+    groups = [a for a in _subparsers()["generate"]._actions if a.dest == "groups"][0].choices
+    runs = [
+        ["solve", paw],
+        ["solve", paw, "--objectives", "MP,DF-MP"],
+        *(["run", paw, "--algorithm", algorithm, "--trials", "8", "--samples", "4",
+           "--sdp-iterations", "2"] for algorithm in cli.ALGORITHMS),
+        ["run", str(diamond), "--algorithm", "gw", "--embedding", str(emb), "--samples", "4"],
+        *(["generate", family, *extra, "--groups", group, "-o", str(tmp_path / "g.out")]
+          for family, extra in family_args.items() for group in groups),
+        ["verify", "--suite", "random", "--count", "2"],
+        ["reproduce"],
+    ]
+    reads: dict[str, set[str]] = {}
+    for argv in runs:
+        seen: set[str] = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                seen.add(name)
+                return super().__getattribute__(name)
+
+        args = build_parser().parse_args(argv, namespace=Recording())
+        seen.clear()  # argparse itself reads every dest while parsing
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert getattr(cli, f"cmd_{args.cmd}")(args) == 0, argv
+        reads.setdefault(argv[0], set()).update(seen)
+
+    subparsers = _subparsers()
+    assert set(reads) == set(subparsers)
+    for name, sub in subparsers.items():
+        assert _dests(sub) <= reads[name], (name, _dests(sub) - reads[name])
+
+
+def test_settable_option_count():
+    assert sum(len(_dests(sub)) for sub in _subparsers().values()) == 38
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{paw}", "--seed", "3"],
+        ["run", "{paw}", "--algorithm", "local-search", "--limit", "5"],
+        ["run", "{paw}", "--algorithm", "local-search", "--mode", "value"],
+        ["run", "{paw}", "--algorithm", "local-search", "--approx"],
+        ["generate", "paw", "--limit", "5"],
+        ["generate", "paw", "--mode", "value"],
+        ["generate", "paw", "--approx"],
+        ["generate", "paw", "--no-timestamp"],
+        ["verify", "--mode", "value"],
+        ["verify", "--approx"],
+        ["reproduce", "--seed", "3"],
+        ["reproduce", "--mode", "value"],
+        ["reproduce", "--approx"],
+    ],
+)
+def test_unread_options_are_refused_exit_2(paw_path, argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([a.format(paw=paw_path) for a in argv])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestReproduce:

@@ -322,6 +322,13 @@ class TestGwRounding:
             assert cut.members in (frozenset(), frozenset(range(4)))
         assert all(f == 0.0 for f in rounding.edge_cut_frequencies)
 
+    def test_edgeless_graph_has_no_edge_statistics(self):
+        embedding = UnitVectorEmbedding(np.tile([1.0, 0.0], (3, 1)))
+        rounding = gw_round(Graph(3, ()), embedding, seed=2, samples=5)
+        assert rounding.edge_cut_frequencies == ()
+        assert rounding.edge_cut_probabilities == ()
+        assert len(rounding.cuts) == 5
+
     def test_frequencies_track_probabilities(self):
         g = make_cycle(5)
         embedding = gw_sdp_solve(g, seed=4)

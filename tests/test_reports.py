@@ -98,6 +98,7 @@ def test_reproduce_rows_parse():
         ("dual DF-MV x 1/2", "dual index must be an integer"),
         ("check chain <= 1 1", "too few fields"),
         ("check chain <= 1 1/2, pass", "not a valid fraction"),
+        ("check chain in 1/2 1/2,1 pass", "not a valid fraction"),
         ("reproduce paw/mp == 3/4", "too few fields"),
         ("summary", "too few fields"),
         ("objective MV 1e10000000", "exponent notation"),
