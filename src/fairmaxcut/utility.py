@@ -63,6 +63,7 @@ def group_utility(g: Graph, model: UtilityModel, cut: Cut, group: Iterable[int])
     degrees scaled by 1/max_degree or 1/deg(v); an isolated vertex
     contributes 0 under the own-degree model.
     """
+    require_compatible(g, model)
     cut.validate_for(g)
     members = cut.members
     if model is UtilityModel.EDGE:
@@ -73,22 +74,15 @@ def group_utility(g: Graph, model: UtilityModel, cut: Cut, group: Iterable[int])
                 count += 1
         return Fraction(count)
     if model is UtilityModel.NODE_MAXDEG:
-        delta = max_degree(g)
-        if delta == 0:
-            raise DegreeZeroError("node utility with max-degree scaling needs at least one edge")
         total = sum(crossing_degree(g, cut, v) for v in group)
-        return Fraction(total, delta)
-    if model is UtilityModel.NODE_OWNDEG:
-        if max_degree(g) == 0:
-            raise DegreeZeroError("degree-normalized node utility needs at least one edge")
-        total = ZERO
-        for v in group:
-            deg = g.degree(v)
-            if deg == 0:
-                continue
-            total += Fraction(crossing_degree(g, cut, v), deg)
-        return total
-    raise ModelMismatchError(f"unsupported model {model}")
+        return Fraction(total, max_degree(g))
+    total = ZERO
+    for v in group:
+        deg = g.degree(v)
+        if deg == 0:
+            continue
+        total += Fraction(crossing_degree(g, cut, v), deg)
+    return total
 
 
 def group_proportion(g: Graph, model: UtilityModel, cut: Cut, group) -> Fraction:
@@ -140,6 +134,30 @@ def group_weights(
     return weights, dens
 
 
+def incident_masks(g: Graph) -> list[int]:
+    """Bitmask of the edges at each vertex (bit e for edge index e)."""
+    incident = [0] * g.vertex_count
+    for e, (u, v) in enumerate(g.edges):
+        incident[u] |= 1 << e
+        incident[v] |= 1 << e
+    return incident
+
+
+def weight_terms(weights: Sequence[dict[int, int]]) -> list[tuple[int, int, int]]:
+    """The weight classes of a ``group_weights`` table as terms ``(group,
+    weight, edge bitmask)``, one per distinct weight of each row, in group
+    order; a row without edges gets the zero term ``(i, 0, 0)``.  Group i's
+    numerator under a cut is the sum of ``weight`` times the number of
+    crossing edges in ``edge bitmask`` over its terms."""
+    terms: list[tuple[int, int, int]] = []
+    for i, row in enumerate(weights):
+        by_weight: dict[int, int] = {}
+        for e, w in row.items():
+            by_weight[w] = by_weight.get(w, 0) | 1 << e
+        terms += [(i, w, edge_bits) for w, edge_bits in (by_weight or {0: 0}).items()]
+    return terms
+
+
 def group_kernel(
     g: Graph, model: UtilityModel, groups: Sequence[Iterable[int]]
 ) -> tuple[list[int], Callable[[int], list[int]]]:
@@ -150,25 +168,17 @@ def group_kernel(
     An edge crosses iff exactly one endpoint is a member, so the crossing
     edges are the XOR of the members' incident-edge masks, read from one
     lookup table per 8 vertices.  A group's numerator is then one popcount
-    per distinct weight in its ``group_weights`` row.
+    per term of ``weight_terms``.
     """
     weights, dens = group_weights(g, model, groups)
-    incident = [0] * g.vertex_count
-    for e, (u, v) in enumerate(g.edges):
-        incident[u] |= 1 << e
-        incident[v] |= 1 << e
+    incident = incident_masks(g)
     tables = []
     for start in range(0, g.vertex_count, 8):
         table = [0]
         for edge_bits in incident[start:start + 8]:
             table += [x ^ edge_bits for x in table]
         tables.append(table)
-    terms: list[tuple[int, int, int]] = []  # (group, weight, edges of that weight)
-    for i, row in enumerate(weights):
-        by_weight: dict[int, int] = {}
-        for e, w in row.items():
-            by_weight[w] = by_weight.get(w, 0) | 1 << e
-        terms += [(i, w, edge_bits) for w, edge_bits in by_weight.items()]
+    terms = weight_terms(weights)
     zeros = [0] * len(dens)
 
     def numerators(mask: int) -> list[int]:

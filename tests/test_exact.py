@@ -1,17 +1,21 @@
 """Enumeration solvers against independent brute-force oracles."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairmaxcut.errors import TooLargeError
+from fairmaxcut.errors import DegreeZeroError, ModelMismatchError, TooLargeError
 from fairmaxcut.exact import (
+    _BLOCK_BITS,
     Mode,
     PayoffMatrix,
     StaticSolution,
     build_payoff_matrix,
+    canonical_cut_count,
     enumerate_canonical_cuts,
     max_from_matrix,
     max_proportion,
@@ -28,18 +32,28 @@ from fairmaxcut.families import (
     make_paw_instance,
     singleton_partition,
 )
-from fairmaxcut.graphs import Cut, Graph, PartitionKind, edge_groups, is_bipartite, node_groups
+from fairmaxcut.graphs import (
+    Cut,
+    Graph,
+    GroupPartition,
+    PartitionKind,
+    edge_groups,
+    is_bipartite,
+    node_groups,
+)
 from fairmaxcut.utility import (
     UtilityModel,
     ground_set_size,
     ground_utility,
+    group_weights,
     group_proportion,
     group_utility,
     min_group_proportion,
 )
 
 from .fraction_simplex import fraction_column
-from .strategies import edge_instances, node_instances
+from .python_payoff import python_payoff_matrix
+from .strategies import edge_instances, graphs, node_instances, partitions_for
 
 # path 0-1-2 plus the isolated vertex 3: degrees 1, 2, 1, 0
 PATH_AND_ISOLATED = Graph(4, ((0, 1), (1, 2)))
@@ -336,3 +350,111 @@ class TestOnePassMatrix:
         with pytest.raises(ValueError):
             PayoffMatrix(entries=((1, -1),), dens=(1,), group_sizes=(1,),
                          col_cuts=(Cut.of(()), Cut.of({1})))
+
+
+def _outcome(build, g, model, partition):
+    """A build's matrix, or the type and message of what it raised."""
+    try:
+        return build(g, model, partition)
+    except (DegreeZeroError, ModelMismatchError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def any_partition_cases(draw):
+    """n = 1..10, edgeless graphs included, any model, random groups.  When the
+    model's ground set is empty (an edge model without edges, every n = 1
+    graph among them) a node partition stands in, which both builds refuse;
+    n = 0 has no partition of either kind."""
+    g = draw(graphs(min_vertices=1, max_vertices=10))
+    model = draw(st.sampled_from(list(UtilityModel)))
+    kind = model.partition_kind
+    if ground_set_size(g, model) == 0:
+        kind = PartitionKind.NODES
+    return g, model, draw(partitions_for(g, kind))
+
+
+class TestBlockPassAgainstOracle:
+    """``build_payoff_matrix`` against the per-cut Python loop it replaced."""
+
+    @given(any_partition_cases())
+    @example((Graph(1, ()), UtilityModel.NODE_OWNDEG, node_groups(Graph(1, ()), [{0}])))
+    @example((Graph(1, ()), UtilityModel.EDGE, node_groups(Graph(1, ()), [{0}])))
+    @example((Graph(3, ()), UtilityModel.NODE_MAXDEG, node_groups(Graph(3, ()), [{0, 2}, {1}])))
+    @example((PATH_AND_ISOLATED, UtilityModel.NODE_OWNDEG,
+              node_groups(PATH_AND_ISOLATED, [{3}, {0, 1, 2}])))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle(self, case):
+        g, model, partition = case
+        got = _outcome(build_payoff_matrix, g, model, partition)
+        want = _outcome(python_payoff_matrix, g, model, partition)
+        if isinstance(want, PayoffMatrix):
+            assert got.entries == want.entries
+            assert got.dens == want.dens
+            assert got.group_sizes == want.group_sizes
+            assert got.col_cuts == want.col_cuts
+        else:
+            assert got == want
+
+    def test_own_degree_weights_past_a_byte(self):
+        # degrees 9, 8, 7 and 5 in one group: lcm 2520, so edge weights
+        # 2520/deg reach 504 and a popcount times a weight overflows uint8
+        g = Graph(10, tuple(
+            [(0, v) for v in range(1, 10)]
+            + [(1, v) for v in range(2, 9)]
+            + [(2, v) for v in range(3, 8)]
+            + [(3, v) for v in (4, 5)]
+        ))
+        assert [g.degree(v) for v in range(4)] == [9, 8, 7, 5]
+        partition = node_groups(g, [{0, 1, 2, 3}, set(range(4, 10))])
+        weights, _ = group_weights(g, UtilityModel.NODE_OWNDEG, partition.groups)
+        assert max(weights[0].values()) >= 256
+        assert build_payoff_matrix(g, UtilityModel.NODE_OWNDEG, partition) == python_payoff_matrix(
+            g, UtilityModel.NODE_OWNDEG, partition
+        )
+
+    @pytest.mark.parametrize("groups", [3, 66])
+    def test_more_than_64_edges(self, groups):
+        # K_12 has 66 edges: the crossing set spans two uint64 words
+        g = Graph(12, tuple(combinations(range(12), 2)))
+        partition = edge_groups(g, [range(i, 66, groups) for i in range(groups)])
+        matrix = build_payoff_matrix(g, UtilityModel.EDGE, partition)
+        assert matrix == python_payoff_matrix(g, UtilityModel.EDGE, partition)
+        if groups == g.edge_count:  # singleton groups: a column is the crossing set
+            assert matrix.column_count == canonical_cut_count(g.vertex_count)
+
+    @pytest.mark.parametrize(
+        "model, kind", [(UtilityModel.EDGE, PartitionKind.EDGES),
+                        (UtilityModel.NODE_OWNDEG, PartitionKind.NODES)]
+    )
+    def test_columns_repeat_across_blocks(self, model, kind):
+        # n = 15: four blocks of 2**12 canonical cuts
+        g = make_cycle(15)
+        ground = ground_set_size(g, model)
+        partition = GroupPartition(kind, (range(0, ground, 2), range(1, ground, 2)), ground)
+        matrix = build_payoff_matrix(g, model, partition)
+        assert matrix == python_payoff_matrix(g, model, partition)
+        block = 1 << _BLOCK_BITS
+        firsts = [c.mask() >> 1 for c in matrix.col_cuts]
+        assert canonical_cut_count(g.vertex_count) == 4 * block
+        # some columns first appear in block 1, and far fewer columns than cuts
+        # means most repeat in later blocks
+        assert any(block <= c < 2 * block for c in firsts)
+        assert matrix.column_count < block
+
+    def test_numerator_bound_refused_before_enumeration(self):
+        # own-degree hubs of every prime degree up to 53 over 53 leaves: the
+        # hub group's denominator is the primes' product (above 2**64), and
+        # its largest numerator is 16 times that; enumerating 2**68 cuts
+        # would not fit in memory, so the refusal must come first
+        primes = [p for p in range(2, 54) if all(p % q for q in range(2, p))]
+        hubs = range(53, 53 + len(primes))
+        g = Graph(53 + len(primes), tuple((leaf, hub) for hub, p in zip(hubs, primes)
+                                         for leaf in range(p)))
+        partition = node_groups(g, [range(53), hubs])
+        bound = len(primes) * prod(primes)
+        with pytest.raises(TooLargeError) as info:
+            build_payoff_matrix(g, UtilityModel.NODE_OWNDEG, partition, limit=g.vertex_count)
+        assert str(info.value) == (
+            f"group utility numerators reach {bound}; exact enumeration needs them below 2**63"
+        )

@@ -55,9 +55,12 @@ class TestNodeUtility:
         assert got == Fraction(1)  # vertex 0 fully cut, isolated vertex 2 adds 0
 
     def test_edgeless_graph_raises(self):
+        # each node model: the same refusal, and message, as every other entry point's
         g = Graph(3, ())
-        with pytest.raises(DegreeZeroError):
-            group_utility(g, UtilityModel.NODE_MAXDEG, Cut.of({0}), {0})
+        for model in (UtilityModel.NODE_MAXDEG, UtilityModel.NODE_OWNDEG):
+            with pytest.raises(DegreeZeroError) as info:
+                group_utility(g, model, Cut.of({0}), {0})
+            assert str(info.value) == f"model {model.value} needs at least one edge"
 
     def test_kind_mismatch_is_usage_error(self):
         g = make_cycle(4)
