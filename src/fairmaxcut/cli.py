@@ -6,11 +6,12 @@ suites), reproduce (``verify.pinned_checks``: the families' expected values
 and the table of the rest).  The structured report goes to --output when
 given (with a human summary on stdout), otherwise to stdout.  Exit codes:
 0 ok, 1 verification/reproduction failure, 2 parse error, a file that
-cannot be read or written, or an argparse usage error (such as an option
-the subcommand does not take), 3 instance too large, 4 model/partition
-mismatch, 5 unknown algorithm, 6 bad generator parameters or option values
-(--trials, --samples, --sdp-rank, --sdp-iterations, --count, an
---objectives list naming no objective).
+cannot be read or written, or a usage error (an option the subcommand
+does not take, or a run option the chosen algorithm does not read),
+3 instance too large, 4 model/partition mismatch, 5 unknown algorithm,
+6 bad generator parameters or option values (--trials, --samples,
+--sdp-rank, --sdp-iterations, --count, an --objectives list naming no
+objective).
 """
 
 from __future__ import annotations
@@ -41,6 +42,16 @@ SUITES = ("curated", "random", "all")
 _LIMIT_HELP = "max vertex count for exact enumeration"
 _NO_TIMESTAMP_HELP = "omit timestamp/elapsed lines for byte-stable reports"
 
+# The run options that one algorithm alone reads: dest -> (that algorithm,
+# default).  cmd_run refuses them for the other algorithms.
+_ALGORITHM_OPTIONS = {
+    "trials": ("naive-random", 100_000),
+    "samples": ("gw", 1_000),
+    "embedding": ("gw", None),
+    "sdp_rank": ("gw", None),
+    "sdp_iterations": ("gw", 200),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fairmaxcut")
@@ -59,11 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a heuristic algorithm on an instance")
     p.add_argument("instance")
     p.add_argument("--algorithm", required=True)
-    p.add_argument("--trials", type=int, default=100_000, help="naive-random trial count")
-    p.add_argument("--samples", type=int, default=1_000, help="hyperplane rounding samples")
+    p.add_argument("--trials", type=int, help="naive-random trial count")
+    p.add_argument("--samples", type=int, help="hyperplane rounding samples")
     p.add_argument("--embedding", help="read the unit-vector embedding from this file")
-    p.add_argument("--sdp-rank", type=int, default=None)
-    p.add_argument("--sdp-iterations", type=int, default=200)
+    p.add_argument("--sdp-rank", type=int)
+    p.add_argument("--sdp-iterations", type=int)
     p.add_argument("--seed", type=int, default=0, help="64-bit seed for naive-random and gw")
     p.add_argument("--no-timestamp", action="store_true", help=_NO_TIMESTAMP_HELP)
     p.add_argument("-o", "--output", help="write the structured report here")
@@ -198,10 +209,22 @@ def cmd_run(args) -> int:
         print(f"error: unknown algorithm {args.algorithm!r}; choose from {', '.join(ALGORITHMS)}",
               file=sys.stderr)
         return 5
-    _require_at_least("--trials", args.trials, 1)
-    _require_at_least("--samples", args.samples, 1)
-    _require_at_least("--sdp-rank", args.sdp_rank, 2)
-    _require_at_least("--sdp-iterations", args.sdp_iterations, 0)
+    # through vars(), so that each option's attribute reads stay in the branch
+    # that uses it (test_every_option_is_read records them)
+    options = vars(args)
+    for dest, (reader, default) in _ALGORITHM_OPTIONS.items():
+        if options[dest] is None:
+            options[dest] = default
+        elif reader != args.algorithm:
+            flag = "--" + dest.replace("_", "-")
+            print(f"error: {flag} is not read by --algorithm {args.algorithm}", file=sys.stderr)
+            return 2
+    if args.algorithm == "naive-random":
+        _require_at_least("--trials", args.trials, 1)
+    if args.algorithm == "gw":
+        _require_at_least("--samples", args.samples, 1)
+        _require_at_least("--sdp-rank", args.sdp_rank, 2)
+        _require_at_least("--sdp-iterations", args.sdp_iterations, 0)
     inst = instances.load_instance(args.instance)
     require_compatible(inst.graph, inst.model, inst.partition)
     started = time.monotonic()
@@ -285,7 +308,7 @@ def cmd_run(args) -> int:
                 f"{u} {v} {reports.format_probability(rounding.edge_cut_probabilities[j])} "
                 f"{rounding.edge_cut_frequencies[j]!r}"
             )
-        best = max(cut_value(inst.graph, c) for c in rounding.cuts)
+        best = max(rounding.cut_values)
         builder.add_line(f"best-cut-value {best}")
         dist = rounding.distribution()
         score = heuristics.evaluate_distribution(inst.graph, inst.model, inst.partition, dist)

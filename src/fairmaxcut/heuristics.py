@@ -2,6 +2,11 @@
 cut (analytic and Monte Carlo), flip local search, and Goemans-Williamson
 hyperplane rounding over a low-rank coordinate-ascent SDP relaxation.
 
+The relaxation's sweep runs the same float64 steps, in the same order, as
+the row-by-row reference loop kept in the tests, so its embeddings match it
+bit for bit.  The rounding counts each sample's cut value from the crossing
+vector it computes anyway for the per-edge frequencies.
+
 Randomness is counter-based and splittable: every randomized operation takes
 an explicit 64-bit seed, and independent units of work (Monte Carlo trials,
 rounding samples) draw from Philox streams keyed by (seed, unit index), so
@@ -13,6 +18,7 @@ where it holds integers below 2**53 exactly; everything else is rational.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
@@ -331,12 +337,21 @@ def gw_sdp_solve(
     iterations: int = 200,
     seed: int = 0,
 ) -> UnitVectorEmbedding:
-    """Low-rank coordinate ascent on the cut relaxation.
+    """Low-rank coordinate ascent on the cut relaxation (the mixing method of
+    Wang, Chang & Kolter, 2017).
 
     Each update replaces a vertex's vector with the unit vector opposing the
     sum of its neighbors' vectors, which maximizes that coordinate block, so
     the objective never decreases.  Returns after `iterations` full sweeps
-    (earlier if a sweep moves nothing)."""
+    (earlier if a sweep moves nothing).
+
+    A sweep visits the vertices in index order and reads each neighbor's
+    latest vector, including those updated earlier in the same sweep (a
+    Gauss-Seidel sweep).  Batching the updates, by colour class or as one
+    matrix product, would read older vectors and round differently, so it
+    would change the embedding.  Each update is the neighbor rows' ufunc
+    sum, the BLAS dot of that sum with itself and one division, so the
+    vectors are bit-for-bit those of the row-by-row reference loop."""
     n = g.vertex_count
     if rank is None:
         rank = max(2, default_sdp_rank(n))
@@ -349,35 +364,70 @@ def gw_sdp_solve(
     rng = derive_rng(seed, _STREAM_SDP)
     vec = rng.standard_normal((n, rank))
     vec /= np.linalg.norm(vec, axis=1, keepdims=True)
-    neighbor_lists = [sorted(g.neighbors[v]) for v in range(n)]
-    for _ in range(iterations):
-        moved = False
-        for v in range(n):
-            if not neighbor_lists[v]:
-                continue
-            grad = vec[neighbor_lists[v]].sum(axis=0)
-            norm = np.linalg.norm(grad)
+    _coordinate_ascent(g, vec, iterations)
+    return UnitVectorEmbedding(vec)
+
+
+def _coordinate_ascent(g: Graph, vec: np.ndarray, iterations: int) -> None:
+    """Run up to `iterations` sweeps of `gw_sdp_solve` on `vec` in place.
+
+    A vector whose update equals it numerically (0.0 == -0.0) is left as it
+    is, so a stored zero keeps its sign.  A sweep first writes every update
+    without comparing.  That differs from leaving equal rows alone only if
+    an unmoved row got a zero's sign flipped, and then the sweep is redone
+    from its start with the comparison.  The first sweep that moves no row
+    is the last."""
+    updates = [
+        (np.array(sorted(g.neighbors[v]), dtype=np.intp), vec[v])
+        for v in range(g.vertex_count)
+        if g.neighbors[v]
+    ]
+
+    def sweep(keep_equal: bool) -> None:
+        for idx, row in updates:
+            grad = np.add.reduce(vec.take(idx, 0), 0)
+            norm = math.sqrt(grad.dot(grad))
             if norm == 0.0:
                 continue
-            new = -grad / norm
-            if not np.array_equal(new, vec[v]):
-                vec[v] = new
-                moved = True
-        if not moved:
+            if not keep_equal:
+                np.divide(grad, -norm, out=row)
+                continue
+            new = np.divide(grad, -norm)
+            if not np.array_equal(new, row):
+                row[...] = new
+
+    before = np.empty_like(vec)
+    for _ in range(iterations):
+        np.copyto(before, vec)
+        sweep(keep_equal=False)
+        unmoved = (vec == before).all(axis=1)
+        if unmoved.any() and (
+            vec[unmoved].view(np.int64) != before[unmoved].view(np.int64)
+        ).any():
+            np.copyto(vec, before)
+            sweep(keep_equal=True)
+            unmoved = (vec == before).all(axis=1)
+        if unmoved.all():
             break
-    return UnitVectorEmbedding(vec)
 
 
 @dataclass(frozen=True, eq=False)
 class GwRounding:
+    """The sampled cuts, each one's cut value, and per-edge crossing
+    probabilities (analytic) and frequencies (over the samples)."""
+
     cuts: tuple[Cut, ...]
+    cut_values: tuple[int, ...]
     edge_cut_probabilities: tuple[float, ...]
     edge_cut_frequencies: tuple[float, ...]
 
     def distribution(self) -> CutDistribution:
-        """Empirical distribution: each sampled cut with weight 1/samples."""
-        weight = Fraction(1, len(self.cuts))
-        return CutDistribution.from_pairs((cut, weight) for cut in self.cuts)
+        """Empirical distribution: each distinct sampled cut with probability
+        (times sampled) / samples, in order of first sampling."""
+        samples = len(self.cuts)
+        return CutDistribution(
+            tuple((cut, Fraction(k, samples)) for cut, k in Counter(self.cuts).items())
+        )
 
 
 def gw_cut_probability(dot: float) -> float:
@@ -397,14 +447,17 @@ def gw_round(
 
     Sample s splits vertices by the sign of the inner product with a standard
     Gaussian normal drawn from the Philox stream keyed (seed, s); a zero inner
-    product counts as the positive side.  Also reports the analytic per-edge
-    crossing probabilities for comparison with the empirical frequencies."""
+    product counts as the positive side.  Each sample's cut value is the
+    number of edges its side vector separates.  Also reports the analytic
+    per-edge crossing probabilities for comparison with the empirical
+    frequencies."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if embedding.vertex_count != g.vertex_count:
         raise ValueError("embedding size does not match the graph")
     vec = embedding.vectors
     cuts = []
+    values = []
     crossing_counts = np.zeros(g.edge_count, dtype=np.int64)
     heads = np.array([e[0] for e in g.edges], dtype=int)
     tails = np.array([e[1] for e in g.edges], dtype=int)
@@ -413,13 +466,16 @@ def gw_round(
         normal = rng.standard_normal(embedding.dimension)
         side = (vec @ normal) >= 0.0
         cuts.append(Cut(frozenset(int(v) for v in np.nonzero(side)[0])))
-        crossing_counts += side[heads] != side[tails]
+        crossing = side[heads] != side[tails]
+        crossing_counts += crossing
+        values.append(int(np.count_nonzero(crossing)))
     probabilities = tuple(
         gw_cut_probability(float(vec[u] @ vec[v])) for u, v in g.edges
     )
     frequencies = tuple(float(c) / samples for c in crossing_counts)
     return GwRounding(
         cuts=tuple(cuts),
+        cut_values=tuple(values),
         edge_cut_probabilities=probabilities,
         edge_cut_frequencies=frequencies,
     )

@@ -12,7 +12,12 @@ import pytest
 
 from fairmaxcut import cli
 from fairmaxcut.cli import build_parser, main
+from fairmaxcut.graphs import cut_value
+from fairmaxcut.heuristics import gw_round, sdp_objective
+from fairmaxcut.instances import load_instance
 from fairmaxcut.reports import parse_report
+
+from .python_sdp import python_sdp_solve
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -169,6 +174,25 @@ class TestRun:
         assert chord and chord[0].split()[3] == "0"
         assert any(l == "score-min 0" for l in report.other)
 
+    @pytest.mark.parametrize("name", ["paw.inst", "random_n8_p05_g3_seed42.inst"])
+    @pytest.mark.parametrize("seed", [0, 12345])
+    def test_gw_lines_match_reference_embedding(self, name, seed):
+        # recomputed from the reference loop's embedding, not a stored float:
+        # BLAS kernels may round differently on another CPU
+        path = str(GOLDENS / name)
+        rc, out, _ = run_cli(["run", path, "--algorithm", "gw", "--seed", str(seed),
+                              "--samples", "200", "--no-timestamp"])
+        assert rc == 0
+        lines = parse_report(out).other
+        g = load_instance(path).graph
+        embedding = python_sdp_solve(g, seed=seed)
+        rounding = gw_round(g, embedding, seed=seed, samples=200)
+        best = max(cut_value(g, cut) for cut in rounding.cuts)
+        assert [l for l in lines if l.startswith("best-cut-value ")] == [f"best-cut-value {best}"]
+        assert [l for l in lines if l.startswith("sdp-objective ")] == [
+            f"sdp-objective {sdp_objective(g, embedding)!r}"
+        ]
+
     @pytest.mark.parametrize(
         "embedding",
         [
@@ -320,10 +344,21 @@ def _dests(sub: argparse.ArgumentParser) -> set[str]:
     return {a.dest for a in sub._actions if a.dest != "help"}
 
 
+# run options that one algorithm alone reads, and that algorithm
+ALGORITHM_OPTIONS = {
+    "--trials": "naive-random",
+    "--samples": "gw",
+    "--embedding": "gw",
+    "--sdp-rank": "gw",
+    "--sdp-iterations": "gw",
+}
+
+
 def test_every_option_is_read(tmp_path):
     """Run every branch of every subcommand on a namespace that records which
     attributes its cmd_* function reads: an option nothing reads must not be
-    accepted."""
+    accepted.  Each run algorithm gets only its own options and must read
+    those, the options every algorithm shares, and no other algorithm's."""
     paw = str(GOLDENS / "paw.inst")
     emb = tmp_path / "d.emb"
     assert run_cli(["generate", "diamond-embedding", "-o", str(emb)])[0] == 0
@@ -343,8 +378,11 @@ def test_every_option_is_read(tmp_path):
     runs = [
         ["solve", paw],
         ["solve", paw, "--objectives", "MP,DF-MP"],
-        *(["run", paw, "--algorithm", algorithm, "--trials", "8", "--samples", "4",
-           "--sdp-iterations", "2"] for algorithm in cli.ALGORITHMS),
+        ["run", paw, "--algorithm", "separate-solve", "--seed", "3"],
+        ["run", paw, "--algorithm", "naive-random", "--seed", "3", "--trials", "8"],
+        ["run", paw, "--algorithm", "local-search", "--seed", "3"],
+        ["run", paw, "--algorithm", "gw", "--seed", "3", "--samples", "4", "--sdp-rank", "3",
+         "--sdp-iterations", "2"],
         ["run", str(diamond), "--algorithm", "gw", "--embedding", str(emb), "--samples", "4"],
         *(["generate", family, *extra, "--groups", group, "-o", str(tmp_path / "g.out")]
           for family, extra in family_args.items() for group in groups),
@@ -352,6 +390,7 @@ def test_every_option_is_read(tmp_path):
         ["reproduce"],
     ]
     reads: dict[str, set[str]] = {}
+    algorithm_reads: dict[str, set[str]] = {}
     for argv in runs:
         seen: set[str] = set()
 
@@ -365,11 +404,34 @@ def test_every_option_is_read(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             assert getattr(cli, f"cmd_{args.cmd}")(args) == 0, argv
         reads.setdefault(argv[0], set()).update(seen)
+        if argv[0] == "run":
+            algorithm_reads.setdefault(args.algorithm, set()).update(seen)
 
     subparsers = _subparsers()
     assert set(reads) == set(subparsers)
     for name, sub in subparsers.items():
         assert _dests(sub) <= reads[name], (name, _dests(sub) - reads[name])
+    dest = {flag: flag[2:].replace("-", "_") for flag in ALGORITHM_OPTIONS}
+    shared = _dests(subparsers["run"]) - set(dest.values())
+    assert set(algorithm_reads) == set(cli.ALGORITHMS)
+    for algorithm, seen in algorithm_reads.items():
+        own = {dest[flag] for flag, reader in ALGORITHM_OPTIONS.items() if reader == algorithm}
+        assert shared <= seen, (algorithm, shared - seen)
+        assert seen & set(dest.values()) == own, algorithm
+
+
+@pytest.mark.parametrize(
+    "algorithm, flag",
+    [(algorithm, flag) for algorithm in cli.ALGORITHMS
+     for flag, reader in ALGORITHM_OPTIONS.items() if reader != algorithm],
+)
+def test_other_algorithms_options_are_refused_exit_2(paw_path, tmp_path, algorithm, flag):
+    # the embedding file does not exist: a refused option is never read
+    value = str(tmp_path / "missing.emb") if flag == "--embedding" else "5"
+    rc, out, err = run_cli(["run", paw_path, "--algorithm", algorithm, flag, value])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {flag} is not read by --algorithm {algorithm}\n"
 
 
 def test_settable_option_count():

@@ -25,6 +25,7 @@ from fairmaxcut.heuristics import (
     _BLOCK_ENTRIES,
     _STREAM_NAIVE,
     GwRounding,
+    _coordinate_ascent,
     _trial_side_bits,
     UnitVectorEmbedding,
     default_group_oracle,
@@ -42,6 +43,7 @@ from fairmaxcut.heuristics import (
 from fairmaxcut.maximin import CutDistribution
 from fairmaxcut.utility import UtilityModel, group_proportion, group_weights
 
+from .python_sdp import python_sdp_solve, python_sweeps
 from .strategies import edge_instances, graphs, node_instances
 
 
@@ -344,6 +346,37 @@ class TestGwRounding:
         rounding = gw_round(g, embedding, seed=3, samples=10)
         assert all(0.0 <= p <= 1.0 for p in rounding.edge_cut_probabilities)
 
+    @pytest.mark.parametrize(
+        "g, embedding, values",
+        [
+            # antipodal pinned vectors: every sample cuts the four rim edges
+            (make_diamond_instance().graph, make_diamond_embedding(), {4}),
+            # one sweep from random vectors: samples cut 4 or 6 edges
+            (make_cycle(7), gw_sdp_solve(make_cycle(7), iterations=1, seed=3), {4, 6}),
+        ],
+        ids=["diamond-pinned", "cycle-7"],
+    )
+    def test_cut_values_recount(self, g, embedding, values):
+        rounding = gw_round(g, embedding, seed=5, samples=300)
+        assert rounding.cut_values == tuple(cut_value(g, cut) for cut in rounding.cuts)
+        assert set(rounding.cut_values) == values
+
+    def test_edgeless_cut_values_are_zero(self):
+        embedding = UnitVectorEmbedding(np.tile([0.6, 0.8], (3, 1)))
+        rounding = gw_round(Graph(3, ()), embedding, seed=2, samples=5)
+        assert rounding.cut_values == (0,) * 5
+
+    def test_distribution_counts_repeated_cuts(self):
+        # two distinct cuts over 50 samples: each weighs its count / 50,
+        # exactly the sum of one 1/50 per sample
+        embedding = UnitVectorEmbedding(np.tile([1.0, 0.0], (4, 1)))
+        rounding = gw_round(make_cycle(4), embedding, seed=1, samples=50)
+        dist = rounding.distribution()
+        assert len(dist.entries) == 2
+        assert dist == CutDistribution.from_pairs(
+            (cut, Fraction(1, 50)) for cut in rounding.cuts
+        )
+
 
 class TestUnitVectorEmbedding:
     @pytest.mark.parametrize("vectors", [[[np.nan]], [[1.0], [np.nan]], [[0.6, 0.6]]])
@@ -391,6 +424,60 @@ class TestGwSdpSolve:
     def test_rejects_negative_iterations(self):
         with pytest.raises(ValueError):
             gw_sdp_solve(make_cycle(3), iterations=-5)
+
+
+def same_bits(got: UnitVectorEmbedding, want: UnitVectorEmbedding) -> bool:
+    return (got.vectors.shape, got.vectors.tobytes()) == (
+        want.vectors.shape,
+        want.vectors.tobytes(),
+    )
+
+
+class TestGwSdpSolveMatchesReferenceLoop:
+    """The lean sweep against the row-by-row loop in tests/python_sdp.py,
+    bit for bit: same update order, same reductions, same zero signs."""
+
+    @given(
+        graphs(min_vertices=0, max_vertices=30),
+        st.sampled_from([None, 2, 3, 7]),
+        st.sampled_from([0, 1, 5, 200]),
+        st.integers(0, 2**63 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs(self, g, rank, iterations, seed):
+        got = gw_sdp_solve(g, rank=rank, iterations=iterations, seed=seed)
+        assert same_bits(got, python_sdp_solve(g, rank=rank, iterations=iterations, seed=seed))
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_cycles_to_convergence(self, n):
+        g = make_cycle(n)
+        got = gw_sdp_solve(g, iterations=500, seed=n)
+        assert same_bits(got, python_sdp_solve(g, iterations=500, seed=n))
+
+    def test_stops_at_a_fixed_point(self):
+        # the 4-cycle settles within 500 sweeps: more sweeps change nothing
+        g = make_cycle(4)
+        settled = gw_sdp_solve(g, iterations=500, seed=4)
+        assert same_bits(gw_sdp_solve(g, iterations=10_000, seed=4), settled)
+        assert same_bits(python_sdp_solve(g, iterations=10_000, seed=4), settled)
+
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_benchmark_sized_graphs(self, n):
+        g = random_instance(n, 0.2, 4, PartitionKind.EDGES, seed=n).graph
+        assert same_bits(gw_sdp_solve(g), python_sdp_solve(g))
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    def test_unmoved_row_keeps_its_zero_sign(self, iterations):
+        # on the path 0-1-2, vertex 1's update is (-0.0, -1.0), equal to its
+        # (0.0, -1.0) but for the zero's sign: the row stays as it is, and
+        # vertex 2 then reads 0.0, not -0.0
+        g = Graph(3, ((0, 1), (1, 2)))
+        start = np.array([[1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+        got, want = start.copy(), start.copy()
+        _coordinate_ascent(g, got, iterations)
+        python_sweeps(g, want, iterations)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[1:, 0]).any()
 
 
 class TestDeriveRng:
