@@ -43,7 +43,8 @@ _LIMIT_HELP = "max vertex count for exact enumeration"
 _NO_TIMESTAMP_HELP = "omit timestamp/elapsed lines for byte-stable reports"
 
 # The run options that one algorithm alone reads: dest -> (that algorithm,
-# default).  cmd_run refuses them for the other algorithms.
+# default).  cmd_run refuses them for the other algorithms (sdp_* for gw too
+# when it is given an --embedding).
 _ALGORITHM_OPTIONS = {
     "trials": ("naive-random", 100_000),
     "samples": ("gw", 1_000),
@@ -215,9 +216,11 @@ def cmd_run(args) -> int:
     for dest, (reader, default) in _ALGORITHM_OPTIONS.items():
         if options[dest] is None:
             options[dest] = default
-        elif reader != args.algorithm:
-            flag = "--" + dest.replace("_", "-")
-            print(f"error: {flag} is not read by --algorithm {args.algorithm}", file=sys.stderr)
+        elif reader != args.algorithm or (dest.startswith("sdp_") and options["embedding"]):
+            flag, by = "--" + dest.replace("_", "-"), f"--algorithm {args.algorithm}"
+            if reader == args.algorithm:  # gw solves no SDP given an embedding
+                by += " with --embedding"
+            print(f"error: {flag} is not read by {by}", file=sys.stderr)
             return 2
     if args.algorithm == "naive-random":
         _require_at_least("--trials", args.trials, 1)

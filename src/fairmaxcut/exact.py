@@ -4,9 +4,8 @@ and the group-by-cut payoff matrix that feeds the maximin LP.
 Cuts are enumerated canonically with vertex 0 excluded (every objective here
 is invariant under complementing the cut, so half the subsets suffice).  The
 one enumeration pass is ``build_payoff_matrix``: it scores the canonical
-cuts in numpy blocks of ``2**_BLOCK_BITS`` (integer numerators over fixed
-per-group denominators, from the edge-weight table of
-``utility.group_weights`` and its ``utility.weight_terms``, the terms
+cuts in numpy blocks of ``2**_BLOCK_BITS`` with ``utility.block_scorer``
+(integer numerators over fixed per-group denominators, the terms
 ``utility.group_kernel`` scores one cut with) and keeps each distinct
 numerator column once, with its first canonical cut.
 Every objective here is a function of a cut's column, so the utilitarian
@@ -26,14 +25,7 @@ import numpy as np
 
 from .errors import TooLargeError
 from .graphs import Cut, Graph, GroupPartition
-from .utility import (
-    UtilityModel,
-    ground_set_size,
-    group_weights,
-    incident_masks,
-    require_compatible,
-    weight_terms,
-)
+from .utility import UtilityModel, block_scorer, ground_set_size, require_compatible, xor_table
 
 DEFAULT_ENUMERATION_LIMIT = 24
 # build_payoff_matrix scores 2**_BLOCK_BITS consecutive canonical cuts per numpy block
@@ -111,22 +103,6 @@ def enumerate_canonical_cuts(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -
     return list(map(Cut.from_mask, _canonical_masks(g.vertex_count)))
 
 
-def _words(masks: list[int], count: int) -> np.ndarray:
-    """Python-int bitmasks as a (len(masks), count) uint64 array, word k
-    holding bits 64k..64k+63."""
-    packed = b"".join(x.to_bytes(8 * count, "little") for x in masks)
-    return np.frombuffer(packed, dtype="<u8").reshape(len(masks), count)
-
-
-def _xor_table(incident: np.ndarray) -> np.ndarray:
-    """Row c is the XOR of the rows of ``incident`` picked by the bits of c:
-    the crossing words of every subset of those vertices, by doubling."""
-    table = np.zeros((1 << len(incident), incident.shape[1]), dtype=np.uint64)
-    for k, edge_bits in enumerate(incident):
-        np.bitwise_xor(table[: 1 << k], edge_bits, out=table[1 << k : 2 << k])
-    return table
-
-
 def _first_rows(rows: np.ndarray) -> np.ndarray:
     """Ascending indices of the rows equal to no earlier row.  The lexsort is
     stable, so the first index of each run of equal rows is the earliest."""
@@ -152,35 +128,25 @@ def build_payoff_matrix(
     as its bits.  Its crossing edges, one uint64 word per 64 edges, are the
     XOR of its members' incident-edge masks: one table over the low
     ``_BLOCK_BITS`` free vertices, built once by doubling, XORed with the
-    block's row of the same table over the high ones.  Group i's numerator
-    is the sum over its ``weight_terms`` of the weight times the popcount
-    of the crossing words under the term's edge mask, widened to int64
-    before the product; the up-front bound (every edge of the group
-    crossing) keeps it below 2**63.  Each block keeps the first index of
-    each distinct row (a stable lexsort), and the blocks' survivors are
-    merged by the same rule, so every column keeps its first canonical cut
-    and the columns stay in canonical order."""
+    block's row of the same table over the high ones.  ``block_scorer``
+    turns them into int64 group numerators; the up-front bound (every edge
+    of the group crossing) keeps them below 2**63.  Each block keeps the
+    first index of each distinct row (a stable lexsort), and the blocks'
+    survivors are merged by the same rule, so every column keeps its first
+    canonical cut and the columns stay in canonical order."""
     require_compatible(g, model, partition)
     check_enumeration_limit(g, limit)
-    weights, dens = group_weights(g, model, partition.groups)
-    bound = max(sum(row.values()) for row in weights)  # a group's largest numerator
+    dens, bound, incident, numerators = block_scorer(g, model, partition.groups)
     if bound >> 63:
         raise TooLargeError(
             f"group utility numerators reach {bound}; exact enumeration needs them below 2**63"
         )
-    terms = weight_terms(weights)
-    words = (g.edge_count + 63) // 64
-    term_bits = _words([bits for _, _, bits in terms], words)
-    term_weights = np.array([w for _, w, _ in terms], dtype=np.int64)
-    starts = [k for k, t in enumerate(terms) if k == 0 or terms[k - 1][0] != t[0]]
-    incident = _words(incident_masks(g)[1:], words)  # vertex 0 is never a member
+    incident = incident[1:]  # vertex 0 is never a member
     low = min(len(incident), _BLOCK_BITS)
-    low_table = _xor_table(incident[:low])
+    low_table = xor_table(incident[:low])
     firsts, columns = [], []
-    for block, high in enumerate(_xor_table(incident[low:])):
-        hits = np.bitwise_count((low_table ^ high)[:, None, :] & term_bits)
-        scores = hits.sum(axis=2, dtype=np.int64) * term_weights
-        rows = np.add.reduceat(scores, starts, axis=1)
+    for block, high in enumerate(xor_table(incident[low:])):
+        rows = numerators(low_table ^ high)
         keep = _first_rows(rows)
         firsts.append(keep + (block << low))
         columns.append(rows[keep])

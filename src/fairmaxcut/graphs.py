@@ -79,13 +79,11 @@ class Cut:
 
     @staticmethod
     def from_mask(mask: int) -> "Cut":
-        members = set()
-        v = 0
-        while mask:
-            if mask & 1:
-                members.add(v)
-            mask >>= 1
-            v += 1
+        members = []
+        while mask:  # peel off the lowest set bit
+            low = mask & -mask
+            members.append(low.bit_length() - 1)
+            mask ^= low
         return Cut(frozenset(members))
 
     def mask(self) -> int:

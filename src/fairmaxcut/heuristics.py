@@ -11,8 +11,8 @@ Randomness is counter-based and splittable: every randomized operation takes
 an explicit 64-bit seed, and independent units of work (Monte Carlo trials,
 rounding samples) draw from Philox streams keyed by (seed, unit index), so
 results are bit-reproducible regardless of execution order.  Floating point
-appears only in the embedding/rounding code and in the Monte Carlo product,
-where it holds integers below 2**53 exactly; everything else is rational.
+appears only in the embedding/rounding code; the Monte Carlo trials and the
+distribution scores are counted in integers, and everything else is rational.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,10 +29,11 @@ from .graphs import Cut, Graph, GroupPartition, max_degree
 from .maximin import CutDistribution
 from .utility import (
     UtilityModel,
+    block_scorer,
     group_kernel,
     group_proportion,
-    group_weights,
     require_compatible,
+    xor_table,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -138,16 +139,20 @@ class DistributionScore:
 def evaluate_distribution(
     g: Graph, model: UtilityModel, partition: GroupPartition, dist: CutDistribution
 ) -> DistributionScore:
-    """Exact expected per-capita utility of every group under a distribution."""
+    """Exact expected per-capita utility of every group under a distribution:
+    integer numerators summed with integer weights (the probabilities over
+    the lcm of their denominators), one ``Fraction`` per group at the end."""
     require_compatible(g, model, partition)
     dens, numerators = group_kernel(g, model, partition.groups)
-    expected = [Fraction(0)] * len(dens)
+    scale = math.lcm(*(prob.denominator for _, prob in dist.entries))
+    totals = [0] * len(dens)
     for cut, prob in dist.entries:
         cut.validate_for(g)
-        for i, num in enumerate(numerators(cut.mask())):
-            expected[i] += prob * num
+        weight = prob.numerator * (scale // prob.denominator)
+        totals = [t + weight * num for t, num in zip(totals, numerators(cut.mask()))]
     per_group = tuple(
-        total / (den * len(gr)) for total, den, gr in zip(expected, dens, partition.groups)
+        Fraction(total, scale * den * len(gr))
+        for total, den, gr in zip(totals, dens, partition.groups)
     )
     return DistributionScore(per_group=per_group, minimum=min(per_group))
 
@@ -210,29 +215,8 @@ class SampleStats:
     variance: Fraction
 
 
-# trials per block: about 2**17 crossing entries, so that a block stays in cache
-_BLOCK_ENTRIES = 2**17
-
-
-def _trial_side_bits(g: Graph, seed: int, trials: int) -> Iterator[np.ndarray]:
-    """Uniform side assignment per (trial, vertex), yielded as consecutive
-    (block, n) uint8 blocks of about ``_BLOCK_ENTRIES / m`` trials.
-
-    Trial t reads the fixed 64-bit words [t*W, (t+1)*W) of the Philox stream
-    keyed (seed, naive-cut stream), bit v of its words being vertex v's side,
-    so each trial's cut depends only on the seed and its own index.  Full-range
-    draws consume the stream one word each, so drawing block by block reads
-    the same words as one draw of all trials."""
-    n = g.vertex_count
-    words_per_trial = max(1, (n + 63) // 64)
-    block = max(1, _BLOCK_ENTRIES // max(1, g.edge_count))
-    rng = derive_rng(seed, _STREAM_NAIVE)
-    for start in range(0, trials, block):
-        count = min(block, trials - start)
-        raw = rng.integers(
-            0, _MASK64, size=(count, words_per_trial), dtype=np.uint64, endpoint=True
-        )
-        yield np.unpackbits(raw.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, :n]
+# trials per block, so that memory stays bounded whatever the trial count
+_BLOCK_TRIALS = 2**12
 
 
 def naive_random_sample(
@@ -244,45 +228,39 @@ def naive_random_sample(
 ) -> list[SampleStats]:
     """Seed-reproducible Monte Carlo estimate of every group's proportion
     under the uniform random cut.  Statistics are exact rationals computed
-    from integer crossing counts.
+    from integer group numerators.
 
-    Trials stream in blocks of ``_trial_side_bits``, so memory stays bounded
-    by one block whatever the trial count.  A block's numerators are one
-    float64 product of its crossing matrix with the edges-by-groups weight
-    table; it is exact because every partial sum is a non-negative integer
-    no larger than the greatest numerator, below 2**53.  Otherwise (a large
-    lcm of own degrees) the product runs over Python ints.  Each block's sums
-    of numerators and of their squares are added up as Python ints."""
+    Trial t reads the fixed 64-bit words [t*W, (t+1)*W) of the Philox stream
+    keyed (seed, naive-cut stream), bit v of its words being vertex v's side,
+    so each trial's cut depends only on the seed and its own index.  Trials
+    are drawn and scored in blocks of ``_BLOCK_TRIALS``; full-range draws
+    consume the stream one word each, so the blocks read the same words as
+    one draw of all trials.  Byte b of a trial's words indexes a 256-row
+    ``xor_table`` of vertices 8b..8b+7 (zero rows for vertices >= n, so the
+    padding bits add nothing); XORed over its bytes, they give the crossing
+    words that ``block_scorer`` scores.  The sums of numerators and of their
+    squares are kept as Python ints."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     require_compatible(g, model, partition)
-    weights, dens = group_weights(g, model, partition.groups)
-    heads = np.array([u for u, _ in g.edges], dtype=np.intp)
-    tails = np.array([v for _, v in g.edges], dtype=np.intp)
-    max_num = max(sum(row.values()) for row in weights)
-    exact_float = max_num < 2**53
-    table = np.zeros((g.edge_count, len(weights)), dtype=np.float64 if exact_float else object)
-    for i, row in enumerate(weights):
-        for e, w in row.items():
-            table[e, i] = w
-
-    totals = [0] * len(weights)
-    squares = [0] * len(weights)
-    for bits in _trial_side_bits(g, seed, trials):
-        crossings = bits[:, heads] ^ bits[:, tails]
-        if exact_float:
-            nums = (crossings @ table).astype(np.int64)
-        else:
-            nums = crossings.astype(object) @ table
-        if len(nums) * max_num * max_num < 2**62:
-            block_totals = nums.sum(axis=0).tolist()
-            block_squares = (nums * nums).sum(axis=0).tolist()
-        else:
-            columns = nums.T.tolist()
-            block_totals = [sum(col) for col in columns]
-            block_squares = [sum(x * x for x in col) for col in columns]
-        totals = [a + b for a, b in zip(totals, block_totals)]
-        squares = [a + b for a, b in zip(squares, block_squares)]
+    dens, bound, incident, numerators = block_scorer(g, model, partition.groups)
+    n = g.vertex_count
+    incident = np.pad(incident, ((0, -n % 8), (0, 0)))  # zero rows past vertex n - 1
+    tables = [xor_table(incident[b : b + 8]) for b in range(0, n, 8)]
+    rng = derive_rng(seed, _STREAM_NAIVE)
+    totals = squares = [0] * len(dens)
+    for start in range(0, trials, _BLOCK_TRIALS):
+        count = min(_BLOCK_TRIALS, trials - start)
+        raw = rng.integers(0, _MASK64, (count, (n + 63) // 64), dtype=np.uint64, endpoint=True)
+        sides = raw.astype("<u8", copy=False).view(np.uint8)
+        cross = tables[0][sides[:, 0]]
+        for b in range(1, len(tables)):
+            cross ^= tables[b][sides[:, b]]
+        nums = numerators(cross)
+        if count * bound * bound >= 2**62:  # squares could pass int64
+            nums = nums.astype(object)
+        totals = [a + b for a, b in zip(totals, nums.sum(axis=0).tolist())]
+        squares = [a + b for a, b in zip(squares, (nums * nums).sum(axis=0).tolist())]
 
     stats = []
     for total, total_sq, den, gr in zip(totals, squares, dens, partition.groups):
@@ -465,7 +443,7 @@ def gw_round(
         rng = derive_rng(seed, _STREAM_GW + s)
         normal = rng.standard_normal(embedding.dimension)
         side = (vec @ normal) >= 0.0
-        cuts.append(Cut(frozenset(int(v) for v in np.nonzero(side)[0])))
+        cuts.append(Cut(frozenset(np.flatnonzero(side).tolist())))
         crossing = side[heads] != side[tails]
         crossing_counts += crossing
         values.append(int(np.count_nonzero(crossing)))

@@ -3,7 +3,7 @@
 Edge utilities count group edges crossing the cut.  Node utilities credit
 each vertex with its crossing incident edges, scaled either by the global
 maximum degree (so per-vertex utility sits in [0, 1]) or by the vertex's
-own degree.  Everything returns ``fractions.Fraction``; no floats here.
+own degree.  Values are ``Fraction``s or integers over integers; no floats.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import DegreeZeroError, ModelMismatchError
 from .graphs import Cut, Graph, GroupPartition, PartitionKind, max_degree
@@ -192,6 +194,54 @@ def group_kernel(
         return out
 
     return dens, numerators
+
+
+def edge_words(masks: Sequence[int], count: int) -> np.ndarray:
+    """Python-int edge bitmasks as a (len(masks), count) uint64 array, word k
+    holding edges 64k..64k+63."""
+    packed = b"".join(x.to_bytes(8 * count, "little") for x in masks)
+    return np.frombuffer(packed, dtype="<u8").reshape(len(masks), count)
+
+
+def xor_table(incident: np.ndarray) -> np.ndarray:
+    """Row c is the XOR of the rows of ``incident`` picked by the bits of c:
+    the crossing words of every subset of those vertices, by doubling."""
+    table = np.zeros((1 << len(incident), incident.shape[1]), dtype=np.uint64)
+    for k, edge_bits in enumerate(incident):
+        np.bitwise_xor(table[: 1 << k], edge_bits, out=table[1 << k : 2 << k])
+    return table
+
+
+def block_scorer(
+    g: Graph, model: UtilityModel, groups: Sequence[Iterable[int]]
+) -> tuple[list[int], int, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """``group_kernel`` for many cuts at once: ``(dens, bound, incident,
+    numerators)``.  A cut's crossing edges are a row of uint64 words (edge e
+    is bit e % 64 of word e // 64), the XOR of its members' ``incident``
+    rows.  ``numerators(cross)[c, i] / dens[i]`` is group i's utility under
+    the cut with crossing words ``cross[c]``: per ``weight_terms`` term, the
+    popcounts under the term's edge mask, added up one word at a time in
+    int32 (a count stays below the edge count), times the term's weight.
+    ``bound``, a group's largest numerator, decides the dtype: int64 below
+    2**63, else Python ints."""
+    weights, dens = group_weights(g, model, groups)
+    bound = max(sum(row.values()) for row in weights)
+    terms = weight_terms(weights)
+    words = (g.edge_count + 63) // 64
+    by_word = []  # per word: the terms with edges in it, and those edges as a column
+    for column in edge_words([bits for _, _, bits in terms], words).T:
+        used = np.flatnonzero(column)
+        by_word.append((used, column[used, None]))
+    term_weights = np.array([[w] for _, w, _ in terms], dtype=np.int64 if bound < 2**63 else object)
+    starts = [k for k, t in enumerate(terms) if k == 0 or terms[k - 1][0] != t[0]]
+
+    def numerators(cross: np.ndarray) -> np.ndarray:
+        hits = np.zeros((len(terms), len(cross)), dtype=np.int32)
+        for k, (used, edge_bits) in enumerate(by_word):
+            hits[used] += np.bitwise_count(edge_bits & cross[:, k])
+        return np.add.reduceat(hits * term_weights, starts, axis=0).T
+
+    return dens, bound, edge_words(incident_masks(g), words), numerators
 
 
 def ground_set_size(g: Graph, model: UtilityModel) -> int:

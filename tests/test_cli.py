@@ -434,6 +434,20 @@ def test_other_algorithms_options_are_refused_exit_2(paw_path, tmp_path, algorit
     assert err == f"error: {flag} is not read by --algorithm {algorithm}\n"
 
 
+@pytest.mark.parametrize("flag", ["--sdp-rank", "--sdp-iterations"])
+def test_gw_with_embedding_refuses_sdp_options_exit_2(tmp_path, flag):
+    # the SDP is not solved when the embedding is given
+    inst, emb = str(tmp_path / "d.inst"), str(tmp_path / "d.emb")
+    run_cli(["generate", "diamond", "-o", inst])
+    run_cli(["generate", "diamond-embedding", "-o", emb])
+    argv = ["run", inst, "--algorithm", "gw", "--embedding", emb, "--samples", "4"]
+    assert run_cli(argv)[0] == 0
+    rc, out, err = run_cli([*argv, flag, "5"])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {flag} is not read by --algorithm gw with --embedding\n"
+
+
 def test_settable_option_count():
     assert sum(len(_dests(sub)) for sub in _subparsers().values()) == 38
 

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from fairmaxcut.graphs import (
     Cut,
@@ -161,3 +162,22 @@ class TestGroupPartition:
         p = node_groups(g, [frozenset({0, 1}), frozenset({2, 3})])
         assert p.group_count == 2
         assert p.ground_size == 4
+
+
+def bit_by_bit_members(mask: int) -> frozenset[int]:
+    """The bit-at-a-time loop that ``Cut.from_mask`` replaced."""
+    members = set()
+    v = 0
+    while mask:
+        if mask & 1:
+            members.add(v)
+        mask >>= 1
+        v += 1
+    return frozenset(members)
+
+
+@given(st.integers(0, 2**70))
+def test_from_mask_matches_bit_by_bit_loop(mask):
+    cut = Cut.from_mask(mask)
+    assert cut.members == bit_by_bit_members(mask)
+    assert cut.mask() == mask

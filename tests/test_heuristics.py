@@ -22,11 +22,10 @@ from fairmaxcut.families import (
 )
 from fairmaxcut.graphs import Cut, Graph, PartitionKind, cut_value, edge_groups, node_groups
 from fairmaxcut.heuristics import (
-    _BLOCK_ENTRIES,
+    _BLOCK_TRIALS,
     _STREAM_NAIVE,
     GwRounding,
     _coordinate_ascent,
-    _trial_side_bits,
     UnitVectorEmbedding,
     default_group_oracle,
     derive_rng,
@@ -41,8 +40,9 @@ from fairmaxcut.heuristics import (
     separate_solve,
 )
 from fairmaxcut.maximin import CutDistribution
-from fairmaxcut.utility import UtilityModel, group_proportion, group_weights
+from fairmaxcut.utility import UtilityModel, block_scorer, group_proportion, group_weights
 
+from .python_sampler import _BLOCK_ENTRIES, _trial_side_bits, python_naive_random_sample
 from .python_sdp import python_sdp_solve, python_sweeps
 from .strategies import edge_instances, graphs, node_instances
 
@@ -267,13 +267,14 @@ class TestStreamedSampler:
         assert [(s.mean, s.variance) for s in samples] == direct_sample(
             g, model, inst.partition, 5, trials
         )
+        assert samples == python_naive_random_sample(g, model, inst.partition, 5, trials)
 
     @pytest.mark.parametrize("largest, past_float", [(23, False), (47, True)])
     def test_large_numerators_stay_exact(self, largest, past_float):
         # hubs of distinct prime degrees into a shared pool: the hubs'
         # own-degree denominator is the product of the primes.  Up to 23 the
-        # float64 product is exact but squares overflow int64 (Python-int
-        # sums); up to 47 the numerators pass 2**53 (object-dtype product)
+        # numerators' squares overflow int64 (Python-int sums); up to 47 the
+        # numerators pass 2**53 but stay int64
         primes = [p for p in range(2, largest + 1) if all(p % q for q in range(2, p))]
         hubs = len(primes)
         edges = tuple((h, hubs + j) for h, p in enumerate(primes) for j in range(p))
@@ -285,6 +286,43 @@ class TestStreamedSampler:
         assert 64 * max_num * max_num >= 2**62 and (max_num >= 2**53) == past_float
         samples = naive_random_sample(g, model, partition, seed=3, trials=64)
         assert [(s.mean, s.variance) for s in samples] == direct_sample(g, model, partition, 3, 64)
+
+    def test_numerators_past_int64_take_object_weights(self):
+        # primes up to 53: the hubs' own-degree numerators reach 2**63, so
+        # the scorer's term weights, and the numerators, are Python ints
+        primes = [p for p in range(2, 54) if all(p % q for q in range(2, p))]
+        hubs = len(primes)
+        edges = tuple((h, hubs + j) for h, p in enumerate(primes) for j in range(p))
+        g = Graph(hubs + 53, edges)
+        partition = node_groups(g, [frozenset(range(hubs)), frozenset(range(hubs, g.vertex_count))])
+        model = UtilityModel.NODE_OWNDEG
+        _, bound, _, _ = block_scorer(g, model, partition.groups)
+        assert bound >= 2**63
+        samples = naive_random_sample(g, model, partition, seed=3, trials=64)
+        assert [(s.mean, s.variance) for s in samples] == direct_sample(g, model, partition, 3, 64)
+        assert samples == python_naive_random_sample(g, model, partition, 3, 64)
+
+    @given(
+        st.one_of(st.sampled_from([2, 7, 8, 9, 63, 64, 65, 129]), st.integers(2, 130)),
+        st.sampled_from(list(UtilityModel)),
+        st.sampled_from([1, 3, 6]),
+        st.integers(1, 3),
+        st.sampled_from([1, 2, _BLOCK_TRIALS - 1, _BLOCK_TRIALS, _BLOCK_TRIALS + 1]),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_python_sampler(self, n, model, degree, gamma, trials, graph_seed, seed):
+        # n crosses the 8-vertex byte and 64-vertex word boundaries of the
+        # side bits, and the trial counts the sampler's block size
+        inst = random_instance(
+            n, min(1.0, degree / (n - 1)), min(gamma, n - 1), model.partition_kind,
+            graph_seed, model=model,
+        )
+        g, partition = inst.graph, inst.partition
+        assert naive_random_sample(g, model, partition, seed, trials) == (
+            python_naive_random_sample(g, model, partition, seed, trials)
+        )
 
     def test_memory_stays_bounded_by_one_block(self):
         inst = random_instance(80, 0.2, 4, PartitionKind.EDGES, seed=1)
