@@ -7,10 +7,14 @@ one enumeration pass is ``build_payoff_matrix``: it scores the canonical
 cuts in numpy blocks of ``2**_BLOCK_BITS`` with ``utility.block_scorer``
 (integer numerators over fixed per-group denominators, the terms
 ``utility.group_kernel`` scores one cut with) and keeps each distinct
-numerator column once, with its first canonical cut.
+numerator column once, with its first canonical cut.  The matrix stores
+those columns as one int64 array and their cuts as member masks; a ``Cut``
+is only made for a witness or a support column.
 Every objective here is a function of a cut's column, so the utilitarian
 and static-fair optima, witnesses included, are read off the distinct
-columns, and ``Fraction`` values are only made for the results.
+columns by array reductions (``np.argmax`` picks the first best column, so
+the first canonical maximizer), and ``Fraction`` values are only made for
+the results, from Python ints.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterator
 
 import numpy as np
 
@@ -43,27 +46,47 @@ class StaticSolution:
     witness_cut: Cut
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PayoffMatrix:
     """Distinct group-by-cut utility columns, as integers.
 
-    Under the cut ``col_cuts[j]`` group i's utility is ``entries[i][j] /
-    dens[i]``, and its per-capita utility divides that by ``group_sizes[i]``.
-    Rows follow the partition's group order.  The columns are pairwise
-    distinct and follow canonical cut order, each paired with the first
-    canonical cut that has it.
+    ``entries`` is a read-only, C-contiguous int64 array of shape (groups,
+    columns): under the cut with member mask ``col_masks[j]`` (made by
+    ``cut(j)``) group i's utility is ``entries[i, j] / dens[i]``, and its
+    per-capita utility divides that by ``group_sizes[i]``.  Rows follow the
+    partition's group order.  The columns are pairwise distinct and follow
+    canonical cut order, each paired with the first canonical cut that has
+    it.  The constructor coerces array-likes and refuses negative entries
+    and repeated columns.
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    entries: np.ndarray
     dens: tuple[int, ...]
     group_sizes: tuple[int, ...]
-    col_cuts: tuple[Cut, ...]
+    col_masks: np.ndarray
 
     def __post_init__(self):
-        if any(min(row, default=0) < 0 for row in self.entries):
+        entries = np.array(self.entries, dtype=np.int64, order="C")
+        masks = np.array(self.col_masks, dtype=np.int64)
+        if entries.ndim != 2 or masks.shape != entries.shape[1:]:
+            raise ValueError("payoff entries must be a group-by-column array, one column per mask")
+        if entries.size and entries.min() < 0:
             raise ValueError("payoff entries must be non-negative")
-        if len(set(zip(*self.entries))) != len(self.col_cuts):
+        k = len(masks)
+        if k > 1 and (not len(entries) or len(_first_rows(entries.T)) != k):
             raise ValueError("payoff columns must be distinct")
+        entries.flags.writeable = masks.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "col_masks", masks)
+
+    def __eq__(self, other):
+        if not isinstance(other, PayoffMatrix):
+            return NotImplemented
+        return (
+            (self.dens, self.group_sizes) == (other.dens, other.group_sizes)
+            and np.array_equal(self.entries, other.entries)
+            and np.array_equal(self.col_masks, other.col_masks)
+        )
 
     @property
     def group_count(self) -> int:
@@ -71,7 +94,11 @@ class PayoffMatrix:
 
     @property
     def column_count(self) -> int:
-        return len(self.col_cuts)
+        return len(self.col_masks)
+
+    def cut(self, j: int) -> Cut:
+        """The first canonical cut with column ``j``."""
+        return Cut.from_mask(int(self.col_masks[j]))
 
     def denominators(self, mode: Mode) -> tuple[int, ...]:
         """Row denominators of utilities (value mode) or of per-capita
@@ -155,42 +182,45 @@ def build_payoff_matrix(
         keep = _first_rows(columns)
         firsts, columns = firsts[keep], columns[keep]
     return PayoffMatrix(
-        entries=tuple(tuple(row.tolist()) for row in columns.T),
+        entries=columns.T,
         dens=tuple(dens),
         group_sizes=tuple(len(gr) for gr in partition.groups),
-        col_cuts=tuple(Cut.from_mask(c << 1) for c in firsts.tolist()),
+        col_masks=firsts << 1,
     )
 
 
-def scaled_columns(
-    matrix: PayoffMatrix, dens: tuple[int, ...]
-) -> tuple[int, Iterator[tuple[int, ...]]]:
-    """The matrix's columns as numerators over one common denominator of ``dens``."""
+def scaled_columns(matrix: PayoffMatrix, dens: tuple[int, ...]) -> tuple[int, np.ndarray]:
+    """The matrix's entries as numerators over one common denominator ``den``
+    of ``dens``: a (groups, columns) array, int64 while every column sum
+    stays below 2**62, else of Python ints (object dtype)."""
     den = lcm(*dens)
-    rows = [[x * (den // d) for x in row] for row, d in zip(matrix.entries, dens)]
-    return den, zip(*rows)
+    scales = [den // d for d in dens]
+    bound = int(matrix.entries.max(initial=1)) * max(scales) * len(dens)
+    dtype = object if bound >> 62 else np.int64
+    return den, matrix.entries * np.array(scales, dtype=dtype)[:, None]
 
 
 def max_from_matrix(matrix: PayoffMatrix, mode: Mode) -> tuple[Fraction, Cut]:
     """Utilitarian optimum read off a matrix whose groups partition the ground
     set: the best column sum, over the ground set size in proportion mode.
     A cut's first canonical maximizer is the first occurrence of its column,
-    so the first best column carries the same witness."""
+    and ``np.argmax`` picks the first best column, so it carries the same
+    witness."""
     den, cols = scaled_columns(matrix, matrix.dens)
-    sums = list(map(sum, cols))
-    best = max(range(len(sums)), key=sums.__getitem__)
+    sums = cols.sum(axis=0)
+    best = int(np.argmax(sums))
     if mode is Mode.PROPORTION:
         den *= sum(matrix.group_sizes)
-    return Fraction(sums[best], den), matrix.col_cuts[best]
+    return Fraction(int(sums[best]), den), matrix.cut(best)
 
 
 def static_from_matrix(matrix: PayoffMatrix, mode: Mode) -> StaticSolution:
     """Static-fair optimum read off a matrix: the best column minimum over the
     mode's denominators, with the first canonical maximizer as witness."""
     den, cols = scaled_columns(matrix, matrix.denominators(mode))
-    mins = list(map(min, cols))
-    best = max(range(len(mins)), key=mins.__getitem__)
-    return StaticSolution(Fraction(mins[best], den), matrix.col_cuts[best])
+    mins = cols.min(axis=0)
+    best = int(np.argmax(mins))
+    return StaticSolution(Fraction(int(mins[best]), den), matrix.cut(best))
 
 
 def max_value(

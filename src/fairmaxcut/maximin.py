@@ -18,8 +18,10 @@ with C = den * M, started from the best static column and solved by primal
 simplex with Bland's rule on one integer tableau, ``_Tableau``, whose pivots
 are fraction-free: every entry is an integer over one common denominator, so
 no pivot takes a gcd.  Its dual group mixture prices every column in exact
-integer arithmetic, and the column with the largest reduced cost enters
-(Dantzig's rule), until no column prices above the master value.  The master
+integer arithmetic, one vector-matrix product over the array C (int64 while
+no score can reach 2**62, else Python ints), and the first column with the
+largest reduced cost enters (Dantzig's rule), until no column prices above
+the master value.  The tableau itself only ever holds Python ints.  The master
 keeps its optimal tableau between steps: an entering column is priced into
 the current basis and the simplex continues from there, since adding a
 column leaves that basis primal feasible.  The last master's duals then
@@ -31,9 +33,10 @@ scratch over the columns that are tight at the final duals, in column order,
 so it does not depend on the path the master took.  ``Fraction`` values are
 only made for these results.  Both sides of the minimax equality are finally
 recomputed from the matrix's integer entries over the mode's denominators,
-independently of the simplex and in integers only: the value, the
-probabilities and the duals are each put over one common denominator and
-the comparisons are cross-multiplied, so no ``Fraction`` is made per entry.
+independently of the simplex and of the pricing code, in integers only: the
+value, the probabilities and the duals are each put over one common
+denominator and the comparisons are cross-multiplied, so no ``Fraction`` is
+made per entry.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
+
+import numpy as np
 
 from .exact import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -130,34 +135,34 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
     if gamma == 0 or k == 0:
         raise ValueError("payoff matrix must be non-empty")
     den, cols = scaled_columns(matrix, matrix.denominators(mode))
-    cols = list(cols)
+    top = int(cols.max(initial=1))
 
     # restricted master, started from the best static column; the column
     # with the largest reduced cost enters until none prices above its value
-    active = [_best_static(cols)]
-    master = _Tableau([cols[active[0]]], den)
+    active = [int(np.argmax(cols.min(axis=0)))]
+    master = _Tableau([cols[:, active[0]].tolist()], den)
     while True:
         weights, bar = master.pricing()
-        scores = [sum(map(mul, weights, col)) for col in cols]
-        enter = max(range(k), key=scores.__getitem__)
+        scores = _column_scores(weights, bar, cols, top)
+        enter = int(np.argmax(scores))
         if scores[enter] <= bar:
             break
         if enter in active:
             raise _CertificateError("master duals price one of its own columns above its value")
         active.append(enter)
-        master.add(cols[enter])
+        master.add(cols[:, enter].tolist())
     value, duals = master.primal()[0], master.duals()
 
     # canonical support: independent of the path the master took
-    tight = [j for j in range(k) if scores[j] == bar]
-    tight_value, *probs = _Tableau([cols[j] for j in tight], den).primal()
+    tight = np.flatnonzero(scores == bar).tolist()
+    tight_value, *probs = _Tableau(cols[:, tight].T.tolist(), den).primal()
     if tight_value != value:
         raise _CertificateError(
             f"tight columns reach {tight_value}, column generation reached {value}"
         )
     support = tuple(j for j, p in zip(tight, probs) if p > 0)
     distribution = CutDistribution(
-        tuple((matrix.col_cuts[j], p) for j, p in zip(tight, probs) if p > 0)
+        tuple((matrix.cut(j), p) for j, p in zip(tight, probs) if p > 0)
     )
 
     _check_certificate(matrix, mode, value, distribution, duals, support)
@@ -171,7 +176,16 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
     )
 
 
-def _best_static(cols: list[tuple[int, ...]]) -> int:
+def _column_scores(weights: list[int], bar: int, cols: np.ndarray, top: int) -> np.ndarray:
+    """Every column's pricing score sum_i weights[i] * cols[i, j], where
+    ``top`` is at least the largest entry of ``cols``: in int64 while the
+    scores and the bar stay below 2**62, else in Python ints."""
+    if cols.dtype == object or max(map(abs, weights)) * top * len(weights) >> 62 or bar >> 62:
+        return np.array(weights, dtype=object) @ cols.astype(object, copy=False)
+    return np.array(weights, dtype=np.int64) @ cols
+
+
+def _best_static(cols: list[list[int]]) -> int:
     """Index of the first column with the largest minimum entry."""
     return max(range(len(cols)), key=lambda j: min(cols[j]))
 
@@ -197,7 +211,7 @@ class _Tableau:
     are the same under that scaling, and so are the value, the normalized
     duals and the basis."""
 
-    def __init__(self, cols: list[tuple[int, ...]], den: int):
+    def __init__(self, cols: list[list[int]], den: int):
         gamma, k = len(cols[0]), len(cols)
         self.den, self.gamma, self.k = den, gamma, k
         self.det, self.solves, self.pivots = 1, 0, 0
@@ -214,7 +228,7 @@ class _Tableau:
         self.cost = [1] + [0] * (k + gamma + 1)
         self._optimize()
 
-    def add(self, col: tuple[int, ...]) -> None:
+    def add(self, col: list[int]) -> None:
         """Insert a column before the slacks and re-optimize from the current
         basis.  Its standard-form column is e_last - sum_i col[i] * e_i, and
         the tableau holds det * B^-1 e_last in the rhs (b = e_last) and
@@ -316,12 +330,14 @@ def _check_certificate(
 
     The primal side puts the distribution over D, as integers P_j on its
     support columns, which must carry exactly the distribution's cuts; group
-    i's expected utility is sum_j entries[i][j] * P_j / (D * d_i), so every
+    i's expected utility is sum_j entries[i, j] * P_j / (D * d_i), so every
     group passes if that numerator times W is at least V * D * d_i, and one
     group must meet it with equality.  The dual side puts the duals over T,
     as integers Q_i, and each dual row weight over L = lcm(d_i), as w_i =
-    Q_i * (L / d_i); the best column score max_j sum_i w_i * entries[i][j],
-    times W, must equal V * T * L.
+    Q_i * (L / d_i); the best column score max_j sum_i w_i * entries[i, j],
+    times W, must equal V * T * L.  The support columns are read as Python
+    ints; the column scores are one product over the entries array, with an
+    int64 guard of their own.
     """
     V, W = value.numerator, value.denominator
     dens = matrix.denominators(mode)
@@ -330,28 +346,31 @@ def _check_certificate(
     if len(Q) != matrix.group_count or sum(Q) != T or any(q < 0 for q in Q):
         raise _CertificateError("dual weights are not a probability vector")
     prob_by_cut = dict(distribution.entries)
-    cuts = [matrix.col_cuts[j] for j in support]
+    cuts = [matrix.cut(j) for j in support]
     if len(set(cuts)) != len(cuts) or set(cuts) != prob_by_cut.keys():
         raise _CertificateError("support columns and distribution cuts disagree")
     probs = [prob_by_cut[cut] for cut in cuts]
     D = lcm(*(p.denominator for p in probs))
     P = [p.numerator * (D // p.denominator) for p in probs]
     margins = [
-        sum(row[j] * p for j, p in zip(support, P)) * W - V * D * d
-        for row, d in zip(matrix.entries, dens)
+        sum(map(mul, row, P)) * W - V * D * d
+        for row, d in zip(matrix.entries[:, list(support)].tolist(), dens)
     ]
     L = lcm(*dens)
-    scores = [0] * matrix.column_count
-    for q, d, row in zip(Q, dens, matrix.entries):
-        if q:
-            w = q * (L // d)
-            scores = [s + w * x for s, x in zip(scores, row)]
-    best = max(scores)
+    best = _best_dual_score([q * (L // d) for q, d in zip(Q, dens)], matrix.entries)
     if min(margins) != 0 or best * W != V * T * L:
         raise _CertificateError(
             f"strong duality certificate failed: value {value}, least primal margin "
             f"{min(margins)}, dual score {best * W} against {V * T * L}"
         )
+
+
+def _best_dual_score(w: list[int], entries: np.ndarray) -> int:
+    """max_j sum_i w[i] * entries[i, j] for non-negative integer weights: in
+    int64 while sum(w) * max entry stays below 2**62, else in Python ints."""
+    if sum(w) * int(entries.max(initial=1)) >> 62:
+        return int((np.array(w, dtype=object) @ entries.astype(object)).max())
+    return int((np.array(w, dtype=np.int64) @ entries).max())
 
 
 def df_fair(

@@ -36,16 +36,15 @@ def _check_certificate(
     ):
         raise _CertificateError("dual weights are not a probability vector")
     prob_by_cut = dict(distribution.entries)
-    cuts = [matrix.col_cuts[j] for j in support]
+    cuts = [matrix.cut(j) for j in support]
     if len(set(cuts)) != len(cuts) or set(cuts) != prob_by_cut.keys():
         raise _CertificateError("support columns and distribution cuts disagree")
     probs = [prob_by_cut[cut] for cut in cuts]
-    dens = matrix.denominators(mode)
+    dens, entries = matrix.denominators(mode), matrix.entries.tolist()
     primal = min(
-        sum(row[j] * p for j, p in zip(support, probs)) / d
-        for row, d in zip(matrix.entries, dens)
+        sum(row[j] * p for j, p in zip(support, probs)) / d for row, d in zip(entries, dens)
     )
-    weighted = [(q / d, row) for q, d, row in zip(duals, dens, matrix.entries) if q]
+    weighted = [(q / d, row) for q, d, row in zip(duals, dens, entries) if q]
     dual = max(sum(w * row[j] for w, row in weighted) for j in range(matrix.column_count))
     if primal != value or dual != value:
         raise _CertificateError(

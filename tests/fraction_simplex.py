@@ -25,7 +25,8 @@ _ONE = Fraction(1)
 def fraction_column(matrix: PayoffMatrix, j: int, mode: Mode) -> tuple[Fraction, ...]:
     """Column ``j`` of the payoff matrix as ``Fraction``s over the mode's
     denominators: the utilities (or per-capita utilities) of its cut."""
-    return tuple(Fraction(row[j], d) for row, d in zip(matrix.entries, matrix.denominators(mode)))
+    column = matrix.entries[:, j].tolist()
+    return tuple(Fraction(x, d) for x, d in zip(column, matrix.denominators(mode)))
 
 
 def _simplex_maximin(

@@ -31,5 +31,10 @@ def python_payoff_matrix(
         entries=tuple(zip(*first)),
         dens=tuple(dens),
         group_sizes=tuple(len(gr) for gr in partition.groups),
-        col_cuts=tuple(map(Cut.from_mask, first.values())),
+        col_masks=tuple(first.values()),
     )
+
+
+def column_cuts(matrix: PayoffMatrix) -> tuple[Cut, ...]:
+    """Every column's cut, in column order."""
+    return tuple(map(matrix.cut, range(matrix.column_count)))

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -52,7 +53,7 @@ from fairmaxcut.utility import (
 )
 
 from .fraction_simplex import fraction_column
-from .python_payoff import python_payoff_matrix
+from .python_payoff import column_cuts, python_payoff_matrix
 from .strategies import edge_instances, graphs, node_instances, partitions_for
 
 # path 0-1-2 plus the isolated vertex 3: degrees 1, 2, 1, 0
@@ -224,7 +225,7 @@ class TestPayoffMatrix:
         matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
         assert matrix.group_count == 4 and matrix.column_count == 8
         # the column for the cut complementary to {0} carries (1, 0, 1, 1)
-        j = matrix.col_cuts.index(Cut.of({1, 2, 3}))
+        j = column_cuts(matrix).index(Cut.of({1, 2, 3}))
         assert fraction_column(matrix, j, Mode.PROPORTION) == (1, 0, 1, 1)
 
     def test_diamond_rows_match_cut_table(self):
@@ -232,7 +233,7 @@ class TestPayoffMatrix:
         matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
         by_cut = {
             frozenset(c.members): fraction_column(matrix, j, Mode.PROPORTION)
-            for j, c in enumerate(matrix.col_cuts)
+            for j, c in enumerate(column_cuts(matrix))
         }
         half = Fraction(1, 2)
         assert by_cut[frozenset({3})] == (half, 1)
@@ -249,7 +250,7 @@ class TestPayoffMatrix:
         assert matrix.group_count == 1
         from fairmaxcut.utility import ground_utility
 
-        for j, cut in enumerate(matrix.col_cuts):
+        for j, cut in enumerate(column_cuts(matrix)):
             (entry,) = fraction_column(matrix, j, Mode.PROPORTION)
             assert entry == ground_utility(g, UtilityModel.EDGE, cut) / 4
 
@@ -266,7 +267,7 @@ class TestPayoffMatrix:
         ]
         for model, g, partition in cases:
             matrix = build_payoff_matrix(g, model, partition)
-            for j, cut in enumerate(matrix.col_cuts):
+            for j, cut in enumerate(column_cuts(matrix)):
                 column = fraction_column(matrix, j, Mode.PROPORTION)
                 for i, gr in enumerate(partition.groups):
                     assert column[i] == group_proportion(g, model, cut, gr)
@@ -324,7 +325,7 @@ class TestOnePassMatrix:
         assert [
             fraction_column(matrix, j, Mode.VALUE) for j in range(matrix.column_count)
         ] == list(first)
-        assert matrix.col_cuts == tuple(first.values())
+        assert column_cuts(matrix) == tuple(first.values())
 
     @given(model_instances())
     @settings(max_examples=60, deadline=None)
@@ -348,8 +349,31 @@ class TestOnePassMatrix:
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            PayoffMatrix(entries=((1, -1),), dens=(1,), group_sizes=(1,),
-                         col_cuts=(Cut.of(()), Cut.of({1})))
+            PayoffMatrix(entries=((1, -1),), dens=(1,), group_sizes=(1,), col_masks=(0, 2))
+
+    def test_entries_are_a_read_only_int64_array(self):
+        matrix = PayoffMatrix(
+            entries=[[1, 0, 2], [0, 1, 2]], dens=(1, 1), group_sizes=(1, 1), col_masks=(0, 2, 4)
+        )
+        for array, shape in ((matrix.entries, (2, 3)), (matrix.col_masks, (3,))):
+            assert array.dtype == np.int64 and array.shape == shape
+            assert array.flags.c_contiguous and not array.flags.writeable
+        assert (matrix.cut(0), matrix.cut(2)) == (Cut.of(()), Cut.of({2}))
+
+    @pytest.mark.parametrize("entries, masks", [
+        (((1, 0, 1), (0, 1, 0)), (0, 2, 4)),  # columns 0 and 2 repeat
+        (((1, 0), (0, 1)), (0, 2, 4)),  # one mask too many
+        ((1, 0, 2), (0, 2, 4)),  # not group-by-column
+    ])
+    def test_rejects_repeated_or_unpaired_columns(self, entries, masks):
+        with pytest.raises(ValueError):
+            PayoffMatrix(entries=entries, dens=(1, 1), group_sizes=(1, 1), col_masks=masks)
+
+
+def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def _outcome(build, g, model, partition):
@@ -389,10 +413,11 @@ class TestBlockPassAgainstOracle:
         got = _outcome(build_payoff_matrix, g, model, partition)
         want = _outcome(python_payoff_matrix, g, model, partition)
         if isinstance(want, PayoffMatrix):
-            assert got.entries == want.entries
+            assert_same_array(got.entries, want.entries)
             assert got.dens == want.dens
             assert got.group_sizes == want.group_sizes
-            assert got.col_cuts == want.col_cuts
+            assert_same_array(got.col_masks, want.col_masks)
+            assert column_cuts(got) == column_cuts(want)
         else:
             assert got == want
 
@@ -435,7 +460,7 @@ class TestBlockPassAgainstOracle:
         matrix = build_payoff_matrix(g, model, partition)
         assert matrix == python_payoff_matrix(g, model, partition)
         block = 1 << _BLOCK_BITS
-        firsts = [c.mask() >> 1 for c in matrix.col_cuts]
+        firsts = [c.mask() >> 1 for c in column_cuts(matrix)]
         assert canonical_cut_count(g.vertex_count) == 4 * block
         # some columns first appear in block 1, and far fewer columns than cuts
         # means most repeat in later blocks

@@ -33,6 +33,7 @@ from fairmaxcut.utility import UtilityModel
 
 from .fraction_certificate import _check_certificate as fraction_check_certificate
 from .fraction_simplex import _bland, _simplex_maximin, _tableau, fraction_column
+from .python_payoff import column_cuts
 from .strategies import edge_instances, node_instances
 
 
@@ -42,10 +43,10 @@ def matrix_from_rows(rows, group_sizes=None) -> PayoffMatrix:
     modes read the same entries."""
     k = len(rows[0])
     return PayoffMatrix(
-        entries=tuple(tuple(row) for row in rows),
+        entries=rows,
         dens=tuple(1 for _ in rows),
         group_sizes=group_sizes or tuple(1 for _ in rows),
-        col_cuts=tuple(Cut.of({j + 1}) for j in range(k)),
+        col_masks=[1 << (j + 1) for j in range(k)],
     )
 
 
@@ -86,7 +87,7 @@ def assert_matches_dense_oracle(matrix: PayoffMatrix, sol, mode: Mode = Mode.PRO
     assert tight_value == sol.value
     expected = [(first[col], p) for col, p in zip(tight, probs) if p > 0]
     assert sol.support == tuple(j for j, _ in expected)
-    assert sol.distribution.entries == tuple((matrix.col_cuts[j], p) for j, p in expected)
+    assert sol.distribution.entries == tuple((matrix.cut(j), p) for j, p in expected)
 
 
 @st.composite
@@ -145,10 +146,10 @@ class TestSolveMaximin:
         k = matrix.column_count
         perm = list(reversed(range(k)))
         permuted = PayoffMatrix(
-            entries=tuple(tuple(row[j] for j in perm) for row in matrix.entries),
+            entries=matrix.entries[:, perm],
             dens=matrix.dens,
             group_sizes=matrix.group_sizes,
-            col_cuts=tuple(matrix.col_cuts[j] for j in perm),
+            col_masks=matrix.col_masks[perm],
         )
         a, b = solve_maximin(matrix), solve_maximin(permuted)
         assert a.value == b.value
@@ -320,7 +321,7 @@ class TestCertificate:
         # the point mass on (1, 1) is optimal with value 1; the shifted dual
         # still prices that support column at 1 but prices column 0 above it
         matrix = matrix_from_rows([[2, 0, 1], [0, 2, 1]])
-        dist = CutDistribution.point_mass(matrix.col_cuts[2])
+        dist = CutDistribution.point_mass(matrix.cut(2))
         half, shift = Fraction(1, 2), Fraction(1, 1000)
         _check_certificate(matrix, Mode.PROPORTION, Fraction(1), dist, (half, half), (2,))
         with pytest.raises(_CertificateError):
@@ -331,7 +332,7 @@ class TestCertificate:
     def test_rejects_probability_moved_off_its_cut(self):
         matrix, sol = self.paw()
         (_, p), *rest = sol.distribution.entries
-        outside = next(c for c in matrix.col_cuts if c not in sol.distribution.support)
+        outside = next(c for c in column_cuts(matrix) if c not in sol.distribution.support)
         moved = CutDistribution(((outside, p), *rest))
         with pytest.raises(_CertificateError):
             _check_certificate(
@@ -412,7 +413,7 @@ def certificate_matrices(draw):
         entries=tuple(zip(*cols)),
         dens=draw(st.tuples(*[st.integers(1, 3)] * gamma)),
         group_sizes=draw(st.tuples(*[st.integers(1, 4)] * gamma)),
-        col_cuts=tuple(Cut.of({j + 1}) for j in range(len(cols))),
+        col_masks=[1 << (j + 1) for j in range(len(cols))],
     )
 
 
@@ -446,10 +447,8 @@ def perturbed_certificates(matrix: PayoffMatrix, sol, data):
     if outside:
         o = data.draw(st.sampled_from(outside))
         a = data.draw(st.integers(0, len(support) - 1))
-        cut = matrix.col_cuts[support[a]]
-        swapped = CutDistribution(
-            tuple((matrix.col_cuts[o] if c == cut else c, p) for c, p in entries)
-        )
+        cut = matrix.cut(support[a])
+        swapped = CutDistribution(tuple((matrix.cut(o) if c == cut else c, p) for c, p in entries))
         yield value, swapped, duals, support[:a] + (o,) + support[a + 1 :]
         yield value, swapped, duals, support
 
