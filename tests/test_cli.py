@@ -141,6 +141,17 @@ class TestRun:
         assert rc == 0
         assert out == (GOLDENS / "owndeg_isolated_naive.report").read_text()
 
+    @pytest.mark.parametrize("name", ["random_n8_p05_g3_seed42", "owndeg_isolated"])
+    @pytest.mark.parametrize("algorithm", ["local-search", "separate-solve"])
+    def test_exact_heuristic_golden_report(self, name, algorithm):
+        # rationals only, so the bytes do not depend on the numpy build
+        rc, out, _ = run_cli(
+            ["run", str(GOLDENS / f"{name}.inst"), "--algorithm", algorithm, "--no-timestamp"]
+        )
+        assert rc == 0
+        golden = GOLDENS / f"{name}_{algorithm.replace('-', '_')}.report"
+        assert out == golden.read_text()
+
     def test_separate_solve_reports_floor(self, tmp_path):
         run_cli(["generate", "cycle", "--n", "5", "--groups", "singleton-edges",
                  "-o", str(tmp_path / "c5.inst")])
