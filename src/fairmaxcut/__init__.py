@@ -33,7 +33,6 @@ from .graphs import (
     GroupPartition,
     PartitionKind,
     cut_value,
-    edge_crosses,
     edge_groups,
     is_bipartite,
     max_degree,
@@ -57,11 +56,6 @@ from .heuristics import (
     separate_solve,
 )
 from .maximin import MaximinSolution, df_fair, solve_maximin
-from .utility import (
-    UtilityModel,
-    group_proportion,
-    group_utility,
-    min_group_proportion,
-)
+from .utility import UtilityModel
 
 __version__ = "0.1.0"

@@ -30,9 +30,10 @@ from .errors import (
     TooLargeError,
 )
 from .exact import DEFAULT_ENUMERATION_LIMIT
-from .graphs import Cut, PartitionKind, cut_value
+from .graphs import Cut, PartitionKind, crossing_degree, cut_value
 from .instances import OBJECTIVE_NAMES
-from .utility import UtilityModel, crossing_degree, group_proportion, require_compatible
+from .maximin import CutDistribution
+from .utility import UtilityModel, require_compatible
 
 ALGORITHMS = ("separate-solve", "naive-random", "local-search", "gw")
 SUITES = ("curated", "random", "all")
@@ -277,11 +278,11 @@ def cmd_run(args) -> int:
         cut = heuristics.local_search_cut(inst.graph)
         builder.add_line(f"cut {cut} value {cut_value(inst.graph, cut)}")
         for v in range(inst.graph.vertex_count):
-            crossing = crossing_degree(inst.graph, cut, v)
+            crossing = crossing_degree(inst.graph, cut.members, v)
             builder.add_line(f"vertex-condition {v} {crossing} {inst.graph.degree(v)}")
-        minimum = min(
-            group_proportion(inst.graph, inst.model, cut, gr) for gr in inst.partition.groups
-        )
+        minimum = heuristics.evaluate_distribution(
+            inst.graph, inst.model, inst.partition, CutDistribution.point_mass(cut)
+        ).minimum
         builder.add_line(f"score-min {minimum}")
         if inst.partition.kind is PartitionKind.NODES and inst.model is UtilityModel.NODE_MAXDEG:
             floor = verify.worst_degree_ratio(inst.graph, inst.partition) / 2

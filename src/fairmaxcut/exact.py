@@ -5,8 +5,8 @@ Cuts are enumerated canonically with vertex 0 excluded (every objective here
 is invariant under complementing the cut, so half the subsets suffice).  The
 one enumeration pass is ``build_payoff_matrix``: it scores the canonical
 cuts in numpy blocks of ``2**_BLOCK_BITS`` with ``utility.block_scorer``
-(integer numerators over fixed per-group denominators, the terms
-``utility.group_kernel`` scores one cut with) and keeps each distinct
+(integer numerators over fixed per-group denominators, one popcount per
+``utility.weight_terms`` term) and keeps each distinct
 numerator column once, with its first canonical cut.  The matrix stores
 those columns as one int64 array and their cuts as member masks; a ``Cut``
 is only made for a witness or a support column.

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -104,17 +104,18 @@ class Cut:
         return "{" + ",".join(str(v) for v in sorted(self.members)) + "}"
 
 
-def edge_crosses(cut: Cut, edge: tuple[int, int]) -> int:
-    """1 iff exactly one endpoint of the edge lies in the cut set."""
-    u, v = edge
-    return int((u in cut.members) != (v in cut.members))
-
-
 def cut_value(g: Graph, cut: Cut) -> int:
     """Number of edges with exactly one endpoint in the cut set."""
     cut.validate_for(g)
     members = cut.members
     return sum(1 for u, v in g.edges if (u in members) != (v in members))
+
+
+def crossing_degree(g: Graph, members: AbstractSet[int], v: int) -> int:
+    """Number of edges at v whose other endpoint is on the other side of the
+    cut with member set ``members``."""
+    inside = v in members
+    return sum(1 for u in g.neighbors[v] if (u in members) != inside)
 
 
 def is_bipartite(g: Graph) -> tuple[bool, Optional[Cut]]:

@@ -11,8 +11,10 @@ Randomness is counter-based and splittable: every randomized operation takes
 an explicit 64-bit seed, and independent units of work (Monte Carlo trials,
 rounding samples) draw from Philox streams keyed by (seed, unit index), so
 results are bit-reproducible regardless of execution order.  Floating point
-appears only in the embedding/rounding code; the Monte Carlo trials and the
-distribution scores are counted in integers, and everything else is rational.
+appears only in the embedding/rounding code.  Cuts are scored in integers
+by ``utility.block_scorer``, from their crossing words: the Monte Carlo
+trials, a lottery's cuts and separate-solve's oracle cuts.  Everything else
+is rational.
 """
 
 from __future__ import annotations
@@ -21,17 +23,17 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Cut, Graph, GroupPartition, max_degree
+from .graphs import Cut, Graph, GroupPartition, crossing_degree, max_degree
 from .maximin import CutDistribution
 from .utility import (
     UtilityModel,
     block_scorer,
-    group_kernel,
-    group_proportion,
+    edge_words,
+    incident_masks,
     require_compatible,
     xor_table,
 )
@@ -64,10 +66,8 @@ def local_search_cut(g: Graph, initial: Optional[Cut] = None) -> Cut:
     while improved:
         improved = False
         for v in range(g.vertex_count):
-            inside = v in members
-            crossing = sum(1 for u in g.neighbors[v] if (u in members) != inside)
-            if 2 * crossing < g.degree(v):
-                if inside:
+            if 2 * crossing_degree(g, members, v) < g.degree(v):
+                if v in members:
                     members.discard(v)
                 else:
                     members.add(v)
@@ -118,8 +118,10 @@ def separate_solve(
     proportion."""
     require_compatible(g, model, partition)
     cuts = tuple(oracle(g, model, gr) for gr in partition.groups)
+    dens, rows = _cut_numerators(g, model, partition.groups, cuts)
     alpha = min(
-        group_proportion(g, model, cut, gr) for cut, gr in zip(cuts, partition.groups)
+        Fraction(row[i], den * len(gr))
+        for i, (row, den, gr) in enumerate(zip(rows, dens, partition.groups))
     )
     gamma = partition.group_count
     dist = CutDistribution.from_pairs((cut, Fraction(1, gamma)) for cut in cuts)
@@ -136,6 +138,25 @@ class DistributionScore:
     minimum: Fraction
 
 
+def _cut_numerators(
+    g: Graph, model: UtilityModel, groups: Sequence[frozenset], cuts: Sequence[Cut]
+) -> tuple[list[int], list[list[int]]]:
+    """``(dens, rows)`` with ``rows[c][i] / dens[i]`` group i's utility under
+    ``cuts[c]``, as Python ints: each cut's crossing words, the XOR of its
+    members' incident-edge masks, scored by ``block_scorer``."""
+    for cut in cuts:
+        cut.validate_for(g)
+    dens, _, _, numerators = block_scorer(g, model, groups)
+    incident = incident_masks(g)
+    crossing = []
+    for cut in cuts:
+        cross = 0
+        for v in cut.members:
+            cross ^= incident[v]
+        crossing.append(cross)
+    return dens, numerators(edge_words(crossing, (g.edge_count + 63) // 64)).tolist()
+
+
 def evaluate_distribution(
     g: Graph, model: UtilityModel, partition: GroupPartition, dist: CutDistribution
 ) -> DistributionScore:
@@ -143,16 +164,12 @@ def evaluate_distribution(
     integer numerators summed with integer weights (the probabilities over
     the lcm of their denominators), one ``Fraction`` per group at the end."""
     require_compatible(g, model, partition)
-    dens, numerators = group_kernel(g, model, partition.groups)
+    dens, rows = _cut_numerators(g, model, partition.groups, dist.support)
     scale = math.lcm(*(prob.denominator for _, prob in dist.entries))
-    totals = [0] * len(dens)
-    for cut, prob in dist.entries:
-        cut.validate_for(g)
-        weight = prob.numerator * (scale // prob.denominator)
-        totals = [t + weight * num for t, num in zip(totals, numerators(cut.mask()))]
+    weights = [prob.numerator * (scale // prob.denominator) for _, prob in dist.entries]
     per_group = tuple(
-        Fraction(total, scale * den * len(gr))
-        for total, den, gr in zip(totals, dens, partition.groups)
+        Fraction(sum(w * num for w, num in zip(weights, column)), scale * den * len(gr))
+        for column, den, gr in zip(zip(*rows), dens, partition.groups)
     )
     return DistributionScore(per_group=per_group, minimum=min(per_group))
 

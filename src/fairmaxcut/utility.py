@@ -1,24 +1,23 @@
-"""Exact rational group utilities for the three utility models.
+"""Exact group utilities for the three utility models.
 
 Edge utilities count group edges crossing the cut.  Node utilities credit
 each vertex with its crossing incident edges, scaled either by the global
 maximum degree (so per-vertex utility sits in [0, 1]) or by the vertex's
-own degree.  Values are ``Fraction``s or integers over integers; no floats.
+own degree.  Each model is one integer edge-weight table over per-group
+denominators (``group_weights``), and ``block_scorer`` is its one
+evaluator: integer numerators for cuts given as crossing words.  No floats.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DegreeZeroError, ModelMismatchError
-from .graphs import Cut, Graph, GroupPartition, PartitionKind, max_degree
-
-ZERO = Fraction(0)
+from .graphs import Graph, GroupPartition, PartitionKind, max_degree
 
 
 class UtilityModel(Enum):
@@ -50,55 +49,6 @@ def require_compatible(g: Graph, model: UtilityModel, partition: GroupPartition 
         )
     if model.is_node_model and max_degree(g) == 0:
         raise DegreeZeroError(f"model {model.value} needs at least one edge")
-
-
-def crossing_degree(g: Graph, cut: Cut, v: int) -> int:
-    """Number of edges at v whose other endpoint is on the opposite side."""
-    inside = v in cut.members
-    return sum(1 for u in g.neighbors[v] if (u in cut.members) != inside)
-
-
-def group_utility(g: Graph, model: UtilityModel, cut: Cut, group: Iterable[int]) -> Fraction:
-    """Total utility of one group under the cut, as an exact rational.
-
-    Edge model: count of group edges crossing.  Node models: crossing
-    degrees scaled by 1/max_degree or 1/deg(v); an isolated vertex
-    contributes 0 under the own-degree model.
-    """
-    require_compatible(g, model)
-    cut.validate_for(g)
-    members = cut.members
-    if model is UtilityModel.EDGE:
-        count = 0
-        for idx in group:
-            u, v = g.edges[idx]
-            if (u in members) != (v in members):
-                count += 1
-        return Fraction(count)
-    if model is UtilityModel.NODE_MAXDEG:
-        total = sum(crossing_degree(g, cut, v) for v in group)
-        return Fraction(total, max_degree(g))
-    total = ZERO
-    for v in group:
-        deg = g.degree(v)
-        if deg == 0:
-            continue
-        total += Fraction(crossing_degree(g, cut, v), deg)
-    return total
-
-
-def group_proportion(g: Graph, model: UtilityModel, cut: Cut, group) -> Fraction:
-    """Per-capita group utility: group_utility / |group|."""
-    group = frozenset(group)
-    return group_utility(g, model, cut, group) / len(group)
-
-
-def min_group_proportion(
-    g: Graph, model: UtilityModel, cut: Cut, partition: GroupPartition
-) -> Fraction:
-    """Worst per-capita utility across the partition's groups."""
-    require_compatible(g, model, partition)
-    return min(group_proportion(g, model, cut, gr) for gr in partition.groups)
 
 
 def group_weights(
@@ -160,42 +110,6 @@ def weight_terms(weights: Sequence[dict[int, int]]) -> list[tuple[int, int, int]
     return terms
 
 
-def group_kernel(
-    g: Graph, model: UtilityModel, groups: Sequence[Iterable[int]]
-) -> tuple[list[int], Callable[[int], list[int]]]:
-    """Integer numerator evaluator for any model: ``numerators(mask)[i] /
-    dens[i]`` is group i's exact utility under the cut whose member bitmask
-    is ``mask``.  The mask must name vertices of g only; callers validate.
-
-    An edge crosses iff exactly one endpoint is a member, so the crossing
-    edges are the XOR of the members' incident-edge masks, read from one
-    lookup table per 8 vertices.  A group's numerator is then one popcount
-    per term of ``weight_terms``.
-    """
-    weights, dens = group_weights(g, model, groups)
-    incident = incident_masks(g)
-    tables = []
-    for start in range(0, g.vertex_count, 8):
-        table = [0]
-        for edge_bits in incident[start:start + 8]:
-            table += [x ^ edge_bits for x in table]
-        tables.append(table)
-    terms = weight_terms(weights)
-    zeros = [0] * len(dens)
-
-    def numerators(mask: int) -> list[int]:
-        cross = 0
-        for table in tables:
-            cross ^= table[mask & 255]
-            mask >>= 8
-        out = zeros[:]
-        for i, w, edge_bits in terms:
-            out[i] += w * (cross & edge_bits).bit_count()
-        return out
-
-    return dens, numerators
-
-
 def edge_words(masks: Sequence[int], count: int) -> np.ndarray:
     """Python-int edge bitmasks as a (len(masks), count) uint64 array, word k
     holding edges 64k..64k+63."""
@@ -215,10 +129,12 @@ def xor_table(incident: np.ndarray) -> np.ndarray:
 def block_scorer(
     g: Graph, model: UtilityModel, groups: Sequence[Iterable[int]]
 ) -> tuple[list[int], int, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """``group_kernel`` for many cuts at once: ``(dens, bound, incident,
-    numerators)``.  A cut's crossing edges are a row of uint64 words (edge e
-    is bit e % 64 of word e // 64), the XOR of its members' ``incident``
-    rows.  ``numerators(cross)[c, i] / dens[i]`` is group i's utility under
+    """The integer evaluator of ``group_weights`` for a block of cuts:
+    ``(dens, bound, incident, numerators)``.  A cut's crossing edges are a
+    row of uint64 words (edge e is bit e % 64 of word e // 64); an edge
+    crosses iff exactly one endpoint is a member, so they are the XOR of its
+    members' ``incident`` rows (callers check that the members are vertices
+    of g).  ``numerators(cross)[c, i] / dens[i]`` is group i's utility under
     the cut with crossing words ``cross[c]``: per ``weight_terms`` term, the
     popcounts under the term's edge mask, added up one word at a time in
     int32 (a count stays below the edge count), times the term's weight.
@@ -247,9 +163,3 @@ def block_scorer(
 def ground_set_size(g: Graph, model: UtilityModel) -> int:
     return g.edge_count if model is UtilityModel.EDGE else g.vertex_count
 
-
-def ground_utility(g: Graph, model: UtilityModel, cut: Cut) -> Fraction:
-    """Utility of the whole ground set (the sum over any partition's groups)."""
-    if model is UtilityModel.EDGE:
-        return group_utility(g, model, cut, range(g.edge_count))
-    return group_utility(g, model, cut, range(g.vertex_count))

@@ -1,9 +1,12 @@
 """An independent oracle for the enumeration pass: the per-cut Python loop
 that ``exact.build_payoff_matrix`` replaced, scoring each canonical cut with
-``utility.group_kernel`` and keeping each distinct column with its first cut.
+``group_kernel`` (the one-cut Python-int evaluator that the library's block
+scorer replaced) and keeping each distinct column with its first cut.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Iterable, Sequence
 
 from fairmaxcut.exact import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -12,7 +15,49 @@ from fairmaxcut.exact import (
     check_enumeration_limit,
 )
 from fairmaxcut.graphs import Cut, Graph, GroupPartition
-from fairmaxcut.utility import UtilityModel, group_kernel, require_compatible
+from fairmaxcut.utility import (
+    UtilityModel,
+    group_weights,
+    incident_masks,
+    require_compatible,
+    weight_terms,
+)
+
+
+def group_kernel(
+    g: Graph, model: UtilityModel, groups: Sequence[Iterable[int]]
+) -> tuple[list[int], Callable[[int], list[int]]]:
+    """Integer numerator evaluator for any model: ``numerators(mask)[i] /
+    dens[i]`` is group i's exact utility under the cut whose member bitmask
+    is ``mask``.  The mask must name vertices of g only; callers validate.
+
+    An edge crosses iff exactly one endpoint is a member, so the crossing
+    edges are the XOR of the members' incident-edge masks, read from one
+    lookup table per 8 vertices.  A group's numerator is then one popcount
+    per term of ``weight_terms``.
+    """
+    weights, dens = group_weights(g, model, groups)
+    incident = incident_masks(g)
+    tables = []
+    for start in range(0, g.vertex_count, 8):
+        table = [0]
+        for edge_bits in incident[start:start + 8]:
+            table += [x ^ edge_bits for x in table]
+        tables.append(table)
+    terms = weight_terms(weights)
+    zeros = [0] * len(dens)
+
+    def numerators(mask: int) -> list[int]:
+        cross = 0
+        for table in tables:
+            cross ^= table[mask & 255]
+            mask >>= 8
+        out = zeros[:]
+        for i, w, edge_bits in terms:
+            out[i] += w * (cross & edge_bits).bit_count()
+        return out
+
+    return dens, numerators
 
 
 def python_payoff_matrix(

@@ -42,17 +42,15 @@ from fairmaxcut.graphs import (
     is_bipartite,
     node_groups,
 )
-from fairmaxcut.utility import (
-    UtilityModel,
-    ground_set_size,
+from fairmaxcut.utility import UtilityModel, ground_set_size, group_weights
+
+from .fraction_simplex import fraction_column
+from .fraction_utility import (
     ground_utility,
-    group_weights,
     group_proportion,
     group_utility,
     min_group_proportion,
 )
-
-from .fraction_simplex import fraction_column
 from .python_payoff import column_cuts, python_payoff_matrix
 from .strategies import edge_instances, graphs, node_instances, partitions_for
 
@@ -205,8 +203,6 @@ class TestStaticFair:
     @given(node_instances(max_vertices=5))
     @settings(max_examples=20)
     def test_value_mode_brute_force(self, inst):
-        from fairmaxcut.utility import group_utility
-
         g, partition = inst
         sol = static_fair(g, UtilityModel.NODE_MAXDEG, partition, Mode.VALUE)
         best = max(
@@ -248,8 +244,6 @@ class TestPayoffMatrix:
         partition = edge_groups(g, [frozenset(range(4))])
         matrix = build_payoff_matrix(g, UtilityModel.EDGE, partition)
         assert matrix.group_count == 1
-        from fairmaxcut.utility import ground_utility
-
         for j, cut in enumerate(column_cuts(matrix)):
             (entry,) = fraction_column(matrix, j, Mode.PROPORTION)
             assert entry == ground_utility(g, UtilityModel.EDGE, cut) / 4

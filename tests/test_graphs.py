@@ -9,8 +9,8 @@ from fairmaxcut.graphs import (
     Graph,
     GroupPartition,
     PartitionKind,
+    crossing_degree,
     cut_value,
-    edge_crosses,
     edge_groups,
     is_bipartite,
     max_degree,
@@ -66,17 +66,6 @@ class TestMaxDegree:
         assert max(range(10), key=inst.graph.degree) == 3
 
 
-class TestEdgeCrosses:
-    def test_single_endpoint_inside(self):
-        assert edge_crosses(Cut.of({0}), (0, 1)) == 1
-
-    def test_empty_cut(self):
-        assert edge_crosses(Cut.of(set()), (0, 1)) == 0
-
-    def test_full_cut_matches_empty(self):
-        assert edge_crosses(Cut.of({0, 1}), (0, 1)) == 0
-
-
 class TestCutValue:
     def test_bipartition_cuts_everything(self):
         g = make_complete_bipartite(2, 2)
@@ -126,11 +115,11 @@ def test_cut_value_complement_invariant(gc):
 
 
 @given(graph_and_cut())
-def test_edge_crosses_complement_invariant(gc):
+def test_crossing_degree_complement_invariant(gc):
     g, cut = gc
     comp = cut.complement(g.vertex_count)
-    for e in g.edges:
-        assert edge_crosses(cut, e) == edge_crosses(comp, e)
+    for v in range(g.vertex_count):
+        assert crossing_degree(g, cut.members, v) == crossing_degree(g, comp.members, v)
 
 
 class TestGroupPartition:

@@ -1,17 +1,23 @@
 """Heuristic algorithms: local search, separate-solve, naive random cut,
 and hyperplane rounding."""
 
+import contextlib
+import io
 import math
+import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fairmaxcut import cli
 from fairmaxcut.exact import max_value
 from fairmaxcut.families import (
+    NamedInstance,
     make_complete_bipartite,
     make_cycle,
     make_diamond_embedding,
@@ -20,10 +26,19 @@ from fairmaxcut.families import (
     random_instance,
     singleton_partition,
 )
-from fairmaxcut.graphs import Cut, Graph, PartitionKind, cut_value, edge_groups, node_groups
+from fairmaxcut.graphs import (
+    Cut,
+    Graph,
+    GroupPartition,
+    PartitionKind,
+    cut_value,
+    edge_groups,
+    node_groups,
+)
 from fairmaxcut.heuristics import (
     _BLOCK_TRIALS,
     _STREAM_NAIVE,
+    DistributionScore,
     GwRounding,
     _coordinate_ascent,
     UnitVectorEmbedding,
@@ -39,9 +54,12 @@ from fairmaxcut.heuristics import (
     sdp_objective,
     separate_solve,
 )
+from fairmaxcut.instances import save_instance
 from fairmaxcut.maximin import CutDistribution
-from fairmaxcut.utility import UtilityModel, block_scorer, group_proportion, group_weights
+from fairmaxcut.reports import parse_report
+from fairmaxcut.utility import UtilityModel, block_scorer, group_weights
 
+from .fraction_utility import group_proportion, min_group_proportion
 from .python_sampler import _BLOCK_ENTRIES, _trial_side_bits, python_naive_random_sample
 from .python_sdp import python_sdp_solve, python_sweeps
 from .strategies import edge_instances, graphs, node_instances
@@ -254,6 +272,17 @@ def direct_sample(g, model, partition, seed, trials):
     return [(mean, sq / trials - mean * mean) for mean, sq in zip(means, squares)]
 
 
+def prime_hubs(largest: int) -> tuple[Graph, GroupPartition]:
+    """One hub per prime p <= largest, joined to p vertices of a shared pool
+    of ``largest`` vertices; node groups: the hubs, and the pool.  The hubs'
+    own-degree denominator is the product of the primes."""
+    primes = [p for p in range(2, largest + 1) if all(p % q for q in range(2, p))]
+    hubs = len(primes)
+    edges = tuple((h, hubs + j) for h, p in enumerate(primes) for j in range(p))
+    g = Graph(hubs + largest, edges)
+    return g, node_groups(g, [frozenset(range(hubs)), frozenset(range(hubs, g.vertex_count))])
+
+
 class TestStreamedSampler:
     @pytest.mark.parametrize("model", list(UtilityModel), ids=lambda m: m.value)
     def test_matches_direct_reference_across_blocks(self, model):
@@ -275,11 +304,7 @@ class TestStreamedSampler:
         # own-degree denominator is the product of the primes.  Up to 23 the
         # numerators' squares overflow int64 (Python-int sums); up to 47 the
         # numerators pass 2**53 but stay int64
-        primes = [p for p in range(2, largest + 1) if all(p % q for q in range(2, p))]
-        hubs = len(primes)
-        edges = tuple((h, hubs + j) for h, p in enumerate(primes) for j in range(p))
-        g = Graph(hubs + largest, edges)
-        partition = node_groups(g, [frozenset(range(hubs)), frozenset(range(hubs, g.vertex_count))])
+        g, partition = prime_hubs(largest)
         model = UtilityModel.NODE_OWNDEG
         weights, _ = group_weights(g, model, partition.groups)
         max_num = max(sum(row.values()) for row in weights)
@@ -290,11 +315,7 @@ class TestStreamedSampler:
     def test_numerators_past_int64_take_object_weights(self):
         # primes up to 53: the hubs' own-degree numerators reach 2**63, so
         # the scorer's term weights, and the numerators, are Python ints
-        primes = [p for p in range(2, 54) if all(p % q for q in range(2, p))]
-        hubs = len(primes)
-        edges = tuple((h, hubs + j) for h, p in enumerate(primes) for j in range(p))
-        g = Graph(hubs + 53, edges)
-        partition = node_groups(g, [frozenset(range(hubs)), frozenset(range(hubs, g.vertex_count))])
+        g, partition = prime_hubs(53)
         model = UtilityModel.NODE_OWNDEG
         _, bound, _, _ = block_scorer(g, model, partition.groups)
         assert bound >= 2**63
@@ -552,3 +573,89 @@ class TestEvaluateDistribution:
         score = evaluate_distribution(inst.graph, inst.model, inst.partition, dist)
         assert score.per_group == (Fraction(2, 3), Fraction(2, 3))
         assert score.minimum == Fraction(2, 3)
+
+
+def local_search_score_min(inst) -> Fraction:
+    """The ``score-min`` line of ``run --algorithm local-search`` on the instance."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "inst")
+        save_instance(inst, path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["run", path, "--algorithm", "local-search", "--no-timestamp"]) == 0
+    (line,) = [l for l in parse_report(out.getvalue()).other if l.startswith("score-min ")]
+    return Fraction(line.split()[1])
+
+
+def assert_matches_fraction_oracle(inst, pairs) -> None:
+    """evaluate_distribution on the merged pairs, separate_solve's alpha with
+    the pairs' cuts as (cyclic) oracle cuts and with the default oracle, and
+    the local-search score-min, each against tests/fraction_utility.py."""
+    g, model, partition = inst.graph, inst.model, inst.partition
+    dist = CutDistribution.from_pairs(pairs)
+    want = tuple(
+        sum(prob * group_proportion(g, model, cut, gr) for cut, prob in dist.entries)
+        for gr in partition.groups
+    )
+    score = evaluate_distribution(g, model, partition, dist)
+    assert score == DistributionScore(per_group=want, minimum=min(want))
+    assert all(type(value.numerator) is int for value in score.per_group)
+
+    cuts = [cut for cut, _ in pairs]
+    index = {gr: i for i, gr in enumerate(partition.groups)}
+    for oracle in (lambda g, model, gr: cuts[index[gr] % len(cuts)], default_group_oracle):
+        _, result = separate_solve(g, model, partition, oracle=oracle)
+        assert result.alpha == min(
+            group_proportion(g, model, cut, gr)
+            for cut, gr in zip(result.per_group_cuts, partition.groups)
+        )
+        assert type(result.alpha.numerator) is int
+
+    assert local_search_score_min(inst) == min_group_proportion(
+        g, model, local_search_cut(g), partition
+    )
+
+
+class TestAgainstFractionOracle:
+    """The block-scorer paths against the per-vertex Fraction evaluator."""
+
+    @given(
+        st.sampled_from(list(UtilityModel)),
+        st.integers(2, 24),
+        st.sampled_from([0.3, 0.7, 1.0]),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+        st.lists(
+            st.tuples(st.sets(st.integers(0, 23)), st.integers(1, 10**6)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    # 120 edges: two crossing words
+    @example(UtilityModel.NODE_OWNDEG, 16, 1.0, 3, 7, [({0, 3, 9}, 2), ({0}, 5), (set(), 1)])
+    @settings(max_examples=60, deadline=None)
+    def test_random_instances(self, model, n, edge_prob, gamma, graph_seed, specs):
+        # cuts may hold vertex 0; repeated cuts merge, probabilities are random
+        inst = random_instance(
+            n, edge_prob, min(gamma, n - 1), model.partition_kind, graph_seed, model=model
+        )
+        total = sum(weight for _, weight in specs)
+        pairs = [
+            (Cut.of(v % n for v in members), Fraction(weight, total)) for members, weight in specs
+        ]
+        assert_matches_fraction_oracle(inst, pairs)
+
+    def test_numerators_past_int64(self):
+        # the prime-degree hubs up to 53: object-dtype numerators
+        g, partition = prime_hubs(53)
+        model = UtilityModel.NODE_OWNDEG
+        _, bound, _, _ = block_scorer(g, model, partition.groups)
+        assert bound >= 2**63 and g.edge_count > 64
+        hubs = g.vertex_count - 53
+        inst = NamedInstance(g, partition, model, "prime-hubs-53")
+        pairs = [
+            (Cut.of(range(0, hubs, 2)), Fraction(1, 3)),
+            (Cut.of({0, *range(hubs, hubs + 20)}), Fraction(1, 2)),
+            (Cut.of(range(hubs, g.vertex_count, 3)), Fraction(1, 6)),
+        ]
+        assert_matches_fraction_oracle(inst, pairs)

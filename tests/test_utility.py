@@ -13,17 +13,26 @@ from fairmaxcut.families import (
     make_diamond_instance,
     singleton_partition,
 )
-from fairmaxcut.graphs import Cut, Graph, PartitionKind, cut_value, edge_groups, max_degree
-from fairmaxcut.utility import (
-    UtilityModel,
-    ground_set_size,
+from fairmaxcut.graphs import (
+    Cut,
+    Graph,
+    PartitionKind,
+    cut_value,
+    edge_groups,
+    max_degree,
+    node_groups,
+)
+from fairmaxcut.heuristics import evaluate_distribution
+from fairmaxcut.maximin import CutDistribution
+from fairmaxcut.utility import UtilityModel, block_scorer, ground_set_size
+
+from .fraction_utility import (
     ground_utility,
-    group_kernel,
     group_proportion,
     group_utility,
     min_group_proportion,
 )
-
+from .python_payoff import group_kernel
 from .strategies import graph_and_cut, node_instances
 
 
@@ -55,12 +64,19 @@ class TestNodeUtility:
         assert got == Fraction(1)  # vertex 0 fully cut, isolated vertex 2 adds 0
 
     def test_edgeless_graph_raises(self):
-        # each node model: the same refusal, and message, as every other entry point's
+        # each node model: the scorer and the lottery evaluator give the same
+        # refusal, and message, as every other entry point
         g = Graph(3, ())
+        partition = node_groups(g, [{0}, {1, 2}])
+        dist = CutDistribution.point_mass(Cut.of({0}))
         for model in (UtilityModel.NODE_MAXDEG, UtilityModel.NODE_OWNDEG):
-            with pytest.raises(DegreeZeroError) as info:
-                group_utility(g, model, Cut.of({0}), {0})
-            assert str(info.value) == f"model {model.value} needs at least one edge"
+            for score in (
+                lambda: block_scorer(g, model, partition.groups),
+                lambda: evaluate_distribution(g, model, partition, dist),
+            ):
+                with pytest.raises(DegreeZeroError) as info:
+                    score()
+                assert str(info.value) == f"model {model.value} needs at least one edge"
 
     def test_kind_mismatch_is_usage_error(self):
         g = make_cycle(4)
