@@ -1,14 +1,16 @@
 """Command-line front end.
 
-Subcommands: solve (exact objectives, all read off one payoff matrix), run
-(heuristic algorithms), generate (family instances), verify (claim-checker
-suites), reproduce (``verify.pinned_checks``: the families' expected values
-and the table of the rest).  The structured report goes to --output when
-given (with a human summary on stdout), otherwise to stdout.  Exit codes:
-0 ok, 1 verification/reproduction failure, 2 parse error, a file that
-cannot be read or written, or a usage error (an option the subcommand
-does not take, or a run option the chosen algorithm does not read),
-3 instance too large, 4 model/partition mismatch, 5 unknown algorithm,
+Subcommands: solve (exact objectives, all read off one payoff matrix; its
+--limit caps the vertex count for the enumeration), run (heuristic
+algorithms), generate (family instances), verify (claim-checker suites),
+reproduce (``verify.pinned_checks``: the families' expected values and the
+table of the rest).  verify and reproduce run on fixed instances far below
+the default limit, so they take no --limit.  The structured report goes to
+--output when given (with a human summary on stdout), otherwise to stdout.
+Exit codes: 0 ok, 1 verification/reproduction failure, 2 parse error, a
+file that cannot be read or written, or a usage error (an option the
+subcommand does not take, or a run option the chosen algorithm does not
+read), 3 instance too large, 4 model/partition mismatch, 5 unknown algorithm,
 6 bad generator parameters or option values (--trials, --samples,
 --sdp-rank, --sdp-iterations, --count, an --objectives list naming no
 objective).
@@ -40,7 +42,6 @@ SUITES = ("curated", "random", "all")
 
 # Each subcommand accepts only the options its cmd_* function reads
 # (tests/test_cli.py::test_every_option_is_read checks this).
-_LIMIT_HELP = "max vertex count for exact enumeration"
 _NO_TIMESTAMP_HELP = "omit timestamp/elapsed lines for byte-stable reports"
 
 # The run options that one algorithm alone reads: dest -> (that algorithm,
@@ -62,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute exact objectives for an instance")
     p.add_argument("instance")
     p.add_argument("--objectives", help="comma list from " + ",".join(OBJECTIVE_NAMES))
-    p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT, help=_LIMIT_HELP)
+    p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT,
+                   help="max vertex count for exact enumeration")
     p.add_argument("--mode", choices=("value", "proportion", "both"), default="both")
     p.add_argument("--approx", action="store_true",
                    help="add a decimal column to the human table (reports stay exact)")
@@ -101,12 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all")
     p.add_argument("--count", type=int, default=200, help="random-suite instance count")
     p.add_argument("--seed", type=int, default=0, help="random-suite seed")
-    p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT, help=_LIMIT_HELP)
     p.add_argument("--no-timestamp", action="store_true", help=_NO_TIMESTAMP_HELP)
     p.add_argument("-o", "--output", help="write the structured report here")
 
     p = sub.add_parser("reproduce", help="recompute all pinned worked-example values")
-    p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT, help=_LIMIT_HELP)
     p.add_argument("--no-timestamp", action="store_true", help=_NO_TIMESTAMP_HELP)
     p.add_argument("-o", "--output", help="write the structured report here")
 
@@ -276,7 +276,8 @@ def cmd_run(args) -> int:
 
     elif args.algorithm == "local-search":
         cut = heuristics.local_search_cut(inst.graph)
-        builder.add_line(f"cut {cut} value {cut_value(inst.graph, cut)}")
+        value = cut_value(inst.graph, cut)
+        builder.add_line(f"cut {cut} value {value}")
         for v in range(inst.graph.vertex_count):
             crossing = crossing_degree(inst.graph, cut.members, v)
             builder.add_line(f"vertex-condition {v} {crossing} {inst.graph.degree(v)}")
@@ -290,7 +291,7 @@ def cmd_run(args) -> int:
             check = verify.make_check("local-search-floor", inst.label, minimum, ">=", floor)
             builder.add_check(check)
             ok = check.passed
-        human.append(f"  cut value {cut_value(inst.graph, cut)}, worst group proportion {minimum}")
+        human.append(f"  cut value {value}, worst group proportion {minimum}")
 
     else:  # gw
         if args.embedding:
@@ -409,9 +410,9 @@ def cmd_verify(args) -> int:
     started = time.monotonic()
     checks = []
     if args.suite in ("curated", "all"):
-        checks += verify.curated_suite(args.limit)
+        checks += verify.curated_suite()
     if args.suite in ("random", "all"):
-        checks += verify.random_suite(args.seed, count=args.count, limit=args.limit)
+        checks += verify.random_suite(args.seed, count=args.count)
 
     builder = reports.ReportBuilder("verify", include_timestamp=not args.no_timestamp)
     builder.add_field("suite", args.suite)
@@ -437,29 +438,21 @@ def cmd_verify(args) -> int:
 # reproduce
 
 
-def _reproduce_rows(limit: int):
-    """Recompute every pinned worked-example value.  Yields
-    (key, relation, expected-text, computed-text, passed)."""
-    return [
-        (c.claim, c.relation, str(c.rhs), str(c.lhs), c.passed)
-        for c in verify.pinned_checks(limit)
-    ]
-
-
 def cmd_reproduce(args) -> int:
     started = time.monotonic()
-    rows = _reproduce_rows(args.limit)
+    # each check is named by its key, with the computed value on the left
+    checks = verify.pinned_checks()
     builder = reports.ReportBuilder("reproduce", include_timestamp=not args.no_timestamp)
-    for key, relation, expected, computed, passed in rows:
-        builder.add_row(key, relation, expected, computed, passed)
-    failed = [r for r in rows if not r[4]]
+    for c in checks:
+        builder.add_row(c.claim, c.relation, str(c.rhs), str(c.lhs), c.passed)
+    failed = [c for c in checks if not c.passed]
     builder.add_summary(not failed)
     elapsed = int((time.monotonic() - started) * 1000)
-    human = [f"reproduce: {len(rows)} pinned values, {len(failed)} mismatches"]
-    width = max(len(r[0]) for r in rows)
-    for key, relation, expected, computed, passed in rows:
-        mark = "ok " if passed else "FAIL"
-        human.append(f"  {mark} {key:<{width}} {relation} {expected} (computed {computed})")
+    human = [f"reproduce: {len(checks)} pinned values, {len(failed)} mismatches"]
+    width = max(len(c.claim) for c in checks)
+    for c in checks:
+        mark = "ok " if c.passed else "FAIL"
+        human.append(f"  {mark} {c.claim:<{width}} {c.relation} {c.rhs} (computed {c.lhs})")
     _emit(builder.render(elapsed_ms=elapsed), human, args.output)
     return 1 if failed else 0
 

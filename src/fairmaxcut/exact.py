@@ -223,27 +223,23 @@ def static_from_matrix(matrix: PayoffMatrix, mode: Mode) -> StaticSolution:
     return StaticSolution(Fraction(int(mins[best]), den), matrix.cut(best))
 
 
-def max_value(
-    g: Graph, model: UtilityModel, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> tuple[Fraction, Cut]:
+def max_value(g: Graph, model: UtilityModel) -> tuple[Fraction, Cut]:
     """Maximum ground-set utility over all cuts, with the first canonical
     maximizer as witness, read off the matrix of the ground set as one
     group.  For the edge model this is the Max-Cut value."""
     require_compatible(g, model)
     size = ground_set_size(g, model)
     if size == 0:  # no edges under the edge model: every cut is worth 0
-        check_enumeration_limit(g, limit)
+        check_enumeration_limit(g)
         return Fraction(0), Cut.of(())
     ground = GroupPartition(model.partition_kind, (frozenset(range(size)),), size)
-    return max_from_matrix(build_payoff_matrix(g, model, ground, limit), Mode.VALUE)
+    return max_from_matrix(build_payoff_matrix(g, model, ground), Mode.VALUE)
 
 
-def max_proportion(
-    g: Graph, model: UtilityModel, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> tuple[Fraction, Cut]:
+def max_proportion(g: Graph, model: UtilityModel) -> tuple[Fraction, Cut]:
     """Maximum per-capita ground-set utility; shares its witness with
     max_value because the two objectives differ by the constant |ground set|."""
-    value, witness = max_value(g, model, limit)
+    value, witness = max_value(g, model)
     size = ground_set_size(g, model)
     if size == 0:
         return Fraction(0), witness
@@ -255,8 +251,7 @@ def static_fair(
     model: UtilityModel,
     partition: GroupPartition,
     mode: Mode = Mode.PROPORTION,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> StaticSolution:
     """Best single cut for the worst-off group (value or per-capita mode).
     Ties break toward the first canonical cut."""
-    return static_from_matrix(build_payoff_matrix(g, model, partition, limit), mode)
+    return static_from_matrix(build_payoff_matrix(g, model, partition), mode)

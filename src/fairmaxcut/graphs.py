@@ -49,6 +49,10 @@ class Graph:
             adj[v].add(u)
         return tuple(frozenset(s) for s in adj)
 
+    @cached_property
+    def vertex_set(self) -> frozenset[int]:
+        return frozenset(range(self.vertex_count))
+
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
 
@@ -96,9 +100,11 @@ class Cut:
         return Cut(frozenset(range(vertex_count)) - self.members)
 
     def validate_for(self, g: Graph) -> None:
-        for v in self.members:
-            if not (0 <= v < g.vertex_count):
-                raise ValueError(f"cut member {v} is not a vertex of the graph")
+        # one subset test (faster than min/max or a loop over the members);
+        # the offending member is only searched for on failure
+        if not self.members <= g.vertex_set:
+            v = next(v for v in self.members if v not in g.vertex_set)
+            raise ValueError(f"cut member {v} is not a vertex of the graph")
 
     def __str__(self) -> str:
         return "{" + ",".join(str(v) for v in sorted(self.members)) + "}"

@@ -48,13 +48,7 @@ from operator import mul
 
 import numpy as np
 
-from .exact import (
-    DEFAULT_ENUMERATION_LIMIT,
-    Mode,
-    PayoffMatrix,
-    build_payoff_matrix,
-    scaled_columns,
-)
+from .exact import Mode, PayoffMatrix, build_payoff_matrix, scaled_columns
 from .graphs import Cut, Graph, GroupPartition
 
 _ZERO = Fraction(0)
@@ -95,12 +89,6 @@ class CutDistribution:
     @property
     def support(self) -> tuple[Cut, ...]:
         return tuple(cut for cut, _ in self.entries)
-
-    def probability(self, cut: Cut) -> Fraction:
-        for c, p in self.entries:
-            if c == cut:
-                return p
-        return _ZERO
 
 
 @dataclass(frozen=True)
@@ -374,11 +362,7 @@ def _best_dual_score(w: list[int], entries: np.ndarray) -> int:
 
 
 def df_fair(
-    g: Graph,
-    model,
-    partition: GroupPartition,
-    mode: Mode = Mode.PROPORTION,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
+    g: Graph, model, partition: GroupPartition, mode: Mode = Mode.PROPORTION
 ) -> MaximinSolution:
     """Best distribution over cuts for the worst-off group (dynamic fairness)."""
-    return solve_maximin(build_payoff_matrix(g, model, partition, limit), mode)
+    return solve_maximin(build_payoff_matrix(g, model, partition), mode)

@@ -4,7 +4,9 @@ relies on, evaluated exactly and reported as structured verdicts.
 Checkers never abort on a failing claim; they return BoundCheck records so a
 suite run can survey everything.  Each verdict recomputes both sides from the
 exact solvers; nothing is cached across checkers.  Within a checker, every
-objective of an instance is read off one payoff matrix (``read_off``).
+objective of an instance is read off one payoff matrix (``_values``).  Every
+instance here is far below the default enumeration limit, so no checker
+takes a limit.
 
 The pinned worked-example values live in two places: the families'
 ``expected`` tuples, and the table below for the values no family carries.
@@ -19,10 +21,10 @@ from typing import Sequence
 
 from . import exact, maximin
 from .errors import GeneratorParameterError
-from .exact import DEFAULT_ENUMERATION_LIMIT, Mode, PayoffMatrix, static_fair
+from .exact import Mode, PayoffMatrix
 
 # bench/tracing.py wraps these names on this module, so they stay importable here
-from .exact import max_proportion, max_value  # noqa: F401
+from .exact import max_proportion, max_value, static_fair  # noqa: F401
 from .families import (
     NamedInstance,
     make_clique_with_tail,
@@ -42,7 +44,8 @@ from .graphs import (
 )
 from .heuristics import derive_rng, evaluate_distribution, gw_round, naive_random_stats
 from .instances import OBJECTIVE_NAMES
-from .maximin import CutDistribution, df_fair
+from .maximin import CutDistribution
+from .maximin import df_fair  # noqa: F401 (bench/tracing.py wraps it here too)
 from .utility import UtilityModel
 
 _HALF = Fraction(1, 2)
@@ -156,8 +159,12 @@ def read_off(matrix: PayoffMatrix, name: str) -> tuple[Fraction, Cut | maximin.M
     raise ValueError(f"unknown objective {name!r}")
 
 
-def _matrix(inst: NamedInstance, limit: int) -> PayoffMatrix:
-    return exact.build_payoff_matrix(inst.graph, inst.model, inst.partition, limit)
+def _values(
+    g: Graph, model: UtilityModel, partition: GroupPartition, *names: str
+) -> tuple[Fraction, ...]:
+    """The named objectives' values, in order, all read off one payoff matrix."""
+    matrix = exact.build_payoff_matrix(g, model, partition)
+    return tuple(read_off(matrix, name)[0] for name in names)
 
 
 # each chain claim and its (lower, upper) objectives, in report order
@@ -183,17 +190,30 @@ def check_chain(
     g: Graph,
     model: UtilityModel,
     partition: GroupPartition,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
     context: str = "",
 ) -> list[BoundCheck]:
     """Static <= dynamic <= utilitarian, in both value and proportion modes,
     all six sides read off one payoff matrix."""
-    matrix = exact.build_payoff_matrix(g, model, partition, limit)
-    return chain_checks({name: read_off(matrix, name)[0] for name in OBJECTIVE_NAMES}, context)
+    values = _values(g, model, partition, *OBJECTIVE_NAMES)
+    return chain_checks(dict(zip(OBJECTIVE_NAMES, values)), context)
 
 
 # ---------------------------------------------------------------------------
 # subproblem monotonicity
+
+
+def _kept_groups(
+    inst: NamedInstance, kept_groups: Sequence[int], kind: PartitionKind, wrong_kind: str
+) -> list[int]:
+    """The kept group indices, sorted and distinct, once the instance is
+    known to have a ``kind`` partition (else ``wrong_kind`` is the error)
+    with each of them in range."""
+    if inst.partition.kind is not kind:
+        raise GeneratorParameterError(wrong_kind)
+    kept = sorted(set(kept_groups))
+    if not kept or any(i not in range(inst.partition.group_count) for i in kept):
+        raise GeneratorParameterError("kept group indices out of range")
+    return kept
 
 
 def edge_subinstance(
@@ -201,11 +221,9 @@ def edge_subinstance(
 ) -> tuple[NamedInstance, tuple[Fraction, ...]]:
     """Subproblem on the union of the kept edge groups (slack 0): the graph
     keeps its vertices but only those edges, re-indexed in original order."""
-    if inst.partition.kind is not PartitionKind.EDGES:
-        raise GeneratorParameterError("edge subinstance needs an edge partition")
-    kept = sorted(set(kept_groups))
-    if not kept or any(i not in range(inst.partition.group_count) for i in kept):
-        raise GeneratorParameterError("kept group indices out of range")
+    kept = _kept_groups(
+        inst, kept_groups, PartitionKind.EDGES, "edge subinstance needs an edge partition"
+    )
     old_indices = sorted(idx for i in kept for idx in inst.partition.groups[i])
     remap = {old: new for new, old in enumerate(old_indices)}
     sub_graph = Graph(inst.graph.vertex_count, tuple(inst.graph.edges[i] for i in old_indices))
@@ -228,11 +246,9 @@ def node_subinstance(
     slack for each kept group is its count of boundary edges (edges leaving
     the induced subgraph), which dominates the utility those edges could
     contribute in the full problem."""
-    if inst.partition.kind is not PartitionKind.NODES:
-        raise GeneratorParameterError("node subinstance needs a node partition")
-    kept = sorted(set(kept_groups))
-    if not kept or any(i not in range(inst.partition.group_count) for i in kept):
-        raise GeneratorParameterError("kept group indices out of range")
+    kept = _kept_groups(
+        inst, kept_groups, PartitionKind.NODES, "node subinstance needs a node partition"
+    )
     kept_vertices = sorted(v for i in kept for v in inst.partition.groups[i])
     vert_set = set(kept_vertices)
     remap = {old: new for new, old in enumerate(kept_vertices)}
@@ -263,7 +279,6 @@ def check_subproblem_bound(
     full: NamedInstance,
     sub: NamedInstance,
     deltas: Sequence[Fraction],
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> list[BoundCheck]:
     """Monotonicity of subproblems: the full problem's dynamic-fair optima are
     bounded by the subproblem's utilitarian optima plus the supplied slacks.
@@ -285,9 +300,8 @@ def check_subproblem_bound(
     sub_ground = sum(len(gr) for gr in sub.partition.groups)
     ctx = f"{full.label} vs {sub.label}"
 
-    full_matrix, sub_matrix = _matrix(full, limit), _matrix(sub, limit)
-    df_value, df_prop = (read_off(full_matrix, name)[0] for name in ("DF-MV", "DF-MP"))
-    mv_sub, mp_sub = (read_off(sub_matrix, name)[0] for name in ("MV", "MP"))
+    df_value, df_prop = _values(full.graph, full.model, full.partition, "DF-MV", "DF-MP")
+    mv_sub, mp_sub = _values(sub.graph, sub.model, sub.partition, "MV", "MP")
     return [
         make_check("subproblem-value-bound", ctx, df_value, "<=", mv_sub + delta_sum),
         make_check(
@@ -329,12 +343,7 @@ def _edges_decompose_into_triangles(g: Graph, group: frozenset[int]) -> bool:
     return recurse(frozenset(edge_set))
 
 
-def check_triangle_bound(
-    g: Graph,
-    partition: GroupPartition,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
-    context: str = "",
-) -> BoundCheck:
+def check_triangle_bound(g: Graph, partition: GroupPartition, context: str = "") -> BoundCheck:
     """If some edge group decomposes into edge-disjoint triangles, at most two
     of each triangle's three edges can ever be cut, so the dynamic-fair
     proportion is capped at 2/3."""
@@ -342,7 +351,7 @@ def check_triangle_bound(
         return skipped_check("triangle-group-bound", context + " (not an edge partition)")
     if not any(_edges_decompose_into_triangles(g, gr) for gr in partition.groups):
         return skipped_check("triangle-group-bound", context + " (no triangle-decomposable group)")
-    df = df_fair(g, UtilityModel.EDGE, partition, Mode.PROPORTION, limit).value
+    (df,) = _values(g, UtilityModel.EDGE, partition, "DF-MP")
     return make_check("triangle-group-bound", context, df, "<=", Fraction(2, 3))
 
 
@@ -358,7 +367,6 @@ def check_bipartite_props(
     g: Graph,
     partition: GroupPartition,
     model: UtilityModel,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
     context: str = "",
 ) -> list[BoundCheck]:
     """On bipartite graphs (plus regularity for node utilities) all three
@@ -368,8 +376,7 @@ def check_bipartite_props(
         return [skipped_check("bipartite-collapse", context + " (not bipartite)")]
     if model.is_node_model and not _is_regular(g):
         return [skipped_check("bipartite-collapse", context + " (node model needs regularity)")]
-    matrix = exact.build_payoff_matrix(g, model, partition, limit)
-    sf, df, mp = (read_off(matrix, name)[0] for name in ("SF-MP", "DF-MP", "MP"))
+    sf, df, mp = _values(g, model, partition, "SF-MP", "DF-MP", "MP")
     one = Fraction(1)
     return [
         make_check("bipartite-collapse-static", context, sf, "==", one),
@@ -378,9 +385,7 @@ def check_bipartite_props(
     ]
 
 
-def check_nonbipartite_node_bound(
-    g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT, context: str = ""
-) -> BoundCheck:
+def check_nonbipartite_node_bound(g: Graph, context: str = "") -> BoundCheck:
     """On a non-bipartite graph some two adjacent vertices share a side under
     any cut, so with singleton node groups the static-fair proportion is at
     most (max degree - 1) / max degree."""
@@ -388,7 +393,7 @@ def check_nonbipartite_node_bound(
     if bipartite:
         return skipped_check("odd-cycle-node-static-cap", context + " (bipartite)")
     partition = singleton_partition(g, PartitionKind.NODES)
-    sf = static_fair(g, UtilityModel.NODE_MAXDEG, partition, Mode.PROPORTION, limit).objective
+    (sf,) = _values(g, UtilityModel.NODE_MAXDEG, partition, "SF-MP")
     delta = max_degree(g)
     return make_check(
         "odd-cycle-node-static-cap", context, sf, "<=", Fraction(delta - 1, delta)
@@ -403,17 +408,13 @@ def worst_degree_ratio(g: Graph, partition: GroupPartition) -> Fraction:
 
 
 def check_dfmp_node_bounds(
-    g: Graph,
-    partition: GroupPartition,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
-    context: str = "",
+    g: Graph, partition: GroupPartition, context: str = ""
 ) -> list[BoundCheck]:
     """Degree envelopes for node utilities: the dynamic-fair proportion never
     beats the worst group's average-degree ratio, and local search guarantees
     the static-fair proportion is at least half of it."""
     ratio = worst_degree_ratio(g, partition)
-    matrix = exact.build_payoff_matrix(g, UtilityModel.NODE_MAXDEG, partition, limit)
-    df, sf = (read_off(matrix, name)[0] for name in ("DF-MP", "SF-MP"))
+    df, sf = _values(g, UtilityModel.NODE_MAXDEG, partition, "DF-MP", "SF-MP")
     return [
         make_check("node-dynamic-degree-cap", context, df, "<=", ratio),
         make_check("node-static-degree-floor", context, sf, ">=", ratio / 2),
@@ -424,28 +425,28 @@ def check_dfmp_node_bounds(
 # expected values, worked example, gap table
 
 
-def check_expected(inst: NamedInstance, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[BoundCheck]:
+def check_expected(inst: NamedInstance) -> list[BoundCheck]:
     """Confirm every expected value an instance carries against the solvers."""
-    matrix = _matrix(inst, limit)
+    names = [exp.objective for exp in inst.expected]
+    values = _values(inst.graph, inst.model, inst.partition, *names)
     return [
-        make_check(f"expected-{exp.objective}", inst.label, read_off(matrix, exp.objective)[0],
-                   "==", exp.value)
-        for exp in inst.expected
+        make_check(f"expected-{exp.objective}", inst.label, value, "==", exp.value)
+        for exp, value in zip(inst.expected, values)
     ]
 
 
-def check_diamond_strict_gap(limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[BoundCheck]:
+def check_diamond_strict_gap() -> list[BoundCheck]:
     """The diamond's dynamic-fair optimum (2/3) is strictly below the best
     proportion of every subgraph formed from whole edge groups (min 4/5), so
     no subgraph bound is tight for it."""
     inst = make_diamond_instance()
-    df = read_off(_matrix(inst, limit), "DF-MP")[0]
+    (df,) = _values(inst.graph, inst.model, inst.partition, "DF-MP")
     pinned = inst.expected_map()["DF-MP"]
     checks = [make_check("diamond-dynamic-value", inst.label, df, "==", pinned)]
     subgraph_mps = []
     for kept, _, context, expected_mp in DIAMOND_SUBGRAPHS:
         sub, _ = edge_subinstance(inst, kept)
-        subgraph_mps.append(read_off(_matrix(sub, limit), "MP")[0])
+        subgraph_mps += _values(sub.graph, sub.model, sub.partition, "MP")
         checks.append(make_check(
             "diamond-subgraph-proportion", f"{inst.label}: {context}", subgraph_mps[-1],
             "==", expected_mp))
@@ -459,7 +460,6 @@ def _gap_checks(
     top: str,
     bottom: str,
     upper: Fraction,
-    limit: int,
     low: bool = False,
     degree_cap: bool = False,
 ) -> list[BoundCheck]:
@@ -469,8 +469,8 @@ def _gap_checks(
     the next."""
     checks, gaps = [], []
     for inst in family:
-        matrix = _matrix(inst, limit)
-        gap = read_off(matrix, top)[0] - read_off(matrix, bottom)[0]
+        hi, lo = _values(inst.graph, inst.model, inst.partition, top, bottom)
+        gap = hi - lo
         gaps.append((inst.label, gap))
         if degree_cap:
             cap = worst_degree_ratio(inst.graph, inst.partition) / 2
@@ -483,9 +483,7 @@ def _gap_checks(
     return checks
 
 
-def check_gap_table(
-    kind: PartitionKind, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> list[BoundCheck]:
+def check_gap_table(kind: PartitionKind) -> list[BoundCheck]:
     """Gap intervals and tightness trends.
 
     Edge utilities: best-vs-dynamic gap sits in [0, 1/2] and grows along the
@@ -499,15 +497,13 @@ def check_gap_table(
     if kind is PartitionKind.EDGES:
         tails = [make_clique_with_tail(2, n) for n in CLIQUE_TAIL_LENGTHS]
         return (
-            _gap_checks("edge-best-dynamic-gap", tails, "MP", "DF-MP", _HALF, limit, low=True)
-            + _gap_checks("edge-dynamic-static-gap", cycles, "DF-MP", "SF-MP", Fraction(1), limit)
+            _gap_checks("edge-best-dynamic-gap", tails, "MP", "DF-MP", _HALF, low=True)
+            + _gap_checks("edge-dynamic-static-gap", cycles, "DF-MP", "SF-MP", Fraction(1))
         )
     bicliques = [make_cycle_plus_biclique(2, r) for r in (2, 3, 4)]
     return (
-        _gap_checks("node-dynamic-static-gap", cycles, "DF-MP", "SF-MP", _HALF, limit,
-                    degree_cap=True)
-        + _gap_checks("node-best-dynamic-gap", bicliques, "MP", "DF-MP", Fraction(1), limit,
-                      low=True)
+        _gap_checks("node-dynamic-static-gap", cycles, "DF-MP", "SF-MP", _HALF, degree_cap=True)
+        + _gap_checks("node-best-dynamic-gap", bicliques, "MP", "DF-MP", Fraction(1), low=True)
     )
 
 
@@ -519,7 +515,7 @@ def check_gap_table(
 _ROW_NAMES = {"MP": "best-proportion", "SF-MP": "static-proportion", "DF-MP": "dynamic-proportion"}
 
 
-def pinned_checks(limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[BoundCheck]:
+def pinned_checks() -> list[BoundCheck]:
     """Every pinned worked-example value recomputed, in report order, as a
     check named by its ``reproduce`` key: the computed value on the left,
     the pinned one on the right.  Objective values are pinned by the
@@ -528,16 +524,16 @@ def pinned_checks(limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[BoundCheck]:
     diamond = make_diamond_instance()
     subgraphs = [f"diamond/{name}-subgraph-proportion" for _, name, _, _ in DIAMOND_SUBGRAPHS]
     keys = ["diamond/dynamic-proportion", *subgraphs, "diamond/strict-gap"]
-    gap = check_diamond_strict_gap(limit)
+    gap = check_diamond_strict_gap()
     out = [replace(c, claim=key, context="") for key, c in zip(keys, gap)]
 
     def pin(key: str, computed: Fraction, relation: str, pinned: Fraction) -> None:
         out.append(make_check(key, "", computed, relation, pinned))
 
-    def objectives(prefix: str, inst: NamedInstance, matrix: PayoffMatrix, names) -> None:
-        for name in names:
-            pin(f"{prefix}/{_ROW_NAMES[name]}", read_off(matrix, name)[0], "==",
-                inst.expected_map()[name])
+    def objectives(prefix: str, inst: NamedInstance, names) -> None:
+        values = _values(inst.graph, inst.model, inst.partition, *names)
+        for name, value in zip(names, values):
+            pin(f"{prefix}/{_ROW_NAMES[name]}", value, "==", inst.expected_map()[name])
 
     def score(inst: NamedInstance, dist: CutDistribution):
         return evaluate_distribution(inst.graph, inst.model, inst.partition, dist)
@@ -548,7 +544,7 @@ def pinned_checks(limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[BoundCheck]:
         pin(f"diamond/table-lottery-{name}", value, "==", diamond.expected_map()["DF-MP"])
 
     paw = make_paw_instance()
-    objectives("paw", paw, _matrix(paw, limit), ("DF-MP", "MP", "SF-MP"))
+    objectives("paw", paw, ("DF-MP", "MP", "SF-MP"))
 
     rounding = gw_round(diamond.graph, make_diamond_embedding(), seed=0, samples=64)
     chord_probability = Fraction(rounding.edge_cut_probabilities[4])  # edge 4 is the chord
@@ -558,17 +554,17 @@ def pinned_checks(limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[BoundCheck]:
 
     for n in CLIQUE_TAIL_LENGTHS:
         inst = make_clique_with_tail(2, n)
-        objectives(f"clique-tail-2-{n}", inst, _matrix(inst, limit), ("DF-MP", "MP"))
+        objectives(f"clique-tail-2-{n}", inst, ("DF-MP", "MP"))
 
     for n_odd in ODD_CYCLE_LENGTHS:
         lottery = CutDistribution.from_pairs(one_left_out_cycle_distribution(n_odd)[1])
         bound = one_left_out_bound(n_odd)
         for kind in PartitionKind:
             inst = make_odd_cycle_instance(n_odd, kind)
-            matrix = _matrix(inst, limit)
-            objectives(inst.label, inst, matrix, ("SF-MP",))
+            sf, df = _values(inst.graph, inst.model, inst.partition, "SF-MP", "DF-MP")
+            pin(f"{inst.label}/static-proportion", sf, "==", inst.expected_map()["SF-MP"])
             pin(f"{inst.label}/one-left-out-lottery", score(inst, lottery).minimum, "==", bound)
-            pin(f"{inst.label}/dynamic-proportion", read_off(matrix, "DF-MP")[0], ">=", bound)
+            pin(f"{inst.label}/dynamic-proportion", df, ">=", bound)
 
     stats = naive_random_stats(diamond.graph, diamond.model, diamond.partition)
     computed = (stats[0].mean, stats[0].variance, stats[1].variance)
@@ -581,59 +577,56 @@ def pinned_checks(limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[BoundCheck]:
 # suites
 
 
-def curated_suite(limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[BoundCheck]:
+def curated_suite() -> list[BoundCheck]:
     """All named-instance claims: worked examples, families, bounds, gaps."""
     checks: list[BoundCheck] = []
 
     diamond = make_diamond_instance()
     paw = make_paw_instance()
-    checks += check_diamond_strict_gap(limit)
+    checks += check_diamond_strict_gap()
     for inst in (diamond, paw):
-        checks += check_expected(inst, limit)
-        checks += check_chain(inst.graph, inst.model, inst.partition, limit, inst.label)
+        checks += check_expected(inst)
+        checks += check_chain(inst.graph, inst.model, inst.partition, inst.label)
 
     triangle = make_cycle(3)
     for g, groups, context in (
         (paw.graph, [frozenset({0, 1, 2}), frozenset({3})], "paw-triangle-group"),
         (triangle, [frozenset({0, 1, 2})], "triangle-single-group"),
     ):
-        checks.append(check_triangle_bound(g, edge_groups(g, groups), limit, context))
+        checks.append(check_triangle_bound(g, edge_groups(g, groups), context))
 
     for kept, *_ in DIAMOND_SUBGRAPHS:
         sub, deltas = edge_subinstance(diamond, kept)
-        checks += check_subproblem_bound(diamond, sub, deltas, limit)
+        checks += check_subproblem_bound(diamond, sub, deltas)
     g23 = make_cycle_plus_biclique(2, 3)
     sub, deltas = node_subinstance(g23, (0,))
-    checks += check_subproblem_bound(g23, sub, deltas, limit)
-    checks += check_expected(g23, limit)
-    checks += check_dfmp_node_bounds(g23.graph, g23.partition, limit, g23.label)
+    checks += check_subproblem_bound(g23, sub, deltas)
+    checks += check_expected(g23)
+    checks += check_dfmp_node_bounds(g23.graph, g23.partition, g23.label)
 
     for n in CLIQUE_TAIL_LENGTHS:
-        checks += check_expected(make_clique_with_tail(2, n), limit)
-    checks += check_expected(make_clique_with_tail(3, 6), limit)
+        checks += check_expected(make_clique_with_tail(2, n))
+    checks += check_expected(make_clique_with_tail(3, 6))
 
     k22, k33, c6 = make_complete_bipartite(2, 2), make_complete_bipartite(3, 3), make_cycle(6)
     edges, nodes = PartitionKind.EDGES, PartitionKind.NODES
     for name, g, kind in (("K22", k22, edges), ("K22", k22, nodes), ("K33", k33, edges),
                           ("K33", k33, nodes), ("cycle-6", c6, nodes)):
         model = UtilityModel.EDGE if kind is edges else UtilityModel.NODE_MAXDEG
-        checks += check_bipartite_props(
-            g, singleton_partition(g, kind), model, limit, f"{name}-{kind.value}"
-        )
+        partition = singleton_partition(g, kind)
+        checks += check_bipartite_props(g, partition, model, f"{name}-{kind.value}")
 
     for n_odd in (3, 5, 7):
-        checks.append(check_nonbipartite_node_bound(make_cycle(n_odd), limit, f"cycle-{n_odd}"))
+        checks.append(check_nonbipartite_node_bound(make_cycle(n_odd), f"cycle-{n_odd}"))
     c5 = make_odd_cycle_instance(5, PartitionKind.NODES)
-    checks += check_dfmp_node_bounds(c5.graph, c5.partition, limit, c5.label)
+    checks += check_dfmp_node_bounds(c5.graph, c5.partition, c5.label)
 
-    checks += check_gap_table(PartitionKind.EDGES, limit)
-    checks += check_gap_table(PartitionKind.NODES, limit)
+    checks += check_gap_table(PartitionKind.EDGES)
+    checks += check_gap_table(PartitionKind.NODES)
     return checks
 
 
-def random_suite(
-    seed: int, count: int = 200, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> list[BoundCheck]:
+def random_suite(seed: int, count: int = 200) -> list[BoundCheck]:
     """Ordering-chain checks over seeded random instances of both kinds.
     Every dynamic solve inside also certifies LP duality exactly."""
     checks: list[BoundCheck] = []
@@ -649,5 +642,5 @@ def random_suite(
         inst = random_instance(
             n, edge_prob, gamma, kind, seed=int(rng.integers(0, 2**63)), model=model
         )
-        checks += check_chain(inst.graph, inst.model, inst.partition, limit, f"{inst.label}#{i}")
+        checks += check_chain(inst.graph, inst.model, inst.partition, f"{inst.label}#{i}")
     return checks

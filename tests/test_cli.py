@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import io
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -301,7 +302,7 @@ class TestVerify:
         from fairmaxcut.verify import make_check
 
         bad = [make_check("planted-failure", "negative-path", F(1), "<=", F(0))]
-        monkeypatch.setattr(cli_module.verify, "curated_suite", lambda limit: bad)
+        monkeypatch.setattr(cli_module.verify, "curated_suite", lambda: bad)
         out_path = tmp_path / "fail.rep"
         rc, out, _ = run_cli(["verify", "--suite", "curated", "--no-timestamp",
                               "-o", str(out_path)])
@@ -460,7 +461,40 @@ def test_gw_with_embedding_refuses_sdp_options_exit_2(tmp_path, flag):
 
 
 def test_settable_option_count():
-    assert sum(len(_dests(sub)) for sub in _subparsers().values()) == 38
+    assert sum(len(_dests(sub)) for sub in _subparsers().values()) == 36
+
+
+def _readme_option_table() -> dict[str, tuple[list[str], list[str]]]:
+    """The README's subcommand table: name -> (positional metavars, option
+    flags), each flag the first word of a backticked span in the row outside
+    its parenthesized notes."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    header = "| subcommand | options |\n| --- | --- |\n"
+    assert header in text
+    table = {}
+    for row in text.split(header, 1)[1].splitlines():
+        if not row.startswith("|"):
+            break
+        usage, options = row.replace("\\|", "/").strip("|").split("|")
+        name, *positionals = re.findall(r"`([^`]*)`", usage)[0].split()
+        spans = re.findall(r"`([^`]*)`", re.sub(r"\([^)]*\)", "", options))
+        table[name] = (positionals, [s.split()[0] for s in spans if s.startswith("-")])
+    return table
+
+
+def test_readme_option_table_matches_parser():
+    table = _readme_option_table()
+    subparsers = _subparsers()
+    assert set(table) == set(subparsers)
+    for name, sub in subparsers.items():
+        positionals, flags = table[name]
+        actions = [a for a in sub._actions if a.dest != "help"]
+        assert positionals == [a.dest.upper() for a in actions if not a.option_strings], name
+        options = sub._option_string_actions
+        assert set(flags) <= set(options), (name, set(flags) - set(options))
+        documented = [options[flag].dest for flag in flags]
+        assert len(documented) == len(set(documented)), name
+        assert set(documented) == {a.dest for a in actions if a.option_strings}, name
 
 
 @pytest.mark.parametrize(
@@ -476,6 +510,8 @@ def test_settable_option_count():
         ["generate", "paw", "--no-timestamp"],
         ["verify", "--mode", "value"],
         ["verify", "--approx"],
+        ["verify", "--limit", "5"],
+        ["reproduce", "--limit", "5"],
         ["reproduce", "--seed", "3"],
         ["reproduce", "--mode", "value"],
         ["reproduce", "--approx"],
@@ -491,9 +527,10 @@ def test_unread_options_are_refused_exit_2(paw_path, argv, capsys):
 class TestReproduce:
     def test_mismatch_exits_1(self, tmp_path, monkeypatch):
         from fairmaxcut import cli as cli_module
+        from fairmaxcut.verify import make_check
 
-        rows = [("planted/mismatch", "==", "1/2", "1/3", False)]
-        monkeypatch.setattr(cli_module, "_reproduce_rows", lambda limit: rows)
+        bad = [make_check("planted/mismatch", "", Fraction(1, 3), "==", Fraction(1, 2))]
+        monkeypatch.setattr(cli_module.verify, "pinned_checks", lambda: bad)
         out_path = tmp_path / "bad.rep"
         rc, out, _ = run_cli(["reproduce", "--no-timestamp", "-o", str(out_path)])
         assert rc == 1

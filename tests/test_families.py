@@ -30,17 +30,17 @@ from fairmaxcut.verify import check_expected
 GOLDENS = Path(__file__).parent / "goldens"
 
 
-def confirm_expected(inst, limit=24):
+def confirm_expected(inst):
     """Every expected value must match the exact solvers."""
     for exp in inst.expected:
         if exp.objective == "MV":
-            got, _ = max_value(inst.graph, inst.model, limit)
+            got, _ = max_value(inst.graph, inst.model)
         elif exp.objective == "MP":
-            got, _ = max_proportion(inst.graph, inst.model, limit)
+            got, _ = max_proportion(inst.graph, inst.model)
         elif exp.objective == "SF-MP":
-            got = static_fair(inst.graph, inst.model, inst.partition, Mode.PROPORTION, limit).objective
+            got = static_fair(inst.graph, inst.model, inst.partition, Mode.PROPORTION).objective
         elif exp.objective == "DF-MP":
-            got = df_fair(inst.graph, inst.model, inst.partition, Mode.PROPORTION, limit).value
+            got = df_fair(inst.graph, inst.model, inst.partition, Mode.PROPORTION).value
         else:
             raise AssertionError(exp.objective)
         assert got == exp.value, f"{inst.label}: {exp.objective} = {got}, expected {exp.value}"

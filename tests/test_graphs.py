@@ -82,6 +82,12 @@ class TestCutValue:
         with pytest.raises(ValueError):
             cut_value(make_cycle(3), Cut.of({7}))
 
+    @pytest.mark.parametrize("member", [3, -1])
+    def test_names_the_foreign_member(self, member):
+        message = f"^cut member {member} is not a vertex of the graph$"
+        with pytest.raises(ValueError, match=message):
+            cut_value(make_cycle(3), Cut.of({0, 2, member}))
+
 
 class TestIsBipartite:
     def test_odd_cycle(self):

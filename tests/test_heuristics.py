@@ -557,6 +557,17 @@ class TestEvaluateDistribution:
         with pytest.raises(ValueError, match="not a vertex"):
             evaluate_distribution(g, UtilityModel.EDGE, partition, dist)
 
+    @pytest.mark.parametrize("member", [8, -1])
+    def test_names_the_foreign_member(self, member):
+        # the foreign member sits in the lottery's second cut
+        g = make_cycle(8)
+        partition = singleton_partition(g, PartitionKind.EDGES)
+        half = Fraction(1, 2)
+        dist = CutDistribution.from_pairs([(Cut.of({1}), half), (Cut.of({2, member}), half)])
+        message = f"^cut member {member} is not a vertex of the graph$"
+        with pytest.raises(ValueError, match=message):
+            evaluate_distribution(g, UtilityModel.EDGE, partition, dist)
+
     def test_point_mass_equals_proportions(self):
         inst = make_diamond_instance()
         cut = Cut.of({3})

@@ -529,10 +529,11 @@ def test_df_fair_propagates_enumeration_limit():
 
     from fairmaxcut.errors import TooLargeError
 
-    g = make_cycle(6)
+    # 25 vertices is one past the default limit: refused before anything is allocated
+    g = make_cycle(25)
     partition = singleton_partition(g, PartitionKind.EDGES)
     with _pytest.raises(TooLargeError):
-        df_fair(g, UtilityModel.EDGE, partition, limit=5)
+        df_fair(g, UtilityModel.EDGE, partition)
 
 
 class TestCutDistribution:
