@@ -21,12 +21,13 @@ from fairmaxcut.families import (
     make_odd_cycle_instance,
 )
 from fairmaxcut.graphs import PartitionKind
-from fairmaxcut.verify import read_off
+from fairmaxcut.verify import read_offs
 
 
 def emit(family, parameter, inst):
     matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
-    mp, sf, df = (read_off(matrix, name)[0] for name in ("MP", "SF-MP", "DF-MP"))
+    found = read_offs(matrix, ("MP", "SF-MP", "DF-MP"))
+    mp, sf, df = (value for value, _ in found.values())
     print(f"{family}\t{parameter}\t{mp}\t{sf}\t{df}\t{mp - df}\t{df - sf}")
 
 

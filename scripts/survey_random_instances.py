@@ -14,7 +14,7 @@ from fairmaxcut.exact import build_payoff_matrix
 from fairmaxcut.families import random_instance
 from fairmaxcut.graphs import PartitionKind
 from fairmaxcut.heuristics import derive_rng
-from fairmaxcut.verify import read_off
+from fairmaxcut.verify import read_offs
 
 
 def main() -> int:
@@ -33,7 +33,8 @@ def main() -> int:
         gamma = int(rng.integers(1, 5))
         inst = random_instance(n, 0.5, gamma, kind, seed=int(rng.integers(0, 2**63)))
         matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
-        sf, df, mp = (read_off(matrix, name)[0] for name in ("SF-MP", "DF-MP", "MP"))
+        found = read_offs(matrix, ("SF-MP", "DF-MP", "MP"))
+        sf, df, mp = (value for value, _ in found.values())
         strict_sd += sf < df
         strict_dm += df < mp
         print(f"{inst.label}\t{inst.partition.group_count}\t{sf}\t{df}\t{mp}")

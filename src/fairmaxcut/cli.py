@@ -9,11 +9,11 @@ the default limit, so they take no --limit.  The structured report goes to
 --output when given (with a human summary on stdout), otherwise to stdout.
 Exit codes: 0 ok, 1 verification/reproduction failure, 2 parse error, a
 file that cannot be read or written, or a usage error (an option the
-subcommand does not take, or a run option the chosen algorithm does not
-read), 3 instance too large, 4 model/partition mismatch, 5 unknown algorithm,
-6 bad generator parameters or option values (--trials, --samples,
---sdp-rank, --sdp-iterations, --count, an --objectives list naming no
-objective).
+subcommand does not take, a run option the chosen algorithm does not
+read, or solve's --mode given with --objectives), 3 instance too large,
+4 model/partition mismatch, 5 unknown algorithm, 6 bad generator
+parameters or option values (--trials, --samples, --sdp-rank,
+--sdp-iterations, --count, an --objectives list naming no objective).
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objectives", help="comma list from " + ",".join(OBJECTIVE_NAMES))
     p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT,
                    help="max vertex count for exact enumeration")
-    p.add_argument("--mode", choices=("value", "proportion", "both"), default="both")
+    p.add_argument("--mode", choices=("value", "proportion", "both"),
+                   help="objectives to solve (default both); not with --objectives")
     p.add_argument("--approx", action="store_true",
                    help="add a decimal column to the human table (reports stay exact)")
     p.add_argument("--no-timestamp", action="store_true", help=_NO_TIMESTAMP_HELP)
@@ -145,37 +146,42 @@ def _maybe_isolated_note(builder: reports.ReportBuilder, inst: families.NamedIns
 # solve
 
 
-def _requested_objectives(args) -> list[str]:
-    if args.objectives is not None:
-        names = [t.strip() for t in args.objectives.split(",") if t.strip()]
+def _requested_objectives(objectives: str | None, mode: str) -> list[str]:
+    if objectives is not None:
+        names = [t.strip() for t in objectives.split(",") if t.strip()]
         if not names:
             raise GeneratorParameterError("--objectives names no objective")
         for name in names:
             if name not in OBJECTIVE_NAMES:
                 raise GeneratorParameterError(f"unknown objective {name!r}")
         return names
-    if args.mode == "value":
+    if mode == "value":
         return ["MV", "SF-MV", "DF-MV"]
-    if args.mode == "proportion":
+    if mode == "proportion":
         return ["MP", "SF-MP", "DF-MP"]
     return list(OBJECTIVE_NAMES)
 
 
 def cmd_solve(args) -> int:
+    # the objectives fix their own modes, so --mode would only mislabel them
+    if args.objectives is not None and args.mode is not None:
+        print("error: --mode is not read with --objectives", file=sys.stderr)
+        return 2
+    mode = args.mode or "both"
     inst = instances.load_instance(args.instance)
     require_compatible(inst.graph, inst.model, inst.partition)
-    names = _requested_objectives(args)
+    names = _requested_objectives(args.objectives, mode)
     started = time.monotonic()
 
     builder = reports.ReportBuilder("solve", include_timestamp=not args.no_timestamp)
-    builder.add_field("mode", args.mode)
+    builder.add_field("mode", mode)
     builder.add_field("limit", args.limit)
     builder.add_instance(inst)
     _maybe_isolated_note(builder, inst)
 
     # one enumeration pass: all six objectives are read off the same matrix
     matrix = exact.build_payoff_matrix(inst.graph, inst.model, inst.partition, args.limit)
-    results = {name: verify.read_off(matrix, name) for name in OBJECTIVE_NAMES if name in names}
+    results = verify.read_offs(matrix, [name for name in OBJECTIVE_NAMES if name in names])
     values = {name: value for name, (value, _) in results.items()}
 
     for name, (value, found) in results.items():

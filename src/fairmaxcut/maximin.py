@@ -37,11 +37,17 @@ independently of the simplex and of the pricing code, in integers only: the
 value, the probabilities and the duals are each put over one common
 denominator and the comparisons are cross-multiplied, so no ``Fraction`` is
 made per entry.
+
+When every group has one size s, the proportion-mode LP is the value-mode
+LP with ``den`` times s: the same columns C, and z scaled by 1 / s, which
+keeps every sign and every ratio order, so Bland's rule takes the same path.
+``proportion_from_value`` then derives the proportion-mode optimum from the
+value-mode one without a simplex, and re-certifies it in proportion mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -95,7 +101,9 @@ class CutDistribution:
 class MaximinSolution:
     """``master_solves`` counts the master's optimizations (the first one and
     one per entering column) and ``pivots`` the simplex pivots they made; the
-    tight re-solve is in neither."""
+    tight re-solve is in neither.  A solution derived by
+    ``proportion_from_value`` ran no simplex, so both are 0; it is certified
+    in proportion mode all the same."""
 
     value: Fraction
     distribution: CutDistribution
@@ -162,6 +170,23 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
         master_solves=master.solves,
         pivots=master.pivots,
     )
+
+
+def proportion_from_value(matrix: PayoffMatrix, solution: MaximinSolution) -> MaximinSolution:
+    """The proportion-mode optimum of a matrix whose groups all have one size
+    s, derived from its value-mode optimum ``solution``: the value over s,
+    with the same distribution, duals and support (see the module
+    docstring).  It is re-certified in proportion mode, and its counters are
+    0."""
+    size, *others = set(matrix.group_sizes)
+    if others:
+        raise ValueError("proportion mode is value mode over a scale only for equal group sizes")
+    derived = replace(solution, value=solution.value / size, master_solves=0, pivots=0)
+    _check_certificate(
+        matrix, Mode.PROPORTION, derived.value, derived.distribution, derived.dual_weights,
+        derived.support,
+    )
+    return derived
 
 
 def _column_scores(weights: list[int], bar: int, cols: np.ndarray, top: int) -> np.ndarray:

@@ -144,27 +144,63 @@ def one_left_out_bound(n_odd: int) -> Fraction:
 # objective read-offs and the ordering chain
 
 
-def read_off(matrix: PayoffMatrix, name: str) -> tuple[Fraction, Cut | maximin.MaximinSolution]:
-    """One objective of ``OBJECTIVE_NAMES`` read off a payoff matrix: its value,
-    with the witness cut (MV, MP, SF-*) or the maximin solution (DF-*)."""
+# each objective in value mode and its proportion-mode twin
+_MODE_PAIRS = (("MV", "MP"), ("SF-MV", "SF-MP"), ("DF-MV", "DF-MP"))
+
+
+def _read_off(matrix: PayoffMatrix, name: str) -> tuple[Fraction, Cut | maximin.MaximinSolution]:
+    """One objective read off a payoff matrix in its own mode."""
     mode = Mode.VALUE if name.endswith("MV") else Mode.PROPORTION
     if name in ("MV", "MP"):
         return exact.max_from_matrix(matrix, mode)
     if name in ("SF-MV", "SF-MP"):
         sol = exact.static_from_matrix(matrix, mode)
         return sol.objective, sol.witness_cut
-    if name in ("DF-MV", "DF-MP"):
-        sol = maximin.solve_maximin(matrix, mode)
-        return sol.value, sol
-    raise ValueError(f"unknown objective {name!r}")
+    sol = maximin.solve_maximin(matrix, mode)
+    return sol.value, sol
+
+
+def read_offs(
+    matrix: PayoffMatrix, names: Sequence[str]
+) -> dict[str, tuple[Fraction, Cut | maximin.MaximinSolution]]:
+    """The named objectives of ``OBJECTIVE_NAMES`` read off one payoff matrix,
+    keyed in the order of ``names``: each value, with the witness cut (MV,
+    MP, SF-*) or the maximin solution (DF-*).
+
+    When both modes of an objective are named and they give the same
+    problem up to a scale, it is solved once, in value mode.  MP is always
+    MV over the ground-set size, with the same witness.  When every group
+    has one size s, SF-MP is SF-MV over s with the same witness, and DF-MP
+    is ``maximin.proportion_from_value`` of DF-MV, re-certified in
+    proportion mode."""
+    unknown = [name for name in names if name not in OBJECTIVE_NAMES]
+    if unknown:
+        raise ValueError(f"unknown objective {unknown[0]!r}")
+    equal_sizes = len(set(matrix.group_sizes)) == 1
+    found = {}
+    for by_value, by_proportion in _MODE_PAIRS:
+        if by_value in names and by_proportion in names and (by_value == "MV" or equal_sizes):
+            value, found_by = found[by_value] = _read_off(matrix, by_value)
+            if by_proportion == "DF-MP":
+                sol = maximin.proportion_from_value(matrix, found_by)
+                found[by_proportion] = sol.value, sol
+            else:
+                scale = sum(matrix.group_sizes) if by_value == "MV" else matrix.group_sizes[0]
+                found[by_proportion] = value / scale, found_by
+        else:
+            found.update(
+                (name, _read_off(matrix, name)) for name in (by_value, by_proportion)
+                if name in names
+            )
+    return {name: found[name] for name in names}
 
 
 def _values(
     g: Graph, model: UtilityModel, partition: GroupPartition, *names: str
 ) -> tuple[Fraction, ...]:
     """The named objectives' values, in order, all read off one payoff matrix."""
-    matrix = exact.build_payoff_matrix(g, model, partition)
-    return tuple(read_off(matrix, name)[0] for name in names)
+    found = read_offs(exact.build_payoff_matrix(g, model, partition), names)
+    return tuple(found[name][0] for name in names)
 
 
 # each chain claim and its (lower, upper) objectives, in report order

@@ -176,6 +176,8 @@ def assert_python_ints(result) -> None:
 
 @pytest.mark.parametrize("matrix", [
     matrix_from_rows(BIG_ROWS, group_sizes=(1, 2, 3)),
+    # equal group sizes: read_offs derives the proportion mode from the value mode
+    matrix_from_rows(BIG_ROWS, group_sizes=(2, 2, 2)),
     PayoffMatrix(BIG_ROWS, COPRIME_DENS, (1, 2, 3), [2, 4, 6, 8]),
 ])
 def test_no_numpy_scalar_in_results_past_int64(matrix):
@@ -193,5 +195,5 @@ def assert_no_numpy_scalars(matrix: PayoffMatrix) -> None:
         assert_python_ints(max_from_matrix(matrix, mode))
         assert_python_ints(static_from_matrix(matrix, mode))
         assert_python_ints(solve_maximin(matrix, mode))
-    for name in OBJECTIVE_NAMES:
-        assert_python_ints(verify.read_off(matrix, name))
+    for result in verify.read_offs(matrix, OBJECTIVE_NAMES).values():
+        assert_python_ints(result)

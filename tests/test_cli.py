@@ -107,6 +107,14 @@ class TestSolve:
         assert rc == 0
         assert out == (GOLDENS / "owndeg_isolated_solve.report").read_text()
 
+    def test_unequal_group_sizes_golden_report(self):
+        # edge groups of sizes 4, 5 and 2: each mode is solved on its own
+        rc, out, _ = run_cli(
+            ["solve", str(GOLDENS / "random_n8_p05_g3_seed42.inst"), "--no-timestamp"]
+        )
+        assert rc == 0
+        assert out == (GOLDENS / "random_n8_p05_g3_seed42_solve.report").read_text()
+
     def test_instance_report_round_trip(self, paw_path):
         rc, out, _ = run_cli(["solve", paw_path, "--no-timestamp"])
         report = parse_report(out)
@@ -515,11 +523,19 @@ def test_readme_option_table_matches_parser():
         ["reproduce", "--seed", "3"],
         ["reproduce", "--mode", "value"],
         ["reproduce", "--approx"],
+        *(["solve", "{paw}", "--objectives", "DF-MP", "--mode", mode]
+          for mode in ("value", "proportion", "both")),
     ],
 )
 def test_unread_options_are_refused_exit_2(paw_path, argv, capsys):
+    argv = [a.format(paw=paw_path) for a in argv]
+    if "--objectives" in argv:
+        # parsed, then refused by solve: the objectives fix their own modes
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: --mode is not read with --objectives\n")
+        return
     with pytest.raises(SystemExit) as info:
-        main([a.format(paw=paw_path) for a in argv])
+        main(argv)
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

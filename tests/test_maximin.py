@@ -27,6 +27,7 @@ from fairmaxcut.maximin import (
     _check_certificate,
     _Tableau,
     df_fair,
+    proportion_from_value,
     solve_maximin,
 )
 from fairmaxcut.utility import UtilityModel
@@ -522,6 +523,37 @@ class TestDfFair:
             Fraction(sum(g.degree(v) for v in gr), len(gr) * delta) for gr in partition.groups
         )
         assert sol.value <= cap
+
+
+class TestProportionFromValue:
+    """The proportion-mode optimum derived from the value-mode one when every
+    group has one size s (here the 9-cycle in three edge groups of 3)."""
+
+    @staticmethod
+    def matrix(groups=((0, 1, 2), (3, 4, 5), (6, 7, 8))):
+        g = make_cycle(9)
+        partition = edge_groups(g, [frozenset(gr) for gr in groups])
+        return build_payoff_matrix(g, UtilityModel.EDGE, partition)
+
+    def test_equals_the_direct_solve_with_zero_counters(self):
+        matrix = self.matrix()
+        derived = proportion_from_value(matrix, solve_maximin(matrix, Mode.VALUE))
+        direct = solve_maximin(matrix, Mode.PROPORTION)
+        assert (derived.master_solves, derived.pivots) == (0, 0)
+        assert replace(derived, master_solves=direct.master_solves, pivots=direct.pivots) == direct
+
+    def test_a_value_not_divided_by_s_fails_the_proportion_certificate(self):
+        # given s times the value-mode value, the derived value is the
+        # undivided one, which only the proportion-mode certificate can catch
+        matrix = self.matrix()
+        sol = solve_maximin(matrix, Mode.VALUE)
+        with pytest.raises(_CertificateError):
+            proportion_from_value(matrix, replace(sol, value=sol.value * 3))
+
+    def test_refuses_unequal_group_sizes(self):
+        matrix = self.matrix(((0, 1, 2, 3), (4, 5, 6, 7, 8)))
+        with pytest.raises(ValueError, match="equal group sizes"):
+            proportion_from_value(matrix, solve_maximin(matrix, Mode.VALUE))
 
 
 def test_df_fair_propagates_enumeration_limit():

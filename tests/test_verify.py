@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairmaxcut.errors import GeneratorParameterError
-from fairmaxcut.exact import Mode, build_payoff_matrix, max_proportion, max_value, static_fair
+from fairmaxcut.exact import (
+    Mode,
+    build_payoff_matrix,
+    max_from_matrix,
+    max_proportion,
+    max_value,
+    static_fair,
+    static_from_matrix,
+)
 from fairmaxcut.families import (
     NamedInstance,
     make_clique_with_tail,
@@ -19,7 +27,8 @@ from fairmaxcut.families import (
     singleton_partition,
 )
 from fairmaxcut.graphs import Graph, PartitionKind, edge_groups, node_groups
-from fairmaxcut.maximin import df_fair
+from fairmaxcut.instances import OBJECTIVE_NAMES
+from fairmaxcut.maximin import df_fair, solve_maximin
 from fairmaxcut.utility import UtilityModel
 from fairmaxcut.verify import (
     check_bipartite_props,
@@ -35,10 +44,10 @@ from fairmaxcut.verify import (
     make_check,
     node_subinstance,
     random_suite,
-    read_off,
+    read_offs,
 )
 
-from .strategies import edge_instances, node_instances
+from .strategies import edge_instances, graphs, node_instances, partitions_for
 
 
 class TestBoundCheck:
@@ -60,23 +69,71 @@ _MODEL_INSTANCES = st.one_of(
 )
 
 
+@st.composite
+def _partitioned_matrices(draw):
+    """The payoff matrix of a graph with n <= 8 under any model, with
+    singleton groups, one group, equal groups of a size s >= 2, or random
+    groups (mostly of unequal sizes)."""
+    model = draw(st.sampled_from(list(UtilityModel)))
+    kind = model.partition_kind
+    g = draw(graphs(min_vertices=2, max_vertices=8, min_edges=1))
+    ground = g.edge_count if kind is PartitionKind.EDGES else g.vertex_count
+    shape = draw(st.sampled_from(("singletons", "one group", "equal", "random")))
+    if shape == "random":
+        partition = draw(partitions_for(g, kind))
+    else:
+        # several groups of a size s >= 2 where the ground set's size allows
+        divisors = [s for s in range(2, ground) if ground % s == 0] or [ground]
+        size = {"singletons": 1, "one group": ground}.get(shape) or draw(st.sampled_from(divisors))
+        order = draw(st.permutations(range(ground)))
+        groups = [frozenset(order[i : i + size]) for i in range(0, ground, size)]
+        partition = (edge_groups if kind is PartitionKind.EDGES else node_groups)(g, groups)
+    return build_payoff_matrix(g, model, partition)
+
+
 class TestReadOff:
     @given(_MODEL_INSTANCES)
     @settings(max_examples=40, deadline=None)
     def test_matches_the_solvers(self, case):
         g, partition, model = case
-        matrix = build_payoff_matrix(g, model, partition)
-        assert read_off(matrix, "MV") == max_value(g, model)
-        assert read_off(matrix, "MP") == max_proportion(g, model)
+        found = read_offs(build_payoff_matrix(g, model, partition), OBJECTIVE_NAMES)
+        assert found["MV"] == max_value(g, model)
+        assert found["MP"] == max_proportion(g, model)
         for mode, suffix in ((Mode.VALUE, "MV"), (Mode.PROPORTION, "MP")):
             sf = static_fair(g, model, partition, mode)
-            assert read_off(matrix, f"SF-{suffix}") == (sf.objective, sf.witness_cut)
-            assert read_off(matrix, f"DF-{suffix}")[0] == df_fair(g, model, partition, mode).value
+            assert found[f"SF-{suffix}"] == (sf.objective, sf.witness_cut)
+            assert found[f"DF-{suffix}"][0] == df_fair(g, model, partition, mode).value
+
+    @given(_partitioned_matrices(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_each_objective_read_alone(self, matrix, data):
+        # every objective, and a random selection in a random order
+        picked = data.draw(st.lists(st.sampled_from(OBJECTIVE_NAMES), unique=True))
+        for names in (OBJECTIVE_NAMES, picked):
+            found = read_offs(matrix, names)
+            assert list(found) == list(names)
+            for mode, suffix in ((Mode.VALUE, "MV"), (Mode.PROPORTION, "MP")):
+                if suffix in found:
+                    assert found[suffix] == max_from_matrix(matrix, mode)
+                if f"SF-{suffix}" in found:
+                    sf = static_from_matrix(matrix, mode)
+                    assert found[f"SF-{suffix}"] == (sf.objective, sf.witness_cut)
+                if f"DF-{suffix}" in found:
+                    value, sol = found[f"DF-{suffix}"]
+                    alone = solve_maximin(matrix, mode)
+                    assert value == sol.value == alone.value
+                    assert sol.distribution == alone.distribution
+                    assert sol.dual_weights == alone.dual_weights
+                    assert sol.support == alone.support
+        # with both modes read, DF-MP is derived (no master solve) exactly when
+        # every group has one size
+        derived = read_offs(matrix, OBJECTIVE_NAMES)["DF-MP"][1].master_solves == 0
+        assert derived == (len(set(matrix.group_sizes)) == 1)
 
     def test_rejects_unknown_objective(self):
         inst = make_paw_instance()
         with pytest.raises(ValueError):
-            read_off(build_payoff_matrix(inst.graph, inst.model, inst.partition), "SF-XX")
+            read_offs(build_payoff_matrix(inst.graph, inst.model, inst.partition), ["SF-XX"])
 
 
 class TestCheckChain:
