@@ -249,7 +249,7 @@ def cmd_run(args) -> int:
     ok = True
     if args.algorithm == "separate-solve":
         dist, oracle_res = heuristics.separate_solve(inst.graph, inst.model, inst.partition)
-        score = heuristics.evaluate_distribution(inst.graph, inst.model, inst.partition, dist)
+        score = oracle_res.score
         gamma = inst.partition.group_count
         floor = oracle_res.alpha / gamma
         for i, cut in enumerate(oracle_res.per_group_cuts):

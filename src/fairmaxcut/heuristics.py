@@ -4,8 +4,9 @@ hyperplane rounding over a low-rank coordinate-ascent SDP relaxation.
 
 The relaxation's sweep runs the same float64 steps, in the same order, as
 the row-by-row reference loop kept in the tests, so its embeddings match it
-bit for bit.  The rounding counts each sample's cut value from the crossing
-vector it computes anyway for the per-edge frequencies.
+bit for bit.  The rounding keeps one generator per call, re-keyed to each
+sample's own stream, and counts the samples' crossings, per-edge
+frequencies and cut values per block of samples.
 
 Randomness is counter-based and splittable: every randomized operation takes
 an explicit 64-bit seed, and independent units of work (Monte Carlo trials,
@@ -19,11 +20,12 @@ is rational.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -46,10 +48,30 @@ _STREAM_GW = 0x67772D726E64
 _STREAM_SDP = 0x7364702D6273
 
 
+def _philox_key(seed: int, stream: int) -> np.ndarray:
+    """The Philox key of stream (seed, stream): both words masked to 64 bits."""
+    return np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+
+
 def derive_rng(seed: int, stream: int) -> np.random.Generator:
     """Philox generator keyed by (seed, stream); independent across streams."""
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
+
+
+def _rekeyed_rngs(seed: int, first: int) -> Iterator[np.random.Generator]:
+    """One generator, yielded once per stream (seed, first), (seed, first + 1),
+    ...: before each yield its bit generator is reset to the stream's fresh
+    state (counter 0, empty buffer), so it draws what ``derive_rng`` would."""
+    bitgen = np.random.Philox(key=_philox_key(seed, first))
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    # the state setter reads Python ints faster than numpy scalars
+    fresh["state"]["counter"] = fresh["state"]["counter"].tolist()
+    fresh["buffer"] = fresh["buffer"].tolist()
+    for stream in itertools.count(first):
+        fresh["state"]["key"] = _philox_key(seed, stream)
+        bitgen.state = fresh
+        yield rng
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +106,12 @@ GroupOracle = Callable[[Graph, UtilityModel, frozenset], Cut]
 
 @dataclass(frozen=True)
 class OracleResult:
+    """The oracle's cuts, their worst per-group quality alpha, and the exact
+    score of their uniform lottery."""
+
     per_group_cuts: tuple[Cut, ...]
     alpha: Fraction
+    score: DistributionScore
 
 
 def default_group_oracle(g: Graph, model: UtilityModel, group: frozenset) -> Cut:
@@ -115,7 +141,8 @@ def separate_solve(
 
     The worst measured per-group quality alpha = min_i proportion(x_i, U_i)
     certifies the floor alpha/gamma on the lottery's worst expected group
-    proportion."""
+    proportion.  The result's ``score`` is the lottery's, as
+    ``evaluate_distribution`` gives it, read off the same scored cuts."""
     require_compatible(g, model, partition)
     cuts = tuple(oracle(g, model, gr) for gr in partition.groups)
     dens, rows = _cut_numerators(g, model, partition.groups, cuts)
@@ -123,9 +150,10 @@ def separate_solve(
         Fraction(row[i], den * len(gr))
         for i, (row, den, gr) in enumerate(zip(rows, dens, partition.groups))
     )
-    gamma = partition.group_count
-    dist = CutDistribution.from_pairs((cut, Fraction(1, gamma)) for cut in cuts)
-    return dist, OracleResult(per_group_cuts=cuts, alpha=alpha)
+    share = Fraction(1, partition.group_count)
+    dist = CutDistribution.from_pairs((cut, share) for cut in cuts)
+    score = _expected_score(partition.groups, dens, rows, [share] * len(cuts))
+    return dist, OracleResult(per_group_cuts=cuts, alpha=alpha, score=score)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +193,23 @@ def evaluate_distribution(
     the lcm of their denominators), one ``Fraction`` per group at the end."""
     require_compatible(g, model, partition)
     dens, rows = _cut_numerators(g, model, partition.groups, dist.support)
-    scale = math.lcm(*(prob.denominator for _, prob in dist.entries))
-    weights = [prob.numerator * (scale // prob.denominator) for _, prob in dist.entries]
+    return _expected_score(partition.groups, dens, rows, [prob for _, prob in dist.entries])
+
+
+def _expected_score(
+    groups: Sequence[frozenset],
+    dens: list[int],
+    rows: list[list[int]],
+    probs: Sequence[Fraction],
+) -> DistributionScore:
+    """The score of drawing cut c, scored ``rows[c]`` over ``dens``, with
+    probability ``probs[c]``, weighted in integers as ``evaluate_distribution``
+    says."""
+    scale = math.lcm(*(prob.denominator for prob in probs))
+    weights = [prob.numerator * (scale // prob.denominator) for prob in probs]
     per_group = tuple(
         Fraction(sum(w * num for w, num in zip(weights, column)), scale * den * len(gr))
-        for column, den, gr in zip(zip(*rows), dens, partition.groups)
+        for column, den, gr in zip(zip(*rows), dens, groups)
     )
     return DistributionScore(per_group=per_group, minimum=min(per_group))
 
@@ -232,7 +272,8 @@ class SampleStats:
     variance: Fraction
 
 
-# trials per block, so that memory stays bounded whatever the trial count
+# Monte Carlo trials or rounding samples per block, so that memory stays
+# bounded whatever their count
 _BLOCK_TRIALS = 2**12
 
 
@@ -445,25 +486,42 @@ def gw_round(
     product counts as the positive side.  Each sample's cut value is the
     number of edges its side vector separates.  Also reports the analytic
     per-edge crossing probabilities for comparison with the empirical
-    frequencies."""
+    frequencies.
+
+    One generator serves the whole call: before each sample its bit
+    generator is re-keyed to the fresh state of stream (seed, s), counter 0
+    and empty buffer, so the normals are those of ``derive_rng``.  Each
+    normal takes its own matrix-vector product; one matrix product over
+    stacked normals could round differently and flip a near-zero sign.  The
+    sides are written into blocks of ``_BLOCK_TRIALS`` samples.  A block's
+    crossings are the XORs of its sides packed eight samples to a byte, and
+    its per-edge counts and cut values are counted from them with array
+    operations, so memory stays bounded by one block."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if embedding.vertex_count != g.vertex_count:
         raise ValueError("embedding size does not match the graph")
     vec = embedding.vectors
+    rngs = _rekeyed_rngs(seed, _STREAM_GW)
+    vertices = np.arange(g.vertex_count)
     cuts = []
     values = []
     crossing_counts = np.zeros(g.edge_count, dtype=np.int64)
-    heads = np.array([e[0] for e in g.edges], dtype=int)
-    tails = np.array([e[1] for e in g.edges], dtype=int)
-    for s in range(samples):
-        rng = derive_rng(seed, _STREAM_GW + s)
-        normal = rng.standard_normal(embedding.dimension)
-        side = (vec @ normal) >= 0.0
-        cuts.append(Cut(frozenset(np.flatnonzero(side).tolist())))
-        crossing = side[heads] != side[tails]
-        crossing_counts += crossing
-        values.append(int(np.count_nonzero(crossing)))
+    heads = np.array([e[0] for e in g.edges], dtype=np.intp)
+    tails = np.array([e[1] for e in g.edges], dtype=np.intp)
+    sides = np.empty((min(samples, _BLOCK_TRIALS), g.vertex_count), dtype=bool)
+    for start in range(0, samples, _BLOCK_TRIALS):
+        block = sides[: min(_BLOCK_TRIALS, samples - start)]
+        for side, rng in zip(block, rngs):
+            np.greater_equal(vec @ rng.standard_normal(embedding.dimension), 0.0, out=side)
+            cuts.append(Cut(frozenset(vertices[side].tolist())))
+        # edges by bytes of eight samples; bit 7 - b of byte j is sample 8j + b
+        packed = np.packbits(block, axis=0).T
+        crossing = packed.take(heads, axis=0)
+        crossing ^= packed.take(tails, axis=0)
+        crossing_counts += np.bitwise_count(crossing).sum(axis=1, dtype=np.int64)
+        by_bit = [((crossing >> (7 - b)) & 1).sum(axis=0) for b in range(8)]
+        values += np.stack(by_bit, axis=1).ravel()[: len(block)].tolist()
     probabilities = tuple(
         gw_cut_probability(float(vec[u] @ vec[v])) for u, v in g.edges
     )

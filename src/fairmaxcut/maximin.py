@@ -68,7 +68,6 @@ class CutDistribution:
     entries: tuple[tuple[Cut, Fraction], ...]
 
     def __post_init__(self):
-        total = _ZERO
         seen = set()
         for cut, prob in self.entries:
             if prob < 0:
@@ -76,9 +75,11 @@ class CutDistribution:
             if cut in seen:
                 raise ValueError(f"duplicate cut {cut} in distribution")
             seen.add(cut)
-            total += prob
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        # the sum in integers, over the lcm of the denominators
+        scale = lcm(*(prob.denominator for _, prob in self.entries))
+        total = sum(prob.numerator * (scale // prob.denominator) for _, prob in self.entries)
+        if total != scale:
+            raise ValueError(f"probabilities sum to {Fraction(total, scale)}, not 1")
 
     @staticmethod
     def point_mass(cut: Cut) -> "CutDistribution":

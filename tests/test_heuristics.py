@@ -37,10 +37,12 @@ from fairmaxcut.graphs import (
 )
 from fairmaxcut.heuristics import (
     _BLOCK_TRIALS,
+    _STREAM_GW,
     _STREAM_NAIVE,
     DistributionScore,
     GwRounding,
     _coordinate_ascent,
+    _rekeyed_rngs,
     UnitVectorEmbedding,
     default_group_oracle,
     derive_rng,
@@ -60,6 +62,7 @@ from fairmaxcut.reports import parse_report
 from fairmaxcut.utility import UtilityModel, block_scorer, group_weights
 
 from .fraction_utility import group_proportion, min_group_proportion
+from .python_rounding import python_gw_round
 from .python_sampler import _BLOCK_ENTRIES, _trial_side_bits, python_naive_random_sample
 from .python_sdp import python_sdp_solve, python_sweeps
 from .strategies import edge_instances, graphs, node_instances
@@ -162,6 +165,7 @@ class TestSeparateSolve:
         dist, result = separate_solve(g, UtilityModel.EDGE, partition)
         score = evaluate_distribution(g, UtilityModel.EDGE, partition, dist)
         assert score.minimum >= result.alpha / partition.group_count
+        assert result.score == score
 
 
 class TestNaiveRandomStats:
@@ -437,6 +441,90 @@ class TestGwRounding:
         )
 
 
+@st.composite
+def gw_embeddings(draw, n: int):
+    """Unit rows for n vertices: random, or a few random rows repeated and
+    negated (identical and antipodal rows), or signed axis vectors, whose
+    inner products with each other are 1.0, -1.0, 0.0 or -0.0."""
+    kind = draw(st.sampled_from(["random", "repeated", "axes"]))
+    dim = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "axes":
+        axes = rng.integers(0, dim, n)
+        vectors = np.zeros((n, dim))
+        vectors[np.arange(n), axes] = 1.0
+        vectors *= rng.choice([1.0, -1.0], (n, dim))  # signs the zeros too
+    else:
+        pool = rng.standard_normal((n if kind == "random" else 2, dim))
+        vectors = pool[rng.integers(0, len(pool), n)] if kind == "repeated" else pool
+        vectors = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+        if kind == "repeated":
+            vectors *= rng.choice([1.0, -1.0], (n, 1))
+    return UnitVectorEmbedding(vectors)
+
+
+def same_rounding(got: GwRounding, want: GwRounding) -> bool:
+    """Equal cuts, cut values as Python ints, and the same float bits."""
+    return (
+        got.cuts == want.cuts
+        and got.cut_values == want.cut_values
+        and all(type(value) is int for value in got.cut_values)
+        and np.array(got.edge_cut_probabilities).tobytes()
+        == np.array(want.edge_cut_probabilities).tobytes()
+        and np.array(got.edge_cut_frequencies).tobytes()
+        == np.array(want.edge_cut_frequencies).tobytes()
+    )
+
+
+class TestGwRoundMatchesReferenceLoop:
+    """The block rounding against the per-sample loop in
+    tests/python_rounding.py, exactly."""
+
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda n: st.tuples(graphs(min_vertices=n, max_vertices=n), gw_embeddings(n))
+        ),
+        st.sampled_from([1, 2, 7, _BLOCK_TRIALS, _BLOCK_TRIALS + 1]),
+        st.integers(0, 2**64 - 1),
+    )
+    @example((Graph(0, ()), UnitVectorEmbedding(np.zeros((0, 2)))), 3, 0)
+    @example((Graph(1, ()), UnitVectorEmbedding(np.ones((1, 1)))), 1, 2**64 - 1)
+    @settings(max_examples=40, deadline=None)
+    def test_random_graphs(self, case, samples, seed):
+        g, embedding = case
+        got = gw_round(g, embedding, seed, samples)
+        assert same_rounding(got, python_gw_round(g, embedding, seed, samples))
+
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_benchmark_sized_graphs(self, n):
+        g = random_instance(n, 0.2, 4, PartitionKind.EDGES, seed=n).graph
+        embedding = gw_sdp_solve(g, seed=n)
+        for seed in (0, 12345, 2**63 + 5):
+            got = gw_round(g, embedding, seed, 1000)
+            assert same_rounding(got, python_gw_round(g, embedding, seed, 1000))
+
+    def test_memory_stays_bounded_by_one_block(self):
+        # the transient memory (the peak less the returned rounding) is one
+        # block's whatever the sample count; a samples-by-edges crossing
+        # array at 4 blocks would add about 10 MB
+        g = random_instance(80, 0.2, 4, PartitionKind.EDGES, seed=1).graph
+        assert 600 <= g.edge_count <= 660
+        embedding = gw_sdp_solve(g, seed=1, iterations=5)
+
+        def transient(samples: int) -> int:
+            tracemalloc.start()
+            try:
+                rounding = gw_round(g, embedding, seed=5, samples=samples)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(rounding.cuts) == samples
+            return peak - kept
+
+        assert transient(4 * _BLOCK_TRIALS) <= transient(_BLOCK_TRIALS) + 2**20
+
+
 class TestUnitVectorEmbedding:
     @pytest.mark.parametrize("vectors", [[[np.nan]], [[1.0], [np.nan]], [[0.6, 0.6]]])
     def test_rejects_non_unit_and_nan_vectors(self, vectors):
@@ -547,6 +635,26 @@ class TestDeriveRng:
         assert a == b
         assert a != c
 
+    @pytest.mark.parametrize(
+        "seed, first",
+        [(0, _STREAM_GW), (7, 0), (2**64 - 1, _STREAM_GW), (3, 2**64 - 2)],
+        ids=["seed-0", "stream-0", "seed-max", "streams-wrap"],
+    )
+    def test_rekeyed_streams_draw_what_derive_rng_draws(self, seed, first):
+        # the odd-length draws leave half a 64-bit word, or part of Philox's
+        # four-word output block, that the next stream must not read
+        draws = [
+            lambda rng: rng.standard_normal(13).tobytes(),
+            lambda rng: rng.integers(0, 2**32, 3, dtype=np.uint32).tobytes(),
+            lambda rng: rng.bytes(5),
+            lambda rng: rng.random(1).tobytes(),
+            lambda rng: rng.integers(0, 2**64, 5, dtype=np.uint64).tobytes(),
+        ]
+        for k, rng in zip(range(3 * len(draws)), _rekeyed_rngs(seed, first)):
+            fresh = derive_rng(seed, first + k)
+            for draw in draws[k % len(draws) :] + draws[: k % len(draws)]:
+                assert draw(rng) == draw(fresh)
+
 
 class TestEvaluateDistribution:
     def test_rejects_foreign_vertex(self):
@@ -615,12 +723,18 @@ def assert_matches_fraction_oracle(inst, pairs) -> None:
     cuts = [cut for cut, _ in pairs]
     index = {gr: i for i, gr in enumerate(partition.groups)}
     for oracle in (lambda g, model, gr: cuts[index[gr] % len(cuts)], default_group_oracle):
-        _, result = separate_solve(g, model, partition, oracle=oracle)
+        lottery, result = separate_solve(g, model, partition, oracle=oracle)
         assert result.alpha == min(
             group_proportion(g, model, cut, gr)
             for cut, gr in zip(result.per_group_cuts, partition.groups)
         )
         assert type(result.alpha.numerator) is int
+        # repeated oracle cuts are merged in the lottery, not in its score
+        want = tuple(
+            sum(prob * group_proportion(g, model, cut, gr) for cut, prob in lottery.entries)
+            for gr in partition.groups
+        )
+        assert result.score == DistributionScore(per_group=want, minimum=min(want))
 
     assert local_search_score_min(inst) == min_group_proportion(
         g, model, local_search_cut(g), partition

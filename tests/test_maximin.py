@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairmaxcut.exact import Mode, PayoffMatrix, build_payoff_matrix
@@ -568,16 +568,50 @@ def test_df_fair_propagates_enumeration_limit():
         df_fair(g, UtilityModel.EDGE, partition)
 
 
+def rejection_message(entries) -> str:
+    with pytest.raises(ValueError) as excinfo:
+        CutDistribution(entries)
+    return str(excinfo.value)
+
+
 class TestCutDistribution:
     def test_rejects_bad_total(self):
-        with pytest.raises(ValueError):
-            CutDistribution(((Cut.of({0}), Fraction(1, 2)),))
+        assert rejection_message(((Cut.of({0}), Fraction(1, 2)),)) == (
+            "probabilities sum to 1/2, not 1"
+        )
+        assert rejection_message(()) == "probabilities sum to 0, not 1"
+        assert rejection_message(
+            ((Cut.of({0}), Fraction(1, 3)), (Cut.of({1}), Fraction(3, 4)))
+        ) == "probabilities sum to 13/12, not 1"
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            CutDistribution(
-                ((Cut.of({0}), Fraction(3, 2)), (Cut.of({1}), Fraction(-1, 2)))
+        assert rejection_message(
+            ((Cut.of({0}), Fraction(3, 2)), (Cut.of({1}), Fraction(-1, 2)))
+        ) == "negative probability -1/2 for cut {1}"
+
+    def test_rejects_duplicate(self):
+        assert rejection_message(
+            ((Cut.of({0, 2}), Fraction(1, 2)), (Cut.of({2, 0}), Fraction(1, 2)))
+        ) == "duplicate cut {0,2} in distribution"
+        # checked entry by entry: the duplicate comes before the negative
+        assert rejection_message(
+            (
+                (Cut.of({0}), Fraction(1, 2)),
+                (Cut.of({0}), Fraction(1, 2)),
+                (Cut.of({1}), Fraction(-1, 2)),
             )
+        ) == "duplicate cut {0} in distribution"
+
+    @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=50), max_size=8))
+    @example([Fraction(1, 3), Fraction(1, 6), Fraction(0), Fraction(1, 2)])
+    @settings(max_examples=60)
+    def test_integer_sum_check_matches_fraction_sum(self, probs):
+        entries = tuple((Cut.of({i}), p) for i, p in enumerate(probs))
+        total = sum(probs, Fraction(0))
+        if total == 1:
+            assert CutDistribution(entries).entries == entries
+        else:
+            assert rejection_message(entries) == f"probabilities sum to {total}, not 1"
 
     def test_merges_duplicates(self):
         dist = CutDistribution.from_pairs(
