@@ -7,6 +7,8 @@ reproduce (``verify.pinned_checks``: the families' expected values and the
 table of the rest).  verify and reproduce run on fixed instances far below
 the default limit, so they take no --limit.  The structured report goes to
 --output when given (with a human summary on stdout), otherwise to stdout.
+The argument parser is built once per process, on the first ``main`` call,
+and reused by later in-process calls.
 Exit codes: 0 ok, 1 verification/reproduction failure, 2 parse error, a
 file that cannot be read or written, or a usage error (an option the
 subcommand does not take, a run option the chosen algorithm does not
@@ -19,6 +21,7 @@ parameters or option values (--trials, --samples, --sdp-rank,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -466,8 +469,15 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import, and kept for the process: parsing
+    # fills a new namespace each call, so a parse leaves no state behind
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.cmd == "solve":
             return cmd_solve(args)

@@ -7,7 +7,11 @@ one enumeration pass is ``build_payoff_matrix``: it scores the canonical
 cuts in numpy blocks of ``2**_BLOCK_BITS`` with ``utility.block_scorer``
 (integer numerators over fixed per-group denominators, one popcount per
 ``utility.weight_terms`` term) and keeps each distinct
-numerator column once, with its first canonical cut.  The matrix stores
+numerator column once, with its first canonical cut.  Columns are
+deduplicated on packed keys (``_first_rows``): a column's numerators are
+mixed-radix digits packed into as few int64 words as fit below 2**63, and
+one stable lexsort over those words finds each column's first occurrence,
+in every block and across the blocks.  The matrix stores
 those columns as one int64 array and their cuts as member masks; a ``Cut``
 is only made for a witness or a support column.
 Every objective here is a function of a cut's column, so the utilitarian
@@ -131,15 +135,34 @@ def enumerate_canonical_cuts(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -
 
 
 def _first_rows(rows: np.ndarray) -> np.ndarray:
-    """Ascending indices of the rows equal to no earlier row.  The lexsort is
-    stable, so the first index of each run of equal rows is the earliest."""
-    order = np.lexsort(rows.T)
-    ranked = rows[order]
-    new = np.empty(len(order), dtype=bool)
+    """Ascending indices of the rows equal to no earlier row, for a
+    non-negative int64 array with at least one row and one column.
+
+    Each row is packed into as few int64 words as fit below 2**63: the
+    columns are mixed-radix digits, each with radix its maximum plus 1, and
+    consecutive columns share a word while the product of their radices is
+    at most 2**63.  Equal rows then have equal words and distinct rows
+    distinct words, so one stable lexsort over the words (one key per word,
+    however many columns it holds) puts each run of equal rows together,
+    earliest first."""
+    words, places, start, span = [], [], 0, 1
+    for column, top in enumerate(rows.max(axis=0).tolist()):  # Python ints
+        if span * (top + 1) > 1 << 63:  # close the word: its digits times their places
+            words.append(rows[:, start:column] @ np.array(places, dtype=np.int64))
+            places, start, span = [], column, 1
+        places.append(span if top else 0)  # a full word's span, 2**63, overflows int64
+        span *= top + 1
+    words.append(rows[:, start:] @ np.array(places, dtype=np.int64))
+    if len(words) == 1 and span <= 1 << 16:
+        # numpy sorts 16-bit keys stably by radix sort, several times faster
+        words[0] = words[0].astype(np.uint16)
+    order = np.lexsort(words)
+    new = np.zeros(len(order), dtype=bool)
     new[0] = True
-    np.logical_or.reduce(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
-    firsts = order[new]
-    return firsts[np.lexsort((firsts,))]
+    for word in words:
+        ranked = word[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    return np.sort(order[new])
 
 
 def build_payoff_matrix(
@@ -158,9 +181,10 @@ def build_payoff_matrix(
     block's row of the same table over the high ones.  ``block_scorer``
     turns them into int64 group numerators; the up-front bound (every edge
     of the group crossing) keeps them below 2**63.  Each block keeps the
-    first index of each distinct row (a stable lexsort), and the blocks'
-    survivors are merged by the same rule, so every column keeps its first
-    canonical cut and the columns stay in canonical order."""
+    first index of each distinct row (``_first_rows``: the row packed into
+    mixed-radix int64 words, one stable lexsort over the words), and the
+    blocks' survivors are merged by the same rule, so every column keeps
+    its first canonical cut and the columns stay in canonical order."""
     require_compatible(g, model, partition)
     check_enumeration_limit(g, limit)
     dens, bound, incident, numerators = block_scorer(g, model, partition.groups)

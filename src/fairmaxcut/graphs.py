@@ -75,7 +75,8 @@ class Cut:
     members: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
+        if type(self.members) is not frozenset:  # gw_round builds one Cut per sample
+            object.__setattr__(self, "members", frozenset(self.members))
 
     @staticmethod
     def of(vertices: Iterable[int]) -> "Cut":

@@ -1,12 +1,15 @@
-"""An independent oracle for the enumeration pass: the per-cut Python loop
+"""Independent oracles for the enumeration pass: the per-cut Python loop
 that ``exact.build_payoff_matrix`` replaced, scoring each canonical cut with
 ``group_kernel`` (the one-cut Python-int evaluator that the library's block
-scorer replaced) and keeping each distinct column with its first cut.
+scorer replaced) and keeping each distinct column with its first cut; and
+the one-key-per-column lexsort that ``exact._first_rows`` replaced.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from fairmaxcut.exact import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -83,3 +86,16 @@ def python_payoff_matrix(
 def column_cuts(matrix: PayoffMatrix) -> tuple[Cut, ...]:
     """Every column's cut, in column order."""
     return tuple(map(matrix.cut, range(matrix.column_count)))
+
+
+def lexsort_first_rows(rows: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows equal to no earlier row: a stable
+    lexsort with one key per column, so the first index of each run of
+    equal rows is the earliest."""
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    new = np.empty(len(order), dtype=bool)
+    new[0] = True
+    np.logical_or.reduce(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    firsts = order[new]
+    return firsts[np.lexsort((firsts,))]

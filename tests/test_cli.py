@@ -454,6 +454,39 @@ def test_other_algorithms_options_are_refused_exit_2(paw_path, tmp_path, algorit
     assert err == f"error: {flag} is not read by --algorithm {algorithm}\n"
 
 
+class TestParserReuse:
+    """In-process ``main`` calls parse with one parser, and one call's
+    options do not leak into the next."""
+
+    def test_back_to_back_calls_share_one_parser(self, paw_path, tmp_path, monkeypatch):
+        used = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recording(parser, *args, **kwargs):
+            used.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        report = str(tmp_path / "r.rep")
+        rc, approx, _ = run_cli(["solve", paw_path, "--no-timestamp", "--approx", "-o", report])
+        assert rc == 0 and "DF-MP  = 2/3  ~ 0.666667" in approx
+        rc, plain, _ = run_cli(["solve", paw_path, "--no-timestamp", "-o", report])
+        assert rc == 0 and "DF-MP  = 2/3\n" in plain
+        assert "~" not in plain
+        assert len(used) == 2 and used[0] is used[1]
+
+    def test_gw_options_do_not_carry_over(self, paw_path):
+        gw = ["run", paw_path, "--algorithm", "gw", "--samples", "5", "--no-timestamp"]
+        assert run_cli(gw)[0] == 0
+        rc, out, err = run_cli(["run", paw_path, "--algorithm", "naive-random", "--samples", "5"])
+        assert (rc, out) == (2, "")
+        assert err == "error: --samples is not read by --algorithm naive-random\n"
+        # without --samples nothing is refused: none is left over from the gw run
+        rc, out, _ = run_cli(["run", paw_path, "--algorithm", "naive-random", "--trials", "8",
+                              "--no-timestamp"])
+        assert rc == 0 and out
+
+
 @pytest.mark.parametrize("flag", ["--sdp-rank", "--sdp-iterations"])
 def test_gw_with_embedding_refuses_sdp_options_exit_2(tmp_path, flag):
     # the SDP is not solved when the embedding is given

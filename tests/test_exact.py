@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fairmaxcut.errors import DegreeZeroError, ModelMismatchError, TooLargeError
 from fairmaxcut.exact import (
     _BLOCK_BITS,
+    _first_rows,
     Mode,
     PayoffMatrix,
     StaticSolution,
@@ -51,7 +52,7 @@ from .fraction_utility import (
     group_utility,
     min_group_proportion,
 )
-from .python_payoff import column_cuts, python_payoff_matrix
+from .python_payoff import column_cuts, lexsort_first_rows, python_payoff_matrix
 from .strategies import edge_instances, graphs, node_instances, partitions_for
 
 # path 0-1-2 plus the isolated vertex 3: degrees 1, 2, 1, 0
@@ -390,6 +391,55 @@ def any_partition_cases(draw):
     if ground_set_size(g, model) == 0:
         kind = PartitionKind.NODES
     return g, model, draw(partitions_for(g, kind))
+
+
+# column kinds for the deduplication tests: the values a column draws from
+FIRST_ROWS_COLUMNS = {
+    "bit": st.integers(0, 1),
+    "small": st.integers(0, 60),
+    "zero": st.just(0),
+    "near 2**62": st.sampled_from([0, 2**62 - 1, 2**62, 2**62 + 1]),
+    "any": st.integers(0, 2**63 - 1),
+}
+
+
+@st.composite
+def first_rows_cases(draw):
+    """Non-negative int64 arrays of 1..40 rows drawn from a few distinct
+    template rows, so rows repeat, with 1..140 columns of mixed kinds (more
+    than 63 bit columns span several words), in C or Fortran order (the
+    enumeration pass hands over Fortran-ordered blocks)."""
+    kinds = draw(st.lists(st.sampled_from(sorted(FIRST_ROWS_COLUMNS)), min_size=1, max_size=140))
+    templates = draw(st.lists(
+        st.tuples(*(FIRST_ROWS_COLUMNS[kind] for kind in kinds)), min_size=1, max_size=5
+    ))
+    picks = draw(st.lists(st.integers(0, len(templates) - 1), min_size=1, max_size=40))
+    order = draw(st.sampled_from("CF"))
+    return np.array([templates[i] for i in picks], dtype=np.int64, order=order)
+
+
+def _bits_differing_in_last_column(columns: int) -> np.ndarray:
+    rows = np.ones((4, columns), dtype=np.int64)
+    rows[1::2, -1] = 0
+    return rows
+
+
+class TestFirstRowsAgainstOracle:
+    """``_first_rows`` (packed words) against the per-column lexsort it replaced."""
+
+    @given(first_rows_cases())
+    @example(_bits_differing_in_last_column(64))  # the last column is a word's only digit
+    @example(_bits_differing_in_last_column(130))  # three words
+    @example(np.array([[2**62, 2**62 + 1], [2**62, 2**62], [2**62, 2**62 + 1]], dtype=np.int64))
+    @example(np.array([[2**63 - 1, 0, 1], [2**63 - 1, 0, 0], [0, 0, 1]], dtype=np.int64))
+    # one word of span 257 * 256, just past 16 bits: row 1's word is 2**16
+    @example(np.array([[0, 0], [1, 255], [256, 255], [0, 0]], dtype=np.int64))
+    @example(np.zeros((5, 3), dtype=np.int64))  # all-zero columns
+    @example(np.array([[7, 0, 2**62]], dtype=np.int64))  # a single row
+    @example(np.tile(np.array([1, 2**62, 0, 1], dtype=np.int64), (6, 1)))  # all rows equal
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, rows):
+        assert_same_array(_first_rows(rows), lexsort_first_rows(rows))
 
 
 class TestBlockPassAgainstOracle:

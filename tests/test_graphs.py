@@ -89,6 +89,19 @@ class TestCutValue:
             cut_value(make_cycle(3), Cut.of({0, 2, member}))
 
 
+class TestCutMembers:
+    def test_frozenset_is_kept_as_given(self):
+        fs = frozenset({1, 3})
+        assert Cut(fs).members is fs
+
+    @pytest.mark.parametrize("cut", [Cut([2, 1]), Cut({1, 2}), Cut.of(range(1, 3))])
+    def test_other_iterables_are_frozen(self, cut):
+        assert type(cut.members) is frozenset
+        assert cut.members == {1, 2}
+        assert cut == Cut(frozenset({1, 2}))
+        assert hash(cut) == hash(Cut(frozenset({1, 2})))
+
+
 class TestIsBipartite:
     def test_odd_cycle(self):
         ok, witness = is_bipartite(make_cycle(5))
