@@ -61,7 +61,8 @@ class PayoffMatrix:
     partition's group order.  The columns are pairwise distinct and follow
     canonical cut order, each paired with the first canonical cut that has
     it.  The constructor coerces array-likes and refuses negative entries
-    and repeated columns.
+    and repeated columns; ``build_payoff_matrix``, whose columns are
+    distinct by construction, skips that last check (``_of_distinct``).
     """
 
     entries: np.ndarray
@@ -70,18 +71,37 @@ class PayoffMatrix:
     col_masks: np.ndarray
 
     def __post_init__(self):
+        self._settle()
+        k = self.column_count
+        if k > 1 and (not self.group_count or len(_first_rows(self.entries.T)) != k):
+            raise ValueError("payoff columns must be distinct")
+
+    @classmethod
+    def _of_distinct(cls, entries, dens, group_sizes, col_masks) -> "PayoffMatrix":
+        """The matrix of columns already known to be pairwise distinct: the
+        constructor without its distinctness pass."""
+        matrix = cls.__new__(cls)
+        for name, value in (
+            ("entries", entries), ("dens", dens), ("group_sizes", group_sizes),
+            ("col_masks", col_masks),
+        ):
+            object.__setattr__(matrix, name, value)
+        matrix._settle()
+        return matrix
+
+    def _settle(self) -> None:
+        """Coerce and check the arrays, freeze them, and start the cache of
+        ``scaled_columns``."""
         entries = np.array(self.entries, dtype=np.int64, order="C")
         masks = np.array(self.col_masks, dtype=np.int64)
         if entries.ndim != 2 or masks.shape != entries.shape[1:]:
             raise ValueError("payoff entries must be a group-by-column array, one column per mask")
         if entries.size and entries.min() < 0:
             raise ValueError("payoff entries must be non-negative")
-        k = len(masks)
-        if k > 1 and (not len(entries) or len(_first_rows(entries.T)) != k):
-            raise ValueError("payoff columns must be distinct")
         entries.flags.writeable = masks.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "col_masks", masks)
+        object.__setattr__(self, "_scaled", {})
 
     def __eq__(self, other):
         if not isinstance(other, PayoffMatrix):
@@ -205,7 +225,7 @@ def build_payoff_matrix(
     if block:  # a column may first appear in one block and repeat in later ones
         keep = _first_rows(columns)
         firsts, columns = firsts[keep], columns[keep]
-    return PayoffMatrix(
+    return PayoffMatrix._of_distinct(
         entries=columns.T,
         dens=tuple(dens),
         group_sizes=tuple(len(gr) for gr in partition.groups),
@@ -215,13 +235,26 @@ def build_payoff_matrix(
 
 def scaled_columns(matrix: PayoffMatrix, dens: tuple[int, ...]) -> tuple[int, np.ndarray]:
     """The matrix's entries as numerators over one common denominator ``den``
-    of ``dens``: a (groups, columns) array, int64 while every column sum
-    stays below 2**62, else of Python ints (object dtype)."""
-    den = lcm(*dens)
-    scales = [den // d for d in dens]
-    bound = int(matrix.entries.max(initial=1)) * max(scales) * len(dens)
-    dtype = object if bound >> 62 else np.int64
-    return den, matrix.entries * np.array(scales, dtype=dtype)[:, None]
+    of ``dens``: a read-only (groups, columns) array, int64 while every
+    column sum stays below 2**62, else of Python ints (object dtype).
+
+    It is made once per matrix and denominator set, and every later call
+    shares it; when every scale ``den // d`` is 1 and int64 suffices it is
+    ``matrix.entries`` itself."""
+    found = matrix._scaled.get(dens)
+    if found is None:
+        den = lcm(*dens)
+        scales = [den // d for d in dens]
+        bound = int(matrix.entries.max(initial=1)) * max(scales) * len(dens)
+        if bound >> 62:
+            cols = matrix.entries * np.array(scales, dtype=object)[:, None]
+        elif max(scales) == 1:
+            cols = matrix.entries
+        else:
+            cols = matrix.entries * np.array(scales, dtype=np.int64)[:, None]
+        cols.flags.writeable = False
+        found = matrix._scaled[dens] = den, cols
+    return found
 
 
 def max_from_matrix(matrix: PayoffMatrix, mode: Mode) -> tuple[Fraction, Cut]:

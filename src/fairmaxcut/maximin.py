@@ -6,9 +6,11 @@
 This is the value-of-a-zero-sum-game LP over the columns of an
 ``exact.PayoffMatrix``: the distinct integer utility columns of all canonical
 cuts, read over the denominators of the value or the proportion mode and
-scaled to integers over one common denominator ``den``.  It is solved by
-column generation (Gilmore & Gomory, Oper. Res. 1961) over a restricted
-master in the standard form
+scaled to integers over one common denominator ``den``
+(``exact.scaled_columns``, made once per matrix and denominator set and
+shared with the other read-offs).  It is solved by column generation
+(Gilmore & Gomory, Oper. Res. 1961) over a restricted master in the
+standard form
 
     max z   s.t.   den * z - (C p)_i + s_i = 0   (one row per group)
                    sum_S p_S = 1
@@ -30,13 +32,27 @@ nothing because all payoff entries are >= 0.
 
 The reported distribution is canonical: Bland's simplex is re-run from
 scratch over the columns that are tight at the final duals, in column order,
-so it does not depend on the path the master took.  ``Fraction`` values are
-only made for these results.  Both sides of the minimax equality are finally
-recomputed from the matrix's integer entries over the mode's denominators,
-independently of the simplex and of the pricing code, in integers only: the
-value, the probabilities and the duals are each put over one common
-denominator and the comparisons are cross-multiplied, so no ``Fraction`` is
-made per entry.
+so it does not depend on the path the master took.  When no column entered
+the master, that re-solve is skipped, since its result is known: the point
+mass on the start column s, with support (s,).  The proof:
+
+- With s alone, the master's only pivot is z entering, on the group row r
+  with the least C[r, s] (ties to the lowest row), so its duals are e_r.
+- So no column entered exactly when C[r, j] <= C[r, s] for every column j,
+  and the tight columns are then {j : C[r, j] == C[r, s]}, which holds s.
+- s is also the first column with the largest minimum among the tight
+  columns, so the cold tableau starts from the same basis and makes the
+  same first pivot.
+- After that pivot every tight column's reduced cost is 0 and every
+  slack's at most 0, so Bland stops there, at the point mass on s.
+
+``Fraction`` values are only made for the reported results: the value, the
+positive probabilities and the duals.  Both sides of the minimax equality
+are finally recomputed from the matrix's integer entries over the mode's
+denominators, independently of the simplex and of the pricing code, in
+integers only: the value, the probabilities and the duals are each put over
+one common denominator and the comparisons are cross-multiplied, so no
+``Fraction`` is made per entry.
 
 When every group has one size s, the proportion-mode LP is the value-mode
 LP with ``den`` times s: the same columns C, and z scaled by 1 / s, which
@@ -125,8 +141,9 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
     common denominator of the mode's; the restricted master is re-optimized
     from its previous optimal tableau each time a column enters.  The dual
     weights are the last master's, which certify every column; the
-    distribution is Bland's simplex over the columns tight at those duals,
-    and the support holds their column indices.
+    distribution is Bland's simplex over the columns tight at those duals
+    (the point mass on the start column when no column entered), and the
+    support holds their column indices.
     """
     gamma, k = matrix.group_count, matrix.column_count
     if gamma == 0 or k == 0:
@@ -136,8 +153,9 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
 
     # restricted master, started from the best static column; the column
     # with the largest reduced cost enters until none prices above its value
-    active = [int(np.argmax(cols.min(axis=0)))]
-    master = _Tableau([cols[:, active[0]].tolist()], den)
+    start = int(np.argmax(cols.min(axis=0)))
+    active = [start]
+    master = _Tableau([cols[:, start].tolist()], den)
     while True:
         weights, bar = master.pricing()
         scores = _column_scores(weights, bar, cols, top)
@@ -148,19 +166,28 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
             raise _CertificateError("master duals price one of its own columns above its value")
         active.append(enter)
         master.add(cols[:, enter].tolist())
-    value, duals = master.primal()[0], master.duals()
+    z, *_ = master.primal_numerators()
+    value, duals = Fraction(z, master.det), master.duals()
 
-    # canonical support: independent of the path the master took
-    tight = np.flatnonzero(scores == bar).tolist()
-    tight_value, *probs = _Tableau(cols[:, tight].T.tolist(), den).primal()
-    if tight_value != value:
-        raise _CertificateError(
-            f"tight columns reach {tight_value}, column generation reached {value}"
-        )
-    support = tuple(j for j, p in zip(tight, probs) if p > 0)
-    distribution = CutDistribution(
-        tuple((matrix.cut(j), p) for j, p in zip(tight, probs) if p > 0)
-    )
+    # canonical support: independent of the path the master took.  When no
+    # column entered, the cold re-solve over the tight columns is known to
+    # end at the point mass on the start column (module docstring).
+    if len(active) == 1:
+        support = (start,)
+        distribution = CutDistribution.point_mass(matrix.cut(start))
+    else:
+        tight = np.flatnonzero(scores == bar).tolist()
+        cold = _Tableau(cols[:, tight].T.tolist(), den)
+        tight_z, *probs = cold.primal_numerators()
+        if tight_z * value.denominator != value.numerator * cold.det:
+            raise _CertificateError(
+                f"tight columns reach {Fraction(tight_z, cold.det)}, column generation "
+                f"reached {value}"
+            )
+        support = tuple(j for j, p in zip(tight, probs) if p > 0)
+        distribution = CutDistribution(tuple(
+            (matrix.cut(j), Fraction(p, cold.det)) for j, p in zip(tight, probs) if p > 0
+        ))
 
     _check_certificate(matrix, mode, value, distribution, duals, support)
     return MaximinSolution(
@@ -299,13 +326,13 @@ class _Tableau:
                 row[:] = [(p * x - coef * y) // det for x, y in zip(row, pivot_row)]
         self.det = p
 
-    def primal(self) -> list[Fraction]:
-        """The values of z (the LP value) and of the columns."""
+    def primal_numerators(self) -> list[int]:
+        """The values of z (the LP value) and of the columns, times ``det``."""
         values = [0] * (1 + self.k)
         for row, v in zip(self.rows, self.basis):
             if v <= self.k:
                 values[v] = row[-1]
-        return [Fraction(x, self.det) for x in values]
+        return values
 
     def _slack_duals(self) -> tuple[list[int], int]:
         """Dual row weights at optimality, unnormalized: y_i = -reduced cost

@@ -48,6 +48,11 @@ def python_column_scores(weights: list[int], cols: list[tuple[int, ...]]) -> lis
     return [sum(map(mul, weights, col)) for col in cols]
 
 
+def tableau_primal(tableau: _Tableau) -> list[Fraction]:
+    """A tableau's values of z and of the columns, as rationals."""
+    return [Fraction(x, tableau.det) for x in tableau.primal_numerators()]
+
+
 def python_solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> MaximinSolution:
     """``maximin.solve_maximin`` with list pricing over tuple columns, and the
     certificate checked by the ``Fraction`` oracle."""
@@ -66,9 +71,9 @@ def python_solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> 
             raise _CertificateError("master duals price one of its own columns above its value")
         active.append(enter)
         master.add(list(cols[enter]))
-    value, duals = master.primal()[0], master.duals()
+    value, duals = tableau_primal(master)[0], master.duals()
     tight = [j for j in range(k) if scores[j] == bar]
-    tight_value, *probs = _Tableau([list(cols[j]) for j in tight], den).primal()
+    tight_value, *probs = tableau_primal(_Tableau([list(cols[j]) for j in tight], den))
     if tight_value != value:
         raise _CertificateError(
             f"tight columns reach {tight_value}, column generation reached {value}"

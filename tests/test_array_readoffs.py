@@ -8,7 +8,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from fairmaxcut import maximin, verify
@@ -85,6 +85,50 @@ def assert_matches_oracles(matrix: PayoffMatrix) -> None:
 @settings(max_examples=150, deadline=None)
 def test_array_readoffs_match_python_loops(matrix):
     assert_matches_oracles(matrix)
+
+
+@pytest.mark.parametrize("grew", [False, True])
+def test_random_matrices_reach_both_maximin_branches(grew):
+    # one master solve means no column entered, and solve_maximin skipped
+    # the cold re-solve that python_solve_maximin runs
+    find(
+        random_matrices(),
+        lambda matrix: (solve_maximin(matrix, Mode.VALUE).master_solves > 1) == grew,
+        settings=settings(database=None),
+    )
+
+
+@pytest.mark.parametrize("matrix, shared", [
+    (matrix_from_rows([[1, 0, 2], [0, 1, 2]]), True),  # every scale is 1
+    (PayoffMatrix([[1, 0, 2], [0, 1, 2]], (2, 3), (1, 2), [2, 4, 6]), False),
+    (PayoffMatrix(BIG_ROWS, COPRIME_DENS, (1, 2, 3), [2, 4, 6, 8]), False),  # Python ints
+])
+def test_scaled_columns_are_made_once_and_read_only(matrix, shared):
+    for mode in Mode:
+        dens = matrix.denominators(mode)
+        den, cols = scaled_columns(matrix, dens)
+        assert scaled_columns(matrix, dens) == (den, cols)
+        assert scaled_columns(matrix, dens)[1] is cols
+        assert (cols is matrix.entries) == shared
+        assert not cols.flags.writeable
+        with pytest.raises(ValueError):
+            cols[0, 0] = 7
+
+
+@given(random_matrices(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_read_offs_agree_for_any_subset_and_order(matrix, data):
+    """Names read off one matrix in turn, in any subset and order, give what
+    the same names give off a fresh copy of it, whose scaled columns are
+    made in another order; and every value is the value of all six."""
+    copy = lambda: PayoffMatrix(matrix.entries, matrix.dens, matrix.group_sizes, matrix.col_masks)
+    every = verify.read_offs(copy(), OBJECTIVE_NAMES)
+    for _ in range(3):
+        names = data.draw(st.lists(st.sampled_from(OBJECTIVE_NAMES), min_size=1, unique=True))
+        found = verify.read_offs(matrix, names)
+        assert list(found) == names
+        assert found == verify.read_offs(copy(), [n for n in OBJECTIVE_NAMES if n in names])
+        assert all(found[name][0] == every[name][0] for name in names)
 
 
 def test_scaled_columns_past_int64_take_python_ints():

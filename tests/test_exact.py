@@ -32,6 +32,7 @@ from fairmaxcut.families import (
     make_cycle_plus_biclique,
     make_diamond_instance,
     make_paw_instance,
+    random_instance,
     singleton_partition,
 )
 from fairmaxcut.graphs import (
@@ -440,6 +441,27 @@ class TestFirstRowsAgainstOracle:
     @settings(max_examples=300, deadline=None)
     def test_matches_oracle(self, rows):
         assert_same_array(_first_rows(rows), lexsort_first_rows(rows))
+
+
+class TestEnumerationColumnsDistinct:
+    """``build_payoff_matrix`` makes its matrix without the constructor's
+    distinctness pass, so its columns are checked against the per-column
+    lexsort oracle here, past one block of canonical cuts too."""
+
+    @given(
+        st.sampled_from(list(UtilityModel)),
+        st.integers(2, 15),
+        st.sampled_from([0.3, 0.5, 0.7, 1.0]),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_columns_are_pairwise_distinct(self, model, n, edge_prob, gamma, seed):
+        inst = random_instance(
+            n, edge_prob, min(gamma, n - 1), model.partition_kind, seed, model=model
+        )
+        matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
+        assert len(lexsort_first_rows(matrix.entries.T)) == matrix.column_count
 
 
 class TestBlockPassAgainstOracle:

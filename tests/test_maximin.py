@@ -35,6 +35,7 @@ from fairmaxcut.utility import UtilityModel
 from .fraction_certificate import _check_certificate as fraction_check_certificate
 from .fraction_simplex import _bland, _simplex_maximin, _tableau, fraction_column
 from .python_payoff import column_cuts
+from .python_readoff import python_solve_maximin, tableau_primal
 from .strategies import edge_instances, node_instances
 
 
@@ -242,6 +243,32 @@ class TestSolveMaximin:
             )
 
 
+class TestNoGrowth:
+    """When no column enters the master, ``solve_maximin`` skips the cold
+    re-solve over the tight columns and reports the point mass on the start
+    column; ``python_solve_maximin`` still runs that re-solve."""
+
+    @pytest.mark.parametrize("rows, value, start, tight", [
+        pytest.param([[1, 3, 2]], 3, 1, (1,), id="one group"),
+        pytest.param([[2, 2, 2, 1], [5, 3, 4, 9]], 2, 0, (0, 1, 2), id="tie in the binding row"),
+        pytest.param([[2, 1], [2, 5]], 2, 0, (0,), id="tie for the binding row"),
+        pytest.param([[3, 3], [1, 4]], 3, 1, (0, 1), id="start after the first tight column"),
+    ])
+    def test_point_mass_on_the_start_column(self, rows, value, start, tight):
+        matrix = matrix_from_rows(rows)
+        sol = solve_maximin(matrix)
+        assert sol.master_solves == 1  # no column entered
+        assert sol.value == value
+        assert tuple(
+            j for j, col in enumerate(zip(*rows))
+            if sum(q * c for q, c in zip(sol.dual_weights, col)) == value
+        ) == tight
+        assert sol.support == (start,)
+        assert sol.distribution == CutDistribution.point_mass(matrix.cut(start))
+        assert_matches_dense_oracle(matrix, sol)
+        assert sol == python_solve_maximin(matrix)
+
+
 @st.composite
 def integer_columns(draw, max_columns=40):
     gamma = draw(st.integers(1, 5))
@@ -262,7 +289,7 @@ def test_warm_master_matches_cold_master(case):
     for k in range(1, len(cols) + 1):
         if k > 1:
             master.add(int_cols[k - 1])
-        value, duals = master.primal()[0], master.duals()
+        value, duals = tableau_primal(master)[0], master.duals()
         assert value == _simplex_maximin(cols[:k], gamma)[0]
         assert all(q >= 0 for q in duals) and sum(duals) == 1
         assert all(sum(map(mul, duals, col)) <= value for col in cols[:k])
@@ -278,7 +305,7 @@ def assert_matches_fraction_oracle(int_cols, den: int) -> None:
     value, probs, duals = _simplex_maximin(cols, gamma)
     pivots = _bland(*_tableau(cols, gamma))
     tableau = _Tableau(int_cols, den)
-    assert tableau.primal() == [value, *probs]
+    assert tableau_primal(tableau) == [value, *probs]
     assert tableau.duals() == duals
     assert (tableau.solves, tableau.pivots) == (1, pivots)
 
