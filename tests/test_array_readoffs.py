@@ -107,8 +107,8 @@ def test_scaled_columns_are_made_once_and_read_only(matrix, shared):
     for mode in Mode:
         dens = matrix.denominators(mode)
         den, cols = scaled_columns(matrix, dens)
-        assert scaled_columns(matrix, dens) == (den, cols)
-        assert scaled_columns(matrix, dens)[1] is cols
+        again = scaled_columns(matrix, dens)
+        assert again[0] == den and again[1] is cols
         assert (cols is matrix.entries) == shared
         assert not cols.flags.writeable
         with pytest.raises(ValueError):
@@ -121,7 +121,9 @@ def test_read_offs_agree_for_any_subset_and_order(matrix, data):
     """Names read off one matrix in turn, in any subset and order, give what
     the same names give off a fresh copy of it, whose scaled columns are
     made in another order; and every value is the value of all six."""
-    copy = lambda: PayoffMatrix(matrix.entries, matrix.dens, matrix.group_sizes, matrix.col_masks)
+    def copy() -> PayoffMatrix:
+        return PayoffMatrix(matrix.entries, matrix.dens, matrix.group_sizes, matrix.col_masks)
+
     every = verify.read_offs(copy(), OBJECTIVE_NAMES)
     for _ in range(3):
         names = data.draw(st.lists(st.sampled_from(OBJECTIVE_NAMES), min_size=1, unique=True))
