@@ -2,9 +2,12 @@
 cut (analytic and Monte Carlo), flip local search, and Goemans-Williamson
 hyperplane rounding over a low-rank coordinate-ascent SDP relaxation.
 
-The relaxation's sweep runs the same float64 steps, in the same order, as
-the row-by-row reference loop kept in the tests, so its embeddings match it
-bit for bit.  The rounding keeps one generator per call, re-keyed to each
+The relaxation's Gauss-Seidel sweep is level-scheduled: the vertices are
+grouped into levels that share no edge, ordered so that every update reads
+the same neighbor vectors as in index order, and each level is updated in
+one batch.  Per row the batch runs the same float64 steps, in the same
+order, as the row-by-row reference loop kept in the tests, so its
+embeddings match it bit for bit.  The rounding keeps one generator per call, re-keyed to each
 sample's own stream, and counts the samples' crossings, per-edge
 frequencies and cut values per block of samples.
 
@@ -297,7 +300,9 @@ def naive_random_sample(
     ``xor_table`` of vertices 8b..8b+7 (zero rows for vertices >= n, so the
     padding bits add nothing); XORed over its bytes, they give the crossing
     words that ``block_scorer`` scores.  The sums of numerators and of their
-    squares are kept as Python ints."""
+    squares are kept as Python ints.  A block adds them up in int64 while no
+    square can reach 2**62, over 21-bit limbs (``_limb_sums``) while the
+    numerators are int64, and in Python ints past that."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     require_compatible(g, model, partition)
@@ -315,10 +320,12 @@ def naive_random_sample(
         for b in range(1, len(tables)):
             cross ^= tables[b][sides[:, b]]
         nums = numerators(cross)
-        if count * bound * bound >= 2**62:  # squares could pass int64
-            nums = nums.astype(object)
-        totals = [a + b for a, b in zip(totals, nums.sum(axis=0).tolist())]
-        squares = [a + b for a, b in zip(squares, (nums * nums).sum(axis=0).tolist())]
+        if nums.dtype == object or count * bound * bound < 2**62:
+            sums = nums.sum(axis=0).tolist(), (nums * nums).sum(axis=0).tolist()
+        else:  # int64 squares could overflow
+            sums = _limb_sums(nums)
+        totals = [a + b for a, b in zip(totals, sums[0])]
+        squares = [a + b for a, b in zip(squares, sums[1])]
 
     stats = []
     for total, total_sq, den, gr in zip(totals, squares, dens, partition.groups):
@@ -327,6 +334,28 @@ def naive_random_sample(
         second_moment = Fraction(total_sq, trials * denom * denom)
         stats.append(SampleStats(mean=mean, variance=second_moment - mean * mean))
     return stats
+
+
+_LIMB_BITS = 21
+
+
+def _limb_sums(nums: np.ndarray) -> tuple[list[int], list[int]]:
+    """The column sums of ``nums`` and of its squares as Python ints, for an
+    int64 array with entries in [0, 2**63) and at most 2**20 rows.  Each
+    entry is split into three 21-bit limbs, so that every product of two
+    limbs is below 2**42 and a column's sum of them stays in int64; the
+    per-limb sums are combined in Python ints."""
+    mask = (1 << _LIMB_BITS) - 1
+    limbs = np.stack([nums & mask, (nums >> _LIMB_BITS) & mask, nums >> 2 * _LIMB_BITS])
+    by_column = limbs.transpose(2, 0, 1)  # (columns, limbs, rows)
+    limb_totals = limbs.sum(axis=1).T.tolist()
+    limb_products = (by_column @ by_column.transpose(0, 2, 1)).tolist()
+    totals = [sum(t << _LIMB_BITS * a for a, t in enumerate(row)) for row in limb_totals]
+    squares = [
+        sum(p << _LIMB_BITS * (a + b) for a, row in enumerate(products) for b, p in enumerate(row))
+        for products in limb_products
+    ]
+    return totals, squares
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +410,16 @@ def gw_sdp_solve(
     the objective never decreases.  Returns after `iterations` full sweeps
     (earlier if a sweep moves nothing).
 
-    A sweep visits the vertices in index order and reads each neighbor's
-    latest vector, including those updated earlier in the same sweep (a
-    Gauss-Seidel sweep).  Batching the updates, by colour class or as one
-    matrix product, would read older vectors and round differently, so it
-    would change the embedding.  Each update is the neighbor rows' ufunc
-    sum, the BLAS dot of that sum with itself and one division, so the
-    vectors are bit-for-bit those of the row-by-row reference loop."""
+    A sweep is a Gauss-Seidel sweep in index order: each update reads the
+    latest vector of every neighbor, the new one of a lower neighbor and the
+    old one of a higher neighbor.  It is run level by level: a level holds
+    vertices that share no edge, and it comes after the levels of all their
+    lower neighbors and before those of all their higher ones, so a batch
+    update of one level reads exactly those vectors.  Colour classes or one
+    matrix product per sweep would read older vectors, or round
+    differently, and change the embedding.  Each update is the neighbor
+    rows' ufunc sum, the BLAS dot of that sum with itself and one division,
+    so the vectors are bit-for-bit those of the row-by-row reference loop."""
     n = g.vertex_count
     if rank is None:
         rank = max(2, default_sdp_rank(n))
@@ -404,47 +436,91 @@ def gw_sdp_solve(
     return UnitVectorEmbedding(vec)
 
 
+def _sweep_levels(g: Graph) -> tuple[list[int], list[tuple[int, int, np.ndarray]]]:
+    """The level schedule of an index-order sweep: ``(order, levels)``.
+
+    Vertex v's level is 1 + the highest level of its neighbors u < v, or 0
+    if it has none; vertices without neighbors get none.  ``order`` lists
+    the other vertices by (level, index), and level ``order[lo:hi]`` comes
+    with a (slots, hi - lo) index array whose column r holds the positions
+    in ``order`` of vertex ``order[lo + r]``'s neighbors, sorted by vertex
+    index, then the padding position ``len(order)`` up to the level's
+    largest degree."""
+    level = [-1] * g.vertex_count
+    for v, nbrs in enumerate(g.neighbors):
+        if nbrs:
+            level[v] = 1 + max((level[u] for u in nbrs if u < v), default=-1)
+    order = sorted((v for v in range(g.vertex_count) if level[v] >= 0), key=level.__getitem__)
+    position = {v: k for k, v in enumerate(order)}
+    levels = []
+    for _, members in itertools.groupby(order, key=level.__getitem__):
+        members = list(members)
+        lo = position[members[0]]
+        slots = max(len(g.neighbors[v]) for v in members)
+        idx = np.full((slots, len(members)), len(order), dtype=np.intp)
+        for r, v in enumerate(members):
+            nbrs = sorted(g.neighbors[v])
+            idx[: len(nbrs), r] = [position[u] for u in nbrs]
+        levels.append((lo, lo + len(members), idx))
+    return order, levels
+
+
 def _coordinate_ascent(g: Graph, vec: np.ndarray, iterations: int) -> None:
     """Run up to `iterations` sweeps of `gw_sdp_solve` on `vec` in place.
 
+    A sweep runs level by level (``_sweep_levels``, the level scheduling of
+    sparse triangular solves; Anderson & Saad, 1989) on a copy of the rows
+    in (level, index) order with one extra row of -0.0.  A level's vertices
+    share no edge; their lower neighbors sit on earlier levels and already
+    hold their new vectors, their higher neighbors on later levels and still
+    hold their old ones, as in the index-order sweep.  Each level takes six
+    calls: the gather of the neighbor rows, their sum one slot after
+    another (the padding adds -0.0, which changes no value and no zero's
+    sign), each sum's BLAS dot with itself (the ddot of ``ndarray.dot``),
+    its root, the negation and the division into the level's rows.
+
     A vector whose update equals it numerically (0.0 == -0.0) is left as it
-    is, so a stored zero keeps its sign.  A sweep first writes every update
-    without comparing.  That differs from leaving equal rows alone only if
-    an unmoved row got a zero's sign flipped, and then the sweep is redone
+    is, so a stored zero keeps its sign, and one whose neighbors sum to
+    norm 0 is not updated.  A sweep first writes every update without
+    comparing.  That differs from the careful update only if an unmoved row
+    got a zero's sign flipped or a norm was 0, and then the sweep is redone
     from its start with the comparison.  The first sweep that moves no row
     is the last."""
-    updates = [
-        (np.array(sorted(g.neighbors[v]), dtype=np.intp), vec[v])
-        for v in range(g.vertex_count)
-        if g.neighbors[v]
-    ]
+    order, levels = _sweep_levels(g)
+    work = np.empty((len(order) + 1, vec.shape[1]))
+    work[:-1] = vec[order]
+    work[-1] = -0.0
+    norms = np.empty(len(order))
+    steps = [(idx, work[lo:hi], norms[lo:hi]) for lo, hi, idx in levels]
 
     def sweep(keep_equal: bool) -> None:
-        for idx, row in updates:
-            grad = np.add.reduce(vec.take(idx, 0), 0)
-            norm = math.sqrt(grad.dot(grad))
-            if norm == 0.0:
-                continue
+        for idx, rows, norm in steps:
+            grad = np.add.reduce(work.take(idx, 0), 0)
+            np.vecdot(grad, grad, out=norm)
+            np.sqrt(norm, out=norm)
+            np.negative(norm, out=norm)
             if not keep_equal:
-                np.divide(grad, -norm, out=row)
+                np.divide(grad, norm[:, None], out=rows)
                 continue
-            new = np.divide(grad, -norm)
-            if not np.array_equal(new, row):
-                row[...] = new
+            new = np.divide(grad, norm[:, None])
+            moved = (norm != 0.0) & (new != rows).any(axis=1)
+            rows[moved] = new[moved]
 
-    before = np.empty_like(vec)
-    for _ in range(iterations):
-        np.copyto(before, vec)
-        sweep(keep_equal=False)
-        unmoved = (vec == before).all(axis=1)
-        if unmoved.any() and (
-            vec[unmoved].view(np.int64) != before[unmoved].view(np.int64)
-        ).any():
-            np.copyto(vec, before)
-            sweep(keep_equal=True)
-            unmoved = (vec == before).all(axis=1)
-        if unmoved.all():
-            break
+    before = np.empty_like(work)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(iterations):
+            np.copyto(before, work)
+            sweep(keep_equal=False)
+            unmoved = (work == before).all(axis=1)
+            if not norms.all() or (
+                work[unmoved].view(np.int64) != before[unmoved].view(np.int64)
+            ).any():
+                np.copyto(work, before)
+                sweep(keep_equal=True)
+                unmoved = (work == before).all(axis=1)
+            if unmoved.all():
+                break
+    vec[order] = work[:-1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -118,9 +118,11 @@ class CutDistribution:
 class MaximinSolution:
     """``master_solves`` counts the master's optimizations (the first one and
     one per entering column) and ``pivots`` the simplex pivots they made; the
-    tight re-solve is in neither.  A solution derived by
-    ``proportion_from_value`` ran no simplex, so both are 0; it is certified
-    in proportion mode all the same."""
+    tight re-solve is in neither.  ``tight_columns`` counts the columns the
+    re-solve ran over and ``tight_pivots`` its pivots; both are 0 when it
+    was skipped.  A solution derived by ``proportion_from_value`` ran no
+    simplex, so all four are 0; it is certified in proportion mode all the
+    same."""
 
     value: Fraction
     distribution: CutDistribution
@@ -128,6 +130,8 @@ class MaximinSolution:
     support: tuple[int, ...]
     master_solves: int = 0
     pivots: int = 0
+    tight_columns: int = 0
+    tight_pivots: int = 0
 
 
 class _CertificateError(AssertionError):
@@ -172,6 +176,7 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
     # canonical support: independent of the path the master took.  When no
     # column entered, the cold re-solve over the tight columns is known to
     # end at the point mass on the start column (module docstring).
+    tight_columns = tight_pivots = 0
     if len(active) == 1:
         support = (start,)
         distribution = CutDistribution.point_mass(matrix.cut(start))
@@ -188,6 +193,7 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
         distribution = CutDistribution(tuple(
             (matrix.cut(j), Fraction(p, cold.det)) for j, p in zip(tight, probs) if p > 0
         ))
+        tight_columns, tight_pivots = len(tight), cold.pivots
 
     _check_certificate(matrix, mode, value, distribution, duals, support)
     return MaximinSolution(
@@ -197,6 +203,8 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
         support=support,
         master_solves=master.solves,
         pivots=master.pivots,
+        tight_columns=tight_columns,
+        tight_pivots=tight_pivots,
     )
 
 
@@ -205,11 +213,14 @@ def proportion_from_value(matrix: PayoffMatrix, solution: MaximinSolution) -> Ma
     s, derived from its value-mode optimum ``solution``: the value over s,
     with the same distribution, duals and support (see the module
     docstring).  It is re-certified in proportion mode, and its counters are
-    0."""
+    all 0."""
     size, *others = set(matrix.group_sizes)
     if others:
         raise ValueError("proportion mode is value mode over a scale only for equal group sizes")
-    derived = replace(solution, value=solution.value / size, master_solves=0, pivots=0)
+    derived = replace(
+        solution, value=solution.value / size, master_solves=0, pivots=0, tight_columns=0,
+        tight_pivots=0,
+    )
     _check_certificate(
         matrix, Mode.PROPORTION, derived.value, derived.distribution, derived.dual_weights,
         derived.support,

@@ -73,7 +73,8 @@ def python_solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> 
         master.add(list(cols[enter]))
     value, duals = tableau_primal(master)[0], master.duals()
     tight = [j for j in range(k) if scores[j] == bar]
-    tight_value, *probs = tableau_primal(_Tableau([list(cols[j]) for j in tight], den))
+    cold = _Tableau([list(cols[j]) for j in tight], den)
+    tight_value, *probs = tableau_primal(cold)
     if tight_value != value:
         raise _CertificateError(
             f"tight columns reach {tight_value}, column generation reached {value}"
@@ -83,7 +84,11 @@ def python_solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> 
         tuple((matrix.cut(j), p) for j, p in zip(tight, probs) if p > 0)
     )
     _check_certificate(matrix, mode, value, distribution, duals, support)
-    return MaximinSolution(value, distribution, duals, support, master.solves, master.pivots)
+    # solve_maximin skips the re-solve, and counts none, when no column entered
+    counted = (len(tight), cold.pivots) if len(active) > 1 else (0, 0)
+    return MaximinSolution(
+        value, distribution, duals, support, master.solves, master.pivots, *counted
+    )
 
 
 def python_best_dual_score(w: list[int], entries: list[list[int]]) -> int:

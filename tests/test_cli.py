@@ -13,9 +13,10 @@ import pytest
 
 from fairmaxcut import cli
 from fairmaxcut.cli import build_parser, main
-from fairmaxcut.graphs import cut_value
-from fairmaxcut.heuristics import gw_round, sdp_objective
-from fairmaxcut.instances import load_instance
+from fairmaxcut.families import random_instance
+from fairmaxcut.graphs import PartitionKind, cut_value
+from fairmaxcut.heuristics import _sweep_levels, gw_round, sdp_objective
+from fairmaxcut.instances import load_instance, save_instance
 from fairmaxcut.reports import parse_report
 
 from .python_sdp import python_sdp_solve
@@ -194,12 +195,21 @@ class TestRun:
         assert chord and chord[0].split()[3] == "0"
         assert any(l == "score-min 0" for l in report.other)
 
-    @pytest.mark.parametrize("name", ["paw.inst", "random_n8_p05_g3_seed42.inst"])
+    @pytest.mark.parametrize(
+        "name", ["paw.inst", "random_n8_p05_g3_seed42.inst", "generated_n40_p02"]
+    )
     @pytest.mark.parametrize("seed", [0, 12345])
-    def test_gw_lines_match_reference_embedding(self, name, seed):
+    def test_gw_lines_match_reference_embedding(self, name, seed, tmp_path):
         # recomputed from the reference loop's embedding, not a stored float:
         # BLAS kernels may round differently on another CPU
-        path = str(GOLDENS / name)
+        if name == "generated_n40_p02":
+            # dense enough that the sweep's levels hold several vertices each
+            path = str(tmp_path / "g40.inst")
+            save_instance(random_instance(40, 0.2, 4, PartitionKind.EDGES, seed=21), path)
+            order, levels = _sweep_levels(load_instance(path).graph)
+            assert len(order) == 40 and 2 * len(levels) < len(order)
+        else:
+            path = str(GOLDENS / name)
         rc, out, _ = run_cli(["run", path, "--algorithm", "gw", "--seed", str(seed),
                               "--samples", "200", "--no-timestamp"])
         assert rc == 0

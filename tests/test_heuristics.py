@@ -42,7 +42,9 @@ from fairmaxcut.heuristics import (
     DistributionScore,
     GwRounding,
     _coordinate_ascent,
+    _limb_sums,
     _rekeyed_rngs,
+    _sweep_levels,
     UnitVectorEmbedding,
     default_group_oracle,
     derive_rng,
@@ -327,6 +329,46 @@ class TestStreamedSampler:
         assert [(s.mean, s.variance) for s in samples] == direct_sample(g, model, partition, 3, 64)
         assert samples == python_naive_random_sample(g, model, partition, 3, 64)
 
+    def test_own_degree_limb_sums_match_python_sampler(self):
+        # G(80, 0.2) with own-degree groups: the lcm of the degrees puts the
+        # numerators near 2**36, so every block's squares go through the limbs
+        model = UtilityModel.NODE_OWNDEG
+        inst = random_instance(80, 0.2, 4, PartitionKind.NODES, seed=1, model=model)
+        g, partition = inst.graph, inst.partition
+        _, bound, _, _ = block_scorer(g, model, partition.groups)
+        assert 2**31 <= bound < 2**63
+        trials = _BLOCK_TRIALS + 3
+        assert naive_random_sample(g, model, partition, 8, trials) == (
+            python_naive_random_sample(g, model, partition, 8, trials)
+        )
+
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(0, 2**63 - 1),
+                    st.sampled_from([0, 2**21 - 1, 2**21, 2**42 - 1, 2**42, 2**63 - 1]),
+                ),
+                min_size=3,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=80)
+    def test_limb_sums_equal_python_int_sums(self, rows):
+        totals, squares = _limb_sums(np.array(rows, dtype=np.int64))
+        assert totals == [sum(column) for column in zip(*rows)]
+        assert squares == [sum(x * x for x in column) for column in zip(*rows)]
+
+    def test_limb_sums_of_a_full_block_of_largest_numerators(self):
+        nums = np.full((_BLOCK_TRIALS, 2), 2**63 - 1, dtype=np.int64)
+        nums[:, 1] = 2**42 - 1
+        totals, squares = _limb_sums(nums)
+        assert totals == [_BLOCK_TRIALS * (2**63 - 1), _BLOCK_TRIALS * (2**42 - 1)]
+        assert squares == [_BLOCK_TRIALS * (2**63 - 1) ** 2, _BLOCK_TRIALS * (2**42 - 1) ** 2]
+
     @given(
         st.one_of(st.sampled_from([2, 7, 8, 9, 63, 64, 65, 129]), st.integers(2, 130)),
         st.sampled_from(list(UtilityModel)),
@@ -581,7 +623,7 @@ def same_bits(got: UnitVectorEmbedding, want: UnitVectorEmbedding) -> bool:
 
 
 class TestGwSdpSolveMatchesReferenceLoop:
-    """The lean sweep against the row-by-row loop in tests/python_sdp.py,
+    """The level-scheduled sweep against the row-by-row loop in tests/python_sdp.py,
     bit for bit: same update order, same reductions, same zero signs."""
 
     @given(
@@ -625,6 +667,53 @@ class TestGwSdpSolveMatchesReferenceLoop:
         python_sweeps(g, want, iterations)
         assert got.tobytes() == want.tobytes()
         assert not np.signbit(got[1:, 0]).any()
+
+    @given(
+        st.integers(1, 24),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 13),
+        st.integers(0, 6),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_level_sweep_matches_reference_from_any_start(
+        self, n, edge_prob, graph_seed, rank, iterations, data
+    ):
+        # G(n, p) of any density, isolated vertices included; start rows of
+        # signed zeros and units, whose neighbor sums can cancel to norm 0,
+        # or Gaussian
+        rng = np.random.default_rng(graph_seed)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, tuple(e for e, r in zip(pairs, rng.random(len(pairs))) if r < edge_prob))
+        signed = st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0]), min_size=rank, max_size=rank)
+        gaussian = st.integers(0, 2**32 - 1).map(
+            lambda s: np.random.default_rng(s).standard_normal(rank).tolist()
+        )
+        start = np.array(data.draw(st.lists(st.one_of(signed, gaussian), min_size=n, max_size=n)))
+        got, want = start.copy(), start.copy()
+        _coordinate_ascent(g, got, iterations)
+        python_sweeps(g, want, iterations)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    def test_cancelling_neighbors_skip_one_vertex_of_a_level(self, iterations):
+        # vertices 0 and 3 share level 0; vertex 0's neighbors 1 and 2 are
+        # still at their opposite start rows, so its sum has norm 0 and it
+        # keeps its row, while vertex 3 moves.  No update flips a zero's sign
+        g = Graph(5, ((0, 1), (0, 2), (3, 4)))
+        start = np.array([[0.6, 0.8], [1.0, 0.0], [-1.0, 0.0], [0.6, 0.8], [0.8, 0.6]])
+        _, levels = _sweep_levels(g)
+        assert [hi - lo for lo, hi, _ in levels] == [2, 3]
+        got, want = start.copy(), start.copy()
+        _coordinate_ascent(g, got, iterations)
+        python_sweeps(g, want, iterations)
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got).all()
+        once = start.copy()
+        _coordinate_ascent(g, once, 1)
+        assert once[0].tobytes() == start[0].tobytes()
+        assert once[3].tolist() == [-0.8, -0.6]
 
 
 class TestDeriveRng:

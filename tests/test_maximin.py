@@ -3,6 +3,7 @@
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from operator import mul
 
 import pytest
@@ -221,6 +222,27 @@ class TestSolveMaximin:
             sol = solve_maximin(matrix, mode)
             assert (sol.master_solves, sol.pivots) == (solves, pivots)
 
+    @pytest.mark.parametrize("kind", list(PartitionKind), ids=lambda k: k.value)
+    def test_tight_counters_on_the_9_cycle(self, kind):
+        # the master grows, so the cold re-solve runs over the 9 columns
+        # tight at the final duals: one pivot for z, one per column
+        inst = make_odd_cycle_instance(9, kind)
+        matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
+        for mode in Mode:
+            sol = solve_maximin(matrix, mode)
+            dens = matrix.denominators(mode)
+            den = lcm(*dens)
+            columns = [
+                [x * (den // d) for x, d in zip(column, dens)]
+                for column in zip(*matrix.entries.tolist())
+            ]
+            tight = [
+                column for column in columns
+                if sum(map(mul, sol.dual_weights, column)) == sol.value * den
+            ]
+            cold = _Tableau(tight, den)
+            assert (sol.tight_columns, sol.tight_pivots) == (len(tight), cold.pivots) == (9, 9)
+
     def test_degenerate_dual_keeps_value_and_support(self):
         # verify-small-387-s1 (edge model, proportion mode): its optimal dual
         # is not unique, and a master re-solved from scratch at every step
@@ -258,6 +280,7 @@ class TestNoGrowth:
         matrix = matrix_from_rows(rows)
         sol = solve_maximin(matrix)
         assert sol.master_solves == 1  # no column entered
+        assert (sol.tight_columns, sol.tight_pivots) == (0, 0)  # and nothing was re-solved
         assert sol.value == value
         assert tuple(
             j for j, col in enumerate(zip(*rows))
@@ -567,7 +590,11 @@ class TestProportionFromValue:
         derived = proportion_from_value(matrix, solve_maximin(matrix, Mode.VALUE))
         direct = solve_maximin(matrix, Mode.PROPORTION)
         assert (derived.master_solves, derived.pivots) == (0, 0)
-        assert replace(derived, master_solves=direct.master_solves, pivots=direct.pivots) == direct
+        assert (derived.tight_columns, derived.tight_pivots) == (0, 0)
+        assert replace(
+            derived, master_solves=direct.master_solves, pivots=direct.pivots,
+            tight_columns=direct.tight_columns, tight_pivots=direct.tight_pivots,
+        ) == direct
 
     def test_a_value_not_divided_by_s_fails_the_proportion_certificate(self):
         # given s times the value-mode value, the derived value is the
