@@ -7,9 +7,9 @@ grouped into levels that share no edge, ordered so that every update reads
 the same neighbor vectors as in index order, and each level is updated in
 one batch.  Per row the batch runs the same float64 steps, in the same
 order, as the row-by-row reference loop kept in the tests, so its
-embeddings match it bit for bit.  The rounding keeps one generator per call, re-keyed to each
-sample's own stream, and counts the samples' crossings, per-edge
-frequencies and cut values per block of samples.
+embeddings match it bit for bit.  The rounding keeps one generator per
+call, re-keyed to each sample's own stream, and counts the samples'
+crossings, per-edge frequencies and cut values per block of samples.
 
 Randomness is counter-based and splittable: every randomized operation takes
 an explicit 64-bit seed, and independent units of work (Monte Carlo trials,
@@ -321,11 +321,12 @@ def naive_random_sample(
             cross ^= tables[b][sides[:, b]]
         nums = numerators(cross)
         if nums.dtype == object or count * bound * bound < 2**62:
-            sums = nums.sum(axis=0).tolist(), (nums * nums).sum(axis=0).tolist()
+            block_totals = nums.sum(axis=0).tolist()
+            block_squares = (nums * nums).sum(axis=0).tolist()
         else:  # int64 squares could overflow
-            sums = _limb_sums(nums)
-        totals = [a + b for a, b in zip(totals, sums[0])]
-        squares = [a + b for a, b in zip(squares, sums[1])]
+            block_totals, block_squares = _limb_sums(nums)
+        totals = [a + b for a, b in zip(totals, block_totals)]
+        squares = [a + b for a, b in zip(squares, block_squares)]
 
     stats = []
     for total, total_sq, den, gr in zip(totals, squares, dens, partition.groups):
