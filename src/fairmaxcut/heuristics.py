@@ -300,9 +300,7 @@ def naive_random_sample(
     ``xor_table`` of vertices 8b..8b+7 (zero rows for vertices >= n, so the
     padding bits add nothing); XORed over its bytes, they give the crossing
     words that ``block_scorer`` scores.  The sums of numerators and of their
-    squares are kept as Python ints.  A block adds them up in int64 while no
-    square can reach 2**62, over 21-bit limbs (``_limb_sums``) while the
-    numerators are int64, and in Python ints past that."""
+    squares are kept as Python ints."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     require_compatible(g, model, partition)
@@ -320,13 +318,10 @@ def naive_random_sample(
         for b in range(1, len(tables)):
             cross ^= tables[b][sides[:, b]]
         nums = numerators(cross)
-        if nums.dtype == object or count * bound * bound < 2**62:
-            block_totals = nums.sum(axis=0).tolist()
-            block_squares = (nums * nums).sum(axis=0).tolist()
-        else:  # int64 squares could overflow
-            block_totals, block_squares = _limb_sums(nums)
-        totals = [a + b for a, b in zip(totals, block_totals)]
-        squares = [a + b for a, b in zip(squares, block_squares)]
+        if count * bound * bound >= 2**62:  # squares could pass int64
+            nums = nums.astype(object)
+        totals = [a + b for a, b in zip(totals, nums.sum(axis=0).tolist())]
+        squares = [a + b for a, b in zip(squares, (nums * nums).sum(axis=0).tolist())]
 
     stats = []
     for total, total_sq, den, gr in zip(totals, squares, dens, partition.groups):
@@ -335,28 +330,6 @@ def naive_random_sample(
         second_moment = Fraction(total_sq, trials * denom * denom)
         stats.append(SampleStats(mean=mean, variance=second_moment - mean * mean))
     return stats
-
-
-_LIMB_BITS = 21
-
-
-def _limb_sums(nums: np.ndarray) -> tuple[list[int], list[int]]:
-    """The column sums of ``nums`` and of its squares as Python ints, for an
-    int64 array with entries in [0, 2**63) and at most 2**20 rows.  Each
-    entry is split into three 21-bit limbs, so that every product of two
-    limbs is below 2**42 and a column's sum of them stays in int64; the
-    per-limb sums are combined in Python ints."""
-    mask = (1 << _LIMB_BITS) - 1
-    limbs = np.stack([nums & mask, (nums >> _LIMB_BITS) & mask, nums >> 2 * _LIMB_BITS])
-    by_column = limbs.transpose(2, 0, 1)  # (columns, limbs, rows)
-    limb_totals = limbs.sum(axis=1).T.tolist()
-    limb_products = (by_column @ by_column.transpose(0, 2, 1)).tolist()
-    totals = [sum(t << _LIMB_BITS * a for a, t in enumerate(row)) for row in limb_totals]
-    squares = [
-        sum(p << _LIMB_BITS * (a + b) for a, row in enumerate(products) for b, p in enumerate(row))
-        for products in limb_products
-    ]
-    return totals, squares
 
 
 # ---------------------------------------------------------------------------

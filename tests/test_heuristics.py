@@ -42,7 +42,6 @@ from fairmaxcut.heuristics import (
     DistributionScore,
     GwRounding,
     _coordinate_ascent,
-    _limb_sums,
     _rekeyed_rngs,
     _sweep_levels,
     UnitVectorEmbedding,
@@ -328,46 +327,6 @@ class TestStreamedSampler:
         samples = naive_random_sample(g, model, partition, seed=3, trials=64)
         assert [(s.mean, s.variance) for s in samples] == direct_sample(g, model, partition, 3, 64)
         assert samples == python_naive_random_sample(g, model, partition, 3, 64)
-
-    def test_own_degree_limb_sums_match_python_sampler(self):
-        # G(80, 0.2) with own-degree groups: the lcm of the degrees puts the
-        # numerators near 2**36, so every block's squares go through the limbs
-        model = UtilityModel.NODE_OWNDEG
-        inst = random_instance(80, 0.2, 4, PartitionKind.NODES, seed=1, model=model)
-        g, partition = inst.graph, inst.partition
-        _, bound, _, _ = block_scorer(g, model, partition.groups)
-        assert 2**31 <= bound < 2**63
-        trials = _BLOCK_TRIALS + 3
-        assert naive_random_sample(g, model, partition, 8, trials) == (
-            python_naive_random_sample(g, model, partition, 8, trials)
-        )
-
-    @given(
-        st.lists(
-            st.lists(
-                st.one_of(
-                    st.integers(0, 2**63 - 1),
-                    st.sampled_from([0, 2**21 - 1, 2**21, 2**42 - 1, 2**42, 2**63 - 1]),
-                ),
-                min_size=3,
-                max_size=3,
-            ),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    @settings(max_examples=80)
-    def test_limb_sums_equal_python_int_sums(self, rows):
-        totals, squares = _limb_sums(np.array(rows, dtype=np.int64))
-        assert totals == [sum(column) for column in zip(*rows)]
-        assert squares == [sum(x * x for x in column) for column in zip(*rows)]
-
-    def test_limb_sums_of_a_full_block_of_largest_numerators(self):
-        nums = np.full((_BLOCK_TRIALS, 2), 2**63 - 1, dtype=np.int64)
-        nums[:, 1] = 2**42 - 1
-        totals, squares = _limb_sums(nums)
-        assert totals == [_BLOCK_TRIALS * (2**63 - 1), _BLOCK_TRIALS * (2**42 - 1)]
-        assert squares == [_BLOCK_TRIALS * (2**63 - 1) ** 2, _BLOCK_TRIALS * (2**42 - 1) ** 2]
 
     @given(
         st.one_of(st.sampled_from([2, 7, 8, 9, 63, 64, 65, 129]), st.integers(2, 130)),
