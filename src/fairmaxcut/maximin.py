@@ -17,18 +17,20 @@ standard form
                    z, p, s >= 0
 
 with C = den * M, started from the best static column and solved by primal
-simplex with Bland's rule on one integer tableau, ``_Tableau``, whose pivots
-are fraction-free: every entry is an integer over one common denominator, so
-no pivot takes a gcd.  Its dual group mixture prices every column in exact
-integer arithmetic, one vector-matrix product over the array C (int64 while
-no score can reach 2**62, else Python ints), and the first column with the
-largest reduced cost enters (Dantzig's rule), until no column prices above
-the master value.  The tableau itself only ever holds Python ints.  The master
-keeps its optimal tableau between steps: an entering column is priced into
-the current basis and the simplex continues from there, since adding a
-column leaves that basis primal feasible.  The last master's duals then
-certify the optimum over all columns.  Restricting z to be non-negative loses
-nothing because all payoff entries are >= 0.
+simplex with Bland's rule in one revised, fraction-free simplex,
+``_RevisedLP``: it keeps the integer basis inverse det * B^-1, of size
+(groups + 1)^2, over one common denominator, so no pivot takes a gcd, and it
+makes reduced costs and tableau columns only where Bland's rule reads them.
+It only ever holds Python ints.  Its dual group mixture prices every column
+in exact integer arithmetic, one vector-matrix product over the array C
+(int64 while no score can reach 2**62, else Python ints), and the first
+column with the largest reduced cost enters (Dantzig's rule), until no
+column prices above the master value.  The master keeps its optimal basis
+between steps: an entering column is appended and the simplex continues
+from that basis, which stays primal feasible, with the new column as its
+first pivot.  The last master's duals then certify the optimum over all
+columns.  Restricting z to be non-negative loses nothing because all payoff
+entries are >= 0.
 
 The reported distribution is canonical: Bland's simplex is re-run from
 scratch over the columns that are tight at the final duals, in column order,
@@ -41,7 +43,7 @@ mass on the start column s, with support (s,).  The proof:
 - So no column entered exactly when C[r, j] <= C[r, s] for every column j,
   and the tight columns are then {j : C[r, j] == C[r, s]}, which holds s.
 - s is also the first column with the largest minimum among the tight
-  columns, so the cold tableau starts from the same basis and makes the
+  columns, so the cold re-solve starts from the same basis and makes the
   same first pivot.
 - After that pivot every tight column's reduced cost is 0 and every
   slack's at most 0, so Bland stops there, at the point mass on s.
@@ -116,13 +118,14 @@ class CutDistribution:
 
 @dataclass(frozen=True)
 class MaximinSolution:
-    """``master_solves`` counts the master's optimizations (the first one and
-    one per entering column) and ``pivots`` the simplex pivots they made; the
-    tight re-solve is in neither.  ``tight_columns`` counts the columns the
-    re-solve ran over and ``tight_pivots`` its pivots; both are 0 when it
-    was skipped.  A solution derived by ``proportion_from_value`` ran no
-    simplex, so all four are 0; it is certified in proportion mode all the
-    same."""
+    """The optimum and the work that found it.  ``master_solves`` counts the
+    master's optimizations (the first one and one per entering column) and
+    ``pivots`` their Bland pivots; ``tight_columns`` counts the columns of
+    the tight re-solve and ``tight_pivots`` its pivots, both 0 when it was
+    skipped.  The pivots are those of Bland's rule on the dense tableau of
+    the same LP, however it is stored.  A solution derived by
+    ``proportion_from_value`` ran no simplex, so all four are 0; it is
+    certified in proportion mode all the same."""
 
     value: Fraction
     distribution: CutDistribution
@@ -143,7 +146,7 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
 
     Column generation over the matrix's distinct columns, scaled to one
     common denominator of the mode's; the restricted master is re-optimized
-    from its previous optimal tableau each time a column enters.  The dual
+    from its previous optimal basis each time a column enters.  The dual
     weights are the last master's, which certify every column; the
     distribution is Bland's simplex over the columns tight at those duals
     (the point mass on the start column when no column entered), and the
@@ -157,9 +160,10 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
 
     # restricted master, started from the best static column; the column
     # with the largest reduced cost enters until none prices above its value
-    start = int(np.argmax(cols.min(axis=0)))
+    mins = cols.min(axis=0)
+    start = int(np.argmax(mins))
     active = [start]
-    master = _Tableau([cols[:, start].tolist()], den)
+    master = _RevisedLP([cols[:, start].tolist()], den, 0)
     while True:
         weights, bar = master.pricing()
         scores = _column_scores(weights, bar, cols, top)
@@ -182,7 +186,7 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
         distribution = CutDistribution.point_mass(matrix.cut(start))
     else:
         tight = np.flatnonzero(scores == bar).tolist()
-        cold = _Tableau(cols[:, tight].T.tolist(), den)
+        cold = _RevisedLP(cols[:, tight].T.tolist(), den, int(np.argmax(mins[tight])))
         tight_z, *probs = cold.primal_numerators()
         if tight_z * value.denominator != value.numerator * cold.det:
             raise _CertificateError(
@@ -237,134 +241,129 @@ def _column_scores(weights: list[int], bar: int, cols: np.ndarray, top: int) -> 
     return np.array(weights, dtype=np.int64) @ cols
 
 
-def _best_static(cols: list[list[int]]) -> int:
-    """Index of the first column with the largest minimum entry."""
-    return max(range(len(cols)), key=lambda j: min(cols[j]))
-
-
-class _Tableau:
+class _RevisedLP:
     """The standard-form LP of the module docstring over the integer columns
     ``cols`` (C) read over ``den``, solved by Bland's primal simplex from the
-    feasible basis {slacks} + {best static column}.  Variables are numbered
-    z, the columns in the order they entered, then the slacks; each row is
-    [coefficients | rhs], and ``cost`` is the reduced-cost row.
+    feasible basis {slacks} + {column ``start``}.  Variables are numbered z,
+    the columns in the order they entered, then the slacks.
 
-    Pivots are fraction-free (Edmonds, J. Res. NBS 1967; Bareiss, Math.
-    Comp. 1968): every entry is an integer over the one common denominator
-    ``det``, which is the basis determinant up to sign, so each row is
-    ``det`` times its rational tableau row and no entry needs a gcd.  A pivot
-    on the positive entry p leaves its own row as it is, sets every other
-    row x to (p * x - x[c] * pivot_row) // det, which divides exactly, and
-    makes p the new ``det``; so ``det`` starts at 1 and stays positive, and
-    sign tests on integer entries are sign tests on the rational ones.
+    A revised simplex (Dantzig & Orchard-Hays, 1954): it keeps the columns
+    and ``inv`` = det * B^-1, one row per basis position, and makes a tableau
+    column d only for the entering variable.  Pivots are fraction-free
+    (Edmonds, J. Res. NBS 1967; Bareiss, Math. Comp. 1968): a pivot on d's
+    positive entry p leaves its own row as it is, sets every other row x to
+    (p * x - d[x] * pivot_row) // det, which divides exactly, and makes p the
+    new ``det``; so ``det`` (the basis determinant up to sign) starts at 1
+    and stays positive, and sign tests on integers are sign tests on the
+    rationals.  ``inv`` is the slack and rhs columns of the dense integer
+    tableau, so ``det``, the pivots, the primal and the duals are its
+    integers.  While z is basic, the row (w, b) of ``inv`` at z's position
+    prices every variable: column C_j at w . C_j - b, slack i at -w_i, z at
+    0; while it is not, only z prices positive.  This is the LP of a
+    rational tableau with each group row scaled by ``den`` and each slack by
+    1 / den; Bland's choices are the same under that scaling, and so are the
+    value, the normalized duals and the basis."""
 
-    This is the LP of a rational tableau with each group row scaled by
-    ``den`` and each slack by 1 / den; Bland's entering and leaving choices
-    are the same under that scaling, and so are the value, the normalized
-    duals and the basis."""
-
-    def __init__(self, cols: list[list[int]], den: int):
+    def __init__(self, cols: list[list[int]], den: int, start: int):
         gamma, k = len(cols[0]), len(cols)
-        self.den, self.gamma, self.k = den, gamma, k
+        self.cols, self.den, self.k = cols, den, k
         self.det, self.solves, self.pivots = 1, 0, 0
-        start = _best_static(cols)
-        # the start column priced into the group rows: row_i += cols[start][i] * last
-        self.rows = []
-        for i, top in enumerate(cols[start]):
-            row = [den, *(top - col[i] for col in cols), *[0] * gamma, top]
-            row[1 + k + i] = 1
-            self.rows.append(row)
-        self.rows.append([0, *[1] * k, *[0] * gamma, 1])
+        # B = [[I, -C_start], [0, 1]], so B^-1 = [[I, C_start], [0, 1]]
+        self.inv = [[int(i == r) for i in range(gamma)] + [c] for r, c in enumerate(cols[start])]
+        self.inv.append([0] * gamma + [1])
         self.basis = [1 + k + i for i in range(gamma)] + [1 + start]
-        # reduced-cost row for the objective z (basis costs are all zero)
-        self.cost = [1] + [0] * (k + gamma + 1)
-        self._optimize()
+        self._optimize(0)  # z is not basic
 
     def add(self, col: list[int]) -> None:
-        """Insert a column before the slacks and re-optimize from the current
-        basis.  Its standard-form column is e_last - sum_i col[i] * e_i, and
-        the tableau holds det * B^-1 e_last in the rhs (b = e_last) and
-        det * B^-1 e_i in slack i, so the same combination of those tableau
-        columns is det * B^-1 a; on the cost row it gives the column's
-        reduced cost."""
-        at = 1 + self.k
-        terms = [(at + i, a) for i, a in enumerate(col) if a]
-        for row in (*self.rows, self.cost):
-            row.insert(at, row[-1] - sum(a * row[s] for s, a in terms))
-        self.basis = [v + 1 if v >= at else v for v in self.basis]
+        """Append a column before the slacks and re-optimize from the current
+        basis.  That basis is optimal without the column, so z is basic and
+        no other variable prices positive: Bland's first entering variable is
+        the new column if it prices positive, and there is none otherwise."""
+        self.cols.append(col)
+        self.basis = [v + 1 if v > self.k else v for v in self.basis]
         self.k += 1
-        self._optimize()
+        *w, b = self.inv[self.basis.index(0)]
+        self._optimize(self.k if sum(map(mul, w, col)) > b else -1)
 
-    def _optimize(self) -> None:
-        """Bland's rule from the current feasible basis to optimality: the
-        first variable with a positive reduced cost enters, and the row with
-        the least ratio rhs_r / row_r[enter] leaves, compared by
-        cross-multiplying, with ties to the lowest basis index."""
-        rows, cost, basis = self.rows, self.cost, self.basis
-        n_vars = len(cost) - 1
-        while True:
-            enter = next((j for j in range(n_vars) if cost[j] > 0), -1)
-            if enter < 0:
-                break
+    def _optimize(self, enter: int) -> None:
+        """Bland's rule from the current feasible basis to optimality, with
+        ``enter`` the first entering variable (-1 for none): the row with
+        the least ratio rhs_r / d_r leaves, compared by cross-multiplying,
+        with ties to the lowest basis index."""
+        inv, basis = self.inv, self.basis
+        while enter >= 0:
+            d = self._column(enter)
             leave = -1
-            for r, row in enumerate(rows):
-                coef = row[enter]
-                if coef <= 0:
-                    continue
-                if leave < 0:
+            for r, coef in enumerate(d):
+                if coef > 0 and leave < 0:
                     leave = r
-                    continue
-                lhs, rhs = row[-1] * rows[leave][enter], rows[leave][-1] * coef
-                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
-                    leave = r
+                elif coef > 0:
+                    lhs, rhs = inv[r][-1] * d[leave], inv[leave][-1] * coef
+                    if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                        leave = r
             if leave < 0:
                 raise _CertificateError(
                     "maximin LP is bounded by construction; unbounded pivot found"
                 )
-            self._pivot(leave, enter)
+            # every other row moves from the old det to the new one, also where d is 0
+            pivot_row, p, det = inv[leave], d[leave], self.det
+            for row, coef in zip(inv, d):
+                if row is not pivot_row:
+                    row[:] = [(p * x - coef * y) // det for x, y in zip(row, pivot_row)]
+            self.det = p
             basis[leave] = enter
             self.pivots += 1
+            enter = self._entering()
         self.solves += 1
 
-    def _pivot(self, r: int, c: int) -> None:
-        # every other row changes, also where its entry in column c is 0:
-        # it moves from the old det to the new one
-        pivot_row = self.rows[r]
-        p, det = pivot_row[c], self.det
-        for row in (*self.rows, self.cost):
-            if row is not pivot_row:
-                coef = row[c]
-                row[:] = [(p * x - coef * y) // det for x, y in zip(row, pivot_row)]
-        self.det = p
+    def _entering(self) -> int:
+        """Bland's entering variable, -1 at optimality; the reduced costs
+        are made in order, up to the first positive one.  z is basic: its
+        row's entry in an entering column is minus a positive reduced cost,
+        so once z has entered it never leaves."""
+        *w, b = self.inv[self.basis.index(0)]
+        for j, col in enumerate(self.cols):
+            if sum(map(mul, w, col)) > b:
+                return 1 + j
+        return next((1 + self.k + i for i, x in enumerate(w) if x < 0), -1)
+
+    def _column(self, v: int) -> list[int]:
+        """det * B^-1 times variable v's standard-form column: (den, ..., den,
+        0) for z, (-C_j, 1) for column j, e_i for slack i."""
+        if v == 0:
+            return [self.den * sum(row[:-1]) for row in self.inv]
+        if v <= self.k:
+            col = self.cols[v - 1]
+            return [row[-1] - sum(map(mul, row, col)) for row in self.inv]
+        return [row[v - 1 - self.k] for row in self.inv]
 
     def primal_numerators(self) -> list[int]:
         """The values of z (the LP value) and of the columns, times ``det``."""
         values = [0] * (1 + self.k)
-        for row, v in zip(self.rows, self.basis):
+        for row, v in zip(self.inv, self.basis):
             if v <= self.k:
                 values[v] = row[-1]
         return values
 
-    def _slack_duals(self) -> tuple[list[int], int]:
+    def _slack_duals(self) -> tuple[list[int], int, int]:
         """Dual row weights at optimality, unnormalized: y_i = -reduced cost
-        of slack i, times det / den; and their total."""
-        y = [-x for x in self.cost[1 + self.k : 1 + self.k + self.gamma]]
+        of slack i, times det / den; their total; and det times the value."""
+        *y, rhs_z = self.inv[self.basis.index(0)]
         total = sum(y)
         if total <= 0:
             raise _CertificateError("dual weights must have positive mass at optimality")
-        return y, total
+        return y, total, rhs_z
 
     def duals(self) -> tuple[Fraction, ...]:
         """Dual row weights normalized to sum 1."""
-        y, total = self._slack_duals()
+        y, total, _ = self._slack_duals()
         return tuple(Fraction(w, total) for w in y)
 
     def pricing(self) -> tuple[list[int], int]:
         """Integer weights w and bar b for pricing an integer column c over
         ``den``: sum(w * c) - b is a positive multiple of the column's dual
         mixture sum(duals[i] * c[i]) / den minus the LP value."""
-        y, total = self._slack_duals()
-        rhs_z = next((row[-1] for row, v in zip(self.rows, self.basis) if v == 0), 0)
+        y, total, rhs_z = self._slack_duals()
         return [self.det * w for w in y], rhs_z * total * self.den
 
 
@@ -381,15 +380,15 @@ def _check_certificate(
     V / W, and each side's rationals are put over one common denominator.
 
     The primal side puts the distribution over D, as integers P_j on its
-    support columns, which must carry exactly the distribution's cuts; group
-    i's expected utility is sum_j entries[i, j] * P_j / (D * d_i), so every
-    group passes if that numerator times W is at least V * D * d_i, and one
-    group must meet it with equality.  The dual side puts the duals over T,
-    as integers Q_i, and each dual row weight over L = lcm(d_i), as w_i =
-    Q_i * (L / d_i); the best column score max_j sum_i w_i * entries[i, j],
-    times W, must equal V * T * L.  The support columns are read as Python
-    ints; the column scores are one product over the entries array, with an
-    int64 guard of their own.
+    support columns, whose member masks must be exactly the distribution
+    cuts' masks; group i's expected utility is sum_j entries[i, j] * P_j /
+    (D * d_i), so every group passes if that numerator times W is at least
+    V * D * d_i, and one group must meet it with equality.  The dual side
+    puts the duals over T, as integers Q_i, and each dual row weight over L =
+    lcm(d_i), as w_i = Q_i * (L / d_i); the best column score max_j sum_i
+    w_i * entries[i, j], times W, must equal V * T * L.  The support columns
+    are read as Python ints; the column scores are one product over the
+    entries array, with an int64 guard of their own.
     """
     V, W = value.numerator, value.denominator
     dens = matrix.denominators(mode)
@@ -397,11 +396,11 @@ def _check_certificate(
     Q = [q.numerator * (T // q.denominator) for q in duals]
     if len(Q) != matrix.group_count or sum(Q) != T or any(q < 0 for q in Q):
         raise _CertificateError("dual weights are not a probability vector")
-    prob_by_cut = dict(distribution.entries)
-    cuts = [matrix.cut(j) for j in support]
-    if len(set(cuts)) != len(cuts) or set(cuts) != prob_by_cut.keys():
+    prob_by_mask = {cut.mask(): prob for cut, prob in distribution.entries}
+    masks = matrix.col_masks[list(support)].tolist()
+    if len(set(masks)) != len(masks) or set(masks) != prob_by_mask.keys():
         raise _CertificateError("support columns and distribution cuts disagree")
-    probs = [prob_by_cut[cut] for cut in cuts]
+    probs = [prob_by_mask[mask] for mask in masks]
     D = lcm(*(p.denominator for p in probs))
     P = [p.numerator * (D // p.denominator) for p in probs]
     margins = [

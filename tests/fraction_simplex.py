@@ -1,7 +1,8 @@
 """An independent oracle for the maximin LP: primal simplex with Bland's rule
 on a standard-form tableau of ``Fraction`` entries, solved from scratch.
 
-It is the rational twin of ``maximin._Tableau``, with the LP
+It is the rational twin of ``maximin._RevisedLP`` and of the dense integer
+tableau in ``dense_tableau``, with the LP
 
     max z   s.t.   z - (M p)_i + s_i = 0   (one row per group)
                    sum_S p_S = 1

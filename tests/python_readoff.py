@@ -13,8 +13,9 @@ from typing import Iterator
 
 from fairmaxcut.exact import Mode, PayoffMatrix, StaticSolution
 from fairmaxcut.graphs import Cut
-from fairmaxcut.maximin import CutDistribution, MaximinSolution, _CertificateError, _Tableau
+from fairmaxcut.maximin import CutDistribution, MaximinSolution, _CertificateError
 
+from .dense_tableau import DenseTableau
 from .fraction_certificate import _check_certificate
 
 
@@ -48,19 +49,20 @@ def python_column_scores(weights: list[int], cols: list[tuple[int, ...]]) -> lis
     return [sum(map(mul, weights, col)) for col in cols]
 
 
-def tableau_primal(tableau: _Tableau) -> list[Fraction]:
-    """A tableau's values of z and of the columns, as rationals."""
+def tableau_primal(tableau) -> list[Fraction]:
+    """A dense or revised LP's values of z and of the columns, as rationals."""
     return [Fraction(x, tableau.det) for x in tableau.primal_numerators()]
 
 
 def python_solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> MaximinSolution:
-    """``maximin.solve_maximin`` with list pricing over tuple columns, and the
-    certificate checked by the ``Fraction`` oracle."""
+    """``maximin.solve_maximin`` with list pricing over tuple columns, the
+    dense tableau for the LP and the certificate checked by the ``Fraction``
+    oracle."""
     den, cols = python_scaled_columns(matrix, matrix.denominators(mode))
     cols = list(cols)
     k = len(cols)
     active = [max(range(k), key=lambda j: min(cols[j]))]
-    master = _Tableau([list(cols[active[0]])], den)
+    master = DenseTableau([list(cols[active[0]])], den)
     while True:
         weights, bar = master.pricing()
         scores = python_column_scores(weights, cols)
@@ -73,7 +75,7 @@ def python_solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> 
         master.add(list(cols[enter]))
     value, duals = tableau_primal(master)[0], master.duals()
     tight = [j for j in range(k) if scores[j] == bar]
-    cold = _Tableau([list(cols[j]) for j in tight], den)
+    cold = DenseTableau([list(cols[j]) for j in tight], den)
     tight_value, *probs = tableau_primal(cold)
     if tight_value != value:
         raise _CertificateError(

@@ -18,6 +18,7 @@ from fairmaxcut.families import (
     make_diamond_instance,
     make_odd_cycle_instance,
     make_paw_instance,
+    random_instance,
     singleton_partition,
 )
 from fairmaxcut.graphs import Cut, PartitionKind, edge_groups
@@ -26,13 +27,14 @@ from fairmaxcut.maximin import (
     CutDistribution,
     _CertificateError,
     _check_certificate,
-    _Tableau,
+    _RevisedLP,
     df_fair,
     proportion_from_value,
     solve_maximin,
 )
 from fairmaxcut.utility import UtilityModel
 
+from .dense_tableau import DenseTableau, best_static
 from .fraction_certificate import _check_certificate as fraction_check_certificate
 from .fraction_simplex import _bland, _simplex_maximin, _tableau, fraction_column
 from .python_payoff import column_cuts
@@ -240,8 +242,20 @@ class TestSolveMaximin:
                 column for column in columns
                 if sum(map(mul, sol.dual_weights, column)) == sol.value * den
             ]
-            cold = _Tableau(tight, den)
+            cold = DenseTableau(tight, den)
             assert (sol.tight_columns, sol.tight_pivots) == (len(tight), cold.pivots) == (9, 9)
+
+    def test_tight_counters_on_a_random_12_vertex_graph(self):
+        # 25 singleton edge groups: the master must grow to reach 2/3, and
+        # three quarters of the 2,048 columns are tight at its final duals
+        inst = random_instance(12, 0.4, 1, PartitionKind.EDGES, 3)
+        partition = singleton_partition(inst.graph, PartitionKind.EDGES)
+        matrix = build_payoff_matrix(inst.graph, inst.model, partition)
+        sol = solve_maximin(matrix, Mode.PROPORTION)
+        assert (inst.graph.edge_count, matrix.column_count) == (25, 2048)
+        assert sol.value == Fraction(2, 3)
+        assert (sol.master_solves, sol.pivots) == (44, 270)
+        assert (sol.tight_columns, sol.tight_pivots) == (1536, 203)
 
     def test_degenerate_dual_keeps_value_and_support(self):
         # verify-small-387-s1 (edge model, proportion mode): its optimal dual
@@ -308,7 +322,7 @@ def test_warm_master_matches_cold_master(case):
     or below that value."""
     gamma, int_cols = case
     cols = [tuple(map(Fraction, col)) for col in int_cols]
-    master = _Tableau(int_cols[:1], 1)
+    master = _RevisedLP(int_cols[:1], 1, 0)
     for k in range(1, len(cols) + 1):
         if k > 1:
             master.add(int_cols[k - 1])
@@ -320,17 +334,47 @@ def test_warm_master_matches_cold_master(case):
 
 
 def assert_matches_fraction_oracle(int_cols, den: int) -> None:
-    """The cold integer tableau over ``int_cols`` read over ``den`` against
-    the Fraction simplex over the columns divided by ``den``: the same value,
-    probabilities, duals and pivot count."""
+    """The cold revised LP and the dense tableau over ``int_cols`` read over
+    ``den`` against the Fraction simplex over the columns divided by
+    ``den``: the same value, probabilities, duals and pivot count."""
     gamma = len(int_cols[0])
     cols = [tuple(Fraction(x, den) for x in col) for col in int_cols]
     value, probs, duals = _simplex_maximin(cols, gamma)
     pivots = _bland(*_tableau(cols, gamma))
-    tableau = _Tableau(int_cols, den)
-    assert tableau_primal(tableau) == [value, *probs]
-    assert tableau.duals() == duals
-    assert (tableau.solves, tableau.pivots) == (1, pivots)
+    for lp in (_RevisedLP(list(int_cols), den, best_static(int_cols)), DenseTableau(int_cols, den)):
+        assert tableau_primal(lp) == [value, *probs]
+        assert lp.duals() == duals
+        assert (lp.solves, lp.pivots) == (1, pivots)
+
+
+def lp_state(lp) -> tuple:
+    return lp.basis, lp.det, lp.pivots, lp.solves, lp.primal_numerators(), lp.duals(), lp.pricing()
+
+
+def assert_same_lp(revised: _RevisedLP, dense: DenseTableau) -> None:
+    """The revised LP's basis inverse is the dense tableau's slack and rhs
+    columns, and both report the same basis and integers."""
+    assert revised.inv == [row[1 + dense.k :] for row in dense.rows]
+    assert lp_state(revised) == lp_state(dense)
+
+
+@given(integer_columns(), st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_revised_lp_matches_dense_tableau(case, den):
+    """Random integer columns added one at a time, whether or not they price
+    above the master's value: after every ``add`` the revised LP and the
+    dense tableau hold the same integers, and so do both cold LPs over all
+    the columns."""
+    _, int_cols = case
+    revised, dense = _RevisedLP([int_cols[0]], den, 0), DenseTableau([int_cols[0]], den)
+    assert_same_lp(revised, dense)
+    for col in int_cols[1:]:
+        revised.add(col)
+        dense.add(list(col))
+        assert_same_lp(revised, dense)
+    assert_same_lp(
+        _RevisedLP(list(int_cols), den, best_static(int_cols)), DenseTableau(int_cols, den)
+    )
 
 
 @given(integer_columns(max_columns=30), st.integers(1, 12))
