@@ -305,10 +305,10 @@ class _RevisedLP:
                 raise _CertificateError(
                     "maximin LP is bounded by construction; unbounded pivot found"
                 )
-            # every other row moves from the old det to the new one, also where d is 0
+            # every other row moves to the new det; with d = 0 and p == det it stays
             pivot_row, p, det = inv[leave], d[leave], self.det
             for row, coef in zip(inv, d):
-                if row is not pivot_row:
+                if row is not pivot_row and (coef or p != det):
                     row[:] = [(p * x - coef * y) // det for x, y in zip(row, pivot_row)]
             self.det = p
             basis[leave] = enter
