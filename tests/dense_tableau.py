@@ -1,8 +1,7 @@
-"""The dense integer tableau that solved the maximin LP before the revised
-simplex, kept as its oracle: Bland's rule on every tableau row over every
-column, with the same variable order, start basis, tie-breaks and
-fraction-free update as ``maximin._RevisedLP``.  Both must make the same
-pivots and hold the same integers.
+"""The maximin LP on a dense integer tableau, the oracle for
+``maximin._RevisedLP``: Bland's rule on every tableau row over every column,
+with the same variable order, start basis, tie-breaks and fraction-free
+update.  Both must make the same pivots and hold the same integers.
 """
 
 from __future__ import annotations
