@@ -12,7 +12,8 @@ and reused by later in-process calls.
 Exit codes: 0 ok, 1 verification/reproduction failure, 2 parse error, a
 file that cannot be read or written, or a usage error (an option the
 subcommand does not take, a run option the chosen algorithm does not
-read, or solve's --mode given with --objectives), 3 instance too large,
+read, or solve's --mode given with --objectives), 3 instance too large
+(or too many gw samples to keep),
 4 model/partition mismatch, 5 unknown algorithm, 6 bad generator
 parameters or option values (--trials, --samples, --sdp-rank,
 --sdp-iterations, --count, an --objectives list naming no objective).
@@ -303,6 +304,7 @@ def cmd_run(args) -> int:
         human.append(f"  cut value {value}, worst group proportion {minimum}")
 
     else:  # gw
+        heuristics.check_rounding_size(inst.graph, args.samples)  # before the SDP
         if args.embedding:
             with open(args.embedding, "r", encoding="utf-8") as fh:
                 embedding = instances.parse_embedding(fh.read())
@@ -324,8 +326,7 @@ def cmd_run(args) -> int:
             )
         best = max(rounding.cut_values)
         builder.add_line(f"best-cut-value {best}")
-        dist = rounding.distribution()
-        score = heuristics.evaluate_distribution(inst.graph, inst.model, inst.partition, dist)
+        score = rounding.score(inst.graph, inst.model, inst.partition)
         for i, val in enumerate(score.per_group):
             builder.add_line(f"score-group {i} {val}")
         builder.add_line(f"score-min {score.minimum}")

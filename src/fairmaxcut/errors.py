@@ -6,7 +6,7 @@ class FairMaxCutError(Exception):
 
 
 class TooLargeError(FairMaxCutError):
-    """Raised when exhaustive enumeration would exceed the configured vertex limit."""
+    """Raised when an input is too large to enumerate or to keep in memory."""
 
 
 class DegreeZeroError(FairMaxCutError):

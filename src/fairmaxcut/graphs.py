@@ -75,7 +75,7 @@ class Cut:
     members: frozenset[int]
 
     def __post_init__(self):
-        if type(self.members) is not frozenset:  # gw_round builds one Cut per sample
+        if type(self.members) is not frozenset:  # skip the copy for a frozenset
             object.__setattr__(self, "members", frozenset(self.members))
 
     @staticmethod

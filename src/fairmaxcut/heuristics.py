@@ -8,8 +8,15 @@ the same neighbor vectors as in index order, and each level is updated in
 one batch.  Per row the batch runs the same float64 steps, in the same
 order, as the row-by-row reference loop kept in the tests, so its
 embeddings match it bit for bit.  The rounding keeps one generator per
-call, re-keyed to each sample's own stream, and counts the samples'
-crossings, per-edge frequencies and cut values per block of samples.
+call, re-keyed to each sample's own stream, and keeps each sample's side
+vector packed eight vertices to a byte.
+
+Both samplers score a block of cuts from their side bytes with one
+crossing-word kernel: byte b of a cut's sides indexes a 256-row XOR table
+of vertices 8b..8b+7, and the XOR of those rows over its bytes is the cut's
+crossing words.  The Monte Carlo trials read their side bytes off the
+random words; the rounding packs its samples' sides, and reads their cut
+values, per-edge counts and lottery score off the same words.
 
 Randomness is counter-based and splittable: every randomized operation takes
 an explicit 64-bit seed, and independent units of work (Monte Carlo trials,
@@ -17,8 +24,8 @@ rounding samples) draw from Philox streams keyed by (seed, unit index), so
 results are bit-reproducible regardless of execution order.  Floating point
 appears only in the embedding/rounding code.  Cuts are scored in integers
 by ``utility.block_scorer``, from their crossing words: the Monte Carlo
-trials, a lottery's cuts and separate-solve's oracle cuts.  Everything else
-is rational.
+trials, the rounding's samples, a lottery's cuts and separate-solve's oracle
+cuts.  Everything else is rational.
 """
 
 from __future__ import annotations
@@ -28,10 +35,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .errors import TooLargeError
 from .graphs import Cut, Graph, GroupPartition, crossing_degree, max_degree
 from .maximin import CutDistribution
 from .utility import (
@@ -280,6 +289,34 @@ class SampleStats:
 _BLOCK_TRIALS = 2**12
 
 
+def _crossing_words(incident: np.ndarray, rows: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The crossing words of up to ``rows`` cuts at a time, from their side
+    bytes: bit v % 8 of byte v // 8 is vertex v's side (bytes past the
+    last vertex's are not read).  ``incident`` is ``block_scorer``'s.
+
+    Byte b indexes the 256-row ``xor_table`` of vertices 8b..8b+7 (zero rows
+    for vertices >= n, so padding bits add nothing), and the rows gathered
+    for a cut's bytes are XORed into its crossing words.  The gathers write
+    into two buffers made here, so the returned words are a view that the
+    next call overwrites."""
+    n, words = incident.shape
+    incident = np.pad(incident, ((0, -n % 8), (0, 0)))
+    tables = [xor_table(incident[b : b + 8]) for b in range(0, n, 8)]
+    out = np.zeros((rows, words), dtype=np.uint64)  # stays zero without vertices
+    part = np.empty_like(out)
+
+    def crossing(side_bytes: np.ndarray) -> np.ndarray:
+        cross, gathered = out[: len(side_bytes)], part[: len(side_bytes)]
+        for b, table in enumerate(tables):
+            # a byte is always a row of the table, so no index is clipped
+            np.take(table, side_bytes[:, b], axis=0, out=gathered if b else cross, mode="clip")
+            if b:
+                cross ^= gathered
+        return cross
+
+    return crossing
+
+
 def naive_random_sample(
     g: Graph,
     model: UtilityModel,
@@ -296,28 +333,22 @@ def naive_random_sample(
     so each trial's cut depends only on the seed and its own index.  Trials
     are drawn and scored in blocks of ``_BLOCK_TRIALS``; full-range draws
     consume the stream one word each, so the blocks read the same words as
-    one draw of all trials.  Byte b of a trial's words indexes a 256-row
-    ``xor_table`` of vertices 8b..8b+7 (zero rows for vertices >= n, so the
-    padding bits add nothing); XORed over its bytes, they give the crossing
+    one draw of all trials.  A trial's words, read as little-endian bytes,
+    are its side bytes, and ``_crossing_words`` turns them into the crossing
     words that ``block_scorer`` scores.  The sums of numerators and of their
     squares are kept as Python ints."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     require_compatible(g, model, partition)
     dens, bound, incident, numerators = block_scorer(g, model, partition.groups)
-    n = g.vertex_count
-    incident = np.pad(incident, ((0, -n % 8), (0, 0)))  # zero rows past vertex n - 1
-    tables = [xor_table(incident[b : b + 8]) for b in range(0, n, 8)]
+    crossing = _crossing_words(incident, min(trials, _BLOCK_TRIALS))
     rng = derive_rng(seed, _STREAM_NAIVE)
     totals = squares = [0] * len(dens)
     for start in range(0, trials, _BLOCK_TRIALS):
         count = min(_BLOCK_TRIALS, trials - start)
-        raw = rng.integers(0, _MASK64, (count, (n + 63) // 64), dtype=np.uint64, endpoint=True)
-        sides = raw.astype("<u8", copy=False).view(np.uint8)
-        cross = tables[0][sides[:, 0]]
-        for b in range(1, len(tables)):
-            cross ^= tables[b][sides[:, b]]
-        nums = numerators(cross)
+        shape = (count, (g.vertex_count + 63) // 64)
+        raw = rng.integers(0, _MASK64, shape, dtype=np.uint64, endpoint=True)
+        nums = numerators(crossing(raw.astype("<u8", copy=False).view(np.uint8)))
         if count * bound * bound >= 2**62:  # squares could pass int64
             nums = nums.astype(object)
         totals = [a + b for a, b in zip(totals, nums.sum(axis=0).tolist())]
@@ -499,13 +530,24 @@ def _coordinate_ascent(g: Graph, vec: np.ndarray, iterations: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class GwRounding:
-    """The sampled cuts, each one's cut value, and per-edge crossing
-    probabilities (analytic) and frequencies (over the samples)."""
+    """The sampled sides, each sample's cut value, and per-edge crossing
+    probabilities (analytic) and frequencies (over the samples).
 
-    cuts: tuple[Cut, ...]
+    ``side_bytes`` is a read-only (samples, ceil(n / 8)) uint8 array: row s
+    is sample s's side vector, vertex v in bit v % 8 of byte v // 8 and the
+    padding bits zero, the byte layout that Monte Carlo reads off its random
+    words.  A vertex on the positive side is a member of the sample's cut."""
+
+    side_bytes: np.ndarray
     cut_values: tuple[int, ...]
     edge_cut_probabilities: tuple[float, ...]
     edge_cut_frequencies: tuple[float, ...]
+
+    @cached_property
+    def cuts(self) -> tuple[Cut, ...]:
+        """Each sample's cut, made from its side bytes when first read."""
+        members = np.unpackbits(self.side_bytes, axis=1, bitorder="little")
+        return tuple(Cut(frozenset(np.flatnonzero(row).tolist())) for row in members)
 
     def distribution(self) -> CutDistribution:
         """Empirical distribution: each distinct sampled cut with probability
@@ -514,6 +556,32 @@ class GwRounding:
         return CutDistribution(
             tuple((cut, Fraction(k, samples)) for cut, k in Counter(self.cuts).items())
         )
+
+    def score(
+        self, g: Graph, model: UtilityModel, partition: GroupPartition
+    ) -> DistributionScore:
+        """``evaluate_distribution(g, model, partition, self.distribution())``
+        on the graph that was rounded, read off the side bytes: the samples'
+        ``block_scorer`` numerators are summed per block of
+        ``_BLOCK_TRIALS``, and each group's sum over samples * den * size is
+        its one ``Fraction``.  No ``Cut`` is made."""
+        require_compatible(g, model, partition)
+        samples, width = self.side_bytes.shape
+        if width != (g.vertex_count + 7) // 8:
+            raise ValueError("the rounding's sides do not match the graph's vertex count")
+        dens, bound, incident, numerators = block_scorer(g, model, partition.groups)
+        crossing = _crossing_words(incident, min(samples, _BLOCK_TRIALS))
+        totals = [0] * len(dens)
+        for start in range(0, samples, _BLOCK_TRIALS):
+            nums = numerators(crossing(self.side_bytes[start : start + _BLOCK_TRIALS]))
+            if len(nums) * bound >= 2**63:  # the sums could pass int64
+                nums = nums.astype(object)
+            totals = [a + b for a, b in zip(totals, nums.sum(axis=0).tolist())]
+        per_group = tuple(
+            Fraction(total, samples * den * len(gr))
+            for total, den, gr in zip(totals, dens, partition.groups)
+        )
+        return DistributionScore(per_group=per_group, minimum=min(per_group))
 
 
 def gw_cut_probability(dot: float) -> float:
@@ -524,6 +592,23 @@ def gw_cut_probability(dot: float) -> float:
     if dot <= -1.0:
         return 1.0
     return math.acos(dot) / math.pi
+
+
+# the most bytes a rounding may keep: each sample's side bytes, plus its cut
+# value (a tuple slot and an int object)
+MAX_ROUNDING_BYTES = 2**30
+_CUT_VALUE_BYTES = 40
+
+
+def check_rounding_size(g: Graph, samples: int) -> None:
+    """Raise ``TooLargeError`` if ``gw_round`` would keep more than
+    ``MAX_ROUNDING_BYTES`` for that many samples of g."""
+    kept = samples * ((g.vertex_count + 7) // 8 + _CUT_VALUE_BYTES)
+    if kept > MAX_ROUNDING_BYTES:
+        raise TooLargeError(
+            f"{samples} rounding samples of {g.vertex_count} vertices would keep {kept} "
+            f"bytes of sides and cut values; the limit is {MAX_ROUNDING_BYTES}"
+        )
 
 
 def gw_round(
@@ -543,41 +628,44 @@ def gw_round(
     and empty buffer, so the normals are those of ``derive_rng``.  Each
     normal takes its own matrix-vector product; one matrix product over
     stacked normals could round differently and flip a near-zero sign.  The
-    sides are written into blocks of ``_BLOCK_TRIALS`` samples.  A block's
-    crossings are the XORs of its sides packed eight samples to a byte, and
-    its per-edge counts and cut values are counted from them with array
-    operations, so memory stays bounded by one block."""
+    sides are written into blocks of ``_BLOCK_TRIALS`` samples, and each
+    block is packed eight vertices to a byte into the kept ``side_bytes``.
+    ``_crossing_words`` turns a block's side bytes into its crossing words,
+    whose popcounts are the samples' cut values and whose bits, summed over
+    the samples, the per-edge counts.  ``check_rounding_size`` refuses a
+    rounding that would not fit before anything is allocated."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if embedding.vertex_count != g.vertex_count:
         raise ValueError("embedding size does not match the graph")
+    check_rounding_size(g, samples)
     vec = embedding.vectors
     rngs = _rekeyed_rngs(seed, _STREAM_GW)
-    vertices = np.arange(g.vertex_count)
-    cuts = []
+    words = (g.edge_count + 63) // 64
+    crossing = _crossing_words(edge_words(incident_masks(g), words), min(samples, _BLOCK_TRIALS))
+    side_bytes = np.empty((samples, (g.vertex_count + 7) // 8), dtype=np.uint8)
     values = []
     crossing_counts = np.zeros(g.edge_count, dtype=np.int64)
-    heads = np.array([e[0] for e in g.edges], dtype=np.intp)
-    tails = np.array([e[1] for e in g.edges], dtype=np.intp)
     sides = np.empty((min(samples, _BLOCK_TRIALS), g.vertex_count), dtype=bool)
     for start in range(0, samples, _BLOCK_TRIALS):
         block = sides[: min(_BLOCK_TRIALS, samples - start)]
         for side, rng in zip(block, rngs):
             np.greater_equal(vec @ rng.standard_normal(embedding.dimension), 0.0, out=side)
-            cuts.append(Cut(frozenset(vertices[side].tolist())))
-        # edges by bytes of eight samples; bit 7 - b of byte j is sample 8j + b
-        packed = np.packbits(block, axis=0).T
-        crossing = packed.take(heads, axis=0)
-        crossing ^= packed.take(tails, axis=0)
-        crossing_counts += np.bitwise_count(crossing).sum(axis=1, dtype=np.int64)
-        by_bit = [((crossing >> (7 - b)) & 1).sum(axis=0) for b in range(8)]
-        values += np.stack(by_bit, axis=1).ravel()[: len(block)].tolist()
+        packed = side_bytes[start : start + len(block)]
+        packed[:] = np.packbits(block, axis=1, bitorder="little")
+        cross = crossing(packed)
+        values += np.bitwise_count(cross).sum(axis=1).tolist()
+        # edge e is bit e % 8 of byte e // 8 of the little-endian words
+        edge_bits = cross.astype("<u8", copy=False).view(np.uint8)
+        edge_bits = np.unpackbits(edge_bits, axis=1, count=g.edge_count, bitorder="little")
+        crossing_counts += edge_bits.sum(axis=0, dtype=np.int64)
+    side_bytes.flags.writeable = False
     probabilities = tuple(
         gw_cut_probability(float(vec[u] @ vec[v])) for u, v in g.edges
     )
     frequencies = tuple(float(c) / samples for c in crossing_counts)
     return GwRounding(
-        cuts=tuple(cuts),
+        side_bytes=side_bytes,
         cut_values=tuple(values),
         edge_cut_probabilities=probabilities,
         edge_cut_frequencies=frequencies,

@@ -584,7 +584,8 @@ def pinned_checks() -> list[BoundCheck]:
 
     rounding = gw_round(diamond.graph, make_diamond_embedding(), seed=0, samples=64)
     chord_probability = Fraction(rounding.edge_cut_probabilities[4])  # edge 4 is the chord
-    computed = (chord_probability, score(diamond, rounding.distribution()).minimum)
+    lottery = rounding.score(diamond.graph, diamond.model, diamond.partition)
+    computed = (chord_probability, lottery.minimum)
     for (name, pinned), value in zip(DIAMOND_EMBEDDING_VALUES, computed):
         pin(f"diamond-embedding/{name}", value, "==", pinned)
 

@@ -1,14 +1,15 @@
 """An independent oracle for ``heuristics.gw_round``: the per-sample loop
 that the block rounding replaced.  It builds a new Philox generator for
-every sample with ``derive_rng`` and walks each sample's crossing edges
-one sample at a time.
+every sample with ``derive_rng``, walks each sample's crossing edges one
+sample at a time, and packs the side vectors into side bytes with one
+``np.packbits`` at the end.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fairmaxcut.graphs import Cut, Graph
+from fairmaxcut.graphs import Graph
 from fairmaxcut.heuristics import (
     _STREAM_GW,
     GwRounding,
@@ -26,7 +27,7 @@ def python_gw_round(
     if embedding.vertex_count != g.vertex_count:
         raise ValueError("embedding size does not match the graph")
     vec = embedding.vectors
-    cuts = []
+    sides = np.zeros((samples, g.vertex_count), dtype=bool)
     values = []
     crossing_counts = np.zeros(g.edge_count, dtype=np.int64)
     heads = np.array([e[0] for e in g.edges], dtype=int)
@@ -34,8 +35,7 @@ def python_gw_round(
     for s in range(samples):
         rng = derive_rng(seed, _STREAM_GW + s)
         normal = rng.standard_normal(embedding.dimension)
-        side = (vec @ normal) >= 0.0
-        cuts.append(Cut(frozenset(np.flatnonzero(side).tolist())))
+        side = sides[s] = (vec @ normal) >= 0.0
         crossing = side[heads] != side[tails]
         crossing_counts += crossing
         values.append(int(np.count_nonzero(crossing)))
@@ -44,7 +44,7 @@ def python_gw_round(
     )
     frequencies = tuple(float(c) / samples for c in crossing_counts)
     return GwRounding(
-        cuts=tuple(cuts),
+        side_bytes=np.packbits(sides, axis=1, bitorder="little"),
         cut_values=tuple(values),
         edge_cut_probabilities=probabilities,
         edge_cut_frequencies=frequencies,

@@ -195,6 +195,27 @@ class TestRun:
         assert chord and chord[0].split()[3] == "0"
         assert any(l == "score-min 0" for l in report.other)
 
+    @pytest.mark.parametrize("name", ["random_n8_p05_g3_seed42", "owndeg_isolated"])
+    def test_gw_golden_report(self, name):
+        # the embedding is read from a file whose inner products are exact,
+        # so no SDP float enters the report
+        rc, out, _ = run_cli(
+            ["run", str(GOLDENS / f"{name}.inst"), "--algorithm", "gw",
+             "--embedding", str(GOLDENS / f"{name}.emb"), "--samples", "200", "--seed", "5",
+             "--no-timestamp"]
+        )
+        assert rc == 0
+        assert out == (GOLDENS / f"{name}_gw.report").read_text()
+
+    def test_gw_too_many_samples_exit_3(self, paw_path):
+        # refused before the sides are allocated: only the exit and the reason
+        rc, out, err = run_cli(
+            ["run", paw_path, "--algorithm", "gw", "--samples", str(10**12)]
+        )
+        assert rc == 3
+        assert out == ""
+        assert err.startswith(f"error: {10**12} rounding samples of 4 vertices would keep ")
+
     @pytest.mark.parametrize(
         "name", ["paw.inst", "random_n8_p05_g3_seed42.inst", "generated_n40_p02"]
     )

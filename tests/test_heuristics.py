@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairmaxcut import cli
+from fairmaxcut.errors import DegreeZeroError, TooLargeError
 from fairmaxcut.exact import max_value
 from fairmaxcut.families import (
     NamedInstance,
@@ -39,6 +40,7 @@ from fairmaxcut.heuristics import (
     _BLOCK_TRIALS,
     _STREAM_GW,
     _STREAM_NAIVE,
+    MAX_ROUNDING_BYTES,
     DistributionScore,
     GwRounding,
     _coordinate_ascent,
@@ -57,7 +59,7 @@ from fairmaxcut.heuristics import (
     sdp_objective,
     separate_solve,
 )
-from fairmaxcut.instances import save_instance
+from fairmaxcut.instances import load_instance, save_instance
 from fairmaxcut.maximin import CutDistribution
 from fairmaxcut.reports import parse_report
 from fairmaxcut.utility import UtilityModel, block_scorer, group_weights
@@ -66,7 +68,10 @@ from .fraction_utility import group_proportion, min_group_proportion
 from .python_rounding import python_gw_round
 from .python_sampler import _BLOCK_ENTRIES, _trial_side_bits, python_naive_random_sample
 from .python_sdp import python_sdp_solve, python_sweeps
-from .strategies import edge_instances, graphs, node_instances
+from .strategies import edge_instances, graphs, node_instances, partitions_for
+
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 def crossing_degree(g: Graph, cut: Cut, v: int) -> int:
@@ -441,6 +446,31 @@ class TestGwRounding:
             (cut, Fraction(1, 50)) for cut in rounding.cuts
         )
 
+    def test_cuts_are_the_positive_sides(self):
+        # sample s's members are the vertices with a non-negative inner
+        # product with the normal of stream (seed, s)
+        g = make_cycle(11)
+        embedding = gw_sdp_solve(g, seed=2, iterations=3)
+        rounding = gw_round(g, embedding, seed=9, samples=20)
+        for s, cut in enumerate(rounding.cuts):
+            normal = derive_rng(9, _STREAM_GW + s).standard_normal(embedding.dimension)
+            assert cut.members == frozenset(np.flatnonzero(embedding.vectors @ normal >= 0.0))
+        assert rounding.side_bytes.shape == (20, 2)
+        assert not rounding.side_bytes.flags.writeable
+
+    @pytest.mark.parametrize("n", [0, 8, 80])
+    def test_refuses_samples_it_cannot_keep_before_allocating(self, n):
+        g = Graph(n, ())
+        embedding = UnitVectorEmbedding(np.ones((n, 1)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError, match=f"limit is {MAX_ROUNDING_BYTES}$"):
+                gw_round(g, embedding, seed=0, samples=MAX_ROUNDING_BYTES)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
 
 @st.composite
 def gw_embeddings(draw, n: int):
@@ -466,9 +496,13 @@ def gw_embeddings(draw, n: int):
 
 
 def same_rounding(got: GwRounding, want: GwRounding) -> bool:
-    """Equal cuts, cut values as Python ints, and the same float bits."""
+    """Equal side bytes and cuts, cut values as Python ints, and the same
+    float bits."""
     return (
-        got.cuts == want.cuts
+        got.side_bytes.dtype == want.side_bytes.dtype == np.uint8
+        and got.side_bytes.shape == want.side_bytes.shape
+        and got.side_bytes.tobytes() == want.side_bytes.tobytes()
+        and got.cuts == want.cuts
         and got.cut_values == want.cut_values
         and all(type(value) is int for value in got.cut_values)
         and np.array(got.edge_cut_probabilities).tobytes()
@@ -524,6 +558,84 @@ class TestGwRoundMatchesReferenceLoop:
             return peak - kept
 
         assert transient(4 * _BLOCK_TRIALS) <= transient(_BLOCK_TRIALS) + 2**20
+
+
+@st.composite
+def rounded_instances(draw):
+    """A graph of 0..10 vertices, an embedding, a model, and a partition of
+    the model's kind, or None when the graph has no edge (or no vertex) to
+    group."""
+    n = draw(st.integers(0, 10))
+    g = draw(graphs(min_vertices=n, max_vertices=n))
+    model = draw(st.sampled_from(list(UtilityModel)))
+    ground = g.edge_count if model is UtilityModel.EDGE else g.vertex_count
+    partition = draw(partitions_for(g, model.partition_kind)) if ground else None
+    return g, draw(gw_embeddings(n)), model, partition
+
+
+def assert_score_is_evaluated_distribution(g, embedding, model, partition, seed, samples):
+    """The rounding's score is ``evaluate_distribution`` of its empirical
+    distribution, or both raise DegreeZeroError on an edgeless graph."""
+    rounding = gw_round(g, embedding, seed, samples)
+    if model.is_node_model and g.edge_count == 0:
+        with pytest.raises(DegreeZeroError):
+            rounding.score(g, model, partition)
+        with pytest.raises(DegreeZeroError):
+            evaluate_distribution(g, model, partition, rounding.distribution())
+        return
+    want = evaluate_distribution(g, model, partition, rounding.distribution())
+    assert rounding.score(g, model, partition) == want
+
+
+class TestGwRoundingScore:
+    """``GwRounding.score`` against ``evaluate_distribution`` on the
+    rounding's empirical distribution, exactly."""
+
+    @given(
+        rounded_instances(),
+        st.sampled_from([1, 7, _BLOCK_TRIALS, _BLOCK_TRIALS + 1]),
+        st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_instances(self, case, samples, seed):
+        g, embedding, model, partition = case
+        if partition is None:  # no group to score; the sides are still counted
+            assert gw_round(g, embedding, seed, samples).cut_values == (0,) * samples
+            return
+        assert_score_is_evaluated_distribution(g, embedding, model, partition, seed, samples)
+
+    @pytest.mark.parametrize("samples", [1, 7, _BLOCK_TRIALS, _BLOCK_TRIALS + 1])
+    def test_own_degree_groups_with_an_isolated_vertex(self, samples):
+        inst = load_instance(str(GOLDENS / "owndeg_isolated.inst"))
+        assert 0 in inst.graph.degrees
+        embedding = gw_sdp_solve(inst.graph, seed=1, iterations=2)
+        assert_score_is_evaluated_distribution(
+            inst.graph, embedding, inst.model, inst.partition, 4, samples
+        )
+
+    @pytest.mark.parametrize("model", [UtilityModel.NODE_MAXDEG, UtilityModel.NODE_OWNDEG])
+    def test_edgeless_graph_is_refused_as_by_evaluate_distribution(self, model):
+        g = Graph(5, ())
+        embedding = UnitVectorEmbedding(np.tile([0.6, 0.8], (5, 1)))
+        partition = node_groups(g, [{0, 1}, {2, 3, 4}])
+        assert_score_is_evaluated_distribution(g, embedding, model, partition, 2, 7)
+
+    @pytest.mark.parametrize("largest", [47, 53])
+    def test_sums_past_int64_stay_exact(self, largest):
+        # 64 samples of numerators past 2**53 (47) or 2**63 (53) sum past int64
+        g, partition = prime_hubs(largest)
+        embedding = gw_sdp_solve(g, seed=3, iterations=1)
+        assert_score_is_evaluated_distribution(
+            g, embedding, UtilityModel.NODE_OWNDEG, partition, 8, 64
+        )
+
+    def test_rejects_another_graphs_vertex_count(self):
+        g = make_cycle(8)
+        rounding = gw_round(g, gw_sdp_solve(g, seed=0), seed=0, samples=4)
+        bigger = make_cycle(9)
+        partition = singleton_partition(bigger, PartitionKind.EDGES)
+        with pytest.raises(ValueError, match="do not match"):
+            rounding.score(bigger, UtilityModel.EDGE, partition)
 
 
 class TestUnitVectorEmbedding:
