@@ -560,15 +560,19 @@ class GwRounding:
     def score(
         self, g: Graph, model: UtilityModel, partition: GroupPartition
     ) -> DistributionScore:
-        """``evaluate_distribution(g, model, partition, self.distribution())``
-        on the graph that was rounded, read off the side bytes: the samples'
-        ``block_scorer`` numerators are summed per block of
-        ``_BLOCK_TRIALS``, and each group's sum over samples * den * size is
-        its one ``Fraction``.  No ``Cut`` is made."""
+        """``evaluate_distribution(g, model, partition, self.distribution())``,
+        read off the side bytes: the samples' ``block_scorer`` numerators are
+        summed per block of ``_BLOCK_TRIALS``, and each group's sum over
+        samples * den * size is its one ``Fraction``.  No ``Cut`` is made.
+        The sides must have g's byte count, and a member past g's last
+        vertex is refused, as ``evaluate_distribution`` refuses it."""
         require_compatible(g, model, partition)
         samples, width = self.side_bytes.shape
-        if width != (g.vertex_count + 7) // 8:
+        n = g.vertex_count
+        if width != (n + 7) // 8:
             raise ValueError("the rounding's sides do not match the graph's vertex count")
+        if n % 8 and (self.side_bytes[:, -1] >> n % 8).any():
+            raise ValueError("a sampled cut has a member that is not a vertex of the graph")
         dens, bound, incident, numerators = block_scorer(g, model, partition.groups)
         crossing = _crossing_words(incident, min(samples, _BLOCK_TRIALS))
         totals = [0] * len(dens)

@@ -629,13 +629,16 @@ class TestGwRoundingScore:
             g, embedding, UtilityModel.NODE_OWNDEG, partition, 8, 64
         )
 
-    def test_rejects_another_graphs_vertex_count(self):
+    @pytest.mark.parametrize("n, message", [(9, "do not match"), (7, "not a vertex")])
+    def test_rejects_another_graph(self, n, message):
+        # on 7 vertices, vertex 7 of the 8-cycle's samples is a padding bit
         g = make_cycle(8)
-        rounding = gw_round(g, gw_sdp_solve(g, seed=0), seed=0, samples=4)
-        bigger = make_cycle(9)
-        partition = singleton_partition(bigger, PartitionKind.EDGES)
-        with pytest.raises(ValueError, match="do not match"):
-            rounding.score(bigger, UtilityModel.EDGE, partition)
+        rounding = gw_round(g, gw_sdp_solve(g, seed=0), seed=0, samples=16)
+        assert any(7 in cut.members for cut in rounding.cuts)
+        other = make_cycle(n)
+        partition = singleton_partition(other, PartitionKind.EDGES)
+        with pytest.raises(ValueError, match=message):
+            rounding.score(other, UtilityModel.EDGE, partition)
 
 
 class TestUnitVectorEmbedding:
