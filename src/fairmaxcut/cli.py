@@ -235,6 +235,7 @@ def cmd_run(args) -> int:
             return 2
     if args.algorithm == "naive-random":
         _require_at_least("--trials", args.trials, 1)
+        heuristics.check_trial_count(args.trials)  # before the instance is read
     if args.algorithm == "gw":
         _require_at_least("--samples", args.samples, 1)
         _require_at_least("--sdp-rank", args.sdp_rank, 2)

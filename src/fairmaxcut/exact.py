@@ -5,8 +5,8 @@ Cuts are enumerated canonically with vertex 0 excluded (every objective here
 is invariant under complementing the cut, so half the subsets suffice).  The
 one enumeration pass is ``build_payoff_matrix``: it scores the canonical
 cuts in numpy blocks of ``2**_BLOCK_BITS`` with ``utility.block_scorer``
-(integer numerators over fixed per-group denominators, one popcount per
-``utility.weight_terms`` term) and keeps each distinct
+(integer numerators over fixed per-group denominators, one masked popcount
+per run of equally weighted edges and one weighted product) and keeps each distinct
 numerator column once, with its first canonical cut.  Columns are
 deduplicated on packed keys (``_first_rows``): a column's numerators are
 mixed-radix digits packed into as few int64 words as fit below 2**63, and

@@ -5,7 +5,12 @@ each vertex with its crossing incident edges, scaled either by the global
 maximum degree (so per-vertex utility sits in [0, 1]) or by the vertex's
 own degree.  Each model is one integer edge-weight table over per-group
 denominators (``group_weights``), and ``block_scorer`` is its one
-evaluator: integer numerators for cuts given as crossing words.  No floats.
+evaluator: integer numerators for cuts given as crossing words.  Its one
+weighted product per chunk of cuts runs in float64 while a group's largest
+numerator stays below 2**53, which is exact: every product and partial sum
+is a non-negative integer no larger than that numerator, whatever the
+summation order, with or without fused multiply-adds.  The numerators it
+returns are integers.
 """
 
 from __future__ import annotations
@@ -86,33 +91,20 @@ def group_weights(
     return weights, dens
 
 
-def incident_masks(g: Graph) -> list[int]:
-    """Bitmask of the edges at each vertex (bit e for edge index e)."""
+def incident_masks(g: Graph, bits: Sequence[int] | None = None) -> list[int]:
+    """Bitmask of the edges at each vertex: edge e is bit ``bits[e]``, or bit
+    e when no ``bits`` are given."""
     incident = [0] * g.vertex_count
     for e, (u, v) in enumerate(g.edges):
-        incident[u] |= 1 << e
-        incident[v] |= 1 << e
+        bit = 1 << (e if bits is None else bits[e])
+        incident[u] |= bit
+        incident[v] |= bit
     return incident
-
-
-def weight_terms(weights: Sequence[dict[int, int]]) -> list[tuple[int, int, int]]:
-    """The weight classes of a ``group_weights`` table as terms ``(group,
-    weight, edge bitmask)``, one per distinct weight of each row, in group
-    order; a row without edges gets the zero term ``(i, 0, 0)``.  Group i's
-    numerator under a cut is the sum of ``weight`` times the number of
-    crossing edges in ``edge bitmask`` over its terms."""
-    terms: list[tuple[int, int, int]] = []
-    for i, row in enumerate(weights):
-        by_weight: dict[int, int] = {}
-        for e, w in row.items():
-            by_weight[w] = by_weight.get(w, 0) | 1 << e
-        terms += [(i, w, edge_bits) for w, edge_bits in (by_weight or {0: 0}).items()]
-    return terms
 
 
 def edge_words(masks: Sequence[int], count: int) -> np.ndarray:
     """Python-int edge bitmasks as a (len(masks), count) uint64 array, word k
-    holding edges 64k..64k+63."""
+    holding bits 64k..64k+63."""
     packed = b"".join(x.to_bytes(8 * count, "little") for x in masks)
     return np.frombuffer(packed, dtype="<u8").reshape(len(masks), count)
 
@@ -126,38 +118,59 @@ def xor_table(incident: np.ndarray) -> np.ndarray:
     return table
 
 
+# rows times pairs per chunk of ``block_scorer``'s product, so that a chunk's
+# popcounts stay small however many pairs a model has
+_CHUNK_ENTRIES = 2**15
+
+
 def block_scorer(
     g: Graph, model: UtilityModel, groups: Sequence[Iterable[int]]
 ) -> tuple[list[int], int, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """The integer evaluator of ``group_weights`` for a block of cuts:
-    ``(dens, bound, incident, numerators)``.  A cut's crossing edges are a
-    row of uint64 words (edge e is bit e % 64 of word e // 64); an edge
-    crosses iff exactly one endpoint is a member, so they are the XOR of its
-    members' ``incident`` rows (callers check that the members are vertices
-    of g).  ``numerators(cross)[c, i] / dens[i]`` is group i's utility under
-    the cut with crossing words ``cross[c]``: per ``weight_terms`` term, the
-    popcounts under the term's edge mask, added up one word at a time in
-    int32 (a count stays below the edge count), times the term's weight.
-    ``bound``, a group's largest numerator, decides the dtype: int64 below
-    2**63, else Python ints."""
+    ``(dens, bound, incident, numerators)``.
+
+    Edges take bit positions sorted by their weight column (``W[0][e]``, ...,
+    ``W[γ-1][e]``; ties in edge order), so each column is one run of bits,
+    and the runs, split at word boundaries, are P (word, mask, column)
+    pairs.  A cut's crossing edges are a row of uint64 words, position b in
+    bit b % 64 of word b // 64: the XOR of its members' ``incident`` rows,
+    since an edge crosses iff exactly one endpoint is a member (callers
+    check that the members are vertices of g).  ``numerators(cross)[c, i] /
+    dens[i]`` is group i's utility under the cut with crossing words
+    ``cross[c]``: per chunk of rows, one gather of the pair words, one AND,
+    one popcount and one product with the P x γ weights.  ``bound``, a
+    group's largest numerator, sets the product's dtype: float64 below
+    2**53 (exact: see the module docstring), int64 below 2**63, else Python
+    ints.  The result is int64 (object dtype from 2**63 on), the transpose
+    of a (γ, rows) array."""
     weights, dens = group_weights(g, model, groups)
     bound = max(sum(row.values()) for row in weights)
-    terms = weight_terms(weights)
-    words = (g.edge_count + 63) // 64
-    by_word = []  # per word: the terms with edges in it, and those edges as a column
-    for column in edge_words([bits for _, _, bits in terms], words).T:
-        used = np.flatnonzero(column)
-        by_word.append((used, column[used, None]))
-    term_weights = np.array([[w] for _, w, _ in terms], dtype=np.int64 if bound < 2**63 else object)
-    starts = [k for k, t in enumerate(terms) if k == 0 or terms[k - 1][0] != t[0]]
+    dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
+    m = g.edge_count
+    columns = list(zip(*([row.get(e, 0) for e in range(m)] for row in weights)))
+    order = sorted(range(m), key=columns.__getitem__)  # ties in edge order
+    bits = sorted(range(m), key=order.__getitem__)  # edge e sits at bit bits[e]
+    runs = [columns[e] for e in order]
+    # a pair starts with each run and each word
+    starts = [b for b in range(m) if not b % 64 or runs[b] != runs[b - 1]]
+    pair_words = np.array(starts, dtype=np.intp) // 64
+    pair_masks = np.array(
+        [(1 << end - b) - 1 << b % 64 for b, end in zip(starts, starts[1:] + [m])], dtype=np.uint64
+    )
+    pair_weights = np.array([runs[b] for b in starts], dtype=dtype)
+    pair_weights = pair_weights.reshape(len(starts), len(dens)).T
+    chunk = max(1, _CHUNK_ENTRIES // max(1, len(pair_masks)))
 
     def numerators(cross: np.ndarray) -> np.ndarray:
-        hits = np.zeros((len(terms), len(cross)), dtype=np.int32)
-        for k, (used, edge_bits) in enumerate(by_word):
-            hits[used] += np.bitwise_count(edge_bits & cross[:, k])
-        return np.add.reduceat(hits * term_weights, starts, axis=0).T
+        out = np.empty((len(dens), len(cross)), dtype=object if dtype is object else np.int64)
+        for start in range(0, len(cross), chunk):
+            hits = cross[start : start + chunk, pair_words]
+            hits &= pair_masks
+            counts = np.bitwise_count(hits).astype(dtype)
+            out[:, start : start + chunk] = pair_weights @ counts.T
+        return out.T
 
-    return dens, bound, edge_words(incident_masks(g), words), numerators
+    return dens, bound, edge_words(incident_masks(g, bits), (m + 63) // 64), numerators
 
 
 def ground_set_size(g: Graph, model: UtilityModel) -> int:

@@ -23,8 +23,22 @@ from fairmaxcut.utility import (
     group_weights,
     incident_masks,
     require_compatible,
-    weight_terms,
 )
+
+
+def weight_terms(weights: Sequence[dict[int, int]]) -> list[tuple[int, int, int]]:
+    """The weight classes of a ``group_weights`` table as terms ``(group,
+    weight, edge bitmask)``, one per distinct weight of each row, in group
+    order; a row without edges gets the zero term ``(i, 0, 0)``.  Group i's
+    numerator under a cut is the sum of ``weight`` times the number of
+    crossing edges in ``edge bitmask`` over its terms."""
+    terms: list[tuple[int, int, int]] = []
+    for i, row in enumerate(weights):
+        by_weight: dict[int, int] = {}
+        for e, w in row.items():
+            by_weight[w] = by_weight.get(w, 0) | 1 << e
+        terms += [(i, w, edge_bits) for w, edge_bits in (by_weight or {0: 0}).items()]
+    return terms
 
 
 def group_kernel(

@@ -15,7 +15,7 @@ from fairmaxcut import cli
 from fairmaxcut.cli import build_parser, main
 from fairmaxcut.families import random_instance
 from fairmaxcut.graphs import PartitionKind, cut_value
-from fairmaxcut.heuristics import _sweep_levels, gw_round, sdp_objective
+from fairmaxcut.heuristics import MAX_TRIALS, _sweep_levels, gw_round, sdp_objective
 from fairmaxcut.instances import load_instance, save_instance
 from fairmaxcut.reports import parse_report
 
@@ -215,6 +215,17 @@ class TestRun:
         assert rc == 3
         assert out == ""
         assert err.startswith(f"error: {10**12} rounding samples of 4 vertices would keep ")
+
+    def test_naive_random_too_many_trials_exit_3(self, tmp_path):
+        # refused before the instance is read, so before any draw: only the
+        # exit and the reason
+        missing = str(tmp_path / "missing.inst")
+        rc, out, err = run_cli(
+            ["run", missing, "--algorithm", "naive-random", "--trials", str(10**12)]
+        )
+        assert rc == 3
+        assert out == ""
+        assert err == f"error: {10**12} Monte Carlo trials; the limit is {MAX_TRIALS}\n"
 
     @pytest.mark.parametrize(
         "name", ["paw.inst", "random_n8_p05_g3_seed42.inst", "generated_n40_p02"]

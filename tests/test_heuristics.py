@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairmaxcut import cli
+from fairmaxcut import cli, heuristics
 from fairmaxcut.errors import DegreeZeroError, TooLargeError
 from fairmaxcut.exact import max_value
 from fairmaxcut.families import (
@@ -41,6 +41,7 @@ from fairmaxcut.heuristics import (
     _STREAM_GW,
     _STREAM_NAIVE,
     MAX_ROUNDING_BYTES,
+    MAX_TRIALS,
     DistributionScore,
     GwRounding,
     _coordinate_ascent,
@@ -294,6 +295,14 @@ def prime_hubs(largest: int) -> tuple[Graph, GroupPartition]:
 
 
 class TestStreamedSampler:
+    def test_refuses_trials_past_the_limit_before_any_draw(self, monkeypatch):
+        g = make_cycle(5)
+        partition = singleton_partition(g, PartitionKind.EDGES)
+        monkeypatch.setattr(heuristics, "derive_rng", None)  # a draw would fail
+        message = f"^{MAX_TRIALS + 1} Monte Carlo trials; the limit is {MAX_TRIALS}$"
+        with pytest.raises(TooLargeError, match=message):
+            naive_random_sample(g, UtilityModel.EDGE, partition, seed=0, trials=MAX_TRIALS + 1)
+
     @pytest.mark.parametrize("model", list(UtilityModel), ids=lambda m: m.value)
     def test_matches_direct_reference_across_blocks(self, model):
         kind = PartitionKind.EDGES if model is UtilityModel.EDGE else PartitionKind.NODES

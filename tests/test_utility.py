@@ -1,9 +1,12 @@
 """Group utility models: exactness, complement invariance, additivity."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairmaxcut.errors import DegreeZeroError, ModelMismatchError
@@ -24,7 +27,14 @@ from fairmaxcut.graphs import (
 )
 from fairmaxcut.heuristics import evaluate_distribution
 from fairmaxcut.maximin import CutDistribution
-from fairmaxcut.utility import UtilityModel, block_scorer, ground_set_size
+from fairmaxcut.utility import (
+    _CHUNK_ENTRIES,
+    UtilityModel,
+    block_scorer,
+    edge_words,
+    ground_set_size,
+    group_weights,
+)
 
 from .fraction_utility import (
     ground_utility,
@@ -34,6 +44,7 @@ from .fraction_utility import (
 )
 from .python_payoff import group_kernel
 from .strategies import graph_and_cut, node_instances
+from .test_heuristics import prime_hubs
 
 
 class TestEdgeUtility:
@@ -186,3 +197,99 @@ def test_group_kernel_matches_group_utility(gc, model):
     dens, numerators = group_kernel(g, model, groups)
     for num, den, gr in zip(numerators(cut.mask()), dens, groups):
         assert Fraction(num, den) == group_utility(g, model, cut, gr)
+
+
+def pair_count(g: Graph, model: UtilityModel, groups) -> int:
+    """The number of (word, mask, weight column) pairs of ``block_scorer``,
+    counted from its definition: the edges' weight columns in sorted order,
+    a new pair wherever the column changes or a word begins."""
+    weights, _ = group_weights(g, model, groups)
+    runs = sorted(tuple(row.get(e, 0) for row in weights) for e in range(g.edge_count))
+    return sum(1 for b, column in enumerate(runs) if b % 64 == 0 or column != runs[b - 1])
+
+
+def assert_block_scores(g: Graph, model: UtilityModel, groups, masks: list[int]) -> list:
+    """``block_scorer``'s numerators of the cuts with member bitmasks
+    ``masks`` are int64 (object dtype once ``bound`` reaches 2**63, never
+    float), equal ``group_kernel``'s on every row, and over ``dens`` equal
+    the ``Fraction`` oracle's on the first two rows and the last.  Returns
+    them as Python ints."""
+    dens, bound, incident, numerators = block_scorer(g, model, groups)
+    rows = [int.from_bytes(row.tobytes(), "little") for row in incident]
+    crossing = []
+    for mask in masks:
+        cross = 0
+        for v, edge_bits in enumerate(rows):
+            if mask >> v & 1:
+                cross ^= edge_bits
+        crossing.append(cross)
+    nums = numerators(edge_words(crossing, incident.shape[1]))
+    assert nums.shape == (len(masks), len(dens))
+    assert nums.dtype == (np.int64 if bound < 2**63 else object)
+    got = nums.tolist()
+    oracle_dens, oracle = group_kernel(g, model, groups)
+    assert dens == oracle_dens
+    assert got == [oracle(mask) for mask in masks]
+    for k in sorted({0, 1, len(masks) - 1} & set(range(len(masks)))):
+        cut = Cut.from_mask(masks[k])
+        utilities = [Fraction(num, den) for num, den in zip(got[k], dens)]
+        assert utilities == [group_utility(g, model, cut, gr) for gr in groups]
+    return got
+
+
+@st.composite
+def scorer_cases(draw):
+    """A graph with m edges among its first n - 2 vertices (the last two are
+    isolated), groups over its ground set, perhaps with a group without
+    edges, and a row count: 0, 1, one of the chunk size +-1 or a block."""
+    m = draw(st.one_of(st.sampled_from([63, 64, 65, 128, 129]), st.integers(1, 129)))
+    model = draw(st.sampled_from(list(UtilityModel)))
+    n = draw(st.integers(19, 26))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    g = Graph(n, tuple(rng.sample(list(combinations(range(n - 2), 2)), m)))
+    ground = list(range(ground_set_size(g, model)))
+    edgeless = draw(st.booleans())
+    if edgeless and model.is_node_model:
+        ground = ground[:-2]
+    groups = [set() for _ in range(draw(st.integers(1, 4)))]
+    for element in ground:
+        groups[rng.randrange(len(groups))].add(element)
+    if edgeless:
+        groups.append(set() if model is UtilityModel.EDGE else {n - 2, n - 1})
+    chunk = max(1, _CHUNK_ENTRIES // max(1, pair_count(g, model, groups)))
+    rows = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1, 4096]))
+    return g, model, groups, [rng.getrandbits(n) for _ in range(rows)]
+
+
+class TestBlockScorer:
+    @given(scorer_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_group_kernel_and_fractions(self, case):
+        assert_block_scores(*case)
+
+    @pytest.mark.parametrize("m", [65, 129])
+    @pytest.mark.parametrize("rows", [1, 4096])
+    def test_run_across_word_boundaries(self, m, rows):
+        # one edge group: a single weight column, so one run of m bits that
+        # the word boundaries split into two or three pairs
+        n = 18
+        g = Graph(n, tuple(combinations(range(n), 2))[:m])
+        rng = random.Random(m)
+        masks = [rng.getrandbits(n) for _ in range(rows)]
+        assert_block_scores(g, UtilityModel.EDGE, [range(m)], masks)
+
+    @pytest.mark.parametrize("largest", [41, 43, 47, 53])
+    @pytest.mark.parametrize("rows", [0, 1, 4096])
+    def test_bounds_around_float_and_int64(self, largest, rows):
+        # own-degree numerators of the prime-degree hubs: their bound is below
+        # 2**53 up to 41, below 2**63 up to 47, and past 2**63 at 53.  The
+        # first row cuts every edge, so the hubs' numerator is the bound
+        g, partition = prime_hubs(largest)
+        model = UtilityModel.NODE_OWNDEG
+        _, bound, _, _ = block_scorer(g, model, partition.groups)
+        assert (bound < 2**53, bound < 2**63) == (largest <= 41, largest <= 47)
+        hubs = g.vertex_count - largest
+        rng = random.Random(largest)
+        masks = [(1 << hubs) - 1, *(rng.getrandbits(g.vertex_count) for _ in range(rows))][:rows]
+        got = assert_block_scores(g, model, partition.groups, masks)
+        assert not rows or got[0][0] == bound
