@@ -183,18 +183,20 @@ def _cut_numerators(
     g: Graph, model: UtilityModel, groups: Sequence[frozenset], cuts: Sequence[Cut]
 ) -> tuple[list[int], list[list[int]]]:
     """``(dens, rows)`` with ``rows[c][i] / dens[i]`` group i's utility under
-    ``cuts[c]``, as Python ints: each cut's side bytes, turned into crossing
-    words by ``_crossing_words`` and scored by ``block_scorer``."""
+    ``cuts[c]``, as Python ints: each cut's crossing words, the XOR of its
+    members' ``incident`` rows (in the scorer's bit order), scored by
+    ``block_scorer``."""
     for cut in cuts:
         cut.validate_for(g)
     dens, _, incident, numerators = block_scorer(g, model, groups)
-    members = [cut.members for cut in cuts]
-    sizes = list(map(len, members))
-    sides = np.zeros((len(cuts), g.vertex_count), dtype=bool)
-    flat = np.fromiter(itertools.chain.from_iterable(members), dtype=np.intp, count=sum(sizes))
-    sides[np.repeat(np.arange(len(cuts)), sizes), flat] = True
-    crossing = _crossing_words(incident, len(cuts))
-    return dens, numerators(crossing(np.packbits(sides, axis=1, bitorder="little"))).tolist()
+    rows = [int.from_bytes(row.tobytes(), "little") for row in incident]
+    crossing = []
+    for cut in cuts:
+        cross = 0
+        for v in cut.members:
+            cross ^= rows[v]
+        crossing.append(cross)
+    return dens, numerators(edge_words(crossing, incident.shape[1])).tolist()
 
 
 def evaluate_distribution(

@@ -1,10 +1,11 @@
-"""Shared hypothesis strategies: small graphs, cuts, and partitions."""
+"""Shared hypothesis strategies: small graphs, cuts, and partitions; and
+``prime_hubs``, a graph whose own-degree numerators pass any given bound."""
 
 from itertools import combinations
 
 from hypothesis import strategies as st
 
-from fairmaxcut.graphs import Cut, Graph, GroupPartition, PartitionKind
+from fairmaxcut.graphs import Cut, Graph, GroupPartition, PartitionKind, node_groups
 
 
 @st.composite
@@ -62,3 +63,14 @@ def node_instances(draw, max_vertices=6):
     g = draw(graphs(min_vertices=2, max_vertices=max_vertices, min_edges=1))
     partition = draw(partitions_for(g, PartitionKind.NODES))
     return g, partition
+
+
+def prime_hubs(largest: int) -> tuple[Graph, GroupPartition]:
+    """One hub per prime p <= largest, joined to p vertices of a shared pool
+    of ``largest`` vertices; node groups: the hubs, and the pool.  The hubs'
+    own-degree denominator is the product of the primes."""
+    primes = [p for p in range(2, largest + 1) if all(p % q for q in range(2, p))]
+    hubs = len(primes)
+    edges = tuple((h, hubs + j) for h, p in enumerate(primes) for j in range(p))
+    g = Graph(hubs + largest, edges)
+    return g, node_groups(g, [frozenset(range(hubs)), frozenset(range(hubs, g.vertex_count))])

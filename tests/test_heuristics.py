@@ -30,7 +30,6 @@ from fairmaxcut.families import (
 from fairmaxcut.graphs import (
     Cut,
     Graph,
-    GroupPartition,
     PartitionKind,
     cut_value,
     edge_groups,
@@ -69,7 +68,7 @@ from .fraction_utility import group_proportion, min_group_proportion
 from .python_rounding import python_gw_round
 from .python_sampler import _BLOCK_ENTRIES, _trial_side_bits, python_naive_random_sample
 from .python_sdp import python_sdp_solve, python_sweeps
-from .strategies import edge_instances, graphs, node_instances, partitions_for
+from .strategies import edge_instances, graphs, node_instances, partitions_for, prime_hubs
 
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -281,17 +280,6 @@ def direct_sample(g, model, partition, seed, trials):
             squares[i] += p * p
     means = [total / trials for total in sums]
     return [(mean, sq / trials - mean * mean) for mean, sq in zip(means, squares)]
-
-
-def prime_hubs(largest: int) -> tuple[Graph, GroupPartition]:
-    """One hub per prime p <= largest, joined to p vertices of a shared pool
-    of ``largest`` vertices; node groups: the hubs, and the pool.  The hubs'
-    own-degree denominator is the product of the primes."""
-    primes = [p for p in range(2, largest + 1) if all(p % q for q in range(2, p))]
-    hubs = len(primes)
-    edges = tuple((h, hubs + j) for h, p in enumerate(primes) for j in range(p))
-    g = Graph(hubs + largest, edges)
-    return g, node_groups(g, [frozenset(range(hubs)), frozenset(range(hubs, g.vertex_count))])
 
 
 class TestStreamedSampler:

@@ -43,8 +43,7 @@ from .fraction_utility import (
     min_group_proportion,
 )
 from .python_payoff import group_kernel
-from .strategies import graph_and_cut, node_instances
-from .test_heuristics import prime_hubs
+from .strategies import graph_and_cut, node_instances, prime_hubs
 
 
 class TestEdgeUtility:
