@@ -2,9 +2,9 @@
 cut (analytic and Monte Carlo), flip local search, and Goemans-Williamson
 hyperplane rounding over a low-rank coordinate-ascent SDP relaxation.
 
-The relaxation's Gauss-Seidel sweep is level-scheduled: the vertices are
-grouped into levels that share no edge, ordered so that every update reads
-the same neighbor vectors as in index order, and each level is updated in
+The relaxation's Gauss-Seidel sweep is multicolour: a first-fit greedy
+colouring in index order splits the vertices into levels that share no
+edge, the sweep visits them by (level, index), and each level is updated in
 one batch.  Per row the batch runs the same float64 steps, in the same
 order, as the row-by-row reference loop kept in the tests, so its
 embeddings match it bit for bit.  The rounding keeps one generator per
@@ -395,10 +395,18 @@ class UnitVectorEmbedding:
         return self.vectors.shape[1]
 
 
+def _edge_dots(g: Graph, vec: np.ndarray) -> np.ndarray:
+    """x_u . x_v for every edge (u, v), in edge order: one ``np.vecdot`` over
+    the gathered endpoint rows, whose per-row BLAS ddot gives the doubles
+    of ``vec[u] @ vec[v]`` bit for bit."""
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    return np.vecdot(vec[ends[:, 0]], vec[ends[:, 1]])
+
+
 def sdp_objective(g: Graph, embedding: UnitVectorEmbedding) -> float:
-    """Relaxation objective sum over edges of (1 - x_u . x_v) / 2."""
-    vec = embedding.vectors
-    return sum((1.0 - float(vec[u] @ vec[v])) / 2.0 for u, v in g.edges)
+    """Relaxation objective sum over edges of (1 - x_u . x_v) / 2: the terms
+    are taken elementwise, then summed one by one in edge order."""
+    return sum(((1.0 - _edge_dots(g, embedding.vectors)) / 2.0).tolist())
 
 
 def default_sdp_rank(vertex_count: int) -> int:
@@ -419,16 +427,15 @@ def gw_sdp_solve(
     the objective never decreases.  Returns after `iterations` full sweeps
     (earlier if a sweep moves nothing).
 
-    A sweep is a Gauss-Seidel sweep in index order: each update reads the
-    latest vector of every neighbor, the new one of a lower neighbor and the
-    old one of a higher neighbor.  It is run level by level: a level holds
-    vertices that share no edge, and it comes after the levels of all their
-    lower neighbors and before those of all their higher ones, so a batch
-    update of one level reads exactly those vectors.  Colour classes or one
-    matrix product per sweep would read older vectors, or round
-    differently, and change the embedding.  Each update is the neighbor
-    rows' ufunc sum, the BLAS dot of that sum with itself and one division,
-    so the vectors are bit-for-bit those of the row-by-row reference loop."""
+    A sweep is a multicolour Gauss-Seidel sweep (Adams & Jordan, 1986): the
+    vertices are coloured first-fit in index order (``_sweep_levels``), and
+    a sweep updates them by (colour, index), each update reading the latest
+    vector of every neighbor.  A colour class shares no edge, so it is
+    updated in one batch that reads exactly those vectors: the new ones of
+    the earlier classes and the old ones of the later ones.  Each update is
+    the neighbor rows' ufunc sum, the BLAS dot of that sum with itself and
+    one division, so the vectors are bit-for-bit those of the row-by-row
+    reference loop in the same order."""
     n = g.vertex_count
     if rank is None:
         rank = max(2, default_sdp_rank(n))
@@ -446,11 +453,13 @@ def gw_sdp_solve(
 
 
 def _sweep_levels(g: Graph) -> tuple[list[int], list[tuple[int, int, np.ndarray]]]:
-    """The level schedule of an index-order sweep: ``(order, levels)``.
+    """The colour classes of the sweep: ``(order, levels)``.
 
-    Vertex v's level is 1 + the highest level of its neighbors u < v, or 0
-    if it has none; vertices without neighbors get none.  ``order`` lists
-    the other vertices by (level, index), and level ``order[lo:hi]`` comes
+    Vertex v's level is its first-fit greedy colour in index order: the
+    smallest level that none of its neighbors u < v holds.  So no two
+    neighbors share a level, and there are at most max degree + 1 levels.
+    Vertices without neighbors get none.  ``order`` lists the other
+    vertices by (level, index), and level ``order[lo:hi]`` comes
     with a (slots, hi - lo) index array whose column r holds the positions
     in ``order`` of vertex ``order[lo + r]``'s neighbors, sorted by vertex
     index, then the padding position ``len(order)`` up to the level's
@@ -458,7 +467,8 @@ def _sweep_levels(g: Graph) -> tuple[list[int], list[tuple[int, int, np.ndarray]
     level = [-1] * g.vertex_count
     for v, nbrs in enumerate(g.neighbors):
         if nbrs:
-            level[v] = 1 + max((level[u] for u in nbrs if u < v), default=-1)
+            taken = {level[u] for u in nbrs if u < v}
+            level[v] = next(c for c in itertools.count() if c not in taken)
     order = sorted((v for v in range(g.vertex_count) if level[v] >= 0), key=level.__getitem__)
     position = {v: k for k, v in enumerate(order)}
     levels = []
@@ -477,16 +487,16 @@ def _sweep_levels(g: Graph) -> tuple[list[int], list[tuple[int, int, np.ndarray]
 def _coordinate_ascent(g: Graph, vec: np.ndarray, iterations: int) -> None:
     """Run up to `iterations` sweeps of `gw_sdp_solve` on `vec` in place.
 
-    A sweep runs level by level (``_sweep_levels``, the level scheduling of
-    sparse triangular solves; Anderson & Saad, 1989) on a copy of the rows
-    in (level, index) order with one extra row of -0.0.  A level's vertices
-    share no edge; their lower neighbors sit on earlier levels and already
-    hold their new vectors, their higher neighbors on later levels and still
-    hold their old ones, as in the index-order sweep.  Each level takes six
-    calls: the gather of the neighbor rows, their sum one slot after
-    another (the padding adds -0.0, which changes no value and no zero's
-    sign), each sum's BLAS dot with itself (the ddot of ``ndarray.dot``),
-    its root, the negation and the division into the level's rows.
+    A sweep runs level by level (``_sweep_levels``, the colour classes of a
+    multicolour Gauss-Seidel ordering) on a copy of the rows in (level,
+    index) order with one extra row of -0.0.  A level's vertices share no
+    edge; their neighbors on earlier levels already hold their new vectors,
+    those on later levels still hold their old ones, as in a row-by-row
+    sweep in (level, index) order.  Each level takes six calls: the gather
+    of the neighbor rows, their sum one slot after another (the padding
+    adds -0.0, which changes no value and no zero's sign), each sum's BLAS
+    dot with itself (the ddot of ``ndarray.dot``), its root, the negation
+    and the division into the level's rows.
 
     A vector whose update equals it numerically (0.0 == -0.0) is left as it
     is, so a stored zero keeps its sign, and one whose neighbors sum to
@@ -679,9 +689,7 @@ def gw_round(
         edge_bits = np.unpackbits(edge_bits, axis=1, count=g.edge_count, bitorder="little")
         crossing_counts += edge_bits.sum(axis=0, dtype=np.int64)
     side_bytes.flags.writeable = False
-    probabilities = tuple(
-        gw_cut_probability(float(vec[u] @ vec[v])) for u, v in g.edges
-    )
+    probabilities = tuple(gw_cut_probability(dot) for dot in _edge_dots(g, vec).tolist())
     frequencies = tuple(float(c) / samples for c in crossing_counts)
     return GwRounding(
         side_bytes=side_bytes,

@@ -1,10 +1,13 @@
-"""Shared hypothesis strategies: small graphs, cuts, and partitions; and
-``prime_hubs``, a graph whose own-degree numerators pass any given bound."""
+"""Shared hypothesis strategies: small graphs, cuts, partitions and payoff
+matrices; ``prime_hubs``, a graph whose own-degree numerators pass any
+given bound; and ``matrix_from_rows``, an ad-hoc payoff matrix for LP
+tests."""
 
 from itertools import combinations
 
 from hypothesis import strategies as st
 
+from fairmaxcut.exact import PayoffMatrix
 from fairmaxcut.graphs import Cut, Graph, GroupPartition, PartitionKind, node_groups
 
 
@@ -74,3 +77,32 @@ def prime_hubs(largest: int) -> tuple[Graph, GroupPartition]:
     edges = tuple((h, hubs + j) for h, p in enumerate(primes) for j in range(p))
     g = Graph(hubs + largest, edges)
     return g, node_groups(g, [frozenset(range(hubs)), frozenset(range(hubs, g.vertex_count))])
+
+
+def matrix_from_rows(rows, group_sizes=None) -> PayoffMatrix:
+    """Ad-hoc integer payoff matrix over dummy cuts for pure LP tests; every
+    denominator is 1.  So is every group size unless given, and then both
+    modes read the same entries."""
+    k = len(rows[0])
+    return PayoffMatrix(
+        entries=rows,
+        dens=tuple(1 for _ in rows),
+        group_sizes=group_sizes or tuple(1 for _ in rows),
+        col_masks=[1 << (j + 1) for j in range(k)],
+    )
+
+
+@st.composite
+def certificate_matrices(draw):
+    """Up to 5 groups and 30 distinct columns with entries 0-6, over group
+    sizes 1-4 and denominators 1-3, so the denominators of both modes differ
+    between groups."""
+    gamma = draw(st.integers(1, 5))
+    column = st.tuples(*[st.integers(0, 6)] * gamma)
+    cols = draw(st.lists(column, min_size=1, max_size=30, unique=True))
+    return PayoffMatrix(
+        entries=tuple(zip(*cols)),
+        dens=draw(st.tuples(*[st.integers(1, 3)] * gamma)),
+        group_sizes=draw(st.tuples(*[st.integers(1, 4)] * gamma)),
+        col_masks=[1 << (j + 1) for j in range(len(cols))],
+    )

@@ -40,7 +40,7 @@ from .python_readoff import (
     python_solve_maximin,
     python_static_from_matrix,
 )
-from .test_maximin import certificate_matrices, matrix_from_rows
+from .strategies import certificate_matrices, matrix_from_rows
 
 BIG = 1 << 40
 # entries near 2**40: scaled over coprime denominators near 2**11, or priced

@@ -670,12 +670,29 @@ class TestGwSdpSolve:
             assert objective >= best - 1e-6
 
     def test_objective_monotone_across_sweeps(self):
-        g = make_cycle(7)
-        values = []
-        for sweeps in (1, 2, 4, 8, 16):
-            emb = gw_sdp_solve(g, seed=5, iterations=sweeps)
-            values.append(sdp_objective(g, emb))
-        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+        # the 7-cycle, and a graph whose colour classes hold several vertices
+        for g in (make_cycle(7), random_instance(40, 0.2, 4, PartitionKind.EDGES, seed=5).graph):
+            values = []
+            for sweeps in (1, 2, 4, 8, 16, 32):
+                emb = gw_sdp_solve(g, seed=5, iterations=sweeps)
+                values.append(sdp_objective(g, emb))
+            assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda n: st.tuples(graphs(min_vertices=n, max_vertices=n), gw_embeddings(n))
+        )
+    )
+    @example((Graph(0, ()), UnitVectorEmbedding(np.zeros((0, 2)))))
+    @settings(max_examples=60, deadline=None)
+    def test_objective_matches_one_dot_per_edge(self, case):
+        # bit for bit, zero signs included, against the per-edge loop
+        g, embedding = case
+        vec = embedding.vectors
+        want = sum((1.0 - float(vec[u] @ vec[v])) / 2.0 for u, v in g.edges)
+        got = sdp_objective(g, embedding)
+        assert type(got) is type(want)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_rejects_rank_one(self):
         with pytest.raises(ValueError):
@@ -686,6 +703,53 @@ class TestGwSdpSolve:
             gw_sdp_solve(make_cycle(3), iterations=-5)
 
 
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """A random graph with up to 6 isolated vertices added, the vertices
+    relabelled at random so the isolated ones fall anywhere in index order."""
+    core = draw(graphs(min_vertices=0, max_vertices=24))
+    n = core.vertex_count + draw(st.integers(0, 6))
+    label = draw(st.permutations(range(n)))
+    return Graph(n, tuple((label[u], label[v]) for u, v in core.edges))
+
+
+class TestSweepLevels:
+    """The colour classes of the sweep: a first-fit greedy colouring."""
+
+    @given(graphs_with_isolated_vertices())
+    @example(Graph(0, ()))
+    @example(Graph(3, ()))
+    @settings(max_examples=200, deadline=None)
+    def test_first_fit_colouring(self, g):
+        order, levels = _sweep_levels(g)
+        level = {}
+        for c, (lo, hi, _) in enumerate(levels):
+            level.update((v, c) for v in order[lo:hi])
+        assert sorted(order) == [v for v in range(g.vertex_count) if g.neighbors[v]]
+        assert order == sorted(order, key=lambda v: (level[v], v))
+        bounds = [0] + [hi for _, hi, _ in levels]
+        assert [lo for lo, _, _ in levels] == bounds[:-1] and bounds[-1] == len(order)
+        assert len(levels) <= max(g.degrees, default=0) + 1
+        for u, v in g.edges:
+            assert level[u] != level[v]
+        for v, c in level.items():
+            assert set(range(c)) <= {level[u] for u in g.neighbors[v] if u < v}
+        for lo, hi, idx in levels:
+            assert idx.shape == (max(g.degree(v) for v in order[lo:hi]), hi - lo)
+            for r, v in enumerate(order[lo:hi]):
+                column = idx[:, r].tolist()
+                nbrs = sorted(g.neighbors[v])
+                assert column[: len(nbrs)] == [order.index(u) for u in nbrs]
+                assert column[len(nbrs) :] == [len(order)] * (len(column) - len(nbrs))
+
+    def test_levels_of_a_path_alternate(self):
+        # index order on the path 0-1-2-3-4 would chain five levels
+        g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
+        order, levels = _sweep_levels(g)
+        assert order == [0, 2, 4, 1, 3]
+        assert [(lo, hi) for lo, hi, _ in levels] == [(0, 3), (3, 5)]
+
+
 def same_bits(got: UnitVectorEmbedding, want: UnitVectorEmbedding) -> bool:
     return (got.vectors.shape, got.vectors.tobytes()) == (
         want.vectors.shape,
@@ -694,7 +758,7 @@ def same_bits(got: UnitVectorEmbedding, want: UnitVectorEmbedding) -> bool:
 
 
 class TestGwSdpSolveMatchesReferenceLoop:
-    """The level-scheduled sweep against the row-by-row loop in tests/python_sdp.py,
+    """The colour-class sweep against the row-by-row loop in tests/python_sdp.py,
     bit for bit: same update order, same reductions, same zero signs."""
 
     @given(

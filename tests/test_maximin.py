@@ -39,20 +39,7 @@ from .fraction_certificate import _check_certificate as fraction_check_certifica
 from .fraction_simplex import _bland, _simplex_maximin, _tableau, fraction_column
 from .python_payoff import column_cuts
 from .python_readoff import python_solve_maximin, tableau_primal
-from .strategies import edge_instances, node_instances
-
-
-def matrix_from_rows(rows, group_sizes=None) -> PayoffMatrix:
-    """Ad-hoc integer payoff matrix over dummy cuts for pure LP tests; every
-    denominator is 1.  So is every group size unless given, and then both
-    modes read the same entries."""
-    k = len(rows[0])
-    return PayoffMatrix(
-        entries=rows,
-        dens=tuple(1 for _ in rows),
-        group_sizes=group_sizes or tuple(1 for _ in rows),
-        col_masks=[1 << (j + 1) for j in range(k)],
-    )
+from .strategies import certificate_matrices, edge_instances, matrix_from_rows, node_instances
 
 
 def simplex_grid_best(rows, denominator: int) -> Fraction:
@@ -494,22 +481,6 @@ class TestCertificate:
                 for check in (_check_certificate, fraction_check_certificate):
                     with pytest.raises(_CertificateError):
                         check(matrix, mode, value, *rest)
-
-
-@st.composite
-def certificate_matrices(draw):
-    """Up to 5 groups and 30 distinct columns with entries 0-6, over group
-    sizes 1-4 and denominators 1-3, so the denominators of both modes differ
-    between groups."""
-    gamma = draw(st.integers(1, 5))
-    column = st.tuples(*[st.integers(0, 6)] * gamma)
-    cols = draw(st.lists(column, min_size=1, max_size=30, unique=True))
-    return PayoffMatrix(
-        entries=tuple(zip(*cols)),
-        dens=draw(st.tuples(*[st.integers(1, 3)] * gamma)),
-        group_sizes=draw(st.tuples(*[st.integers(1, 4)] * gamma)),
-        col_masks=[1 << (j + 1) for j in range(len(cols))],
-    )
 
 
 def perturbed_certificates(matrix: PayoffMatrix, sol, data):
