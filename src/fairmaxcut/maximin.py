@@ -23,14 +23,16 @@ simplex with Bland's rule in one revised, fraction-free simplex,
 makes reduced costs and tableau columns only where Bland's rule reads them.
 It only ever holds Python ints.  Its dual group mixture prices every column
 in exact integer arithmetic, one vector-matrix product over the array C
-(int64 while no score can reach 2**62, else Python ints), and the first
-column with the largest reduced cost enters (Dantzig's rule), until no
-column prices above the master value.  The master keeps its optimal basis
-between steps: an entering column is appended and the simplex continues
-from that basis, which stays primal feasible, with the new column as its
-first pivot.  The last master's duals then certify the optimum over all
-columns.  Restricting z to be non-negative loses nothing because all payoff
-entries are >= 0.
+(int64 while no score can reach 2**62, else Python ints) with the weights
+and bar divided by their gcd, which drops the basis determinant's common
+factor and keeps every comparison; the first column with the largest
+reduced cost enters (Dantzig's rule), until no column prices above the
+master value.  The master keeps its optimal basis between steps: an
+entering column is appended and the simplex continues from that basis,
+which stays primal feasible, with the new column as its first pivot.  The
+last master's duals then certify the optimum over all columns.
+Restricting z to be non-negative loses nothing because all payoff entries
+are >= 0.
 
 The reported distribution is canonical: Bland's simplex is re-run from
 scratch over the columns that are tight at the final duals, in column order,
@@ -47,6 +49,27 @@ mass on the start column s, with support (s,).  The proof:
   same first pivot.
 - After that pivot every tight column's reduced cost is 0 and every
   slack's at most 0, so Bland stops there, at the point mass on s.
+
+When a column would enter the first master, one dual is guessed before
+the master grows: the uniform y0 = (1/γ, ..., 1/γ).  It is optimal whenever
+the automorphisms of the instance act transitively on the groups (Bödi,
+Herr & Joswig, Math. Program. 2013), as on the paper's odd cycles with
+singleton groups, and it is only tried when every group has one size and
+every row of C one sum, which every such instance passes.  y0 prices
+column j at its sum over γ * den, so the largest column sum S bounds the
+value.  The cold re-solve above runs over the columns whose sum is S, and
+the guess holds when
+
+- its value times γ * den is S, so strong duality certifies it, and
+- every basic value (the rhs column of ``inv``) is positive.
+
+A nondegenerate optimal basis has a unique optimal dual (Mangasarian,
+Linear Algebra Appl. 1979), and every optimal dual of the full LP is an
+optimal dual of the LP over the tight columns, so y0 is the full LP's only
+optimal dual.  The master would have ended at y0, with these tight columns,
+so column generation reports the same value, duals, support and
+distribution.  When the guess fails, column generation goes on from the
+first master as if it had not been tried.
 
 ``Fraction`` values are only made for the reported results: the value, the
 positive probabilities and the duals.  Both sides of the minimax equality
@@ -67,7 +90,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 import numpy as np
@@ -123,9 +146,12 @@ class MaximinSolution:
     ``pivots`` their Bland pivots; ``tight_columns`` counts the columns of
     the tight re-solve and ``tight_pivots`` its pivots, both 0 when it was
     skipped.  The pivots are those of Bland's rule on the dense tableau of
-    the same LP, however it is stored.  A solution derived by
-    ``proportion_from_value`` ran no simplex, so all four are 0; it is
-    certified in proportion mode all the same."""
+    the same LP, however it is stored.  ``dual_guessed`` says whether the
+    uniform dual certified the optimum; then the master ran once, and the
+    tight re-solve is the guess's.  A solution derived by
+    ``proportion_from_value`` ran no simplex, so all four are 0 and
+    ``dual_guessed`` is False; it is certified in proportion mode all the
+    same."""
 
     value: Fraction
     distribution: CutDistribution
@@ -135,6 +161,7 @@ class MaximinSolution:
     pivots: int = 0
     tight_columns: int = 0
     tight_pivots: int = 0
+    dual_guessed: bool = False
 
 
 class _CertificateError(AssertionError):
@@ -150,7 +177,9 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
     weights are the last master's, which certify every column; the
     distribution is Bland's simplex over the columns tight at those duals
     (the point mass on the start column when no column entered), and the
-    support holds their column indices.
+    support holds their column indices.  When a column would enter and the
+    groups look symmetric, the uniform dual is tried first, and if it
+    certifies the optimum no further master runs (module docstring).
     """
     gamma, k = matrix.group_count, matrix.column_count
     if gamma == 0 or k == 0:
@@ -158,41 +187,49 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
     den, cols = scaled_columns(matrix, matrix.denominators(mode))
     top = int(cols.max(initial=1))
 
-    # restricted master, started from the best static column; the column
-    # with the largest reduced cost enters until none prices above its value
+    # restricted master, started from the best static column
     mins = cols.min(axis=0)
     start = int(np.argmax(mins))
     active = [start]
     master = _RevisedLP([cols[:, start].tolist()], den, 0)
-    while True:
-        weights, bar = master.pricing()
-        scores = _column_scores(weights, bar, cols, top)
-        enter = int(np.argmax(scores))
-        if scores[enter] <= bar:
-            break
-        if enter in active:
-            raise _CertificateError("master duals price one of its own columns above its value")
-        active.append(enter)
-        master.add(cols[:, enter].tolist())
-    z, *_ = master.primal_numerators()
-    value, duals = Fraction(z, master.det), master.duals()
+    scores, bar = _price(master, cols, top)
+    enter = int(np.argmax(scores))
+    guess = _uniform_guess(matrix.group_sizes, den, cols, mins) if scores[enter] > bar else None
+    if guess is not None:
+        tight, cold = guess
+        value, duals = _lp_value(cold), cold.duals()
+    else:
+        # the column with the largest reduced cost enters until none prices
+        # above the master's value
+        while scores[enter] > bar:
+            if enter in active:
+                raise _CertificateError("master duals price one of its own columns above its value")
+            active.append(enter)
+            master.add(cols[:, enter].tolist())
+            scores, bar = _price(master, cols, top)
+            enter = int(np.argmax(scores))
+        value, duals = _lp_value(master), master.duals()
 
-    # canonical support: independent of the path the master took.  When no
-    # column entered, the cold re-solve over the tight columns is known to
-    # end at the point mass on the start column (module docstring).
-    tight_columns = tight_pivots = 0
-    if len(active) == 1:
+        # canonical support: independent of the path the master took.  When
+        # no column entered, the cold re-solve over the tight columns is
+        # known to end at the point mass on the start column (module
+        # docstring).
+        tight = cold = None
+        if len(active) > 1:
+            tight = np.flatnonzero(scores == bar).tolist()
+            cold = _tight_lp(cols, den, mins, tight)
+            tight_z, *_ = cold.primal_numerators()
+            if tight_z * value.denominator != value.numerator * cold.det:
+                raise _CertificateError(
+                    f"tight columns reach {_lp_value(cold)}, column generation reached {value}"
+                )
+
+    if cold is None:
         support = (start,)
         distribution = CutDistribution.point_mass(matrix.cut(start))
+        tight_columns = tight_pivots = 0
     else:
-        tight = np.flatnonzero(scores == bar).tolist()
-        cold = _RevisedLP(cols[:, tight].T.tolist(), den, int(np.argmax(mins[tight])))
-        tight_z, *probs = cold.primal_numerators()
-        if tight_z * value.denominator != value.numerator * cold.det:
-            raise _CertificateError(
-                f"tight columns reach {Fraction(tight_z, cold.det)}, column generation "
-                f"reached {value}"
-            )
+        _, *probs = cold.primal_numerators()
         support = tuple(j for j, p in zip(tight, probs) if p > 0)
         distribution = CutDistribution(tuple(
             (matrix.cut(j), Fraction(p, cold.det)) for j, p in zip(tight, probs) if p > 0
@@ -209,7 +246,49 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
         pivots=master.pivots,
         tight_columns=tight_columns,
         tight_pivots=tight_pivots,
+        dual_guessed=guess is not None,
     )
+
+
+def _price(master: "_RevisedLP", cols: np.ndarray, top: int) -> tuple[np.ndarray, int]:
+    """Every column's pricing score and the bar a score must pass to enter:
+    the master's pricing weights and bar divided by their gcd.  That keeps
+    every comparison, tie and argmax, and drops the basis determinant's
+    common factor, which would otherwise push the scores past int64."""
+    weights, bar = master.pricing()
+    g = gcd(bar, *weights)
+    weights, bar = [w // g for w in weights], bar // g
+    return _column_scores(weights, bar, cols, top), bar
+
+
+def _uniform_guess(
+    group_sizes: tuple[int, ...], den: int, cols: np.ndarray, mins: np.ndarray
+) -> tuple[list[int], "_RevisedLP"] | None:
+    """The columns tight at the uniform dual and Bland's LP over them, if
+    that LP certifies the optimum with a nondegenerate basis (module
+    docstring); None when the groups differ in size or the rows of ``cols``
+    in their sums, or when the guess fails."""
+    if len(set(group_sizes)) > 1 or len(set(cols.sum(axis=1).tolist())) > 1:
+        return None
+    sums = cols.sum(axis=0)
+    best = int(sums.max())
+    tight = np.flatnonzero(sums == best).tolist()
+    cold = _tight_lp(cols, den, mins, tight)
+    z, *_ = cold.primal_numerators()
+    if z * len(group_sizes) * den != best * cold.det or any(row[-1] <= 0 for row in cold.inv):
+        return None
+    return tight, cold
+
+
+def _tight_lp(cols: np.ndarray, den: int, mins: np.ndarray, tight: list[int]) -> "_RevisedLP":
+    """Bland's simplex from scratch over the columns ``tight``, in column
+    order, started from the first of them with the largest minimum."""
+    return _RevisedLP(cols[:, tight].T.tolist(), den, int(np.argmax(mins[tight])))
+
+
+def _lp_value(lp: "_RevisedLP") -> Fraction:
+    z, *_ = lp.primal_numerators()
+    return Fraction(z, lp.det)
 
 
 def proportion_from_value(matrix: PayoffMatrix, solution: MaximinSolution) -> MaximinSolution:
@@ -217,13 +296,13 @@ def proportion_from_value(matrix: PayoffMatrix, solution: MaximinSolution) -> Ma
     s, derived from its value-mode optimum ``solution``: the value over s,
     with the same distribution, duals and support (see the module
     docstring).  It is re-certified in proportion mode, and its counters are
-    all 0."""
+    all 0 and ``dual_guessed`` False."""
     size, *others = set(matrix.group_sizes)
     if others:
         raise ValueError("proportion mode is value mode over a scale only for equal group sizes")
     derived = replace(
         solution, value=solution.value / size, master_solves=0, pivots=0, tight_columns=0,
-        tight_pivots=0,
+        tight_pivots=0, dual_guessed=False,
     )
     _check_certificate(
         matrix, Mode.PROPORTION, derived.value, derived.distribution, derived.dual_weights,
@@ -418,7 +497,9 @@ def _check_certificate(
 
 def _best_dual_score(w: list[int], entries: np.ndarray) -> int:
     """max_j sum_i w[i] * entries[i, j] for non-negative integer weights: in
-    int64 while sum(w) * max entry stays below 2**62, else in Python ints."""
+    int64 while sum(w) * max entry stays below 2**62, else in Python ints.
+    The weights carry no determinant: the duals over the lcm of their
+    denominators have gcd 1, so only genuinely large duals leave int64."""
     if sum(w) * int(entries.max(initial=1)) >> 62:
         return int((np.array(w, dtype=object) @ entries.astype(object)).max())
     return int((np.array(w, dtype=np.int64) @ entries).max())

@@ -1,5 +1,5 @@
 """Shared hypothesis strategies: small graphs, cuts, partitions and payoff
-matrices; ``prime_hubs``, a graph whose own-degree numerators pass any
+matrices, also group-symmetric ones; ``prime_hubs``, a graph whose own-degree numerators pass any
 given bound; and ``matrix_from_rows``, an ad-hoc payoff matrix for LP
 tests."""
 
@@ -104,5 +104,23 @@ def certificate_matrices(draw):
         entries=tuple(zip(*cols)),
         dens=draw(st.tuples(*[st.integers(1, 3)] * gamma)),
         group_sizes=draw(st.tuples(*[st.integers(1, 4)] * gamma)),
+        col_masks=[1 << (j + 1) for j in range(len(cols))],
+    )
+
+
+@st.composite
+def cyclic_matrices(draw):
+    """Group-symmetric payoff matrices: 2-5 groups of one size (1-4) and one
+    denominator (1-3), and up to 4 drawn columns with entries 0-6 together
+    with all their cyclic shifts of the rows.  Every row has the same sum,
+    and averaging any optimal dual over the shifts shows that the uniform
+    dual is optimal."""
+    gamma = draw(st.integers(2, 5))
+    bases = draw(st.lists(st.tuples(*[st.integers(0, 6)] * gamma), min_size=1, max_size=4))
+    cols = list(dict.fromkeys(base[s:] + base[:s] for base in bases for s in range(gamma)))
+    return PayoffMatrix(
+        entries=tuple(zip(*cols)),
+        dens=(draw(st.integers(1, 3)),) * gamma,
+        group_sizes=(draw(st.integers(1, 4)),) * gamma,
         col_masks=[1 << (j + 1) for j in range(len(cols))],
     )

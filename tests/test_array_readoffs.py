@@ -3,6 +3,7 @@ Python-int loops they replaced (``python_readoff``); the int64 overflow
 guards forced onto their Python-int fallbacks; and no numpy scalar in any
 result."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -71,14 +72,21 @@ def random_matrices(draw):
 
 def assert_matches_oracles(matrix: PayoffMatrix) -> None:
     """Both read-offs, witnesses included, and the whole maximin solution
-    (value, duals, support, distribution and counters) in both modes."""
+    (value, duals, support, distribution and counters) in both modes; where
+    the uniform dual certified the optimum, the master's counters are those
+    of its one solve, not the oracle's column generation."""
     for mode in Mode:
         den, cols = scaled_columns(matrix, matrix.denominators(mode))
         want_den, want_cols = python_scaled_columns(matrix, matrix.denominators(mode))
         assert den == want_den and cols.T.tolist() == list(map(list, want_cols))
         assert max_from_matrix(matrix, mode) == python_max_from_matrix(matrix, mode)
         assert static_from_matrix(matrix, mode) == python_static_from_matrix(matrix, mode)
-        assert solve_maximin(matrix, mode) == python_solve_maximin(matrix, mode)
+        sol, oracle = solve_maximin(matrix, mode), python_solve_maximin(matrix, mode)
+        if sol.dual_guessed:  # the oracle always runs column generation
+            sol = replace(
+                sol, master_solves=oracle.master_solves, pivots=oracle.pivots, dual_guessed=False
+            )
+        assert sol == oracle
 
 
 @given(st.one_of(certificate_matrices(), random_matrices()))
@@ -89,11 +97,11 @@ def test_array_readoffs_match_python_loops(matrix):
 
 @pytest.mark.parametrize("grew", [False, True])
 def test_random_matrices_reach_both_maximin_branches(grew):
-    # one master solve means no column entered, and solve_maximin skipped
-    # the cold re-solve that python_solve_maximin runs
+    # no tight columns means no column entered the master, and solve_maximin
+    # skipped the cold re-solve that python_solve_maximin runs
     find(
         random_matrices(),
-        lambda matrix: (solve_maximin(matrix, Mode.VALUE).master_solves > 1) == grew,
+        lambda matrix: (solve_maximin(matrix, Mode.VALUE).tight_columns > 0) == grew,
         settings=settings(database=None),
     )
 

@@ -116,6 +116,13 @@ class TestSolve:
         assert rc == 0
         assert out == (GOLDENS / "random_n8_p05_g3_seed42_solve.report").read_text()
 
+    def test_odd_cycle_golden_report(self):
+        # 13-cycle with singleton edge groups: the uniform dual certifies both
+        # DF optima, and the report, made by column generation, still matches
+        rc, out, _ = run_cli(["solve", str(GOLDENS / "cycle13_edges.inst"), "--no-timestamp"])
+        assert rc == 0
+        assert out == (GOLDENS / "cycle13_edges_solve.report").read_text()
+
     def test_instance_report_round_trip(self, paw_path):
         rc, out, _ = run_cli(["solve", paw_path, "--no-timestamp"])
         report = parse_report(out)

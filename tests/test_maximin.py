@@ -6,11 +6,13 @@ from itertools import combinations_with_replacement
 from math import lcm
 from operator import mul
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
-from fairmaxcut.exact import Mode, PayoffMatrix, build_payoff_matrix
+from fairmaxcut import maximin
+from fairmaxcut.exact import Mode, PayoffMatrix, build_payoff_matrix, scaled_columns
 from fairmaxcut.families import (
     make_clique_with_tail,
     make_complete_bipartite,
@@ -28,6 +30,7 @@ from fairmaxcut.maximin import (
     _CertificateError,
     _check_certificate,
     _RevisedLP,
+    _tight_lp,
     df_fair,
     proportion_from_value,
     solve_maximin,
@@ -39,7 +42,13 @@ from .fraction_certificate import _check_certificate as fraction_check_certifica
 from .fraction_simplex import _bland, _simplex_maximin, _tableau, fraction_column
 from .python_payoff import column_cuts
 from .python_readoff import python_solve_maximin, tableau_primal
-from .strategies import certificate_matrices, edge_instances, matrix_from_rows, node_instances
+from .strategies import (
+    certificate_matrices,
+    cyclic_matrices,
+    edge_instances,
+    matrix_from_rows,
+    node_instances,
+)
 
 
 def simplex_grid_best(rows, denominator: int) -> Fraction:
@@ -200,16 +209,16 @@ class TestSolveMaximin:
             direct = df_fair(inst.graph, inst.model, inst.partition, mode)
             assert solve_maximin(matrix, mode) == direct
 
-    @pytest.mark.parametrize("kind, solves, pivots", [
-        (PartitionKind.EDGES, 29, 49),
-        (PartitionKind.NODES, 18, 35),
-    ])
-    def test_work_counters_on_the_9_cycle(self, kind, solves, pivots):
+    @pytest.mark.parametrize("kind", list(PartitionKind), ids=lambda k: k.value)
+    def test_work_counters_on_the_9_cycle(self, kind):
+        # the uniform dual certifies the optimum after the master's first
+        # solve, whose one pivot is z entering
         inst = make_odd_cycle_instance(9, kind)
         matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
         for mode in Mode:
             sol = solve_maximin(matrix, mode)
-            assert (sol.master_solves, sol.pivots) == (solves, pivots)
+            assert sol.dual_guessed
+            assert (sol.master_solves, sol.pivots) == (1, 1)
 
     @pytest.mark.parametrize("kind", list(PartitionKind), ids=lambda k: k.value)
     def test_tight_counters_on_the_9_cycle(self, kind):
@@ -241,6 +250,7 @@ class TestSolveMaximin:
         sol = solve_maximin(matrix, Mode.PROPORTION)
         assert (inst.graph.edge_count, matrix.column_count) == (25, 2048)
         assert sol.value == Fraction(2, 3)
+        assert not sol.dual_guessed  # 25 groups of one size, unequal row sums
         assert (sol.master_solves, sol.pivots) == (44, 270)
         assert (sol.tight_columns, sol.tight_pivots) == (1536, 203)
 
@@ -291,6 +301,106 @@ class TestNoGrowth:
         assert sol.distribution == CutDistribution.point_mass(matrix.cut(start))
         assert_matches_dense_oracle(matrix, sol)
         assert sol == python_solve_maximin(matrix)
+
+
+def optimum(sol) -> tuple:
+    """What a solution reports: value, distribution, duals and support."""
+    return sol.value, sol.distribution, sol.dual_weights, sol.support
+
+
+def tight_counters(sol) -> tuple:
+    return sol.tight_columns, sol.tight_pivots
+
+
+class TestUniformGuess:
+    """Where a column enters the first master and the groups have one size
+    and the rows one sum, ``solve_maximin`` first tries the uniform dual;
+    ``python_solve_maximin`` always runs column generation.  Both must
+    report the same optimum and tight re-solve, and the same master
+    counters where the guess failed."""
+
+    @given(cyclic_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_column_generation_on_cyclic_matrices(self, matrix):
+        for mode in Mode:
+            sol, oracle = solve_maximin(matrix, mode), python_solve_maximin(matrix, mode)
+            assert optimum(sol) == optimum(oracle)
+            assert tight_counters(sol) == tight_counters(oracle)
+            if not sol.dual_guessed:
+                assert sol == oracle
+
+    @pytest.mark.parametrize("guessed", [False, True])
+    def test_cyclic_matrices_reach_both_outcomes(self, guessed):
+        # a guess that fails on a cyclic matrix fails for degeneracy, and
+        # column generation runs after it
+        def outcome(matrix):
+            sol = solve_maximin(matrix, Mode.VALUE)
+            return sol.dual_guessed if guessed else sol.master_solves > 1
+
+        find(cyclic_matrices(), outcome, settings=settings(database=None))
+
+    @pytest.mark.parametrize("rows, meets_bound, degenerate", [
+        # the uniform dual is optimal, but the tight LP ends at the point mass
+        # on (1, 1) with both slacks basic at 0
+        pytest.param([[2, 0, 1], [0, 2, 1]], True, True, id="degenerate tight basis"),
+        # equal row sums, but the best mix of (4, 0) and (0, 3) is 12/7 < 4/2;
+        # the tight LP over (4, 0) alone ends at value 0, with z basic at 0
+        pytest.param([[4, 0, 0], [0, 3, 1]], False, True, id="uniform dual not optimal"),
+    ])
+    def test_falls_back_to_column_generation(self, rows, meets_bound, degenerate):
+        matrix = matrix_from_rows(rows)
+        den, cols = scaled_columns(matrix, matrix.denominators(Mode.PROPORTION))
+        sums = cols.sum(axis=0)
+        tight = np.flatnonzero(sums == sums.max()).tolist()
+        cold = _tight_lp(cols, den, cols.min(axis=0), tight)
+        z = cold.primal_numerators()[0]
+        assert len(set(cols.sum(axis=1).tolist())) == 1  # equal row sums: the gate passes
+        assert (z * len(rows) * den == sums.max() * cold.det) == meets_bound
+        assert any(row[-1] == 0 for row in cold.inv) == degenerate
+        sol = solve_maximin(matrix)
+        assert not sol.dual_guessed and sol.master_solves > 1
+        assert sol == python_solve_maximin(matrix)
+
+    @pytest.mark.parametrize("kind", list(PartitionKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("n", [5, 7, 9, 11, 13, 15])
+    def test_odd_cycles(self, n, kind):
+        inst = make_odd_cycle_instance(n, kind)
+        matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
+        # singleton groups: both modes read the same denominators, so the
+        # oracle's one solve stands for both
+        assert matrix.denominators(Mode.VALUE) == matrix.denominators(Mode.PROPORTION)
+        oracle = python_solve_maximin(matrix, Mode.VALUE)
+        for mode in Mode:
+            sol = solve_maximin(matrix, mode)
+            assert sol.dual_guessed
+            assert optimum(sol) == optimum(oracle)
+            assert tight_counters(sol) == tight_counters(oracle)
+
+
+def test_pricing_divides_out_the_gcd_to_stay_in_int64(monkeypatch):
+    # the master's pricing weights carry its basis determinant: undivided,
+    # the last of the three pricing rounds here would score in Python ints
+    matrix = matrix_from_rows([[1 << 20, 0, 3], [0, 1 << 20, 5], [7, 11, 1 << 19]])
+    top = 1 << 20
+    undivided, dtypes = [], []
+    pricing, column_scores = _RevisedLP.pricing, maximin._column_scores
+
+    def spy_pricing(self):
+        weights, bar = pricing(self)
+        undivided.append(bool(max(map(abs, weights)) * top * len(weights) >> 62 or bar >> 62))
+        return weights, bar
+
+    def spy_scores(*args):
+        scores = column_scores(*args)
+        dtypes.append(scores.dtype)
+        return scores
+
+    monkeypatch.setattr(_RevisedLP, "pricing", spy_pricing)
+    monkeypatch.setattr(maximin, "_column_scores", spy_scores)
+    sol = solve_maximin(matrix)
+    assert undivided == [False, False, True]
+    assert dtypes == [np.int64] * 3
+    assert sol == python_solve_maximin(matrix)
 
 
 @st.composite
@@ -605,10 +715,11 @@ class TestProportionFromValue:
         derived = proportion_from_value(matrix, solve_maximin(matrix, Mode.VALUE))
         direct = solve_maximin(matrix, Mode.PROPORTION)
         assert (derived.master_solves, derived.pivots) == (0, 0)
-        assert (derived.tight_columns, derived.tight_pivots) == (0, 0)
+        assert (derived.tight_columns, derived.tight_pivots, derived.dual_guessed) == (0, 0, False)
         assert replace(
             derived, master_solves=direct.master_solves, pivots=direct.pivots,
             tight_columns=direct.tight_columns, tight_pivots=direct.tight_pivots,
+            dual_guessed=direct.dual_guessed,
         ) == direct
 
     def test_a_value_not_divided_by_s_fails_the_proportion_certificate(self):
