@@ -90,8 +90,8 @@ class PayoffMatrix:
         return matrix
 
     def _settle(self) -> None:
-        """Coerce and check the arrays, freeze them, and start the cache of
-        ``scaled_columns``."""
+        """Coerce and check the arrays, freeze them, and start the caches of
+        ``scaled_columns`` and of ``maximin``'s certificate dual maxima."""
         entries = np.array(self.entries, dtype=np.int64, order="C")
         masks = np.array(self.col_masks, dtype=np.int64)
         if entries.ndim != 2 or masks.shape != entries.shape[1:]:
@@ -102,6 +102,7 @@ class PayoffMatrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "col_masks", masks)
         object.__setattr__(self, "_scaled", {})
+        object.__setattr__(self, "_dual_best", {})
 
     def __eq__(self, other):
         if not isinstance(other, PayoffMatrix):

@@ -34,21 +34,54 @@ last master's duals then certify the optimum over all columns.
 Restricting z to be non-negative loses nothing because all payoff entries
 are >= 0.
 
-The reported distribution is canonical: Bland's simplex is re-run from
-scratch over the columns that are tight at the final duals, in column order,
-so it does not depend on the path the master took.  When no column entered
-the master, that re-solve is skipped, since its result is known: the point
-mass on the start column s, with support (s,).  The proof:
+The reported distribution is canonical: it is what Bland's simplex ends at
+when re-run from scratch over the columns that are tight at the final
+duals, in column order, so it does not depend on the path the master took.
+That cold re-solve is skipped in two cases where its result is known.
+
+First, when no column enters the first master, the re-solve ends at the
+point mass on the start column s, with support (s,); and that first master
+is not even run as an LP.  The proof:
 
 - With s alone, the master's only pivot is z entering, on the group row r
-  with the least C[r, s] (ties to the lowest row), so its duals are e_r.
-- So no column entered exactly when C[r, j] <= C[r, s] for every column j,
+  with the least C[r, s] (ties to the lowest row), so its value is
+  C[r, s] / den, its duals are e_r, and it prices column j at C[r, j]
+  against the bar C[r, s].  That row is read off C, and the revised LP is
+  built only once a column would enter; the counters are one solve and one
+  pivot either way.
+- So no column enters exactly when C[r, j] <= C[r, s] for every column j,
   and the tight columns are then {j : C[r, j] == C[r, s]}, which holds s.
 - s is also the first column with the largest minimum among the tight
   columns, so the cold re-solve starts from the same basis and makes the
   same first pivot.
 - After that pivot every tight column's reduced cost is 0 and every
   slack's at most 0, so Bland stops there, at the point mass on s.
+
+Second, when the master grew, its final basis B is optimal over all
+columns, and its optimum is read off it when
+
+- every basic value (the rhs column of ``inv``) is positive,
+- the tight columns are exactly B's basic columns, and
+- every non-basic slack has a positive dual.
+
+The proof:
+
+- z is always basic, so the last two tests say that every non-basic
+  variable of the full LP has a negative reduced cost: a column that is not
+  tight prices below the master's value, and a slack's reduced cost is
+  minus its dual.  The objective of any feasible point is B's value plus
+  those reduced costs times the non-basic values, so an optimum holds every
+  non-basic variable at 0 and is B's basic solution: the optimal primal is
+  unique.  By the first test B is also nondegenerate, so the optimal dual
+  is unique too (Mangasarian, Linear Algebra Appl. 1979).
+- The re-solve's LP is the full LP with the columns that are not tight held
+  at 0.  B's solution is feasible there, so both LPs have one value, and
+  every optimum of the re-solve's LP is one of the full LP, so it is B's
+  solution.  Bland's rule ends at an optimum, so the re-solve would end at
+  B's value, support and probabilities.
+
+A re-solve that runs always pivots at least once, since z must enter, so a
+solution with tight columns and no tight pivots was read off the master.
 
 When a column would enter the first master, one dual is guessed before
 the master grows: the uniform y0 = (1/γ, ..., 1/γ).  It is optimal whenever
@@ -143,10 +176,14 @@ class CutDistribution:
 class MaximinSolution:
     """The optimum and the work that found it.  ``master_solves`` counts the
     master's optimizations (the first one and one per entering column) and
-    ``pivots`` their Bland pivots; ``tight_columns`` counts the columns of
-    the tight re-solve and ``tight_pivots`` its pivots, both 0 when it was
-    skipped.  The pivots are those of Bland's rule on the dense tableau of
-    the same LP, however it is stored.  ``dual_guessed`` says whether the
+    ``pivots`` their Bland pivots, one solve and one pivot for the first
+    master even though its result is read off the columns in closed form;
+    ``tight_columns`` counts the columns tight at the final duals and
+    ``tight_pivots`` the pivots of the cold re-solve over them.  Both are 0
+    when no column entered the master.  ``tight_pivots`` alone is 0 when
+    the master's optimum was unique and was read off it, since a re-solve
+    that runs pivots at least once.  The pivots are those of Bland's rule
+    on the dense tableau of the same LP, however it is stored.  ``dual_guessed`` says whether the
     uniform dual certified the optimum; then the master ran once, and the
     tight re-solve is the guess's.  A solution derived by
     ``proportion_from_value`` ran no simplex, so all four are 0 and
@@ -176,31 +213,39 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
     from its previous optimal basis each time a column enters.  The dual
     weights are the last master's, which certify every column; the
     distribution is Bland's simplex over the columns tight at those duals
-    (the point mass on the start column when no column entered), and the
-    support holds their column indices.  When a column would enter and the
-    groups look symmetric, the uniform dual is tried first, and if it
-    certifies the optimum no further master runs (module docstring).
+    (the point mass on the start column when no column entered, and the
+    master's own optimum when that is unique), and the support holds their
+    column indices.  When a column would enter and the groups look
+    symmetric, the uniform dual is tried first, and if it certifies the
+    optimum no further master runs (module docstring).
     """
     gamma, k = matrix.group_count, matrix.column_count
     if gamma == 0 or k == 0:
         raise ValueError("payoff matrix must be non-empty")
     den, cols = scaled_columns(matrix, matrix.denominators(mode))
-    top = int(cols.max(initial=1))
 
-    # restricted master, started from the best static column
+    # the first master, over the best static column alone, in closed form
     mins = cols.min(axis=0)
     start = int(np.argmax(mins))
-    active = [start]
-    master = _RevisedLP([cols[:, start].tolist()], den, 0)
-    scores, bar = _price(master, cols, top)
-    enter = int(np.argmax(scores))
-    guess = _uniform_guess(matrix.group_sizes, den, cols, mins) if scores[enter] > bar else None
-    if guess is not None:
+    r, scores, bar = _first_pricing(cols, start)
+    master = guess = None
+    if scores.max() <= bar:
+        # no column enters: the point mass on the start column
+        value = Fraction(bar, den)
+        duals = tuple(_ONE if i == r else _ZERO for i in range(gamma))
+        tight = probs = None
+    elif (guess := _uniform_guess(matrix.group_sizes, den, cols, mins)) is not None:
         tight, cold = guess
         value, duals = _lp_value(cold), cold.duals()
+        _, *probs = cold.primal_numerators()
+        det, tight_pivots = cold.det, cold.pivots
     else:
         # the column with the largest reduced cost enters until none prices
         # above the master's value
+        active, top = [start], int(cols.max(initial=1))
+        master = _RevisedLP([cols[:, start].tolist()], den, 0)
+        scores, bar = _price(master, cols, top)
+        enter = int(np.argmax(scores))
         while scores[enter] > bar:
             if enter in active:
                 raise _CertificateError("master duals price one of its own columns above its value")
@@ -210,31 +255,32 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
             enter = int(np.argmax(scores))
         value, duals = _lp_value(master), master.duals()
 
-        # canonical support: independent of the path the master took.  When
-        # no column entered, the cold re-solve over the tight columns is
-        # known to end at the point mass on the start column (module
-        # docstring).
-        tight = cold = None
-        if len(active) > 1:
-            tight = np.flatnonzero(scores == bar).tolist()
+        # canonical support: independent of the path the master took.  A
+        # unique optimum is read off the master; otherwise Bland's simplex
+        # runs from scratch over the tight columns (module docstring).
+        tight = np.flatnonzero(scores == bar).tolist()
+        probs = _read_off(master, active, tight)
+        if probs is not None:
+            det, tight_pivots = master.det, 0
+        else:
             cold = _tight_lp(cols, den, mins, tight)
-            tight_z, *_ = cold.primal_numerators()
+            tight_z, *probs = cold.primal_numerators()
             if tight_z * value.denominator != value.numerator * cold.det:
                 raise _CertificateError(
                     f"tight columns reach {_lp_value(cold)}, column generation reached {value}"
                 )
+            det, tight_pivots = cold.det, cold.pivots
 
-    if cold is None:
+    if tight is None:
         support = (start,)
         distribution = CutDistribution.point_mass(matrix.cut(start))
         tight_columns = tight_pivots = 0
     else:
-        _, *probs = cold.primal_numerators()
         support = tuple(j for j, p in zip(tight, probs) if p > 0)
         distribution = CutDistribution(tuple(
-            (matrix.cut(j), Fraction(p, cold.det)) for j, p in zip(tight, probs) if p > 0
+            (matrix.cut(j), Fraction(p, det)) for j, p in zip(tight, probs) if p > 0
         ))
-        tight_columns, tight_pivots = len(tight), cold.pivots
+        tight_columns = len(tight)
 
     _check_certificate(matrix, mode, value, distribution, duals, support)
     return MaximinSolution(
@@ -242,12 +288,38 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
         distribution=distribution,
         dual_weights=duals,
         support=support,
-        master_solves=master.solves,
-        pivots=master.pivots,
+        master_solves=master.solves if master else 1,
+        pivots=master.pivots if master else 1,
         tight_columns=tight_columns,
         tight_pivots=tight_pivots,
         dual_guessed=guess is not None,
     )
+
+
+def _read_off(master: "_RevisedLP", active: list[int], tight: list[int]) -> list[int] | None:
+    """The master's primal numerators over ``det`` on the columns ``tight``,
+    when its optimum is the LP's only one (module docstring): every basic
+    value is positive, the tight columns are its basic ones and every
+    non-basic slack has a positive dual.  None otherwise."""
+    inv, basis, k = master.inv, master.basis, master.k
+    if any(row[-1] <= 0 for row in inv):
+        return None
+    basic = {active[v - 1]: row[-1] for row, v in zip(inv, basis) if 0 < v <= k}
+    if sorted(basic) != tight:
+        return None
+    *y, _ = inv[basis.index(0)]
+    if any(w <= 0 for i, w in enumerate(y, 1 + k) if i not in basis):
+        return None
+    return [basic[j] for j in tight]
+
+
+def _first_pricing(cols: np.ndarray, start: int) -> tuple[int, np.ndarray, int]:
+    """The first master's binding row r, the first row with the least entry
+    of column ``start``; its pricing scores, row r of ``cols``; and its bar
+    cols[r, start].  These are what ``_price`` makes of a ``_RevisedLP`` over
+    that column alone, whose duals are e_r (module docstring)."""
+    r = int(np.argmin(cols[:, start]))
+    return r, cols[r], int(cols[r, start])
 
 
 def _price(master: "_RevisedLP", cols: np.ndarray, top: int) -> tuple[np.ndarray, int]:
@@ -295,8 +367,9 @@ def proportion_from_value(matrix: PayoffMatrix, solution: MaximinSolution) -> Ma
     """The proportion-mode optimum of a matrix whose groups all have one size
     s, derived from its value-mode optimum ``solution``: the value over s,
     with the same distribution, duals and support (see the module
-    docstring).  It is re-certified in proportion mode, and its counters are
-    all 0 and ``dual_guessed`` False."""
+    docstring).  It is re-certified in proportion mode, where the dual side
+    reuses the maximum that certified ``solution``; its counters are all 0
+    and ``dual_guessed`` False."""
     size, *others = set(matrix.group_sizes)
     if others:
         raise ValueError("proportion mode is value mode over a scale only for equal group sizes")
@@ -467,7 +540,10 @@ def _check_certificate(
     lcm(d_i), as w_i = Q_i * (L / d_i); the best column score max_j sum_i
     w_i * entries[i, j], times W, must equal V * T * L.  The support columns
     are read as Python ints; the column scores are one product over the
-    entries array, with an int64 guard of their own.
+    entries array, with an int64 guard of their own.  Its maximum is kept
+    per matrix and weight vector, which only this check fills: with equal
+    group sizes, the proportion-mode weights of ``proportion_from_value``
+    are the value-mode ones, since the size cancels out of L / d_i.
     """
     V, W = value.numerator, value.denominator
     dens = matrix.denominators(mode)
@@ -487,7 +563,10 @@ def _check_certificate(
         for row, d in zip(matrix.entries[:, list(support)].tolist(), dens)
     ]
     L = lcm(*dens)
-    best = _best_dual_score([q * (L // d) for q, d in zip(Q, dens)], matrix.entries)
+    w = tuple(q * (L // d) for q, d in zip(Q, dens))
+    best = matrix._dual_best.get(w)
+    if best is None:
+        best = matrix._dual_best[w] = _best_dual_score(list(w), matrix.entries)
     if min(margins) != 0 or best * W != V * T * L:
         raise _CertificateError(
             f"strong duality certificate failed: value {value}, least primal margin "

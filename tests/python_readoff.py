@@ -6,9 +6,10 @@ touch is a Python int.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add
 from typing import Iterator
 
 from fairmaxcut.exact import Mode, PayoffMatrix, StaticSolution
@@ -44,9 +45,14 @@ def python_static_from_matrix(matrix: PayoffMatrix, mode: Mode) -> StaticSolutio
     return StaticSolution(Fraction(mins[best], den), matrix.cut(best))
 
 
-def python_column_scores(weights: list[int], cols: list[tuple[int, ...]]) -> list[int]:
-    """Every column's pricing score sum_i weights[i] * col[i]."""
-    return [sum(map(mul, weights, col)) for col in cols]
+def python_column_scores(weights: list[int], rows: list[list[int]]) -> list[int]:
+    """Every column's pricing score sum_i weights[i] * rows[i][j], summed row
+    by row over the rows with a non-zero weight."""
+    scores = [0] * len(rows[0])
+    for w, row in zip(weights, rows):
+        if w:
+            scores = list(map(add, scores, map(w.__mul__, row)))
+    return scores
 
 
 def tableau_primal(tableau) -> list[Fraction]:
@@ -60,12 +66,13 @@ def python_solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> 
     oracle."""
     den, cols = python_scaled_columns(matrix, matrix.denominators(mode))
     cols = list(cols)
+    rows = list(zip(*cols))
     k = len(cols)
     active = [max(range(k), key=lambda j: min(cols[j]))]
     master = DenseTableau([list(cols[active[0]])], den)
     while True:
         weights, bar = master.pricing()
-        scores = python_column_scores(weights, cols)
+        scores = python_column_scores(weights, rows)
         enter = max(range(k), key=scores.__getitem__)
         if scores[enter] <= bar:
             break
@@ -95,8 +102,13 @@ def python_solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> 
 
 def python_best_dual_score(w: list[int], entries: list[list[int]]) -> int:
     """The certificate's dual side: max_j sum_i w[i] * entries[i][j]."""
-    scores = [0] * len(entries[0])
-    for q, row in zip(w, entries):
-        if q:
-            scores = [s + q * x for s, x in zip(scores, row)]
-    return max(scores)
+    return max(python_column_scores(w, entries))
+
+
+def as_resolved(sol: MaximinSolution, oracle: MaximinSolution) -> MaximinSolution:
+    """``sol`` with the oracle's tight pivots where its optimum was read off
+    the master (tight columns, but no tight pivots): the oracle always runs
+    the cold re-solve over the tight columns, which pivots at least once."""
+    if sol.tight_columns and not sol.tight_pivots:
+        return replace(sol, tight_pivots=oracle.tight_pivots)
+    return sol

@@ -1,14 +1,16 @@
 """Shared hypothesis strategies: small graphs, cuts, partitions and payoff
-matrices, also group-symmetric ones; ``prime_hubs``, a graph whose own-degree numerators pass any
-given bound; and ``matrix_from_rows``, an ad-hoc payoff matrix for LP
-tests."""
+matrices, also group-symmetric ones and those of random instances;
+``prime_hubs``, a graph whose own-degree numerators pass any given bound;
+and ``matrix_from_rows``, an ad-hoc payoff matrix for LP tests."""
 
 from itertools import combinations
 
 from hypothesis import strategies as st
 
-from fairmaxcut.exact import PayoffMatrix
+from fairmaxcut.exact import PayoffMatrix, build_payoff_matrix
+from fairmaxcut.families import random_instance
 from fairmaxcut.graphs import Cut, Graph, GroupPartition, PartitionKind, node_groups
+from fairmaxcut.utility import UtilityModel
 
 
 @st.composite
@@ -124,3 +126,19 @@ def cyclic_matrices(draw):
         group_sizes=(draw(st.integers(1, 4)),) * gamma,
         col_masks=[1 << (j + 1) for j in range(len(cols))],
     )
+
+
+@st.composite
+def random_matrices(draw):
+    """The payoff matrix of a random instance: n <= 10, any model."""
+    model = draw(st.sampled_from(list(UtilityModel)))
+    n = draw(st.integers(2, 10))
+    inst = random_instance(
+        n,
+        draw(st.sampled_from([0.3, 0.5, 0.7, 1.0])),
+        min(draw(st.integers(1, 4)), n - 1),
+        model.partition_kind,
+        draw(st.integers(0, 2**32 - 1)),
+        model=model,
+    )
+    return build_payoff_matrix(inst.graph, inst.model, inst.partition)

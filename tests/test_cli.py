@@ -13,10 +13,12 @@ import pytest
 
 from fairmaxcut import cli
 from fairmaxcut.cli import build_parser, main
+from fairmaxcut.exact import Mode, build_payoff_matrix
 from fairmaxcut.families import random_instance
 from fairmaxcut.graphs import PartitionKind, cut_value
 from fairmaxcut.heuristics import MAX_TRIALS, _sweep_levels, gw_round, sdp_objective
 from fairmaxcut.instances import load_instance, save_instance
+from fairmaxcut.maximin import solve_maximin
 from fairmaxcut.reports import parse_report
 
 from .python_sdp import python_sdp_solve
@@ -122,6 +124,21 @@ class TestSolve:
         rc, out, _ = run_cli(["solve", str(GOLDENS / "cycle13_edges.inst"), "--no-timestamp"])
         assert rc == 0
         assert out == (GOLDENS / "cycle13_edges_solve.report").read_text()
+
+    def test_read_off_golden_report(self):
+        # edge groups of sizes 5, 6 and 7: both DF optima are unique and are
+        # read off the master, and the report, made with the cold re-solve,
+        # still matches
+        inst = load_instance(GOLDENS / "random_n8_p05_g3_seed7.inst")
+        matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
+        for mode in Mode:
+            sol = solve_maximin(matrix, mode)
+            assert sol.tight_columns > 0 and sol.tight_pivots == 0
+        rc, out, _ = run_cli(
+            ["solve", str(GOLDENS / "random_n8_p05_g3_seed7.inst"), "--no-timestamp"]
+        )
+        assert rc == 0
+        assert out == (GOLDENS / "random_n8_p05_g3_seed7_solve.report").read_text()
 
     def test_instance_report_round_trip(self, paw_path):
         rc, out, _ = run_cli(["solve", paw_path, "--no-timestamp"])

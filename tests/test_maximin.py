@@ -8,7 +8,7 @@ from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import example, find, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from fairmaxcut import maximin
@@ -29,6 +29,8 @@ from fairmaxcut.maximin import (
     CutDistribution,
     _CertificateError,
     _check_certificate,
+    _first_pricing,
+    _price,
     _RevisedLP,
     _tight_lp,
     df_fair,
@@ -41,13 +43,14 @@ from .dense_tableau import DenseTableau, best_static
 from .fraction_certificate import _check_certificate as fraction_check_certificate
 from .fraction_simplex import _bland, _simplex_maximin, _tableau, fraction_column
 from .python_payoff import column_cuts
-from .python_readoff import python_solve_maximin, tableau_primal
+from .python_readoff import as_resolved, python_solve_maximin, tableau_primal
 from .strategies import (
     certificate_matrices,
     cyclic_matrices,
     edge_instances,
     matrix_from_rows,
     node_instances,
+    random_matrices,
 )
 
 
@@ -359,7 +362,8 @@ class TestUniformGuess:
         assert any(row[-1] == 0 for row in cold.inv) == degenerate
         sol = solve_maximin(matrix)
         assert not sol.dual_guessed and sol.master_solves > 1
-        assert sol == python_solve_maximin(matrix)
+        oracle = python_solve_maximin(matrix)
+        assert as_resolved(sol, oracle) == oracle
 
     @pytest.mark.parametrize("kind", list(PartitionKind), ids=lambda k: k.value)
     @pytest.mark.parametrize("n", [5, 7, 9, 11, 13, 15])
@@ -375,6 +379,89 @@ class TestUniformGuess:
             assert sol.dual_guessed
             assert optimum(sol) == optimum(oracle)
             assert tight_counters(sol) == tight_counters(oracle)
+
+
+def tight_resolve(matrix: PayoffMatrix, mode: Mode, sol) -> tuple:
+    """Bland's cold re-solve over the columns tight at ``sol``'s duals: the
+    tight columns, and the value, support and distribution it ends at."""
+    den, cols = scaled_columns(matrix, matrix.denominators(mode))
+    tight = [
+        j for j, col in enumerate(cols.T.tolist())
+        if sum(map(mul, sol.dual_weights, col)) == sol.value * den
+    ]
+    cold = _tight_lp(cols, den, cols.min(axis=0), tight)
+    z, *probs = tableau_primal(cold)
+    kept = [(j, p) for j, p in zip(tight, probs) if p > 0]
+    distribution = CutDistribution(tuple((matrix.cut(j), p) for j, p in kept))
+    return tight, z, tuple(j for j, _ in kept), distribution
+
+
+any_matrices = st.one_of(certificate_matrices(), random_matrices(), cyclic_matrices())
+
+
+class TestReadOff:
+    """Where the master grew and its optimum is unique, ``solve_maximin``
+    reads the support and the distribution off the master and runs no cold
+    re-solve: ``tight_pivots`` is 0 while ``tight_columns`` is not."""
+
+    @given(any_matrices)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_tight_resolve(self, matrix):
+        for mode in Mode:
+            sol = solve_maximin(matrix, mode)
+            if sol.tight_columns and not sol.tight_pivots:
+                tight, *resolved = tight_resolve(matrix, mode, sol)
+                assert len(tight) == sol.tight_columns == len(sol.support)
+                assert resolved == [sol.value, sol.support, sol.distribution]
+
+    @pytest.mark.parametrize(
+        "outcome", ["read off", "degenerate", "tight non-basic", "zero slack dual"]
+    )
+    def test_matrices_reach_every_outcome(self, monkeypatch, outcome):
+        # why the last master's optimum was, or was not, read off it; the
+        # rarest outcome takes about 1 in 100 drawn matrices
+        seen = []
+        read_off = maximin._read_off
+
+        def spy(master, active, tight):
+            probs = read_off(master, active, tight)
+            basic = sorted(active[v - 1] for v in master.basis if 0 < v <= master.k)
+            if probs is not None:
+                seen.append("read off")
+            elif any(row[-1] <= 0 for row in master.inv):
+                seen.append("degenerate")
+            elif basic != tight:
+                seen.append("tight non-basic")
+            else:
+                seen.append("zero slack dual")
+            return probs
+
+        def reaches(matrix):
+            seen.clear()
+            solve_maximin(matrix, Mode.VALUE)
+            return seen == [outcome]
+
+        monkeypatch.setattr(maximin, "_read_off", spy)
+        matrix = find(certificate_matrices(), reaches, settings=settings(
+            database=None, max_examples=2000, phases=[Phase.generate]
+        ))
+        sol = solve_maximin(matrix, Mode.VALUE)
+        assert sol.tight_columns > 0 and (sol.tight_pivots == 0) == (outcome == "read off")
+        oracle = python_solve_maximin(matrix, Mode.VALUE)
+        assert as_resolved(sol, oracle) == oracle
+
+    @given(any_matrices, st.sampled_from(list(Mode)))
+    @settings(max_examples=100, deadline=None)
+    def test_first_pricing_is_the_one_column_master(self, matrix, mode):
+        den, cols = scaled_columns(matrix, matrix.denominators(mode))
+        start = int(np.argmax(cols.min(axis=0)))
+        r, scores, bar = _first_pricing(cols, start)
+        master = _RevisedLP([cols[:, start].tolist()], den, 0)
+        want_scores, want_bar = _price(master, cols, int(cols.max(initial=1)))
+        assert (scores.tolist(), bar) == (want_scores.tolist(), want_bar)
+        assert master.duals() == tuple(Fraction(int(i == r)) for i in range(matrix.group_count))
+        assert tableau_primal(master)[0] == Fraction(bar, den)
+        assert (master.solves, master.pivots) == (1, 1)
 
 
 def test_pricing_divides_out_the_gcd_to_stay_in_int64(monkeypatch):
@@ -400,7 +487,8 @@ def test_pricing_divides_out_the_gcd_to_stay_in_int64(monkeypatch):
     sol = solve_maximin(matrix)
     assert undivided == [False, False, True]
     assert dtypes == [np.int64] * 3
-    assert sol == python_solve_maximin(matrix)
+    oracle = python_solve_maximin(matrix)
+    assert as_resolved(sol, oracle) == oracle
 
 
 @st.composite
@@ -721,6 +809,23 @@ class TestProportionFromValue:
             tight_columns=direct.tight_columns, tight_pivots=direct.tight_pivots,
             dual_guessed=direct.dual_guessed,
         ) == direct
+
+    def test_reuses_the_value_mode_dual_maximum(self, monkeypatch):
+        # the proportion-mode certificate weighs the entries as the
+        # value-mode one did, so the product over them runs once
+        weights = []
+        best_dual_score = maximin._best_dual_score
+
+        def spy(w, entries):
+            weights.append(w)
+            return best_dual_score(w, entries)
+
+        monkeypatch.setattr(maximin, "_best_dual_score", spy)
+        matrix = self.matrix()
+        sol = solve_maximin(matrix, Mode.VALUE)
+        proportion_from_value(matrix, sol)
+        assert len(weights) == 1
+        assert list(matrix._dual_best) == [tuple(weights[0])]
 
     def test_a_value_not_divided_by_s_fails_the_proportion_certificate(self):
         # given s times the value-mode value, the derived value is the
