@@ -22,7 +22,6 @@ from .exact import (
     PayoffMatrix,
     StaticSolution,
     build_payoff_matrix,
-    enumerate_canonical_cuts,
     max_proportion,
     max_value,
     static_fair,

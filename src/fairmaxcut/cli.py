@@ -118,11 +118,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report_text: str, human_lines: list[str], output: str | None) -> None:
+def _emit(
+    builder: reports.ReportBuilder, ok: bool, started: float, human: list[str], output: str | None
+) -> None:
+    """Every report's epilogue: summary, elapsed time, report and human lines."""
+    builder.add_summary(ok)
+    report_text = builder.render(elapsed_ms=int((time.monotonic() - started) * 1000))
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(report_text)
-        for line in human_lines:
+        for line in human:
             print(line)
     else:
         sys.stdout.write(report_text)
@@ -201,14 +206,10 @@ def cmd_solve(args) -> int:
     checks = verify.chain_checks(values, inst.label)
     for check in checks:
         builder.add_check(check)
-    builder.add_summary(all(c.passed for c in checks))
-
-    elapsed = int((time.monotonic() - started) * 1000)
-    text = builder.render(elapsed_ms=elapsed)
     human = [f"instance: {inst.label or args.instance}"]
     for name, value in values.items():
         human.append(f"  {name:6s} = {value}{_approx_suffix(value, args.approx)}")
-    _emit(text, human, args.output)
+    _emit(builder, all(c.passed for c in checks), started, human, args.output)
     return 0
 
 
@@ -334,9 +335,7 @@ def cmd_run(args) -> int:
         human.append(f"  relaxation objective {objective:.6f}, best sampled cut {best}")
         human.append(f"  worst expected group proportion {score.minimum}")
 
-    builder.add_summary(ok)
-    elapsed = int((time.monotonic() - started) * 1000)
-    _emit(builder.render(elapsed_ms=elapsed), human, args.output)
+    _emit(builder, ok, started, human, args.output)
     return 0
 
 
@@ -432,8 +431,6 @@ def cmd_verify(args) -> int:
     for check in checks:
         builder.add_check(check)
     failed = [c for c in checks if not c.passed]
-    builder.add_summary(not failed)
-    elapsed = int((time.monotonic() - started) * 1000)
     ran = [c for c in checks if not c.skipped]
     human = [
         f"verify suite={args.suite}: {len(ran)} checks run, "
@@ -441,7 +438,7 @@ def cmd_verify(args) -> int:
     ]
     for c in failed:
         human.append(f"  FAIL {c.claim} [{c.context}]: {c.lhs} {c.relation} {c.rhs}")
-    _emit(builder.render(elapsed_ms=elapsed), human, args.output)
+    _emit(builder, not failed, started, human, args.output)
     return 1 if failed else 0
 
 
@@ -457,14 +454,12 @@ def cmd_reproduce(args) -> int:
     for c in checks:
         builder.add_row(c.claim, c.relation, str(c.rhs), str(c.lhs), c.passed)
     failed = [c for c in checks if not c.passed]
-    builder.add_summary(not failed)
-    elapsed = int((time.monotonic() - started) * 1000)
     human = [f"reproduce: {len(checks)} pinned values, {len(failed)} mismatches"]
     width = max(len(c.claim) for c in checks)
     for c in checks:
         mark = "ok " if c.passed else "FAIL"
         human.append(f"  {mark} {c.claim:<{width}} {c.relation} {c.rhs} (computed {c.lhs})")
-    _emit(builder.render(elapsed_ms=elapsed), human, args.output)
+    _emit(builder, not failed, started, human, args.output)
     return 1 if failed else 0
 
 
@@ -480,16 +475,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    command = {
+        "solve": cmd_solve, "run": cmd_run, "generate": cmd_generate, "verify": cmd_verify,
+        "reproduce": cmd_reproduce,
+    }[args.cmd]
     try:
-        if args.cmd == "solve":
-            return cmd_solve(args)
-        if args.cmd == "run":
-            return cmd_run(args)
-        if args.cmd == "generate":
-            return cmd_generate(args)
-        if args.cmd == "verify":
-            return cmd_verify(args)
-        return cmd_reproduce(args)
+        return command(args)
     except (InstanceParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

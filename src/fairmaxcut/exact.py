@@ -52,17 +52,17 @@ class StaticSolution:
 
 @dataclass(frozen=True, eq=False)
 class PayoffMatrix:
-    """Distinct group-by-cut utility columns, as integers.
+    """Group-by-cut utility columns, as integers.
 
     ``entries`` is a read-only, C-contiguous int64 array of shape (groups,
     columns): under the cut with member mask ``col_masks[j]`` (made by
     ``cut(j)``) group i's utility is ``entries[i, j] / dens[i]``, and its
     per-capita utility divides that by ``group_sizes[i]``.  Rows follow the
-    partition's group order.  The columns are pairwise distinct and follow
-    canonical cut order, each paired with the first canonical cut that has
-    it.  The constructor coerces array-likes and refuses negative entries
-    and repeated columns; ``build_payoff_matrix``, whose columns are
-    distinct by construction, skips that last check (``_of_distinct``).
+    partition's group order.  The constructor coerces array-likes and
+    refuses negative entries and masks and a mask count other than the
+    column count.  ``build_payoff_matrix`` makes the columns pairwise
+    distinct, in canonical cut order, each with its first canonical cut; the
+    constructor does not check that.
     """
 
     entries: np.ndarray
@@ -71,33 +71,16 @@ class PayoffMatrix:
     col_masks: np.ndarray
 
     def __post_init__(self):
-        self._settle()
-        k = self.column_count
-        if k > 1 and (not self.group_count or len(_first_rows(self.entries.T)) != k):
-            raise ValueError("payoff columns must be distinct")
-
-    @classmethod
-    def _of_distinct(cls, entries, dens, group_sizes, col_masks) -> "PayoffMatrix":
-        """The matrix of columns already known to be pairwise distinct: the
-        constructor without its distinctness pass."""
-        matrix = cls.__new__(cls)
-        for name, value in (
-            ("entries", entries), ("dens", dens), ("group_sizes", group_sizes),
-            ("col_masks", col_masks),
-        ):
-            object.__setattr__(matrix, name, value)
-        matrix._settle()
-        return matrix
-
-    def _settle(self) -> None:
-        """Coerce and check the arrays, freeze them, and start the caches of
-        ``scaled_columns`` and of ``maximin``'s certificate dual maxima."""
+        # coerce, check and freeze the arrays, and start the caches of
+        # scaled_columns and of maximin's certificate dual maxima
         entries = np.array(self.entries, dtype=np.int64, order="C")
         masks = np.array(self.col_masks, dtype=np.int64)
         if entries.ndim != 2 or masks.shape != entries.shape[1:]:
             raise ValueError("payoff entries must be a group-by-column array, one column per mask")
         if entries.size and entries.min() < 0:
             raise ValueError("payoff entries must be non-negative")
+        if masks.size and masks.min() < 0:
+            raise ValueError("cut masks must be non-negative")
         entries.flags.writeable = masks.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "col_masks", masks)
@@ -142,17 +125,6 @@ def check_enumeration_limit(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) ->
 
 def canonical_cut_count(vertex_count: int) -> int:
     return 1 if vertex_count == 0 else 1 << (vertex_count - 1)
-
-
-def _canonical_masks(vertex_count: int) -> range:
-    # canonical index c maps to the member mask c << 1 (vertex 0 stays out)
-    return range(0, canonical_cut_count(vertex_count) << 1, 2)
-
-
-def enumerate_canonical_cuts(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Cut]:
-    """All cuts with vertex 0 excluded, in increasing bitmask order."""
-    check_enumeration_limit(g, limit)
-    return list(map(Cut.from_mask, _canonical_masks(g.vertex_count)))
 
 
 def _first_rows(rows: np.ndarray) -> np.ndarray:
@@ -205,7 +177,9 @@ def build_payoff_matrix(
     first index of each distinct row (``_first_rows``: the row packed into
     mixed-radix int64 words, one stable lexsort over the words), and the
     blocks' survivors are merged by the same rule, so every column keeps
-    its first canonical cut and the columns stay in canonical order."""
+    its first canonical cut and the columns stay in canonical order.  So
+    the columns are pairwise distinct: this function's contract, unchecked
+    by the ``PayoffMatrix`` constructor."""
     require_compatible(g, model, partition)
     check_enumeration_limit(g, limit)
     dens, bound, incident, numerators = block_scorer(g, model, partition.groups)
@@ -226,7 +200,7 @@ def build_payoff_matrix(
     if block:  # a column may first appear in one block and repeat in later ones
         keep = _first_rows(columns)
         firsts, columns = firsts[keep], columns[keep]
-    return PayoffMatrix._of_distinct(
+    return PayoffMatrix(
         entries=columns.T,
         dens=tuple(dens),
         group_sizes=tuple(len(gr) for gr in partition.groups),

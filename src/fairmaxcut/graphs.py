@@ -84,6 +84,8 @@ class Cut:
 
     @staticmethod
     def from_mask(mask: int) -> "Cut":
+        if mask < 0:  # the loop below would never reach 0
+            raise ValueError(f"cut mask must be non-negative, got {mask}")
         members = []
         while mask:  # peel off the lowest set bit
             low = mask & -mask

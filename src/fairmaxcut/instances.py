@@ -249,6 +249,8 @@ def parse_embedding(text: str) -> UnitVectorEmbedding:
             if not args:
                 raise InstanceParseError("vector takes a vertex id and its components", lineno)
             v = _parse_int(args[0], raw, lineno, "vertex id")
+            if v in rows:
+                raise InstanceParseError(f"duplicate vector {v}", lineno)
             comps = args[1:]
             if len(comps) != dimension:
                 raise InstanceParseError(

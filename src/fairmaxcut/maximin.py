@@ -47,8 +47,8 @@ is not even run as an LP.  The proof:
   with the least C[r, s] (ties to the lowest row), so its value is
   C[r, s] / den, its duals are e_r, and it prices column j at C[r, j]
   against the bar C[r, s].  That row is read off C, and the revised LP is
-  built only once a column would enter; the counters are one solve and one
-  pivot either way.
+  built only once a column would enter, with that row as its first pricing
+  round; the counters are one solve and one pivot either way.
 - So no column enters exactly when C[r, j] <= C[r, s] for every column j,
   and the tight columns are then {j : C[r, j] == C[r, s]}, which holds s.
 - s is also the first column with the largest minimum among the tight
@@ -80,9 +80,6 @@ The proof:
   solution.  Bland's rule ends at an optimum, so the re-solve would end at
   B's value, support and probabilities.
 
-A re-solve that runs always pivots at least once, since z must enter, so a
-solution with tight columns and no tight pivots was read off the master.
-
 When a column would enter the first master, one dual is guessed before
 the master grows: the uniform y0 = (1/γ, ..., 1/γ).  It is optimal whenever
 the automorphisms of the instance act transitively on the groups (Bödi,
@@ -103,6 +100,13 @@ optimal dual.  The master would have ended at y0, with these tight columns,
 so column generation reports the same value, duals, support and
 distribution.  When the guess fails, column generation goes on from the
 first master as if it had not been tried.
+
+So every solve ends at one LP whose basis holds the answer, and one
+read-off takes the value, support and probabilities off its basic solution:
+none for the point mass, the guess's cold LP, the master when its optimum
+is unique, and otherwise the cold re-solve, whose value the certificate
+checks against the master's duals.  ``tight_pivots`` counts a cold LP's
+pivots, at least one since z must enter, and is 0 for the others.
 
 ``Fraction`` values are only made for the reported results: the value, the
 positive probabilities and the duals.  Both sides of the minimax equality
@@ -179,11 +183,12 @@ class MaximinSolution:
     ``pivots`` their Bland pivots, one solve and one pivot for the first
     master even though its result is read off the columns in closed form;
     ``tight_columns`` counts the columns tight at the final duals and
-    ``tight_pivots`` the pivots of the cold re-solve over them.  Both are 0
-    when no column entered the master.  ``tight_pivots`` alone is 0 when
-    the master's optimum was unique and was read off it, since a re-solve
-    that runs pivots at least once.  The pivots are those of Bland's rule
-    on the dense tableau of the same LP, however it is stored.  ``dual_guessed`` says whether the
+    ``tight_pivots`` the pivots of the cold LP over them, off whose basis
+    the support and the distribution were read.  Both are 0 when no column
+    entered the master.  ``tight_pivots`` alone is 0 when the master's
+    optimum was unique and they were read off the master, since a cold LP
+    pivots at least once.  The pivots are those of Bland's rule on the
+    dense tableau of the same LP, however it is stored.  ``dual_guessed`` says whether the
     uniform dual certified the optimum; then the master ran once, and the
     tight re-solve is the guess's.  A solution derived by
     ``proportion_from_value`` ran no simplex, so all four are 0 and
@@ -208,14 +213,14 @@ class _CertificateError(AssertionError):
 def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> MaximinSolution:
     """Exact optimum of the maximin LP with a strong-duality certificate.
 
-    Column generation over the matrix's distinct columns, scaled to one
-    common denominator of the mode's; the restricted master is re-optimized
-    from its previous optimal basis each time a column enters.  The dual
-    weights are the last master's, which certify every column; the
-    distribution is Bland's simplex over the columns tight at those duals
-    (the point mass on the start column when no column entered, and the
-    master's own optimum when that is unique), and the support holds their
-    column indices.  When a column would enter and the groups look
+    Column generation over the matrix's columns, scaled to one common
+    denominator of the mode's; the restricted master is re-optimized from
+    its previous optimal basis each time a column enters.  The dual weights
+    are the last master's, which certify every column; the distribution is
+    read off one LP, Bland's simplex over the columns tight at those duals
+    (none for the point mass on the start column when no column entered,
+    and the master itself when its optimum is unique), and the support
+    holds its column indices.  When a column would enter and the groups look
     symmetric, the uniform dual is tried first, and if it certifies the
     optimum no further master runs (module docstring).
     """
@@ -228,59 +233,46 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
     mins = cols.min(axis=0)
     start = int(np.argmax(mins))
     r, scores, bar = _first_pricing(cols, start)
-    master = guess = None
+    master = lp = guess = None
     if scores.max() <= bar:
         # no column enters: the point mass on the start column
-        value = Fraction(bar, den)
         duals = tuple(_ONE if i == r else _ZERO for i in range(gamma))
-        tight = probs = None
+        columns, tight = [start], []
     elif (guess := _uniform_guess(matrix.group_sizes, den, cols, mins)) is not None:
-        tight, cold = guess
-        value, duals = _lp_value(cold), cold.duals()
-        _, *probs = cold.primal_numerators()
-        det, tight_pivots = cold.det, cold.pivots
+        tight, lp = guess
+        columns = tight
+        duals = lp.duals()
     else:
         # the column with the largest reduced cost enters until none prices
-        # above the master's value
-        active, top = [start], int(cols.max(initial=1))
+        # above the master's value, from the closed form's first round
+        columns, top = [start], int(cols.max(initial=1))
         master = _RevisedLP([cols[:, start].tolist()], den, 0)
-        scores, bar = _price(master, cols, top)
         enter = int(np.argmax(scores))
         while scores[enter] > bar:
-            if enter in active:
+            if enter in columns:
                 raise _CertificateError("master duals price one of its own columns above its value")
-            active.append(enter)
+            columns.append(enter)
             master.add(cols[:, enter].tolist())
             scores, bar = _price(master, cols, top)
             enter = int(np.argmax(scores))
-        value, duals = _lp_value(master), master.duals()
+        duals = master.duals()
 
         # canonical support: independent of the path the master took.  A
         # unique optimum is read off the master; otherwise Bland's simplex
         # runs from scratch over the tight columns (module docstring).
         tight = np.flatnonzero(scores == bar).tolist()
-        probs = _read_off(master, active, tight)
-        if probs is not None:
-            det, tight_pivots = master.det, 0
+        if _unique_optimum(master, columns, tight):
+            lp = master
         else:
-            cold = _tight_lp(cols, den, mins, tight)
-            tight_z, *probs = cold.primal_numerators()
-            if tight_z * value.denominator != value.numerator * cold.det:
-                raise _CertificateError(
-                    f"tight columns reach {_lp_value(cold)}, column generation reached {value}"
-                )
-            det, tight_pivots = cold.det, cold.pivots
+            lp, columns = _tight_lp(cols, den, mins, tight), tight
 
-    if tight is None:
-        support = (start,)
-        distribution = CutDistribution.point_mass(matrix.cut(start))
-        tight_columns = tight_pivots = 0
-    else:
-        support = tuple(j for j, p in zip(tight, probs) if p > 0)
-        distribution = CutDistribution(tuple(
-            (matrix.cut(j), Fraction(p, det)) for j, p in zip(tight, probs) if p > 0
-        ))
-        tight_columns = len(tight)
+    # the one read-off (module docstring): the point mass is den / den on the
+    # start column at value bar / den; the master's columns are in entering order
+    det, (z, *probs) = (lp.det, lp.primal_numerators()) if lp else (den, [bar, den])
+    value = Fraction(z, det)
+    kept = sorted((j, p) for j, p in zip(columns, probs) if p > 0)
+    support = tuple(j for j, _ in kept)
+    distribution = CutDistribution(tuple((matrix.cut(j), Fraction(p, det)) for j, p in kept))
 
     _check_certificate(matrix, mode, value, distribution, duals, support)
     return MaximinSolution(
@@ -290,27 +282,23 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
         support=support,
         master_solves=master.solves if master else 1,
         pivots=master.pivots if master else 1,
-        tight_columns=tight_columns,
-        tight_pivots=tight_pivots,
+        tight_columns=len(tight),
+        tight_pivots=lp.pivots if lp is not master else 0,  # both None for the point mass
         dual_guessed=guess is not None,
     )
 
 
-def _read_off(master: "_RevisedLP", active: list[int], tight: list[int]) -> list[int] | None:
-    """The master's primal numerators over ``det`` on the columns ``tight``,
-    when its optimum is the LP's only one (module docstring): every basic
-    value is positive, the tight columns are its basic ones and every
-    non-basic slack has a positive dual.  None otherwise."""
+def _unique_optimum(master: "_RevisedLP", active: list[int], tight: list[int]) -> bool:
+    """Whether the master's optimum is the LP's only one (module
+    docstring): every basic value is positive, the tight columns are its
+    basic ones and every non-basic slack has a positive dual."""
     inv, basis, k = master.inv, master.basis, master.k
     if any(row[-1] <= 0 for row in inv):
-        return None
-    basic = {active[v - 1]: row[-1] for row, v in zip(inv, basis) if 0 < v <= k}
-    if sorted(basic) != tight:
-        return None
+        return False
+    if sorted(active[v - 1] for v in basis if 0 < v <= k) != tight:
+        return False
     *y, _ = inv[basis.index(0)]
-    if any(w <= 0 for i, w in enumerate(y, 1 + k) if i not in basis):
-        return None
-    return [basic[j] for j in tight]
+    return all(w > 0 for i, w in enumerate(y, 1 + k) if i not in basis)
 
 
 def _first_pricing(cols: np.ndarray, start: int) -> tuple[int, np.ndarray, int]:
@@ -356,11 +344,6 @@ def _tight_lp(cols: np.ndarray, den: int, mins: np.ndarray, tight: list[int]) ->
     """Bland's simplex from scratch over the columns ``tight``, in column
     order, started from the first of them with the largest minimum."""
     return _RevisedLP(cols[:, tight].T.tolist(), den, int(np.argmax(mins[tight])))
-
-
-def _lp_value(lp: "_RevisedLP") -> Fraction:
-    z, *_ = lp.primal_numerators()
-    return Fraction(z, lp.det)
 
 
 def proportion_from_value(matrix: PayoffMatrix, solution: MaximinSolution) -> MaximinSolution:

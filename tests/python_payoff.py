@@ -1,8 +1,10 @@
-"""Independent oracles for the enumeration pass: the per-cut Python loop
-that ``exact.build_payoff_matrix`` replaced, scoring each canonical cut with
-``group_kernel`` (the one-cut Python-int evaluator that the library's block
-scorer replaced) and keeping each distinct column with its first cut; and
-the one-key-per-column lexsort that ``exact._first_rows`` replaced.
+"""Independent oracles for the enumeration pass: the canonical cuts; the
+per-cut Python loop that ``exact.build_payoff_matrix`` replaced, scoring
+each canonical cut with ``group_kernel`` (the one-cut Python-int evaluator
+that the library's block scorer replaced) and keeping each distinct column
+with its first cut; the one-key-per-column lexsort that
+``exact._first_rows`` replaced; and ``distinct_columns``, which checks the
+builder's contract that a matrix's columns are pairwise distinct.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from fairmaxcut.exact import (
     DEFAULT_ENUMERATION_LIMIT,
     PayoffMatrix,
-    _canonical_masks,
+    canonical_cut_count,
     check_enumeration_limit,
 )
 from fairmaxcut.graphs import Cut, Graph, GroupPartition
@@ -77,6 +79,12 @@ def group_kernel(
     return dens, numerators
 
 
+def canonical_cuts(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Cut]:
+    """All cuts with vertex 0 excluded, in increasing bitmask order."""
+    check_enumeration_limit(g, limit)
+    return [Cut.from_mask(c << 1) for c in range(canonical_cut_count(g.vertex_count))]
+
+
 def python_payoff_matrix(
     g: Graph,
     model: UtilityModel,
@@ -87,14 +95,14 @@ def python_payoff_matrix(
     check_enumeration_limit(g, limit)
     dens, numerators = group_kernel(g, model, partition.groups)
     first: dict[tuple[int, ...], int] = {}
-    for mask in _canonical_masks(g.vertex_count):
-        first.setdefault(tuple(numerators(mask)), mask)
-    return PayoffMatrix(
+    for c in range(canonical_cut_count(g.vertex_count)):
+        first.setdefault(tuple(numerators(c << 1)), c << 1)
+    return distinct_columns(PayoffMatrix(
         entries=tuple(zip(*first)),
         dens=tuple(dens),
         group_sizes=tuple(len(gr) for gr in partition.groups),
         col_masks=tuple(first.values()),
-    )
+    ))
 
 
 def column_cuts(matrix: PayoffMatrix) -> tuple[Cut, ...]:
@@ -113,3 +121,13 @@ def lexsort_first_rows(rows: np.ndarray) -> np.ndarray:
     np.logical_or.reduce(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
     firsts = order[new]
     return firsts[np.lexsort((firsts,))]
+
+
+def distinct_columns(matrix: PayoffMatrix) -> PayoffMatrix:
+    """The matrix, once its columns are checked to be pairwise distinct, as
+    ``build_payoff_matrix`` makes them; ValueError otherwise.  Zero groups
+    make every column the same empty one."""
+    k = matrix.column_count
+    if k > 1 and (not matrix.group_count or len(lexsort_first_rows(matrix.entries.T)) != k):
+        raise ValueError("payoff columns must be distinct")
+    return matrix

@@ -1,7 +1,9 @@
 """Shared hypothesis strategies: small graphs, cuts, partitions and payoff
 matrices, also group-symmetric ones and those of random instances;
 ``prime_hubs``, a graph whose own-degree numerators pass any given bound;
-and ``matrix_from_rows``, an ad-hoc payoff matrix for LP tests."""
+and ``matrix_from_rows``, an ad-hoc payoff matrix for LP tests.  Every
+payoff matrix here passes ``python_payoff.distinct_columns``: its columns
+are pairwise distinct, as ``build_payoff_matrix`` makes them."""
 
 from itertools import combinations
 
@@ -11,6 +13,8 @@ from fairmaxcut.exact import PayoffMatrix, build_payoff_matrix
 from fairmaxcut.families import random_instance
 from fairmaxcut.graphs import Cut, Graph, GroupPartition, PartitionKind, node_groups
 from fairmaxcut.utility import UtilityModel
+
+from .python_payoff import distinct_columns
 
 
 @st.composite
@@ -86,12 +90,12 @@ def matrix_from_rows(rows, group_sizes=None) -> PayoffMatrix:
     denominator is 1.  So is every group size unless given, and then both
     modes read the same entries."""
     k = len(rows[0])
-    return PayoffMatrix(
+    return distinct_columns(PayoffMatrix(
         entries=rows,
         dens=tuple(1 for _ in rows),
         group_sizes=group_sizes or tuple(1 for _ in rows),
         col_masks=[1 << (j + 1) for j in range(k)],
-    )
+    ))
 
 
 @st.composite
@@ -102,12 +106,12 @@ def certificate_matrices(draw):
     gamma = draw(st.integers(1, 5))
     column = st.tuples(*[st.integers(0, 6)] * gamma)
     cols = draw(st.lists(column, min_size=1, max_size=30, unique=True))
-    return PayoffMatrix(
+    return distinct_columns(PayoffMatrix(
         entries=tuple(zip(*cols)),
         dens=draw(st.tuples(*[st.integers(1, 3)] * gamma)),
         group_sizes=draw(st.tuples(*[st.integers(1, 4)] * gamma)),
         col_masks=[1 << (j + 1) for j in range(len(cols))],
-    )
+    ))
 
 
 @st.composite
@@ -120,12 +124,12 @@ def cyclic_matrices(draw):
     gamma = draw(st.integers(2, 5))
     bases = draw(st.lists(st.tuples(*[st.integers(0, 6)] * gamma), min_size=1, max_size=4))
     cols = list(dict.fromkeys(base[s:] + base[:s] for base in bases for s in range(gamma)))
-    return PayoffMatrix(
+    return distinct_columns(PayoffMatrix(
         entries=tuple(zip(*cols)),
         dens=(draw(st.integers(1, 3)),) * gamma,
         group_sizes=(draw(st.integers(1, 4)),) * gamma,
         col_masks=[1 << (j + 1) for j in range(len(cols))],
-    )
+    ))
 
 
 @st.composite
@@ -141,4 +145,4 @@ def random_matrices(draw):
         draw(st.integers(0, 2**32 - 1)),
         model=model,
     )
-    return build_payoff_matrix(inst.graph, inst.model, inst.partition)
+    return distinct_columns(build_payoff_matrix(inst.graph, inst.model, inst.partition))

@@ -18,7 +18,6 @@ from fairmaxcut.exact import (
     StaticSolution,
     build_payoff_matrix,
     canonical_cut_count,
-    enumerate_canonical_cuts,
     max_from_matrix,
     max_proportion,
     max_value,
@@ -53,7 +52,13 @@ from .fraction_utility import (
     group_utility,
     min_group_proportion,
 )
-from .python_payoff import column_cuts, lexsort_first_rows, python_payoff_matrix
+from .python_payoff import (
+    canonical_cuts,
+    column_cuts,
+    distinct_columns,
+    lexsort_first_rows,
+    python_payoff_matrix,
+)
 from .strategies import edge_instances, graphs, node_instances, partitions_for
 
 # path 0-1-2 plus the isolated vertex 3: degrees 1, 2, 1, 0
@@ -70,25 +75,27 @@ def brute_force_max_cut(g: Graph) -> int:
 
 
 class TestEnumerateCanonicalCuts:
+    """The test-side canonical cuts that the brute-force oracles scan."""
+
     def test_single_vertex(self):
-        assert enumerate_canonical_cuts(Graph(1, ())) == [Cut.of(set())]
+        assert canonical_cuts(Graph(1, ())) == [Cut.of(set())]
 
     def test_no_vertices(self):
-        assert enumerate_canonical_cuts(Graph(0, ())) == [Cut.of(set())]
+        assert canonical_cuts(Graph(0, ())) == [Cut.of(set())]
 
     def test_three_vertices_order(self):
-        cuts = enumerate_canonical_cuts(Graph(3, ()))
+        cuts = canonical_cuts(Graph(3, ()))
         assert [sorted(c.members) for c in cuts] == [[], [1], [2], [1, 2]]
 
     def test_four_vertices_count_and_canonicality(self):
-        cuts = enumerate_canonical_cuts(make_paw_instance().graph)
+        cuts = canonical_cuts(make_paw_instance().graph)
         assert len(cuts) == 8
         assert all(0 not in c.members for c in cuts)
         assert len({frozenset(c.members) for c in cuts}) == 8
 
     def test_limit_enforced(self):
         with pytest.raises(TooLargeError):
-            enumerate_canonical_cuts(Graph(7, ()), limit=6)
+            canonical_cuts(Graph(7, ()), limit=6)
 
 
 class TestMaxValue:
@@ -314,7 +321,7 @@ class TestOnePassMatrix:
     def test_distinct_columns_in_first_occurrence_order(self, case):
         g, model, partition = case
         first = {}
-        for cut in enumerate_canonical_cuts(g):
+        for cut in canonical_cuts(g):
             column = tuple(group_utility(g, model, cut, gr) for gr in partition.groups)
             first.setdefault(column, cut)
         matrix = build_payoff_matrix(g, model, partition)
@@ -327,7 +334,7 @@ class TestOnePassMatrix:
     @settings(max_examples=60, deadline=None)
     def test_readoffs_match_brute_force(self, case):
         g, model, partition = case
-        cuts = enumerate_canonical_cuts(g)
+        cuts = canonical_cuts(g)
         size = ground_set_size(g, model)
         mv, witness = first_maximizer(cuts, lambda cut: ground_utility(g, model, cut))
         matrix = build_payoff_matrix(g, model, partition)
@@ -347,6 +354,12 @@ class TestOnePassMatrix:
         with pytest.raises(ValueError):
             PayoffMatrix(entries=((1, -1),), dens=(1,), group_sizes=(1,), col_masks=(0, 2))
 
+    @pytest.mark.parametrize("masks", [(0, -2), (-1, 2), (2, -(2**63))])
+    def test_rejects_negative_masks(self, masks):
+        # a negative mask names no cut: Cut.from_mask refuses it too
+        with pytest.raises(ValueError, match="cut masks must be non-negative"):
+            PayoffMatrix(entries=((1, 0),), dens=(1,), group_sizes=(1,), col_masks=masks)
+
     def test_entries_are_a_read_only_int64_array(self):
         matrix = PayoffMatrix(
             entries=[[1, 0, 2], [0, 1, 2]], dens=(1, 1), group_sizes=(1, 1), col_masks=(0, 2, 4)
@@ -362,8 +375,32 @@ class TestOnePassMatrix:
         ((1, 0, 2), (0, 2, 4)),  # not group-by-column
     ])
     def test_rejects_repeated_or_unpaired_columns(self, entries, masks):
+        # the constructor refuses unpaired columns; repeated ones break
+        # build_payoff_matrix's contract, which the test-side validator checks
         with pytest.raises(ValueError):
-            PayoffMatrix(entries=entries, dens=(1, 1), group_sizes=(1, 1), col_masks=masks)
+            distinct_columns(
+                PayoffMatrix(entries=entries, dens=(1, 1), group_sizes=(1, 1), col_masks=masks)
+            )
+
+    @pytest.mark.parametrize("entries, masks, distinct", [
+        (((1, 0, 1), (0, 1, 1)), (0, 2, 4), True),
+        (((), ()), (), True),  # no column
+        (((5,), (0,)), (0,), True),  # one column
+        (((3, 3),), (0, 2), False),  # one group
+        (np.zeros((0, 2), dtype=np.int64), (0, 2), False),  # no group: two empty columns
+        (np.zeros((0, 1), dtype=np.int64), (0,), True),  # no group, one column
+    ])
+    def test_distinct_columns_validator_edges(self, entries, masks, distinct):
+        # distinct_columns at the edges of the matrix shape
+        matrix = PayoffMatrix(
+            entries=entries, dens=(1,) * len(entries), group_sizes=(1,) * len(entries),
+            col_masks=masks,
+        )
+        if distinct:
+            assert distinct_columns(matrix) is matrix
+        else:
+            with pytest.raises(ValueError, match="distinct"):
+                distinct_columns(matrix)
 
 
 def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
@@ -444,9 +481,9 @@ class TestFirstRowsAgainstOracle:
 
 
 class TestEnumerationColumnsDistinct:
-    """``build_payoff_matrix`` makes its matrix without the constructor's
-    distinctness pass, so its columns are checked against the per-column
-    lexsort oracle here, past one block of canonical cuts too."""
+    """Pairwise distinct columns are ``build_payoff_matrix``'s contract, which
+    the constructor does not check, so they are checked against the
+    per-column lexsort oracle here, past one block of canonical cuts too."""
 
     @given(
         st.sampled_from(list(UtilityModel)),

@@ -1,5 +1,7 @@
 """Graph, cut, and partition primitives."""
 
+import signal
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -189,3 +191,20 @@ def test_from_mask_matches_bit_by_bit_loop(mask):
     cut = Cut.from_mask(mask)
     assert cut.members == bit_by_bit_members(mask)
     assert cut.mask() == mask
+
+
+@pytest.mark.parametrize("mask", [-1, -2, -(2**63), -(2**70)])
+def test_from_mask_refuses_a_negative_mask(mask):
+    # its lowest-bit loop would never reach 0, so a timer turns a missing
+    # refusal into a failure instead of a hang
+    def expire(signum, frame):
+        raise TimeoutError(f"Cut.from_mask({mask}) did not return")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        with pytest.raises(ValueError, match="non-negative"):
+            Cut.from_mask(mask)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -178,6 +178,7 @@ class TestEmbeddingFormat:
             ("dimension 2\nvector 0 1.0 0.0\nvector 1 0.5 0.5\n", 4, "unit norm"),
             ("dimension 1\nvector 0 nan\n", 3, "unit norm"),
             ("dimension 1\nvector 0 1.0\nvector 99999999999 1.0\n", 4, "cover"),
+            ("dimension 1\nvector 0 1.0\nvector 1 1.0\nvector 0 -1.0\n", 5, "duplicate vector 0"),
         ],
     )
     def test_malformed_lines_name_their_line(self, body, line, message):
