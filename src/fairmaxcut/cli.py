@@ -188,7 +188,10 @@ def cmd_solve(args) -> int:
     builder.add_instance(inst)
     _maybe_isolated_note(builder, inst)
 
-    # one enumeration pass: all six objectives are read off the same matrix
+    # one enumeration pass: all six objectives are read off the same matrix,
+    # once it is known to fit
+    exact.check_enumeration_limit(inst.graph, args.limit)
+    heuristics.check_solve_size(inst.graph, inst.partition.group_count)
     matrix = exact.build_payoff_matrix(inst.graph, inst.model, inst.partition, args.limit)
     results = verify.read_offs(matrix, [name for name in OBJECTIVE_NAMES if name in names])
     values = {name: value for name, (value, _) in results.items()}

@@ -59,10 +59,10 @@ class PayoffMatrix:
     ``cut(j)``) group i's utility is ``entries[i, j] / dens[i]``, and its
     per-capita utility divides that by ``group_sizes[i]``.  Rows follow the
     partition's group order.  The constructor coerces array-likes and
-    refuses negative entries and masks and a mask count other than the
-    column count.  ``build_payoff_matrix`` makes the columns pairwise
-    distinct, in canonical cut order, each with its first canonical cut; the
-    constructor does not check that.
+    refuses negative entries, negative or repeated masks and a mask count
+    other than the column count.  ``build_payoff_matrix`` makes the columns
+    pairwise distinct, in canonical cut order, each with its first canonical
+    cut; the constructor does not check that.
     """
 
     entries: np.ndarray
@@ -81,6 +81,9 @@ class PayoffMatrix:
             raise ValueError("payoff entries must be non-negative")
         if masks.size and masks.min() < 0:
             raise ValueError("cut masks must be non-negative")
+        # one pass over build_payoff_matrix's strictly increasing masks; others are sorted
+        if not (masks[1:] > masks[:-1]).all() and not (np.diff(np.sort(masks)) > 0).all():
+            raise ValueError("cut masks must be pairwise distinct")
         entries.flags.writeable = masks.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "col_masks", masks)
@@ -171,8 +174,9 @@ def build_payoff_matrix(
     as its bits.  Its crossing edges, one uint64 word per 64 edges, are the
     XOR of its members' incident-edge masks: one table over the low
     ``_BLOCK_BITS`` free vertices, built once by doubling, XORed with the
-    block's row of the same table over the high ones.  ``block_scorer``
-    turns them into int64 group numerators; the up-front bound (every edge
+    block's row of the same table over the high ones (with at most
+    ``_BLOCK_BITS`` free vertices, the one block is the low table itself).
+    ``block_scorer`` turns them into int64 group numerators; the up-front bound (every edge
     of the group crossing) keeps them below 2**63.  Each block keeps the
     first index of each distinct row (``_first_rows``: the row packed into
     mixed-radix int64 words, one stable lexsort over the words), and the
@@ -188,16 +192,20 @@ def build_payoff_matrix(
             f"group utility numerators reach {bound}; exact enumeration needs them below 2**63"
         )
     incident = incident[1:]  # vertex 0 is never a member
-    low = min(len(incident), _BLOCK_BITS)
-    low_table = xor_table(incident[:low])
-    firsts, columns = [], []
-    for block, high in enumerate(xor_table(incident[low:])):
-        rows = numerators(low_table ^ high)
-        keep = _first_rows(rows)
-        firsts.append(keep + (block << low))
-        columns.append(rows[keep])
-    firsts, columns = np.concatenate(firsts), np.concatenate(columns)
-    if block:  # a column may first appear in one block and repeat in later ones
+    if len(incident) <= _BLOCK_BITS:  # one block, with no high table
+        rows = numerators(xor_table(incident))
+        firsts = _first_rows(rows)
+        columns = rows[firsts]
+    else:
+        low_table = xor_table(incident[:_BLOCK_BITS])
+        firsts, columns = [], []
+        for block, high in enumerate(xor_table(incident[_BLOCK_BITS:])):
+            rows = numerators(low_table ^ high)
+            keep = _first_rows(rows)
+            firsts.append(keep + (block << _BLOCK_BITS))
+            columns.append(rows[keep])
+        # a column may first appear in one block and repeat in later ones
+        firsts, columns = np.concatenate(firsts), np.concatenate(columns)
         keep = _first_rows(columns)
         firsts, columns = firsts[keep], columns[keep]
     return PayoffMatrix(

@@ -48,7 +48,11 @@ is not even run as an LP.  The proof:
   C[r, s] / den, its duals are e_r, and it prices column j at C[r, j]
   against the bar C[r, s].  That row is read off C, and the revised LP is
   built only once a column would enter, with that row as its first pricing
-  round; the counters are one solve and one pivot either way.
+  round; the counters are one solve and one pivot either way.  Every
+  ``_RevisedLP`` (the grown master, the guess's cold LP and the cold
+  re-solve) starts at the basis that first pivot reaches from its own start
+  column, in closed form and counted as one pivot, so z is basic
+  throughout and never leaves.
 - So no column enters exactly when C[r, j] <= C[r, s] for every column j,
   and the tight columns are then {j : C[r, j] == C[r, s]}, which holds s.
 - s is also the first column with the largest minimum among the tight
@@ -125,7 +129,7 @@ value-mode one without a simplex, and re-certifies it in proportion mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -181,7 +185,9 @@ class MaximinSolution:
     """The optimum and the work that found it.  ``master_solves`` counts the
     master's optimizations (the first one and one per entering column) and
     ``pivots`` their Bland pivots, one solve and one pivot for the first
-    master even though its result is read off the columns in closed form;
+    master even though its result is read off the columns in closed form,
+    and every LP's first pivot (z entering) even though each LP is built at
+    the basis it reaches;
     ``tight_columns`` counts the columns tight at the final duals and
     ``tight_pivots`` the pivots of the cold LP over them, off whose basis
     the support and the distribution were read.  Both are 0 when no column
@@ -356,9 +362,8 @@ def proportion_from_value(matrix: PayoffMatrix, solution: MaximinSolution) -> Ma
     size, *others = set(matrix.group_sizes)
     if others:
         raise ValueError("proportion mode is value mode over a scale only for equal group sizes")
-    derived = replace(
-        solution, value=solution.value / size, master_solves=0, pivots=0, tight_columns=0,
-        tight_pivots=0, dual_guessed=False,
+    derived = MaximinSolution(
+        solution.value / size, solution.distribution, solution.dual_weights, solution.support
     )
     _check_certificate(
         matrix, Mode.PROPORTION, derived.value, derived.distribution, derived.dual_weights,
@@ -379,8 +384,9 @@ def _column_scores(weights: list[int], bar: int, cols: np.ndarray, top: int) -> 
 class _RevisedLP:
     """The standard-form LP of the module docstring over the integer columns
     ``cols`` (C) read over ``den``, solved by Bland's primal simplex from the
-    feasible basis {slacks} + {column ``start``}.  Variables are numbered z,
-    the columns in the order they entered, then the slacks.
+    feasible basis {slacks} + {column ``start``}, and built at the basis its
+    first pivot reaches.  Variables are numbered z, the columns in the order
+    they entered, then the slacks.
 
     A revised simplex (Dantzig & Orchard-Hays, 1954): it keeps the columns
     and ``inv`` = det * B^-1, one row per basis position, and makes a tableau
@@ -388,26 +394,43 @@ class _RevisedLP:
     (Edmonds, J. Res. NBS 1967; Bareiss, Math. Comp. 1968): a pivot on d's
     positive entry p leaves its own row as it is, sets every other row x to
     (p * x - d[x] * pivot_row) // det, which divides exactly, and makes p the
-    new ``det``; so ``det`` (the basis determinant up to sign) starts at 1
-    and stays positive, and sign tests on integers are sign tests on the
-    rationals.  ``inv`` is the slack and rhs columns of the dense integer
-    tableau, so ``det``, the pivots, the primal and the duals are its
-    integers.  While z is basic, the row (w, b) of ``inv`` at z's position
-    prices every variable: column C_j at w . C_j - b, slack i at -w_i, z at
-    0; while it is not, only z prices positive.  This is the LP of a
-    rational tableau with each group row scaled by ``den`` and each slack by
-    1 / den; Bland's choices are the same under that scaling, and so are the
-    value, the normalized duals and the basis."""
+    new ``det``; so ``det`` (the basis determinant up to sign) stays
+    positive, and sign tests on integers are sign tests on the rationals.
+    ``inv`` is the slack and rhs columns of the dense integer tableau, so
+    ``det``, the pivots, the primal and the duals are its integers.
+
+    At the start basis only z prices positive, so the first pivot is z
+    entering, with d = (den, ..., den, 0), on the first group row r with the
+    least C[r, start].  From the start basis's inverse [[I, C_start], [0,
+    1]] at det 1 it keeps row r = (e_r | C[r, start]), makes each other
+    group row i den * (e_i - e_r | C[i, start] - C[r, start]) and the
+    convexity row (0 | den), and makes den the det: the constructor writes
+    those integers and counts the pivot.  Once z is basic it never leaves
+    (``_entering``), and the row (w, b) of ``inv`` at z's position prices
+    every variable: column C_j at w . C_j - b, slack i at -w_i, z at 0.
+    This is the LP of a rational tableau with each group row scaled by
+    ``den`` and each slack by 1 / den; Bland's choices are the same under
+    that scaling, and so are the value, the normalized duals and the
+    basis."""
 
     def __init__(self, cols: list[list[int]], den: int, start: int):
         gamma, k = len(cols[0]), len(cols)
         self.cols, self.den, self.k = cols, den, k
-        self.det, self.solves, self.pivots = 1, 0, 0
-        # B = [[I, -C_start], [0, 1]], so B^-1 = [[I, C_start], [0, 1]]
-        self.inv = [[int(i == r) for i in range(gamma)] + [c] for r, c in enumerate(cols[start])]
-        self.inv.append([0] * gamma + [1])
-        self.basis = [1 + k + i for i in range(gamma)] + [1 + start]
-        self._optimize(0)  # z is not basic
+        first = cols[start]
+        low = min(first)
+        r = first.index(low)
+        self.inv = inv = []
+        for i, c in enumerate(first):
+            row = [0] * (gamma + 1)
+            if i == r:
+                row[i], row[-1] = 1, low
+            else:
+                row[i], row[r], row[-1] = den, -den, den * (c - low)
+            inv.append(row)
+        inv.append([0] * gamma + [den])
+        self.basis = [0 if i == r else 1 + k + i for i in range(gamma)] + [1 + start]
+        self.det, self.solves, self.pivots = den, 0, 1
+        self._optimize(self._entering())
 
     def add(self, col: list[int]) -> None:
         """Append a column before the slacks and re-optimize from the current
@@ -463,10 +486,8 @@ class _RevisedLP:
         return next((1 + self.k + i for i, x in enumerate(w) if x < 0), -1)
 
     def _column(self, v: int) -> list[int]:
-        """det * B^-1 times variable v's standard-form column: (den, ..., den,
-        0) for z, (-C_j, 1) for column j, e_i for slack i."""
-        if v == 0:
-            return [self.den * sum(row[:-1]) for row in self.inv]
+        """det * B^-1 times the standard-form column of variable v > 0 (z is
+        basic from the start): (-C_j, 1) for column j, e_i for slack i."""
         if v <= self.k:
             col = self.cols[v - 1]
             return [row[-1] - sum(map(mul, row, col)) for row in self.inv]

@@ -19,9 +19,11 @@ def best_static(cols: list[list[int]]) -> int:
 class DenseTableau:
     """The standard-form LP of the ``maximin`` module docstring over the
     integer columns ``cols`` (C) read over ``den``, solved by Bland's primal
-    simplex from the feasible basis {slacks} + {best static column}.  Variables are numbered
-    z, the columns in the order they entered, then the slacks; each row is
-    [coefficients | rhs], and ``cost`` is the reduced-cost row.
+    simplex from the feasible basis {slacks} + {column ``start``}, by default
+    the best static column, with z entering by the generic first pivot.
+    Variables are numbered z, the columns in the order they entered, then
+    the slacks; each row is [coefficients | rhs], and ``cost`` is the
+    reduced-cost row.
 
     Pivots are fraction-free (Edmonds, J. Res. NBS 1967; Bareiss, Math.
     Comp. 1968): every entry is an integer over the one common denominator
@@ -37,11 +39,12 @@ class DenseTableau:
     are the same under that scaling, and so are the value, the normalized
     duals and the basis."""
 
-    def __init__(self, cols: list[list[int]], den: int):
+    def __init__(self, cols: list[list[int]], den: int, start: int | None = None):
         gamma, k = len(cols[0]), len(cols)
         self.den, self.gamma, self.k = den, gamma, k
         self.det, self.solves, self.pivots = 1, 0, 0
-        start = best_static(cols)
+        if start is None:
+            start = best_static(cols)
         # the start column priced into the group rows: row_i += cols[start][i] * last
         self.rows = []
         for i, top in enumerate(cols[start]):

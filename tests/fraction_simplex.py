@@ -31,16 +31,16 @@ def fraction_column(matrix: PayoffMatrix, j: int, mode: Mode) -> tuple[Fraction,
 
 
 def _simplex_maximin(
-    cols: list[tuple[Fraction, ...]], gamma: int
+    cols: list[tuple[Fraction, ...]], gamma: int, start: int | None = None
 ) -> tuple[Fraction, list[Fraction], tuple[Fraction, ...]]:
     """Primal simplex with Bland's rule on the standard-form tableau, from
-    scratch over ``cols``.
+    scratch over ``cols`` (and from column ``start``, see ``_tableau``).
 
     Variables are indexed 0 = z, 1..k = columns, k+1..k+gamma = slacks.
     Returns (optimal value, column probabilities, dual row weights).
     """
     k = len(cols)
-    tab, cost, basis = _tableau(cols, gamma)
+    tab, cost, basis = _tableau(cols, gamma, start)
     _bland(tab, cost, basis)
 
     # read off the solution
@@ -51,14 +51,16 @@ def _simplex_maximin(
 
 
 def _tableau(
-    cols: list[tuple[Fraction, ...]], gamma: int
+    cols: list[tuple[Fraction, ...]], gamma: int, start: int | None = None
 ) -> tuple[list[list[Fraction]], list[Fraction], list[int]]:
     """Standard-form tableau rows [coefficients | rhs], the reduced-cost row
-    and the basis, at the feasible start {slacks} + {best static column}:
-    feasible because all payoff entries are non-negative."""
+    and the basis, at the feasible start {slacks} + {column ``start``}, by
+    default the best static column: feasible because all payoff entries are
+    non-negative."""
     k = len(cols)
     n_vars = 1 + k + gamma
-    start = max(range(k), key=lambda j: min(cols[j]))
+    if start is None:
+        start = max(range(k), key=lambda j: min(cols[j]))
 
     tab: list[list[Fraction]] = []
     for i in range(gamma):

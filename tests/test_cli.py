@@ -9,14 +9,22 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fairmaxcut import cli
 from fairmaxcut.cli import build_parser, main
 from fairmaxcut.exact import Mode, build_payoff_matrix
-from fairmaxcut.families import random_instance
+from fairmaxcut.families import make_cycle, make_odd_cycle_instance, random_instance
 from fairmaxcut.graphs import PartitionKind, cut_value
-from fairmaxcut.heuristics import MAX_TRIALS, _sweep_levels, gw_round, sdp_objective
+from fairmaxcut.heuristics import (
+    MAX_SOLVE_BYTES,
+    MAX_TRIALS,
+    _sweep_levels,
+    check_solve_size,
+    gw_round,
+    sdp_objective,
+)
 from fairmaxcut.instances import load_instance, save_instance
 from fairmaxcut.maximin import solve_maximin
 from fairmaxcut.reports import parse_report
@@ -140,6 +148,25 @@ class TestSolve:
         assert rc == 0
         assert out == (GOLDENS / "random_n8_p05_g3_seed7_solve.report").read_text()
 
+    def test_tied_start_golden_report(self):
+        # edge groups of sizes 5, 4 and 3: in value mode the start column
+        # (2, 2, 3) ties its least entry, so z's first pivot takes the first
+        # tied row, and the solve ends in a 3-pivot cold re-solve with a zero
+        # dual; in proportion mode the optimum is read off the master.  The
+        # report was made with the generic first pivot
+        inst = load_instance(GOLDENS / "random_n7_p05_g3_seed4.inst")
+        matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
+        value, proportion = (solve_maximin(matrix, mode) for mode in (Mode.VALUE, Mode.PROPORTION))
+        start = int(np.argmax(matrix.entries.min(axis=0)))
+        assert matrix.dens == (1, 1, 1) and matrix.entries[:, start].tolist() == [2, 2, 3]
+        assert (value.tight_pivots, len(value.support), value.dual_weights.count(0)) == (3, 3, 1)
+        assert proportion.tight_columns > 0 and proportion.tight_pivots == 0
+        rc, out, _ = run_cli(
+            ["solve", str(GOLDENS / "random_n7_p05_g3_seed4.inst"), "--no-timestamp"]
+        )
+        assert rc == 0
+        assert out == (GOLDENS / "random_n7_p05_g3_seed4_solve.report").read_text()
+
     def test_instance_report_round_trip(self, paw_path):
         rc, out, _ = run_cli(["solve", paw_path, "--no-timestamp"])
         report = parse_report(out)
@@ -250,6 +277,32 @@ class TestRun:
         assert rc == 3
         assert out == ""
         assert err == f"error: {10**12} Monte Carlo trials; the limit is {MAX_TRIALS}\n"
+
+    @pytest.mark.parametrize("n, limit", [(23, 24), (29, 30)])
+    def test_solve_too_large_for_memory_exit_3(self, n, limit, tmp_path, monkeypatch):
+        # the n-cycle with singleton edge groups: refused before the
+        # enumeration, which would fail this test instead of allocating
+        path = str(tmp_path / "cycle.inst")
+        save_instance(make_odd_cycle_instance(n, PartitionKind.EDGES), path)
+
+        def enumerate_anyway(*args):
+            raise AssertionError("enumerated past the memory budget")
+
+        monkeypatch.setattr(cli.exact, "build_payoff_matrix", enumerate_anyway)
+        rc, out, err = run_cli(["solve", path, "--limit", str(limit)])
+        assert rc == 3
+        assert out == ""
+        needed = 3 * 8 * n << (n - 1)
+        assert err == (
+            f"error: solving {n} vertices and {n} groups could keep {needed} bytes of payoff "
+            f"columns; the limit is {MAX_SOLVE_BYTES}\n"
+        )
+
+    def test_solve_memory_budget_passes_every_golden_and_the_21_cycle(self):
+        for path in sorted(GOLDENS.glob("*.inst")):
+            inst = load_instance(path)
+            check_solve_size(inst.graph, inst.partition.group_count)
+        check_solve_size(make_cycle(21), 21)  # estimated at 528 MB, peaks at 551 MB
 
     @pytest.mark.parametrize(
         "name", ["paw.inst", "random_n8_p05_g3_seed42.inst", "generated_n40_p02"]

@@ -360,6 +360,23 @@ class TestOnePassMatrix:
         with pytest.raises(ValueError, match="cut masks must be non-negative"):
             PayoffMatrix(entries=((1, 0),), dens=(1,), group_sizes=(1,), col_masks=masks)
 
+    @pytest.mark.parametrize("masks, refused", [
+        ((0, 2, 4), False),  # increasing, as build_payoff_matrix makes them
+        ((4, 0, 2), False),  # not increasing, and sorted to be checked
+        ((0, 2, 2), True),
+        ((4, 2, 4), True),  # the repeat is not adjacent
+        ((2, 0, 0), True),
+    ])
+    def test_rejects_repeated_masks(self, masks, refused):
+        # two columns of one cut would put that cut twice in a distribution
+        entries = ((1, 0, 2), (0, 1, 2))
+        if refused:
+            with pytest.raises(ValueError, match="cut masks must be pairwise distinct"):
+                PayoffMatrix(entries=entries, dens=(1, 1), group_sizes=(1, 1), col_masks=masks)
+        else:
+            matrix = PayoffMatrix(entries=entries, dens=(1, 1), group_sizes=(1, 1), col_masks=masks)
+            assert matrix.col_masks.tolist() == list(masks)
+
     def test_entries_are_a_read_only_int64_array(self):
         matrix = PayoffMatrix(
             entries=[[1, 0, 2], [0, 1, 2]], dens=(1, 1), group_sizes=(1, 1), col_masks=(0, 2, 4)

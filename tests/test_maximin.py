@@ -201,8 +201,10 @@ class TestSolveMaximin:
         assert_matches_dense_oracle(matrix, sol)
 
     def test_rejects_duplicate_columns(self):
-        with pytest.raises(ValueError):
-            matrix_from_rows([[1, 0, 1, 0], [0, 1, 0, 1]])
+        # two columns of one cut are refused where the matrix is made, not
+        # late, when the solver puts that cut twice in its distribution
+        with pytest.raises(ValueError, match="cut masks must be pairwise distinct"):
+            PayoffMatrix([[1, 0], [0, 1]], (1, 1), (1, 1), [2, 2])
 
     def test_modes_share_one_matrix(self):
         # value-mode and proportion-mode solves read the same integer entries
@@ -551,15 +553,17 @@ def test_warm_master_matches_cold_master(case):
     assert master.solves == len(cols)
 
 
-def assert_matches_fraction_oracle(int_cols, den: int) -> None:
+def assert_matches_fraction_oracle(int_cols, den: int, start: int | None = None) -> None:
     """The cold revised LP and the dense tableau over ``int_cols`` read over
-    ``den`` against the Fraction simplex over the columns divided by
-    ``den``: the same value, probabilities, duals and pivot count."""
+    ``den``, from column ``start`` (by default the best static one), against
+    the Fraction simplex over the columns divided by ``den``: the same value,
+    probabilities, duals and pivot count."""
     gamma = len(int_cols[0])
     cols = [tuple(Fraction(x, den) for x in col) for col in int_cols]
-    value, probs, duals = _simplex_maximin(cols, gamma)
-    pivots = _bland(*_tableau(cols, gamma))
-    for lp in (_RevisedLP(list(int_cols), den, best_static(int_cols)), DenseTableau(int_cols, den)):
+    value, probs, duals = _simplex_maximin(cols, gamma, start)
+    pivots = _bland(*_tableau(cols, gamma, start))
+    revised = _RevisedLP(list(int_cols), den, best_static(int_cols) if start is None else start)
+    for lp in (revised, DenseTableau(int_cols, den, start)):
         assert tableau_primal(lp) == [value, *probs]
         assert lp.duals() == duals
         assert (lp.solves, lp.pivots) == (1, pivots)
@@ -613,6 +617,63 @@ def test_integer_tableau_matches_fraction_oracle_on_multiword_entries():
         (big // 2, big // 3, big // 5),
     ]
     assert_matches_fraction_oracle(int_cols, 12)
+
+
+@pytest.mark.parametrize("int_cols, den, start", [
+    # the start column (2, 2, 3) has tied minima, as in the golden
+    # random_n7_p05_g3_seed4 in value mode: z enters on row 0
+    ([(2, 2, 3), (4, 0, 1), (0, 5, 3), (1, 3, 4)], 1, 0),
+    ([(3, 1, 1, 2), (0, 4, 3, 3), (2, 2, 0, 5)], 1, 0),  # tied rows 1 and 2: row 1
+    ([(3, 1, 1, 2), (0, 4, 3, 3), (2, 2, 0, 5)], 6, 0),  # den > 1
+    ([(0, 3), (3, 0), (1, 1)], 1, 0),  # a zero minimum, the value is positive
+    ([(0, 3, 2), (3, 0, 1)], 4, 0),  # a zero minimum that stays the value
+    ([(2, 2, 2), (5, 1, 4), (0, 6, 3)], 5, 1),  # not the best static column
+    ([(4, 4), (1, 0), (0, 5)], 3, 2),  # not the best static column, zero minimum
+    ([(7,), (3,), (9,)], 2, 1),  # one group
+])
+def test_closed_form_start_matches_the_generic_first_pivot(int_cols, den, start):
+    """The revised LP is built at the basis the first pivot reaches (z
+    entering on the first row with the least start entry); the dense
+    tableau makes that pivot, and both follow one path to the Fraction
+    oracle's optimum."""
+    revised = _RevisedLP(list(int_cols), den, start)
+    assert_same_lp(revised, DenseTableau(int_cols, den, start))
+    assert_matches_fraction_oracle(int_cols, den, start)
+    # one column alone is optimal after that pivot: its integers in closed form
+    first = int_cols[start]
+    r = first.index(min(first))
+    lone = _RevisedLP([first], den, 0)
+    assert (lone.det, lone.pivots, lone.solves, lone.basis) == (
+        den, 1, 1, [0 if i == r else 2 + i for i in range(len(first))] + [1]
+    )
+    assert lone.inv[r] == [int(i == r) for i in range(len(first))] + [first[r]]
+    assert lone.inv[-1] == [0] * len(first) + [den]
+
+
+@given(integer_columns(max_columns=20), st.integers(1, 12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_revised_lp_matches_dense_tableau_from_any_start(case, den, data):
+    """From any start column, not only the best static one."""
+    _, int_cols = case
+    start = data.draw(st.integers(0, len(int_cols) - 1))
+    assert_same_lp(_RevisedLP(list(int_cols), den, start), DenseTableau(int_cols, den, start))
+
+
+@given(random_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_tight_lp_over_random_subsets(matrix, data):
+    """``_tight_lp`` over any subset of the columns, in column order: the
+    dense tableau over those columns, from the first of them with the
+    largest minimum, and the Fraction oracle's value."""
+    for mode in Mode:
+        den, cols = scaled_columns(matrix, matrix.denominators(mode))
+        k = matrix.column_count
+        tight = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k)))
+        lp = _tight_lp(cols, den, cols.min(axis=0), tight)
+        int_cols = [cols[:, j].tolist() for j in tight]
+        assert_same_lp(lp, DenseTableau(int_cols, den))
+        value, _, _ = _simplex_maximin([fraction_column(matrix, j, mode) for j in tight], len(cols))
+        assert Fraction(lp.primal_numerators()[0], lp.det) == value
 
 
 class TestCertificate:
