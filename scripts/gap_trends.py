@@ -14,20 +14,17 @@ import sys
 
 sys.path.insert(0, "src")
 
-from fairmaxcut.exact import build_payoff_matrix
 from fairmaxcut.families import (
     make_clique_with_tail,
     make_cycle_plus_biclique,
     make_odd_cycle_instance,
 )
 from fairmaxcut.graphs import PartitionKind
-from fairmaxcut.verify import read_offs
+from fairmaxcut.verify import objective_values
 
 
 def emit(family, parameter, inst):
-    matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
-    found = read_offs(matrix, ("MP", "SF-MP", "DF-MP"))
-    mp, sf, df = (value for value, _ in found.values())
+    mp, sf, df = objective_values(inst.graph, inst.model, inst.partition, "MP", "SF-MP", "DF-MP")
     print(f"{family}\t{parameter}\t{mp}\t{sf}\t{df}\t{mp - df}\t{df - sf}")
 
 

@@ -10,11 +10,10 @@ import sys
 
 sys.path.insert(0, "src")
 
-from fairmaxcut.exact import build_payoff_matrix
 from fairmaxcut.families import random_instance
 from fairmaxcut.graphs import PartitionKind
 from fairmaxcut.heuristics import derive_rng
-from fairmaxcut.verify import read_offs
+from fairmaxcut.verify import objective_values
 
 
 def main() -> int:
@@ -32,9 +31,8 @@ def main() -> int:
         n = int(rng.integers(4, args.max_vertices + 1))
         gamma = int(rng.integers(1, 5))
         inst = random_instance(n, 0.5, gamma, kind, seed=int(rng.integers(0, 2**63)))
-        matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
-        found = read_offs(matrix, ("SF-MP", "DF-MP", "MP"))
-        sf, df, mp = (value for value, _ in found.values())
+        names = ("SF-MP", "DF-MP", "MP")
+        sf, df, mp = objective_values(inst.graph, inst.model, inst.partition, *names)
         strict_sd += sf < df
         strict_dm += df < mp
         print(f"{inst.label}\t{inst.partition.group_count}\t{sf}\t{df}\t{mp}")

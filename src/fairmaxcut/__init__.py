@@ -20,7 +20,6 @@ from .exact import (
     DEFAULT_ENUMERATION_LIMIT,
     Mode,
     PayoffMatrix,
-    StaticSolution,
     build_payoff_matrix,
     max_proportion,
     max_value,

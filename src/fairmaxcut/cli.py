@@ -36,7 +36,7 @@ from .errors import (
     TooLargeError,
 )
 from .exact import DEFAULT_ENUMERATION_LIMIT
-from .graphs import Cut, PartitionKind, crossing_degree, cut_value
+from .graphs import PartitionKind, crossing_degree, cut_value
 from .instances import OBJECTIVE_NAMES
 from .maximin import CutDistribution
 from .utility import UtilityModel, require_compatible
@@ -188,18 +188,16 @@ def cmd_solve(args) -> int:
     builder.add_instance(inst)
     _maybe_isolated_note(builder, inst)
 
-    # one enumeration pass: all six objectives are read off the same matrix,
-    # once it is known to fit
-    exact.check_enumeration_limit(inst.graph, args.limit)
-    heuristics.check_solve_size(inst.graph, inst.partition.group_count)
+    # one enumeration pass, which refuses a graph past --limit or the memory
+    # budget first: all six objectives are read off the same matrix
     matrix = exact.build_payoff_matrix(inst.graph, inst.model, inst.partition, args.limit)
     results = verify.read_offs(matrix, [name for name in OBJECTIVE_NAMES if name in names])
     values = {name: value for name, (value, _) in results.items()}
 
     for name, (value, found) in results.items():
         builder.add_objective(name, value)
-        if isinstance(found, Cut):
-            builder.add_witness(name, found)
+        if isinstance(found, int):  # the first best column
+            builder.add_witness(name, matrix.cut(found))
         else:
             for cut, prob in found.distribution.entries:
                 builder.add_support(name, cut, prob)

@@ -12,13 +12,14 @@ deduplicated on packed keys (``_first_rows``): a column's numerators are
 mixed-radix digits packed into as few int64 words as fit below 2**63, and
 one stable lexsort over those words finds each column's first occurrence,
 in every block and across the blocks.  The matrix stores
-those columns as one int64 array and their cuts as member masks; a ``Cut``
-is only made for a witness or a support column.
+those columns as one int64 array and their cuts as member masks.
 Every objective here is a function of a cut's column, so the utilitarian
-and static-fair optima, witnesses included, are read off the distinct
-columns by array reductions (``np.argmax`` picks the first best column, so
-the first canonical maximizer), and ``Fraction`` values are only made for
-the results, from Python ints.
+and static-fair optima are read off the distinct columns by array
+reductions, each as its value and the index of its first best column
+(``np.argmax`` picks it, so ``cut(j)`` is the first canonical maximizer).
+A ``Cut`` is only made for a witness that is returned (``max_value``,
+``static_fair``) or printed, or for a support column.  ``Fraction`` values
+are only made for the results, from Python ints.
 """
 
 from __future__ import annotations
@@ -37,17 +38,16 @@ from .utility import UtilityModel, block_scorer, ground_set_size, require_compat
 DEFAULT_ENUMERATION_LIMIT = 24
 # build_payoff_matrix scores 2**_BLOCK_BITS consecutive canonical cuts per numpy block
 _BLOCK_BITS = 12
+# the most bytes an enumeration pass may need, estimated as every canonical
+# cut a distinct column of int64 numerators held three times over for the
+# copies the pass makes: 528 MB for the 21-cycle with singleton edge groups,
+# whose whole solve peaks at 551 MB (the share of each copy is not measured)
+MAX_SOLVE_BYTES = 2**31
 
 
 class Mode(Enum):
     VALUE = "value"
     PROPORTION = "proportion"
-
-
-@dataclass(frozen=True)
-class StaticSolution:
-    objective: Fraction
-    witness_cut: Cut
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +126,18 @@ def check_enumeration_limit(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) ->
         )
 
 
+def check_solve_size(g: Graph, groups: int) -> None:
+    """Raise ``TooLargeError`` if enumerating the canonical cuts of g into
+    columns of ``groups`` numerators could need more than
+    ``MAX_SOLVE_BYTES``; nothing is allocated."""
+    needed = 3 * 8 * groups << max(g.vertex_count - 1, 0)
+    if needed > MAX_SOLVE_BYTES:
+        raise TooLargeError(
+            f"solving {g.vertex_count} vertices and {groups} groups could keep {needed} bytes "
+            f"of payoff columns; the limit is {MAX_SOLVE_BYTES}"
+        )
+
+
 def canonical_cut_count(vertex_count: int) -> int:
     return 1 if vertex_count == 0 else 1 << (vertex_count - 1)
 
@@ -183,7 +195,9 @@ def build_payoff_matrix(
     blocks' survivors are merged by the same rule, so every column keeps
     its first canonical cut and the columns stay in canonical order.  So
     the columns are pairwise distinct: this function's contract, unchecked
-    by the ``PayoffMatrix`` constructor."""
+    by the ``PayoffMatrix`` constructor.  A graph past ``limit``, numerators
+    past int64 or a pass past ``MAX_SOLVE_BYTES`` is refused before the
+    enumeration allocates anything."""
     require_compatible(g, model, partition)
     check_enumeration_limit(g, limit)
     dens, bound, incident, numerators = block_scorer(g, model, partition.groups)
@@ -191,6 +205,7 @@ def build_payoff_matrix(
         raise TooLargeError(
             f"group utility numerators reach {bound}; exact enumeration needs them below 2**63"
         )
+    check_solve_size(g, partition.group_count)
     incident = incident[1:]  # vertex 0 is never a member
     if len(incident) <= _BLOCK_BITS:  # one block, with no high table
         rows = numerators(xor_table(incident))
@@ -240,27 +255,27 @@ def scaled_columns(matrix: PayoffMatrix, dens: tuple[int, ...]) -> tuple[int, np
     return found
 
 
-def max_from_matrix(matrix: PayoffMatrix, mode: Mode) -> tuple[Fraction, Cut]:
+def max_from_matrix(matrix: PayoffMatrix, mode: Mode) -> tuple[Fraction, int]:
     """Utilitarian optimum read off a matrix whose groups partition the ground
-    set: the best column sum, over the ground set size in proportion mode.
-    A cut's first canonical maximizer is the first occurrence of its column,
-    and ``np.argmax`` picks the first best column, so it carries the same
-    witness."""
+    set: the best column sum, over the ground set size in proportion mode,
+    and the first best column.  A cut's first canonical maximizer is the
+    first occurrence of its column, and ``np.argmax`` picks the first best
+    column, so ``matrix.cut(j)`` is that maximizer."""
     den, cols = scaled_columns(matrix, matrix.dens)
     sums = cols.sum(axis=0)
     best = int(np.argmax(sums))
     if mode is Mode.PROPORTION:
         den *= sum(matrix.group_sizes)
-    return Fraction(int(sums[best]), den), matrix.cut(best)
+    return Fraction(int(sums[best]), den), best
 
 
-def static_from_matrix(matrix: PayoffMatrix, mode: Mode) -> StaticSolution:
+def static_from_matrix(matrix: PayoffMatrix, mode: Mode) -> tuple[Fraction, int]:
     """Static-fair optimum read off a matrix: the best column minimum over the
-    mode's denominators, with the first canonical maximizer as witness."""
+    mode's denominators, and the first best column."""
     den, cols = scaled_columns(matrix, matrix.denominators(mode))
     mins = cols.min(axis=0)
     best = int(np.argmax(mins))
-    return StaticSolution(Fraction(int(mins[best]), den), matrix.cut(best))
+    return Fraction(int(mins[best]), den), best
 
 
 def max_value(g: Graph, model: UtilityModel) -> tuple[Fraction, Cut]:
@@ -273,17 +288,17 @@ def max_value(g: Graph, model: UtilityModel) -> tuple[Fraction, Cut]:
         check_enumeration_limit(g)
         return Fraction(0), Cut.of(())
     ground = GroupPartition(model.partition_kind, (frozenset(range(size)),), size)
-    return max_from_matrix(build_payoff_matrix(g, model, ground), Mode.VALUE)
+    matrix = build_payoff_matrix(g, model, ground)
+    value, best = max_from_matrix(matrix, Mode.VALUE)
+    return value, matrix.cut(best)
 
 
 def max_proportion(g: Graph, model: UtilityModel) -> tuple[Fraction, Cut]:
     """Maximum per-capita ground-set utility; shares its witness with
-    max_value because the two objectives differ by the constant |ground set|."""
+    max_value because the two objectives differ by the constant |ground set|
+    (an empty ground set is worth 0 either way)."""
     value, witness = max_value(g, model)
-    size = ground_set_size(g, model)
-    if size == 0:
-        return Fraction(0), witness
-    return value / size, witness
+    return value / max(ground_set_size(g, model), 1), witness
 
 
 def static_fair(
@@ -291,7 +306,9 @@ def static_fair(
     model: UtilityModel,
     partition: GroupPartition,
     mode: Mode = Mode.PROPORTION,
-) -> StaticSolution:
-    """Best single cut for the worst-off group (value or per-capita mode).
-    Ties break toward the first canonical cut."""
-    return static_from_matrix(build_payoff_matrix(g, model, partition), mode)
+) -> tuple[Fraction, Cut]:
+    """Best single cut for the worst-off group (value or per-capita mode),
+    with the first canonical maximizer as witness."""
+    matrix = build_payoff_matrix(g, model, partition)
+    value, best = static_from_matrix(matrix, mode)
+    return value, matrix.cut(best)

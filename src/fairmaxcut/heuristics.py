@@ -91,12 +91,12 @@ def _rekeyed_rngs(seed: int, first: int) -> Iterator[np.random.Generator]:
 # local search
 
 
-def local_search_cut(g: Graph, initial: Optional[Cut] = None) -> Cut:
-    """First-improvement flip search: move any vertex with fewer than half of
-    its edges crossing until none remains.  Each flip strictly increases the
-    cut value, so the sweep terminates; afterwards every vertex has crossing
-    degree >= deg(v)/2."""
-    members = set(initial.members) if initial is not None else set()
+def local_search_cut(g: Graph) -> Cut:
+    """First-improvement flip search from the empty cut: move any vertex with
+    fewer than half of its edges crossing until none remains.  Each flip
+    strictly increases the cut value, so the sweep terminates; afterwards
+    every vertex has crossing degree >= deg(v)/2."""
+    members = set()
     improved = True
     while improved:
         improved = False
@@ -616,12 +616,6 @@ def gw_cut_probability(dot: float) -> float:
 # value (a tuple slot and an int object)
 MAX_ROUNDING_BYTES = 2**30
 _CUT_VALUE_BYTES = 40
-# the most bytes the enumeration pass of ``solve`` may need, estimated as
-# every canonical cut a distinct column of int64 numerators held three times
-# over for the copies the pass makes: 528 MB for the 21-cycle with singleton
-# edge groups, whose whole solve peaks at 551 MB (the share of each copy is
-# not measured)
-MAX_SOLVE_BYTES = 2**31
 # the most Monte Carlo trials one call may draw: memory stays one block
 # whatever the count, so the limit is on time (about 30 s for edge groups
 # on an 80-vertex, 619-edge graph; 2**40 trials would take days)
@@ -643,18 +637,6 @@ def check_rounding_size(g: Graph, samples: int) -> None:
         raise TooLargeError(
             f"{samples} rounding samples of {g.vertex_count} vertices would keep {kept} "
             f"bytes of sides and cut values; the limit is {MAX_ROUNDING_BYTES}"
-        )
-
-
-def check_solve_size(g: Graph, groups: int) -> None:
-    """Raise ``TooLargeError`` if enumerating the canonical cuts of g into
-    columns of ``groups`` numerators could need more than
-    ``MAX_SOLVE_BYTES``; nothing is allocated."""
-    needed = 3 * 8 * groups << max(g.vertex_count - 1, 0)
-    if needed > MAX_SOLVE_BYTES:
-        raise TooLargeError(
-            f"solving {g.vertex_count} vertices and {groups} groups could keep {needed} bytes "
-            f"of payoff columns; the limit is {MAX_SOLVE_BYTES}"
         )
 
 

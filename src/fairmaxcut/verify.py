@@ -4,9 +4,9 @@ relies on, evaluated exactly and reported as structured verdicts.
 Checkers never abort on a failing claim; they return BoundCheck records so a
 suite run can survey everything.  Each verdict recomputes both sides from the
 exact solvers; nothing is cached across checkers.  Within a checker, every
-objective of an instance is read off one payoff matrix (``_values``).  Every
-instance here is far below the default enumeration limit, so no checker
-takes a limit.
+objective of an instance is read off one payoff matrix
+(``objective_values``).  Every instance here is far below the default
+enumeration limit, so no checker takes a limit.
 
 The pinned worked-example values live in two places: the families'
 ``expected`` tuples, and the table below for the values no family carries.
@@ -144,58 +144,43 @@ def one_left_out_bound(n_odd: int) -> Fraction:
 # objective read-offs and the ordering chain
 
 
-# each objective in value mode and its proportion-mode twin
-_MODE_PAIRS = (("MV", "MP"), ("SF-MV", "SF-MP"), ("DF-MV", "DF-MP"))
-
-
-def _read_off(matrix: PayoffMatrix, name: str) -> tuple[Fraction, Cut | maximin.MaximinSolution]:
+def _read_off(matrix: PayoffMatrix, name: str) -> tuple[Fraction, int | maximin.MaximinSolution]:
     """One objective read off a payoff matrix in its own mode."""
     mode = Mode.VALUE if name.endswith("MV") else Mode.PROPORTION
     if name in ("MV", "MP"):
         return exact.max_from_matrix(matrix, mode)
     if name in ("SF-MV", "SF-MP"):
-        sol = exact.static_from_matrix(matrix, mode)
-        return sol.objective, sol.witness_cut
+        return exact.static_from_matrix(matrix, mode)
     sol = maximin.solve_maximin(matrix, mode)
     return sol.value, sol
 
 
 def read_offs(
     matrix: PayoffMatrix, names: Sequence[str]
-) -> dict[str, tuple[Fraction, Cut | maximin.MaximinSolution]]:
+) -> dict[str, tuple[Fraction, int | maximin.MaximinSolution]]:
     """The named objectives of ``OBJECTIVE_NAMES`` read off one payoff matrix,
-    keyed in the order of ``names``: each value, with the witness cut (MV,
-    MP, SF-*) or the maximin solution (DF-*).
+    keyed in the order of ``names``: each value, with the index of its first
+    best column (MV, MP, SF-*; ``matrix.cut(j)`` is the witness) or the
+    maximin solution (DF-*).
 
-    When both modes of an objective are named and they give the same
-    problem up to a scale, it is solved once, in value mode.  MP is always
-    MV over the ground-set size, with the same witness.  When every group
-    has one size s, SF-MP is SF-MV over s with the same witness, and DF-MP
-    is ``maximin.proportion_from_value`` of DF-MV, re-certified in
-    proportion mode."""
+    Each objective is read in its own mode, with one shortcut: when DF-MV
+    and DF-MP are both named and every group has one size, DF-MP is
+    ``maximin.proportion_from_value`` of DF-MV, re-certified in proportion
+    mode, so the LP is solved once."""
     unknown = [name for name in names if name not in OBJECTIVE_NAMES]
     if unknown:
         raise ValueError(f"unknown objective {unknown[0]!r}")
-    equal_sizes = len(set(matrix.group_sizes)) == 1
-    found = {}
-    for by_value, by_proportion in _MODE_PAIRS:
-        if by_value in names and by_proportion in names and (by_value == "MV" or equal_sizes):
-            value, found_by = found[by_value] = _read_off(matrix, by_value)
-            if by_proportion == "DF-MP":
-                sol = maximin.proportion_from_value(matrix, found_by)
-                found[by_proportion] = sol.value, sol
-            else:
-                scale = sum(matrix.group_sizes) if by_value == "MV" else matrix.group_sizes[0]
-                found[by_proportion] = value / scale, found_by
-        else:
-            found.update(
-                (name, _read_off(matrix, name)) for name in (by_value, by_proportion)
-                if name in names
-            )
+    derive = {"DF-MV", "DF-MP"} <= set(names) and len(set(matrix.group_sizes)) == 1
+    found = {
+        name: _read_off(matrix, name) for name in names if not (derive and name == "DF-MP")
+    }
+    if derive:
+        sol = maximin.proportion_from_value(matrix, found["DF-MV"][1])
+        found["DF-MP"] = sol.value, sol
     return {name: found[name] for name in names}
 
 
-def _values(
+def objective_values(
     g: Graph, model: UtilityModel, partition: GroupPartition, *names: str
 ) -> tuple[Fraction, ...]:
     """The named objectives' values, in order, all read off one payoff matrix."""
@@ -230,7 +215,7 @@ def check_chain(
 ) -> list[BoundCheck]:
     """Static <= dynamic <= utilitarian, in both value and proportion modes,
     all six sides read off one payoff matrix."""
-    values = _values(g, model, partition, *OBJECTIVE_NAMES)
+    values = objective_values(g, model, partition, *OBJECTIVE_NAMES)
     return chain_checks(dict(zip(OBJECTIVE_NAMES, values)), context)
 
 
@@ -336,8 +321,8 @@ def check_subproblem_bound(
     sub_ground = sum(len(gr) for gr in sub.partition.groups)
     ctx = f"{full.label} vs {sub.label}"
 
-    df_value, df_prop = _values(full.graph, full.model, full.partition, "DF-MV", "DF-MP")
-    mv_sub, mp_sub = _values(sub.graph, sub.model, sub.partition, "MV", "MP")
+    df_value, df_prop = objective_values(full.graph, full.model, full.partition, "DF-MV", "DF-MP")
+    mv_sub, mp_sub = objective_values(sub.graph, sub.model, sub.partition, "MV", "MP")
     return [
         make_check("subproblem-value-bound", ctx, df_value, "<=", mv_sub + delta_sum),
         make_check(
@@ -387,7 +372,7 @@ def check_triangle_bound(g: Graph, partition: GroupPartition, context: str = "")
         return skipped_check("triangle-group-bound", context + " (not an edge partition)")
     if not any(_edges_decompose_into_triangles(g, gr) for gr in partition.groups):
         return skipped_check("triangle-group-bound", context + " (no triangle-decomposable group)")
-    (df,) = _values(g, UtilityModel.EDGE, partition, "DF-MP")
+    (df,) = objective_values(g, UtilityModel.EDGE, partition, "DF-MP")
     return make_check("triangle-group-bound", context, df, "<=", Fraction(2, 3))
 
 
@@ -412,7 +397,7 @@ def check_bipartite_props(
         return [skipped_check("bipartite-collapse", context + " (not bipartite)")]
     if model.is_node_model and not _is_regular(g):
         return [skipped_check("bipartite-collapse", context + " (node model needs regularity)")]
-    sf, df, mp = _values(g, model, partition, "SF-MP", "DF-MP", "MP")
+    sf, df, mp = objective_values(g, model, partition, "SF-MP", "DF-MP", "MP")
     one = Fraction(1)
     return [
         make_check("bipartite-collapse-static", context, sf, "==", one),
@@ -429,7 +414,7 @@ def check_nonbipartite_node_bound(g: Graph, context: str = "") -> BoundCheck:
     if bipartite:
         return skipped_check("odd-cycle-node-static-cap", context + " (bipartite)")
     partition = singleton_partition(g, PartitionKind.NODES)
-    (sf,) = _values(g, UtilityModel.NODE_MAXDEG, partition, "SF-MP")
+    (sf,) = objective_values(g, UtilityModel.NODE_MAXDEG, partition, "SF-MP")
     delta = max_degree(g)
     return make_check(
         "odd-cycle-node-static-cap", context, sf, "<=", Fraction(delta - 1, delta)
@@ -450,7 +435,7 @@ def check_dfmp_node_bounds(
     beats the worst group's average-degree ratio, and local search guarantees
     the static-fair proportion is at least half of it."""
     ratio = worst_degree_ratio(g, partition)
-    df, sf = _values(g, UtilityModel.NODE_MAXDEG, partition, "DF-MP", "SF-MP")
+    df, sf = objective_values(g, UtilityModel.NODE_MAXDEG, partition, "DF-MP", "SF-MP")
     return [
         make_check("node-dynamic-degree-cap", context, df, "<=", ratio),
         make_check("node-static-degree-floor", context, sf, ">=", ratio / 2),
@@ -464,7 +449,7 @@ def check_dfmp_node_bounds(
 def check_expected(inst: NamedInstance) -> list[BoundCheck]:
     """Confirm every expected value an instance carries against the solvers."""
     names = [exp.objective for exp in inst.expected]
-    values = _values(inst.graph, inst.model, inst.partition, *names)
+    values = objective_values(inst.graph, inst.model, inst.partition, *names)
     return [
         make_check(f"expected-{exp.objective}", inst.label, value, "==", exp.value)
         for exp, value in zip(inst.expected, values)
@@ -476,13 +461,13 @@ def check_diamond_strict_gap() -> list[BoundCheck]:
     proportion of every subgraph formed from whole edge groups (min 4/5), so
     no subgraph bound is tight for it."""
     inst = make_diamond_instance()
-    (df,) = _values(inst.graph, inst.model, inst.partition, "DF-MP")
+    (df,) = objective_values(inst.graph, inst.model, inst.partition, "DF-MP")
     pinned = inst.expected_map()["DF-MP"]
     checks = [make_check("diamond-dynamic-value", inst.label, df, "==", pinned)]
     subgraph_mps = []
     for kept, _, context, expected_mp in DIAMOND_SUBGRAPHS:
         sub, _ = edge_subinstance(inst, kept)
-        subgraph_mps += _values(sub.graph, sub.model, sub.partition, "MP")
+        subgraph_mps += objective_values(sub.graph, sub.model, sub.partition, "MP")
         checks.append(make_check(
             "diamond-subgraph-proportion", f"{inst.label}: {context}", subgraph_mps[-1],
             "==", expected_mp))
@@ -505,7 +490,7 @@ def _gap_checks(
     the next."""
     checks, gaps = [], []
     for inst in family:
-        hi, lo = _values(inst.graph, inst.model, inst.partition, top, bottom)
+        hi, lo = objective_values(inst.graph, inst.model, inst.partition, top, bottom)
         gap = hi - lo
         gaps.append((inst.label, gap))
         if degree_cap:
@@ -567,7 +552,7 @@ def pinned_checks() -> list[BoundCheck]:
         out.append(make_check(key, "", computed, relation, pinned))
 
     def objectives(prefix: str, inst: NamedInstance, names) -> None:
-        values = _values(inst.graph, inst.model, inst.partition, *names)
+        values = objective_values(inst.graph, inst.model, inst.partition, *names)
         for name, value in zip(names, values):
             pin(f"{prefix}/{_ROW_NAMES[name]}", value, "==", inst.expected_map()[name])
 
@@ -598,7 +583,7 @@ def pinned_checks() -> list[BoundCheck]:
         bound = one_left_out_bound(n_odd)
         for kind in PartitionKind:
             inst = make_odd_cycle_instance(n_odd, kind)
-            sf, df = _values(inst.graph, inst.model, inst.partition, "SF-MP", "DF-MP")
+            sf, df = objective_values(inst.graph, inst.model, inst.partition, "SF-MP", "DF-MP")
             pin(f"{inst.label}/static-proportion", sf, "==", inst.expected_map()["SF-MP"])
             pin(f"{inst.label}/one-left-out-lottery", score(inst, lottery).minimum, "==", bound)
             pin(f"{inst.label}/dynamic-proportion", df, ">=", bound)

@@ -12,8 +12,7 @@ from math import lcm
 from operator import add
 from typing import Iterator
 
-from fairmaxcut.exact import Mode, PayoffMatrix, StaticSolution
-from fairmaxcut.graphs import Cut
+from fairmaxcut.exact import Mode, PayoffMatrix
 from fairmaxcut.maximin import CutDistribution, MaximinSolution, _CertificateError
 
 from .dense_tableau import DenseTableau
@@ -29,20 +28,22 @@ def python_scaled_columns(
     return den, zip(*rows)
 
 
-def python_max_from_matrix(matrix: PayoffMatrix, mode: Mode) -> tuple[Fraction, Cut]:
+def python_max_from_matrix(matrix: PayoffMatrix, mode: Mode) -> tuple[Fraction, int]:
+    """The best column sum and the first column reaching it."""
     den, cols = python_scaled_columns(matrix, matrix.dens)
     sums = list(map(sum, cols))
     best = max(range(len(sums)), key=sums.__getitem__)
     if mode is Mode.PROPORTION:
         den *= sum(matrix.group_sizes)
-    return Fraction(sums[best], den), matrix.cut(best)
+    return Fraction(sums[best], den), best
 
 
-def python_static_from_matrix(matrix: PayoffMatrix, mode: Mode) -> StaticSolution:
+def python_static_from_matrix(matrix: PayoffMatrix, mode: Mode) -> tuple[Fraction, int]:
+    """The best column minimum and the first column reaching it."""
     den, cols = python_scaled_columns(matrix, matrix.denominators(mode))
     mins = list(map(min, cols))
     best = max(range(len(mins)), key=mins.__getitem__)
-    return StaticSolution(Fraction(mins[best], den), matrix.cut(best))
+    return Fraction(mins[best], den), best
 
 
 def python_column_scores(weights: list[int], rows: list[list[int]]) -> list[int]:

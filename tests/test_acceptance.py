@@ -113,7 +113,7 @@ def test_05_odd_cycle_edge_family():
         length = 2 * n + 1
         g = make_cycle(length)
         partition = singleton_partition(g, PartitionKind.EDGES)
-        sf = static_fair(g, UtilityModel.EDGE, partition).objective
+        sf, _ = static_fair(g, UtilityModel.EDGE, partition)
         df = df_fair(g, UtilityModel.EDGE, partition).value
         mp, _ = max_proportion(g, UtilityModel.EDGE)
         ok &= sf == 0
@@ -129,7 +129,7 @@ def test_06_odd_cycle_node_family():
         length = 2 * n + 1
         g = make_cycle(length)
         partition = singleton_partition(g, PartitionKind.NODES)
-        sf = static_fair(g, UtilityModel.NODE_MAXDEG, partition).objective
+        sf, _ = static_fair(g, UtilityModel.NODE_MAXDEG, partition)
         df = df_fair(g, UtilityModel.NODE_MAXDEG, partition).value
         ok &= sf == HALF
         ok &= df >= 1 - Fraction(1, length)
@@ -151,7 +151,7 @@ def test_07_bipartite_collapses():
             ):
                 ground = g.edge_count if kind is PartitionKind.EDGES else g.vertex_count
                 partition = random_partition(g, kind, min(3, ground), seed=seed)
-                sf = static_fair(g, model, partition).objective
+                sf, _ = static_fair(g, model, partition)
                 df = df_fair(g, model, partition).value
                 mp, _ = max_proportion(g, model)
                 ok &= sf == df == mp == ONE
@@ -227,7 +227,7 @@ def test_11_local_search_suite():
             Fraction(sum(g.degree(v) for v in gr), 2 * len(gr) * delta)
             for gr in inst.partition.groups
         )
-        sf = static_fair(g, UtilityModel.NODE_MAXDEG, inst.partition).objective
+        sf, _ = static_fair(g, UtilityModel.NODE_MAXDEG, inst.partition)
         ok &= sf >= floor
     report_line(11, "local search on 100 random graphs: half-degree condition and static floor", ok)
 

@@ -62,8 +62,12 @@ def assert_matches_oracles(matrix: PayoffMatrix) -> None:
         den, cols = scaled_columns(matrix, matrix.denominators(mode))
         want_den, want_cols = python_scaled_columns(matrix, matrix.denominators(mode))
         assert den == want_den and cols.T.tolist() == list(map(list, want_cols))
-        assert max_from_matrix(matrix, mode) == python_max_from_matrix(matrix, mode)
-        assert static_from_matrix(matrix, mode) == python_static_from_matrix(matrix, mode)
+        for read_off, oracle in (
+            (max_from_matrix, python_max_from_matrix),
+            (static_from_matrix, python_static_from_matrix),
+        ):
+            (value, j), (want, want_j) = read_off(matrix, mode), oracle(matrix, mode)
+            assert (value, matrix.cut(j)) == (want, matrix.cut(want_j))
         sol, oracle = solve_maximin(matrix, mode), python_solve_maximin(matrix, mode)
         if sol.dual_guessed:  # the oracle always runs column generation
             sol = replace(
@@ -189,8 +193,9 @@ def test_certificate_dual_side_past_int64_takes_python_ints():
 
 def assert_python_ints(result) -> None:
     """Every rational of a read-off or a maximin solution has Python-int
-    parts, and every witness or support cut Python-int members."""
-    if isinstance(result, tuple):  # (value, witness) or (value, solution)
+    parts, every witness column index is a Python int, and every support
+    cut has Python-int members."""
+    if isinstance(result, tuple):  # (value, column) or (value, solution)
         value, rest = result
         assert_python_ints(value)
         assert_python_ints(rest)
@@ -206,9 +211,8 @@ def assert_python_ints(result) -> None:
         for cut, p in result.distribution.entries:
             assert_python_ints(cut)
             assert_python_ints(p)
-    else:  # a StaticSolution
-        assert_python_ints(result.objective)
-        assert_python_ints(result.witness_cut)
+    else:  # a witness column index
+        assert type(result) is int
 
 
 @pytest.mark.parametrize("matrix", [

@@ -12,19 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairmaxcut import cli
+from fairmaxcut import cli, exact
 from fairmaxcut.cli import build_parser, main
-from fairmaxcut.exact import Mode, build_payoff_matrix
+from fairmaxcut.exact import MAX_SOLVE_BYTES, Mode, build_payoff_matrix, check_solve_size
 from fairmaxcut.families import make_cycle, make_odd_cycle_instance, random_instance
 from fairmaxcut.graphs import PartitionKind, cut_value
-from fairmaxcut.heuristics import (
-    MAX_SOLVE_BYTES,
-    MAX_TRIALS,
-    _sweep_levels,
-    check_solve_size,
-    gw_round,
-    sdp_objective,
-)
+from fairmaxcut.heuristics import MAX_TRIALS, _sweep_levels, gw_round, sdp_objective
 from fairmaxcut.instances import load_instance, save_instance
 from fairmaxcut.maximin import solve_maximin
 from fairmaxcut.reports import parse_report
@@ -281,14 +274,15 @@ class TestRun:
     @pytest.mark.parametrize("n, limit", [(23, 24), (29, 30)])
     def test_solve_too_large_for_memory_exit_3(self, n, limit, tmp_path, monkeypatch):
         # the n-cycle with singleton edge groups: refused before the
-        # enumeration, which would fail this test instead of allocating
+        # enumeration's first table, which would fail this test instead of
+        # allocating
         path = str(tmp_path / "cycle.inst")
         save_instance(make_odd_cycle_instance(n, PartitionKind.EDGES), path)
 
         def enumerate_anyway(*args):
             raise AssertionError("enumerated past the memory budget")
 
-        monkeypatch.setattr(cli.exact, "build_payoff_matrix", enumerate_anyway)
+        monkeypatch.setattr(exact, "xor_table", enumerate_anyway)
         rc, out, err = run_cli(["solve", path, "--limit", str(limit)])
         assert rc == 3
         assert out == ""

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from fairmaxcut.errors import DegreeZeroError, ModelMismatchError, TooLargeError
 from fairmaxcut.exact import (
     _BLOCK_BITS,
+    MAX_SOLVE_BYTES,
     _first_rows,
     Mode,
     PayoffMatrix,
-    StaticSolution,
     build_payoff_matrix,
     canonical_cut_count,
     max_from_matrix,
@@ -169,51 +169,50 @@ class TestStaticFair:
     def test_nonbipartite_singleton_edges_zero(self):
         g = make_paw_instance().graph
         partition = singleton_partition(g, PartitionKind.EDGES)
-        assert static_fair(g, UtilityModel.EDGE, partition).objective == 0
+        assert static_fair(g, UtilityModel.EDGE, partition)[0] == 0
 
     def test_c5_singleton_nodes_half(self):
         g = make_cycle(5)
         partition = singleton_partition(g, PartitionKind.NODES)
-        sol = static_fair(g, UtilityModel.NODE_MAXDEG, partition)
-        assert sol.objective == Fraction(1, 2)
+        value, _ = static_fair(g, UtilityModel.NODE_MAXDEG, partition)
+        assert value == Fraction(1, 2)
 
     def test_bipartite_always_one(self):
         g = make_complete_bipartite(2, 2)
         partition = singleton_partition(g, PartitionKind.EDGES)
-        assert static_fair(g, UtilityModel.EDGE, partition).objective == 1
+        assert static_fair(g, UtilityModel.EDGE, partition)[0] == 1
 
     def test_witness_achieves_objective(self):
         inst = make_diamond_instance()
-        sol = static_fair(inst.graph, inst.model, inst.partition)
-        assert sol.objective == Fraction(1, 2)
-        got = min_group_proportion(inst.graph, inst.model, sol.witness_cut, inst.partition)
-        assert got == sol.objective
+        value, witness = static_fair(inst.graph, inst.model, inst.partition)
+        assert value == Fraction(1, 2)
+        assert min_group_proportion(inst.graph, inst.model, witness, inst.partition) == value
 
     @given(edge_instances())
     @settings(max_examples=30)
     def test_brute_force_over_all_cuts(self, inst):
         g, partition = inst
-        sol = static_fair(g, UtilityModel.EDGE, partition)
+        value, _ = static_fair(g, UtilityModel.EDGE, partition)
         best = max(
             min_group_proportion(g, UtilityModel.EDGE, Cut.from_mask(mask), partition)
             for mask in range(1 << g.vertex_count)
         )
-        assert sol.objective == best
+        assert value == best
 
     @given(edge_instances())
     @settings(max_examples=30)
     def test_single_edge_dichotomy(self, inst):
         g, _ = inst
         partition = singleton_partition(g, PartitionKind.EDGES)
-        sol = static_fair(g, UtilityModel.EDGE, partition)
+        value, _ = static_fair(g, UtilityModel.EDGE, partition)
         bipartite, _ = is_bipartite(g)
-        assert sol.objective == (1 if bipartite else 0)
+        assert value == (1 if bipartite else 0)
 
     @given(node_instances(max_vertices=5))
     @settings(max_examples=20)
     def test_value_mode_brute_force(self, inst):
         g, partition = inst
-        sol = static_fair(g, UtilityModel.NODE_MAXDEG, partition, Mode.VALUE)
+        value, _ = static_fair(g, UtilityModel.NODE_MAXDEG, partition, Mode.VALUE)
         best = max(
             min(
                 group_utility(g, UtilityModel.NODE_MAXDEG, Cut.from_mask(mask), gr)
@@ -221,7 +220,7 @@ class TestStaticFair:
             )
             for mask in range(1 << g.vertex_count)
         )
-        assert sol.objective == best
+        assert value == best
 
 
 class TestPayoffMatrix:
@@ -287,15 +286,11 @@ class TestPayoffMatrix:
     def test_matrix_readoffs_match_direct_solvers(self, inst):
         g, partition = inst
         matrix = build_payoff_matrix(g, UtilityModel.EDGE, partition)
-        for mode in (Mode.VALUE, Mode.PROPORTION):
-            direct = static_fair(g, UtilityModel.EDGE, partition, mode)
-            from_matrix = static_from_matrix(matrix, mode)
-            assert direct.objective == from_matrix.objective
-            assert direct.witness_cut == from_matrix.witness_cut
-            if mode is Mode.VALUE:
-                assert max_from_matrix(matrix, mode) == max_value(g, UtilityModel.EDGE)
-            else:
-                assert max_from_matrix(matrix, mode) == max_proportion(g, UtilityModel.EDGE)
+        for mode, max_direct in ((Mode.VALUE, max_value), (Mode.PROPORTION, max_proportion)):
+            value, j = static_from_matrix(matrix, mode)
+            assert static_fair(g, UtilityModel.EDGE, partition, mode) == (value, matrix.cut(j))
+            value, j = max_from_matrix(matrix, mode)
+            assert max_direct(g, UtilityModel.EDGE) == (value, matrix.cut(j))
 
 
 @st.composite
@@ -338,17 +333,22 @@ class TestOnePassMatrix:
         size = ground_set_size(g, model)
         mv, witness = first_maximizer(cuts, lambda cut: ground_utility(g, model, cut))
         matrix = build_payoff_matrix(g, model, partition)
-        assert max_value(g, model) == max_from_matrix(matrix, Mode.VALUE) == (mv, witness)
-        assert max_proportion(g, model) == max_from_matrix(matrix, Mode.PROPORTION) == (
+
+        def with_cut(read_off):
+            value, j = read_off
+            return value, matrix.cut(j)
+
+        assert max_value(g, model) == with_cut(max_from_matrix(matrix, Mode.VALUE)) == (mv, witness)
+        assert max_proportion(g, model) == with_cut(max_from_matrix(matrix, Mode.PROPORTION)) == (
             mv / size,
             witness,
         )
         for mode, utility in ((Mode.VALUE, group_utility), (Mode.PROPORTION, group_proportion)):
-            expected = StaticSolution(*first_maximizer(
+            expected = first_maximizer(
                 cuts, lambda cut: min(utility(g, model, cut, gr) for gr in partition.groups)
-            ))
+            )
             assert static_fair(g, model, partition, mode) == expected
-            assert static_from_matrix(matrix, mode) == expected
+            assert with_cut(static_from_matrix(matrix, mode)) == expected
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
@@ -602,4 +602,15 @@ class TestBlockPassAgainstOracle:
             build_payoff_matrix(g, UtilityModel.NODE_OWNDEG, partition, limit=g.vertex_count)
         assert str(info.value) == (
             f"group utility numerators reach {bound}; exact enumeration needs them below 2**63"
+        )
+
+    def test_memory_budget_refused_before_enumeration(self):
+        # the 23-cycle with singleton edge groups is within the default
+        # limit, but its pass could keep more than MAX_SOLVE_BYTES
+        g = make_cycle(23)
+        with pytest.raises(TooLargeError) as info:
+            build_payoff_matrix(g, UtilityModel.EDGE, singleton_partition(g, PartitionKind.EDGES))
+        assert str(info.value) == (
+            f"solving 23 vertices and 23 groups could keep {3 * 8 * 23 << 22} bytes of payoff "
+            f"columns; the limit is {MAX_SOLVE_BYTES}"
         )

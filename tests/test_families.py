@@ -38,7 +38,7 @@ def confirm_expected(inst):
         elif exp.objective == "MP":
             got, _ = max_proportion(inst.graph, inst.model)
         elif exp.objective == "SF-MP":
-            got = static_fair(inst.graph, inst.model, inst.partition, Mode.PROPORTION).objective
+            got, _ = static_fair(inst.graph, inst.model, inst.partition, Mode.PROPORTION)
         elif exp.objective == "DF-MP":
             got = df_fair(inst.graph, inst.model, inst.partition, Mode.PROPORTION).value
         else:
@@ -166,7 +166,7 @@ class TestRandomInstance:
 
     def test_single_group_collapses_objectives(self):
         inst = random_instance(6, 0.5, 1, PartitionKind.EDGES, seed=7)
-        sf = static_fair(inst.graph, inst.model, inst.partition).objective
+        sf, _ = static_fair(inst.graph, inst.model, inst.partition)
         df = df_fair(inst.graph, inst.model, inst.partition).value
         mp, _ = max_proportion(inst.graph, inst.model)
         assert sf == df == mp

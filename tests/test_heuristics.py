@@ -80,10 +80,9 @@ def crossing_degree(g: Graph, cut: Cut, v: int) -> int:
 
 
 class TestLocalSearch:
-    def test_bipartition_returned_unchanged(self):
-        g = make_complete_bipartite(3, 3)
-        start = Cut.of({0, 1, 2})
-        assert local_search_cut(g, start) == start
+    def test_bipartition_found_from_empty(self):
+        # each of 0, 1, 2 joins the empty cut in turn, and then every edge crosses
+        assert local_search_cut(make_complete_bipartite(3, 3)) == Cut.of({0, 1, 2})
 
     def test_c5_from_empty(self):
         g = make_cycle(5)

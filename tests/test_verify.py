@@ -69,16 +69,19 @@ _MODEL_INSTANCES = st.one_of(
 )
 
 
+_EQUAL_SHAPES = ("singletons", "one group", "equal")
+
+
 @st.composite
-def _partitioned_matrices(draw):
+def _partitioned_matrices(draw, shapes=(*_EQUAL_SHAPES, "random")):
     """The payoff matrix of a graph with n <= 8 under any model, with
     singleton groups, one group, equal groups of a size s >= 2, or random
-    groups (mostly of unequal sizes)."""
+    groups (mostly of unequal sizes), as ``shapes`` allows."""
     model = draw(st.sampled_from(list(UtilityModel)))
     kind = model.partition_kind
     g = draw(graphs(min_vertices=2, max_vertices=8, min_edges=1))
     ground = g.edge_count if kind is PartitionKind.EDGES else g.vertex_count
-    shape = draw(st.sampled_from(("singletons", "one group", "equal", "random")))
+    shape = draw(st.sampled_from(shapes))
     if shape == "random":
         partition = draw(partitions_for(g, kind))
     else:
@@ -96,12 +99,16 @@ class TestReadOff:
     @settings(max_examples=40, deadline=None)
     def test_matches_the_solvers(self, case):
         g, partition, model = case
-        found = read_offs(build_payoff_matrix(g, model, partition), OBJECTIVE_NAMES)
-        assert found["MV"] == max_value(g, model)
-        assert found["MP"] == max_proportion(g, model)
+        matrix = build_payoff_matrix(g, model, partition)
+        found = read_offs(matrix, OBJECTIVE_NAMES)
+        # a witness is its first best column, and no Cut is made for it
+        assert all(type(found[name][1]) is int for name in ("MV", "MP", "SF-MV", "SF-MP"))
+        witnessed = {name: (value, matrix.cut(j)) for name, (value, j) in found.items()
+                     if not name.startswith("DF-")}
+        assert witnessed["MV"] == max_value(g, model)
+        assert witnessed["MP"] == max_proportion(g, model)
         for mode, suffix in ((Mode.VALUE, "MV"), (Mode.PROPORTION, "MP")):
-            sf = static_fair(g, model, partition, mode)
-            assert found[f"SF-{suffix}"] == (sf.objective, sf.witness_cut)
+            assert witnessed[f"SF-{suffix}"] == static_fair(g, model, partition, mode)
             assert found[f"DF-{suffix}"][0] == df_fair(g, model, partition, mode).value
 
     @given(_partitioned_matrices(), st.data())
@@ -116,8 +123,7 @@ class TestReadOff:
                 if suffix in found:
                     assert found[suffix] == max_from_matrix(matrix, mode)
                 if f"SF-{suffix}" in found:
-                    sf = static_from_matrix(matrix, mode)
-                    assert found[f"SF-{suffix}"] == (sf.objective, sf.witness_cut)
+                    assert found[f"SF-{suffix}"] == static_from_matrix(matrix, mode)
                 if f"DF-{suffix}" in found:
                     value, sol = found[f"DF-{suffix}"]
                     alone = solve_maximin(matrix, mode)
@@ -129,6 +135,19 @@ class TestReadOff:
         # every group has one size
         derived = read_offs(matrix, OBJECTIVE_NAMES)["DF-MP"][1].master_solves == 0
         assert derived == (len(set(matrix.group_sizes)) == 1)
+
+    @given(_partitioned_matrices(shapes=_EQUAL_SHAPES))
+    @settings(max_examples=40, deadline=None)
+    def test_equal_sizes_read_proportions_as_scaled_values(self, matrix):
+        # MP and SF-MP are read in proportion mode, not derived from their
+        # value-mode twins: over groups of one size s they are MV over the
+        # ground set's size and SF-MV over s, at the same first best column
+        found = read_offs(matrix, OBJECTIVE_NAMES)
+        (size,) = set(matrix.group_sizes)
+        mv, j = found["MV"]
+        assert found["MP"] == (mv / sum(matrix.group_sizes), j)
+        sf, j = found["SF-MV"]
+        assert found["SF-MP"] == (sf / size, j)
 
     def test_rejects_unknown_objective(self):
         inst = make_paw_instance()
