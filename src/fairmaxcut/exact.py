@@ -72,7 +72,8 @@ class PayoffMatrix:
 
     def __post_init__(self):
         # coerce, check and freeze the arrays, and start the caches of
-        # scaled_columns and of maximin's certificate dual maxima
+        # scaled_columns, of maximin's LP outcomes and of its certificate
+        # dual maxima
         entries = np.array(self.entries, dtype=np.int64, order="C")
         masks = np.array(self.col_masks, dtype=np.int64)
         if entries.ndim != 2 or masks.shape != entries.shape[1:]:
@@ -88,6 +89,7 @@ class PayoffMatrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "col_masks", masks)
         object.__setattr__(self, "_scaled", {})
+        object.__setattr__(self, "_solved", {})
         object.__setattr__(self, "_dual_best", {})
 
     def __eq__(self, other):
@@ -236,15 +238,19 @@ def scaled_columns(matrix: PayoffMatrix, dens: tuple[int, ...]) -> tuple[int, np
     of ``dens``: a read-only (groups, columns) array, int64 while every
     column sum stays below 2**62, else of Python ints (object dtype).
 
-    It is made once per matrix and denominator set, and every later call
-    shares it; when every scale ``den // d`` is 1 and int64 suffices it is
-    ``matrix.entries`` itself."""
+    It is made once per matrix and set of scales ``den // d``, and every
+    later call with a denominator set of those scales shares it: with equal
+    group sizes, the value and the proportion mode.  When every scale is 1
+    and int64 suffices it is ``matrix.entries`` itself."""
     found = matrix._scaled.get(dens)
     if found is None:
         den = lcm(*dens)
         scales = [den // d for d in dens]
+        shared = [c for ds, (dn, c) in matrix._scaled.items() if [dn // d for d in ds] == scales]
         bound = int(matrix.entries.max(initial=1)) * max(scales) * len(dens)
-        if bound >> 62:
+        if shared:
+            cols = shared[0]
+        elif bound >> 62:
             cols = matrix.entries * np.array(scales, dtype=object)[:, None]
         elif max(scales) == 1:
             cols = matrix.entries

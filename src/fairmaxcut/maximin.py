@@ -7,16 +7,17 @@ This is the value-of-a-zero-sum-game LP over the columns of an
 ``exact.PayoffMatrix``: the distinct integer utility columns of all canonical
 cuts, read over the denominators of the value or the proportion mode and
 scaled to integers over one common denominator ``den``
-(``exact.scaled_columns``, made once per matrix and denominator set and
+(``exact.scaled_columns``, made once per matrix and set of scales and
 shared with the other read-offs).  It is solved by column generation
 (Gilmore & Gomory, Oper. Res. 1961) over a restricted master in the
 standard form
 
-    max z   s.t.   den * z - (C p)_i + s_i = 0   (one row per group)
+    max z   s.t.   z - (C p)_i + s_i = 0   (one row per group)
                    sum_S p_S = 1
                    z, p, s >= 0
 
-with C = den * M, started from the best static column and solved by primal
+with C = den * M, so z is den times the maximin value and the LP never
+reads ``den``.  It is started from the best static column and solved by primal
 simplex with Bland's rule in one revised, fraction-free simplex,
 ``_RevisedLP``: it keeps the integer basis inverse det * B^-1, of size
 (groups + 1)^2, over one common denominator, so no pivot takes a gcd, and it
@@ -44,8 +45,8 @@ point mass on the start column s, with support (s,); and that first master
 is not even run as an LP.  The proof:
 
 - With s alone, the master's only pivot is z entering, on the group row r
-  with the least C[r, s] (ties to the lowest row), so its value is
-  C[r, s] / den, its duals are e_r, and it prices column j at C[r, j]
+  with the least C[r, s] (ties to the lowest row), so z is C[r, s], its
+  duals are e_r, and it prices column j at C[r, j]
   against the bar C[r, s].  That row is read off C, and the revised LP is
   built only once a column would enter, with that row as its first pricing
   round; the counters are one solve and one pivot either way.  Every
@@ -90,11 +91,11 @@ the automorphisms of the instance act transitively on the groups (Bödi,
 Herr & Joswig, Math. Program. 2013), as on the paper's odd cycles with
 singleton groups, and it is only tried when every group has one size and
 every row of C one sum, which every such instance passes.  y0 prices
-column j at its sum over γ * den, so the largest column sum S bounds the
-value.  The cold re-solve above runs over the columns whose sum is S, and
-the guess holds when
+column j at its sum over γ, so the largest column sum S bounds z.  The
+cold re-solve above runs over the columns whose sum is S, and the guess
+holds when
 
-- its value times γ * den is S, so strong duality certifies it, and
+- its z times γ is S, so strong duality certifies it, and
 - every basic value (the rhs column of ``inv``) is positive.
 
 A nondegenerate optimal basis has a unique optimal dual (Mangasarian,
@@ -120,11 +121,13 @@ integers only: the value, the probabilities and the duals are each put over
 one common denominator and the comparisons are cross-multiplied, so no
 ``Fraction`` is made per entry.
 
-When every group has one size s, the proportion-mode LP is the value-mode
-LP with ``den`` times s: the same columns C, and z scaled by 1 / s, which
-keeps every sign and every ratio order, so Bland's rule takes the same path.
-``proportion_from_value`` then derives the proportion-mode optimum from the
-value-mode one without a simplex, and re-certifies it in proportion mode.
+The LP's outcome depends only on C: the value is z / den, and the
+distribution, duals, support and counters are C's.  When every group has
+one size, the value and the proportion mode have the same scales ``den //
+d_i``, so ``exact.scaled_columns`` gives both one array; ``solve_maximin``
+keeps the outcome per matrix and scaled column set, and the second mode
+runs no LP.  Each mode still reads its value over its own ``den`` and is
+certified in its own mode.
 """
 
 from __future__ import annotations
@@ -196,10 +199,9 @@ class MaximinSolution:
     pivots at least once.  The pivots are those of Bland's rule on the
     dense tableau of the same LP, however it is stored.  ``dual_guessed`` says whether the
     uniform dual certified the optimum; then the master ran once, and the
-    tight re-solve is the guess's.  A solution derived by
-    ``proportion_from_value`` ran no simplex, so all four are 0 and
-    ``dual_guessed`` is False; it is certified in proportion mode all the
-    same."""
+    tight re-solve is the guess's.  A mode that reuses the LP outcome of
+    another mode over the same scaled columns carries the counters of the
+    LP that found it."""
 
     value: Fraction
     distribution: CutDistribution
@@ -228,13 +230,29 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
     and the master itself when its optimum is unique), and the support
     holds its column indices.  When a column would enter and the groups look
     symmetric, the uniform dual is tried first, and if it certifies the
-    optimum no further master runs (module docstring).
+    optimum no further master runs (module docstring).  The LP's outcome is
+    kept per matrix and scaled column set, so a mode whose columns another
+    mode already solved runs no LP; each call certifies its own value.
     """
     gamma, k = matrix.group_count, matrix.column_count
     if gamma == 0 or k == 0:
         raise ValueError("payoff matrix must be non-empty")
     den, cols = scaled_columns(matrix, matrix.denominators(mode))
+    # keyed by the shared array, which the matrix keeps as long as this entry
+    found = matrix._solved.get(id(cols))
+    if found is None:
+        found = matrix._solved[id(cols)] = _solve_lp(matrix, cols)
+    z, det, rest = found
+    sol = MaximinSolution(Fraction(z, det * den), *rest)
+    _check_certificate(matrix, mode, sol.value, sol.distribution, sol.dual_weights, sol.support)
+    return sol
 
+
+def _solve_lp(matrix: PayoffMatrix, cols: np.ndarray) -> tuple[int, int, tuple]:
+    """The LP's outcome over the scaled columns ``cols``: z and det, whose
+    ratio is ``den`` times the value of any mode with those columns, and the
+    fields of a ``MaximinSolution`` after its value, in order."""
+    gamma = matrix.group_count
     # the first master, over the best static column alone, in closed form
     mins = cols.min(axis=0)
     start = int(np.argmax(mins))
@@ -244,7 +262,7 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
         # no column enters: the point mass on the start column
         duals = tuple(_ONE if i == r else _ZERO for i in range(gamma))
         columns, tight = [start], []
-    elif (guess := _uniform_guess(matrix.group_sizes, den, cols, mins)) is not None:
+    elif (guess := _uniform_guess(matrix.group_sizes, cols, mins)) is not None:
         tight, lp = guess
         columns = tight
         duals = lp.duals()
@@ -252,7 +270,7 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
         # the column with the largest reduced cost enters until none prices
         # above the master's value, from the closed form's first round
         columns, top = [start], int(cols.max(initial=1))
-        master = _RevisedLP([cols[:, start].tolist()], den, 0)
+        master = _RevisedLP([cols[:, start].tolist()], 0)
         enter = int(np.argmax(scores))
         while scores[enter] > bar:
             if enter in columns:
@@ -270,27 +288,21 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
         if _unique_optimum(master, columns, tight):
             lp = master
         else:
-            lp, columns = _tight_lp(cols, den, mins, tight), tight
+            lp, columns = _tight_lp(cols, mins, tight), tight
 
-    # the one read-off (module docstring): the point mass is den / den on the
-    # start column at value bar / den; the master's columns are in entering order
-    det, (z, *probs) = (lp.det, lp.primal_numerators()) if lp else (den, [bar, den])
-    value = Fraction(z, det)
+    # the one read-off (module docstring): the point mass is 1 on the start
+    # column at z = bar; the master's columns are in entering order
+    det, (z, *probs) = (lp.det, lp.primal_numerators()) if lp else (1, [bar, 1])
     kept = sorted((j, p) for j, p in zip(columns, probs) if p > 0)
-    support = tuple(j for j, _ in kept)
-    distribution = CutDistribution(tuple((matrix.cut(j), Fraction(p, det)) for j, p in kept))
-
-    _check_certificate(matrix, mode, value, distribution, duals, support)
-    return MaximinSolution(
-        value=value,
-        distribution=distribution,
-        dual_weights=duals,
-        support=support,
-        master_solves=master.solves if master else 1,
-        pivots=master.pivots if master else 1,
-        tight_columns=len(tight),
-        tight_pivots=lp.pivots if lp is not master else 0,  # both None for the point mass
-        dual_guessed=guess is not None,
+    return z, det, (
+        CutDistribution(tuple((matrix.cut(j), Fraction(p, det)) for j, p in kept)),
+        duals,
+        tuple(j for j, _ in kept),
+        master.solves if master else 1,
+        master.pivots if master else 1,
+        len(tight),
+        lp.pivots if lp is not master else 0,  # both None for the point mass
+        guess is not None,
     )
 
 
@@ -328,7 +340,7 @@ def _price(master: "_RevisedLP", cols: np.ndarray, top: int) -> tuple[np.ndarray
 
 
 def _uniform_guess(
-    group_sizes: tuple[int, ...], den: int, cols: np.ndarray, mins: np.ndarray
+    group_sizes: tuple[int, ...], cols: np.ndarray, mins: np.ndarray
 ) -> tuple[list[int], "_RevisedLP"] | None:
     """The columns tight at the uniform dual and Bland's LP over them, if
     that LP certifies the optimum with a nondegenerate basis (module
@@ -339,37 +351,17 @@ def _uniform_guess(
     sums = cols.sum(axis=0)
     best = int(sums.max())
     tight = np.flatnonzero(sums == best).tolist()
-    cold = _tight_lp(cols, den, mins, tight)
+    cold = _tight_lp(cols, mins, tight)
     z, *_ = cold.primal_numerators()
-    if z * len(group_sizes) * den != best * cold.det or any(row[-1] <= 0 for row in cold.inv):
+    if z * len(group_sizes) != best * cold.det or any(row[-1] <= 0 for row in cold.inv):
         return None
     return tight, cold
 
 
-def _tight_lp(cols: np.ndarray, den: int, mins: np.ndarray, tight: list[int]) -> "_RevisedLP":
+def _tight_lp(cols: np.ndarray, mins: np.ndarray, tight: list[int]) -> "_RevisedLP":
     """Bland's simplex from scratch over the columns ``tight``, in column
     order, started from the first of them with the largest minimum."""
-    return _RevisedLP(cols[:, tight].T.tolist(), den, int(np.argmax(mins[tight])))
-
-
-def proportion_from_value(matrix: PayoffMatrix, solution: MaximinSolution) -> MaximinSolution:
-    """The proportion-mode optimum of a matrix whose groups all have one size
-    s, derived from its value-mode optimum ``solution``: the value over s,
-    with the same distribution, duals and support (see the module
-    docstring).  It is re-certified in proportion mode, where the dual side
-    reuses the maximum that certified ``solution``; its counters are all 0
-    and ``dual_guessed`` False."""
-    size, *others = set(matrix.group_sizes)
-    if others:
-        raise ValueError("proportion mode is value mode over a scale only for equal group sizes")
-    derived = MaximinSolution(
-        solution.value / size, solution.distribution, solution.dual_weights, solution.support
-    )
-    _check_certificate(
-        matrix, Mode.PROPORTION, derived.value, derived.distribution, derived.dual_weights,
-        derived.support,
-    )
-    return derived
+    return _RevisedLP(cols[:, tight].T.tolist(), int(np.argmax(mins[tight])))
 
 
 def _column_scores(weights: list[int], bar: int, cols: np.ndarray, top: int) -> np.ndarray:
@@ -383,7 +375,7 @@ def _column_scores(weights: list[int], bar: int, cols: np.ndarray, top: int) -> 
 
 class _RevisedLP:
     """The standard-form LP of the module docstring over the integer columns
-    ``cols`` (C) read over ``den``, solved by Bland's primal simplex from the
+    ``cols`` (C), solved by Bland's primal simplex from the
     feasible basis {slacks} + {column ``start``}, and built at the basis its
     first pivot reaches.  Variables are numbered z, the columns in the order
     they entered, then the slacks.
@@ -396,26 +388,26 @@ class _RevisedLP:
     (p * x - d[x] * pivot_row) // det, which divides exactly, and makes p the
     new ``det``; so ``det`` (the basis determinant up to sign) stays
     positive, and sign tests on integers are sign tests on the rationals.
-    ``inv`` is the slack and rhs columns of the dense integer tableau, so
-    ``det``, the pivots, the primal and the duals are its integers.
+    ``inv`` is the slack and rhs columns of the dense integer tableau at
+    ``den`` 1, so ``det``, the pivots, the primal and the duals are its
+    integers.
 
     At the start basis only z prices positive, so the first pivot is z
-    entering, with d = (den, ..., den, 0), on the first group row r with the
+    entering, with d = (1, ..., 1, 0), on the first group row r with the
     least C[r, start].  From the start basis's inverse [[I, C_start], [0,
     1]] at det 1 it keeps row r = (e_r | C[r, start]), makes each other
-    group row i den * (e_i - e_r | C[i, start] - C[r, start]) and the
-    convexity row (0 | den), and makes den the det: the constructor writes
-    those integers and counts the pivot.  Once z is basic it never leaves
-    (``_entering``), and the row (w, b) of ``inv`` at z's position prices
-    every variable: column C_j at w . C_j - b, slack i at -w_i, z at 0.
-    This is the LP of a rational tableau with each group row scaled by
-    ``den`` and each slack by 1 / den; Bland's choices are the same under
-    that scaling, and so are the value, the normalized duals and the
+    group row i (e_i - e_r | C[i, start] - C[r, start]) and the convexity
+    row (0 | 1), and det stays 1: the constructor writes those integers and
+    counts the pivot.  Once z is basic it never leaves (``_entering``), and
+    the row (w, b) of ``inv`` at z's position prices every variable: column
+    C_j at w . C_j - b, slack i at -w_i, z at 0.  With group rows den * z
+    - (C p)_i + s_i = 0 the LP would be this one with z divided by ``den``,
+    which changes none of Bland's choices, the normalized duals or the
     basis."""
 
-    def __init__(self, cols: list[list[int]], den: int, start: int):
+    def __init__(self, cols: list[list[int]], start: int):
         gamma, k = len(cols[0]), len(cols)
-        self.cols, self.den, self.k = cols, den, k
+        self.cols, self.k = cols, k
         first = cols[start]
         low = min(first)
         r = first.index(low)
@@ -425,11 +417,11 @@ class _RevisedLP:
             if i == r:
                 row[i], row[-1] = 1, low
             else:
-                row[i], row[r], row[-1] = den, -den, den * (c - low)
+                row[i], row[r], row[-1] = 1, -1, c - low
             inv.append(row)
-        inv.append([0] * gamma + [den])
+        inv.append([0] * gamma + [1])
         self.basis = [0 if i == r else 1 + k + i for i in range(gamma)] + [1 + start]
-        self.det, self.solves, self.pivots = den, 0, 1
+        self.det, self.solves, self.pivots = 1, 0, 1
         self._optimize(self._entering())
 
     def add(self, col: list[int]) -> None:
@@ -503,7 +495,7 @@ class _RevisedLP:
 
     def _slack_duals(self) -> tuple[list[int], int, int]:
         """Dual row weights at optimality, unnormalized: y_i = -reduced cost
-        of slack i, times det / den; their total; and det times the value."""
+        of slack i, times det; their total; and det times z."""
         *y, rhs_z = self.inv[self.basis.index(0)]
         total = sum(y)
         if total <= 0:
@@ -516,11 +508,11 @@ class _RevisedLP:
         return tuple(Fraction(w, total) for w in y)
 
     def pricing(self) -> tuple[list[int], int]:
-        """Integer weights w and bar b for pricing an integer column c over
-        ``den``: sum(w * c) - b is a positive multiple of the column's dual
-        mixture sum(duals[i] * c[i]) / den minus the LP value."""
+        """Integer weights w and bar b for pricing an integer column c:
+        sum(w * c) - b is a positive multiple of the column's dual mixture
+        sum(duals[i] * c[i]) minus z."""
         y, total, rhs_z = self._slack_duals()
-        return [self.det * w for w in y], rhs_z * total * self.den
+        return [self.det * w for w in y], rhs_z * total
 
 
 def _check_certificate(
@@ -546,8 +538,8 @@ def _check_certificate(
     are read as Python ints; the column scores are one product over the
     entries array, with an int64 guard of their own.  Its maximum is kept
     per matrix and weight vector, which only this check fills: with equal
-    group sizes, the proportion-mode weights of ``proportion_from_value``
-    are the value-mode ones, since the size cancels out of L / d_i.
+    group sizes, a reused LP outcome's proportion-mode weights are its
+    value-mode ones, since the size cancels out of L / d_i.
     """
     V, W = value.numerator, value.denominator
     dens = matrix.denominators(mode)

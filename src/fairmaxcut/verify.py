@@ -161,23 +161,11 @@ def read_offs(
     """The named objectives of ``OBJECTIVE_NAMES`` read off one payoff matrix,
     keyed in the order of ``names``: each value, with the index of its first
     best column (MV, MP, SF-*; ``matrix.cut(j)`` is the witness) or the
-    maximin solution (DF-*).
-
-    Each objective is read in its own mode, with one shortcut: when DF-MV
-    and DF-MP are both named and every group has one size, DF-MP is
-    ``maximin.proportion_from_value`` of DF-MV, re-certified in proportion
-    mode, so the LP is solved once."""
+    maximin solution (DF-*), each read in its own mode."""
     unknown = [name for name in names if name not in OBJECTIVE_NAMES]
     if unknown:
         raise ValueError(f"unknown objective {unknown[0]!r}")
-    derive = {"DF-MV", "DF-MP"} <= set(names) and len(set(matrix.group_sizes)) == 1
-    found = {
-        name: _read_off(matrix, name) for name in names if not (derive and name == "DF-MP")
-    }
-    if derive:
-        sol = maximin.proportion_from_value(matrix, found["DF-MV"][1])
-        found["DF-MP"] = sol.value, sol
-    return {name: found[name] for name in names}
+    return {name: _read_off(matrix, name) for name in names}
 
 
 def objective_values(

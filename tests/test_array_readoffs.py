@@ -6,6 +6,7 @@ result."""
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +17,13 @@ from fairmaxcut import maximin, verify
 from fairmaxcut.exact import (
     Mode,
     PayoffMatrix,
+    build_payoff_matrix,
     max_from_matrix,
     scaled_columns,
     static_from_matrix,
 )
 from fairmaxcut.graphs import Cut
-from fairmaxcut.instances import OBJECTIVE_NAMES
+from fairmaxcut.instances import OBJECTIVE_NAMES, load_instance
 from fairmaxcut.maximin import (
     MaximinSolution,
     _best_dual_score,
@@ -108,6 +110,20 @@ def test_scaled_columns_are_made_once_and_read_only(matrix, shared):
         assert not cols.flags.writeable
         with pytest.raises(ValueError):
             cols[0, 0] = 7
+
+
+def test_scaled_columns_share_one_array_per_set_of_scales():
+    # own-degree groups of size 2 with an isolated vertex: the value and the
+    # proportion denominators differ, and both scale the entries by (2, 3, 3)
+    inst = load_instance(str(Path(__file__).parent / "goldens" / "owndeg_isolated.inst"))
+    matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
+    dens = [matrix.denominators(mode) for mode in Mode]
+    assert dens == [(3, 2, 2), (6, 4, 4)]
+    (value_den, value_cols), (proportion_den, proportion_cols) = (
+        scaled_columns(matrix, d) for d in dens
+    )
+    assert (value_den, proportion_den) == (6, 12)
+    assert proportion_cols is value_cols
 
 
 @given(random_matrices(), st.data())
@@ -217,7 +233,7 @@ def assert_python_ints(result) -> None:
 
 @pytest.mark.parametrize("matrix", [
     matrix_from_rows(BIG_ROWS, group_sizes=(1, 2, 3)),
-    # equal group sizes: read_offs derives the proportion mode from the value mode
+    # equal group sizes: both modes read one LP outcome
     matrix_from_rows(BIG_ROWS, group_sizes=(2, 2, 2)),
     PayoffMatrix(BIG_ROWS, COPRIME_DENS, (1, 2, 3), [2, 4, 6, 8]),
 ])

@@ -141,6 +141,21 @@ class TestSolve:
         assert rc == 0
         assert out == (GOLDENS / "random_n8_p05_g3_seed7_solve.report").read_text()
 
+    def test_shared_lp_golden_report(self):
+        # the paw with singleton own-degree node groups: both modes have one
+        # scaled column set, so DF-MP reads the LP outcome DF-MV found after
+        # 4 master solves.  The report was made with one LP per mode
+        inst = load_instance(GOLDENS / "paw_owndeg_nodes.inst")
+        matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
+        value = solve_maximin(matrix, Mode.VALUE)
+        assert (value.value, value.master_solves) == (Fraction(5, 7), 4)
+        assert solve_maximin(matrix, Mode.PROPORTION) == value and len(matrix._solved) == 1
+        rc, out, _ = run_cli(
+            ["solve", str(GOLDENS / "paw_owndeg_nodes.inst"), "--no-timestamp"]
+        )
+        assert rc == 0
+        assert out == (GOLDENS / "paw_owndeg_nodes_solve.report").read_text()
+
     def test_tied_start_golden_report(self):
         # edge groups of sizes 5, 4 and 3: in value mode the start column
         # (2, 2, 3) ties its least entry, so z's first pivot takes the first

@@ -34,7 +34,6 @@ from fairmaxcut.maximin import (
     _RevisedLP,
     _tight_lp,
     df_fair,
-    proportion_from_value,
     solve_maximin,
 )
 from fairmaxcut.utility import UtilityModel
@@ -356,13 +355,13 @@ class TestUniformGuess:
     ])
     def test_falls_back_to_column_generation(self, rows, meets_bound, degenerate):
         matrix = matrix_from_rows(rows)
-        den, cols = scaled_columns(matrix, matrix.denominators(Mode.PROPORTION))
+        _, cols = scaled_columns(matrix, matrix.denominators(Mode.PROPORTION))
         sums = cols.sum(axis=0)
         tight = np.flatnonzero(sums == sums.max()).tolist()
-        cold = _tight_lp(cols, den, cols.min(axis=0), tight)
+        cold = _tight_lp(cols, cols.min(axis=0), tight)
         z = cold.primal_numerators()[0]
         assert len(set(cols.sum(axis=1).tolist())) == 1  # equal row sums: the gate passes
-        assert (z * len(rows) * den == sums.max() * cold.det) == meets_bound
+        assert (z * len(rows) == sums.max() * cold.det) == meets_bound
         assert any(row[-1] == 0 for row in cold.inv) == degenerate
         sol = solve_maximin(matrix)
         assert not sol.dual_guessed and sol.master_solves > 1
@@ -393,11 +392,11 @@ def tight_resolve(matrix: PayoffMatrix, mode: Mode, sol) -> tuple:
         j for j, col in enumerate(cols.T.tolist())
         if sum(map(mul, sol.dual_weights, col)) == sol.value * den
     ]
-    cold = _tight_lp(cols, den, cols.min(axis=0), tight)
+    cold = _tight_lp(cols, cols.min(axis=0), tight)
     z, *probs = tableau_primal(cold)
     kept = [(j, p) for j, p in zip(tight, probs) if p > 0]
     distribution = CutDistribution(tuple((matrix.cut(j), p) for j, p in kept))
-    return tight, z, tuple(j for j, _ in kept), distribution
+    return tight, z / den, tuple(j for j, _ in kept), distribution
 
 
 any_matrices = st.one_of(certificate_matrices(), random_matrices(), cyclic_matrices())
@@ -457,14 +456,14 @@ class TestReadOff:
     @given(any_matrices, st.sampled_from(list(Mode)))
     @settings(max_examples=100, deadline=None)
     def test_first_pricing_is_the_one_column_master(self, matrix, mode):
-        den, cols = scaled_columns(matrix, matrix.denominators(mode))
+        _, cols = scaled_columns(matrix, matrix.denominators(mode))
         start = int(np.argmax(cols.min(axis=0)))
         r, scores, bar = _first_pricing(cols, start)
-        master = _RevisedLP([cols[:, start].tolist()], den, 0)
+        master = _RevisedLP([cols[:, start].tolist()], 0)
         want_scores, want_bar = _price(master, cols, int(cols.max(initial=1)))
         assert (scores.tolist(), bar) == (want_scores.tolist(), want_bar)
         assert master.duals() == tuple(Fraction(int(i == r)) for i in range(matrix.group_count))
-        assert tableau_primal(master)[0] == Fraction(bar, den)
+        assert tableau_primal(master)[0] == bar
         assert (master.solves, master.pivots) == (1, 1)
 
 
@@ -500,14 +499,15 @@ def test_certificate_refuses_a_cold_resolve_at_another_value(monkeypatch):
     # column generation reaches 1 through (1, 1), (2, 0) and (0, 2), which
     # are all tight, so the cold re-solve runs and the value is read off it;
     # over (2, 0) alone it would end at 0, which the master's duals refute
-    matrix = matrix_from_rows([[2, 0, 1], [0, 2, 1]])
-    assert solve_maximin(matrix).tight_pivots > 0
+    # (the patched solve takes a fresh matrix: the first one's outcome is kept)
+    rows = [[2, 0, 1], [0, 2, 1]]
+    assert solve_maximin(matrix_from_rows(rows)).tight_pivots > 0
     tight_lp = maximin._tight_lp
     monkeypatch.setattr(
-        maximin, "_tight_lp", lambda cols, den, mins, tight: tight_lp(cols, den, mins, tight[:1])
+        maximin, "_tight_lp", lambda cols, mins, tight: tight_lp(cols, mins, tight[:1])
     )
     with pytest.raises(_CertificateError, match="strong duality certificate failed: value 0,"):
-        solve_maximin(matrix)
+        solve_maximin(matrix_from_rows(rows))
 
 
 @given(certificate_matrices(), st.data())
@@ -542,7 +542,7 @@ def test_warm_master_matches_cold_master(case):
     or below that value."""
     gamma, int_cols = case
     cols = [tuple(map(Fraction, col)) for col in int_cols]
-    master = _RevisedLP(int_cols[:1], 1, 0)
+    master = _RevisedLP(int_cols[:1], 0)
     for k in range(1, len(cols) + 1):
         if k > 1:
             master.add(int_cols[k - 1])
@@ -554,17 +554,21 @@ def test_warm_master_matches_cold_master(case):
 
 
 def assert_matches_fraction_oracle(int_cols, den: int, start: int | None = None) -> None:
-    """The cold revised LP and the dense tableau over ``int_cols`` read over
-    ``den``, from column ``start`` (by default the best static one), against
-    the Fraction simplex over the columns divided by ``den``: the same value,
-    probabilities, duals and pivot count."""
+    """The cold revised LP over ``int_cols`` and the dense tableau over them
+    read over ``den``, from column ``start`` (by default the best static
+    one), against the Fraction simplex over the columns divided by ``den``:
+    the same probabilities, duals and pivot count, and the same value, which
+    the revised LP, never reading ``den``, reports times ``den``.  So
+    ``den`` changes none of Bland's choices."""
     gamma = len(int_cols[0])
     cols = [tuple(Fraction(x, den) for x in col) for col in int_cols]
     value, probs, duals = _simplex_maximin(cols, gamma, start)
     pivots = _bland(*_tableau(cols, gamma, start))
-    revised = _RevisedLP(list(int_cols), den, best_static(int_cols) if start is None else start)
-    for lp in (revised, DenseTableau(int_cols, den, start)):
-        assert tableau_primal(lp) == [value, *probs]
+    revised = _RevisedLP(list(int_cols), best_static(int_cols) if start is None else start)
+    dense = DenseTableau(int_cols, den, start)
+    assert tableau_primal(revised) == [value * den, *probs]
+    assert tableau_primal(dense) == [value, *probs]
+    for lp in (revised, dense):
         assert lp.duals() == duals
         assert (lp.solves, lp.pivots) == (1, pivots)
 
@@ -580,22 +584,22 @@ def assert_same_lp(revised: _RevisedLP, dense: DenseTableau) -> None:
     assert lp_state(revised) == lp_state(dense)
 
 
-@given(integer_columns(), st.integers(1, 12))
+@given(integer_columns())
 @settings(max_examples=150, deadline=None)
-def test_revised_lp_matches_dense_tableau(case, den):
+def test_revised_lp_matches_dense_tableau(case):
     """Random integer columns added one at a time, whether or not they price
     above the master's value: after every ``add`` the revised LP and the
-    dense tableau hold the same integers, and so do both cold LPs over all
-    the columns."""
+    dense tableau at ``den`` 1 hold the same integers, and so do both cold
+    LPs over all the columns."""
     _, int_cols = case
-    revised, dense = _RevisedLP([int_cols[0]], den, 0), DenseTableau([int_cols[0]], den)
+    revised, dense = _RevisedLP([int_cols[0]], 0), DenseTableau([int_cols[0]], 1)
     assert_same_lp(revised, dense)
     for col in int_cols[1:]:
         revised.add(col)
         dense.add(list(col))
         assert_same_lp(revised, dense)
     assert_same_lp(
-        _RevisedLP(list(int_cols), den, best_static(int_cols)), DenseTableau(int_cols, den)
+        _RevisedLP(list(int_cols), best_static(int_cols)), DenseTableau(int_cols, 1)
     )
 
 
@@ -636,27 +640,27 @@ def test_closed_form_start_matches_the_generic_first_pivot(int_cols, den, start)
     entering on the first row with the least start entry); the dense
     tableau makes that pivot, and both follow one path to the Fraction
     oracle's optimum."""
-    revised = _RevisedLP(list(int_cols), den, start)
-    assert_same_lp(revised, DenseTableau(int_cols, den, start))
+    revised = _RevisedLP(list(int_cols), start)
+    assert_same_lp(revised, DenseTableau(int_cols, 1, start))
     assert_matches_fraction_oracle(int_cols, den, start)
     # one column alone is optimal after that pivot: its integers in closed form
     first = int_cols[start]
     r = first.index(min(first))
-    lone = _RevisedLP([first], den, 0)
+    lone = _RevisedLP([first], 0)
     assert (lone.det, lone.pivots, lone.solves, lone.basis) == (
-        den, 1, 1, [0 if i == r else 2 + i for i in range(len(first))] + [1]
+        1, 1, 1, [0 if i == r else 2 + i for i in range(len(first))] + [1]
     )
     assert lone.inv[r] == [int(i == r) for i in range(len(first))] + [first[r]]
-    assert lone.inv[-1] == [0] * len(first) + [den]
+    assert lone.inv[-1] == [0] * len(first) + [1]
 
 
-@given(integer_columns(max_columns=20), st.integers(1, 12), st.data())
+@given(integer_columns(max_columns=20), st.data())
 @settings(max_examples=150, deadline=None)
-def test_revised_lp_matches_dense_tableau_from_any_start(case, den, data):
+def test_revised_lp_matches_dense_tableau_from_any_start(case, data):
     """From any start column, not only the best static one."""
     _, int_cols = case
     start = data.draw(st.integers(0, len(int_cols) - 1))
-    assert_same_lp(_RevisedLP(list(int_cols), den, start), DenseTableau(int_cols, den, start))
+    assert_same_lp(_RevisedLP(list(int_cols), start), DenseTableau(int_cols, 1, start))
 
 
 @given(random_matrices(), st.data())
@@ -669,11 +673,11 @@ def test_tight_lp_over_random_subsets(matrix, data):
         den, cols = scaled_columns(matrix, matrix.denominators(mode))
         k = matrix.column_count
         tight = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k)))
-        lp = _tight_lp(cols, den, cols.min(axis=0), tight)
+        lp = _tight_lp(cols, cols.min(axis=0), tight)
         int_cols = [cols[:, j].tolist() for j in tight]
-        assert_same_lp(lp, DenseTableau(int_cols, den))
+        assert_same_lp(lp, DenseTableau(int_cols, 1))
         value, _, _ = _simplex_maximin([fraction_column(matrix, j, mode) for j in tight], len(cols))
-        assert Fraction(lp.primal_numerators()[0], lp.det) == value
+        assert Fraction(lp.primal_numerators()[0], lp.det * den) == value
 
 
 class TestCertificate:
@@ -882,27 +886,61 @@ class TestDfFair:
         assert sol.value <= cap
 
 
-class TestProportionFromValue:
-    """The proportion-mode optimum derived from the value-mode one when every
-    group has one size s (here the 9-cycle in three edge groups of 3)."""
+class TestSharedLP:
+    """One LP per scaled column set: when every group has one size s, the
+    value and the proportion mode scale the entries alike, so the second
+    mode's solve reuses the first one's LP outcome, reads its value over its
+    own denominator and runs its own certificate."""
 
     @staticmethod
     def matrix(groups=((0, 1, 2), (3, 4, 5), (6, 7, 8))):
+        # the 9-cycle in three edge groups of 3
         g = make_cycle(9)
         partition = edge_groups(g, [frozenset(gr) for gr in groups])
         return build_payoff_matrix(g, UtilityModel.EDGE, partition)
 
-    def test_equals_the_direct_solve_with_zero_counters(self):
+    @staticmethod
+    def spy(monkeypatch) -> tuple[list, list]:
+        """Record the column count of each ``_RevisedLP`` built and the mode
+        of each certificate run."""
+        built, certified = [], []
+        init, check = _RevisedLP.__init__, maximin._check_certificate
+
+        def spy_init(self, cols, start):
+            built.append(len(cols))
+            init(self, cols, start)
+
+        def spy_check(matrix, mode, *args):
+            certified.append(mode)
+            check(matrix, mode, *args)
+
+        monkeypatch.setattr(_RevisedLP, "__init__", spy_init)
+        monkeypatch.setattr(maximin, "_check_certificate", spy_check)
+        return built, certified
+
+    def test_proportion_mode_reuses_the_value_mode_lp(self, monkeypatch):
+        # the paw with singleton own-degree node groups: the master grows to 5/7
+        paw = make_paw_instance()
+        partition = singleton_partition(paw.graph, PartitionKind.NODES)
+        matrix = build_payoff_matrix(paw.graph, UtilityModel.NODE_OWNDEG, partition)
+        built, certified = self.spy(monkeypatch)
+        value = solve_maximin(matrix, Mode.VALUE)
+        first = len(built)
+        proportion = solve_maximin(matrix, Mode.PROPORTION)
+        assert first > 0 and len(built) == first
+        assert certified == [Mode.VALUE, Mode.PROPORTION]
+        assert (value.value, value.master_solves) == (Fraction(5, 7), 4)
+        assert proportion == value  # singleton groups: one value in both modes
+
+    def test_equals_the_direct_solve(self):
+        # the reused outcome, value over s, is what a fresh matrix's
+        # proportion-mode solve finds, counters included
         matrix = self.matrix()
-        derived = proportion_from_value(matrix, solve_maximin(matrix, Mode.VALUE))
-        direct = solve_maximin(matrix, Mode.PROPORTION)
-        assert (derived.master_solves, derived.pivots) == (0, 0)
-        assert (derived.tight_columns, derived.tight_pivots, derived.dual_guessed) == (0, 0, False)
-        assert replace(
-            derived, master_solves=direct.master_solves, pivots=direct.pivots,
-            tight_columns=direct.tight_columns, tight_pivots=direct.tight_pivots,
-            dual_guessed=direct.dual_guessed,
-        ) == direct
+        value = solve_maximin(matrix, Mode.VALUE)
+        proportion = solve_maximin(matrix, Mode.PROPORTION)
+        assert len(matrix._solved) == 1 and value.tight_pivots > 0  # an LP ran
+        assert proportion == replace(value, value=value.value / 3)
+        assert proportion == solve_maximin(self.matrix(), Mode.PROPORTION)
 
     def test_reuses_the_value_mode_dual_maximum(self, monkeypatch):
         # the proportion-mode certificate weighs the entries as the
@@ -916,23 +954,32 @@ class TestProportionFromValue:
 
         monkeypatch.setattr(maximin, "_best_dual_score", spy)
         matrix = self.matrix()
-        sol = solve_maximin(matrix, Mode.VALUE)
-        proportion_from_value(matrix, sol)
+        for mode in Mode:
+            solve_maximin(matrix, mode)
         assert len(weights) == 1
         assert list(matrix._dual_best) == [tuple(weights[0])]
 
     def test_a_value_not_divided_by_s_fails_the_proportion_certificate(self):
-        # given s times the value-mode value, the derived value is the
-        # undivided one, which only the proportion-mode certificate can catch
+        # an outcome at s times its z reads in proportion mode as the
+        # value-mode value, undivided, which only the certificate can catch
         matrix = self.matrix()
-        sol = solve_maximin(matrix, Mode.VALUE)
+        solve_maximin(matrix, Mode.VALUE)
+        ((key, (z, det, rest)),) = matrix._solved.items()
+        matrix._solved[key] = z * 3, det, rest
         with pytest.raises(_CertificateError):
-            proportion_from_value(matrix, replace(sol, value=sol.value * 3))
+            solve_maximin(matrix, Mode.PROPORTION)
 
-    def test_refuses_unequal_group_sizes(self):
-        matrix = self.matrix(((0, 1, 2, 3), (4, 5, 6, 7, 8)))
-        with pytest.raises(ValueError, match="equal group sizes"):
-            proportion_from_value(matrix, solve_maximin(matrix, Mode.VALUE))
+    def test_unequal_group_sizes_solve_each_mode(self, monkeypatch):
+        # edge groups of sizes 4, 5 and 2 scale the entries apart
+        inst = random_instance(8, 0.5, 3, PartitionKind.EDGES, 42)
+        matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
+        assert matrix.group_sizes == (4, 5, 2)
+        built, certified = self.spy(monkeypatch)
+        solve_maximin(matrix, Mode.VALUE)
+        first = len(built)
+        solve_maximin(matrix, Mode.PROPORTION)
+        assert 0 < first < len(built)
+        assert certified == [Mode.VALUE, Mode.PROPORTION] and len(matrix._solved) == 2
 
 
 def test_df_fair_propagates_enumeration_limit():

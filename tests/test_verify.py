@@ -1,5 +1,6 @@
 """Claim checkers: chains, subproblem bounds, triangle groups, gap tables."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -131,10 +132,14 @@ class TestReadOff:
                     assert sol.distribution == alone.distribution
                     assert sol.dual_weights == alone.dual_weights
                     assert sol.support == alone.support
-        # with both modes read, DF-MP is derived (no master solve) exactly when
-        # every group has one size
-        derived = read_offs(matrix, OBJECTIVE_NAMES)["DF-MP"][1].master_solves == 0
-        assert derived == (len(set(matrix.group_sizes)) == 1)
+        # DF-MV and DF-MP share one LP outcome exactly when every group has
+        # one size, and then DF-MP carries the counters of the LP that found it
+        found = read_offs(matrix, OBJECTIVE_NAMES)
+        equal = len(set(matrix.group_sizes)) == 1
+        assert len(matrix._solved) == (1 if equal else 2)
+        if equal:
+            value, proportion = found["DF-MV"][1], found["DF-MP"][1]
+            assert replace(proportion, value=value.value) == value
 
     @given(_partitioned_matrices(shapes=_EQUAL_SHAPES))
     @settings(max_examples=40, deadline=None)
