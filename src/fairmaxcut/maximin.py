@@ -113,13 +113,16 @@ is unique, and otherwise the cold re-solve, whose value the certificate
 checks against the master's duals.  ``tight_pivots`` counts a cold LP's
 pivots, at least one since z must enter, and is 0 for the others.
 
-``Fraction`` values are only made for the reported results: the value, the
-positive probabilities and the duals.  Both sides of the minimax equality
-are finally recomputed from the matrix's integer entries over the mode's
-denominators, independently of the simplex and of the pricing code, in
-integers only: the value, the probabilities and the duals are each put over
-one common denominator and the comparisons are cross-multiplied, so no
-``Fraction`` is made per entry.
+The LP's outcome is kept in Python ints only (``_LPOutcome``): z and det,
+the support's columns and their probability numerators over det, and the
+reported duals' numerators and their total.  Both sides of the minimax
+equality are recomputed from those integers and the matrix's integer
+entries over the mode's denominators, independently of the simplex and of
+the pricing code, with the comparisons cross-multiplied, so no ``Fraction``
+is made per entry.  A ``MaximinSolution`` makes ``Fraction`` values for the
+value only; its distribution, with the support's ``Cut`` values, and its
+duals are made from the certified integers when they are first read, so a
+caller that reads only the value makes neither.
 
 The LP's outcome depends only on C: the value is z / den, and the
 distribution, duals, support and counters are C's.  When every group has
@@ -132,10 +135,12 @@ certified in its own mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,7 +188,22 @@ class CutDistribution:
         return tuple(cut for cut, _ in self.entries)
 
 
-@dataclass(frozen=True)
+class _LPOutcome(NamedTuple):
+    """An LP's outcome over one scaled column set, in Python ints: z over
+    det is ``den`` times the value; the support's columns, ascending, carry
+    the probabilities ``weights[j] / det``; the reported duals are ``duals[i]
+    / total``; and ``counters`` are a ``MaximinSolution``'s, in its order."""
+
+    z: int
+    det: int
+    support: tuple[int, ...]
+    weights: tuple[int, ...]
+    duals: tuple[int, ...]
+    total: int
+    counters: tuple[int, int, int, int, bool]
+
+
+@dataclass(frozen=True, eq=False)
 class MaximinSolution:
     """The optimum and the work that found it.  ``master_solves`` counts the
     master's optimizations (the first one and one per entering column) and
@@ -201,17 +221,53 @@ class MaximinSolution:
     uniform dual certified the optimum; then the master ran once, and the
     tight re-solve is the guess's.  A mode that reuses the LP outcome of
     another mode over the same scaled columns carries the counters of the
-    LP that found it."""
+    LP that found it.
+
+    ``distribution`` and ``dual_weights`` are made when first read, from the
+    matrix and the certified integers: the support's probability numerators
+    ``_weights`` over their sum, and the dual numerators ``_duals`` over
+    theirs.  Equality compares every reported field, those two included."""
 
     value: Fraction
-    distribution: CutDistribution
-    dual_weights: tuple[Fraction, ...]
     support: tuple[int, ...]
-    master_solves: int = 0
-    pivots: int = 0
-    tight_columns: int = 0
-    tight_pivots: int = 0
-    dual_guessed: bool = False
+    master_solves: int
+    pivots: int
+    tight_columns: int
+    tight_pivots: int
+    dual_guessed: bool
+    _matrix: PayoffMatrix = field(repr=False)
+    _weights: tuple[int, ...] = field(repr=False)
+    _duals: tuple[int, ...] = field(repr=False)
+
+    @cached_property
+    def distribution(self) -> CutDistribution:
+        """The optimal lottery over the support's first canonical cuts, whose
+        member masks must be the support columns' masks."""
+        cuts = [self._matrix.cut(j) for j in self.support]
+        if [cut.mask() for cut in cuts] != self._matrix.col_masks[list(self.support)].tolist():
+            raise _CertificateError("support columns and distribution cuts disagree")
+        det = sum(self._weights)
+        return CutDistribution(tuple(zip(cuts, (Fraction(p, det) for p in self._weights))))
+
+    @cached_property
+    def dual_weights(self) -> tuple[Fraction, ...]:
+        """The certifying group mixture, one weight per group."""
+        total = sum(self._duals)
+        return tuple(Fraction(q, total) for q in self._duals)
+
+    def _reported(self) -> tuple:
+        return (
+            self.value, self.distribution, self.dual_weights, self.support, self.master_solves,
+            self.pivots, self.tight_columns, self.tight_pivots, self.dual_guessed,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, MaximinSolution):
+            return NotImplemented
+        return self._reported() == other._reported()
+
+    def __hash__(self):
+        return hash(self._reported())
 
 
 class _CertificateError(AssertionError):
@@ -242,16 +298,16 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
     found = matrix._solved.get(id(cols))
     if found is None:
         found = matrix._solved[id(cols)] = _solve_lp(matrix, cols)
-    z, det, rest = found
-    sol = MaximinSolution(Fraction(z, det * den), *rest)
-    _check_certificate(matrix, mode, sol.value, sol.distribution, sol.dual_weights, sol.support)
-    return sol
+    value = Fraction(found.z, found.det * den)
+    _check_certificate(matrix, mode, value, found)
+    return MaximinSolution(
+        value, found.support, *found.counters, matrix, found.weights, found.duals
+    )
 
 
-def _solve_lp(matrix: PayoffMatrix, cols: np.ndarray) -> tuple[int, int, tuple]:
-    """The LP's outcome over the scaled columns ``cols``: z and det, whose
-    ratio is ``den`` times the value of any mode with those columns, and the
-    fields of a ``MaximinSolution`` after its value, in order."""
+def _solve_lp(matrix: PayoffMatrix, cols: np.ndarray) -> _LPOutcome:
+    """The LP's outcome over the scaled columns ``cols``, whose z over det is
+    ``den`` times the value of any mode with those columns."""
     gamma = matrix.group_count
     # the first master, over the best static column alone, in closed form
     mins = cols.min(axis=0)
@@ -260,12 +316,12 @@ def _solve_lp(matrix: PayoffMatrix, cols: np.ndarray) -> tuple[int, int, tuple]:
     master = lp = guess = None
     if scores.max() <= bar:
         # no column enters: the point mass on the start column
-        duals = tuple(_ONE if i == r else _ZERO for i in range(gamma))
+        duals, total = [int(i == r) for i in range(gamma)], 1
         columns, tight = [start], []
     elif (guess := _uniform_guess(matrix.group_sizes, cols, mins)) is not None:
         tight, lp = guess
         columns = tight
-        duals = lp.duals()
+        duals, total = lp.duals()
     else:
         # the column with the largest reduced cost enters until none prices
         # above the master's value, from the closed form's first round
@@ -279,7 +335,7 @@ def _solve_lp(matrix: PayoffMatrix, cols: np.ndarray) -> tuple[int, int, tuple]:
             master.add(cols[:, enter].tolist())
             scores, bar = _price(master, cols, top)
             enter = int(np.argmax(scores))
-        duals = master.duals()
+        duals, total = master.duals()
 
         # canonical support: independent of the path the master took.  A
         # unique optimum is read off the master; otherwise Bland's simplex
@@ -293,17 +349,14 @@ def _solve_lp(matrix: PayoffMatrix, cols: np.ndarray) -> tuple[int, int, tuple]:
     # the one read-off (module docstring): the point mass is 1 on the start
     # column at z = bar; the master's columns are in entering order
     det, (z, *probs) = (lp.det, lp.primal_numerators()) if lp else (1, [bar, 1])
-    kept = sorted((j, p) for j, p in zip(columns, probs) if p > 0)
-    return z, det, (
-        CutDistribution(tuple((matrix.cut(j), Fraction(p, det)) for j, p in kept)),
-        duals,
-        tuple(j for j, _ in kept),
+    support, weights = zip(*sorted((j, p) for j, p in zip(columns, probs) if p > 0))
+    return _LPOutcome(z, det, support, weights, tuple(duals), total, (
         master.solves if master else 1,
         master.pivots if master else 1,
         len(tight),
         lp.pivots if lp is not master else 0,  # both None for the point mass
         guess is not None,
-    )
+    ))
 
 
 def _unique_optimum(master: "_RevisedLP", active: list[int], tight: list[int]) -> bool:
@@ -493,88 +546,73 @@ class _RevisedLP:
                 values[v] = row[-1]
         return values
 
-    def _slack_duals(self) -> tuple[list[int], int, int]:
-        """Dual row weights at optimality, unnormalized: y_i = -reduced cost
-        of slack i, times det; their total; and det times z."""
-        *y, rhs_z = self.inv[self.basis.index(0)]
+    def duals(self) -> tuple[list[int], int]:
+        """Dual row weights at optimality, over their positive total: y_i =
+        -reduced cost of slack i, times det."""
+        *y, _ = self.inv[self.basis.index(0)]
         total = sum(y)
         if total <= 0:
             raise _CertificateError("dual weights must have positive mass at optimality")
-        return y, total, rhs_z
-
-    def duals(self) -> tuple[Fraction, ...]:
-        """Dual row weights normalized to sum 1."""
-        y, total, _ = self._slack_duals()
-        return tuple(Fraction(w, total) for w in y)
+        return y, total
 
     def pricing(self) -> tuple[list[int], int]:
         """Integer weights w and bar b for pricing an integer column c:
         sum(w * c) - b is a positive multiple of the column's dual mixture
-        sum(duals[i] * c[i]) minus z."""
-        y, total, rhs_z = self._slack_duals()
-        return [self.det * w for w in y], rhs_z * total
+        sum(y[i] * c[i]) / total minus z."""
+        y, total = self.duals()
+        return [self.det * w for w in y], self.inv[self.basis.index(0)][-1] * total
 
 
-def _check_certificate(
-    matrix: PayoffMatrix,
-    mode: Mode,
-    value: Fraction,
-    distribution: CutDistribution,
-    duals: tuple[Fraction, ...],
-    support: tuple[int, ...],
-) -> None:
-    """Recompute both sides of the minimax equality from the matrix's integer
-    entries over the mode's denominators d_i, in integers only: the value is
-    V / W, and each side's rationals are put over one common denominator.
+def _check_certificate(matrix: PayoffMatrix, mode: Mode, value: Fraction, lp: _LPOutcome) -> None:
+    """Recompute both sides of the minimax equality from the LP's integers
+    and the matrix's integer entries over the mode's denominators d_i, in
+    integers only: the value is V / W.
 
-    The primal side puts the distribution over D, as integers P_j on its
-    support columns, whose member masks must be exactly the distribution
-    cuts' masks; group i's expected utility is sum_j entries[i, j] * P_j /
-    (D * d_i), so every group passes if that numerator times W is at least
-    V * D * d_i, and one group must meet it with equality.  The dual side
-    puts the duals over T, as integers Q_i, and each dual row weight over L =
-    lcm(d_i), as w_i = Q_i * (L / d_i); the best column score max_j sum_i
-    w_i * entries[i, j], times W, must equal V * T * L.  The support columns
-    are read as Python ints; the column scores are one product over the
-    entries array, with an int64 guard of their own.  Its maximum is kept
-    per matrix and weight vector, which only this check fills: with equal
-    group sizes, a reused LP outcome's proportion-mode weights are its
-    value-mode ones, since the size cancels out of L / d_i.
+    The primal side reads the support's weights P_j over D = ``lp.det``:
+    they must be positive, on distinct columns, and sum to D.  Group i's
+    expected utility is sum_j entries[i, j] * P_j / (D * d_i), so every
+    group passes if that numerator times W is at least V * D * d_i, and one
+    group must meet it with equality.  The dual side reads the duals Q_i
+    over T = ``lp.total``, which must be non-negative and sum to T > 0, and
+    weighs row i by w_i = Q_i * (L / d_i) with L = lcm(d_i), divided by the
+    weights' gcd g; the best column score max_j sum_i w_i * entries[i, j],
+    times g * W, must equal V * T * L.  The support columns are read as
+    Python ints; the column scores are one product over the entries array,
+    with an int64 guard of their own.  Its maximum is kept per matrix and
+    divided weight vector, which only this check fills: with equal group
+    sizes, a reused LP outcome's proportion-mode weights are its value-mode
+    ones, since the size cancels out of L / d_i.
     """
     V, W = value.numerator, value.denominator
-    dens = matrix.denominators(mode)
-    T = lcm(*(q.denominator for q in duals))
-    Q = [q.numerator * (T // q.denominator) for q in duals]
-    if len(Q) != matrix.group_count or sum(Q) != T or any(q < 0 for q in Q):
+    support, P, D, Q, T = lp.support, lp.weights, lp.det, lp.duals, lp.total
+    if len(Q) != matrix.group_count or sum(Q) != T or T <= 0 or min(Q) < 0:
         raise _CertificateError("dual weights are not a probability vector")
-    prob_by_mask = {cut.mask(): prob for cut, prob in distribution.entries}
-    masks = matrix.col_masks[list(support)].tolist()
-    if len(set(masks)) != len(masks) or set(masks) != prob_by_mask.keys():
-        raise _CertificateError("support columns and distribution cuts disagree")
-    probs = [prob_by_mask[mask] for mask in masks]
-    D = lcm(*(p.denominator for p in probs))
-    P = [p.numerator * (D // p.denominator) for p in probs]
+    if not P or len(set(support)) != len(P) or len(support) != len(P) or sum(P) != D or min(P) <= 0:
+        raise _CertificateError("support weights are not a probability vector on distinct columns")
+    dens = matrix.denominators(mode)
     margins = [
         sum(map(mul, row, P)) * W - V * D * d
         for row, d in zip(matrix.entries[:, list(support)].tolist(), dens)
     ]
     L = lcm(*dens)
-    w = tuple(q * (L // d) for q, d in zip(Q, dens))
+    w = [q * (L // d) for q, d in zip(Q, dens)]
+    g = gcd(*w)
+    w = tuple(x // g for x in w)
     best = matrix._dual_best.get(w)
     if best is None:
         best = matrix._dual_best[w] = _best_dual_score(list(w), matrix.entries)
-    if min(margins) != 0 or best * W != V * T * L:
+    if min(margins) != 0 or best * g * W != V * T * L:
         raise _CertificateError(
             f"strong duality certificate failed: value {value}, least primal margin "
-            f"{min(margins)}, dual score {best * W} against {V * T * L}"
+            f"{min(margins)}, dual score {best * g * W} against {V * T * L}"
         )
 
 
 def _best_dual_score(w: list[int], entries: np.ndarray) -> int:
     """max_j sum_i w[i] * entries[i, j] for non-negative integer weights: in
     int64 while sum(w) * max entry stays below 2**62, else in Python ints.
-    The weights carry no determinant: the duals over the lcm of their
-    denominators have gcd 1, so only genuinely large duals leave int64."""
+    The weights carry no determinant: they are divided by their gcd, so
+    only genuinely large duals leave int64."""
     if sum(w) * int(entries.max(initial=1)) >> 62:
         return int((np.array(w, dtype=object) @ entries.astype(object)).max())
     return int((np.array(w, dtype=np.int64) @ entries).max())

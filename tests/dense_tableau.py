@@ -6,8 +6,6 @@ update.  Both must make the same pivots and hold the same integers.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from fairmaxcut.maximin import _CertificateError
 
 
@@ -122,24 +120,19 @@ class DenseTableau:
                 values[v] = row[-1]
         return values
 
-    def _slack_duals(self) -> tuple[list[int], int]:
-        """Dual row weights at optimality, unnormalized: y_i = -reduced cost
-        of slack i, times det / den; and their total."""
+    def duals(self) -> tuple[list[int], int]:
+        """Dual row weights at optimality, over their positive total: y_i =
+        -reduced cost of slack i, times det / den."""
         y = [-x for x in self.cost[1 + self.k : 1 + self.k + self.gamma]]
         total = sum(y)
         if total <= 0:
             raise _CertificateError("dual weights must have positive mass at optimality")
         return y, total
 
-    def duals(self) -> tuple[Fraction, ...]:
-        """Dual row weights normalized to sum 1."""
-        y, total = self._slack_duals()
-        return tuple(Fraction(w, total) for w in y)
-
     def pricing(self) -> tuple[list[int], int]:
         """Integer weights w and bar b for pricing an integer column c over
         ``den``: sum(w * c) - b is a positive multiple of the column's dual
-        mixture sum(duals[i] * c[i]) / den minus the LP value."""
-        y, total = self._slack_duals()
+        mixture sum(y[i] * c[i]) / (total * den) minus the LP value."""
+        y, total = self.duals()
         rhs_z = next((row[-1] for row, v in zip(self.rows, self.basis) if v == 0), 0)
         return [self.det * w for w in y], rhs_z * total * self.den

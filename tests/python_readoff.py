@@ -61,6 +61,12 @@ def tableau_primal(tableau) -> list[Fraction]:
     return [Fraction(x, tableau.det) for x in tableau.primal_numerators()]
 
 
+def tableau_duals(tableau) -> tuple[Fraction, ...]:
+    """A dense or revised LP's dual row weights, as rationals summing to 1."""
+    y, total = tableau.duals()
+    return tuple(Fraction(w, total) for w in y)
+
+
 def python_solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> MaximinSolution:
     """``maximin.solve_maximin`` with list pricing over tuple columns, the
     dense tableau for the LP and the certificate checked by the ``Fraction``
@@ -81,7 +87,8 @@ def python_solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> 
             raise _CertificateError("master duals price one of its own columns above its value")
         active.append(enter)
         master.add(list(cols[enter]))
-    value, duals = tableau_primal(master)[0], master.duals()
+    y, total = master.duals()
+    value, duals = tableau_primal(master)[0], tuple(Fraction(w, total) for w in y)
     tight = [j for j in range(k) if scores[j] == bar]
     cold = DenseTableau([list(cols[j]) for j in tight], den)
     tight_value, *probs = tableau_primal(cold)
@@ -96,8 +103,10 @@ def python_solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> 
     _check_certificate(matrix, mode, value, distribution, duals, support)
     # solve_maximin skips the re-solve, and counts none, when no column entered
     counted = (len(tight), cold.pivots) if len(active) > 1 else (0, 0)
+    weights = tuple(p for p in cold.primal_numerators()[1:] if p > 0)
     return MaximinSolution(
-        value, distribution, duals, support, master.solves, master.pivots, *counted
+        value, support, master.solves, master.pivots, *counted, False,
+        matrix, weights, tuple(y),
     )
 
 

@@ -5,7 +5,7 @@ result."""
 
 from dataclasses import replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +27,13 @@ from fairmaxcut.instances import OBJECTIVE_NAMES, load_instance
 from fairmaxcut.maximin import (
     MaximinSolution,
     _best_dual_score,
+    _LPOutcome,
     _check_certificate,
     _column_scores,
     solve_maximin,
 )
 
+from .fraction_certificate import solved_outcome
 from .python_readoff import (
     as_resolved,
     python_best_dual_score,
@@ -182,25 +184,26 @@ def test_column_scores_guard(weights, bar, fallback):
     assert scores.tolist() == python_column_scores(weights, BIG_ROWS)
 
 
-def dual_side_weights(matrix: PayoffMatrix, mode: Mode, duals) -> list[int]:
-    """The certificate's dual row weights w_i = Q_i * (L / d_i)."""
+def dual_side_weights(matrix: PayoffMatrix, mode: Mode, duals: tuple[int, ...]) -> list[int]:
+    """The certificate's dual row weights w_i = Q_i * (L / d_i), divided by
+    their gcd."""
     dens = matrix.denominators(mode)
-    T, L = lcm(*(q.denominator for q in duals)), lcm(*dens)
-    return [q.numerator * (T // q.denominator) * (L // d) for q, d in zip(duals, dens)]
+    L = lcm(*dens)
+    w = [q * (L // d) for q, d in zip(duals, dens)]
+    return [x // gcd(*w) for x in w]
 
 
 def test_certificate_dual_side_past_int64_takes_python_ints():
     matrix = matrix_from_rows(BIG_ROWS, group_sizes=(1, 2, 3))
     for mode in Mode:
-        sol = solve_maximin(matrix, mode)
-        w = dual_side_weights(matrix, mode, sol.dual_weights)
+        value, lp = solved_outcome(matrix, mode)
+        w = dual_side_weights(matrix, mode, lp.duals)
         assert sum(w) * BIG >= 2**62
         assert _best_dual_score(w, matrix.entries) == python_best_dual_score(
             w, matrix.entries.tolist()
         )
-        _check_certificate(
-            matrix, mode, sol.value, sol.distribution, sol.dual_weights, sol.support
-        )
+        assert tuple(w) in matrix._dual_best  # the certificate's own key
+        _check_certificate(matrix, mode, value, lp)
     for w in ([1, 2, 3], [2**22, 1, 2**22]):
         assert _best_dual_score(w, matrix.entries) == python_best_dual_score(
             w, matrix.entries.tolist()
@@ -254,3 +257,15 @@ def assert_no_numpy_scalars(matrix: PayoffMatrix) -> None:
         assert_python_ints(solve_maximin(matrix, mode))
     for result in verify.read_offs(matrix, OBJECTIVE_NAMES).values():
         assert_python_ints(result)
+    # the kept LP outcomes hold Python ints only: no Fraction, no Cut and no
+    # numpy scalar; one per scaled column set, so one with equal group sizes
+    assert len(matrix._solved) == (1 if len(set(matrix.group_sizes)) == 1 else 2)
+    for found in matrix._solved.values():
+        *ints, guessed = plain_leaves(found)
+        assert type(found) is _LPOutcome and type(guessed) is bool
+        assert all(type(x) is int for x in ints)
+
+
+def plain_leaves(found: tuple) -> list:
+    """The leaves of nested tuples."""
+    return [y for x in found for y in (plain_leaves(x) if isinstance(x, tuple) else [x])]

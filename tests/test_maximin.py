@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import lcm
 from operator import mul
 
@@ -29,6 +29,7 @@ from fairmaxcut.maximin import (
     CutDistribution,
     _CertificateError,
     _check_certificate,
+    _LPOutcome,
     _first_pricing,
     _price,
     _RevisedLP,
@@ -39,10 +40,9 @@ from fairmaxcut.maximin import (
 from fairmaxcut.utility import UtilityModel
 
 from .dense_tableau import DenseTableau, best_static
-from .fraction_certificate import _check_certificate as fraction_check_certificate
+from .fraction_certificate import check_outcome, solved_outcome
 from .fraction_simplex import _bland, _simplex_maximin, _tableau, fraction_column
-from .python_payoff import column_cuts
-from .python_readoff import as_resolved, python_solve_maximin, tableau_primal
+from .python_readoff import as_resolved, python_solve_maximin, tableau_duals, tableau_primal
 from .strategies import (
     certificate_matrices,
     cyclic_matrices,
@@ -268,15 +268,17 @@ class TestSolveMaximin:
             [0, 1, 0, 1, 1, 2, 1, 2, 1, 2, 2, 0, 1, 0, 0, 1, 0, 1, 1, 2, 1, 2, 2, 1, 2, 0, 0, 1],
             [0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 1, 1, 0, 1, 1],
         ]
-        cold_duals = (Fraction(1, 2), Fraction(1, 3), Fraction(0), Fraction(1, 6))
+        cold_duals = (3, 2, 0, 1)  # (1/2, 1/3, 0, 1/6)
         matrix = matrix_from_rows(rows, group_sizes=(3, 2, 2, 1))
         sol = solve_maximin(matrix, Mode.PROPORTION)
-        assert sol.value == Fraction(5, 6)
+        value, lp = solved_outcome(matrix, Mode.PROPORTION)
+        assert sol.value == value == Fraction(5, 6)
         assert sol.support == (7, 11, 21)
-        for duals in (sol.dual_weights, cold_duals):
-            assert_matches_dense_oracle(matrix, replace(sol, dual_weights=duals))
+        assert sol.dual_weights != tuple(Fraction(q, 6) for q in cold_duals)
+        for duals in (lp.duals, cold_duals):
+            assert_matches_dense_oracle(matrix, replace(sol, _duals=duals))
             _check_certificate(
-                matrix, Mode.PROPORTION, sol.value, sol.distribution, duals, sol.support
+                matrix, Mode.PROPORTION, value, lp._replace(duals=duals, total=sum(duals))
             )
 
 
@@ -462,7 +464,9 @@ class TestReadOff:
         master = _RevisedLP([cols[:, start].tolist()], 0)
         want_scores, want_bar = _price(master, cols, int(cols.max(initial=1)))
         assert (scores.tolist(), bar) == (want_scores.tolist(), want_bar)
-        assert master.duals() == tuple(Fraction(int(i == r)) for i in range(matrix.group_count))
+        assert tableau_duals(master) == tuple(
+            Fraction(int(i == r)) for i in range(matrix.group_count)
+        )
         assert tableau_primal(master)[0] == bar
         assert (master.solves, master.pivots) == (1, 1)
 
@@ -546,7 +550,7 @@ def test_warm_master_matches_cold_master(case):
     for k in range(1, len(cols) + 1):
         if k > 1:
             master.add(int_cols[k - 1])
-        value, duals = tableau_primal(master)[0], master.duals()
+        value, duals = tableau_primal(master)[0], tableau_duals(master)
         assert value == _simplex_maximin(cols[:k], gamma)[0]
         assert all(q >= 0 for q in duals) and sum(duals) == 1
         assert all(sum(map(mul, duals, col)) <= value for col in cols[:k])
@@ -569,7 +573,7 @@ def assert_matches_fraction_oracle(int_cols, den: int, start: int | None = None)
     assert tableau_primal(revised) == [value * den, *probs]
     assert tableau_primal(dense) == [value, *probs]
     for lp in (revised, dense):
-        assert lp.duals() == duals
+        assert tableau_duals(lp) == duals
         assert (lp.solves, lp.pivots) == (1, pivots)
 
 
@@ -680,82 +684,108 @@ def test_tight_lp_over_random_subsets(matrix, data):
         assert Fraction(lp.primal_numerators()[0], lp.det * den) == value
 
 
+CHECKS = (_check_certificate, check_outcome)  # in integers, and in Fractions
+
+
+def lp_outcome(support, weights, det, duals, total) -> _LPOutcome:
+    """An LP outcome with the certificate's integers; z and the counters,
+    which neither check reads, are 0."""
+    return _LPOutcome(0, det, support, weights, duals, total, (0, 0, 0, 0, False))
+
+
 class TestCertificate:
-    """The certificate recheck rejects a dual or a distribution that is off."""
+    """The certificate recheck, in integers and in ``Fraction``s, rejects a
+    dual or a distribution that is off."""
 
     @staticmethod
     def paw():
         inst = make_paw_instance()
         matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
-        return matrix, solve_maximin(matrix)
+        return (matrix, *solved_outcome(matrix, Mode.PROPORTION))
 
     def test_accepts_the_solution(self):
-        matrix, sol = self.paw()
-        _check_certificate(
-            matrix, Mode.PROPORTION, sol.value, sol.distribution, sol.dual_weights, sol.support
-        )
+        matrix, value, lp = self.paw()
+        for check in CHECKS:
+            check(matrix, Mode.PROPORTION, value, lp)
 
     def test_rejects_shifted_dual(self):
         # the point mass on (1, 1) is optimal with value 1; the shifted dual
         # still prices that support column at 1 but prices column 0 above it
         matrix = matrix_from_rows([[2, 0, 1], [0, 2, 1]])
-        dist = CutDistribution.point_mass(matrix.cut(2))
-        half, shift = Fraction(1, 2), Fraction(1, 1000)
-        _check_certificate(matrix, Mode.PROPORTION, Fraction(1), dist, (half, half), (2,))
-        with pytest.raises(_CertificateError):
-            _check_certificate(
-                matrix, Mode.PROPORTION, Fraction(1), dist, (half + shift, half - shift), (2,)
-            )
-
-    def test_rejects_probability_moved_off_its_cut(self):
-        matrix, sol = self.paw()
-        (_, p), *rest = sol.distribution.entries
-        outside = next(c for c in column_cuts(matrix) if c not in sol.distribution.support)
-        moved = CutDistribution(((outside, p), *rest))
-        with pytest.raises(_CertificateError):
-            _check_certificate(
-                matrix, Mode.PROPORTION, sol.value, moved, sol.dual_weights, sol.support
-            )
-
-    def test_rejects_probability_moved_between_support_cuts(self):
-        matrix, sol = self.paw()
-        shift = Fraction(1, 1000)
-        (a, p), (b, q), *rest = sol.distribution.entries
-        moved = CutDistribution(((a, p + shift), (b, q - shift), *rest))
-        with pytest.raises(_CertificateError):
-            _check_certificate(
-                matrix, Mode.PROPORTION, sol.value, moved, sol.dual_weights, sol.support
-            )
-
-
-    def test_rejects_a_distribution_that_does_not_sum_to_one(self):
-        # built past CutDistribution's own validation: twice the optimal
-        # lottery lifts every group above the value, while the duals still
-        # certify it, so only the primal side's tight group catches it
-        matrix, sol = self.paw()
-        doubled = object.__new__(CutDistribution)
-        entries = tuple((c, 2 * p) for c, p in sol.distribution.entries)
-        object.__setattr__(doubled, "entries", entries)
-        for check in (_check_certificate, fraction_check_certificate):
+        for check in CHECKS:
+            check(matrix, Mode.PROPORTION, Fraction(1), lp_outcome((2,), (1,), 1, (1, 1), 2))
             with pytest.raises(_CertificateError):
                 check(
-                    matrix, Mode.PROPORTION, sol.value, doubled, sol.dual_weights, sol.support
+                    matrix, Mode.PROPORTION, Fraction(1),
+                    lp_outcome((2,), (1,), 1, (501, 499), 1000),
                 )
+
+    def test_rejects_probability_moved_off_its_cut(self):
+        # the first support column swapped for one outside the support
+        matrix, value, lp = self.paw()
+        outside = next(j for j in range(matrix.column_count) if j not in lp.support)
+        moved = lp._replace(support=(outside, *lp.support[1:]))
+        for check in CHECKS:
+            with pytest.raises(_CertificateError):
+                check(matrix, Mode.PROPORTION, value, moved)
+
+    def test_rejects_probability_moved_between_support_cuts(self):
+        # 1/1000 of the mass moved from the second support column to the first
+        matrix, value, lp = self.paw()
+        a, b, *rest = (1000 * p for p in lp.weights)
+        moved = lp._replace(weights=(a + lp.det, b - lp.det, *rest), det=1000 * lp.det)
+        for check in CHECKS:
+            with pytest.raises(_CertificateError):
+                check(matrix, Mode.PROPORTION, value, moved)
+
+    def test_rejects_a_distribution_that_does_not_sum_to_one(self):
+        # twice the optimal lottery lifts every group above the value, while
+        # the duals still certify it
+        matrix, value, lp = self.paw()
+        doubled = lp._replace(weights=tuple(2 * p for p in lp.weights))
+        for check in CHECKS:
+            with pytest.raises(_CertificateError, match="support weights"):
+                check(matrix, Mode.PROPORTION, value, doubled)
+
+    @pytest.mark.parametrize("support, weights, det", [
+        ((), (), 1),  # no support
+        ((0, 1), (2, 0), 2),  # a zero weight
+        ((0, 0), (1, 1), 2),  # a repeated column
+        ((0, 1), (2,), 2),  # one weight short
+    ])
+    def test_rejects_support_weights_that_are_not_a_probability_vector(
+        self, support, weights, det
+    ):
+        matrix, value, lp = self.paw()
+        with pytest.raises(_CertificateError, match="support weights"):
+            _check_certificate(
+                matrix, Mode.PROPORTION, value,
+                lp._replace(support=support, weights=weights, det=det),
+            )
 
     @pytest.mark.parametrize(
         "duals",
         [
-            (Fraction(1, 2),) * 3,  # one weight short
-            (Fraction(1, 4),) * 4 + (Fraction(0),),  # one weight too many
-            (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(1, 5)),  # sums to 19/20
-            (Fraction(3, 4), Fraction(1, 2), Fraction(0), Fraction(-1, 4)),  # a negative weight
+            ((1, 1, 1), 2),  # one weight short
+            ((1, 1, 1, 1, 0), 4),  # one weight too many
+            ((5, 5, 5, 4), 20),  # sums to 19/20
+            ((3, 2, 0, -1), 4),  # a negative weight
         ],
     )
     def test_rejects_duals_that_are_not_a_probability_vector(self, duals):
-        matrix, sol = self.paw()
-        for check in (_check_certificate, fraction_check_certificate):
+        matrix, value, lp = self.paw()
+        numerators, total = duals
+        for check in CHECKS:
             with pytest.raises(_CertificateError, match="probability vector"):
-                check(matrix, Mode.PROPORTION, sol.value, sol.distribution, duals, sol.support)
+                check(matrix, Mode.PROPORTION, value, lp._replace(duals=numerators, total=total))
+
+    def test_rejects_duals_with_no_mass(self):
+        # all four weights 0 over a total of 0: no rational reading exists
+        matrix, value, lp = self.paw()
+        with pytest.raises(_CertificateError, match="probability vector"):
+            _check_certificate(
+                matrix, Mode.PROPORTION, value, lp._replace(duals=(0,) * 4, total=0)
+            )
 
     def test_rejects_a_value_off_by_2_to_the_minus_80(self):
         # entries near 2**40 and group sizes 1-3: the value's denominator and
@@ -770,49 +800,57 @@ class TestCertificate:
         matrix = matrix_from_rows(rows, group_sizes=(1, 2, 3))
         off = Fraction(1, 1 << 80)
         for mode in Mode:
-            sol = solve_maximin(matrix, mode)
-            rest = (sol.distribution, sol.dual_weights, sol.support)
-            fraction_check_certificate(matrix, mode, sol.value, *rest)
-            for value in (sol.value + off, sol.value - off):
-                for check in (_check_certificate, fraction_check_certificate):
+            value, lp = solved_outcome(matrix, mode)
+            check_outcome(matrix, mode, value, lp)
+            for wrong in (value + off, value - off):
+                for check in CHECKS:
                     with pytest.raises(_CertificateError):
-                        check(matrix, mode, value, *rest)
+                        check(matrix, mode, wrong, lp)
+
+    def test_rejects_support_cuts_off_their_columns(self, monkeypatch):
+        # the distribution is made on first read, and its cuts must carry
+        # the support columns' masks
+        matrix, value, _ = self.paw()
+        sol = solve_maximin(matrix)
+        monkeypatch.setattr(PayoffMatrix, "cut", lambda self, j: Cut.from_mask(2 << j))
+        with pytest.raises(_CertificateError, match="support columns and distribution cuts"):
+            sol.distribution
+        assert sol.value == value  # the value is certified and read all the same
 
 
-def perturbed_certificates(matrix: PayoffMatrix, sol, data):
-    """The solution's certificate (value, distribution, duals, support), then
-    the same with the value moved by 1/10**6, dual mass moved between two
-    groups, probability moved between two support cuts, and one support cut
-    swapped for an outside cut (in the support and the distribution, or in
-    the distribution only)."""
-    value, dist, duals, support = sol.value, sol.distribution, sol.dual_weights, sol.support
+SCALE = 2 * 10**6  # 1 / 10**6 and a half of any integer are integers over SCALE
+
+
+def perturbed_certificates(matrix: PayoffMatrix, value: Fraction, lp: _LPOutcome, data):
+    """The solution's certificate (value, LP outcome), then the same with the
+    value moved by 1/10**6, dual mass moved between two groups, probability
+    moved between two support columns, and one support column swapped for
+    an outside column."""
     eps = Fraction(1, 10**6)
-    yield value, dist, duals, support
-    yield value + eps, dist, duals, support
-    yield value - eps, dist, duals, support
+    yield value, lp
+    yield value + eps, lp
+    yield value - eps, lp
+    duals, total = [q * SCALE for q in lp.duals], lp.total * SCALE
     if len(duals) > 1:
         a, b = data.draw(two_indices(len(duals)))
-        for shift in (eps, duals[a] / 2, duals[a]):
+        for shift in (total // 10**6, duals[a] // 2, duals[a]):
             moved = list(duals)
             moved[a] -= shift
             moved[b] += shift
-            yield value, dist, tuple(moved), support
-    entries = dist.entries
-    if len(entries) > 1:
-        a, b = data.draw(two_indices(len(entries)))
-        for shift in (eps * entries[a][1], entries[a][1] / 2, entries[a][1]):
-            moved = list(entries)
-            moved[a] = (moved[a][0], moved[a][1] - shift)
-            moved[b] = (moved[b][0], moved[b][1] + shift)
-            yield value, CutDistribution(tuple(moved)), duals, support
-    outside = [j for j in range(matrix.column_count) if j not in support]
+            yield value, lp._replace(duals=tuple(moved), total=total)
+    weights, det = [p * SCALE for p in lp.weights], lp.det * SCALE
+    if len(weights) > 1:
+        a, b = data.draw(two_indices(len(weights)))
+        for shift in (weights[a] // 10**6, weights[a] // 2, weights[a]):
+            moved = list(weights)
+            moved[a] -= shift
+            moved[b] += shift
+            yield value, lp._replace(weights=tuple(moved), det=det)
+    outside = [j for j in range(matrix.column_count) if j not in lp.support]
     if outside:
         o = data.draw(st.sampled_from(outside))
-        a = data.draw(st.integers(0, len(support) - 1))
-        cut = matrix.cut(support[a])
-        swapped = CutDistribution(tuple((matrix.cut(o) if c == cut else c, p) for c, p in entries))
-        yield value, swapped, duals, support[:a] + (o,) + support[a + 1 :]
-        yield value, swapped, duals, support
+        a = data.draw(st.integers(0, len(lp.support) - 1))
+        yield value, lp._replace(support=lp.support[:a] + (o,) + lp.support[a + 1 :])
 
 
 def two_indices(n: int):
@@ -833,15 +871,105 @@ def test_integer_certificate_matches_fraction_oracle(matrix, data):
     """The integer check rejects exactly the certificates the Fraction oracle
     rejects: the solution's in both modes, and its perturbations."""
     for mode in Mode:
-        sol = solve_maximin(matrix, mode)
-        certificates = list(perturbed_certificates(matrix, sol, data))
+        value, lp = solved_outcome(matrix, mode)
+        certificates = list(perturbed_certificates(matrix, value, lp, data))
         verdicts = [
-            (rejects(_check_certificate, matrix, mode, c),
-             rejects(fraction_check_certificate, matrix, mode, c))
-            for c in certificates
+            tuple(rejects(check, matrix, mode, c) for check in CHECKS) for c in certificates
         ]
         assert all(a == b for a, b in verdicts), (mode, certificates, verdicts)
         assert verdicts[:3] == [(False, False), (True, True), (True, True)]
+
+
+def tampered_outcomes(matrix: PayoffMatrix, mode: Mode, value: Fraction, lp: _LPOutcome, pick):
+    """The LP outcome tampered in each way that no optimum can survive, as
+    (kind, value, outcome); ``pick`` chooses one of a non-empty list.  A kind
+    is left out where the outcome offers no such tampering.
+
+    - one unit of numerator moved between two support columns that differ
+      on a group at the value, towards the column that pays it less: that
+      group's expectation drops below the value;
+    - a support column swapped for a column that the duals price below the
+      value: the duals then price the lottery, and so its worst group,
+      below the value;
+    - the value off by 1/W, which the duals' best column score refutes;
+    - one dual unit moved from a group with a positive dual, which the
+      optimal lottery holds at the value, to a group it lifts above it: the
+      duals then price the lottery, and so its best column, above the value;
+    - one dual raised by a unit, so that the duals no longer sum to T.
+    """
+    dens, entries = matrix.denominators(mode), matrix.entries.tolist()
+    rows = [[Fraction(x, d) for x in row] for row, d in zip(entries, dens)]
+    expected = [
+        sum(row[j] * Fraction(p, lp.det) for j, p in zip(lp.support, lp.weights)) for row in rows
+    ]
+    at_value = [i for i, e in enumerate(expected) if e == value]
+    moves = [
+        (a, b) for a, b in permutations(range(len(lp.support)), 2)
+        if any(rows[i][lp.support[a]] > rows[i][lp.support[b]] for i in at_value)
+    ]
+    if moves:
+        a, b = pick(moves)
+        moved = list(lp.weights)
+        moved[a] -= 1
+        moved[b] += 1
+        yield "numerator moved", value, lp._replace(weights=tuple(moved))
+    priced = [sum(Fraction(q, lp.total) * row[j] for q, row in zip(lp.duals, rows))
+              for j in range(matrix.column_count)]
+    below = [j for j, score in enumerate(priced) if score < value]
+    if below:
+        a, o = pick(range(len(lp.support))), pick(below)
+        yield "column swapped", value, lp._replace(
+            support=lp.support[:a] + (o,) + lp.support[a + 1 :]
+        )
+    off = Fraction(1, value.denominator)
+    yield "value off", value + off, lp
+    yield "value off", value - off, lp
+    lifted = [i for i, e in enumerate(expected) if e > value]
+    givers = [i for i, q in enumerate(lp.duals) if q > 0]
+    if lifted:
+        a, b = pick(givers), pick(lifted)
+        moved = list(lp.duals)
+        moved[a] -= 1
+        moved[b] += 1
+        yield "dual unit moved", value, lp._replace(duals=tuple(moved))
+    a = pick(range(len(lp.duals)))
+    raised = lp.duals[:a] + (lp.duals[a] + 1,) + lp.duals[a + 1 :]
+    yield "duals off their total", value, lp._replace(duals=raised)
+
+
+@given(certificate_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_both_certificates_refuse_every_tampered_outcome(matrix, data):
+    """The integer check and the Fraction oracle, through ``check_outcome``,
+    each accept the solution's outcome in both modes and refuse every
+    tampering of it that no optimum survives."""
+    def pick(options):
+        return data.draw(st.sampled_from(list(options)))
+
+    for mode in Mode:
+        value, lp = solved_outcome(matrix, mode)
+        for check in CHECKS:
+            check(matrix, mode, value, lp)
+        for kind, wrong, tampered in tampered_outcomes(matrix, mode, value, lp, pick):
+            for check in CHECKS:
+                assert rejects(check, matrix, mode, (wrong, tampered)), (mode, kind, check)
+
+
+@pytest.mark.parametrize("kind", ["numerator moved", "column swapped", "dual unit moved"])
+def test_certificate_matrices_reach_every_tampering(kind):
+    # the other two kinds are made for every outcome
+    def reaches(matrix):
+        kinds = {
+            found for mode in Mode
+            for found, _, _ in tampered_outcomes(
+                matrix, mode, *solved_outcome(matrix, mode), lambda options: list(options)[0]
+            )
+        }
+        return kind in kinds
+
+    find(certificate_matrices(), reaches, settings=settings(
+        database=None, max_examples=2000, phases=[Phase.generate]
+    ))
 
 
 class TestDfFair:
@@ -964,8 +1092,8 @@ class TestSharedLP:
         # value-mode value, undivided, which only the certificate can catch
         matrix = self.matrix()
         solve_maximin(matrix, Mode.VALUE)
-        ((key, (z, det, rest)),) = matrix._solved.items()
-        matrix._solved[key] = z * 3, det, rest
+        ((key, found),) = matrix._solved.items()
+        matrix._solved[key] = found._replace(z=found.z * 3)
         with pytest.raises(_CertificateError):
             solve_maximin(matrix, Mode.PROPORTION)
 

@@ -1,12 +1,17 @@
 """Claim checkers: chains, subproblem bounds, triangle groups, gap tables."""
 
+import contextlib
+import io
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairmaxcut.cli import main
 from fairmaxcut.errors import GeneratorParameterError
 from fairmaxcut.exact import (
     Mode,
@@ -27,9 +32,10 @@ from fairmaxcut.families import (
     make_paw_instance,
     singleton_partition,
 )
-from fairmaxcut.graphs import Graph, PartitionKind, edge_groups, node_groups
+from fairmaxcut.graphs import Cut, Graph, PartitionKind, edge_groups, node_groups
 from fairmaxcut.instances import OBJECTIVE_NAMES
-from fairmaxcut.maximin import df_fair, solve_maximin
+from fairmaxcut.maximin import CutDistribution, df_fair, solve_maximin
+from fairmaxcut.reports import parse_report
 from fairmaxcut.utility import UtilityModel
 from fairmaxcut.verify import (
     check_bipartite_props,
@@ -358,3 +364,50 @@ class TestSuites:
     def test_random_suite_small_green(self):
         checks = random_suite(seed=11, count=12)
         assert checks and all(c.passed for c in checks)
+
+
+class TestMadeOnRead:
+    """A DF read-off keeps its lottery and its duals as certified integers:
+    a ``Cut`` and a ``CutDistribution`` are made only where one is read, as
+    ``solve`` reads them to print them."""
+
+    @staticmethod
+    def spy(monkeypatch) -> Counter:
+        made = Counter()
+        from_mask, post_init = Cut.from_mask, CutDistribution.__post_init__
+
+        def spy_from_mask(mask):
+            made["cuts"] += 1
+            return from_mask(mask)
+
+        def spy_post_init(self):
+            made["distributions"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Cut, "from_mask", staticmethod(spy_from_mask))
+        monkeypatch.setattr(CutDistribution, "__post_init__", spy_post_init)
+        return made
+
+    def test_check_chain_makes_no_cut_and_no_distribution(self, monkeypatch):
+        # 40 instances over verify.random_suite's ranges, 80 DF read-offs
+        made = self.spy(monkeypatch)
+        checks = random_suite(seed=0, count=40)
+        assert len(checks) == 160 and all(c.passed for c in checks)
+        assert made == Counter()
+
+    def test_solve_makes_one_distribution_per_printed_lottery(self, monkeypatch):
+        # the paw's singleton edge groups: DF-MV and DF-MP share one LP
+        # outcome, and each prints its lottery; the four witnesses and the six
+        # support entries are the report's cuts
+        made = self.spy(monkeypatch)
+        out = io.StringIO()
+        path = Path(__file__).parent / "goldens" / "paw.inst"
+        with contextlib.redirect_stdout(out):
+            assert main(["solve", str(path), "--no-timestamp"]) == 0
+        counts = dict(made)
+        report = parse_report(out.getvalue())
+        assert sorted(report.supports) == ["DF-MP", "DF-MV"]
+        assert counts == {
+            "distributions": len(report.supports),
+            "cuts": len(report.witnesses) + sum(map(len, report.supports.values())),
+        }
