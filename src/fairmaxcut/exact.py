@@ -233,31 +233,33 @@ def build_payoff_matrix(
     )
 
 
-def scaled_columns(matrix: PayoffMatrix, dens: tuple[int, ...]) -> tuple[int, np.ndarray]:
-    """The matrix's entries as numerators over one common denominator ``den``
-    of ``dens``: a read-only (groups, columns) array, int64 while every
+def scaled_columns(matrix: PayoffMatrix, mode: Mode) -> tuple[int, np.ndarray]:
+    """The matrix's entries as numerators over ``den``, the lcm of the mode's
+    denominators d_i: a read-only (groups, columns) array, int64 while every
     column sum stays below 2**62, else of Python ints (object dtype).
 
-    It is made once per matrix and set of scales ``den // d``, and every
-    later call with a denominator set of those scales shares it: with equal
-    group sizes, the value and the proportion mode.  When every scale is 1
-    and int64 suffices it is ``matrix.entries`` itself."""
-    found = matrix._scaled.get(dens)
+    It is made once per matrix and mode.  The two modes' scales ``den //
+    d_i`` agree exactly when every group has one size s, and then the
+    proportion mode shares the value mode's array, over s * den.  When every
+    scale is 1 and int64 suffices it is ``matrix.entries`` itself."""
+    found = matrix._scaled.get(mode)
     if found is None:
-        den = lcm(*dens)
-        scales = [den // d for d in dens]
-        shared = [c for ds, (dn, c) in matrix._scaled.items() if [dn // d for d in ds] == scales]
-        bound = int(matrix.entries.max(initial=1)) * max(scales) * len(dens)
-        if shared:
-            cols = shared[0]
-        elif bound >> 62:
-            cols = matrix.entries * np.array(scales, dtype=object)[:, None]
-        elif max(scales) == 1:
-            cols = matrix.entries
+        if mode is Mode.PROPORTION and len(set(matrix.group_sizes)) == 1:
+            den, cols = scaled_columns(matrix, Mode.VALUE)
+            found = den * matrix.group_sizes[0], cols
         else:
-            cols = matrix.entries * np.array(scales, dtype=np.int64)[:, None]
-        cols.flags.writeable = False
-        found = matrix._scaled[dens] = den, cols
+            dens = matrix.denominators(mode)
+            den = lcm(*dens)
+            scales = [den // d for d in dens]
+            if int(matrix.entries.max(initial=1)) * max(scales) * len(dens) >> 62:
+                cols = matrix.entries * np.array(scales, dtype=object)[:, None]
+            elif max(scales) == 1:
+                cols = matrix.entries
+            else:
+                cols = matrix.entries * np.array(scales, dtype=np.int64)[:, None]
+            cols.flags.writeable = False
+            found = den, cols
+        matrix._scaled[mode] = found
     return found
 
 
@@ -267,7 +269,7 @@ def max_from_matrix(matrix: PayoffMatrix, mode: Mode) -> tuple[Fraction, int]:
     and the first best column.  A cut's first canonical maximizer is the
     first occurrence of its column, and ``np.argmax`` picks the first best
     column, so ``matrix.cut(j)`` is that maximizer."""
-    den, cols = scaled_columns(matrix, matrix.dens)
+    den, cols = scaled_columns(matrix, Mode.VALUE)
     sums = cols.sum(axis=0)
     best = int(np.argmax(sums))
     if mode is Mode.PROPORTION:
@@ -278,7 +280,7 @@ def max_from_matrix(matrix: PayoffMatrix, mode: Mode) -> tuple[Fraction, int]:
 def static_from_matrix(matrix: PayoffMatrix, mode: Mode) -> tuple[Fraction, int]:
     """Static-fair optimum read off a matrix: the best column minimum over the
     mode's denominators, and the first best column."""
-    den, cols = scaled_columns(matrix, matrix.denominators(mode))
+    den, cols = scaled_columns(matrix, mode)
     mins = cols.min(axis=0)
     best = int(np.argmax(mins))
     return Fraction(int(mins[best]), den), best

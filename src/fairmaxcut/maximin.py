@@ -7,8 +7,8 @@ This is the value-of-a-zero-sum-game LP over the columns of an
 ``exact.PayoffMatrix``: the distinct integer utility columns of all canonical
 cuts, read over the denominators of the value or the proportion mode and
 scaled to integers over one common denominator ``den``
-(``exact.scaled_columns``, made once per matrix and set of scales and
-shared with the other read-offs).  It is solved by column generation
+(``exact.scaled_columns``, made once per matrix and mode and shared with
+the other read-offs).  It is solved by column generation
 (Gilmore & Gomory, Oper. Res. 1961) over a restricted master in the
 standard form
 
@@ -22,11 +22,12 @@ simplex with Bland's rule in one revised, fraction-free simplex,
 ``_RevisedLP``: it keeps the integer basis inverse det * B^-1, of size
 (groups + 1)^2, over one common denominator, so no pivot takes a gcd, and it
 makes reduced costs and tableau columns only where Bland's rule reads them.
-It only ever holds Python ints.  Its dual group mixture prices every column
-in exact integer arithmetic, one vector-matrix product over the array C
-(int64 while no score can reach 2**62, else Python ints) with the weights
-and bar divided by their gcd, which drops the basis determinant's common
-factor and keeps every comparison; the first column with the largest
+It only ever holds Python ints.  The row (w, b) of ``inv`` at z's position
+is det times the master's duals and value, and it prices every column in
+exact integer arithmetic, one vector-matrix product over the array C
+(int64 while no score can reach 2**62, else Python ints) with w and b
+divided by their gcd, which drops the basis determinant's common factor
+and keeps every comparison; the first column with the largest
 reduced cost enters (Dantzig's rule), until no column prices above the
 master value.  The master keeps its optimal basis between steps: an
 entering column is appended and the simplex continues from that basis,
@@ -114,22 +115,20 @@ checks against the master's duals.  ``tight_pivots`` counts a cold LP's
 pivots, at least one since z must enter, and is 0 for the others.
 
 The LP's outcome is kept in Python ints only (``_LPOutcome``): z and det,
-the support's columns and their probability numerators over det, and the
-reported duals' numerators and their total.  Both sides of the minimax
-equality are recomputed from those integers and the matrix's integer
-entries over the mode's denominators, independently of the simplex and of
-the pricing code, with the comparisons cross-multiplied, so no ``Fraction``
-is made per entry.  A ``MaximinSolution`` makes ``Fraction`` values for the
-value only; its distribution, with the support's ``Cut`` values, and its
-duals are made from the certified integers when they are first read, so a
-caller that reads only the value makes neither.
+the support's columns, their cuts' masks and their probability numerators
+over det, and the reported duals' numerators and their total.  Both sides
+of the minimax equality are recomputed from those integers and the
+matrix's integer entries over the mode's denominators, independently of
+the simplex and of the pricing code, with the comparisons
+cross-multiplied.  A ``MaximinSolution`` holds no matrix: it makes the
+value's ``Fraction``, and when first read its distribution, with the
+``Cut`` values of the support's masks, and its duals.
 
 The LP's outcome depends only on C: the value is z / den, and the
 distribution, duals, support and counters are C's.  When every group has
-one size, the value and the proportion mode have the same scales ``den //
-d_i``, so ``exact.scaled_columns`` gives both one array; ``solve_maximin``
-keeps the outcome per matrix and scaled column set, and the second mode
-runs no LP.  Each mode still reads its value over its own ``den`` and is
+one size, ``exact.scaled_columns`` gives both modes one array, and
+``solve_maximin`` keeps the outcome per matrix and scaled column set, so
+the second mode runs no LP; it reads its value over its own ``den`` and is
 certified in its own mode.
 """
 
@@ -190,13 +189,15 @@ class CutDistribution:
 
 class _LPOutcome(NamedTuple):
     """An LP's outcome over one scaled column set, in Python ints: z over
-    det is ``den`` times the value; the support's columns, ascending, carry
-    the probabilities ``weights[j] / det``; the reported duals are ``duals[i]
-    / total``; and ``counters`` are a ``MaximinSolution``'s, in its order."""
+    det is ``den`` times the value; the support's columns, ascending, with
+    their cuts' member ``masks``, carry the probabilities ``weights[j] /
+    det``; the reported duals are ``duals[i] / total``; and ``counters`` are
+    a ``MaximinSolution``'s, in its order."""
 
     z: int
     det: int
     support: tuple[int, ...]
+    masks: tuple[int, ...]
     weights: tuple[int, ...]
     duals: tuple[int, ...]
     total: int
@@ -224,9 +225,10 @@ class MaximinSolution:
     LP that found it.
 
     ``distribution`` and ``dual_weights`` are made when first read, from the
-    matrix and the certified integers: the support's probability numerators
-    ``_weights`` over their sum, and the dual numerators ``_duals`` over
-    theirs.  Equality compares every reported field, those two included."""
+    certified integers: the support's cut masks ``_masks`` with their
+    probability numerators ``_weights`` over their sum, and the dual
+    numerators ``_duals`` over theirs.  A solution holds no matrix.
+    Equality compares every reported field, those two included."""
 
     value: Fraction
     support: tuple[int, ...]
@@ -235,19 +237,17 @@ class MaximinSolution:
     tight_columns: int
     tight_pivots: int
     dual_guessed: bool
-    _matrix: PayoffMatrix = field(repr=False)
+    _masks: tuple[int, ...] = field(repr=False)
     _weights: tuple[int, ...] = field(repr=False)
     _duals: tuple[int, ...] = field(repr=False)
 
     @cached_property
     def distribution(self) -> CutDistribution:
-        """The optimal lottery over the support's first canonical cuts, whose
-        member masks must be the support columns' masks."""
-        cuts = [self._matrix.cut(j) for j in self.support]
-        if [cut.mask() for cut in cuts] != self._matrix.col_masks[list(self.support)].tolist():
-            raise _CertificateError("support columns and distribution cuts disagree")
+        """The optimal lottery over the support's first canonical cuts."""
         det = sum(self._weights)
-        return CutDistribution(tuple(zip(cuts, (Fraction(p, det) for p in self._weights))))
+        return CutDistribution(tuple(
+            (Cut.from_mask(m), Fraction(p, det)) for m, p in zip(self._masks, self._weights)
+        ))
 
     @cached_property
     def dual_weights(self) -> tuple[Fraction, ...]:
@@ -293,7 +293,7 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
     gamma, k = matrix.group_count, matrix.column_count
     if gamma == 0 or k == 0:
         raise ValueError("payoff matrix must be non-empty")
-    den, cols = scaled_columns(matrix, matrix.denominators(mode))
+    den, cols = scaled_columns(matrix, mode)
     # keyed by the shared array, which the matrix keeps as long as this entry
     found = matrix._solved.get(id(cols))
     if found is None:
@@ -301,7 +301,7 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
     value = Fraction(found.z, found.det * den)
     _check_certificate(matrix, mode, value, found)
     return MaximinSolution(
-        value, found.support, *found.counters, matrix, found.weights, found.duals
+        value, found.support, *found.counters, found.masks, found.weights, found.duals
     )
 
 
@@ -350,7 +350,8 @@ def _solve_lp(matrix: PayoffMatrix, cols: np.ndarray) -> _LPOutcome:
     # column at z = bar; the master's columns are in entering order
     det, (z, *probs) = (lp.det, lp.primal_numerators()) if lp else (1, [bar, 1])
     support, weights = zip(*sorted((j, p) for j, p in zip(columns, probs) if p > 0))
-    return _LPOutcome(z, det, support, weights, tuple(duals), total, (
+    masks = tuple(matrix.col_masks[list(support)].tolist())
+    return _LPOutcome(z, det, support, masks, weights, tuple(duals), total, (
         master.solves if master else 1,
         master.pivots if master else 1,
         len(tight),
@@ -376,17 +377,21 @@ def _first_pricing(cols: np.ndarray, start: int) -> tuple[int, np.ndarray, int]:
     """The first master's binding row r, the first row with the least entry
     of column ``start``; its pricing scores, row r of ``cols``; and its bar
     cols[r, start].  These are what ``_price`` makes of a ``_RevisedLP`` over
-    that column alone, whose duals are e_r (module docstring)."""
+    that column alone, whose z row is (e_r | C[r, start]) at det 1 (module
+    docstring)."""
     r = int(np.argmin(cols[:, start]))
     return r, cols[r], int(cols[r, start])
 
 
 def _price(master: "_RevisedLP", cols: np.ndarray, top: int) -> tuple[np.ndarray, int]:
     """Every column's pricing score and the bar a score must pass to enter:
-    the master's pricing weights and bar divided by their gcd.  That keeps
+    the row (w, b) of the master's ``inv`` at z's position, divided by its
+    gcd.  w is det times the duals, whose sum is 1 (z is basic, and its
+    column is 1 on every group row), and b is det times z, so column j
+    prices above the master's value exactly when w . C_j > b.  The gcd keeps
     every comparison, tie and argmax, and drops the basis determinant's
     common factor, which would otherwise push the scores past int64."""
-    weights, bar = master.pricing()
+    *weights, bar = master.inv[master.basis.index(0)]
     g = gcd(bar, *weights)
     weights, bar = [w // g for w in weights], bar // g
     return _column_scores(weights, bar, cols, top), bar
@@ -554,13 +559,6 @@ class _RevisedLP:
         if total <= 0:
             raise _CertificateError("dual weights must have positive mass at optimality")
         return y, total
-
-    def pricing(self) -> tuple[list[int], int]:
-        """Integer weights w and bar b for pricing an integer column c:
-        sum(w * c) - b is a positive multiple of the column's dual mixture
-        sum(y[i] * c[i]) / total minus z."""
-        y, total = self.duals()
-        return [self.det * w for w in y], self.inv[self.basis.index(0)][-1] * total
 
 
 def _check_certificate(matrix: PayoffMatrix, mode: Mode, value: Fraction, lp: _LPOutcome) -> None:

@@ -15,6 +15,7 @@ The pinned worked-example values live in two places: the families'
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -295,16 +296,11 @@ def check_subproblem_bound(
     subproblem per group."""
     if len(deltas) != sub.partition.group_count:
         raise GeneratorParameterError("one slack per subproblem group required")
-    full_sizes = sorted(len(gr) for gr in full.partition.groups)
-    sub_sizes = sorted(len(gr) for gr in sub.partition.groups)
-    remaining = list(full_sizes)
-    for s in sub_sizes:
-        if s in remaining:
-            remaining.remove(s)
-        else:
-            raise GeneratorParameterError(
-                "subproblem groups are not a sub-collection of the full partition"
-            )
+    # every sub group size, as often as the full partition has it
+    if Counter(map(len, sub.partition.groups)) - Counter(map(len, full.partition.groups)):
+        raise GeneratorParameterError(
+            "subproblem groups are not a sub-collection of the full partition"
+        )
     delta_sum = sum(deltas, Fraction(0))
     sub_ground = sum(len(gr) for gr in sub.partition.groups)
     ctx = f"{full.label} vs {sub.label}"

@@ -75,5 +75,5 @@ def solved_outcome(matrix: PayoffMatrix, mode: Mode) -> tuple[Fraction, _LPOutco
     """``solve_maximin``'s value and the LP outcome it certified, as the
     matrix keeps it: the two arguments after the mode of either check."""
     value = solve_maximin(matrix, mode).value
-    _, cols = scaled_columns(matrix, matrix.denominators(mode))
+    _, cols = scaled_columns(matrix, mode)
     return value, matrix._solved[id(cols)]

@@ -20,9 +20,10 @@ from .fraction_certificate import _check_certificate
 
 
 def python_scaled_columns(
-    matrix: PayoffMatrix, dens: tuple[int, ...]
+    matrix: PayoffMatrix, mode: Mode
 ) -> tuple[int, Iterator[tuple[int, ...]]]:
-    """The matrix's columns as numerators over one common denominator of ``dens``."""
+    """The matrix's columns as numerators over the lcm of the mode's denominators."""
+    dens = matrix.denominators(mode)
     den = lcm(*dens)
     rows = [[x * (den // d) for x in row] for row, d in zip(matrix.entries.tolist(), dens)]
     return den, zip(*rows)
@@ -30,7 +31,7 @@ def python_scaled_columns(
 
 def python_max_from_matrix(matrix: PayoffMatrix, mode: Mode) -> tuple[Fraction, int]:
     """The best column sum and the first column reaching it."""
-    den, cols = python_scaled_columns(matrix, matrix.dens)
+    den, cols = python_scaled_columns(matrix, Mode.VALUE)
     sums = list(map(sum, cols))
     best = max(range(len(sums)), key=sums.__getitem__)
     if mode is Mode.PROPORTION:
@@ -40,7 +41,7 @@ def python_max_from_matrix(matrix: PayoffMatrix, mode: Mode) -> tuple[Fraction, 
 
 def python_static_from_matrix(matrix: PayoffMatrix, mode: Mode) -> tuple[Fraction, int]:
     """The best column minimum and the first column reaching it."""
-    den, cols = python_scaled_columns(matrix, matrix.denominators(mode))
+    den, cols = python_scaled_columns(matrix, mode)
     mins = list(map(min, cols))
     best = max(range(len(mins)), key=mins.__getitem__)
     return Fraction(mins[best], den), best
@@ -71,7 +72,7 @@ def python_solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> 
     """``maximin.solve_maximin`` with list pricing over tuple columns, the
     dense tableau for the LP and the certificate checked by the ``Fraction``
     oracle."""
-    den, cols = python_scaled_columns(matrix, matrix.denominators(mode))
+    den, cols = python_scaled_columns(matrix, mode)
     cols = list(cols)
     rows = list(zip(*cols))
     k = len(cols)
@@ -104,9 +105,10 @@ def python_solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> 
     # solve_maximin skips the re-solve, and counts none, when no column entered
     counted = (len(tight), cold.pivots) if len(active) > 1 else (0, 0)
     weights = tuple(p for p in cold.primal_numerators()[1:] if p > 0)
+    masks = tuple(int(matrix.col_masks[j]) for j in support)
     return MaximinSolution(
         value, support, master.solves, master.pivots, *counted, False,
-        matrix, weights, tuple(y),
+        masks, weights, tuple(y),
     )
 
 

@@ -63,8 +63,8 @@ def assert_matches_oracles(matrix: PayoffMatrix) -> None:
     of its one solve, not the oracle's column generation, and where the
     optimum was read off the master, no re-solve pivots were counted."""
     for mode in Mode:
-        den, cols = scaled_columns(matrix, matrix.denominators(mode))
-        want_den, want_cols = python_scaled_columns(matrix, matrix.denominators(mode))
+        den, cols = scaled_columns(matrix, mode)
+        want_den, want_cols = python_scaled_columns(matrix, mode)
         assert den == want_den and cols.T.tolist() == list(map(list, want_cols))
         for read_off, oracle in (
             (max_from_matrix, python_max_from_matrix),
@@ -104,9 +104,8 @@ def test_random_matrices_reach_both_maximin_branches(grew):
 ])
 def test_scaled_columns_are_made_once_and_read_only(matrix, shared):
     for mode in Mode:
-        dens = matrix.denominators(mode)
-        den, cols = scaled_columns(matrix, dens)
-        again = scaled_columns(matrix, dens)
+        den, cols = scaled_columns(matrix, mode)
+        again = scaled_columns(matrix, mode)
         assert again[0] == den and again[1] is cols
         assert (cols is matrix.entries) == shared
         assert not cols.flags.writeable
@@ -114,18 +113,43 @@ def test_scaled_columns_are_made_once_and_read_only(matrix, shared):
             cols[0, 0] = 7
 
 
-def test_scaled_columns_share_one_array_per_set_of_scales():
+def owndeg_isolated_matrix() -> PayoffMatrix:
     # own-degree groups of size 2 with an isolated vertex: the value and the
     # proportion denominators differ, and both scale the entries by (2, 3, 3)
     inst = load_instance(str(Path(__file__).parent / "goldens" / "owndeg_isolated.inst"))
     matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
-    dens = [matrix.denominators(mode) for mode in Mode]
-    assert dens == [(3, 2, 2), (6, 4, 4)]
+    assert [matrix.denominators(mode) for mode in Mode] == [(3, 2, 2), (6, 4, 4)]
+    return matrix
+
+
+def test_scaled_columns_share_one_array_per_set_of_scales():
+    matrix = owndeg_isolated_matrix()
     (value_den, value_cols), (proportion_den, proportion_cols) = (
-        scaled_columns(matrix, d) for d in dens
+        scaled_columns(matrix, mode) for mode in Mode
     )
     assert (value_den, proportion_den) == (6, 12)
     assert proportion_cols is value_cols
+
+
+def test_scaled_columns_share_the_array_when_proportion_is_read_first():
+    matrix = owndeg_isolated_matrix()
+    proportion_den, proportion_cols = scaled_columns(matrix, Mode.PROPORTION)
+    value_den, value_cols = scaled_columns(matrix, Mode.VALUE)
+    assert (value_den, proportion_den) == (6, 12)
+    assert proportion_cols is value_cols
+    assert value_cols.tolist() == (matrix.entries * [[2], [3], [3]]).tolist()
+
+
+def test_scaled_columns_of_unequal_sizes_are_distinct_arrays():
+    # sizes (4, 5, 2) over denominators 1: the value scales are all 1, and
+    # the proportion ones (5, 4, 10) over 20
+    matrix = PayoffMatrix([[1, 0, 2], [0, 1, 2], [3, 1, 0]], (1, 1, 1), (4, 5, 2), [2, 4, 6])
+    (value_den, value_cols), (proportion_den, proportion_cols) = (
+        scaled_columns(matrix, mode) for mode in Mode
+    )
+    assert (value_den, proportion_den) == (1, 20)
+    assert value_cols is matrix.entries and proportion_cols is not value_cols
+    assert proportion_cols.tolist() == [[5, 0, 10], [0, 4, 8], [30, 10, 0]]
 
 
 @given(random_matrices(), st.data())
@@ -151,7 +175,7 @@ def test_scaled_columns_past_int64_take_python_ints():
     for mode in Mode:
         dens = matrix.denominators(mode)
         assert BIG * max(lcm(*dens) // d for d in dens) >= 2**62
-        _, cols = scaled_columns(matrix, dens)
+        _, cols = scaled_columns(matrix, mode)
         assert cols.dtype == object
     assert_matches_oracles(matrix)
 

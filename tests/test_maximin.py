@@ -1,9 +1,11 @@
 """Exact maximin LP: worked values, certificates, and structural properties."""
 
+import gc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 import numpy as np
@@ -357,7 +359,7 @@ class TestUniformGuess:
     ])
     def test_falls_back_to_column_generation(self, rows, meets_bound, degenerate):
         matrix = matrix_from_rows(rows)
-        _, cols = scaled_columns(matrix, matrix.denominators(Mode.PROPORTION))
+        _, cols = scaled_columns(matrix, Mode.PROPORTION)
         sums = cols.sum(axis=0)
         tight = np.flatnonzero(sums == sums.max()).tolist()
         cold = _tight_lp(cols, cols.min(axis=0), tight)
@@ -389,7 +391,7 @@ class TestUniformGuess:
 def tight_resolve(matrix: PayoffMatrix, mode: Mode, sol) -> tuple:
     """Bland's cold re-solve over the columns tight at ``sol``'s duals: the
     tight columns, and the value, support and distribution it ends at."""
-    den, cols = scaled_columns(matrix, matrix.denominators(mode))
+    den, cols = scaled_columns(matrix, mode)
     tight = [
         j for j, col in enumerate(cols.T.tolist())
         if sum(map(mul, sol.dual_weights, col)) == sol.value * den
@@ -458,7 +460,7 @@ class TestReadOff:
     @given(any_matrices, st.sampled_from(list(Mode)))
     @settings(max_examples=100, deadline=None)
     def test_first_pricing_is_the_one_column_master(self, matrix, mode):
-        _, cols = scaled_columns(matrix, matrix.denominators(mode))
+        _, cols = scaled_columns(matrix, mode)
         start = int(np.argmax(cols.min(axis=0)))
         r, scores, bar = _first_pricing(cols, start)
         master = _RevisedLP([cols[:, start].tolist()], 0)
@@ -472,28 +474,21 @@ class TestReadOff:
 
 
 def test_pricing_divides_out_the_gcd_to_stay_in_int64(monkeypatch):
-    # the master's pricing weights carry its basis determinant: undivided,
-    # the last of the two pricing rounds here would score in Python ints
-    # (the first round is the closed form's row, which runs no pricing)
+    # entries near 2**20 over three groups: the master's z row grows with its
+    # basis determinant, and divided by its gcd both pricing rounds here
+    # score in int64 (the first round is the closed form's row, which runs
+    # no pricing)
     matrix = matrix_from_rows([[1 << 20, 0, 3], [0, 1 << 20, 5], [7, 11, 1 << 19]])
-    top = 1 << 20
-    undivided, dtypes = [], []
-    pricing, column_scores = _RevisedLP.pricing, maximin._column_scores
-
-    def spy_pricing(self):
-        weights, bar = pricing(self)
-        undivided.append(bool(max(map(abs, weights)) * top * len(weights) >> 62 or bar >> 62))
-        return weights, bar
+    dtypes = []
+    column_scores = maximin._column_scores
 
     def spy_scores(*args):
         scores = column_scores(*args)
         dtypes.append(scores.dtype)
         return scores
 
-    monkeypatch.setattr(_RevisedLP, "pricing", spy_pricing)
     monkeypatch.setattr(maximin, "_column_scores", spy_scores)
     sol = solve_maximin(matrix)
-    assert undivided == [False, True]
     assert dtypes == [np.int64] * 2
     oracle = python_solve_maximin(matrix)
     assert as_resolved(sol, oracle) == oracle
@@ -578,7 +573,7 @@ def assert_matches_fraction_oracle(int_cols, den: int, start: int | None = None)
 
 
 def lp_state(lp) -> tuple:
-    return lp.basis, lp.det, lp.pivots, lp.solves, lp.primal_numerators(), lp.duals(), lp.pricing()
+    return lp.basis, lp.det, lp.pivots, lp.solves, lp.primal_numerators(), lp.duals()
 
 
 def assert_same_lp(revised: _RevisedLP, dense: DenseTableau) -> None:
@@ -667,6 +662,27 @@ def test_revised_lp_matches_dense_tableau_from_any_start(case, data):
     assert_same_lp(_RevisedLP(list(int_cols), start), DenseTableau(int_cols, 1, start))
 
 
+def gcd_divided(weights: list[int], bar: int) -> tuple[list[int], int]:
+    g = gcd(bar, *weights)
+    return [w // g for w in weights], bar // g
+
+
+@given(integer_columns())
+@settings(max_examples=150, deadline=None)
+def test_price_reads_the_dense_tableau_pricing_off_the_z_row(case):
+    """After every ``add`` to a random master, ``_price`` scores each column
+    with the dense tableau's pricing weights and bar, both divided by their
+    gcd: pricing the identity columns gives the weights themselves."""
+    gamma, int_cols = case
+    identity = np.identity(gamma, dtype=np.int64)
+    revised, dense = _RevisedLP([int_cols[0]], 0), DenseTableau([int_cols[0]], 1)
+    for col in int_cols[1:]:
+        revised.add(col)
+        dense.add(list(col))
+        weights, bar = _price(revised, identity, 1)
+        assert (weights.tolist(), bar) == gcd_divided(*dense.pricing())
+
+
 @given(random_matrices(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_tight_lp_over_random_subsets(matrix, data):
@@ -674,7 +690,7 @@ def test_tight_lp_over_random_subsets(matrix, data):
     dense tableau over those columns, from the first of them with the
     largest minimum, and the Fraction oracle's value."""
     for mode in Mode:
-        den, cols = scaled_columns(matrix, matrix.denominators(mode))
+        den, cols = scaled_columns(matrix, mode)
         k = matrix.column_count
         tight = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k)))
         lp = _tight_lp(cols, cols.min(axis=0), tight)
@@ -688,9 +704,9 @@ CHECKS = (_check_certificate, check_outcome)  # in integers, and in Fractions
 
 
 def lp_outcome(support, weights, det, duals, total) -> _LPOutcome:
-    """An LP outcome with the certificate's integers; z and the counters,
-    which neither check reads, are 0."""
-    return _LPOutcome(0, det, support, weights, duals, total, (0, 0, 0, 0, False))
+    """An LP outcome with the certificate's integers; z, the masks and the
+    counters, which neither check reads, are 0 or empty."""
+    return _LPOutcome(0, det, support, (), weights, duals, total, (0, 0, 0, 0, False))
 
 
 class TestCertificate:
@@ -807,15 +823,28 @@ class TestCertificate:
                     with pytest.raises(_CertificateError):
                         check(matrix, mode, wrong, lp)
 
-    def test_rejects_support_cuts_off_their_columns(self, monkeypatch):
-        # the distribution is made on first read, and its cuts must carry
-        # the support columns' masks
-        matrix, value, _ = self.paw()
-        sol = solve_maximin(matrix)
-        monkeypatch.setattr(PayoffMatrix, "cut", lambda self, j: Cut.from_mask(2 << j))
-        with pytest.raises(_CertificateError, match="support columns and distribution cuts"):
-            sol.distribution
-        assert sol.value == value  # the value is certified and read all the same
+
+@given(any_matrices)
+@settings(max_examples=100, deadline=None)
+def test_distribution_cuts_are_the_support_columns_cuts(matrix):
+    for mode in Mode:
+        sol = solve_maximin(matrix, mode)
+        masks = [cut.mask() for cut in sol.distribution.support]
+        assert masks == matrix.col_masks[list(sol.support)].tolist()
+
+
+def test_solution_does_not_keep_its_matrix_alive():
+    # the solution holds its support's masks, so dropping the matrix frees
+    # its columns, scaled arrays and kept LP outcomes, and the distribution
+    # is still made on its first read
+    inst = make_paw_instance()
+    matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
+    sol, alive = solve_maximin(matrix), weakref.ref(matrix)
+    want = tuple(matrix.cut(j) for j in sol.support)
+    del matrix
+    gc.collect()
+    assert alive() is None
+    assert sol.distribution.support == want
 
 
 SCALE = 2 * 10**6  # 1 / 10**6 and a half of any integer are integers over SCALE

@@ -219,6 +219,20 @@ class TestSubproblemBound:
         with pytest.raises(GeneratorParameterError):
             check_subproblem_bound(inst, other, (Fraction(0), Fraction(0)))
 
+    @pytest.mark.parametrize("groups", [
+        pytest.param([{0, 1, 2}], id="a size the full partition lacks"),
+        pytest.param([{0}, {1}, {2}], id="a size more often than in the full partition"),
+    ])
+    def test_rejects_sizes_off_the_full_partition(self, groups):
+        # the paw with edge groups of sizes 1, 1 and 2, against triangles
+        # with edge groups of sizes 3, or 1, 1 and 1
+        paw = make_paw_instance()
+        inst = replace(paw, partition=edge_groups(paw.graph, [{0}, {1}, {2, 3}]))
+        triangle = make_cycle(3)
+        sub = NamedInstance(triangle, edge_groups(triangle, groups), UtilityModel.EDGE, "triangle")
+        with pytest.raises(GeneratorParameterError, match="not a sub-collection"):
+            check_subproblem_bound(inst, sub, (Fraction(0),) * len(groups))
+
     def test_rejects_wrong_delta_count(self):
         inst = make_paw_instance()
         sub, _ = edge_subinstance(inst, (0, 1))
