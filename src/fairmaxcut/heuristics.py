@@ -8,8 +8,11 @@ edge, the sweep visits them by (level, index), and each level is updated in
 one batch.  Per row the batch runs the same float64 steps, in the same
 order, as the row-by-row reference loop kept in the tests, so its
 embeddings match it bit for bit.  The rounding keeps one generator per
-call, re-keyed to each sample's own stream, and keeps each sample's side
-vector packed eight vertices to a byte.
+call, re-keyed to each sample's own stream, and takes a chunk of samples'
+inner products with one matrix product.  A forward-error bound certifies
+each side read off it as that of the sample's own matrix-vector product,
+and a sample with an uncertified side re-takes it from that product.  Each
+sample's side vector is kept packed eight vertices to a byte.
 
 Both samplers score a block of cuts from their side bytes with one
 crossing-word kernel: byte b of a cut's sides indexes a 256-row XOR table
@@ -78,11 +81,12 @@ def _rekeyed_rngs(seed: int, first: int) -> Iterator[np.random.Generator]:
     bitgen = np.random.Philox(key=_philox_key(seed, first))
     rng = np.random.Generator(bitgen)
     fresh = bitgen.state
-    # the state setter reads Python ints faster than numpy scalars
+    # the state setter reads lists of Python ints faster than numpy arrays
     fresh["state"]["counter"] = fresh["state"]["counter"].tolist()
     fresh["buffer"] = fresh["buffer"].tolist()
+    seed &= _MASK64
     for stream in itertools.count(first):
-        fresh["state"]["key"] = _philox_key(seed, stream)
+        fresh["state"]["key"] = [seed, stream & _MASK64]
         bitgen.state = fresh
         yield rng
 
@@ -338,12 +342,13 @@ def naive_random_sample(
     one draw of all trials.  A trial's words, read as little-endian bytes,
     are its side bytes, and ``_crossing_words`` turns them into the crossing
     words that ``block_scorer`` scores.  The sums of numerators and of their
-    squares are kept as Python ints.  ``check_trial_count`` refuses more
-    than ``MAX_TRIALS`` trials before any draw."""
+    squares are kept as Python ints.  More than ``MAX_TRIALS`` trials, or
+    crossing tables past ``MAX_TABLE_BYTES``, are refused before any draw."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     check_trial_count(trials)
     require_compatible(g, model, partition)
+    _check_table_size(g, min(trials, _BLOCK_TRIALS))
     dens, bound, incident, numerators = block_scorer(g, model, partition.groups)
     crossing = _crossing_words(incident, min(trials, _BLOCK_TRIALS))
     rng = derive_rng(seed, _STREAM_NAIVE)
@@ -501,10 +506,14 @@ def _coordinate_ascent(g: Graph, vec: np.ndarray, iterations: int) -> None:
     A vector whose update equals it numerically (0.0 == -0.0) is left as it
     is, so a stored zero keeps its sign, and one whose neighbors sum to
     norm 0 is not updated.  A sweep first writes every update without
-    comparing.  That differs from the careful update only if an unmoved row
-    got a zero's sign flipped or a norm was 0, and then the sweep is redone
-    from its start with the comparison.  The first sweep that moves no row
-    is the last."""
+    comparing, then checks the rows against a copy of its start with two
+    whole-array compares: one of the floats, one of their bits.  The fast
+    sweep differs from the careful one only if a norm was 0 or an unmoved
+    row got a zero's sign flipped.  So the sweep is redone from its start
+    with the comparison when a norm was 0 or any element, in a moved row
+    or not, is equal as a float but differs in its bits: a wider trigger,
+    and a redo gives the careful sweep's bits.  The first sweep after
+    which every element compares equal is the last."""
     order, levels = _sweep_levels(g)
     work = np.empty((len(order) + 1, vec.shape[1]))
     work[:-1] = vec[order]
@@ -526,18 +535,23 @@ def _coordinate_ascent(g: Graph, vec: np.ndarray, iterations: int) -> None:
             rows[moved] = new[moved]
 
     before = np.empty_like(work)
+    same = np.empty(work.shape, dtype=bool)
+    work_bits, before_bits = work.view(np.int64), before.view(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(iterations):
             np.copyto(before, work)
             sweep(keep_equal=False)
-            unmoved = (work == before).all(axis=1)
-            if not norms.all() or (
-                work[unmoved].view(np.int64) != before[unmoved].view(np.int64)
-            ).any():
+            equal = np.count_nonzero(np.equal(work, before, out=same))
+            # with no zero norm no row holds a NaN, so equal bits are equal
+            # floats, and the counts differ iff an element is equal but not
+            # in its bits
+            if not norms.all() or equal != np.count_nonzero(
+                np.equal(work_bits, before_bits, out=same)
+            ):
                 np.copyto(work, before)
                 sweep(keep_equal=True)
-                unmoved = (work == before).all(axis=1)
-            if unmoved.all():
+                equal = np.count_nonzero(np.equal(work, before, out=same))
+            if equal == same.size:
                 break
     vec[order] = work[:-1]
 
@@ -616,6 +630,8 @@ def gw_cut_probability(dot: float) -> float:
 # value (a tuple slot and an int object)
 MAX_ROUNDING_BYTES = 2**30
 _CUT_VALUE_BYTES = 40
+# the most bytes one call's crossing tables and buffers may take
+MAX_TABLE_BYTES = 2**30
 # the most Monte Carlo trials one call may draw: memory stays one block
 # whatever the count, so the limit is on time (about 30 s for edge groups
 # on an 80-vertex, 619-edge graph; 2**40 trials would take days)
@@ -629,15 +645,114 @@ def check_trial_count(trials: int) -> None:
         raise TooLargeError(f"{trials} Monte Carlo trials; the limit is {MAX_TRIALS}")
 
 
+def _check_table_size(g: Graph, rows: int) -> None:
+    """Raise ``TooLargeError`` if ``_crossing_words`` would allocate more than
+    ``MAX_TABLE_BYTES`` for g and ``rows`` cuts a call: ceil(n / 8) tables of
+    256 rows and two buffers of ``rows`` rows, each row ceil(m / 64) words."""
+    words = (g.edge_count + 63) // 64
+    tables = ((g.vertex_count + 7) // 8 * 256 + 2 * rows) * words * 8
+    if tables > MAX_TABLE_BYTES:
+        raise TooLargeError(
+            f"the crossing tables of {g.vertex_count} vertices and {g.edge_count} edges "
+            f"would take {tables} bytes; the limit is {MAX_TABLE_BYTES}"
+        )
+
+
 def check_rounding_size(g: Graph, samples: int) -> None:
     """Raise ``TooLargeError`` if ``gw_round`` would keep more than
-    ``MAX_ROUNDING_BYTES`` for that many samples of g."""
+    ``MAX_ROUNDING_BYTES`` for that many samples of g, or if its crossing
+    tables would take more than ``MAX_TABLE_BYTES``."""
     kept = samples * ((g.vertex_count + 7) // 8 + _CUT_VALUE_BYTES)
     if kept > MAX_ROUNDING_BYTES:
         raise TooLargeError(
             f"{samples} rounding samples of {g.vertex_count} vertices would keep {kept} "
             f"bytes of sides and cut values; the limit is {MAX_ROUNDING_BYTES}"
         )
+    _check_table_size(g, min(samples, _BLOCK_TRIALS))
+
+
+# the most entries of each float buffer of the rounding's block product, so
+# that its memory stays the same whatever the vertex count, and the fewest
+# samples of a chunk (while samples last), so that each read of a vertex's
+# row serves many samples
+_PRODUCT_ENTRIES = 2**14
+_PRODUCT_ROWS = 2**6
+
+
+def _product_sides(vec: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """One sample's side bytes from its own matrix-vector product."""
+    return np.packbits(vec @ normal >= 0.0, bitorder="little")
+
+
+def _side_writer(
+    vec: np.ndarray, rngs: Iterator[np.random.Generator], samples: int
+) -> Callable[[np.ndarray], None]:
+    """A function that writes the side bytes of the next samples of ``rngs``
+    into the rows of the array it is given: vertex v is on sample s's
+    positive side iff ``(vec @ normal)[v] >= 0.0`` for s's normal, as
+    ``_product_sides`` takes it.
+
+    A chunk of samples draws its normals N into the rows of one buffer
+    (``standard_normal(out=row)``, the doubles of a new array) and takes all
+    its inner products D = N X^T with one ``np.matmul``.  D's sign is kept
+    only where it is provably that of the per-sample product.  Let r be the
+    rank, u = 2**-53 and gamma_r = r u / (1 - r u).  Whatever the order of
+    the r products and sums, with or without fused multiply-adds, a
+    binary64 inner product of n and x is within gamma_r B + e of the exact
+    one t, where B = sum |n_k| |x_k| and e is what underflow adds (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, section 3.1);
+    both BLAS gemm and gemv evaluate each entry so.  So if |D_sv| > 2
+    (gamma_r B + e), then t lies on D_sv's side more than gamma_r B + e
+    from zero, and the per-sample product is nonzero with t's sign.
+
+    The band is read off a second product |N| |X|^T, whose entries are at
+    least (1 - gamma_r) B: scaled by (r + 2) 2**-51, more than 2 gamma_r /
+    ((1 - gamma_r) (1 - u)**2) for the band's own rounding, plus (r + 1)
+    2**-1020, more than the 2 e of both products (at most 2**-1022 per
+    operation, even where results flush to zero).  A sample with any entry
+    on or inside the band takes its whole row from ``_product_sides``, so a
+    zero product counts as the positive side and every side is the
+    per-sample product's.
+
+    The float buffers hold at most ``_PRODUCT_ENTRIES`` entries each (or one
+    normal, past that rank).  A chunk is that many entries over the vertex
+    count (or the rank) of samples, but at least ``_PRODUCT_ROWS`` of them;
+    where its vertices would not fit, they are split into spans of whole
+    bytes of the sides."""
+    n, rank = vec.shape
+    widest = max(rank, min(n, _PRODUCT_ENTRIES // _PRODUCT_ROWS))
+    rows = max(1, min(samples, _PRODUCT_ENTRIES // widest))
+    span = max(1, n) if rows * n <= _PRODUCT_ENTRIES else _PRODUCT_ENTRIES // rows // 8 * 8
+    normals = np.empty((rows, rank))
+    magnitudes = np.empty_like(normals)
+    dots = np.empty((rows, span))
+    band = np.empty_like(dots)
+    flags = np.empty(dots.shape, dtype=bool)
+    transposed, abs_transposed = vec.T, np.abs(vec).T
+    scale, floor = (rank + 2) * 2.0**-51, (rank + 1) * 2.0**-1020
+
+    def write(packed: np.ndarray) -> None:
+        for first in range(0, len(packed), rows):
+            out = packed[first : first + rows]
+            drawn, size = normals[: len(out)], magnitudes[: len(out)]
+            for normal, rng in zip(drawn, rngs):
+                rng.standard_normal(out=normal)
+            np.abs(drawn, out=size)
+            unsure = set()
+            for lo in range(0, n, span):
+                hi = min(n, lo + span)
+                dot = np.matmul(drawn, transposed[:, lo:hi], out=dots[: len(out), : hi - lo])
+                bound = np.matmul(size, abs_transposed[:, lo:hi], out=band[: len(out), : hi - lo])
+                bound *= scale
+                bound += floor
+                side = np.greater_equal(dot, 0.0, out=flags[: len(out), : hi - lo])
+                out[:, lo // 8 : (hi + 7) // 8] = np.packbits(side, axis=1, bitorder="little")
+                if np.less_equal(np.abs(dot, out=dot), bound, out=side).any():
+                    unsure.update(np.flatnonzero(side.any(axis=1)).tolist())
+            for s in sorted(unsure):  # each normal a new array, as drawn alone
+                out[s] = _product_sides(vec, drawn[s].copy())
+
+    return write
 
 
 def gw_round(
@@ -654,34 +769,32 @@ def gw_round(
 
     One generator serves the whole call: before each sample its bit
     generator is re-keyed to the fresh state of stream (seed, s), counter 0
-    and empty buffer, so the normals are those of ``derive_rng``.  Each
-    normal takes its own matrix-vector product; one matrix product over
-    stacked normals could round differently and flip a near-zero sign.  The
-    sides are written into blocks of ``_BLOCK_TRIALS`` samples, and each
-    block is packed eight vertices to a byte into the kept ``side_bytes``.
-    ``_crossing_words`` turns a block's side bytes into its crossing words,
-    whose popcounts are the samples' cut values and whose bits, summed over
-    the samples, the per-edge counts.  ``check_rounding_size`` refuses a
-    rounding that would not fit before anything is allocated."""
+    and empty buffer, so the normals are those of ``derive_rng``.  A side is
+    the sign of the sample's own matrix-vector product ``vec @ normal``.
+    One matrix product over stacked normals rounds differently, but
+    ``_side_writer`` takes a sign from it only where its error bound proves
+    it the same, and re-takes the rest from ``vec @ normal``.  The sides of
+    each block of ``_BLOCK_TRIALS`` samples are written eight vertices to a
+    byte into the kept ``side_bytes``.  ``_crossing_words`` turns a block's
+    side bytes into its crossing words, whose popcounts are the samples'
+    cut values and whose bits, summed over the samples, the per-edge
+    counts.  ``check_rounding_size`` refuses a rounding that would not fit
+    before anything is allocated."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if embedding.vertex_count != g.vertex_count:
         raise ValueError("embedding size does not match the graph")
     check_rounding_size(g, samples)
     vec = embedding.vectors
-    rngs = _rekeyed_rngs(seed, _STREAM_GW)
+    write_sides = _side_writer(vec, _rekeyed_rngs(seed, _STREAM_GW), samples)
     words = (g.edge_count + 63) // 64
     crossing = _crossing_words(edge_words(incident_masks(g), words), min(samples, _BLOCK_TRIALS))
     side_bytes = np.empty((samples, (g.vertex_count + 7) // 8), dtype=np.uint8)
     values = []
     crossing_counts = np.zeros(g.edge_count, dtype=np.int64)
-    sides = np.empty((min(samples, _BLOCK_TRIALS), g.vertex_count), dtype=bool)
     for start in range(0, samples, _BLOCK_TRIALS):
-        block = sides[: min(_BLOCK_TRIALS, samples - start)]
-        for side, rng in zip(block, rngs):
-            np.greater_equal(vec @ rng.standard_normal(embedding.dimension), 0.0, out=side)
-        packed = side_bytes[start : start + len(block)]
-        packed[:] = np.packbits(block, axis=1, bitorder="little")
+        packed = side_bytes[start : start + _BLOCK_TRIALS]
+        write_sides(packed)
         cross = crossing(packed)
         values += np.bitwise_count(cross).sum(axis=1).tolist()
         # edge e is bit e % 8 of byte e // 8 of the little-endian words

@@ -12,15 +12,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairmaxcut import cli, exact
+from fairmaxcut import cli, exact, heuristics
 from fairmaxcut.cli import build_parser, main
 from fairmaxcut.exact import MAX_SOLVE_BYTES, Mode, build_payoff_matrix, check_solve_size
-from fairmaxcut.families import make_cycle, make_odd_cycle_instance, random_instance
-from fairmaxcut.graphs import PartitionKind, cut_value
-from fairmaxcut.heuristics import MAX_TRIALS, _sweep_levels, gw_round, sdp_objective
+from fairmaxcut.families import (
+    NamedInstance,
+    make_cycle,
+    make_odd_cycle_instance,
+    random_instance,
+)
+from fairmaxcut.graphs import Graph, PartitionKind, cut_value, node_groups
+from fairmaxcut.heuristics import (
+    MAX_TABLE_BYTES,
+    MAX_TRIALS,
+    _sweep_levels,
+    gw_round,
+    sdp_objective,
+)
 from fairmaxcut.instances import load_instance, save_instance
 from fairmaxcut.maximin import solve_maximin
 from fairmaxcut.reports import parse_report
+from fairmaxcut.utility import UtilityModel
 
 from .python_sdp import python_sdp_solve
 
@@ -265,6 +277,44 @@ class TestRun:
         )
         assert rc == 0
         assert out == (GOLDENS / f"{name}_gw.report").read_text()
+
+    def test_gw_golden_report_across_a_block_boundary(self):
+        # 5000 samples: a full block of 4,096 and a last one of 904
+        name = "random_n8_p05_g3_seed42"
+        rc, out, _ = run_cli(
+            ["run", str(GOLDENS / f"{name}.inst"), "--algorithm", "gw",
+             "--embedding", str(GOLDENS / f"{name}.emb"), "--samples", "5000", "--seed", "5",
+             "--no-timestamp"]
+        )
+        assert rc == 0
+        assert out == (GOLDENS / f"{name}_gw5000.report").read_text()
+
+    @pytest.mark.parametrize(
+        "algorithm, count", [("gw", ["--samples", "10"]), ("naive-random", ["--trials", "10"])]
+    )
+    def test_crossing_tables_past_the_budget_exit_3(self, algorithm, count, tmp_path, monkeypatch):
+        # a 20,000-vertex path: 2,500 tables of 256 rows of 313 words.
+        # Refused before the SDP or any draw, and before the first table:
+        # only the exit and the reason
+        n = 20_000
+        g = Graph(n, tuple((v, v + 1) for v in range(n - 1)))
+        path = str(tmp_path / "path.inst")
+        partition = node_groups(g, [range(n)])
+        save_instance(NamedInstance(g, partition, UtilityModel.NODE_MAXDEG, "path"), path)
+
+        def allocate_anyway(*args, **kwargs):
+            raise AssertionError("went on past the table budget")
+
+        for name in ("gw_sdp_solve", "derive_rng", "xor_table"):
+            monkeypatch.setattr(heuristics, name, allocate_anyway)
+        rc, out, err = run_cli(["run", path, "--algorithm", algorithm, *count])
+        assert rc == 3
+        assert out == ""
+        tables = (2_500 * 256 + 2 * 10) * 313 * 8
+        assert err == (
+            f"error: the crossing tables of {n} vertices and {n - 1} edges would take {tables} "
+            f"bytes; the limit is {MAX_TABLE_BYTES}\n"
+        )
 
     def test_gw_too_many_samples_exit_3(self, paw_path):
         # refused before the sides are allocated: only the exit and the reason

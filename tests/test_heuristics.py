@@ -555,6 +555,95 @@ class TestGwRoundMatchesReferenceLoop:
 
         assert transient(4 * _BLOCK_TRIALS) <= transient(_BLOCK_TRIALS) + 2**20
 
+    def test_transient_memory_at_8192_vertices(self):
+        # a path with rank-2 axis vectors and no SDP.  One matrix-vector
+        # product per sample took 287,088,680 bytes of transient memory
+        # here, most of it the crossing tables; the block product may add at
+        # most 1 MiB to that.  An unchunked samples-by-vertices product and
+        # its band would add about 125 MiB
+        n = 8192
+        g = Graph(n, tuple((v, v + 1) for v in range(n - 1)))
+        vectors = np.zeros((n, 2))
+        vectors[np.arange(n), np.arange(n) % 2] = 1.0
+        embedding = UnitVectorEmbedding(vectors)
+        tracemalloc.start()
+        try:
+            rounding = gw_round(g, embedding, seed=5, samples=1000)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rounding.cut_values) == 1000
+        assert peak - kept <= 287_088_680 + 2**20
+
+    @given(
+        st.integers(1, 12).flatmap(lambda n: graphs(min_vertices=n, max_vertices=n)),
+        st.integers(2, 5),
+        st.sampled_from([1, 7, 300, _BLOCK_TRIALS + 1]),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_vertices_on_a_sample_hyperplane(self, g, rank, samples, seed, vector_seed):
+        # vertex vectors within a few ulps of one sample's hyperplane: their
+        # block products fall in the band, so those samples take the
+        # per-sample product, and the sides are still the reference's
+        vectors = near_hyperplane_vectors(g.vertex_count, rank, seed, samples, vector_seed)
+        embedding = UnitVectorEmbedding(vectors)
+        with counted_fallbacks() as fallbacks:
+            got = gw_round(g, embedding, seed, samples)
+        assert fallbacks
+        assert same_rounding(got, python_gw_round(g, embedding, seed, samples))
+
+    @pytest.mark.parametrize("n", [257, 1000, 2**14 + 13])
+    def test_vertex_spans_of_the_block_product(self, n):
+        # past 256 vertices a chunk's product is split into spans of
+        # vertices; 70 samples make two chunks
+        g = Graph(n, ())
+        embedding = UnitVectorEmbedding(near_hyperplane_vectors(n, 3, 11, 70, n))
+        with counted_fallbacks() as fallbacks:
+            got = gw_round(g, embedding, 11, 70)
+        assert fallbacks
+        assert same_rounding(got, python_gw_round(g, embedding, 11, 70))
+
+
+def near_hyperplane_vectors(n, rank, seed, samples, vector_seed):
+    """n unit rows, at least one of them, and about half of the rest,
+    orthogonal to the normal of a random sample s < samples (drawn from
+    ``derive_rng(seed, _STREAM_GW + s)``) up to the rounding of two of its
+    coordinates, which are then moved by up to 3 ulps; the others random."""
+    rng = np.random.default_rng(vector_seed)
+    vectors = rng.standard_normal((n, rank))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    for v in range(n):
+        if v and rng.random() < 0.5:
+            continue
+        s = int(rng.integers(samples))
+        normal = derive_rng(seed, _STREAM_GW + s).standard_normal(rank)
+        i, j = rng.choice(rank, 2, replace=False)
+        row = np.zeros(rank)
+        row[i], row[j] = -normal[j], normal[i]
+        row /= math.hypot(normal[i], normal[j])
+        for _ in range(int(rng.integers(4))):
+            row[i] = np.nextafter(row[i], rng.choice([-np.inf, np.inf]))
+        vectors[v] = row * rng.choice([1.0, -1.0])
+    return vectors
+
+
+@contextlib.contextmanager
+def counted_fallbacks():
+    """The samples whose sides ``gw_round`` re-takes from their own
+    matrix-vector product, as a list that grows while the context is open."""
+    calls = []
+    product_sides = heuristics._product_sides
+
+    def counted(vec, normal):
+        calls.append(normal)
+        return product_sides(vec, normal)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heuristics, "_product_sides", counted)
+        yield calls
+
 
 @st.composite
 def rounded_instances(draw):
@@ -802,6 +891,30 @@ class TestGwSdpSolveMatchesReferenceLoop:
         assert got.tobytes() == want.tobytes()
         assert not np.signbit(got[1:, 0]).any()
 
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    def test_moved_row_with_a_flipped_zero_redoes_the_sweep(self, iterations):
+        # on one edge, vertex 0 moves to (-0.0, 1.0, -0.0): its first element
+        # stays equal as a float, 0.0 == -0.0, but not in its bits.  Vertex
+        # 1's update is its row bit for bit, so no unmoved row flips a zero's
+        # sign; the check still redoes the first sweep, and the bits are the
+        # reference's
+        g = Graph(2, ((0, 1),))
+        start = np.array([[0.0, 0.0, 1.0], [-0.0, -1.0, -0.0]])
+        once = start.copy()
+        python_sweeps(g, once, 1)
+        assert once[1].tobytes() == start[1].tobytes()
+        assert once[0, 0] == start[0, 0] and np.signbit(once[0, 0]) != np.signbit(start[0, 0])
+        assert (once[0] != start[0]).any()
+        counting = CountingCopies()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(heuristics, "np", counting)
+            _coordinate_ascent(g, start.copy(), 1)
+        assert counting.copies == 2  # the sweep's start, and its redo
+        got, want = start.copy(), start.copy()
+        _coordinate_ascent(g, got, iterations)
+        python_sweeps(g, want, iterations)
+        assert got.tobytes() == want.tobytes()
+
     @given(
         st.integers(1, 24),
         st.floats(0.0, 1.0),
@@ -848,6 +961,21 @@ class TestGwSdpSolveMatchesReferenceLoop:
         _coordinate_ascent(g, once, 1)
         assert once[0].tobytes() == start[0].tobytes()
         assert once[3].tolist() == [-0.8, -0.6]
+
+
+class CountingCopies:
+    """numpy, but counting ``np.copyto`` calls: ``_coordinate_ascent`` makes
+    one per sweep, and one more for each sweep it redoes."""
+
+    def __init__(self):
+        self.copies = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def copyto(self, *args, **kwargs):
+        self.copies += 1
+        return np.copyto(*args, **kwargs)
 
 
 class TestDeriveRng:
