@@ -33,7 +33,9 @@ import numpy as np
 
 from .errors import TooLargeError
 from .graphs import Cut, Graph, GroupPartition
-from .utility import UtilityModel, block_scorer, ground_set_size, require_compatible, xor_table
+from .utility import (
+    UtilityModel, block_scorer, ground_set_size, int_dtype, require_compatible, xor_table
+)
 
 DEFAULT_ENUMERATION_LIMIT = 24
 # build_payoff_matrix scores 2**_BLOCK_BITS consecutive canonical cuts per numpy block
@@ -203,7 +205,7 @@ def build_payoff_matrix(
     require_compatible(g, model, partition)
     check_enumeration_limit(g, limit)
     dens, bound, incident, numerators = block_scorer(g, model, partition.groups)
-    if bound >> 63:
+    if int_dtype(bound) is object:
         raise TooLargeError(
             f"group utility numerators reach {bound}; exact enumeration needs them below 2**63"
         )
@@ -235,13 +237,14 @@ def build_payoff_matrix(
 
 def scaled_columns(matrix: PayoffMatrix, mode: Mode) -> tuple[int, np.ndarray]:
     """The matrix's entries as numerators over ``den``, the lcm of the mode's
-    denominators d_i: a read-only (groups, columns) array, int64 while every
-    column sum stays below 2**62, else of Python ints (object dtype).
+    denominators d_i: a read-only (groups, columns) array whose dtype is
+    ``int_dtype`` of a bound on every column sum, the largest entry times
+    the largest scale ``den // d_i`` times γ.
 
-    It is made once per matrix and mode.  The two modes' scales ``den //
-    d_i`` agree exactly when every group has one size s, and then the
-    proportion mode shares the value mode's array, over s * den.  When every
-    scale is 1 and int64 suffices it is ``matrix.entries`` itself."""
+    It is made once per matrix and mode.  The two modes' scales agree
+    exactly when every group has one size s, and then the proportion mode
+    shares the value mode's array, over s * den.  When every scale is 1 and
+    the dtype is int64 it is ``matrix.entries`` itself."""
     found = matrix._scaled.get(mode)
     if found is None:
         if mode is Mode.PROPORTION and len(set(matrix.group_sizes)) == 1:
@@ -251,12 +254,10 @@ def scaled_columns(matrix: PayoffMatrix, mode: Mode) -> tuple[int, np.ndarray]:
             dens = matrix.denominators(mode)
             den = lcm(*dens)
             scales = [den // d for d in dens]
-            if int(matrix.entries.max(initial=1)) * max(scales) * len(dens) >> 62:
-                cols = matrix.entries * np.array(scales, dtype=object)[:, None]
-            elif max(scales) == 1:
-                cols = matrix.entries
-            else:
-                cols = matrix.entries * np.array(scales, dtype=np.int64)[:, None]
+            dtype = int_dtype(int(matrix.entries.max(initial=1)) * max(scales) * len(dens))
+            cols = matrix.entries.astype(dtype, copy=False)
+            if max(scales) > 1:
+                cols = cols * np.array(scales, dtype=dtype)[:, None]
             cols.flags.writeable = False
             found = den, cols
         matrix._scaled[mode] = found

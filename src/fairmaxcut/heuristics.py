@@ -52,6 +52,7 @@ from .utility import (
     block_scorer,
     edge_words,
     incident_masks,
+    int_dtype,
     require_compatible,
     xor_table,
 )
@@ -358,8 +359,7 @@ def naive_random_sample(
         shape = (count, (g.vertex_count + 63) // 64)
         raw = rng.integers(0, _MASK64, shape, dtype=np.uint64, endpoint=True)
         nums = numerators(crossing(raw.astype("<u8", copy=False).view(np.uint8)))
-        if count * bound * bound >= 2**62:  # squares could pass int64
-            nums = nums.astype(object)
+        nums = nums.astype(int_dtype(count * bound * bound), copy=False)  # the squares' sums
         totals = [a + b for a, b in zip(totals, nums.sum(axis=0).tolist())]
         squares = [a + b for a, b in zip(squares, (nums * nums).sum(axis=0).tolist())]
 
@@ -606,8 +606,7 @@ class GwRounding:
         totals = [0] * len(dens)
         for start in range(0, samples, _BLOCK_TRIALS):
             nums = numerators(crossing(self.side_bytes[start : start + _BLOCK_TRIALS]))
-            if len(nums) * bound >= 2**63:  # the sums could pass int64
-                nums = nums.astype(object)
+            nums = nums.astype(int_dtype(len(nums) * bound), copy=False)  # the sums
             totals = [a + b for a, b in zip(totals, nums.sum(axis=0).tolist())]
         per_group = tuple(
             Fraction(total, samples * den * len(gr))

@@ -25,7 +25,7 @@ makes reduced costs and tableau columns only where Bland's rule reads them.
 It only ever holds Python ints.  The row (w, b) of ``inv`` at z's position
 is det times the master's duals and value, and it prices every column in
 exact integer arithmetic, one vector-matrix product over the array C
-(int64 while no score can reach 2**62, else Python ints) with w and b
+(in ``utility.int_dtype`` of a bound on the scores and the bar) with w and b
 divided by their gcd, which drops the basis determinant's common factor
 and keeps every comparison; the first column with the largest
 reduced cost enters (Dantzig's rule), until no column prices above the
@@ -145,6 +145,7 @@ import numpy as np
 
 from .exact import Mode, PayoffMatrix, build_payoff_matrix, scaled_columns
 from .graphs import Cut, Graph, GroupPartition
+from .utility import int_dtype
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -311,21 +312,21 @@ def _solve_lp(matrix: PayoffMatrix, cols: np.ndarray) -> _LPOutcome:
     gamma = matrix.group_count
     # the first master, over the best static column alone, in closed form
     mins = cols.min(axis=0)
-    start = int(np.argmax(mins))
+    start, top = int(np.argmax(mins)), int(cols.max(initial=1))
     r, scores, bar = _first_pricing(cols, start)
     master = lp = guess = None
     if scores.max() <= bar:
         # no column enters: the point mass on the start column
         duals, total = [int(i == r) for i in range(gamma)], 1
         columns, tight = [start], []
-    elif (guess := _uniform_guess(matrix.group_sizes, cols, mins)) is not None:
+    elif (guess := _uniform_guess(matrix.group_sizes, cols, mins, top)) is not None:
         tight, lp = guess
         columns = tight
         duals, total = lp.duals()
     else:
         # the column with the largest reduced cost enters until none prices
         # above the master's value, from the closed form's first round
-        columns, top = [start], int(cols.max(initial=1))
+        columns = [start]
         master = _RevisedLP([cols[:, start].tolist()], 0)
         enter = int(np.argmax(scores))
         while scores[enter] > bar:
@@ -398,13 +399,16 @@ def _price(master: "_RevisedLP", cols: np.ndarray, top: int) -> tuple[np.ndarray
 
 
 def _uniform_guess(
-    group_sizes: tuple[int, ...], cols: np.ndarray, mins: np.ndarray
+    group_sizes: tuple[int, ...], cols: np.ndarray, mins: np.ndarray, top: int
 ) -> tuple[list[int], "_RevisedLP"] | None:
     """The columns tight at the uniform dual and Bland's LP over them, if
     that LP certifies the optimum with a nondegenerate basis (module
     docstring); None when the groups differ in size or the rows of ``cols``
-    in their sums, or when the guess fails."""
-    if len(set(group_sizes)) > 1 or len(set(cols.sum(axis=1).tolist())) > 1:
+    in their sums, each at most ``top`` (at least the largest entry) times
+    the column count, or when the guess fails."""
+    if len(set(group_sizes)) > 1:
+        return None
+    if len(set(cols.sum(axis=1, dtype=int_dtype(top * cols.shape[1])).tolist())) > 1:
         return None
     sums = cols.sum(axis=0)
     best = int(sums.max())
@@ -424,11 +428,12 @@ def _tight_lp(cols: np.ndarray, mins: np.ndarray, tight: list[int]) -> "_Revised
 
 def _column_scores(weights: list[int], bar: int, cols: np.ndarray, top: int) -> np.ndarray:
     """Every column's pricing score sum_i weights[i] * cols[i, j], where
-    ``top`` is at least the largest entry of ``cols``: in int64 while the
-    scores and the bar stay below 2**62, else in Python ints."""
-    if cols.dtype == object or max(map(abs, weights)) * top * len(weights) >> 62 or bar >> 62:
-        return np.array(weights, dtype=object) @ cols.astype(object, copy=False)
-    return np.array(weights, dtype=np.int64) @ cols
+    ``top`` is at least the largest entry of ``cols``: the weights' dtype
+    is ``int_dtype`` of γ * max|weights[i]| * top, a bound on every partial
+    sum, and of the bar the scores are compared with.  Object columns give
+    object scores whatever the weights' dtype."""
+    bound = max(len(weights) * max(map(abs, weights)) * top, bar)
+    return np.array(weights, dtype=int_dtype(bound)) @ cols
 
 
 class _RevisedLP:
@@ -576,10 +581,10 @@ def _check_certificate(matrix: PayoffMatrix, mode: Mode, value: Fraction, lp: _L
     weights' gcd g; the best column score max_j sum_i w_i * entries[i, j],
     times g * W, must equal V * T * L.  The support columns are read as
     Python ints; the column scores are one product over the entries array,
-    with an int64 guard of their own.  Its maximum is kept per matrix and
-    divided weight vector, which only this check fills: with equal group
-    sizes, a reused LP outcome's proportion-mode weights are its value-mode
-    ones, since the size cancels out of L / d_i.
+    with a bound of their own (``_best_dual_score``).  Its maximum is kept
+    per matrix and divided weight vector, which only this check fills: with
+    equal group sizes, a reused LP outcome's proportion-mode weights are its
+    value-mode ones, since the size cancels out of L / d_i.
     """
     V, W = value.numerator, value.denominator
     support, P, D, Q, T = lp.support, lp.weights, lp.det, lp.duals, lp.total
@@ -607,13 +612,12 @@ def _check_certificate(matrix: PayoffMatrix, mode: Mode, value: Fraction, lp: _L
 
 
 def _best_dual_score(w: list[int], entries: np.ndarray) -> int:
-    """max_j sum_i w[i] * entries[i, j] for non-negative integer weights: in
-    int64 while sum(w) * max entry stays below 2**62, else in Python ints.
-    The weights carry no determinant: they are divided by their gcd, so
-    only genuinely large duals leave int64."""
-    if sum(w) * int(entries.max(initial=1)) >> 62:
-        return int((np.array(w, dtype=object) @ entries.astype(object)).max())
-    return int((np.array(w, dtype=np.int64) @ entries).max())
+    """max_j sum_i w[i] * entries[i, j] for non-negative integer weights, in
+    ``int_dtype`` of sum(w) * max entry, a bound on every partial sum.  The
+    weights carry no determinant: they are divided by their gcd, so only
+    genuinely large duals leave int64."""
+    dtype = int_dtype(sum(w) * int(entries.max(initial=1)))
+    return int((np.array(w, dtype=dtype) @ entries).max())
 
 
 def df_fair(

@@ -118,6 +118,16 @@ def xor_table(incident: np.ndarray) -> np.ndarray:
     return table
 
 
+def int_dtype(bound: int) -> type:
+    """The package's one exact-integer rule: ``np.int64`` when ``bound`` is
+    below 2**63, else ``object`` (Python ints).  Callers pass a proven bound
+    on every magnitude their integer sums and products can reach, partial
+    sums included.  int64 holds every such integer, so it never wraps, and
+    Python ints never overflow: the values are exact either way, and only
+    the dtype follows the bound."""
+    return np.int64 if bound < 2**63 else object
+
+
 # rows times pairs per chunk of ``block_scorer``'s product, so that a chunk's
 # popcounts stay small however many pairs a model has
 _CHUNK_ENTRIES = 2**15
@@ -139,13 +149,13 @@ def block_scorer(
     dens[i]`` is group i's utility under the cut with crossing words
     ``cross[c]``: per chunk of rows, one gather of the pair words, one AND,
     one popcount and one product with the P x γ weights.  ``bound``, a
-    group's largest numerator, sets the product's dtype: float64 below
-    2**53 (exact: see the module docstring), int64 below 2**63, else Python
-    ints.  The result is int64 (object dtype from 2**63 on), the transpose
-    of a (γ, rows) array."""
+    group's largest numerator, bounds every partial sum of the product, and
+    ``int_dtype(bound)`` is the result's dtype and the product's, which
+    runs in float64 instead while ``bound`` is below 2**53 (exact: see the
+    module docstring).  The result is the transpose of a (γ, rows) array."""
     weights, dens = group_weights(g, model, groups)
     bound = max(sum(row.values()) for row in weights)
-    dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
+    dtype = np.float64 if bound < 2**53 else int_dtype(bound)
     m = g.edge_count
     columns = list(zip(*([row.get(e, 0) for e in range(m)] for row in weights)))
     order = sorted(range(m), key=columns.__getitem__)  # ties in edge order
@@ -162,7 +172,7 @@ def block_scorer(
     chunk = max(1, _CHUNK_ENTRIES // max(1, len(pair_masks)))
 
     def numerators(cross: np.ndarray) -> np.ndarray:
-        out = np.empty((len(dens), len(cross)), dtype=object if dtype is object else np.int64)
+        out = np.empty((len(dens), len(cross)), dtype=int_dtype(bound))
         for start in range(0, len(cross), chunk):
             hits = cross[start : start + chunk, pair_words]
             hits &= pair_masks

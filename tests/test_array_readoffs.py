@@ -47,7 +47,7 @@ from .strategies import certificate_matrices, matrix_from_rows, random_matrices
 
 BIG = 1 << 40
 # entries near 2**40: scaled over coprime denominators near 2**11, or priced
-# with weights that grow with the basis determinant, products pass 2**62
+# with weights that grow with the basis determinant, products pass 2**63
 BIG_ROWS = [
     [BIG + 3, BIG - 5, 7, BIG // 2],
     [BIG - 1, 11, BIG + 2, BIG // 3],
@@ -174,7 +174,8 @@ def test_scaled_columns_past_int64_take_python_ints():
     matrix = PayoffMatrix(BIG_ROWS, COPRIME_DENS, (1, 2, 3), [2, 4, 6, 8])
     for mode in Mode:
         dens = matrix.denominators(mode)
-        assert BIG * max(lcm(*dens) // d for d in dens) >= 2**62
+        top = int(matrix.entries.max())
+        assert top * max(lcm(*dens) // d for d in dens) * len(dens) >= 2**63
         _, cols = scaled_columns(matrix, mode)
         assert cols.dtype == object
     assert_matches_oracles(matrix)
@@ -198,8 +199,9 @@ def test_pricing_past_int64_takes_python_ints(monkeypatch):
 
 @pytest.mark.parametrize("weights, bar, fallback", [
     ([3, 1, 2], 5, False),
-    ([2**30, 1, 2**30 + 1], 5, True),  # 2**30 * 2**40 * 3 passes 2**62
-    ([3, 1, 2], 2**62, True),  # the bar alone
+    ([2**30, 1, 2**30 + 1], 5, True),  # 2**30 * 2**40 * 3 passes 2**63
+    ([3, 1, 2], 2**63 - 1, False),  # the bar alone, at the threshold
+    ([3, 1, 2], 2**63, True),
 ])
 def test_column_scores_guard(weights, bar, fallback):
     cols = np.array(BIG_ROWS, dtype=np.int64)
@@ -222,7 +224,7 @@ def test_certificate_dual_side_past_int64_takes_python_ints():
     for mode in Mode:
         value, lp = solved_outcome(matrix, mode)
         w = dual_side_weights(matrix, mode, lp.duals)
-        assert sum(w) * BIG >= 2**62
+        assert sum(w) * BIG >= 2**63
         assert _best_dual_score(w, matrix.entries) == python_best_dual_score(
             w, matrix.entries.tolist()
         )

@@ -308,13 +308,13 @@ class TestStreamedSampler:
     def test_large_numerators_stay_exact(self, largest, past_float):
         # hubs of distinct prime degrees into a shared pool: the hubs'
         # own-degree denominator is the product of the primes.  Up to 23 the
-        # numerators' squares overflow int64 (Python-int sums); up to 47 the
+        # sums of 64 squares can pass 2**63 (Python-int sums); up to 47 the
         # numerators pass 2**53 but stay int64
         g, partition = prime_hubs(largest)
         model = UtilityModel.NODE_OWNDEG
         weights, _ = group_weights(g, model, partition.groups)
         max_num = max(sum(row.values()) for row in weights)
-        assert 64 * max_num * max_num >= 2**62 and (max_num >= 2**53) == past_float
+        assert 64 * max_num * max_num >= 2**63 and (max_num >= 2**53) == past_float
         samples = naive_random_sample(g, model, partition, seed=3, trials=64)
         assert [(s.mean, s.variance) for s in samples] == direct_sample(g, model, partition, 3, 64)
 

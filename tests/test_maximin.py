@@ -372,6 +372,24 @@ class TestUniformGuess:
         oracle = python_solve_maximin(matrix)
         assert as_resolved(sol, oracle) == oracle
 
+    def test_row_sums_past_int64_fail_the_gate(self, monkeypatch):
+        # the first row sums to 2**64 + 3 and the second to 3: in int64 both
+        # would read 3, and a guess LP would be built and then rejected.
+        # Only the cold re-solve builds a tight LP
+        matrix = PayoffMatrix([[2**60] * 16 + [3], [0] * 16 + [3]], (1, 1), (1, 1),
+                              [2 * j for j in range(17)])
+        calls = []
+        tight_lp = maximin._tight_lp
+
+        def spy(*args):
+            calls.append(args)
+            return tight_lp(*args)
+
+        monkeypatch.setattr(maximin, "_tight_lp", spy)
+        sol = solve_maximin(matrix, Mode.VALUE)
+        assert sol.value == 3 and not sol.dual_guessed
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("kind", list(PartitionKind), ids=lambda k: k.value)
     @pytest.mark.parametrize("n", [5, 7, 9, 11, 13, 15])
     def test_odd_cycles(self, n, kind):

@@ -34,6 +34,7 @@ from fairmaxcut.utility import (
     edge_words,
     ground_set_size,
     group_weights,
+    int_dtype,
 )
 
 from .fraction_utility import (
@@ -258,6 +259,11 @@ def scorer_cases(draw):
     chunk = max(1, _CHUNK_ENTRIES // max(1, pair_count(g, model, groups)))
     rows = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1, 4096]))
     return g, model, groups, [rng.getrandbits(n) for _ in range(rows)]
+
+
+def test_int_dtype_at_the_threshold():
+    assert int_dtype(2**63 - 1) is np.int64
+    assert int_dtype(2**63) is object
 
 
 class TestBlockScorer:
