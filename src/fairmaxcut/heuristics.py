@@ -14,21 +14,27 @@ each side read off it as that of the sample's own matrix-vector product,
 and a sample with an uncertified side re-takes it from that product.  Each
 sample's side vector is kept packed eight vertices to a byte.
 
-Both samplers score a block of cuts from their side bytes with one
-crossing-word kernel: byte b of a cut's sides indexes a 256-row XOR table
-of vertices 8b..8b+7, and the XOR of those rows over its bytes is the cut's
-crossing words.  The Monte Carlo trials read their side bytes off the
-random words; the rounding packs its samples' sides, and reads their cut
-values, per-edge counts and lottery score off the same words.
+Both samplers read crossing words off side bytes with one kernel: byte b
+of a cut's sides indexes a 256-row XOR table of vertices 8b..8b+7, and the
+XOR of those rows over its bytes is the cut's crossing words.  The Monte
+Carlo trials read their side bytes off the random words, and
+``utility.block_scorer`` scores their crossing words; the rounding packs its
+samples' sides, and reads their cut values and per-edge crossing counts off
+the same words.
+
+Every lottery is scored off its crossing tally: each utility model is
+linear in the edge-crossing vector (``utility.group_weights``), so group i's
+expectation is sum_e W[i][e] tally[e] over total * dens[i] * |group i|,
+where tally[e] is the integer weight of the lottery's cuts that cross edge
+e and total the weights' sum.  The rounding's tally is its per-edge counts,
+and the uniform random cut's is 1/2 on every edge.
 
 Randomness is counter-based and splittable: every randomized operation takes
 an explicit 64-bit seed, and independent units of work (Monte Carlo trials,
 rounding samples) draw from Philox streams keyed by (seed, unit index), so
 results are bit-reproducible regardless of execution order.  Floating point
 appears only in the embedding/rounding code, and in ``utility.block_scorer``'s
-weighted product, which is exact below 2**53.  That scorer gives integer
-numerators for the cuts' crossing words: the Monte Carlo trials, the
-rounding's samples, a lottery's cuts and separate-solve's oracle cuts.
+weighted product for the Monte Carlo trials, which is exact below 2**53.
 Everything else is rational.
 """
 
@@ -51,6 +57,7 @@ from .utility import (
     UtilityModel,
     block_scorer,
     edge_words,
+    group_weights,
     incident_masks,
     int_dtype,
     require_compatible,
@@ -159,18 +166,18 @@ def separate_solve(
 
     The worst measured per-group quality alpha = min_i proportion(x_i, U_i)
     certifies the floor alpha/gamma on the lottery's worst expected group
-    proportion.  The result's ``score`` is the lottery's, as
-    ``evaluate_distribution`` gives it, read off the same scored cuts."""
+    proportion.  Alpha and the result's ``score``, the lottery's as
+    ``evaluate_distribution`` gives it, are read off the same crossings:
+    group i is scored on cut i's row for alpha, and on their tally, weight
+    1 per cut, for the lottery."""
     require_compatible(g, model, partition)
-    cuts = tuple(oracle(g, model, gr) for gr in partition.groups)
-    dens, rows = _cut_numerators(g, model, partition.groups, cuts)
-    alpha = min(
-        Fraction(row[i], den * len(gr))
-        for i, (row, den, gr) in enumerate(zip(rows, dens, partition.groups))
-    )
+    groups = partition.groups
+    cuts = tuple(oracle(g, model, gr) for gr in groups)
+    crossings = _crossings(g, cuts)
+    alpha = _score(g, model, groups, crossings.tolist(), 1).minimum
     share = Fraction(1, partition.group_count)
     dist = CutDistribution.from_pairs((cut, share) for cut in cuts)
-    score = _expected_score(partition.groups, dens, rows, [share] * len(cuts))
+    score = _score(g, model, groups, [crossings.sum(axis=0).tolist()] * len(groups), len(cuts))
     return dist, OracleResult(per_group_cuts=cuts, alpha=alpha, score=score)
 
 
@@ -184,53 +191,51 @@ class DistributionScore:
     minimum: Fraction
 
 
-def _cut_numerators(
-    g: Graph, model: UtilityModel, groups: Sequence[frozenset], cuts: Sequence[Cut]
-) -> tuple[list[int], list[list[int]]]:
-    """``(dens, rows)`` with ``rows[c][i] / dens[i]`` group i's utility under
-    ``cuts[c]``, as Python ints: each cut's crossing words, the XOR of its
-    members' ``incident`` rows (in the scorer's bit order), scored by
-    ``block_scorer``."""
-    for cut in cuts:
+def _crossings(g: Graph, cuts: Sequence[Cut]) -> np.ndarray:
+    """(cuts, edges) bool array: row c marks the edges that ``cuts[c]``
+    crosses.  Each cut is checked against g before it indexes anything."""
+    sides = np.zeros((len(cuts), g.vertex_count), dtype=bool)
+    for row, cut in zip(sides, cuts):
         cut.validate_for(g)
-    dens, _, incident, numerators = block_scorer(g, model, groups)
-    rows = [int.from_bytes(row.tobytes(), "little") for row in incident]
-    crossing = []
-    for cut in cuts:
-        cross = 0
-        for v in cut.members:
-            cross ^= rows[v]
-        crossing.append(cross)
-    return dens, numerators(edge_words(crossing, incident.shape[1])).tolist()
+        row[list(cut.members)] = True
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    return sides[:, ends[:, 0]] != sides[:, ends[:, 1]]
+
+
+def _score(
+    g: Graph,
+    model: UtilityModel,
+    groups: Sequence[frozenset],
+    tallies: Sequence[Sequence[int]],
+    total: int,
+) -> DistributionScore:
+    """Group i's expectation under a lottery whose cuts, weighted by
+    integers summing to ``total``, cross edge e with weight ``tallies[i][e]``
+    in all: sum_e W[i][e] tallies[i][e] over total * dens[i] * |group i|,
+    for ``group_weights``' W and dens, in Python ints.  A lottery gives
+    every group its one tally."""
+    weights, dens = group_weights(g, model, groups)
+    per_group = tuple(
+        Fraction(sum(w * tally[e] for e, w in row.items()), total * den * len(gr))
+        for row, tally, den, gr in zip(weights, tallies, dens, groups)
+    )
+    return DistributionScore(per_group=per_group, minimum=min(per_group))
 
 
 def evaluate_distribution(
     g: Graph, model: UtilityModel, partition: GroupPartition, dist: CutDistribution
 ) -> DistributionScore:
-    """Exact expected per-capita utility of every group under a distribution:
-    integer numerators summed with integer weights (the probabilities over
-    the lcm of their denominators), one ``Fraction`` per group at the end."""
+    """Exact expected per-capita utility of every group under a distribution,
+    read off its crossing tally: the probabilities over the lcm of their
+    denominators are integer weights, and their product with the support's
+    crossings is the tally, in ``int_dtype`` of the lcm (every partial sum
+    is at most the weights' sum, the lcm).  One ``Fraction`` per group."""
     require_compatible(g, model, partition)
-    dens, rows = _cut_numerators(g, model, partition.groups, dist.support)
-    return _expected_score(partition.groups, dens, rows, [prob for _, prob in dist.entries])
-
-
-def _expected_score(
-    groups: Sequence[frozenset],
-    dens: list[int],
-    rows: list[list[int]],
-    probs: Sequence[Fraction],
-) -> DistributionScore:
-    """The score of drawing cut c, scored ``rows[c]`` over ``dens``, with
-    probability ``probs[c]``, weighted in integers as ``evaluate_distribution``
-    says."""
-    scale = math.lcm(*(prob.denominator for prob in probs))
-    weights = [prob.numerator * (scale // prob.denominator) for prob in probs]
-    per_group = tuple(
-        Fraction(sum(w * num for w, num in zip(weights, column)), scale * den * len(gr))
-        for column, den, gr in zip(zip(*rows), dens, groups)
-    )
-    return DistributionScore(per_group=per_group, minimum=min(per_group))
+    crossings = _crossings(g, dist.support)
+    scale = math.lcm(*(prob.denominator for _, prob in dist.entries))
+    weights = [prob.numerator * (scale // prob.denominator) for _, prob in dist.entries]
+    tally = (np.array(weights, dtype=int_dtype(scale)) @ crossings).tolist()
+    return _score(g, model, partition.groups, [tally] * partition.group_count, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -253,33 +258,24 @@ def naive_random_stats(
     """Closed-form mean (and, for edge groups, variance) of each group's
     proportion when every vertex picks a side uniformly at random.
 
-    Edge groups: mean 1/2 and variance 1/(4|E_i|).  Max-degree node groups:
-    exact mean plus the induced-degree / full-degree sandwich.  Own-degree
-    node groups: mean is the fraction of non-isolated members over 2."""
+    The uniform cut crosses every edge with probability 1/2, so the means
+    are the score of the tally of all ones over 2.  Edge groups: variance
+    1/(4|E_i|).  Max-degree node groups: the induced-degree / full-degree
+    sandwich, whose upper end is the mean."""
     require_compatible(g, model, partition)
+    ones = [[1] * g.edge_count] * partition.group_count
+    means = _score(g, model, partition.groups, ones, 2).per_group
     stats = []
-    if model is UtilityModel.EDGE:
-        for gr in partition.groups:
-            stats.append(GroupRandomStats(mean=Fraction(1, 2), variance=Fraction(1, 4 * len(gr))))
-        return stats
-    if model is UtilityModel.NODE_MAXDEG:
-        delta = max_degree(g)  # positive: require_compatible refused edgeless graphs
-        for gr in partition.groups:
-            members = sorted(gr)
-            deg_sum = sum(g.degree(v) for v in members)
-            induced_sum = sum(len(g.neighbors[v] & gr) for v in members)
-            denom = 2 * len(gr) * delta
-            stats.append(
-                GroupRandomStats(
-                    mean=Fraction(deg_sum, denom),
-                    lower=Fraction(induced_sum, denom),
-                    upper=Fraction(deg_sum, denom),
-                )
-            )
-        return stats
-    for gr in partition.groups:
-        non_isolated = sum(1 for v in gr if g.degree(v) > 0)
-        stats.append(GroupRandomStats(mean=Fraction(non_isolated, 2 * len(gr))))
+    for mean, gr in zip(means, partition.groups):
+        if model is UtilityModel.EDGE:
+            stats.append(GroupRandomStats(mean, variance=Fraction(1, 4 * len(gr))))
+        elif model is UtilityModel.NODE_MAXDEG:
+            induced = sum(len(g.neighbors[v] & gr) for v in gr)
+            # max_degree is positive: require_compatible refused edgeless graphs
+            lower = Fraction(induced, 2 * len(gr) * max_degree(g))
+            stats.append(GroupRandomStats(mean, lower=lower, upper=mean))
+        else:
+            stats.append(GroupRandomStats(mean))
     return stats
 
 
@@ -299,7 +295,8 @@ _BLOCK_TRIALS = 2**12
 def _crossing_words(incident: np.ndarray, rows: int) -> Callable[[np.ndarray], np.ndarray]:
     """The crossing words of up to ``rows`` cuts at a time, from their side
     bytes: bit v % 8 of byte v // 8 is vertex v's side (bytes past the
-    last vertex's are not read).  ``incident`` is ``block_scorer``'s.
+    last vertex's are not read).  ``incident`` holds each vertex's
+    incident-edge words, in the bit order the caller reads.
 
     Byte b indexes the 256-row ``xor_table`` of vertices 8b..8b+7 (zero rows
     for vertices >= n, so padding bits add nothing), and the rows gathered
@@ -558,18 +555,25 @@ def _coordinate_ascent(g: Graph, vec: np.ndarray, iterations: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class GwRounding:
-    """The sampled sides, each sample's cut value, and per-edge crossing
-    probabilities (analytic) and frequencies (over the samples).
+    """The sampled sides of a rounding of ``graph``, each sample's cut value,
+    and per-edge crossing probabilities (analytic) and counts (over the
+    samples, as Python ints).
 
     ``side_bytes`` is a read-only (samples, ceil(n / 8)) uint8 array: row s
     is sample s's side vector, vertex v in bit v % 8 of byte v // 8 and the
     padding bits zero, the byte layout that Monte Carlo reads off its random
     words.  A vertex on the positive side is a member of the sample's cut."""
 
+    graph: Graph
     side_bytes: np.ndarray
     cut_values: tuple[int, ...]
     edge_cut_probabilities: tuple[float, ...]
-    edge_cut_frequencies: tuple[float, ...]
+    edge_cut_counts: tuple[int, ...]
+
+    @cached_property
+    def edge_cut_frequencies(self) -> tuple[float, ...]:
+        """Each edge's count over the samples, as a float, made when first read."""
+        return tuple(count / len(self.cut_values) for count in self.edge_cut_counts)
 
     @cached_property
     def cuts(self) -> tuple[Cut, ...]:
@@ -589,30 +593,14 @@ class GwRounding:
         self, g: Graph, model: UtilityModel, partition: GroupPartition
     ) -> DistributionScore:
         """``evaluate_distribution(g, model, partition, self.distribution())``,
-        read off the side bytes: the samples' ``block_scorer`` numerators are
-        summed per block of ``_BLOCK_TRIALS``, and each group's sum over
-        samples * den * size is its one ``Fraction``.  No ``Cut`` is made.
-        The sides must have g's byte count, and a member past g's last
-        vertex is refused, as ``evaluate_distribution`` refuses it."""
+        read off the per-edge counts: the empirical lottery's tally, over the
+        sample count.  No ``Cut`` is made.  The counts are those of the
+        rounded ``graph``'s edges, so a g not equal to it is refused."""
+        if g != self.graph:
+            raise ValueError("the rounding was made on another graph")
         require_compatible(g, model, partition)
-        samples, width = self.side_bytes.shape
-        n = g.vertex_count
-        if width != (n + 7) // 8:
-            raise ValueError("the rounding's sides do not match the graph's vertex count")
-        if n % 8 and (self.side_bytes[:, -1] >> n % 8).any():
-            raise ValueError("a sampled cut has a member that is not a vertex of the graph")
-        dens, bound, incident, numerators = block_scorer(g, model, partition.groups)
-        crossing = _crossing_words(incident, min(samples, _BLOCK_TRIALS))
-        totals = [0] * len(dens)
-        for start in range(0, samples, _BLOCK_TRIALS):
-            nums = numerators(crossing(self.side_bytes[start : start + _BLOCK_TRIALS]))
-            nums = nums.astype(int_dtype(len(nums) * bound), copy=False)  # the sums
-            totals = [a + b for a, b in zip(totals, nums.sum(axis=0).tolist())]
-        per_group = tuple(
-            Fraction(total, samples * den * len(gr))
-            for total, den, gr in zip(totals, dens, partition.groups)
-        )
-        return DistributionScore(per_group=per_group, minimum=min(per_group))
+        tallies = [self.edge_cut_counts] * partition.group_count
+        return _score(g, model, partition.groups, tallies, len(self.cut_values))
 
 
 def gw_cut_probability(dot: float) -> float:
@@ -802,10 +790,10 @@ def gw_round(
         crossing_counts += edge_bits.sum(axis=0, dtype=np.int64)
     side_bytes.flags.writeable = False
     probabilities = tuple(gw_cut_probability(dot) for dot in _edge_dots(g, vec).tolist())
-    frequencies = tuple(float(c) / samples for c in crossing_counts)
     return GwRounding(
+        graph=g,
         side_bytes=side_bytes,
         cut_values=tuple(values),
         edge_cut_probabilities=probabilities,
-        edge_cut_frequencies=frequencies,
+        edge_cut_counts=tuple(crossing_counts.tolist()),
     )

@@ -4,7 +4,7 @@ Edge utilities count group edges crossing the cut.  Node utilities credit
 each vertex with its crossing incident edges, scaled either by the global
 maximum degree (so per-vertex utility sits in [0, 1]) or by the vertex's
 own degree.  Each model is one integer edge-weight table over per-group
-denominators (``group_weights``), and ``block_scorer`` is its one
+denominators (``group_weights``), and ``block_scorer`` is its per-cut
 evaluator: integer numerators for cuts given as crossing words.  Its one
 weighted product per chunk of cuts runs in float64 while a group's largest
 numerator stays below 2**53, which is exact: every product and partial sum

@@ -42,10 +42,10 @@ def python_gw_round(
     probabilities = tuple(
         gw_cut_probability(float(vec[u] @ vec[v])) for u, v in g.edges
     )
-    frequencies = tuple(float(c) / samples for c in crossing_counts)
     return GwRounding(
+        graph=g,
         side_bytes=np.packbits(sides, axis=1, bitorder="little"),
         cut_values=tuple(values),
         edge_cut_probabilities=probabilities,
-        edge_cut_frequencies=frequencies,
+        edge_cut_counts=tuple(int(c) for c in crossing_counts),
     )

@@ -6,6 +6,7 @@ import io
 import math
 import tempfile
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from fairmaxcut.graphs import (
     PartitionKind,
     cut_value,
     edge_groups,
+    max_degree,
     node_groups,
 )
 from fairmaxcut.heuristics import (
@@ -206,6 +208,45 @@ class TestNaiveRandomStats:
         stats = naive_random_stats(g, UtilityModel.NODE_OWNDEG, partition)
         assert stats[0].mean == Fraction(1, 4)
         assert stats[1].mean == Fraction(1, 2)
+
+
+def closed_form_means(g: Graph, model: UtilityModel, partition) -> list[Fraction]:
+    """The uniform cut's means, written per model: 1/2 for edge groups, the
+    degree sum over 2 |group| max degree for max-degree groups, and the share
+    of non-isolated members over 2 for own-degree groups."""
+    if model is UtilityModel.EDGE:
+        return [Fraction(1, 2)] * partition.group_count
+    if model is UtilityModel.NODE_MAXDEG:
+        delta = max_degree(g)
+        return [
+            Fraction(sum(g.degree(v) for v in gr), 2 * len(gr) * delta) for gr in partition.groups
+        ]
+    return [
+        Fraction(sum(1 for v in gr if g.degree(v) > 0), 2 * len(gr)) for gr in partition.groups
+    ]
+
+
+class TestNaiveRandomMeans:
+    """``naive_random_stats``' means, the tally of all ones over 2, against
+    the closed forms."""
+
+    @given(edge_instances(max_vertices=8), node_instances(max_vertices=8))
+    @settings(max_examples=60, deadline=None)
+    def test_random_instances(self, edge_inst, node_inst):
+        cases = [(UtilityModel.EDGE, *edge_inst)] + [
+            (model, *node_inst) for model in (UtilityModel.NODE_MAXDEG, UtilityModel.NODE_OWNDEG)
+        ]
+        for model, g, partition in cases:
+            stats = naive_random_stats(g, model, partition)
+            assert [st.mean for st in stats] == closed_form_means(g, model, partition)
+
+    def test_own_degree_groups_with_an_isolated_vertex(self):
+        inst = load_instance(str(GOLDENS / "owndeg_isolated.inst"))
+        assert 0 in inst.graph.degrees
+        stats = naive_random_stats(inst.graph, inst.model, inst.partition)
+        assert [st.mean for st in stats] == closed_form_means(
+            inst.graph, inst.model, inst.partition
+        )
 
 
 class TestNaiveRandomSample:
@@ -492,15 +533,18 @@ def gw_embeddings(draw, n: int):
 
 
 def same_rounding(got: GwRounding, want: GwRounding) -> bool:
-    """Equal side bytes and cuts, cut values as Python ints, and the same
-    float bits."""
+    """The same graph, equal side bytes and cuts, cut values and per-edge
+    counts as Python ints, and the same float bits."""
     return (
-        got.side_bytes.dtype == want.side_bytes.dtype == np.uint8
+        got.graph == want.graph
+        and got.side_bytes.dtype == want.side_bytes.dtype == np.uint8
         and got.side_bytes.shape == want.side_bytes.shape
         and got.side_bytes.tobytes() == want.side_bytes.tobytes()
         and got.cuts == want.cuts
         and got.cut_values == want.cut_values
         and all(type(value) is int for value in got.cut_values)
+        and got.edge_cut_counts == want.edge_cut_counts
+        and all(type(count) is int for count in got.edge_cut_counts)
         and np.array(got.edge_cut_probabilities).tobytes()
         == np.array(want.edge_cut_probabilities).tobytes()
         and np.array(got.edge_cut_frequencies).tobytes()
@@ -714,16 +758,59 @@ class TestGwRoundingScore:
             g, embedding, UtilityModel.NODE_OWNDEG, partition, 8, 64
         )
 
-    @pytest.mark.parametrize("n, message", [(9, "do not match"), (7, "not a vertex")])
-    def test_rejects_another_graph(self, n, message):
-        # on 7 vertices, vertex 7 of the 8-cycle's samples is a padding bit
+    @pytest.mark.parametrize(
+        "other",
+        [
+            make_cycle(9),
+            make_cycle(7),
+            # the same vertex and edge counts, so sides of the same width
+            Graph(8, ((0, 2), *make_cycle(8).edges[1:])),
+        ],
+        ids=["9-vertices", "7-vertices", "8-vertices-other-edges"],
+    )
+    def test_rejects_another_graph(self, other):
         g = make_cycle(8)
         rounding = gw_round(g, gw_sdp_solve(g, seed=0), seed=0, samples=16)
-        assert any(7 in cut.members for cut in rounding.cuts)
-        other = make_cycle(n)
         partition = singleton_partition(other, PartitionKind.EDGES)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match="^the rounding was made on another graph$"):
             rounding.score(other, UtilityModel.EDGE, partition)
+        # an equal graph made anew is the rounded graph
+        partition = singleton_partition(g, PartitionKind.EDGES)
+        want = rounding.score(g, UtilityModel.EDGE, partition)
+        assert rounding.score(make_cycle(8), UtilityModel.EDGE, partition) == want
+
+
+class TestRunCrossingTables:
+    """The crossing tables (``_crossing_words``) and block scorers that one
+    ``run`` op builds: every lottery is scored off its crossing tally, so
+    only the samplers build a table, and only Monte Carlo a scorer."""
+
+    @pytest.mark.parametrize(
+        "algorithm, count, tables, scorers",
+        [
+            ("gw", ["--embedding", str(GOLDENS / "owndeg_isolated.emb")], 1, 0),
+            ("naive-random", ["--trials", "64"], 1, 1),
+            ("separate-solve", [], 0, 0),
+            ("local-search", [], 0, 0),
+        ],
+        ids=["gw", "naive-random", "separate-solve", "local-search"],
+    )
+    def test_builds(self, monkeypatch, algorithm, count, tables, scorers):
+        calls = Counter()
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        for attr, name in (("_crossing_words", "tables"), ("block_scorer", "scorers")):
+            monkeypatch.setattr(heuristics, attr, counted(name, getattr(heuristics, attr)))
+        args = ["run", str(GOLDENS / "owndeg_isolated.inst"), "--algorithm", algorithm, *count]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*args, "--no-timestamp"]) == 0
+        assert (calls["tables"], calls["scorers"]) == (tables, scorers)
 
 
 class TestUnitVectorEmbedding:
@@ -1119,6 +1206,14 @@ class TestAgainstFractionOracle:
         pairs = [
             (Cut.of(v % n for v in members), Fraction(weight, total)) for members, weight in specs
         ]
+        assert_matches_fraction_oracle(inst, pairs)
+
+    @pytest.mark.parametrize("model", list(UtilityModel))
+    def test_probabilities_past_int64(self, model):
+        # the probabilities' lcm 2**70 + 1 passes 2**63: an object-dtype tally
+        inst = random_instance(8, 0.6, 3, model.partition_kind, 5, model=model)
+        rare = Fraction(1, 2**70 + 1)
+        pairs = [(Cut.of({0, 2, 5}), rare), (Cut.of({1, 3}), 1 - rare)]
         assert_matches_fraction_oracle(inst, pairs)
 
     def test_numerators_past_int64(self):
