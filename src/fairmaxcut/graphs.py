@@ -14,6 +14,8 @@ from enum import Enum
 from functools import cached_property
 from typing import AbstractSet, Iterable, Optional
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -48,6 +50,22 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         return tuple(frozenset(s) for s in adj)
+
+    @cached_property
+    def incident_edges(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's incident edge indices, ascending."""
+        incident: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for e, (u, v) in enumerate(self.edges):
+            incident[u].append(e)
+            incident[v].append(e)
+        return tuple(map(tuple, incident))
+
+    @cached_property
+    def endpoints(self) -> np.ndarray:
+        """The edges as a read-only (edges, 2) array of vertex indices."""
+        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        ends.flags.writeable = False
+        return ends
 
     @cached_property
     def vertex_set(self) -> frozenset[int]:

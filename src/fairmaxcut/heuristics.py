@@ -198,7 +198,7 @@ def _crossings(g: Graph, cuts: Sequence[Cut]) -> np.ndarray:
     for row, cut in zip(sides, cuts):
         cut.validate_for(g)
         row[list(cut.members)] = True
-    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    ends = g.endpoints
     return sides[:, ends[:, 0]] != sides[:, ends[:, 1]]
 
 
@@ -401,7 +401,7 @@ def _edge_dots(g: Graph, vec: np.ndarray) -> np.ndarray:
     """x_u . x_v for every edge (u, v), in edge order: one ``np.vecdot`` over
     the gathered endpoint rows, whose per-row BLAS ddot gives the doubles
     of ``vec[u] @ vec[v]`` bit for bit."""
-    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    ends = g.endpoints
     return np.vecdot(vec[ends[:, 0]], vec[ends[:, 1]])
 
 

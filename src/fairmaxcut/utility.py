@@ -73,11 +73,7 @@ def group_weights(
     require_compatible(g, model)
     if model is UtilityModel.EDGE:
         return [dict.fromkeys(gr, 1) for gr in groups], [1] * len(groups)
-    degs = g.degrees
-    incident: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for e, (u, v) in enumerate(g.edges):
-        incident[u].append(e)
-        incident[v].append(e)
+    degs, incident = g.degrees, g.incident_edges
     by_max_degree = model is UtilityModel.NODE_MAXDEG
     weights, dens = [], []
     for gr in groups:
@@ -92,14 +88,10 @@ def group_weights(
 
 
 def incident_masks(g: Graph, bits: Sequence[int] | None = None) -> list[int]:
-    """Bitmask of the edges at each vertex: edge e is bit ``bits[e]``, or bit
-    e when no ``bits`` are given."""
-    incident = [0] * g.vertex_count
-    for e, (u, v) in enumerate(g.edges):
-        bit = 1 << (e if bits is None else bits[e])
-        incident[u] |= bit
-        incident[v] |= bit
-    return incident
+    """Bitmask of the edges at each vertex: edge e is bit ``bits[e]`` (one
+    bit per edge), or bit e when no ``bits`` are given."""
+    order = range(g.edge_count) if bits is None else bits
+    return [sum(1 << order[e] for e in edges) for edges in g.incident_edges]
 
 
 def edge_words(masks: Sequence[int], count: int) -> np.ndarray:

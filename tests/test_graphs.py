@@ -54,6 +54,19 @@ class TestGraphConstruction:
         assert g.degrees == (2, 2, 1, 1)
 
 
+@given(graphs())
+def test_incident_edges_and_endpoints_are_made_once(g):
+    # each vertex's incident edges, ascending, and the (edges, 2) endpoint
+    # array: made once per graph, the array read-only
+    assert g.incident_edges == tuple(
+        tuple(e for e, edge in enumerate(g.edges) if v in edge) for v in range(g.vertex_count)
+    )
+    ends = g.endpoints
+    assert ends.shape == (g.edge_count, 2) and ends.tolist() == [list(e) for e in g.edges]
+    assert not ends.flags.writeable
+    assert g.endpoints is ends and g.incident_edges is g.incident_edges
+
+
 class TestMaxDegree:
     def test_cycle_is_two_regular(self):
         assert max_degree(make_cycle(5)) == 2

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
-from fairmaxcut import maximin
+from fairmaxcut import exact, maximin, verify
 from fairmaxcut.exact import Mode, PayoffMatrix, build_payoff_matrix, scaled_columns
 from fairmaxcut.families import (
     make_clique_with_tail,
@@ -26,6 +26,7 @@ from fairmaxcut.families import (
     singleton_partition,
 )
 from fairmaxcut.graphs import Cut, PartitionKind, edge_groups
+from fairmaxcut.instances import OBJECTIVE_NAMES
 from fairmaxcut.heuristics import evaluate_distribution
 from fairmaxcut.maximin import (
     CutDistribution,
@@ -256,7 +257,9 @@ class TestSolveMaximin:
         sol = solve_maximin(matrix, Mode.PROPORTION)
         assert (inst.graph.edge_count, matrix.column_count) == (25, 2048)
         assert sol.value == Fraction(2, 3)
-        assert not sol.dual_guessed  # 25 groups of one size, unequal row sums
+        # 25 groups of one size and one row sum: the uniform guess is tried,
+        # and its LP over the one column of largest sum fails
+        assert not sol.dual_guessed
         assert (sol.master_solves, sol.pivots) == (44, 270)
         assert (sol.tight_columns, sol.tight_pivots) == (1536, 203)
 
@@ -491,6 +494,66 @@ class TestReadOff:
         assert (master.solves, master.pivots) == (1, 1)
 
 
+def same_matrix(matrix: PayoffMatrix) -> PayoffMatrix:
+    """A fresh copy of ``matrix``, with empty caches."""
+    return PayoffMatrix(matrix.entries, matrix.dens, matrix.group_sizes, matrix.col_masks)
+
+
+class TestValueStage:
+    """``maximin_value`` certifies the LP that ends the value stage and
+    reads no support; a later solve of the matrix runs only the support
+    stage, and reports what a fresh solve reports."""
+
+    def test_value_reads_run_no_resolve(self, monkeypatch):
+        # the degenerate 12-vertex graph of test_tight_counters_on_a_random_12_vertex_graph
+        inst = random_instance(12, 0.4, 1, PartitionKind.EDGES, 3)
+        partition = singleton_partition(inst.graph, PartitionKind.EDGES)
+        built, resolved = [], []
+        build, tight_lp = exact.build_payoff_matrix, maximin._tight_lp
+
+        def spy_build(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        def spy_tight_lp(cols, mins, tight):
+            resolved.append(len(tight))
+            return tight_lp(cols, mins, tight)
+
+        monkeypatch.setattr(exact, "build_payoff_matrix", spy_build)
+        monkeypatch.setattr(maximin, "_tight_lp", spy_tight_lp)
+        values = verify.objective_values(inst.graph, inst.model, partition, *OBJECTIVE_NAMES)
+        assert values == (20, Fraction(4, 5), 0, 0, Fraction(2, 3), Fraction(2, 3))
+        # the failed uniform guess's LP, over the one column of largest sum,
+        # is the only tight LP built: the re-solve over 1,536 columns is not
+        assert resolved == [1]
+        (matrix,) = built
+        sol = solve_maximin(matrix, Mode.PROPORTION)
+        assert resolved == [1, 1536]
+        assert (sol.master_solves, sol.pivots) == (44, 270)
+        assert (sol.tight_columns, sol.tight_pivots) == (1536, 203)
+        # singleton groups: the value mode reads the same, now canonical, outcome
+        assert solve_maximin(matrix, Mode.VALUE) == sol and resolved == [1, 1536]
+
+    @given(any_matrices, st.sampled_from(list(Mode)), st.sampled_from(list(Mode)), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_solve_in_either_order(self, matrix, read, solved, value_first):
+        """A value read in mode ``read`` before or after a solve in mode
+        ``solved``: the value is the solve's and the Python oracle's in its
+        mode, and the solve is a fresh matrix's, field for field."""
+        if value_first:
+            value = maximin.maximin_value(matrix, read)
+            sol = solve_maximin(matrix, solved)
+        else:
+            sol = solve_maximin(matrix, solved)
+            value = maximin.maximin_value(matrix, read)
+        fresh = solve_maximin(same_matrix(matrix), solved)
+        assert sol == fresh
+        for name in ("_masks", "_weights", "_duals"):
+            assert getattr(sol, name) == getattr(fresh, name)
+        assert value == solve_maximin(same_matrix(matrix), read).value
+        assert value == python_solve_maximin(matrix, read).value
+
+
 def test_pricing_divides_out_the_gcd_to_stay_in_int64(monkeypatch):
     # entries near 2**20 over three groups: the master's z row grows with its
     # basis determinant, and divided by its gcd both pricing rounds here
@@ -514,17 +577,22 @@ def test_pricing_divides_out_the_gcd_to_stay_in_int64(monkeypatch):
 
 def test_certificate_refuses_a_cold_resolve_at_another_value(monkeypatch):
     # column generation reaches 1 through (1, 1), (2, 0) and (0, 2), which
-    # are all tight, so the cold re-solve runs and the value is read off it;
-    # over (2, 0) alone it would end at 0, which the master's duals refute
-    # (the patched solve takes a fresh matrix: the first one's outcome is kept)
+    # are all tight, so the support stage runs the cold re-solve; over
+    # (2, 0) alone it would end at the point mass on (2, 0), which pays the
+    # second group 0 < 1 at the value the master certified (the patched
+    # solve takes a fresh matrix: the first one's outcome is kept)
     rows = [[2, 0, 1], [0, 2, 1]]
     assert solve_maximin(matrix_from_rows(rows)).tight_pivots > 0
     tight_lp = maximin._tight_lp
     monkeypatch.setattr(
         maximin, "_tight_lp", lambda cols, mins, tight: tight_lp(cols, mins, tight[:1])
     )
-    with pytest.raises(_CertificateError, match="strong duality certificate failed: value 0,"):
-        solve_maximin(matrix_from_rows(rows))
+    matrix = matrix_from_rows(rows)
+    assert maximin.maximin_value(matrix) == 1  # the value stage runs no re-solve
+    with pytest.raises(
+        _CertificateError, match="strong duality certificate failed: value 1, least primal margin"
+    ):
+        solve_maximin(matrix)
 
 
 @given(certificate_matrices(), st.data())
@@ -722,9 +790,9 @@ CHECKS = (_check_certificate, check_outcome)  # in integers, and in Fractions
 
 
 def lp_outcome(support, weights, det, duals, total) -> _LPOutcome:
-    """An LP outcome with the certificate's integers; z, the masks and the
-    counters, which neither check reads, are 0 or empty."""
-    return _LPOutcome(0, det, support, (), weights, duals, total, (0, 0, 0, 0, False))
+    """An LP outcome with the certificate's integers; z and the counters,
+    which neither check reads, are 0."""
+    return _LPOutcome(0, det, support, weights, duals, total, (0, 0, 0, 0, False))
 
 
 class TestCertificate:
