@@ -16,7 +16,8 @@ read, or solve's --mode given with --objectives), 3 instance too large
 (or too many gw samples to keep),
 4 model/partition mismatch, 5 unknown algorithm, 6 bad generator
 parameters or option values (--trials, --samples, --sdp-rank,
---sdp-iterations, --count, an --objectives list naming no objective).
+--sdp-iterations, --count, a --seed outside [0, 2**64), an --objectives
+list naming no objective).
 """
 
 from __future__ import annotations
@@ -138,6 +139,13 @@ def _require_at_least(flag: str, value: int | None, least: int) -> None:
         raise GeneratorParameterError(f"{flag} must be >= {least}, got {value}")
 
 
+def _require_seed(seed: int) -> None:
+    # the generators are keyed by the seed's low 64 bits, so any other seed
+    # would draw what one of these draws
+    if not 0 <= seed < 1 << 64:
+        raise GeneratorParameterError(f"--seed must be in [0, 2**64), got {seed}")
+
+
 def _approx_suffix(value: Fraction, approx: bool) -> str:
     return f"  ~ {float(value):.6f}" if approx else ""
 
@@ -235,6 +243,7 @@ def cmd_run(args) -> int:
                 by += " with --embedding"
             print(f"error: {flag} is not read by {by}", file=sys.stderr)
             return 2
+    _require_seed(args.seed)
     if args.algorithm == "naive-random":
         _require_at_least("--trials", args.trials, 1)
         heuristics.check_trial_count(args.trials)  # before the instance is read
@@ -399,6 +408,7 @@ def _with_groups(g, args, label: str) -> families.NamedInstance:
 
 
 def cmd_generate(args) -> int:
+    _require_seed(args.seed)
     result = _generate_instance(args)
     text = result if isinstance(result, str) else instances.serialize_instance(result)
     if args.output:
@@ -418,6 +428,7 @@ def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         raise GeneratorParameterError(f"unknown suite {args.suite!r}; choose from {SUITES}")
     _require_at_least("--count", args.count, 0)
+    _require_seed(args.seed)
     started = time.monotonic()
     checks = []
     if args.suite in ("curated", "all"):

@@ -43,12 +43,10 @@ master, and certifies the value on that LP's own basic solution and duals;
 ``solve_maximin`` runs, makes the reported distribution canonical: it is
 what Bland's simplex ends at when re-run from scratch over the columns
 that are tight at the final duals, in column order, so it does not depend
-on the path the master took.  That cold re-solve is skipped in two cases
-where its result is known.
-
-First, when no column enters the first master, the re-solve ends at the
-point mass on the start column s, with support (s,); and that first master
-is not even run as an LP.  The proof:
+on the path the master took.  That cold re-solve is skipped in one case
+where its result is known: when no column enters the first master, the
+re-solve ends at the point mass on the start column s, with support (s,);
+and that first master is not even run as an LP.  The proof:
 
 - With s alone, the master's only pivot is z entering, on the group row r
   with the least C[r, s] (ties to the lowest row), so z is C[r, s], its
@@ -67,29 +65,6 @@ is not even run as an LP.  The proof:
   same first pivot.
 - After that pivot every tight column's reduced cost is 0 and every
   slack's at most 0, so Bland stops there, at the point mass on s.
-
-Second, when the master grew, its final basis B is optimal over all
-columns, and its optimum is read off it when
-
-- every basic value (the rhs column of ``inv``) is positive,
-- the tight columns are exactly B's basic columns, and
-- every non-basic slack has a positive dual.
-
-The proof:
-
-- z is always basic, so the last two tests say that every non-basic
-  variable of the full LP has a negative reduced cost: a column that is not
-  tight prices below the master's value, and a slack's reduced cost is
-  minus its dual.  The objective of any feasible point is B's value plus
-  those reduced costs times the non-basic values, so an optimum holds every
-  non-basic variable at 0 and is B's basic solution: the optimal primal is
-  unique.  By the first test B is also nondegenerate, so the optimal dual
-  is unique too (Mangasarian, Linear Algebra Appl. 1979).
-- The re-solve's LP is the full LP with the columns that are not tight held
-  at 0.  B's solution is feasible there, so both LPs have one value, and
-  every optimum of the re-solve's LP is one of the full LP, so it is B's
-  solution.  Bland's rule ends at an optimum, so the re-solve would end at
-  B's value, support and probabilities.
 
 When a column would enter the first master, one dual is guessed before
 the master grows: the uniform y0 = (1/γ, ..., 1/γ).  It is optimal whenever
@@ -116,15 +91,14 @@ So the value stage ends at one LP whose basic solution is optimal over
 all columns: both sides of the certificate are checked on it, the primal
 side on its own support even where that is not the canonical one.  The
 support stage then takes the support and probabilities off one LP's basic
-solution: the value stage's (none for the point mass, the guess's cold
-LP, or the master when its optimum is unique), and otherwise the cold
-re-solve's, whose primal side is checked at the certified value.  Only a
-printed support pays the re-solve.  On ``random_instance(14, 0.4, 1,
-EDGES, 3)`` with singleton edge groups, the six values of
-``verify.objective_values`` take 0.18 s without it and 10.0 s with it, and
-0.63 s against 19.9 s at n = 15 (2-vCPU Xeon, single runs).
-``tight_pivots`` counts a cold LP's pivots, at least one since z must
-enter, and is 0 for the others.
+solution: the value stage's for the point mass and the guess's cold LP,
+and otherwise, after a grown master, the cold re-solve's, whose primal
+side is checked at the certified value.  Only a printed support pays the
+re-solve.  On ``random_instance(14, 0.4, 1, EDGES, 3)`` with singleton
+edge groups, the six values of ``verify.objective_values`` take 0.18 s
+without it and 10.0 s with it, and 0.63 s against 19.9 s at n = 15
+(2-vCPU Xeon, single runs).  ``tight_pivots`` counts the cold LP's
+pivots, at least one since z must enter, and is 0 for the point mass.
 
 The LP's outcome is kept in Python ints only (``_LPOutcome``): z and det,
 the support's columns and their probability numerators over det, and the
@@ -221,14 +195,11 @@ class _LPOutcome(NamedTuple):
 
 class _Grown(NamedTuple):
     """The value stage's end at a grown master: the ``outcome`` read off the
-    master's own basic solution, whose tight counters are still 0, and what
-    the support stage reads to make it canonical: the ``master``, its
-    ``columns`` in entering order and its last pricing ``scores`` and
-    ``bar``."""
+    master's own basic solution, whose tight counters are still 0, and the
+    master's last pricing ``scores`` and ``bar``, whose ties are the columns
+    the support stage re-solves over."""
 
     outcome: _LPOutcome
-    master: "_RevisedLP"
-    columns: list[int]
     scores: np.ndarray
     bar: int
 
@@ -244,9 +215,8 @@ class MaximinSolution:
     ``tight_columns`` counts the columns tight at the final duals and
     ``tight_pivots`` the pivots of the cold LP over them, off whose basis
     the support and the distribution were read.  Both are 0 when no column
-    entered the master.  ``tight_pivots`` alone is 0 when the master's
-    optimum was unique and they were read off the master, since a cold LP
-    pivots at least once.  The pivots are those of Bland's rule on the
+    entered the master, and otherwise ``tight_pivots`` is at least 1, since
+    z must enter.  The pivots are those of Bland's rule on the
     dense tableau of the same LP, however it is stored.  ``dual_guessed`` says whether the
     uniform dual certified the optimum; then the master ran once, and the
     tight re-solve is the guess's.  A mode that reuses the LP outcome of
@@ -337,11 +307,10 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
     value stage (``maximin_value``) certifies the value; then the support
     stage reads the canonical distribution off one LP, Bland's simplex over
     the columns tight at the last master's duals (none for the point mass
-    on the start column when no column entered, and the master itself when
-    its optimum is unique), and checks its primal side at that value.  The
-    support holds its column indices, and the dual weights are the last
-    master's, which certify every column.  Only this read-off of a support
-    pays the cold re-solve (module docstring).
+    on the start column when no column entered), and checks its primal
+    side at that value.  The support holds its column indices, and the
+    dual weights are the last master's, which certify every column.  Only
+    this read-off of a support pays the cold re-solve (module docstring).
     """
     value = maximin_value(matrix, mode)
     _, cols = scaled_columns(matrix, mode)
@@ -386,20 +355,17 @@ def _solve_lp(matrix: PayoffMatrix, cols: np.ndarray) -> _LPOutcome | _Grown:
         scores, bar = _price(master, cols, top)
         enter = int(np.argmax(scores))
     found = _read_off(master, columns, master.duals(), (master.solves, master.pivots, 0, 0, False))
-    return _Grown(found, master, columns, scores, bar)
+    return _Grown(found, scores, bar)
 
 
 def _canonical(cols: np.ndarray, grown: _Grown) -> _LPOutcome:
     """The support stage after a grown master: the outcome with the
-    canonical support, independent of the path the master took.  A unique
-    optimum is read off the master; otherwise Bland's simplex runs from
-    scratch over the tight columns (module docstring).  The duals stay the
-    master's."""
-    master, columns, found = grown.master, grown.columns, grown.outcome
+    canonical support, independent of the path the master took, off
+    Bland's simplex from scratch over the tight columns (module docstring).
+    The duals stay the master's."""
+    found = grown.outcome
     tight = np.flatnonzero(grown.scores == grown.bar).tolist()
     solves, pivots, *_ = found.counters
-    if _unique_optimum(master, columns, tight):
-        return found._replace(counters=(solves, pivots, len(tight), 0, False))
     cold = _tight_lp(cols, cols.min(axis=0), tight)
     counters = (solves, pivots, len(tight), cold.pivots, False)
     return _read_off(cold, tight, (found.duals, found.total), counters)
@@ -413,19 +379,6 @@ def _read_off(lp: "_RevisedLP", columns: list[int], duals: tuple, counters: tupl
     support, weights = zip(*sorted((j, p) for j, p in zip(columns, probs) if p > 0))
     y, total = duals
     return _LPOutcome(z, lp.det, support, weights, tuple(y), total, counters)
-
-
-def _unique_optimum(master: "_RevisedLP", active: list[int], tight: list[int]) -> bool:
-    """Whether the master's optimum is the LP's only one (module
-    docstring): every basic value is positive, the tight columns are its
-    basic ones and every non-basic slack has a positive dual."""
-    inv, basis, k = master.inv, master.basis, master.k
-    if any(row[-1] <= 0 for row in inv):
-        return False
-    if sorted(active[v - 1] for v in basis if 0 < v <= k) != tight:
-        return False
-    *y, _ = inv[basis.index(0)]
-    return all(w > 0 for i, w in enumerate(y, 1 + k) if i not in basis)
 
 
 def _first_pricing(cols: np.ndarray, start: int) -> tuple[int, np.ndarray, int]:

@@ -15,8 +15,8 @@ from fractions import Fraction
 from .errors import InstanceParseError
 from .families import NamedInstance
 from .graphs import Cut
-from .instances import _parse_fraction, _parse_int, parse_instance, serialize_instance
-from .verify import BoundCheck
+from .instances import _column_of, _parse_fraction, _parse_int, parse_instance, serialize_instance
+from .verify import _RELATIONS, BoundCheck
 
 HEADER = "fairmaxcut report v1"
 TOOL_VERSION = "0.1.0"
@@ -155,6 +155,11 @@ def parse_report(text: str) -> ParsedReport:
         def fraction(token: str) -> Fraction:
             return _parse_fraction(token, raw, lineno)
 
+        def known(token: str, allowed, what: str) -> str:
+            if token not in allowed:
+                raise InstanceParseError(f"unknown {what} {token!r}", lineno, _column_of(raw, token))
+            return token
+
         if tag == "instance-begin":
             block = []
             while i < len(lines) and lines[i].strip() != "instance-end":
@@ -184,21 +189,22 @@ def parse_report(text: str) -> ParsedReport:
         elif tag == "check":
             claim, relation, lhs_text, rhs_text, verdict = tokens[1:6]
             context = " ".join(tokens[6:])
+            lhs, rhs = fraction(lhs_text), fraction(rhs_text)
             report.checks.append(
                 BoundCheck(
                     claim=claim,
                     context=context,
-                    relation=relation,
-                    lhs=fraction(lhs_text),
-                    rhs=fraction(rhs_text),
-                    passed=(verdict != "fail"),
+                    relation=known(relation, _RELATIONS, "relation"),
+                    lhs=lhs,
+                    rhs=rhs,
+                    passed=(known(verdict, ("pass", "fail", "skip"), "verdict") != "fail"),
                     skipped=(verdict == "skip"),
                 )
             )
         elif tag == "reproduce":
-            report.rows.append(
-                ReproduceRow(tokens[1], tokens[2], tokens[3], tokens[4], tokens[5])
-            )
+            relation = known(tokens[2], _RELATIONS, "relation")
+            verdict = known(tokens[5], ("pass", "fail"), "verdict")
+            report.rows.append(ReproduceRow(tokens[1], relation, tokens[3], tokens[4], verdict))
         elif tag == "note":
             report.notes.append(" ".join(tokens[1:]))
         elif tag == "summary":

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import eq, ge, gt, le, lt
 from typing import Sequence
 
 from . import exact, maximin
@@ -69,18 +70,14 @@ class BoundCheck:
         return "pass" if self.passed else "fail"
 
 
+# every relation a check may state, and how it is evaluated
+_RELATIONS = {"<=": le, ">=": ge, "==": eq, "<": lt, ">": gt}
+
+
 def _evaluate(lhs: Fraction, relation: str, rhs: Fraction) -> bool:
-    if relation == "<=":
-        return lhs <= rhs
-    if relation == ">=":
-        return lhs >= rhs
-    if relation == "==":
-        return lhs == rhs
-    if relation == "<":
-        return lhs < rhs
-    if relation == ">":
-        return lhs > rhs
-    raise ValueError(f"unknown relation {relation!r}")
+    if relation not in _RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}")
+    return _RELATIONS[relation](lhs, rhs)
 
 
 def make_check(claim: str, context: str, lhs: Fraction, relation: str, rhs: Fraction) -> BoundCheck:

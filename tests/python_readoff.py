@@ -6,7 +6,6 @@ touch is a Python int.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -115,12 +114,3 @@ def python_solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> 
 def python_best_dual_score(w: list[int], entries: list[list[int]]) -> int:
     """The certificate's dual side: max_j sum_i w[i] * entries[i][j]."""
     return max(python_column_scores(w, entries))
-
-
-def as_resolved(sol: MaximinSolution, oracle: MaximinSolution) -> MaximinSolution:
-    """``sol`` with the oracle's tight pivots where its optimum was read off
-    the master (tight columns, but no tight pivots): the oracle always runs
-    the cold re-solve over the tight columns, which pivots at least once."""
-    if sol.tight_columns and not sol.tight_pivots:
-        return replace(sol, tight_pivots=oracle.tight_pivots)
-    return sol

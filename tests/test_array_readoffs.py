@@ -35,7 +35,6 @@ from fairmaxcut.maximin import (
 
 from .fraction_certificate import solved_outcome
 from .python_readoff import (
-    as_resolved,
     python_best_dual_score,
     python_column_scores,
     python_max_from_matrix,
@@ -60,8 +59,7 @@ def assert_matches_oracles(matrix: PayoffMatrix) -> None:
     """Both read-offs, witnesses included, and the whole maximin solution
     (value, duals, support, distribution and counters) in both modes; where
     the uniform dual certified the optimum, the master's counters are those
-    of its one solve, not the oracle's column generation, and where the
-    optimum was read off the master, no re-solve pivots were counted."""
+    of its one solve, not the oracle's column generation."""
     for mode in Mode:
         den, cols = scaled_columns(matrix, mode)
         want_den, want_cols = python_scaled_columns(matrix, mode)
@@ -77,7 +75,7 @@ def assert_matches_oracles(matrix: PayoffMatrix) -> None:
             sol = replace(
                 sol, master_solves=oracle.master_solves, pivots=oracle.pivots, dual_guessed=False
             )
-        assert as_resolved(sol, oracle) == oracle
+        assert sol == oracle
 
 
 @given(st.one_of(certificate_matrices(), random_matrices()))

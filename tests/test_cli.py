@@ -139,14 +139,14 @@ class TestSolve:
         assert out == (GOLDENS / "cycle13_edges_solve.report").read_text()
 
     def test_read_off_golden_report(self):
-        # edge groups of sizes 5, 6 and 7: both DF optima are unique and are
-        # read off the master, and the report, made with the cold re-solve,
-        # still matches
+        # edge groups of sizes 5, 6 and 7: both DF optima are unique, and the
+        # report, made when they were read off the master, matches the cold
+        # re-solve's
         inst = load_instance(GOLDENS / "random_n8_p05_g3_seed7.inst")
         matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
         for mode in Mode:
             sol = solve_maximin(matrix, mode)
-            assert sol.tight_columns > 0 and sol.tight_pivots == 0
+            assert sol.tight_columns > 0 and sol.tight_pivots > 0
         rc, out, _ = run_cli(
             ["solve", str(GOLDENS / "random_n8_p05_g3_seed7.inst"), "--no-timestamp"]
         )
@@ -172,20 +172,28 @@ class TestSolve:
         # edge groups of sizes 5, 4 and 3: in value mode the start column
         # (2, 2, 3) ties its least entry, so z's first pivot takes the first
         # tied row, and the solve ends in a 3-pivot cold re-solve with a zero
-        # dual; in proportion mode the optimum is read off the master.  The
-        # report was made with the generic first pivot
+        # dual; in proportion mode the optimum is unique and was read off the
+        # master when the report was made, with the generic first pivot
         inst = load_instance(GOLDENS / "random_n7_p05_g3_seed4.inst")
         matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
         value, proportion = (solve_maximin(matrix, mode) for mode in (Mode.VALUE, Mode.PROPORTION))
         start = int(np.argmax(matrix.entries.min(axis=0)))
         assert matrix.dens == (1, 1, 1) and matrix.entries[:, start].tolist() == [2, 2, 3]
         assert (value.tight_pivots, len(value.support), value.dual_weights.count(0)) == (3, 3, 1)
-        assert proportion.tight_columns > 0 and proportion.tight_pivots == 0
+        assert proportion.tight_columns > 0 and proportion.tight_pivots > 0
         rc, out, _ = run_cli(
             ["solve", str(GOLDENS / "random_n7_p05_g3_seed4.inst"), "--no-timestamp"]
         )
         assert rc == 0
         assert out == (GOLDENS / "random_n7_p05_g3_seed4_solve.report").read_text()
+
+    def test_degenerate_resolve_golden_report(self):
+        # singleton edge groups on a 12-vertex graph: both modes share one
+        # scaled column set, and both DF supports come from its 203-pivot
+        # cold re-solve over 1,536 tight columns
+        rc, out, _ = run_cli(["solve", str(GOLDENS / "degenerate_n12.inst"), "--no-timestamp"])
+        assert rc == 0
+        assert out == (GOLDENS / "degenerate_n12_solve.report").read_text()
 
     def test_instance_report_round_trip(self, paw_path):
         rc, out, _ = run_cli(["solve", paw_path, "--no-timestamp"])
@@ -512,6 +520,23 @@ def test_out_of_range_count_exit_6(argv):
     rc, out, err = run_cli(argv)
     assert rc == 6
     assert out == "" and err.startswith("error: --")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", str(GOLDENS / "paw.inst"), "--algorithm", "naive-random", "--trials", "8"],
+        ["verify", "--suite", "random", "--count", "1"],
+        ["generate", "random", "--n", "5"],
+    ],
+)
+def test_seed_outside_64_bits_exit_6(argv, seed):
+    # the generators read a seed's low 64 bits: -1 would draw what 2**64 - 1 draws
+    rc, out, err = run_cli([*argv, "--seed", str(seed)])
+    assert rc == 6
+    assert out == "" and err == f"error: --seed must be in [0, 2**64), got {seed}\n"
+    assert run_cli([*argv, "--seed", str(2**64 - 1)])[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -102,6 +102,11 @@ def test_reproduce_rows_parse():
         ("reproduce paw/mp == 3/4", "too few fields"),
         ("summary", "too few fields"),
         ("objective MV 1e10000000", "exponent notation"),
+        ("check x <= 1 2 maybe", "unknown verdict 'maybe'"),
+        ("check x =< 1 2 pass", "unknown relation '=<'"),
+        ("reproduce k == 1 1 whatever", "unknown verdict 'whatever'"),
+        ("reproduce k == 1 1 skip", "unknown verdict 'skip'"),
+        ("reproduce k ~ 1 1 pass", "unknown relation '~'"),
     ],
 )
 def test_malformed_lines_name_their_line(line, message):
