@@ -10,6 +10,8 @@ import sys
 
 sys.path.insert(0, "src")
 
+from fairmaxcut import cli
+from fairmaxcut.errors import GeneratorParameterError
 from fairmaxcut.families import random_instance
 from fairmaxcut.graphs import PartitionKind
 from fairmaxcut.heuristics import derive_rng
@@ -22,6 +24,11 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--max-vertices", type=int, default=10)
     args = parser.parse_args()
+    try:
+        cli._require_seed(args.seed)  # derive_rng reads only the low 64 bits
+    except GeneratorParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 6
 
     rng = derive_rng(args.seed, 0x737572766579)
     strict_sd = strict_dm = 0

@@ -36,17 +36,12 @@ last master's duals then certify the optimum over all columns.
 Restricting z to be non-negative loses nothing because all payoff entries
 are >= 0.
 
-A read-off runs one LP path in two stages.  The value stage ends at the
-point mass on the start column, the uniform guess's LP or the grown
-master, and certifies the value on that LP's own basic solution and duals;
-``maximin_value`` stops there.  The support stage, which only
-``solve_maximin`` runs, makes the reported distribution canonical: it is
-what Bland's simplex ends at when re-run from scratch over the columns
-that are tight at the final duals, in column order, so it does not depend
-on the path the master took.  That cold re-solve is skipped in one case
-where its result is known: when no column enters the first master, the
-re-solve ends at the point mass on the start column s, with support (s,);
-and that first master is not even run as an LP.  The proof:
+A read-off runs one LP: the point mass on the start column, the uniform
+guess's LP or the grown master, whichever first certifies the optimum.
+Both sides of the certificate are checked on that LP's own basic solution
+and duals, and ``solve_maximin`` prints them.  When no column enters the
+first master, the optimum is the point mass on the start column s, and
+that master is not even run as an LP.  The proof:
 
 - With s alone, the master's only pivot is z entering, on the group row r
   with the least C[r, s] (ties to the lowest row), so z is C[r, s], its
@@ -54,17 +49,11 @@ and that first master is not even run as an LP.  The proof:
   against the bar C[r, s].  That row is read off C, and the revised LP is
   built only once a column would enter, with that row as its first pricing
   round; the counters are one solve and one pivot either way.  Every
-  ``_RevisedLP`` (the grown master, the guess's cold LP and the cold
-  re-solve) starts at the basis that first pivot reaches from its own start
-  column, in closed form and counted as one pivot, so z is basic
-  throughout and never leaves.
+  ``_RevisedLP`` (the grown master and the guess's LP) starts at the basis
+  that first pivot reaches from its own start column, in closed form and
+  counted as one pivot, so z is basic throughout and never leaves.
 - So no column enters exactly when C[r, j] <= C[r, s] for every column j,
-  and the tight columns are then {j : C[r, j] == C[r, s]}, which holds s.
-- s is also the first column with the largest minimum among the tight
-  columns, so the cold re-solve starts from the same basis and makes the
-  same first pivot.
-- After that pivot every tight column's reduced cost is 0 and every
-  slack's at most 0, so Bland stops there, at the point mass on s.
+  and then the duals e_r certify the point mass on s.
 
 When a column would enter the first master, one dual is guessed before
 the master grows: the uniform y0 = (1/γ, ..., 1/γ).  It is optimal whenever
@@ -72,9 +61,10 @@ the automorphisms of the instance act transitively on the groups (Bödi,
 Herr & Joswig, Math. Program. 2013), as on the paper's odd cycles with
 singleton groups, and it is only tried when every group has one size and
 every row of C one sum, which every such instance passes.  y0 prices
-column j at its sum over γ, so the largest column sum S bounds z.  The
-cold re-solve above runs over the columns whose sum is S, and the guess
-holds when
+column j at its sum over γ, so the largest column sum S bounds z.
+Bland's simplex runs from scratch over the columns whose sum is S, in
+column order, from the first of them with the largest minimum, and the
+guess holds when
 
 - its z times γ is S, so strong duality certifies it, and
 - every basic value (the rhs column of ``inv``) is positive.
@@ -82,27 +72,22 @@ holds when
 A nondegenerate optimal basis has a unique optimal dual (Mangasarian,
 Linear Algebra Appl. 1979), and every optimal dual of the full LP is an
 optimal dual of the LP over the tight columns, so y0 is the full LP's only
-optimal dual.  The master would have ended at y0, with these tight columns,
-so column generation reports the same value, duals, support and
-distribution.  When the guess fails, column generation goes on from the
-first master as if it had not been tried.
+optimal dual: column generation would report the same value and duals,
+though possibly another optimal support.  When the guess fails, column
+generation goes on from the first master as if it had not been tried.
 
-So the value stage ends at one LP whose basic solution is optimal over
-all columns: both sides of the certificate are checked on it, the primal
-side on its own support even where that is not the canonical one.  The
-support stage then takes the support and probabilities off one LP's basic
-solution: the value stage's for the point mass and the guess's cold LP,
-and otherwise, after a grown master, the cold re-solve's, whose primal
-side is checked at the certified value.  Only a printed support pays the
-re-solve.  On ``random_instance(14, 0.4, 1, EDGES, 3)`` with singleton
-edge groups, the six values of ``verify.objective_values`` take 0.18 s
-without it and 10.0 s with it, and 0.63 s against 19.9 s at n = 15
-(2-vCPU Xeon, single runs).  ``tight_pivots`` counts the cold LP's
-pivots, at least one since z must enter, and is 0 for the point mass.
+The printed support and probabilities are the basic solution that LP
+ended at, so they depend on the path that reached its basis.  Where the
+optimum is degenerate, another pivoting rule or start may end at another
+optimal basic solution, with another support and, where the optimal dual
+is not unique, other duals; and the support may hold more columns than
+some other optimal one.  ``tight_columns`` and ``tight_pivots`` count the
+guess's LP alone (its columns, and its pivots, at least one since z must
+enter), and are 0 after the point mass and after a grown master.
 
 The LP's outcome is kept in Python ints only (``_LPOutcome``): z and det,
 the support's columns and their probability numerators over det, and the
-reported duals' numerators and their total.  Both sides
+duals' numerators and their total.  Both sides
 of the minimax equality are recomputed from those integers and the
 matrix's integer entries over the mode's denominators, independently of
 the simplex and of the pricing code, with the comparisons
@@ -114,11 +99,9 @@ duals.
 The LP's outcome depends only on C: the value is z / den, and the
 distribution, duals, support and counters are C's.  When every group has
 one size, ``exact.scaled_columns`` gives both modes one array.  The
-matrix keeps the outcome per scaled column set (a grown master's with what
-the support stage reads, ``_Grown``, until a solve replaces it with the
-canonical one), so the second mode, and a solve after a value read, runs
-no LP again; each call reads its value over its own ``den`` and is
-certified in its own mode.
+matrix keeps the outcome per scaled column set, so the second mode, and a
+solve after a value read, runs no LP again; each call reads its value over
+its own ``den`` and is certified in its own mode.
 """
 
 from __future__ import annotations
@@ -178,11 +161,11 @@ class CutDistribution:
 
 
 class _LPOutcome(NamedTuple):
-    """An LP's outcome over one scaled column set, in Python ints: z over
-    det is ``den`` times the value; the support's columns, ascending, carry
-    the probabilities ``weights[j] / det``; the reported duals are
-    ``duals[i] / total``; and ``counters`` are a ``MaximinSolution``'s, in
-    its order."""
+    """The outcome of the LP that ends a read-off, over one scaled column
+    set, in Python ints: z over det is ``den`` times the value; the basic
+    solution's support columns, ascending, carry the probabilities
+    ``weights[j] / det``; the duals of its basis are ``duals[i] / total``;
+    and ``counters`` are a ``MaximinSolution``'s, in its order."""
 
     z: int
     det: int
@@ -193,17 +176,6 @@ class _LPOutcome(NamedTuple):
     counters: tuple[int, int, int, int, bool]
 
 
-class _Grown(NamedTuple):
-    """The value stage's end at a grown master: the ``outcome`` read off the
-    master's own basic solution, whose tight counters are still 0, and the
-    master's last pricing ``scores`` and ``bar``, whose ties are the columns
-    the support stage re-solves over."""
-
-    outcome: _LPOutcome
-    scores: np.ndarray
-    bar: int
-
-
 @dataclass(frozen=True, eq=False)
 class MaximinSolution:
     """The optimum and the work that found it.  ``master_solves`` counts the
@@ -211,15 +183,14 @@ class MaximinSolution:
     ``pivots`` their Bland pivots, one solve and one pivot for the first
     master even though its result is read off the columns in closed form,
     and every LP's first pivot (z entering) even though each LP is built at
-    the basis it reaches;
-    ``tight_columns`` counts the columns tight at the final duals and
-    ``tight_pivots`` the pivots of the cold LP over them, off whose basis
-    the support and the distribution were read.  Both are 0 when no column
-    entered the master, and otherwise ``tight_pivots`` is at least 1, since
-    z must enter.  The pivots are those of Bland's rule on the
-    dense tableau of the same LP, however it is stored.  ``dual_guessed`` says whether the
-    uniform dual certified the optimum; then the master ran once, and the
-    tight re-solve is the guess's.  A mode that reuses the LP outcome of
+    the basis it reaches.  ``dual_guessed`` says whether the uniform dual
+    certified the optimum; then the master ran once, ``tight_columns``
+    counts the columns tight at the uniform dual and ``tight_pivots`` the
+    pivots of the guess's LP over them, at least 1 since z must enter, off
+    whose basis the support and the distribution were read.  Both are 0
+    otherwise: the support is then the point mass's or the grown master's.
+    The pivots are those of Bland's rule on the dense tableau of the same
+    LP, however it is stored.  A mode that reuses the LP outcome of
     another mode over the same scaled columns carries the counters of the
     LP that found it.
 
@@ -274,23 +245,21 @@ class _CertificateError(AssertionError):
 
 
 def maximin_value(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Fraction:
-    """Exact value of the maximin LP with a strong-duality certificate: the
-    value stage of ``solve_maximin`` alone (module docstring).  It ends at
-    the point mass on the start column, the uniform guess's LP or the grown
-    master, and certifies both sides on that LP's own basic solution and
-    duals; it reads no support, so it never runs the cold re-solve.  The
-    matrix keeps the LP's outcome per scaled column set, so a later value
-    read or solve of either mode runs neither stage again; every call
-    certifies its own value in its own mode."""
+    """Exact value of the maximin LP with a strong-duality certificate:
+    ``solve_maximin`` without the support's cut masks.  It ends at the point
+    mass on the start column, the uniform guess's LP or the grown master,
+    and certifies both sides on that LP's own basic solution and duals
+    (module docstring).  The matrix keeps the LP's outcome per scaled column
+    set, so a later value read or solve of either mode runs no LP again;
+    every call certifies its own value in its own mode."""
     gamma, k = matrix.group_count, matrix.column_count
     if gamma == 0 or k == 0:
         raise ValueError("payoff matrix must be non-empty")
     den, cols = scaled_columns(matrix, mode)
     # keyed by the shared array, which the matrix keeps as long as this entry
-    found = matrix._solved.get(id(cols))
-    if found is None:
-        found = matrix._solved[id(cols)] = _solve_lp(matrix, cols)
-    lp = found.outcome if isinstance(found, _Grown) else found
+    lp = matrix._solved.get(id(cols))
+    if lp is None:
+        lp = matrix._solved[id(cols)] = _solve_lp(matrix, cols)
     value = Fraction(lp.z, lp.det * den)
     _check_certificate(matrix, mode, value, lp)
     return value
@@ -303,32 +272,23 @@ def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Maximin
     denominator of the mode's; the restricted master is re-optimized from
     its previous optimal basis each time a column enters.  When a column
     would enter and the groups look symmetric, the uniform dual is tried
-    first, and if it certifies the optimum no further master runs.  The
-    value stage (``maximin_value``) certifies the value; then the support
-    stage reads the canonical distribution off one LP, Bland's simplex over
-    the columns tight at the last master's duals (none for the point mass
-    on the start column when no column entered), and checks its primal
-    side at that value.  The support holds its column indices, and the
-    dual weights are the last master's, which certify every column.  Only
-    this read-off of a support pays the cold re-solve (module docstring).
+    first, and if it certifies the optimum no further master runs.  This is
+    ``maximin_value`` and the cut masks of its support: the support holds
+    the column indices of the certified LP's basic solution, and the dual
+    weights are that basis's, which certify every column (module
+    docstring).
     """
     value = maximin_value(matrix, mode)
-    _, cols = scaled_columns(matrix, mode)
-    found = matrix._solved[id(cols)]
-    if isinstance(found, _Grown):
-        found = _canonical(cols, found)
-        _check_primal(matrix, mode, value, found)
-        matrix._solved[id(cols)] = found
-    masks = tuple(matrix.col_masks[list(found.support)].tolist())
-    return MaximinSolution(value, found.support, *found.counters, masks, found.weights, found.duals)
+    lp = matrix._solved[id(scaled_columns(matrix, mode)[1])]
+    masks = tuple(matrix.col_masks[list(lp.support)].tolist())
+    return MaximinSolution(value, lp.support, *lp.counters, masks, lp.weights, lp.duals)
 
 
-def _solve_lp(matrix: PayoffMatrix, cols: np.ndarray) -> _LPOutcome | _Grown:
-    """The value stage over the scaled columns ``cols``, whose z over det is
-    ``den`` times the value of any mode with those columns: the outcome of
-    the point mass on the start column or of the uniform guess's LP, both
-    canonical, or else the grown master's, which the support stage
-    (``_canonical``) has yet to make canonical."""
+def _solve_lp(matrix: PayoffMatrix, cols: np.ndarray) -> _LPOutcome:
+    """The LP over the scaled columns ``cols``, whose z over det is ``den``
+    times the value of any mode with those columns: the outcome of the point
+    mass on the start column, of the uniform guess's LP or of the grown
+    master."""
     gamma = matrix.group_count
     # the first master, over the best static column alone, in closed form
     mins = cols.min(axis=0)
@@ -341,7 +301,7 @@ def _solve_lp(matrix: PayoffMatrix, cols: np.ndarray) -> _LPOutcome | _Grown:
     guess = _uniform_guess(matrix.group_sizes, cols, mins, top)
     if guess is not None:
         tight, lp = guess
-        return _read_off(lp, tight, lp.duals(), (1, 1, len(tight), lp.pivots, True))
+        return _read_off(lp, tight, (1, 1, len(tight), lp.pivots, True))
     # the column with the largest reduced cost enters until none prices
     # above the master's value, from the closed form's first round
     columns = [start]
@@ -354,30 +314,15 @@ def _solve_lp(matrix: PayoffMatrix, cols: np.ndarray) -> _LPOutcome | _Grown:
         master.add(cols[:, enter].tolist())
         scores, bar = _price(master, cols, top)
         enter = int(np.argmax(scores))
-    found = _read_off(master, columns, master.duals(), (master.solves, master.pivots, 0, 0, False))
-    return _Grown(found, scores, bar)
+    return _read_off(master, columns, (master.solves, master.pivots, 0, 0, False))
 
 
-def _canonical(cols: np.ndarray, grown: _Grown) -> _LPOutcome:
-    """The support stage after a grown master: the outcome with the
-    canonical support, independent of the path the master took, off
-    Bland's simplex from scratch over the tight columns (module docstring).
-    The duals stay the master's."""
-    found = grown.outcome
-    tight = np.flatnonzero(grown.scores == grown.bar).tolist()
-    solves, pivots, *_ = found.counters
-    cold = _tight_lp(cols, cols.min(axis=0), tight)
-    counters = (solves, pivots, len(tight), cold.pivots, False)
-    return _read_off(cold, tight, (found.duals, found.total), counters)
-
-
-def _read_off(lp: "_RevisedLP", columns: list[int], duals: tuple, counters: tuple) -> _LPOutcome:
-    """The outcome off ``lp``'s basic solution, whose columns are
-    ``columns`` in order, with the reported ``duals`` (numerators and their
-    total) and ``counters``."""
+def _read_off(lp: "_RevisedLP", columns: list[int], counters: tuple) -> _LPOutcome:
+    """The outcome off ``lp``'s basic solution and duals, whose columns are
+    ``columns`` in order, with ``counters``."""
     z, *probs = lp.primal_numerators()
     support, weights = zip(*sorted((j, p) for j, p in zip(columns, probs) if p > 0))
-    y, total = duals
+    y, total = lp.duals()
     return _LPOutcome(z, lp.det, support, weights, tuple(y), total, counters)
 
 
@@ -429,7 +374,8 @@ def _uniform_guess(
 
 def _tight_lp(cols: np.ndarray, mins: np.ndarray, tight: list[int]) -> "_RevisedLP":
     """Bland's simplex from scratch over the columns ``tight``, in column
-    order, started from the first of them with the largest minimum."""
+    order, started from the first of them with the largest minimum: the
+    uniform guess's LP."""
     return _RevisedLP(cols[:, tight].T.tolist(), int(np.argmax(mins[tight])))
 
 
@@ -576,19 +522,14 @@ class _RevisedLP:
 def _check_certificate(matrix: PayoffMatrix, mode: Mode, value: Fraction, lp: _LPOutcome) -> None:
     """Recompute both sides of the minimax equality from the LP's integers
     and the matrix's integer entries over the mode's denominators d_i, in
-    integers only: the dual side (``_check_dual``), then the primal side
-    (``_check_primal``)."""
-    _check_dual(matrix, mode, value, lp)
-    _check_primal(matrix, mode, value, lp)
-
-
-def _check_primal(matrix: PayoffMatrix, mode: Mode, value: Fraction, lp: _LPOutcome) -> None:
-    """The primal side at the value V / W reads the support's weights P_j
+    integers only: the dual side (``_check_dual``), then the primal side.
+    The primal side at the value V / W reads the support's weights P_j
     over D = ``lp.det``: they must be positive, on distinct columns, and sum
     to D.  Group i's expected utility is sum_j entries[i, j] * P_j / (D *
     d_i), so every group passes if that numerator times W is at least V * D
     * d_i, and one group must meet it with equality.  The support columns
     are read as Python ints."""
+    _check_dual(matrix, mode, value, lp)
     V, W = value.numerator, value.denominator
     support, P, D = lp.support, lp.weights, lp.det
     if not P or len(set(support)) != len(P) or len(support) != len(P) or sum(P) != D or min(P) <= 0:

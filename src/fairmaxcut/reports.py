@@ -208,7 +208,7 @@ def parse_report(text: str) -> ParsedReport:
         elif tag == "note":
             report.notes.append(" ".join(tokens[1:]))
         elif tag == "summary":
-            report.summary = tokens[1]
+            report.summary = known(tokens[1], ("pass", "fail"), "summary")
         elif tag in ("tool", "timestamp", "elapsed-ms", "seed", "mode", "limit", "trials",
                      "samples", "algorithm", "suite", "count"):
             report.fields[tag] = " ".join(tokens[1:])

@@ -178,11 +178,8 @@ def objective_values(
     g: Graph, model: UtilityModel, partition: GroupPartition, *names: str
 ) -> tuple[Fraction, ...]:
     """The named objectives' values, in order, all read off one payoff
-    matrix.  A DF value is ``maximin.maximin_value``'s: certified, but read
-    with no support, so it never pays the canonical support's cold
-    re-solve.  On ``random_instance(15, 0.4, 1, EDGES, 3)`` with singleton
-    edge groups, all six took 19.9 s with the re-solve and 0.63 s without
-    (2-vCPU Xeon, single runs)."""
+    matrix.  A DF value is ``maximin.maximin_value``'s: the same certified
+    LP as ``read_offs``, read with no support masks and no solution made."""
     _check_names(names)
     matrix = exact.build_payoff_matrix(g, model, partition)
     return tuple(

@@ -70,7 +70,9 @@ def tableau_duals(tableau) -> tuple[Fraction, ...]:
 def python_solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> MaximinSolution:
     """``maximin.solve_maximin`` with list pricing over tuple columns, the
     dense tableau for the LP and the certificate checked by the ``Fraction``
-    oracle."""
+    oracle.  It always runs column generation, never the uniform guess, and
+    reads the support and weights off its last master's basic solution, so
+    its tight counters are 0."""
     den, cols = python_scaled_columns(matrix, mode)
     cols = list(cols)
     rows = list(zip(*cols))
@@ -89,26 +91,46 @@ def python_solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> 
         master.add(list(cols[enter]))
     y, total = master.duals()
     value, duals = tableau_primal(master)[0], tuple(Fraction(w, total) for w in y)
-    tight = [j for j in range(k) if scores[j] == bar]
-    cold = DenseTableau([list(cols[j]) for j in tight], den)
-    tight_value, *probs = tableau_primal(cold)
-    if tight_value != value:
-        raise _CertificateError(
-            f"tight columns reach {tight_value}, column generation reached {value}"
-        )
-    support = tuple(j for j, p in zip(tight, probs) if p > 0)
+    kept = sorted((j, p) for j, p in zip(active, master.primal_numerators()[1:]) if p > 0)
+    support = tuple(j for j, _ in kept)
     distribution = CutDistribution(
-        tuple((matrix.cut(j), p) for j, p in zip(tight, probs) if p > 0)
+        tuple((matrix.cut(j), Fraction(p, master.det)) for j, p in kept)
     )
     _check_certificate(matrix, mode, value, distribution, duals, support)
-    # solve_maximin skips the re-solve, and counts none, when no column entered
-    counted = (len(tight), cold.pivots) if len(active) > 1 else (0, 0)
-    weights = tuple(p for p in cold.primal_numerators()[1:] if p > 0)
     masks = tuple(int(matrix.col_masks[j]) for j in support)
     return MaximinSolution(
-        value, support, master.solves, master.pivots, *counted, False,
-        masks, weights, tuple(y),
+        value, support, master.solves, master.pivots, 0, 0, False,
+        masks, tuple(p for _, p in kept), tuple(y),
     )
+
+
+def python_least_expectation(
+    matrix: PayoffMatrix, mode: Mode, distribution: CutDistribution
+) -> Fraction:
+    """The least group expectation of a lottery over the matrix's cuts, each
+    found by its mask: ``evaluate_distribution``'s minimum, for a matrix
+    with no graph."""
+    column = {m: j for j, m in enumerate(matrix.col_masks.tolist())}
+    pairs = [(column[cut.mask()], p) for cut, p in distribution.entries]
+    return min(
+        sum(row[j] * p for j, p in pairs) / d
+        for row, d in zip(matrix.entries.tolist(), matrix.denominators(mode))
+    )
+
+
+def assert_matches_column_generation(
+    matrix: PayoffMatrix, mode: Mode, sol: MaximinSolution, oracle: MaximinSolution
+) -> None:
+    """A solve against ``python_solve_maximin``'s.  Where the uniform guess
+    held, it held at a nondegenerate basis, whose dual is unique: the value
+    and the duals are column generation's, and the printed lottery's least
+    group expectation is the value; its support is another optimal basic
+    solution's.  Everywhere else the solve is the oracle's, field for field."""
+    if sol.dual_guessed:
+        assert (sol.value, sol.dual_weights) == (oracle.value, oracle.dual_weights)
+        assert python_least_expectation(matrix, mode, sol.distribution) == sol.value
+    else:
+        assert sol == oracle
 
 
 def python_best_dual_score(w: list[int], entries: list[list[int]]) -> int:

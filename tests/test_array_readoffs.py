@@ -3,7 +3,6 @@ Python-int loops they replaced (``python_readoff``); the int64 overflow
 guards forced onto their Python-int fallbacks; and no numpy scalar in any
 result."""
 
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -35,6 +34,7 @@ from fairmaxcut.maximin import (
 
 from .fraction_certificate import solved_outcome
 from .python_readoff import (
+    assert_matches_column_generation,
     python_best_dual_score,
     python_column_scores,
     python_max_from_matrix,
@@ -58,8 +58,9 @@ COPRIME_DENS = (2039, 2053, 2063)
 def assert_matches_oracles(matrix: PayoffMatrix) -> None:
     """Both read-offs, witnesses included, and the whole maximin solution
     (value, duals, support, distribution and counters) in both modes; where
-    the uniform dual certified the optimum, the master's counters are those
-    of its one solve, not the oracle's column generation."""
+    the uniform dual certified the optimum, its value, its duals and its
+    lottery's least group expectation
+    (``python_readoff.assert_matches_column_generation``)."""
     for mode in Mode:
         den, cols = scaled_columns(matrix, mode)
         want_den, want_cols = python_scaled_columns(matrix, mode)
@@ -71,11 +72,7 @@ def assert_matches_oracles(matrix: PayoffMatrix) -> None:
             (value, j), (want, want_j) = read_off(matrix, mode), oracle(matrix, mode)
             assert (value, matrix.cut(j)) == (want, matrix.cut(want_j))
         sol, oracle = solve_maximin(matrix, mode), python_solve_maximin(matrix, mode)
-        if sol.dual_guessed:  # the oracle always runs column generation
-            sol = replace(
-                sol, master_solves=oracle.master_solves, pivots=oracle.pivots, dual_guessed=False
-            )
-        assert sol == oracle
+        assert_matches_column_generation(matrix, mode, sol, oracle)
 
 
 @given(st.one_of(certificate_matrices(), random_matrices()))
@@ -86,11 +83,10 @@ def test_array_readoffs_match_python_loops(matrix):
 
 @pytest.mark.parametrize("grew", [False, True])
 def test_random_matrices_reach_both_maximin_branches(grew):
-    # no tight columns means no column entered the master, and solve_maximin
-    # skipped the cold re-solve that python_solve_maximin runs
+    # the point mass on the start column, or a master that grew
     find(
         random_matrices(),
-        lambda matrix: (solve_maximin(matrix, Mode.VALUE).tight_columns > 0) == grew,
+        lambda matrix: (solve_maximin(matrix, Mode.VALUE).master_solves > 1) == grew,
         settings=settings(database=None),
     )
 

@@ -45,7 +45,12 @@ from fairmaxcut.utility import UtilityModel
 from .dense_tableau import DenseTableau, best_static
 from .fraction_certificate import check_outcome, solved_outcome
 from .fraction_simplex import _bland, _simplex_maximin, _tableau, fraction_column
-from .python_readoff import python_solve_maximin, tableau_duals, tableau_primal
+from .python_readoff import (
+    assert_matches_column_generation,
+    python_solve_maximin,
+    tableau_duals,
+    tableau_primal,
+)
 from .strategies import (
     certificate_matrices,
     cyclic_matrices,
@@ -78,22 +83,19 @@ def mode_columns(matrix: PayoffMatrix, mode: Mode) -> dict[tuple[Fraction, ...],
 
 
 def assert_matches_dense_oracle(matrix: PayoffMatrix, sol, mode: Mode = Mode.PROPORTION) -> None:
-    """The solution against Bland's simplex over every column, and its
-    support against Bland's simplex over the columns tight at its duals."""
+    """The solution's value against Bland's simplex over every column, and
+    its lottery against complementary slackness: a basic solution's
+    support, at most one column per group and one more, every column tight
+    at its duals, whose lottery pays the least group exactly the value."""
     gamma = matrix.group_count
-    first = mode_columns(matrix, mode)
-    dense_value, _, _ = _simplex_maximin(list(first), gamma)
+    dense_value, _, _ = _simplex_maximin(list(mode_columns(matrix, mode)), gamma)
     assert sol.value == dense_value
     assert len(sol.support) <= gamma + 1
-
-    tight = [
-        col for col in first if sum(q * c for q, c in zip(sol.dual_weights, col)) == sol.value
-    ]
-    tight_value, probs, _ = _simplex_maximin(tight, gamma)
-    assert tight_value == sol.value
-    expected = [(first[col], p) for col, p in zip(tight, probs) if p > 0]
-    assert sol.support == tuple(j for j, _ in expected)
-    assert sol.distribution.entries == tuple((matrix.cut(j), p) for j, p in expected)
+    columns = [fraction_column(matrix, j, mode) for j in sol.support]
+    assert all(sum(map(mul, sol.dual_weights, col)) == sol.value for col in columns)
+    assert sol.distribution.support == tuple(map(matrix.cut, sol.support))
+    probs = [p for _, p in sol.distribution.entries]
+    assert min(sum(map(mul, probs, row)) for row in zip(*columns)) == sol.value
 
 
 @st.composite
@@ -105,6 +107,19 @@ def maximin_instances(draw, max_vertices=8):
         g, partition = draw(node_instances(max_vertices=max_vertices))
         model = draw(st.sampled_from([UtilityModel.NODE_MAXDEG, UtilityModel.NODE_OWNDEG]))
     return g, model, partition, draw(st.sampled_from(list(Mode)))
+
+
+def degenerate_n12():
+    """``random_instance(12, 0.4, 1, EDGES, 3)`` with singleton edge groups,
+    the instance of ``tests/goldens/degenerate_n12.inst``: its optimum is
+    degenerate, and three quarters of its 2,048 columns are tight."""
+    inst = random_instance(12, 0.4, 1, PartitionKind.EDGES, 3)
+    return inst, singleton_partition(inst.graph, PartitionKind.EDGES)
+
+
+def degenerate_n12_matrix() -> PayoffMatrix:
+    inst, partition = degenerate_n12()
+    return build_payoff_matrix(inst.graph, inst.model, partition)
 
 
 class TestSolveMaximin:
@@ -180,6 +195,7 @@ class TestSolveMaximin:
         matrix = build_payoff_matrix(g, model, partition)
         sol = solve_maximin(matrix, mode)
         assert_matches_dense_oracle(matrix, sol, mode)
+        assert_matches_column_generation(matrix, mode, sol, python_solve_maximin(matrix, mode))
         score = evaluate_distribution(g, model, partition, sol.distribution)
         per_group = [
             s * (len(gr) if mode is Mode.VALUE else 1)
@@ -229,8 +245,8 @@ class TestSolveMaximin:
 
     @pytest.mark.parametrize("kind", list(PartitionKind), ids=lambda k: k.value)
     def test_tight_counters_on_the_9_cycle(self, kind):
-        # the master grows, so the cold re-solve runs over the 9 columns
-        # tight at the final duals: one pivot for z, one per column
+        # the uniform guess holds, and its LP runs over the 9 columns tight
+        # at the uniform dual: one pivot for z, one per column
         inst = make_odd_cycle_instance(9, kind)
         matrix = build_payoff_matrix(inst.graph, inst.model, inst.partition)
         for mode in Mode:
@@ -250,18 +266,18 @@ class TestSolveMaximin:
 
     def test_tight_counters_on_a_random_12_vertex_graph(self):
         # 25 singleton edge groups: the master must grow to reach 2/3, and
-        # three quarters of the 2,048 columns are tight at its final duals
-        inst = random_instance(12, 0.4, 1, PartitionKind.EDGES, 3)
-        partition = singleton_partition(inst.graph, PartitionKind.EDGES)
-        matrix = build_payoff_matrix(inst.graph, inst.model, partition)
+        # its degenerate basic solution is the printed lottery
+        matrix = degenerate_n12_matrix()
         sol = solve_maximin(matrix, Mode.PROPORTION)
-        assert (inst.graph.edge_count, matrix.column_count) == (25, 2048)
+        assert (matrix.group_count, matrix.column_count) == (25, 2048)
         assert sol.value == Fraction(2, 3)
         # 25 groups of one size and one row sum: the uniform guess is tried,
         # and its LP over the one column of largest sum fails
         assert not sol.dual_guessed
         assert (sol.master_solves, sol.pivots) == (44, 270)
-        assert (sol.tight_columns, sol.tight_pivots) == (1536, 203)
+        # only the guess's LP is counted, and the master's support is printed
+        assert (sol.tight_columns, sol.tight_pivots) == (0, 0)
+        assert len(sol.support) == 7
 
     def test_degenerate_dual_keeps_value_and_support(self):
         # verify-small-387-s1 (edge model, proportion mode): its optimal dual
@@ -288,9 +304,9 @@ class TestSolveMaximin:
 
 
 class TestNoGrowth:
-    """When no column enters the master, ``solve_maximin`` skips the cold
-    re-solve over the tight columns and reports the point mass on the start
-    column; ``python_solve_maximin`` still runs that re-solve."""
+    """When no column enters the master, ``solve_maximin`` reports the point
+    mass on the start column without running an LP;
+    ``python_solve_maximin`` runs its one-column master."""
 
     @pytest.mark.parametrize("rows, value, start, tight", [
         pytest.param([[1, 3, 2]], 3, 1, (1,), id="one group"),
@@ -302,7 +318,7 @@ class TestNoGrowth:
         matrix = matrix_from_rows(rows)
         sol = solve_maximin(matrix)
         assert sol.master_solves == 1  # no column entered
-        assert (sol.tight_columns, sol.tight_pivots) == (0, 0)  # and nothing was re-solved
+        assert (sol.tight_columns, sol.tight_pivots) == (0, 0)  # and no guess was tried
         assert sol.value == value
         assert tuple(
             j for j, col in enumerate(zip(*rows))
@@ -314,31 +330,19 @@ class TestNoGrowth:
         assert sol == python_solve_maximin(matrix)
 
 
-def optimum(sol) -> tuple:
-    """What a solution reports: value, distribution, duals and support."""
-    return sol.value, sol.distribution, sol.dual_weights, sol.support
-
-
-def tight_counters(sol) -> tuple:
-    return sol.tight_columns, sol.tight_pivots
-
-
 class TestUniformGuess:
     """Where a column enters the first master and the groups have one size
     and the rows one sum, ``solve_maximin`` first tries the uniform dual;
-    ``python_solve_maximin`` always runs column generation.  Both must
-    report the same optimum and tight re-solve, and the same master
-    counters where the guess failed."""
+    ``python_solve_maximin`` always runs column generation.  Where the guess
+    held, both report the same value and duals; where it failed, the same
+    solution (``assert_matches_column_generation``)."""
 
     @given(cyclic_matrices())
     @settings(max_examples=100, deadline=None)
     def test_matches_column_generation_on_cyclic_matrices(self, matrix):
         for mode in Mode:
             sol, oracle = solve_maximin(matrix, mode), python_solve_maximin(matrix, mode)
-            assert optimum(sol) == optimum(oracle)
-            assert tight_counters(sol) == tight_counters(oracle)
-            if not sol.dual_guessed:
-                assert sol == oracle
+            assert_matches_column_generation(matrix, mode, sol, oracle)
 
     @pytest.mark.parametrize("guessed", [False, True])
     def test_cyclic_matrices_reach_both_outcomes(self, guessed):
@@ -378,7 +382,7 @@ class TestUniformGuess:
     def test_row_sums_past_int64_fail_the_gate(self, monkeypatch):
         # the first row sums to 2**64 + 3 and the second to 3: in int64 both
         # would read 3, and a guess LP would be built and then rejected.
-        # Only the cold re-solve builds a tight LP
+        # No tight LP is built
         matrix = PayoffMatrix([[2**60] * 16 + [3], [0] * 16 + [3]], (1, 1), (1, 1),
                               [2 * j for j in range(17)])
         calls = []
@@ -391,7 +395,7 @@ class TestUniformGuess:
         monkeypatch.setattr(maximin, "_tight_lp", spy)
         sol = solve_maximin(matrix, Mode.VALUE)
         assert sol.value == 3 and not sol.dual_guessed
-        assert len(calls) == 1
+        assert calls == []
 
     @pytest.mark.parametrize("kind", list(PartitionKind), ids=lambda k: k.value)
     @pytest.mark.parametrize("n", [5, 7, 9, 11, 13, 15])
@@ -405,13 +409,15 @@ class TestUniformGuess:
         for mode in Mode:
             sol = solve_maximin(matrix, mode)
             assert sol.dual_guessed
-            assert optimum(sol) == optimum(oracle)
-            assert tight_counters(sol) == tight_counters(oracle)
+            assert_matches_column_generation(matrix, mode, sol, oracle)
+            score = evaluate_distribution(inst.graph, inst.model, inst.partition, sol.distribution)
+            assert score.minimum == sol.value
 
 
 def tight_resolve(matrix: PayoffMatrix, mode: Mode, sol) -> tuple:
-    """Bland's cold re-solve over the columns tight at ``sol``'s duals: the
-    tight columns, and the value, support and distribution it ends at."""
+    """Bland's simplex from scratch over the columns tight at ``sol``'s
+    duals, as the uniform guess runs it: the tight columns, and the value,
+    support and distribution it ends at."""
     den, cols = scaled_columns(matrix, mode)
     tight = [
         j for j, col in enumerate(cols.T.tolist())
@@ -428,15 +434,16 @@ any_matrices = st.one_of(certificate_matrices(), random_matrices(), cyclic_matri
 
 
 class TestReadOff:
-    """Wherever columns are tight, ``solve_maximin`` reads the support and
-    the distribution off a cold LP over them: the guess's, or after a
-    grown master the support stage's Bland re-solve."""
+    """Where the uniform guess held, ``solve_maximin`` reads the support and
+    the distribution off Bland's simplex from scratch over the columns tight
+    at the uniform dual; no other solve counts tight columns."""
 
     @given(any_matrices)
     @settings(max_examples=150, deadline=None)
     def test_matches_the_tight_resolve(self, matrix):
         for mode in Mode:
             sol = solve_maximin(matrix, mode)
+            assert (sol.tight_columns > 0) == sol.dual_guessed
             if sol.tight_columns:
                 tight, *resolved = tight_resolve(matrix, mode, sol)
                 assert len(tight) == sol.tight_columns and sol.tight_pivots > 0
@@ -464,14 +471,13 @@ def same_matrix(matrix: PayoffMatrix) -> PayoffMatrix:
 
 
 class TestValueStage:
-    """``maximin_value`` certifies the LP that ends the value stage and
-    reads no support; a later solve of the matrix runs only the support
-    stage, and reports what a fresh solve reports."""
+    """``maximin_value`` certifies the LP that ends a read-off and reads no
+    support masks; a later solve of the matrix runs no LP, and reports what
+    a fresh solve reports."""
 
     def test_value_reads_run_no_resolve(self, monkeypatch):
         # the degenerate 12-vertex graph of test_tight_counters_on_a_random_12_vertex_graph
-        inst = random_instance(12, 0.4, 1, PartitionKind.EDGES, 3)
-        partition = singleton_partition(inst.graph, PartitionKind.EDGES)
+        inst, partition = degenerate_n12()
         built, resolved = [], []
         build, tight_lp = exact.build_payoff_matrix, maximin._tight_lp
 
@@ -488,15 +494,43 @@ class TestValueStage:
         values = verify.objective_values(inst.graph, inst.model, partition, *OBJECTIVE_NAMES)
         assert values == (20, Fraction(4, 5), 0, 0, Fraction(2, 3), Fraction(2, 3))
         # the failed uniform guess's LP, over the one column of largest sum,
-        # is the only tight LP built: the re-solve over 1,536 columns is not
+        # is the only tight LP built
         assert resolved == [1]
         (matrix,) = built
         sol = solve_maximin(matrix, Mode.PROPORTION)
-        assert resolved == [1, 1536]
+        assert resolved == [1]
         assert (sol.master_solves, sol.pivots) == (44, 270)
-        assert (sol.tight_columns, sol.tight_pivots) == (1536, 203)
-        # singleton groups: the value mode reads the same, now canonical, outcome
-        assert solve_maximin(matrix, Mode.VALUE) == sol and resolved == [1, 1536]
+        assert (sol.tight_columns, sol.tight_pivots) == (0, 0)
+        # singleton groups: the value mode reads the same outcome
+        assert solve_maximin(matrix, Mode.VALUE) == sol and resolved == [1]
+
+    def test_a_solve_builds_no_lp_after_the_value_stage(self, monkeypatch):
+        # the degenerate 12-vertex graph: a fresh solve builds the LPs a
+        # fresh value read builds (the failed guess's over the one column of
+        # largest sum, and the master from the start column) and no other
+        built = []
+        init, tight_lp = _RevisedLP.__init__, maximin._tight_lp
+
+        def spy_init(self, cols, start):
+            built.append(("lp", len(cols)))
+            init(self, cols, start)
+
+        def spy_tight_lp(cols, mins, tight):
+            built.append(("tight", len(tight)))
+            return tight_lp(cols, mins, tight)
+
+        monkeypatch.setattr(_RevisedLP, "__init__", spy_init)
+        monkeypatch.setattr(maximin, "_tight_lp", spy_tight_lp)
+        matrix = degenerate_n12_matrix()
+        value = maximin.maximin_value(matrix)
+        value_stage = built[:]
+        assert value_stage == [("tight", 1), ("lp", 1), ("lp", 1)]
+        for mode in Mode:
+            solve_maximin(matrix, mode)
+        assert built == value_stage
+        built.clear()
+        assert solve_maximin(degenerate_n12_matrix()).value == value
+        assert built == value_stage
 
     @given(any_matrices, st.sampled_from(list(Mode)), st.sampled_from(list(Mode)), st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -537,26 +571,6 @@ def test_pricing_divides_out_the_gcd_to_stay_in_int64(monkeypatch):
     assert dtypes == [np.int64] * 2
     oracle = python_solve_maximin(matrix)
     assert sol == oracle
-
-
-def test_certificate_refuses_a_cold_resolve_at_another_value(monkeypatch):
-    # column generation reaches 1 through (1, 1), (2, 0) and (0, 2), which
-    # are all tight, so the support stage runs the cold re-solve; over
-    # (2, 0) alone it would end at the point mass on (2, 0), which pays the
-    # second group 0 < 1 at the value the master certified (the patched
-    # solve takes a fresh matrix: the first one's outcome is kept)
-    rows = [[2, 0, 1], [0, 2, 1]]
-    assert solve_maximin(matrix_from_rows(rows)).tight_pivots > 0
-    tight_lp = maximin._tight_lp
-    monkeypatch.setattr(
-        maximin, "_tight_lp", lambda cols, mins, tight: tight_lp(cols, mins, tight[:1])
-    )
-    matrix = matrix_from_rows(rows)
-    assert maximin.maximin_value(matrix) == 1  # the value stage runs no re-solve
-    with pytest.raises(
-        _CertificateError, match="strong duality certificate failed: value 1, least primal margin"
-    ):
-        solve_maximin(matrix)
 
 
 @given(certificate_matrices(), st.data())

@@ -107,6 +107,7 @@ def test_reproduce_rows_parse():
         ("reproduce k == 1 1 whatever", "unknown verdict 'whatever'"),
         ("reproduce k == 1 1 skip", "unknown verdict 'skip'"),
         ("reproduce k ~ 1 1 pass", "unknown relation '~'"),
+        ("summary maybe", "unknown summary 'maybe'"),
     ],
 )
 def test_malformed_lines_name_their_line(line, message):
