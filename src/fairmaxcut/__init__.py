@@ -53,7 +53,7 @@ from .heuristics import (
     sdp_objective,
     separate_solve,
 )
-from .maximin import MaximinSolution, df_fair, maximin_value, solve_maximin
+from .maximin import MaximinSolution, df_fair, solve_maximin
 from .utility import UtilityModel
 
 __version__ = "0.1.0"

@@ -74,8 +74,8 @@ class PayoffMatrix:
 
     def __post_init__(self):
         # coerce, check and freeze the arrays, and start the caches of
-        # scaled_columns, of maximin's LP outcomes and of its certificate
-        # dual maxima
+        # scaled_columns, of solve_maximin's LP outcome per scaled column
+        # set and of its certificate's dual maxima
         entries = np.array(self.entries, dtype=np.int64, order="C")
         masks = np.array(self.col_masks, dtype=np.int64)
         if entries.ndim != 2 or masks.shape != entries.shape[1:]:

@@ -99,9 +99,9 @@ duals.
 The LP's outcome depends only on C: the value is z / den, and the
 distribution, duals, support and counters are C's.  When every group has
 one size, ``exact.scaled_columns`` gives both modes one array.  The
-matrix keeps the outcome per scaled column set, so the second mode, and a
-solve after a value read, runs no LP again; each call reads its value over
-its own ``den`` and is certified in its own mode.
+matrix keeps the outcome per scaled column set, so the second mode runs no
+LP again; each call reads its value over its own ``den`` and is certified
+in its own mode.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ class _LPOutcome(NamedTuple):
     weights: tuple[int, ...]
     duals: tuple[int, ...]
     total: int
-    counters: tuple[int, int, int, int, bool]
+    counters: tuple[int, int, int, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,9 +183,9 @@ class MaximinSolution:
     ``pivots`` their Bland pivots, one solve and one pivot for the first
     master even though its result is read off the columns in closed form,
     and every LP's first pivot (z entering) even though each LP is built at
-    the basis it reaches.  ``dual_guessed`` says whether the uniform dual
-    certified the optimum; then the master ran once, ``tight_columns``
-    counts the columns tight at the uniform dual and ``tight_pivots`` the
+    the basis it reaches.  Where the uniform dual certified the optimum,
+    the master ran once, ``tight_columns`` counts the columns tight at the
+    uniform dual (at least the one of largest sum) and ``tight_pivots`` the
     pivots of the guess's LP over them, at least 1 since z must enter, off
     whose basis the support and the distribution were read.  Both are 0
     otherwise: the support is then the point mass's or the grown master's.
@@ -206,10 +206,14 @@ class MaximinSolution:
     pivots: int
     tight_columns: int
     tight_pivots: int
-    dual_guessed: bool
     _masks: tuple[int, ...] = field(repr=False)
     _weights: tuple[int, ...] = field(repr=False)
     _duals: tuple[int, ...] = field(repr=False)
+
+    @property
+    def dual_guessed(self) -> bool:
+        """Whether the uniform dual certified the optimum."""
+        return self.tight_columns > 0
 
     @cached_property
     def distribution(self) -> CutDistribution:
@@ -228,7 +232,7 @@ class MaximinSolution:
     def _reported(self) -> tuple:
         return (
             self.value, self.distribution, self.dual_weights, self.support, self.master_solves,
-            self.pivots, self.tight_columns, self.tight_pivots, self.dual_guessed,
+            self.pivots, self.tight_columns, self.tight_pivots,
         )
 
     def __eq__(self, other):
@@ -244,14 +248,22 @@ class _CertificateError(AssertionError):
     """Internal consistency failure: the pivoting produced an uncertified optimum."""
 
 
-def maximin_value(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Fraction:
-    """Exact value of the maximin LP with a strong-duality certificate:
-    ``solve_maximin`` without the support's cut masks.  It ends at the point
-    mass on the start column, the uniform guess's LP or the grown master,
-    and certifies both sides on that LP's own basic solution and duals
-    (module docstring).  The matrix keeps the LP's outcome per scaled column
-    set, so a later value read or solve of either mode runs no LP again;
-    every call certifies its own value in its own mode."""
+def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> MaximinSolution:
+    """Exact optimum of the maximin LP with a strong-duality certificate.
+
+    Column generation over the matrix's columns, scaled to one common
+    denominator of the mode's; the restricted master is re-optimized from
+    its previous optimal basis each time a column enters.  When a column
+    would enter and the groups look symmetric, the uniform dual is tried
+    first, and if it certifies the optimum no further master runs.  The
+    read-off ends at the point mass on the start column, the uniform
+    guess's LP or the grown master, and certifies both sides on that LP's
+    own basic solution and duals: the support holds the column indices of
+    that basic solution, and the dual weights are its basis's, which
+    certify every column (module docstring).  The matrix keeps the LP's
+    outcome per scaled column set, so a later solve of either mode runs no
+    LP again; every call certifies its own value in its own mode.
+    """
     gamma, k = matrix.group_count, matrix.column_count
     if gamma == 0 or k == 0:
         raise ValueError("payoff matrix must be non-empty")
@@ -262,24 +274,6 @@ def maximin_value(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> Fractio
         lp = matrix._solved[id(cols)] = _solve_lp(matrix, cols)
     value = Fraction(lp.z, lp.det * den)
     _check_certificate(matrix, mode, value, lp)
-    return value
-
-
-def solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> MaximinSolution:
-    """Exact optimum of the maximin LP with a strong-duality certificate.
-
-    Column generation over the matrix's columns, scaled to one common
-    denominator of the mode's; the restricted master is re-optimized from
-    its previous optimal basis each time a column enters.  When a column
-    would enter and the groups look symmetric, the uniform dual is tried
-    first, and if it certifies the optimum no further master runs.  This is
-    ``maximin_value`` and the cut masks of its support: the support holds
-    the column indices of the certified LP's basic solution, and the dual
-    weights are that basis's, which certify every column (module
-    docstring).
-    """
-    value = maximin_value(matrix, mode)
-    lp = matrix._solved[id(scaled_columns(matrix, mode)[1])]
     masks = tuple(matrix.col_masks[list(lp.support)].tolist())
     return MaximinSolution(value, lp.support, *lp.counters, masks, lp.weights, lp.duals)
 
@@ -297,11 +291,11 @@ def _solve_lp(matrix: PayoffMatrix, cols: np.ndarray) -> _LPOutcome:
     if scores.max() <= bar:
         # no column enters: the point mass on the start column, at z = bar
         duals = tuple(int(i == r) for i in range(gamma))
-        return _LPOutcome(bar, 1, (start,), (1,), duals, 1, (1, 1, 0, 0, False))
+        return _LPOutcome(bar, 1, (start,), (1,), duals, 1, (1, 1, 0, 0))
     guess = _uniform_guess(matrix.group_sizes, cols, mins, top)
     if guess is not None:
         tight, lp = guess
-        return _read_off(lp, tight, (1, 1, len(tight), lp.pivots, True))
+        return _read_off(lp, tight, (1, 1, len(tight), lp.pivots))
     # the column with the largest reduced cost enters until none prices
     # above the master's value, from the closed form's first round
     columns = [start]
@@ -314,7 +308,7 @@ def _solve_lp(matrix: PayoffMatrix, cols: np.ndarray) -> _LPOutcome:
         master.add(cols[:, enter].tolist())
         scores, bar = _price(master, cols, top)
         enter = int(np.argmax(scores))
-    return _read_off(master, columns, (master.solves, master.pivots, 0, 0, False))
+    return _read_off(master, columns, (master.solves, master.pivots, 0, 0))
 
 
 def _read_off(lp: "_RevisedLP", columns: list[int], counters: tuple) -> _LPOutcome:
@@ -520,41 +514,26 @@ class _RevisedLP:
 
 
 def _check_certificate(matrix: PayoffMatrix, mode: Mode, value: Fraction, lp: _LPOutcome) -> None:
-    """Recompute both sides of the minimax equality from the LP's integers
-    and the matrix's integer entries over the mode's denominators d_i, in
-    integers only: the dual side (``_check_dual``), then the primal side.
-    The primal side at the value V / W reads the support's weights P_j
-    over D = ``lp.det``: they must be positive, on distinct columns, and sum
-    to D.  Group i's expected utility is sum_j entries[i, j] * P_j / (D *
-    d_i), so every group passes if that numerator times W is at least V * D
-    * d_i, and one group must meet it with equality.  The support columns
-    are read as Python ints."""
-    _check_dual(matrix, mode, value, lp)
-    V, W = value.numerator, value.denominator
-    support, P, D = lp.support, lp.weights, lp.det
-    if not P or len(set(support)) != len(P) or len(support) != len(P) or sum(P) != D or min(P) <= 0:
-        raise _CertificateError("support weights are not a probability vector on distinct columns")
-    margins = [
-        sum(map(mul, row, P)) * W - V * D * d
-        for row, d in zip(matrix.entries[:, list(support)].tolist(), matrix.denominators(mode))
-    ]
-    if min(margins) != 0:
-        raise _CertificateError(
-            f"strong duality certificate failed: value {value}, least primal margin {min(margins)}"
-        )
+    """Recompute both sides of the minimax equality at the value V / W from
+    the LP's integers and the matrix's integer entries over the mode's
+    denominators d_i, in integers only, the dual side first.
 
+    The dual side reads the duals Q_i over T = ``lp.total``, which must be
+    non-negative and sum to T > 0, and weighs row i by w_i = Q_i * (L / d_i)
+    with L = lcm(d_i), divided by the weights' gcd g; the best column score
+    max_j sum_i w_i * entries[i, j], times g * W, must equal V * T * L.  The
+    column scores are one product over the entries array, with a bound of
+    their own (``_best_dual_score``).  Its maximum is kept per matrix and
+    divided weight vector, which only this check fills: with equal group
+    sizes, a reused LP outcome's proportion-mode weights are its value-mode
+    ones, since the size cancels out of L / d_i.
 
-def _check_dual(matrix: PayoffMatrix, mode: Mode, value: Fraction, lp: _LPOutcome) -> None:
-    """The dual side at the value V / W reads the duals Q_i over T =
-    ``lp.total``, which must be non-negative and sum to T > 0, and weighs
-    row i by w_i = Q_i * (L / d_i) with L = lcm(d_i), divided by the
-    weights' gcd g; the best column score max_j sum_i w_i * entries[i, j],
-    times g * W, must equal V * T * L.  The column scores are one product
-    over the entries array, with a bound of their own
-    (``_best_dual_score``).  Its maximum is kept per matrix and divided
-    weight vector, which only this check fills: with equal group sizes, a
-    reused LP outcome's proportion-mode weights are its value-mode ones,
-    since the size cancels out of L / d_i."""
+    The primal side reads the support's weights P_j over D = ``lp.det``:
+    they must be positive, on distinct columns, and sum to D.  Group i's
+    expected utility is sum_j entries[i, j] * P_j / (D * d_i), so every
+    group passes if that numerator times W is at least V * D * d_i, and one
+    group must meet it with equality.  The support columns are read as
+    Python ints."""
     V, W = value.numerator, value.denominator
     Q, T = lp.duals, lp.total
     if len(Q) != matrix.group_count or sum(Q) != T or T <= 0 or min(Q) < 0:
@@ -571,6 +550,17 @@ def _check_dual(matrix: PayoffMatrix, mode: Mode, value: Fraction, lp: _LPOutcom
         raise _CertificateError(
             f"strong duality certificate failed: value {value}, dual score {best * g * W} "
             f"against {V * T * L}"
+        )
+    support, P, D = lp.support, lp.weights, lp.det
+    if not P or len(set(support)) != len(P) or len(support) != len(P) or sum(P) != D or min(P) <= 0:
+        raise _CertificateError("support weights are not a probability vector on distinct columns")
+    margins = [
+        sum(map(mul, row, P)) * W - V * D * d
+        for row, d in zip(matrix.entries[:, list(support)].tolist(), dens)
+    ]
+    if min(margins) != 0:
+        raise _CertificateError(
+            f"strong duality certificate failed: value {value}, least primal margin {min(margins)}"
         )
 
 

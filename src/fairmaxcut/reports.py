@@ -29,9 +29,12 @@ def parse_cut_token(token: str, lineno: int) -> Cut:
     if not inner:
         return Cut(frozenset())
     try:
-        return Cut(frozenset(int(t) for t in inner.split(",")))
+        members = frozenset(int(t) for t in inner.split(","))
     except ValueError:
         raise InstanceParseError(f"bad cut token {token!r}", lineno)
+    if min(members) < 0:
+        raise InstanceParseError(f"bad cut token {token!r}: negative member", lineno)
+    return Cut(members)
 
 
 def format_probability(x: float) -> str:

@@ -178,15 +178,11 @@ def objective_values(
     g: Graph, model: UtilityModel, partition: GroupPartition, *names: str
 ) -> tuple[Fraction, ...]:
     """The named objectives' values, in order, all read off one payoff
-    matrix.  A DF value is ``maximin.maximin_value``'s: the same certified
-    LP as ``read_offs``, read with no support masks and no solution made."""
+    matrix as ``read_offs`` reads them; a DF value is its certified
+    ``maximin.solve_maximin``'s."""
     _check_names(names)
     matrix = exact.build_payoff_matrix(g, model, partition)
-    return tuple(
-        maximin.maximin_value(matrix, _mode(name)) if name.startswith("DF-")
-        else _read_off(matrix, name)[0]
-        for name in names
-    )
+    return tuple(_read_off(matrix, name)[0] for name in names)
 
 
 # each chain claim and its (lower, upper) objectives, in report order
@@ -216,7 +212,7 @@ def check_chain(
 ) -> list[BoundCheck]:
     """Static <= dynamic <= utilitarian, in both value and proportion modes,
     all six sides read off one payoff matrix by ``objective_values``: the
-    DF sides are certified values, and no support is read."""
+    DF sides are certified maximin values."""
     values = objective_values(g, model, partition, *OBJECTIVE_NAMES)
     return chain_checks(dict(zip(OBJECTIVE_NAMES, values)), context)
 

@@ -99,7 +99,7 @@ def python_solve_maximin(matrix: PayoffMatrix, mode: Mode = Mode.PROPORTION) -> 
     _check_certificate(matrix, mode, value, distribution, duals, support)
     masks = tuple(int(matrix.col_masks[j]) for j in support)
     return MaximinSolution(
-        value, support, master.solves, master.pivots, 0, 0, False,
+        value, support, master.solves, master.pivots, 0, 0,
         masks, tuple(p for _, p in kept), tuple(y),
     )
 

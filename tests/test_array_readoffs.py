@@ -281,9 +281,8 @@ def assert_no_numpy_scalars(matrix: PayoffMatrix) -> None:
     # numpy scalar; one per scaled column set, so one with equal group sizes
     assert len(matrix._solved) == (1 if len(set(matrix.group_sizes)) == 1 else 2)
     for found in matrix._solved.values():
-        *ints, guessed = plain_leaves(found)
-        assert type(found) is _LPOutcome and type(guessed) is bool
-        assert all(type(x) is int for x in ints)
+        assert type(found) is _LPOutcome
+        assert all(type(x) is int for x in plain_leaves(found))
 
 
 def plain_leaves(found: tuple) -> list:

@@ -3,8 +3,9 @@
 ``bench/tracing.py`` replaces library attributes by name, so a renamed or
 moved function would break ``bench/run.py --trace 1`` without failing any
 library test.  These tests import the tracer from ``bench/`` as it is and
-check that its targets exist, that tracing does not change a report, and
-that ``uninstall`` puts every original back.
+check that its targets exist, that tracing does not change a report, that
+every DF read-off reaches a traced solve, and that ``uninstall`` puts every
+original back.
 """
 
 import contextlib
@@ -12,7 +13,9 @@ import io
 import sys
 from pathlib import Path
 
+from fairmaxcut import verify
 from fairmaxcut.cli import main
+from fairmaxcut.families import make_paw_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.append(str(ROOT / "bench"))
@@ -47,6 +50,22 @@ def test_traced_solve_writes_the_untraced_report():
     names = {span[0] for span in tracer.spans}
     assert {"instances.load_instance", "exact.build_payoff_matrix", "maximin.solve_maximin"} <= names
     assert tracer.counts["exact.passes"] == 1
+
+
+def test_traced_check_chain_counts_its_df_read_offs():
+    # the paw's four groups: both DF masters grow past the start column
+    inst = make_paw_instance()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        checks = verify.check_chain(inst.graph, inst.model, inst.partition)
+    finally:
+        tracer.uninstall()
+    assert checks and all(check.passed for check in checks)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("maximin.solve_maximin") == 2
+    assert tracer.counts["maximin.columns_in"] > 0
+    assert tracer.counts["maximin.support_size"] > 0
 
 
 def test_uninstall_restores_every_attribute():

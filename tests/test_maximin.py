@@ -443,7 +443,6 @@ class TestReadOff:
     def test_matches_the_tight_resolve(self, matrix):
         for mode in Mode:
             sol = solve_maximin(matrix, mode)
-            assert (sol.tight_columns > 0) == sol.dual_guessed
             if sol.tight_columns:
                 tight, *resolved = tight_resolve(matrix, mode, sol)
                 assert len(tight) == sol.tight_columns and sol.tight_pivots > 0
@@ -471,9 +470,10 @@ def same_matrix(matrix: PayoffMatrix) -> PayoffMatrix:
 
 
 class TestValueStage:
-    """``maximin_value`` certifies the LP that ends a read-off and reads no
-    support masks; a later solve of the matrix runs no LP, and reports what
-    a fresh solve reports."""
+    """A DF value that ``verify.objective_values`` reads is the certified
+    ``solve_maximin`` of the matrix it builds, with no re-solve; a later
+    solve of that matrix in either mode runs no LP, and reports what a fresh
+    solve reports."""
 
     def test_value_reads_run_no_resolve(self, monkeypatch):
         # the degenerate 12-vertex graph of test_tight_counters_on_a_random_12_vertex_graph
@@ -505,9 +505,10 @@ class TestValueStage:
         assert solve_maximin(matrix, Mode.VALUE) == sol and resolved == [1]
 
     def test_a_solve_builds_no_lp_after_the_value_stage(self, monkeypatch):
-        # the degenerate 12-vertex graph: a fresh solve builds the LPs a
-        # fresh value read builds (the failed guess's over the one column of
-        # largest sum, and the master from the start column) and no other
+        # the degenerate 12-vertex graph: a fresh solve builds the failed
+        # guess's LP over the one column of largest sum and the master from
+        # the start column, and no other; a solve in either mode after it
+        # builds none
         built = []
         init, tight_lp = _RevisedLP.__init__, maximin._tight_lp
 
@@ -522,34 +523,30 @@ class TestValueStage:
         monkeypatch.setattr(_RevisedLP, "__init__", spy_init)
         monkeypatch.setattr(maximin, "_tight_lp", spy_tight_lp)
         matrix = degenerate_n12_matrix()
-        value = maximin.maximin_value(matrix)
-        value_stage = built[:]
-        assert value_stage == [("tight", 1), ("lp", 1), ("lp", 1)]
+        first = solve_maximin(matrix, Mode.VALUE)
+        first_read = built[:]
+        assert first_read == [("tight", 1), ("lp", 1), ("lp", 1)]
         for mode in Mode:
-            solve_maximin(matrix, mode)
-        assert built == value_stage
+            assert solve_maximin(matrix, mode).value == first.value
+        assert built == first_read
         built.clear()
-        assert solve_maximin(degenerate_n12_matrix()).value == value
-        assert built == value_stage
+        assert solve_maximin(degenerate_n12_matrix()) == solve_maximin(matrix)
+        assert built == first_read
 
-    @given(any_matrices, st.sampled_from(list(Mode)), st.sampled_from(list(Mode)), st.booleans())
+    @given(any_matrices, st.sampled_from(list(Mode)), st.sampled_from(list(Mode)))
     @settings(max_examples=100, deadline=None)
-    def test_matches_the_solve_in_either_order(self, matrix, read, solved, value_first):
-        """A value read in mode ``read`` before or after a solve in mode
-        ``solved``: the value is the solve's and the Python oracle's in its
-        mode, and the solve is a fresh matrix's, field for field."""
-        if value_first:
-            value = maximin.maximin_value(matrix, read)
-            sol = solve_maximin(matrix, solved)
-        else:
-            sol = solve_maximin(matrix, solved)
-            value = maximin.maximin_value(matrix, read)
-        fresh = solve_maximin(same_matrix(matrix), solved)
-        assert sol == fresh
-        for name in ("_masks", "_weights", "_duals"):
-            assert getattr(sol, name) == getattr(fresh, name)
-        assert value == solve_maximin(same_matrix(matrix), read).value
-        assert value == python_solve_maximin(matrix, read).value
+    def test_matches_the_solve_in_either_order(self, matrix, first, second):
+        """Solves in mode ``first``, then ``second``, of one matrix: each is
+        a fresh matrix's, field for field, and its value is the Python
+        oracle's in its mode."""
+        modes = (first, second)
+        sols = [solve_maximin(matrix, mode) for mode in modes]
+        for mode, sol in zip(modes, sols):
+            fresh = solve_maximin(same_matrix(matrix), mode)
+            assert sol == fresh
+            for name in ("_masks", "_weights", "_duals"):
+                assert getattr(sol, name) == getattr(fresh, name)
+            assert sol.value == python_solve_maximin(matrix, mode).value
 
 
 def test_pricing_divides_out_the_gcd_to_stay_in_int64(monkeypatch):
@@ -770,7 +767,7 @@ CHECKS = (_check_certificate, check_outcome)  # in integers, and in Fractions
 def lp_outcome(support, weights, det, duals, total) -> _LPOutcome:
     """An LP outcome with the certificate's integers; z and the counters,
     which neither check reads, are 0."""
-    return _LPOutcome(0, det, support, weights, duals, total, (0, 0, 0, 0, False))
+    return _LPOutcome(0, det, support, weights, duals, total, (0, 0, 0, 0))
 
 
 class TestCertificate:

@@ -93,6 +93,8 @@ def test_reproduce_rows_parse():
         ("objective MV x", "not a valid fraction"),
         ("objective MV 1/0", "not a valid fraction"),
         ("witness MV", "too few fields"),
+        ("witness MV {-1}", "bad cut token '{-1}': negative member"),
+        ("support DF-MP {-1} 1", "bad cut token '{-1}': negative member"),
         ("support DF-MP {1}", "too few fields"),
         ("dual DF-MV 0", "too few fields"),
         ("dual DF-MV x 1/2", "dual index must be an integer"),
